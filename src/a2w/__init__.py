@@ -16,9 +16,8 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
                      VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
                      VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_PD_AE, VERDICT_WEIGHT_OK)
-from .scalar_power import (NotA2Error, NotIntegrableError, ScalarPowerWeight,
-                           average_abs_pow, format_rational, integral_abs_pow,
-                           parse_rational, scalar_a2_constant_estimate,
+from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
+                           format_rational, integral_abs_pow, parse_rational,
                            scalar_closed_form_constant, scalar_is_a2)
 from .type1 import (EvaluationAtOriginError, MidpointConditionError,
                     SymbolicPowerMatrix, a2_upper_bound, build_type1,
@@ -33,11 +32,11 @@ from .type2 import (DivergenceRow, Type2Weight, check_local_integrability,
                     check_necessary_a2, decide_a2, decide_rotation_a2,
                     diagonal_entry, divergence_experiment, evaluate_type2,
                     fit_loglog_slope, logspaced_ints)
-from .multivar import (Cube, CubeSearchConfig, CubeSearchResult, Type1aWeight,
-                       Type1bWeight, average_type1a, average_type1b,
-                       build_type1a, build_type1b, check_a2_type1a,
-                       check_a2_type1b, cube_integral_radial,
-                       default_cube_config, estimate_a2_cubes)
+from .multivar import (Cube, CubeSearchConfig, Type1aWeight, Type1bWeight,
+                       average_type1a, average_type1b, build_type1a,
+                       build_type1b, check_a2_type1a, check_a2_type1b,
+                       cube_integral_radial, default_cube_config,
+                       estimate_a2_cubes)
 
 __all__ = [
     "__version__",
@@ -47,10 +46,9 @@ __all__ = [
     "VERDICT_A2", "VERDICT_MARGINAL", "VERDICT_NECESSARY_PASSED",
     "VERDICT_NOT_A2", "VERDICT_NOT_INTEGRABLE", "VERDICT_NOT_PD_AE",
     "VERDICT_PD_AE", "VERDICT_WEIGHT_OK",
-    "NotA2Error", "NotIntegrableError", "ScalarPowerWeight",
+    "NotA2Error", "NotIntegrableError",
     "average_abs_pow", "format_rational", "integral_abs_pow",
-    "parse_rational", "scalar_a2_constant_estimate",
-    "scalar_closed_form_constant", "scalar_is_a2",
+    "parse_rational", "scalar_closed_form_constant", "scalar_is_a2",
     "EvaluationAtOriginError", "MidpointConditionError",
     "SymbolicPowerMatrix", "a2_upper_bound", "build_type1", "build_type1_raw",
     "check_a2", "check_positive_definite_ae", "evaluate", "symbolic_det",
@@ -62,7 +60,7 @@ __all__ = [
     "check_necessary_a2", "decide_a2", "decide_rotation_a2", "diagonal_entry",
     "divergence_experiment", "evaluate_type2", "fit_loglog_slope",
     "logspaced_ints",
-    "Cube", "CubeSearchConfig", "CubeSearchResult", "Type1aWeight",
+    "Cube", "CubeSearchConfig", "Type1aWeight",
     "Type1bWeight", "average_type1a", "average_type1b", "build_type1a",
     "build_type1b", "check_a2_type1a", "check_a2_type1b",
     "cube_integral_radial", "default_cube_config", "estimate_a2_cubes",

@@ -7,7 +7,8 @@ exactly. Coefficients may be bare reals or [re, im] pairs.
 
 Exit codes: 0 success (check always exits 0 on a valid spec, whatever
 the verdict), 2 schema or argument error, 3 decision precondition
-failed, 4 search or quadrature failure, 5 property failure in verify.
+failed, 4 search, quadrature or linear-algebra failure, 5 property
+failure in verify. Exceptions map to codes through one table in main.
 
 JSON output is deterministic: keys are sorted and wall-clock time is
 never part of the payload (it is printed on the human-readable path
@@ -26,14 +27,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, multivar, type1, type2
-from .estimator import estimate_a2
+from .estimator import NonPositiveInputError, estimate_a2
+from .linalg import (ConvergenceError, NegativeEigenvalueError,
+                     SingularMatrixError)
 from .quadrature import QuadratureBudgetError
 from .report import A2Report, VERDICT_A2, VERDICT_MARGINAL
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
 from .search import (SearchError, SupSearchConfig, coarse_interval_config,
                      default_interval_config)
-from .type1 import SymbolicPowerMatrix
+from .type1 import MidpointConditionError, SymbolicPowerMatrix
 from .verify import VERIFY_MODULES, run_suites
 
 __all__ = ["SchemaError", "load_weight_spec", "main"]
@@ -334,34 +337,26 @@ def cmd_constant(args) -> int:
         return _EXIT_DECISION
 
     t0 = time.perf_counter()
-    try:
-        if isinstance(weight, (multivar.Type1aWeight, multivar.Type1bWeight)):
-            cfg = _cube_config(args.grid)
-            result = multivar.estimate_a2_cubes(weight, args.functional, cfg)
-            argmax = {"lower": list(result.argmax.lower),
-                      "side": result.argmax.side}
-            config_echo = {"grid": args.grid or "default",
-                           "sides": len(cfg.sides),
-                           "families": list(cfg.families),
-                           "refine_rounds": cfg.refine_rounds,
-                           "quadrature_tol": cfg.quadrature_tol}
-        else:
-            cfg = _interval_config(args.grid)
-            result = estimate_a2(weight, args.functional, cfg)
-            argmax = {"a": result.argmax.a, "b": result.argmax.b}
-            used = cfg if cfg is not None else None
-            config_echo = {"grid": args.grid or "default"}
-            if used is not None:
-                config_echo.update({"centers": len(used.centers),
-                                    "halflengths": len(used.halflengths),
-                                    "refine_rounds": used.refine_rounds,
-                                    "quadrature_tol": used.quadrature_tol})
-    except (NotA2Error, NotIntegrableError) as exc:
-        print(f"decision failed: {exc}", file=sys.stderr)
-        return _EXIT_DECISION
-    except (SearchError, QuadratureBudgetError) as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return _EXIT_SEARCH
+    if isinstance(weight, (multivar.Type1aWeight, multivar.Type1bWeight)):
+        cfg = _cube_config(args.grid)
+        result = multivar.estimate_a2_cubes(weight, args.functional, cfg)
+        argmax = {"lower": list(result.argmax.lower),
+                  "side": result.argmax.side}
+        config_echo = {"grid": args.grid or "default",
+                       "sides": len(cfg.sides),
+                       "families": list(cfg.families),
+                       "refine_rounds": cfg.refine_rounds,
+                       "quadrature_tol": cfg.quadrature_tol}
+    else:
+        cfg = _interval_config(args.grid)
+        result = estimate_a2(weight, args.functional, cfg)
+        argmax = {"a": result.argmax.a, "b": result.argmax.b}
+        config_echo = {"grid": args.grid or "default"}
+        if cfg is not None:
+            config_echo.update({"centers": len(cfg.centers),
+                                "halflengths": len(cfg.halflengths),
+                                "refine_rounds": cfg.refine_rounds,
+                                "quadrature_tol": cfg.quadrature_tol})
     elapsed = time.perf_counter() - t0
 
     upper = None
@@ -400,12 +395,8 @@ def _csv_lines(rows) -> list[str]:
 
 
 def cmd_divergence(args) -> int:
-    try:
-        g1 = _rational(args.gamma1, "--gamma1")
-        g2 = _rational(args.gamma2, "--gamma2")
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
+    g1 = _rational(args.gamma1, "--gamma1")
+    g2 = _rational(args.gamma2, "--gamma2")
     if not (Fraction(-1) < g1 < g2 < Fraction(1)):
         print("invalid exponents: need -1 < gamma1 < gamma2 < 1 "
               f"(got {format_rational(g1)}, {format_rational(g2)})",
@@ -418,11 +409,7 @@ def cmd_divergence(args) -> int:
 
     ns = type2.logspaced_ints(args.n_min, args.n_max, args.points)
     t0 = time.perf_counter()
-    try:
-        rows = type2.divergence_experiment(g1, g2, ns)
-    except QuadratureBudgetError as exc:
-        print(f"quadrature failed: {exc}", file=sys.stderr)
-        return _EXIT_SEARCH
+    rows = type2.divergence_experiment(g1, g2, ns)
     elapsed = time.perf_counter() - t0
     slope = type2.fit_loglog_slope(rows)
     theoretical = (g2 - g1) / 2
@@ -532,14 +519,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Named classes, first match wins: NotIntegrableError is an ArithmeticError
+# like the linear-algebra failures, yet it is a decision failure.
+_EXIT_TABLE = (
+    ((SchemaError,), _EXIT_SCHEMA, "schema error"),
+    ((NotA2Error, NotIntegrableError, MidpointConditionError),
+     _EXIT_DECISION, "decision failed"),
+    ((SearchError, QuadratureBudgetError, NonPositiveInputError,
+      SingularMatrixError, ConvergenceError, NegativeEigenvalueError),
+     _EXIT_SEARCH, "search failed"),
+)
+_MAPPED = tuple(cls for classes, _, _ in _EXIT_TABLE for cls in classes)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
+    except _MAPPED as exc:
+        code, label = next((code, label) for classes, code, label in _EXIT_TABLE
+                           if isinstance(exc, classes))
+        region = getattr(exc, "region", None)
+        where = f" on {region}" if region is not None else ""
+        print(f"{label}: {type(exc).__name__}{where}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

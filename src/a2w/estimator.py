@@ -16,8 +16,7 @@ import numpy as np
 
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, adaptive_quad
-from .scalar_power import (NotA2Error, NotIntegrableError, ScalarPowerWeight,
-                           average_abs_pow)
+from .scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
                      run_interval_search)
@@ -166,15 +165,12 @@ def estimate_a2(weight, functional: str = "trace",
                 config: SupSearchConfig | None = None) -> SupSearchResult:
     """Searched lower bound of the chosen A2 functional's supremum.
 
-    Accepts a symbolic power matrix, a Type 2 weight, or a scalar power
-    weight (treated as a 1x1 symbolic matrix). Symbolic weights get the
-    full default grid; quadrature-backed weights default to the coarse one.
+    Accepts a symbolic power matrix (a scalar weight is the 1x1 case) or
+    a Type 2 weight. Symbolic weights get the full default grid;
+    quadrature-backed weights default to the coarse one.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    if isinstance(weight, ScalarPowerWeight):
-        weight = SymbolicPowerMatrix(
-            np.array([[weight.coeff]]), ((weight.exponent,),))
     if isinstance(weight, SymbolicPowerMatrix):
         cfg = config if config is not None else default_interval_config()
         fn = _symbolic_eval_fn(weight, functional)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +28,9 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE)
 from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
                            format_rational)
-from .search import Interval, SearchError, golden_max, thread_count
-from .type1 import MidpointConditionError
+from .search import Interval, SupSearchResult, _maximize, golden_max
+from .type1 import (_exponent_matrix, _midpoint_complete, _midpoint_findings,
+                    _negated, _normalized_matrix, _require_midpoint)
 
 __all__ = [
     "Cube",
@@ -48,7 +48,6 @@ __all__ = [
     "inverse_type1b",
     "cube_integral_radial",
     "CubeSearchConfig",
-    "CubeSearchResult",
     "default_cube_config",
     "coarse_cube_config",
     "estimate_a2_cubes",
@@ -57,7 +56,6 @@ __all__ = [
 _DIMS = (2, 3)
 _SPHERE_MEASURE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,6 @@ class Cube:
         """Distance from the origin to the nearest cube vertex."""
         return math.sqrt(sum(min(lo * lo, hi * hi)
                              for lo, hi in zip(self.lower, self.upper)))
-
-
-def _exponent_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    mat = tuple(tuple(Fraction(e) for e in row) for row in rows)
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise ValueError("exponent matrix must be square and nonempty")
-    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +150,6 @@ class Type1bWeight:
         return self.coeff.shape[0]
 
 
-def _midpoint_complete(diag: tuple[Fraction, ...]):
-    return tuple(tuple((diag[i] + diag[j]) / 2 for j in range(len(diag)))
-                 for i in range(len(diag)))
-
-
 def build_type1a(coeff, diag_exponents_per_coordinate) -> Type1aWeight:
     """Midpoint-completed separable weight from per-coordinate diagonals."""
     a = linalg.as_hermitian(coeff)
@@ -199,34 +184,6 @@ def build_type1b_raw(coeff, exponents, d: int) -> Type1bWeight:
 
 def _diag_of(mat) -> tuple[Fraction, ...]:
     return tuple(mat[i][i] for i in range(len(mat)))
-
-
-def _normalized_matrix(coeff: np.ndarray, mat):
-    """Rewrite exponents of zero-coefficient off-diagonal entries to midpoint."""
-    diag = _diag_of(mat)
-    n = len(mat)
-    return tuple(tuple((diag[i] + diag[j]) / 2
-                       if i != j and coeff[i, j] == 0 else mat[i][j]
-                       for j in range(n)) for i in range(n))
-
-
-def _midpoint_findings(coeff: np.ndarray, mat, where_prefix: tuple) -> list[Finding]:
-    exps = _normalized_matrix(coeff, mat)
-    diag = _diag_of(exps)
-    found = []
-    n = len(exps)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            want = (diag[i] + diag[j]) / 2
-            if exps[i][j] != want:
-                found.append(Finding(
-                    kind="midpoint-violated", where=where_prefix + (i, j),
-                    detail=(f"exponent {format_rational(exps[i][j])} at "
-                            f"{where_prefix + (i, j)} differs from midpoint "
-                            f"{format_rational(want)}")))
-    return found
 
 
 def _structural_findings(coeff: np.ndarray) -> tuple[list[Finding], str | None]:
@@ -307,7 +264,7 @@ def check_a2_type1b(w: Type1bWeight) -> A2Report:
     diagonal exponent lies strictly between -d and d."""
     structural, verdict = _structural_findings(w.coeff)
     if verdict is None:
-        bad = _midpoint_findings(w.coeff, w.exponents, ())
+        bad = _midpoint_findings(w.coeff, w.exponents)
         if bad:
             structural.extend(bad)
             verdict = VERDICT_NOT_PD_AE
@@ -338,57 +295,31 @@ def average_type1a(w: Type1aWeight, cube: Cube) -> np.ndarray:
     return out.real if np.all(out.imag == 0) else out
 
 
-def _require_multivar_midpoint(coeff, mats) -> None:
-    for c, mat in enumerate(mats):
-        if _midpoint_findings(coeff, mat, (c,)):
-            raise MidpointConditionError(
-                "inverse closed form needs the exact midpoint condition")
-
-
-def _inverse_coeff(coeff: np.ndarray) -> np.ndarray:
-    a = linalg.as_hermitian(coeff)
-    det = linalg.lu_det(a)
-    scale = float(np.abs(a).max()) or 1.0
-    if abs(det) <= 1e-12 * scale ** a.shape[0]:
-        raise linalg.SingularMatrixError("coefficient matrix is singular")
-    n = a.shape[0]
-    inv = np.array([[linalg.cofactor(a, j, i) / det for j in range(n)]
-                    for i in range(n)])
-    return inv
-
-
-def _negate(mat):
-    return tuple(tuple(-e for e in row) for row in mat)
-
-
 def inverse_type1a(w: Type1aWeight) -> Type1aWeight:
     """Pointwise inverse: adjugate coefficients, negated exponents."""
     mats = tuple(_normalized_matrix(w.coeff, m)
                  for m in w.exponents_per_coordinate)
-    _require_multivar_midpoint(w.coeff, mats)
-    return Type1aWeight(_inverse_coeff(w.coeff),
-                        tuple(_negate(m) for m in mats))
+    for c, mat in enumerate(mats):
+        _require_midpoint(w.coeff, mat, (c,))
+    return Type1aWeight(linalg.adjugate_inverse(w.coeff),
+                        tuple(_negated(m) for m in mats))
 
 
 def inverse_type1b(w: Type1bWeight) -> Type1bWeight:
     mat = _normalized_matrix(w.coeff, w.exponents)
-    if _midpoint_findings(w.coeff, mat, ()):
-        raise MidpointConditionError(
-            "inverse closed form needs the exact midpoint condition")
-    return Type1bWeight(_inverse_coeff(w.coeff), _negate(mat), w.d)
+    _require_midpoint(w.coeff, mat)
+    return Type1bWeight(linalg.adjugate_inverse(w.coeff), _negated(mat), w.d)
 
 
 def _tensor_gl(gamma: float, lo, hi) -> float:
     """Tensor product Gauss rule for ||x||^gamma over an origin-free box."""
-    axes, wts = [], []
-    for a, b in zip(lo, hi):
+    d = len(lo)
+    r2, wts = 0.0, []
+    for k, (a, b) in enumerate(zip(lo, hi)):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        axes.append(mid + half * _GL_NODES)
+        x = (mid + half * _GL_NODES).reshape((-1,) + (1,) * (d - 1 - k))
+        r2 = r2 + x * x  # broadcasts to the (8,) * d tensor grid
         wts.append(half * _GL_WEIGHTS)
-    grids = np.meshgrid(*axes, indexing="ij")
-    r2 = grids[0] * grids[0]
-    for g in grids[1:]:
-        r2 = r2 + g * g
     vals = r2 ** (0.5 * gamma)
     w = wts[0]
     for extra in wts[1:]:
@@ -550,7 +481,8 @@ def average_type1b(w: Type1bWeight, cube: Cube, tol: float = 1e-6,
             if e not in cache:
                 try:
                     cache[e] = (cube_integral_radial(float(e), lo, hi, tol,
-                                                     budget) / cube.volume)
+                                                     budget, scale=0.0)
+                                / cube.volume)
                 except ValueError as exc:
                     raise NotIntegrableError(
                         f"entry ({i}, {j}): {exc}") from exc
@@ -598,14 +530,6 @@ def coarse_cube_config() -> CubeSearchConfig:
                             refine_rounds=6)
 
 
-@dataclass(frozen=True)
-class CubeSearchResult:
-    estimate: float
-    argmax: Cube
-    evaluations: int
-    functional: str
-
-
 def _family_cube(family: str, shift: int, d: int, side: float) -> Cube:
     if family == "cornered":
         return Cube((0.0,) * d, side)
@@ -615,12 +539,13 @@ def _family_cube(family: str, shift: int, d: int, side: float) -> Cube:
 
 
 def estimate_a2_cubes(weight, functional: str = "trace",
-                      config: CubeSearchConfig | None = None) -> CubeSearchResult:
+                      config: CubeSearchConfig | None = None) -> SupSearchResult:
     """Searched lower bound of the A2 functional supremum over cubes.
 
-    Same architecture as the interval search: grid scan over the family
-    grid, golden refinement in log side length through the incumbent, and
-    the canonical tie-break preferring origin-adjacent cubes.
+    Same search as for intervals: grid scan over the family grid, golden
+    refinement in log side length through the incumbent, and the canonical
+    tie-break preferring cubes whose nearest vertex is closest to the
+    origin in units of the side.
     """
     cfg = config if config is not None else default_cube_config()
     func = {"trace": a2_functional_trace, "norm": a2_functional_norm}.get(functional)
@@ -652,49 +577,27 @@ def estimate_a2_cubes(weight, functional: str = "trace",
     d = weight.d
 
     def evaluate(cube: Cube) -> float:
-        avg_w, avg_winv = averages(cube)
-        val = float(func(avg_w, avg_winv))
-        if not math.isfinite(val):
-            raise SearchError(f"functional returned non-finite value on {cube}")
-        return val
+        return func(*averages(cube))
 
-    grid: list[tuple[str, int, Cube]] = []
+    labels: list[tuple[str, int]] = []
+    grid: list[Cube] = []
     for family in cfg.families:
         shifts = cfg.shifts if family == "shifted" else (0,)
         for shift in shifts:
             for side in cfg.sides:
-                grid.append((family, shift, _family_cube(family, shift, d, side)))
+                labels.append((family, shift))
+                grid.append(_family_cube(family, shift, d, side))
 
-    record: list[tuple[float, int, Cube]] = []
-    threads = thread_count()
-    cubes = [c for _, _, c in grid]
-    if threads > 1 and len(cubes) >= 8:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, cubes))
-    else:
-        values = [evaluate(c) for c in cubes]
-    for cube, val in zip(cubes, values):
-        record.append((val, len(record), cube))
-
-    best_idx = max(range(len(record)), key=lambda k: (record[k][0], -k))
-    best_family, best_shift, best_cube = grid[best_idx]
-
-    if cfg.refine_rounds > 0:
+    def refine(scored, incumbent) -> None:
+        if cfg.refine_rounds == 0:
+            return
+        idx, best_cube = incumbent()
+        family, shift = labels[idx]
         span = math.log(4.0)
         s0 = math.log(best_cube.side)
+        golden_max(lambda logs: scored(_family_cube(family, shift, d,
+                                                    math.exp(logs))),
+                   s0 - span, s0 + span, cfg.refine_rounds)
 
-        def along(logs: float) -> float:
-            cube = _family_cube(best_family, best_shift, d, math.exp(logs))
-            val = evaluate(cube)
-            record.append((val, len(record), cube))
-            return val
-
-        golden_max(along, s0 - span, s0 + span, cfg.refine_rounds)
-
-    best_val = max(v for v, _, _ in record)
-    floor = best_val * (1.0 - _TIE_RTOL) if best_val > 0 else best_val
-    tied = [(v, k, c) for v, k, c in record if v >= floor]
-    tied.sort(key=lambda t: (t[2].nearest_vertex_distance() / t[2].side, t[1]))
-    val, _, argmax = tied[0]
-    return CubeSearchResult(estimate=val, argmax=argmax,
-                            evaluations=len(record), functional=functional)
+    return _maximize(grid, evaluate, refine,
+                     lambda c: c.nearest_vertex_distance() / c.side, functional)

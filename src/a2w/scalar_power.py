@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .search import (Interval, SupSearchConfig, SupSearchResult,
-                     default_interval_config, run_interval_search)
+from .search import Interval
 
 __all__ = [
     "Interval",
-    "ScalarPowerWeight",
     "NotIntegrableError",
     "NotA2Error",
     "parse_rational",
@@ -26,8 +23,6 @@ __all__ = [
     "average_abs_pow",
     "scalar_is_a2",
     "scalar_closed_form_constant",
-    "scalar_product",
-    "scalar_a2_constant_estimate",
 ]
 
 _RAT_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
@@ -68,22 +63,6 @@ def parse_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class ScalarPowerWeight:
-    """w(x) = coeff * |x|^exponent with coeff > 0."""
-
-    coeff: float
-    exponent: Fraction
-
-    def __post_init__(self):
-        if not (math.isfinite(self.coeff) and self.coeff > 0):
-            raise ValueError("coefficient must be a positive finite number")
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-
-    def inverse(self) -> "ScalarPowerWeight":
-        return ScalarPowerWeight(1.0 / self.coeff, -self.exponent)
 
 
 def _integral_positive_side(g: float, lo: float, hi: float, minus_one: bool) -> float:
@@ -137,25 +116,3 @@ def scalar_closed_form_constant(gamma) -> float:
     if not scalar_is_a2(g):
         raise NotA2Error(f"|x|^{format_rational(g)} is not A2")
     return 1.0 / float((1 - g) * (1 + g))
-
-
-def scalar_product(w: ScalarPowerWeight, iv: Interval) -> float:
-    """<w>_I <w^-1>_I for one interval."""
-    aw = w.coeff * average_abs_pow(w.exponent, iv)
-    ai = average_abs_pow(-w.exponent, iv) / w.coeff
-    return aw * ai
-
-
-def scalar_a2_constant_estimate(w: ScalarPowerWeight,
-                                config: SupSearchConfig | None = None) -> SupSearchResult:
-    """Lower-bound estimate of the A2 characteristic of a scalar power weight.
-
-    Requires the weight to be A2; returns the searched supremum of
-    scalar_product together with the argmax interval.
-    """
-    if not scalar_is_a2(w.exponent):
-        raise NotA2Error(
-            f"exponent {format_rational(w.exponent)} outside (-1, 1)")
-    cfg = config if config is not None else default_interval_config()
-    return run_interval_search(lambda iv: scalar_product(w, iv), cfg,
-                               functional="scalar_product")

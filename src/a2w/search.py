@@ -14,8 +14,6 @@ of the true supremum either way, since only real intervals are evaluated.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ __all__ = [
     "default_interval_config",
     "coarse_interval_config",
     "run_interval_search",
-    "thread_count",
     "golden_max",
 ]
 
@@ -114,6 +111,8 @@ def coarse_interval_config(quadrature_tol: float = 1e-6) -> SupSearchConfig:
 
 @dataclass(frozen=True)
 class SupSearchResult:
+    """Searched maximum; argmax is an Interval, or a multivar.Cube for cubes."""
+
     estimate: float
     argmax: Interval
     evaluations: int
@@ -130,16 +129,6 @@ def _candidate(center: float, halflength: float) -> Interval | None:
         # anchored: difference is exact, one endpoint is 0.0
         return Interval(center - halflength, center + halflength)
     return Interval(center - halflength, center + halflength)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("A2W_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def golden_max(f, lo: float, hi: float, rounds: int):
@@ -160,6 +149,49 @@ def golden_max(f, lo: float, hi: float, rounds: int):
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _maximize(candidates, evaluate, refine, tie_key,
+              functional: str) -> SupSearchResult:
+    """Grid scan, refinement and canonical argmax shared by every search.
+
+    Every candidate region is evaluated in order; refine(scored, incumbent)
+    may then evaluate more regions through scored, and incumbent() returns
+    (index, region) of the current maximum, earliest first. Values within
+    1e-12 relative of the maximum tie; ties go to the smallest tie_key,
+    then to the earliest evaluation. An exception raised while evaluating
+    a region carries that region as its ``region`` attribute.
+    """
+    if not candidates:
+        raise SearchError("candidate family is empty")
+    record: list[tuple[float, int, object]] = []
+
+    def scored(region) -> float:
+        try:
+            val = float(evaluate(region))
+        except Exception as exc:
+            exc.region = region
+            raise
+        if not math.isfinite(val):
+            raise SearchError(f"functional returned non-finite value on {region}")
+        record.append((val, len(record), region))
+        return val
+
+    def incumbent():
+        _, idx, region = max(record, key=lambda t: (t[0], -t[1]))
+        return idx, region
+
+    for region in candidates:
+        scored(region)
+    refine(scored, incumbent)
+
+    best_val = max(v for v, _, _ in record)
+    floor = best_val * (1.0 - _TIE_RTOL) if best_val > 0 else best_val
+    tied = [t for t in record if t[0] >= floor]
+    tied.sort(key=lambda t: (tie_key(t[2]), t[1]))
+    val, _, argmax = tied[0]
+    return SupSearchResult(estimate=val, argmax=argmax,
+                           evaluations=len(record), functional=functional)
+
+
 def run_interval_search(evaluate, config: SupSearchConfig,
                         functional: str) -> SupSearchResult:
     """Maximize evaluate(Interval) over the configured family.
@@ -178,35 +210,12 @@ def run_interval_search(evaluate, config: SupSearchConfig,
             iv = _candidate(c, h)
             if iv is not None:
                 grid.append(iv)
-    if not grid:
-        raise SearchError("candidate family is empty")
-
-    record: list[tuple[float, int, Interval]] = []
-
-    def scored(iv: Interval) -> float:
-        val = float(evaluate(iv))
-        if not math.isfinite(val):
-            raise SearchError(f"functional returned non-finite value on {iv}")
-        record.append((val, len(record), iv))
-        return val
-
-    threads = thread_count()
-    if threads > 1 and len(grid) >= 256:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, grid, chunksize=16))
-        for iv, val in zip(grid, values):
-            v = float(val)
-            if not math.isfinite(v):
-                raise SearchError(f"functional returned non-finite value on {iv}")
-            record.append((v, len(record), iv))
-    else:
-        for iv in grid:
-            scored(iv)
-
-    best_val, _, best_iv = max(record, key=lambda t: (t[0], -t[1]))
-
     rounds = config.refine_rounds
-    if rounds > 0:
+
+    def refine(scored, incumbent) -> None:
+        if rounds == 0:
+            return
+        _, best_iv = incumbent()
         span = math.log(4.0)
         if best_iv.a == 0.0 or best_iv.b == 0.0:
             sign = 1.0 if best_iv.b > 0.0 else -1.0
@@ -238,7 +247,7 @@ def run_interval_search(evaluate, config: SupSearchConfig,
                         math.log(h0) - span,
                         min(math.log(h0) + span, math.log(abs(c0))),
                         rounds)
-            best_val, _, best_iv = max(record, key=lambda t: (t[0], -t[1]))
+            _, best_iv = incumbent()
             if not best_iv.contains_zero():
                 c1 = (best_iv.a + best_iv.b) / 2.0
                 h1 = best_iv.halflength
@@ -252,10 +261,6 @@ def run_interval_search(evaluate, config: SupSearchConfig,
                             math.log(abs(c1)) + span,
                             rounds)
 
-    best_val = max(v for v, _, _ in record)
-    floor = best_val * (1.0 - _TIE_RTOL) if best_val > 0 else best_val
-    tied = [(v, i, iv) for v, i, iv in record if v >= floor]
-    tied.sort(key=lambda t: (t[2].near_endpoint_distance() / t[2].halflength, t[1]))
-    val, _, argmax = tied[0]
-    return SupSearchResult(estimate=val, argmax=argmax,
-                           evaluations=len(record), functional=functional)
+    return _maximize(grid, evaluate, refine,
+                    lambda iv: iv.near_endpoint_distance() / iv.halflength,
+                    functional)

@@ -61,6 +61,40 @@ def _exponent_matrix(rows) -> ExponentMatrix:
     return mat
 
 
+def _midpoint_complete(diag: tuple[Fraction, ...]) -> ExponentMatrix:
+    """Exponent matrix with e_ij = (e_ii + e_jj) / 2 from its diagonal."""
+    return tuple(tuple((gi + gj) / 2 for gj in diag) for gi in diag)
+
+
+def _normalized_matrix(coeff: np.ndarray, mat) -> ExponentMatrix:
+    """Rewrite exponents of zero-coefficient off-diagonal entries to midpoint."""
+    n = len(mat)
+    return tuple(tuple((mat[i][i] + mat[j][j]) / 2
+                       if i != j and coeff[i, j] == 0 else mat[i][j]
+                       for j in range(n)) for i in range(n))
+
+
+def _negated(mat) -> ExponentMatrix:
+    return tuple(tuple(-e for e in row) for row in mat)
+
+
+def _midpoint_findings(coeff: np.ndarray, mat, where: tuple = ()) -> list[Finding]:
+    """One finding per normalized exponent off its midpoint, located at
+    where + (i, j)."""
+    exps = _normalized_matrix(coeff, mat)
+    found = []
+    for i, row in enumerate(exps):
+        for j, e in enumerate(row):
+            want = (exps[i][i] + exps[j][j]) / 2
+            if e != want:
+                at = where + (i, j)
+                found.append(Finding(
+                    kind="midpoint-violated", where=at,
+                    detail=(f"exponent {format_rational(e)} at {at}"
+                            f" differs from midpoint {format_rational(want)}")))
+    return found
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolicPowerMatrix:
     """Coefficient matrix, exact exponent matrix, and a global scalar factor."""
@@ -106,9 +140,7 @@ def build_type1(coeff, diag_exponents) -> SymbolicPowerMatrix:
     diag = tuple(Fraction(g) for g in diag_exponents)
     if len(diag) != a.shape[0]:
         raise ValueError("need one diagonal exponent per row")
-    exps = tuple(tuple((diag[i] + diag[j]) / 2 for j in range(len(diag)))
-                 for i in range(len(diag)))
-    return SymbolicPowerMatrix(a, exps)
+    return SymbolicPowerMatrix(a, _midpoint_complete(diag))
 
 
 def build_type1_raw(coeff, exponents) -> SymbolicPowerMatrix:
@@ -137,34 +169,7 @@ def normalized_exponents(w: SymbolicPowerMatrix) -> ExponentMatrix:
     replaced by the midpoint value before any structural check; this makes
     the midpoint test insensitive to don't-care exponents.
     """
-    diag = w.diag_exponents()
-    out = []
-    for i in range(w.n):
-        row = []
-        for j in range(w.n):
-            if i != j and w.coeff[i, j] == 0:
-                row.append((diag[i] + diag[j]) / 2)
-            else:
-                row.append(w.exponents[i][j])
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _midpoint_findings(w: SymbolicPowerMatrix) -> list[Finding]:
-    exps = normalized_exponents(w)
-    diag = w.diag_exponents()
-    found = []
-    for i in range(w.n):
-        for j in range(w.n):
-            if i == j:
-                continue
-            want = (diag[i] + diag[j]) / 2
-            if exps[i][j] != want:
-                found.append(Finding(
-                    kind="midpoint-violated", where=(i, j),
-                    detail=(f"exponent {format_rational(exps[i][j])} at ({i}, {j})"
-                            f" differs from midpoint {format_rational(want)}")))
-    return found
+    return _normalized_matrix(w.coeff, w.exponents)
 
 
 def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
@@ -193,7 +198,7 @@ def check_positive_definite_ae(w: SymbolicPowerMatrix,
         findings.append(Finding(
             kind="coefficient-not-self-adjoint", where=(),
             detail="coefficient matrix is not self-adjoint within tolerance"))
-    findings.extend(_midpoint_findings(w))
+    findings.extend(_midpoint_findings(w.coeff, w.exponents))
 
     pd = None
     if not any(f.kind == "coefficient-not-self-adjoint" for f in findings):
@@ -249,8 +254,8 @@ def check_a2(w: SymbolicPowerMatrix) -> A2Report:
     return A2Report(VERDICT_A2)
 
 
-def _require_midpoint(w: SymbolicPowerMatrix) -> None:
-    bad = _midpoint_findings(w)
+def _require_midpoint(coeff: np.ndarray, mat, where: tuple = ()) -> None:
+    bad = _midpoint_findings(coeff, mat, where)
     if bad:
         raise MidpointConditionError("; ".join(f.detail for f in bad))
 
@@ -261,14 +266,14 @@ def symbolic_det(w: SymbolicPowerMatrix) -> tuple[complex, Fraction]:
     Under the midpoint condition every permutation term carries the same
     power of |x|, namely the diagonal exponent sum.
     """
-    _require_midpoint(w)
+    _require_midpoint(w.coeff, w.exponents)
     coeff = linalg.lu_det(w.effective_coeff())
     return coeff, sum(w.diag_exponents(), Fraction(0))
 
 
 def symbolic_minor_det(w: SymbolicPowerMatrix, i: int, j: int) -> tuple[complex, Fraction]:
     """Determinant of W(x) with row i and column j deleted (0-based)."""
-    _require_midpoint(w)
+    _require_midpoint(w.coeff, w.exponents)
     n = w.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"minor index ({i}, {j}) out of range for order {n}")
@@ -284,23 +289,12 @@ def symbolic_inverse(w: SymbolicPowerMatrix,
                      singular_rtol: float = 1e-12) -> SymbolicPowerMatrix:
     """Closed-form inverse: adjugate coefficients, negated exponents.
 
-    W(x)^-1 [i, j] = (1/det A) * cof(A, j, i) * |x|^(-e_ij), with the
-    global scale carrying the 1/det factor.
+    W(x)^-1 [i, j] = cof(A, j, i) / det A * |x|^(-e_ij).
     """
-    _require_midpoint(w)
-    a = w.effective_coeff()
-    det = linalg.lu_det(a)
-    scale = float(np.max(np.abs(a)))
-    if abs(det) <= singular_rtol * scale**w.n:
-        raise linalg.SingularMatrixError("coefficient matrix is singular")
-    n = w.n
-    inv_coeff = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            inv_coeff[i, j] = linalg.cofactor(a, j, i)
-    exps = normalized_exponents(w)
-    neg = tuple(tuple(-exps[i][j] for j in range(n)) for i in range(n))
-    return SymbolicPowerMatrix(inv_coeff, neg, global_scale=1.0 / det)
+    _require_midpoint(w.coeff, w.exponents)
+    return SymbolicPowerMatrix(
+        linalg.adjugate_inverse(w.effective_coeff(), singular_rtol),
+        _negated(normalized_exponents(w)))
 
 
 def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
@@ -336,14 +330,15 @@ def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
 
 
 def _validate_closed_form_factors(exponents: set[Fraction]) -> None:
-    """Cross-check 1/(1-g^2) against a coarse scalar sup search."""
-    from .scalar_power import ScalarPowerWeight, scalar_a2_constant_estimate
+    """Cross-check 1/(1-g^2) against a coarse sup search on |x|^g."""
+    from .estimator import estimate_a2
     from .search import coarse_interval_config
 
     cfg = coarse_interval_config()
     for g in exponents:
         closed = scalar_closed_form_constant(g)
-        est = scalar_a2_constant_estimate(ScalarPowerWeight(1.0, g), cfg).estimate
+        scalar = SymbolicPowerMatrix(np.array([[1.0]]), ((g,),))
+        est = estimate_a2(scalar, "trace", cfg).estimate
         if est > closed * (1.0 + 1e-9) or est < closed * 0.98:
             raise ArithmeticError(
                 f"closed-form constant failed validation for exponent {g}: "

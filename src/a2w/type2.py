@@ -15,7 +15,6 @@ divergence experiment measures.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -27,7 +26,6 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_WEIGHT_OK)
 from .scalar_power import format_rational
-from .search import thread_count
 from .type1 import EvaluationAtOriginError
 
 __all__ = [
@@ -350,10 +348,6 @@ def divergence_experiment(gamma1, gamma2, n_values,
         return DivergenceRow(n=n, a=a, b=b, avg_w=avg_w, avg_winv=avg_winv,
                              product=avg_w * avg_winv)
 
-    threads = thread_count()
-    if threads > 1 and len(ns) >= 4:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_row, ns))
     return [one_row(n) for n in ns]
 
 

@@ -5,16 +5,11 @@ Each property draws seeded random cases and compares two routes to the
 same quantity (permutation expansion vs elimination, symbolic formulas vs
 pointwise numerics, assembled matrices vs eigenvalue data). The CLI's
 verify command runs these and reports one pass/fail line per property.
-
-Setting the environment variable A2W_INJECT_FAULT to a property name
-forces that property to fail; it exists so the reporting and exit-code
-path can be exercised end to end.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +30,6 @@ __all__ = [
 ]
 
 VERIFY_MODULES = ("linalg", "type1", "type2", "multivar")
-
-_FAULT_ENV = "A2W_INJECT_FAULT"
 
 
 @dataclass(frozen=True)
@@ -459,13 +452,10 @@ def run_module(module: str, trials: int = 60,
     """Run one module's properties with per-property derived RNG streams."""
     if module not in _SUITES:
         raise ValueError(f"unknown verify module {module!r}")
-    injected = os.environ.get(_FAULT_ENV, "")
     results = []
     for k, (name, prop) in enumerate(_SUITES[module]):
         rng = np.random.default_rng([seed, k, len(name)])
         passed, detail = prop(rng, trials)
-        if injected == name:
-            passed, detail = False, "injected fault (self-test)"
         results.append(PropertyResult(module=module, name=name, trials=trials,
                                       passed=passed, detail=detail))
     return results

@@ -22,10 +22,10 @@ from a2w.estimator import (a2_functional_norm, a2_functional_trace,
 from a2w.linalg import elim_inverse, lu_det
 from a2w.multivar import (Cube, average_type1a, average_type1b, build_type1a,
                           build_type1b, check_a2_type1b)
-from a2w.scalar_power import ScalarPowerWeight
 from a2w.search import Interval, coarse_interval_config
-from a2w.type1 import (a2_upper_bound, build_type1, build_type1_raw, check_a2,
-                       evaluate, symbolic_det, symbolic_inverse)
+from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
+                       build_type1_raw, check_a2, evaluate, symbolic_det,
+                       symbolic_inverse)
 from a2w.type2 import (Type2Weight, as_pointwise, evaluate_type2,
                        inverse_pointwise, logspaced_ints, rotation2d,
                        rotation3d_euler)
@@ -107,7 +107,8 @@ def test_criterion_03_symbolic_routes_match_numeric_oracles():
 
 
 def test_criterion_04_scalar_constant_reaches_the_closed_form():
-    result = estimate_a2(ScalarPowerWeight(1.0, HALF), "trace")
+    result = estimate_a2(SymbolicPowerMatrix(np.array([[1.0]]), ((HALF,),)),
+                         "trace")
     top = 4.0 / 3.0
     # searched values are lower bounds; 1e-9 relative slack absorbs
     # floating-point evaluation of the closed form at the argmax

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from a2w import __version__
+from a2w import linalg, verify
 from a2w.cli import SchemaError, load_weight_spec, main
 from a2w.multivar import Type1aWeight, Type1bWeight
 from a2w.type1 import SymbolicPowerMatrix
@@ -261,6 +262,28 @@ class TestConstantCommand:
         assert payload["estimate"] >= 1.0
         assert payload["config"]["grid"] == "coarse"
 
+    def test_radial_matrix_weight_on_default_grid(self, tmp_path, capsys):
+        doc = {"kind": "type1b", "coeff": [[2, 1], [1, 2]],
+               "diag_exponents": ["1/2", "-1/2"], "d": 2}
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+        assert code == 0
+        assert payload["config"]["grid"] == "default"
+        assert payload["estimate"] == pytest.approx(2.18602131011745, rel=1e-9)
+
+    def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
+                                               monkeypatch):
+        def no_convergence(m):
+            raise linalg.ConvergenceError("Jacobi sweep budget 50 exhausted")
+
+        monkeypatch.setattr(linalg, "operator_norm", no_convergence)
+        code = main(["constant", write_spec(tmp_path, TWO_BY_TWO),
+                     "--functional", "norm", "--grid", "coarse", "--json"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "ConvergenceError on Interval(a=" in captured.err
+
     def test_non_a2_weight_exits_three(self, tmp_path, capsys):
         doc = {"kind": "scalar", "gamma": "1"}
         code = main(["constant", write_spec(tmp_path, doc), "--json"])
@@ -346,7 +369,9 @@ class TestVerifyCommand:
         assert all(r["module"] == "linalg" for r in payload["results"])
 
     def test_injected_fault_exits_five(self, capsys, monkeypatch):
-        monkeypatch.setenv("A2W_INJECT_FAULT", "leibniz-vs-lu-determinant")
+        (name, _), *rest = verify._SUITES["linalg"]
+        failing = (name, lambda rng, trials: (False, "injected fault (self-test)"))
+        monkeypatch.setitem(verify._SUITES, "linalg", (failing, *rest))
         code, payload = run_json(
             capsys, ["verify", "--module", "linalg", "--trials", "5",
                      "--json"])

@@ -11,9 +11,10 @@ from a2w.estimator import (Interval, NonPositiveInputError, SupSearchConfig,
                            average_numeric, average_symbolic,
                            coarse_interval_config, estimate_a2)
 from a2w.quadrature import PointwiseMatrixFunction
-from a2w.scalar_power import (NotA2Error, ScalarPowerWeight, average_abs_pow,
+from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
-from a2w.type1 import a2_upper_bound, build_type1, symbolic_inverse
+from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
+                       symbolic_inverse)
 from a2w.type2 import Type2Weight
 from a2w.verify import random_interval, random_type1_weight
 
@@ -105,7 +106,7 @@ class TestFunctionals:
 
 class TestEstimateA2:
     def test_scalar_weight_reaches_closed_form(self):
-        w = ScalarPowerWeight(1.0, Fraction(1, 2))
+        w = SymbolicPowerMatrix(np.array([[1.0]]), ((Fraction(1, 2),),))
         res = estimate_a2(w, functional="trace")
         want = scalar_closed_form_constant(Fraction(1, 2))
         assert 0.99 * want <= res.estimate <= want * (1.0 + 1e-9)

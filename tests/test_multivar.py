@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from a2w.estimator import a2_functional_trace
 from a2w.linalg import SingularMatrixError
 from a2w.multivar import (Cube, CubeSearchConfig, Type1aWeight, Type1bWeight,
                           average_type1a, average_type1b, build_type1a,
@@ -316,8 +317,22 @@ class TestAverageRadial:
         cube = Cube((-1.0, -1.0), 2.0)
         avg = average_type1b(w, cube, tol=1e-7)
         factor = cube_integral_radial(0.5, cube.lower, cube.upper,
-                                      tol=1e-7) / cube.volume
+                                      tol=1e-7, scale=0.0) / cube.volume
         assert np.allclose(avg, w.coeff * factor, rtol=1e-10)
+
+    def test_cornered_trace_is_dilation_invariant(self):
+        # W(tx) = T W(x) T with T = diag(t^(g_i/2)), and the trace
+        # functional is invariant under that similarity, so every cornered
+        # cube gives the same value; tiny cubes need relative error control
+        w = build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)
+        winv = inverse_type1b(w)
+        values = []
+        for side in np.logspace(-3.0, 3.0, 7):
+            cube = Cube((0.0, 0.0), side)
+            values.append(a2_functional_trace(average_type1b(w, cube),
+                                              average_type1b(winv, cube)))
+        for v in values:
+            assert v == pytest.approx(2.18602131011745, rel=1e-9)
 
     def test_nonintegrable_entry_wrapped(self):
         w = build_type1b_raw([[1.0]], ((Fraction(-2),),), 2)

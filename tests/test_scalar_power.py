@@ -3,19 +3,31 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
+from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.scalar_power import (Interval, NotA2Error, NotIntegrableError,
-                              ScalarPowerWeight, average_abs_pow,
-                              format_rational, integral_abs_pow,
-                              parse_rational, scalar_a2_constant_estimate,
-                              scalar_closed_form_constant, scalar_is_a2,
-                              scalar_product)
+                              average_abs_pow, format_rational,
+                              integral_abs_pow, parse_rational,
+                              scalar_closed_form_constant, scalar_is_a2)
+from a2w.type1 import SymbolicPowerMatrix, check_a2, symbolic_inverse
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+
+
+def scalar_weight(coeff, gamma) -> SymbolicPowerMatrix:
+    """coeff |x|^gamma as a 1x1 power matrix."""
+    return SymbolicPowerMatrix(np.array([[coeff]]), ((Fraction(gamma),),))
+
+
+def scalar_product(w: SymbolicPowerMatrix, iv: Interval) -> float:
+    """<w>_I <1/w>_I, the 1x1 trace functional."""
+    return a2_functional_trace(average_symbolic(w, iv),
+                               average_symbolic(symbolic_inverse(w), iv))
 
 
 class TestParseRational:
@@ -113,26 +125,26 @@ class TestA2Membership:
 
 class TestScalarProduct:
     def test_anchored_interval_attains_constant(self):
-        w = ScalarPowerWeight(1.0, Fraction(1, 2))
+        w = scalar_weight(1.0, Fraction(1, 2))
         got = scalar_product(w, Interval(0.0, 1.0))
         assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_coefficient_cancels(self):
         iv = Interval(0.25, 4.0)
-        a = scalar_product(ScalarPowerWeight(1.0, Fraction(1, 3)), iv)
-        b = scalar_product(ScalarPowerWeight(17.5, Fraction(1, 3)), iv)
+        a = scalar_product(scalar_weight(1.0, Fraction(1, 3)), iv)
+        b = scalar_product(scalar_weight(17.5, Fraction(1, 3)), iv)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_product_at_least_one(self):
         # Cauchy-Schwarz floor for any interval and any member exponent
-        w = ScalarPowerWeight(2.0, Fraction(-1, 3))
+        w = scalar_weight(2.0, Fraction(-1, 3))
         for iv in (Interval(0.0, 2.0), Interval(-5.0, 5.0), Interval(3.0, 9.0)):
             assert scalar_product(w, iv) >= 1.0 - 1e-12
 
     @given(st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10),
                         max_denominator=20))
     def test_origin_free_products_below_anchored_sup(self, g):
-        w = ScalarPowerWeight(1.0, g)
+        w = scalar_weight(1.0, g)
         cap = scalar_closed_form_constant(g)
         for iv in (Interval(1.0, 2.0), Interval(0.001, 10.0), Interval(5.0, 500.0)):
             assert scalar_product(w, iv) <= cap * (1.0 + 1e-12)
@@ -140,17 +152,19 @@ class TestScalarProduct:
 
 class TestConstantEstimate:
     def test_gamma_half_reaches_four_thirds(self):
-        w = ScalarPowerWeight(1.0, Fraction(1, 2))
-        res = scalar_a2_constant_estimate(w)
+        w = scalar_weight(1.0, Fraction(1, 2))
+        res = estimate_a2(w)
         assert 0.99 * (4.0 / 3.0) <= res.estimate <= (4.0 / 3.0) * (1.0 + 1e-9)
         assert res.argmax.near_endpoint_distance() <= 1e-3 * res.argmax.halflength
 
     def test_rejects_non_member(self):
-        with pytest.raises(NotA2Error):
-            scalar_a2_constant_estimate(ScalarPowerWeight(1.0, Fraction(3, 2)))
+        w = scalar_weight(1.0, Fraction(3, 2))
+        assert check_a2(w).verdict == "not_a2"
+        with pytest.raises(NotIntegrableError):
+            estimate_a2(w)
 
     def test_inverse_weight_same_constant(self):
-        w = ScalarPowerWeight(3.0, Fraction(2, 5))
-        a = scalar_a2_constant_estimate(w).estimate
-        b = scalar_a2_constant_estimate(w.inverse()).estimate
+        w = scalar_weight(3.0, Fraction(2, 5))
+        a = estimate_a2(w).estimate
+        b = estimate_a2(symbolic_inverse(w)).estimate
         assert a == pytest.approx(b, rel=1e-9)

@@ -1,0 +1,36 @@
+"""Smoke tests: the gallery scripts run against the current package API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_constant_estimates_gallery_coarse():
+    lines = run_script("constant_estimates.py")
+    rows = lines[2:]
+    assert [r[:28].strip() for r in rows] == [
+        "scalar |x|^(1/2)", "2x2 power matrix", "3x3 power matrix",
+        "rotation, equal exponents", "planar radial ||x||^(1/2)"]
+    assert all(r.split()[-4] == "a2" for r in rows)
+    scalar = rows[0].split()
+    assert scalar[-3] == scalar[-1] == "1.33333"
+
+
+def test_divergence_sweep_few_points():
+    lines = run_script("divergence_sweep.py", "--points", "2")
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 6
+    assert all(float(r[2]) > 0.0 for r in rows)

@@ -2,11 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from a2w.estimator import a2_functional_trace, average_symbolic
 from a2w.search import (Interval, SearchError, SupSearchConfig,
                         coarse_interval_config, default_interval_config,
-                        golden_max, run_interval_search, thread_count)
+                        golden_max, run_interval_search)
+from a2w.type1 import SymbolicPowerMatrix, symbolic_inverse
+
+
+def scalar_objective(coeff, gamma):
+    """<w>_I <1/w>_I for w = coeff |x|^gamma, as a 1x1 trace functional."""
+    w = SymbolicPowerMatrix(np.array([[coeff]]), ((gamma,),))
+    winv = symbolic_inverse(w)
+    return lambda iv: a2_functional_trace(average_symbolic(w, iv),
+                                          average_symbolic(winv, iv))
 
 
 class TestInterval:
@@ -87,9 +98,7 @@ class TestFamilyShapes:
 
 class TestRunIntervalSearch:
     def test_scalar_power_objective_reaches_sup(self):
-        from a2w.scalar_power import ScalarPowerWeight, scalar_product
-        w = ScalarPowerWeight(1.0, "1/2")
-        res = run_interval_search(lambda iv: scalar_product(w, iv),
+        res = run_interval_search(scalar_objective(1.0, "1/2"),
                                   default_interval_config(), functional="probe")
         assert res.estimate == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert res.functional == "probe"
@@ -97,11 +106,10 @@ class TestRunIntervalSearch:
         assert res.evaluations > 2000
 
     def test_estimate_is_recomputable_at_argmax(self):
-        from a2w.scalar_power import ScalarPowerWeight, scalar_product
-        w = ScalarPowerWeight(1.0, "-1/3")
-        res = run_interval_search(lambda iv: scalar_product(w, iv),
-                                  coarse_interval_config(), functional="probe")
-        assert scalar_product(w, res.argmax) == res.estimate
+        product = scalar_objective(1.0, "-1/3")
+        res = run_interval_search(product, coarse_interval_config(),
+                                  functional="probe")
+        assert product(res.argmax) == res.estimate
 
     def test_tie_break_prefers_anchored(self):
         # constant functional: everything ties; the anchored shape
@@ -117,33 +125,9 @@ class TestRunIntervalSearch:
             run_interval_search(lambda iv: math.nan, cfg, functional="probe")
 
     def test_repeat_runs_identical(self):
-        from a2w.scalar_power import ScalarPowerWeight, scalar_product
-        w = ScalarPowerWeight(2.0, "2/3")
+        product = scalar_objective(2.0, "2/3")
         cfg = coarse_interval_config()
-        r1 = run_interval_search(lambda iv: scalar_product(w, iv), cfg, "probe")
-        r2 = run_interval_search(lambda iv: scalar_product(w, iv), cfg, "probe")
+        r1 = run_interval_search(product, cfg, "probe")
+        r2 = run_interval_search(product, cfg, "probe")
         assert r1 == r2
 
-
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("A2W_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_env_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv("A2W_THREADS", "0")
-        assert thread_count() == 1
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("A2W_THREADS", "many")
-        assert thread_count() >= 1
-
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        from a2w.scalar_power import ScalarPowerWeight, scalar_product
-        w = ScalarPowerWeight(1.0, "1/2")
-        cfg = default_interval_config()  # large enough to trigger threading
-        monkeypatch.setenv("A2W_THREADS", "4")
-        threaded = run_interval_search(lambda iv: scalar_product(w, iv), cfg, "p")
-        monkeypatch.setenv("A2W_THREADS", "1")
-        serial = run_interval_search(lambda iv: scalar_product(w, iv), cfg, "p")
-        assert threaded == serial
