@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, type1, type2
-from .quadrature import PointwiseMatrixFunction, adaptive_quad
+from .quadrature import PointwiseMatrixFunction, matrix_quad
+from .report import VERDICT_NECESSARY_PASSED
 from .scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
@@ -58,31 +59,15 @@ def average_symbolic(w: SymbolicPowerMatrix, iv: Interval) -> np.ndarray:
 
 def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
                     tol: float = 1e-8, panel_budget: int = 20000) -> np.ndarray:
-    """<W>_I by adaptive per-entry quadrature.
+    """<W>_I from one matrix-valued panel tree.
 
-    Diagonal entries are positive masses, so their integrals run under
-    purely relative control; off-diagonal entries can cancel, so their
-    tolerance is anchored to the largest diagonal mass (the natural
-    matrix scale) instead of an absolute floor.
+    Diagonal entries are positive masses, so they run under purely
+    relative control; off-diagonal entries can cancel, so their tolerance
+    is anchored to the largest diagonal mass (the natural matrix scale)
+    plus their own, instead of an absolute floor. panel_budget bounds
+    the whole tree.
     """
-    n = pmf.n
-    out = np.zeros((n, n), dtype=complex)
-    matrix_scale = 0.0
-    for i in range(n):
-        val = adaptive_quad(pmf.entry(i, i), iv.a, iv.b, tol,
-                            singular_exponent=pmf.singular_exponent,
-                            panel_budget=panel_budget, scale=0.0)
-        out[i, i] = val / iv.length
-        matrix_scale = max(matrix_scale, abs(val))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            val = adaptive_quad(pmf.entry(i, j), iv.a, iv.b, tol,
-                                singular_exponent=pmf.singular_exponent,
-                                panel_budget=panel_budget, scale=matrix_scale)
-            out[i, j] = val / iv.length
-    return out
+    return matrix_quad(pmf, iv.a, iv.b, tol, panel_budget) / iv.length
 
 
 def _check_average_pair(avg_w: np.ndarray, avg_winv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +133,7 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
 
 def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
     necessary = type2.check_necessary_a2(w)
-    if not necessary.verdict == "inconclusive_necessary_passed":
+    if necessary.verdict != VERDICT_NECESSARY_PASSED:
         raise NotA2Error(
             f"type 2 estimation precondition failed: {necessary.verdict}")
     fwd = type2.as_pointwise(w)

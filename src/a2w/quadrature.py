@@ -7,6 +7,11 @@ behavior is handled by a power-law model: for f ~ C x^s the Gauss value
 underestimates the panel mass by a computable factor, which gives both a
 correction-free error bound and a geometric tail argument, so grading
 toward 0 terminates without ever sampling the singularity.
+
+adaptive_quad integrates one scalar function. matrix_quad integrates a
+Hermitian matrix function with one panel tree for all its entries: each
+panel evaluates the upper triangle in one call and keeps one error per
+entry, and refinement runs until every entry meets its own tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "QuadratureBudgetError",
     "PointwiseMatrixFunction",
     "adaptive_quad",
+    "matrix_quad",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -37,16 +43,23 @@ class QuadratureBudgetError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PointwiseMatrixFunction:
-    """Matrix-valued function given entrywise, for numeric averaging.
+    """Hermitian matrix-valued function given pointwise, for numeric averaging.
 
-    entry(i, j) returns a vectorized callable ndarray -> ndarray. The
-    singular_exponent is a certified lower bound s with |entries(x)| =
-    O(|x|^s) as x -> 0; None means entries extend continuously through 0.
+    values(xs) returns the matrix at every point of the 1-D array xs,
+    shaped (n, n, len(xs)). The singular_exponent is a certified lower
+    bound s with |entries(x)| = O(|x|^s) as x -> 0; None means entries
+    extend continuously through 0.
     """
 
     n: int
-    entry: Callable[[int, int], Callable[[np.ndarray], np.ndarray]]
+    values: Callable[[np.ndarray], np.ndarray]
     singular_exponent: Fraction | None = None
+
+    def entry(self, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized x -> entry (i, j), read off values."""
+        def fn(xs):
+            return self.values(np.atleast_1d(np.asarray(xs, dtype=float)))[i, j]
+        return fn
 
 
 def _gl_panel(f, lo: float, hi: float) -> complex:
@@ -208,3 +221,108 @@ def adaptive_quad(f, a: float, b: float, tol: float,
         total += val
         budget -= used
     return total
+
+
+def _gl_panels(f, cuts) -> np.ndarray:
+    """Gauss values of f on the panels between consecutive cuts, one call of f.
+
+    f maps the concatenated nodes to an (m, nodes) array; the result is
+    shaped (m, len(cuts) - 1).
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    halves = (cuts[1:] - cuts[:-1]) / 2.0
+    vals = f((mids[:, None] + halves[:, None] * _NODES).ravel())
+    return (vals.reshape(vals.shape[0], mids.size, _NODES.size) @ _WEIGHTS) * halves
+
+
+def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
+                panel_budget: int = 20000) -> np.ndarray:
+    """Integral over [a, b] of a Hermitian matrix function, one panel tree.
+
+    Only the upper triangle is integrated; the lower one is its
+    conjugate and the diagonal is real. Every entry has its own absolute
+    tolerance, scaled by the masses of the seed panels (the sum of
+    their |Gauss values|): a diagonal entry is a positive mass and gets
+    tol times its own mass, an off-diagonal entry can cancel and gets tol
+    times the largest diagonal mass plus its own. Each panel keeps one
+    error per entry; the panel split next is the one with the largest
+    ratio of entry error to entry tolerance, and refinement stops only
+    when every entry's summed error is within its tolerance. A split
+    evaluates both children in one call. Panels with an endpoint at 0
+    take their error from the power model at pmf.singular_exponent, as
+    in adaptive_quad.
+    """
+    if not a < b:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    s = float(pmf.singular_exponent) if pmf.singular_exponent is not None else None
+    if s is not None and s <= -1.0 and a <= 0.0 <= b:
+        raise ValueError("integrand is certified non-integrable at 0")
+    rows, cols = np.triu_indices(pmf.n)
+    diagonal = rows == cols
+
+    def f(xs):
+        return pmf.values(xs)[rows, cols]
+
+    deficit_gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
+
+    def model_err(lo, hi, val):
+        """Power-model error of a panel touching 0, or None if it does not."""
+        if s is None or (lo != 0.0 and hi != 0.0):
+            return None
+        return np.abs(val) * deficit_gap * 2.0 + 1e-300
+
+    cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]
+    seed_vals = _gl_panels(f, cuts)
+    mass = np.sum(np.abs(seed_vals), axis=1)
+    tols = tol * np.where(diagonal, mass, np.max(mass[diagonal]) + mass)
+    tols[tols == 0.0] = 1e-290  # zero entry: converge once split-compare agrees
+
+    heap = []
+    counter = 0
+    used = len(cuts) - 1
+    err_sum = np.zeros(mass.shape)
+    unknown = 0  # panels not yet error-estimated count as infinitely wrong
+
+    def push(lo, hi, val, err):
+        nonlocal counter, unknown, err_sum
+        if err is None:
+            unknown += 1
+            key = math.inf
+        else:
+            err_sum = err_sum + err
+            key = float((err / tols).max())
+        heapq.heappush(heap, (-key, counter, lo, hi, val, err))
+        counter += 1
+
+    for lo, hi, val in zip(cuts, cuts[1:], seed_vals.T):
+        push(lo, hi, val, model_err(lo, hi, val))
+
+    while unknown > 0 or (err_sum > tols).any():
+        if used >= panel_budget:
+            worst = int(np.argmax(err_sum / tols))
+            pending = f"; {unknown} panel(s) not yet estimated" if unknown else ""
+            raise QuadratureBudgetError(
+                f"panel budget {panel_budget} exhausted: entry "
+                f"({rows[worst]}, {cols[worst]}) error sum {err_sum[worst]:.3g} "
+                f"exceeds its tolerance {tols[worst]:.3g}{pending}")
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        if err is None:
+            unknown -= 1
+        else:
+            err_sum = err_sum - err
+        mid = (lo + hi) / 2.0
+        used += 2
+        pair = _gl_panels(f, (lo, mid, hi))
+        lv, rv = pair[:, 0], pair[:, 1]
+        split_err = np.abs((lv + rv) - val) / 2.0 + 1e-300
+        for clo, chi, cval in ((lo, mid, lv), (mid, hi, rv)):
+            cerr = model_err(clo, chi, cval)
+            push(clo, chi, cval, split_err if cerr is None else cerr)
+
+    total = np.sum([item[4] for item in heap], axis=0).astype(complex)
+    total[diagonal] = total[diagonal].real
+    out = np.zeros((pmf.n, pmf.n), dtype=complex)
+    out[rows, cols] = total
+    out[cols, rows] = total.conj()
+    return out

@@ -186,10 +186,18 @@ def diagonal_entry(w: Type2Weight, i: int) -> ScalarProfile:
 
 
 def as_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
-    return PointwiseMatrixFunction(
-        n=w.n,
-        entry=lambda i, j: entry_function(w, i, j),
-        singular_exponent=min(w.gammas))
+    """W as a matrix function: one unitary_stack call per node set."""
+    alphas = np.array(w.alphas)
+    gammas = np.array([float(g) for g in w.gammas])
+
+    def values(xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        u = unitary_stack(w.unitary, w.n, xs)
+        scaled = alphas[:, None] * np.abs(xs)[None, :] ** gammas[:, None]
+        return np.einsum("ikN,kN,jkN->ijN", u, scaled, u.conj())
+
+    return PointwiseMatrixFunction(n=w.n, values=values,
+                                   singular_exponent=min(w.gammas))
 
 
 def inverse_weight(w: Type2Weight) -> Type2Weight:

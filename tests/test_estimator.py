@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from a2w.estimator import (Interval, NonPositiveInputError, SupSearchConfig,
                            a2_functional_norm, a2_functional_trace,
                            average_numeric, average_symbolic,
                            coarse_interval_config, estimate_a2)
-from a2w.quadrature import PointwiseMatrixFunction
+from a2w.quadrature import PointwiseMatrixFunction, QuadratureBudgetError
 from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
-from a2w.type2 import Type2Weight
+from a2w.type2 import Type2Weight, as_pointwise, inverse_pointwise
 from a2w.verify import random_interval, random_type1_weight
 
 TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
@@ -23,14 +24,14 @@ TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
 
 def _as_pointwise(w) -> PointwiseMatrixFunction:
     eff = w.effective_coeff()
-    floats = [[float(e) for e in row] for row in w.exponents]
+    floats = np.array([[float(e) for e in row] for row in w.exponents])
 
-    def entry(i, j):
-        c, e = eff[i, j], floats[i][j]
-        return lambda x: c * np.abs(np.asarray(x, dtype=float)) ** e
+    def values(xs):
+        ax = np.abs(np.asarray(xs, dtype=float))
+        return eff[:, :, None] * ax[None, None, :] ** floats[:, :, None]
 
     smin = min(min(row) for row in w.exponents)
-    return PointwiseMatrixFunction(n=w.n, entry=entry, singular_exponent=smin)
+    return PointwiseMatrixFunction(n=w.n, values=values, singular_exponent=smin)
 
 
 class TestAverages:
@@ -56,6 +57,86 @@ class TestAverages:
         iv = Interval(0.0, 4.0)
         assert np.allclose(average_numeric(pmf, iv, tol=1e-10),
                            average_symbolic(winv, iv), rtol=1e-8)
+
+
+# Anchored, symmetric, origin-free, and the divergence window I_n.
+ORACLE_INTERVALS = (Interval(0.0, 2.5), Interval(-1.5, 1.5), Interval(3.0, 7.0),
+                    Interval(2.0 * math.pi * 7, 2.0 * math.pi * 7 + math.pi))
+
+
+def _power_trig_integral(g: float, trig, lo: float, hi: float) -> float:
+    """Reference for the integral of |x|^g trig(x) over [lo, hi], lo >= 0."""
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    if lo == 0.0:
+        val, _ = scipy.integrate.quad(trig, 0.0, hi, weight="alg",
+                                      wvar=(g, 0.0), **opts)
+    else:
+        val, _ = scipy.integrate.quad(lambda x: x ** g * trig(x), lo, hi, **opts)
+    return val
+
+
+def _signed_integral(g: float, trig, iv: Interval) -> float:
+    """Integral of |x|^g trig(x) over iv, reflecting its negative part."""
+    total = 0.0
+    if iv.a < 0.0:
+        total += _power_trig_integral(g, lambda u: trig(-u), max(0.0, -iv.b), -iv.a)
+    if iv.b > 0.0:
+        total += _power_trig_integral(g, trig, max(0.0, iv.a), iv.b)
+    return total
+
+
+def _assert_matrix_close(got: np.ndarray, want: np.ndarray):
+    assert np.array_equal(got, got.conj().T)
+    scale = float(np.max(np.abs(np.diagonal(want))))
+    assert np.max(np.abs(got - want)) <= 1e-8 * scale
+
+
+class TestMatrixRouteOracles:
+    """average_numeric against closed forms and tight references."""
+
+    @pytest.mark.parametrize("iv", ORACLE_INTERVALS)
+    def test_identity_family_is_diagonal_closed_form(self, iv):
+        gammas = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
+        w = Type2Weight((2.0, 0.5, 3.0), gammas, "identity")
+        for pmf, data in ((as_pointwise(w), zip(w.alphas, gammas)),
+                          (inverse_pointwise(w),
+                           ((1.0 / a, -g) for a, g in zip(w.alphas, gammas)))):
+            want = np.diag([a * average_abs_pow(g, iv) for a, g in data])
+            _assert_matrix_close(average_numeric(pmf, iv, tol=1e-10), want)
+
+    @pytest.mark.parametrize("unitary,n", [("rotation2d", 2), ("rotation3d_euler", 3)])
+    @pytest.mark.parametrize("iv", ORACLE_INTERVALS)
+    def test_equal_exponent_rotation_is_scalar(self, unitary, n, iv):
+        g = Fraction(-1, 4)
+        w = Type2Weight((1.5,) * n, (g,) * n, unitary)
+        want = 1.5 * average_abs_pow(g, iv) * np.eye(n)
+        _assert_matrix_close(average_numeric(as_pointwise(w), iv, tol=1e-10), want)
+
+    @pytest.mark.parametrize("iv", ORACLE_INTERVALS)
+    def test_unequal_exponent_rotation_matches_scipy(self, iv):
+        (a1, a2), (g1, g2) = (2.0, 1.0), (0.5, -1.0 / 3.0)
+        w = Type2Weight((a1, a2), (Fraction(1, 2), Fraction(-1, 3)), "rotation2d")
+        cc = lambda x: math.cos(x) ** 2
+        ss = lambda x: math.sin(x) ** 2
+        cs = lambda x: math.cos(x) * math.sin(x)
+        # W = U diag(a1 |x|^g1, a2 |x|^g2) U^T with U the planar rotation
+        w00 = a1 * _signed_integral(g1, cc, iv) + a2 * _signed_integral(g2, ss, iv)
+        w11 = a1 * _signed_integral(g1, ss, iv) + a2 * _signed_integral(g2, cc, iv)
+        w01 = a1 * _signed_integral(g1, cs, iv) - a2 * _signed_integral(g2, cs, iv)
+        want = np.array([[w00, w01], [w01, w11]]) / iv.length
+        _assert_matrix_close(average_numeric(as_pointwise(w), iv, tol=1e-10), want)
+
+    def test_budget_failure_names_the_worst_entry(self):
+        def values(xs):
+            out = np.zeros((2, 2, xs.size))
+            out[0, 0], out[1, 1] = 1.0, 2.0
+            out[0, 1] = out[1, 0] = np.cos(40.0 * xs)
+            return out
+
+        pmf = PointwiseMatrixFunction(n=2, values=values)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"entry \(0, 1\) error sum .* tolerance"):
+            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10, panel_budget=5)
 
 
 class TestFunctionals:

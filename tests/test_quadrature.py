@@ -129,12 +129,13 @@ class TestBudgetAndValidation:
 
 class TestPointwiseMatrixFunction:
     def test_entry_closures_integrate(self):
-        def entry(i, j):
-            if i == j:
-                return lambda x: np.abs(x) ** 0.5 + i
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        def values(xs):
+            out = np.zeros((2, 2, xs.size))
+            for i in range(2):
+                out[i, i] = np.abs(xs) ** 0.5 + i
+            return out
 
-        pmf = PointwiseMatrixFunction(n=2, entry=entry, singular_exponent=None)
+        pmf = PointwiseMatrixFunction(n=2, values=values, singular_exponent=None)
         assert pmf.n == 2
         top = adaptive_quad(pmf.entry(0, 0), 0.0, 1.0, 1e-10,
                             singular_exponent=0.5)
