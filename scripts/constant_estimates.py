@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from a2w.estimator import SupSearchConfig, coarse_interval_config, estimate_a2
-from a2w.multivar import build_type1b, check_a2_type1b, coarse_cube_config, estimate_a2_cubes
+from a2w.multivar import build_type1b, coarse_cube_config, estimate_a2_cubes
 from a2w.scalar_power import scalar_closed_form_constant
 from a2w.type1 import a2_upper_bound, build_type1, check_a2
 from a2w.type2 import Type2Weight, decide_a2
@@ -60,7 +60,7 @@ def gallery(cfg: GalleryConfig) -> None:
     radial = build_type1b(np.array([[2.0]]), ["1/2"], d=2)
     est = estimate_a2_cubes(radial, functional=cfg.functional,
                             config=None if cfg.fine else coarse_cube_config())
-    rows.append(("planar radial ||x||^(1/2)", check_a2_type1b(radial).verdict,
+    rows.append(("planar radial ||x||^(1/2)", check_a2(radial).verdict,
                  est.estimate, None, None))
 
     hdr = f"{'weight':<28} {'verdict':<10} {'estimate':>12} {'cert. bound':>12} {'closed form':>12}"

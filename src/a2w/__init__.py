@@ -32,10 +32,8 @@ from .type2 import (DivergenceRow, Type2Weight, check_local_integrability,
                     check_necessary_a2, decide_a2, decide_rotation_a2,
                     diagonal_entry, divergence_experiment, evaluate_type2,
                     fit_loglog_slope, logspaced_ints)
-from .multivar import (Cube, CubeSearchConfig, Type1aWeight, Type1bWeight,
-                       average_type1a, average_type1b, build_type1a,
-                       build_type1b, check_a2_type1a, check_a2_type1b,
-                       cube_integral_radial, default_cube_config,
+from .multivar import (Cube, CubeSearchConfig, average_type1b, build_type1a,
+                       build_type1b, cube_integral_radial, default_cube_config,
                        estimate_a2_cubes)
 
 __all__ = [
@@ -60,8 +58,7 @@ __all__ = [
     "check_necessary_a2", "decide_a2", "decide_rotation_a2", "diagonal_entry",
     "divergence_experiment", "evaluate_type2", "fit_loglog_slope",
     "logspaced_ints",
-    "Cube", "CubeSearchConfig", "Type1aWeight",
-    "Type1bWeight", "average_type1a", "average_type1b", "build_type1a",
-    "build_type1b", "check_a2_type1a", "check_a2_type1b",
-    "cube_integral_radial", "default_cube_config", "estimate_a2_cubes",
+    "Cube", "CubeSearchConfig", "average_type1b", "build_type1a",
+    "build_type1b", "cube_integral_radial", "default_cube_config",
+    "estimate_a2_cubes",
 ]

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, multivar, type1, type2
-from .estimator import NonPositiveInputError, estimate_a2
+from .estimator import NonPositiveInputError, default_config_for, estimate_a2
 from .linalg import (ConvergenceError, NegativeEigenvalueError,
                      SingularMatrixError)
 from .quadrature import QuadratureBudgetError
@@ -152,7 +152,7 @@ def load_weight_spec(doc: dict):
         if coeff <= 0:
             raise _fail("scalar coeff must be positive")
         _check_n(doc, 1, kind)
-        weight = SymbolicPowerMatrix(np.array([[coeff]]), ((gamma,),))
+        weight = SymbolicPowerMatrix(np.array([[coeff]]), (((gamma,),),))
         echo = {"kind": kind, "n": 1, "coeff": coeff,
                 "gamma": format_rational(gamma)}
         return weight, echo
@@ -172,8 +172,7 @@ def load_weight_spec(doc: dict):
             exps = _rational_matrix(_get(doc, "exponents", kind), n, "exponents")
             weight = type1.build_type1_raw(coeff, exps)
         echo = {"kind": kind, "n": n, "coeff": _echo_matrix(coeff),
-                "exponents": [[format_rational(e) for e in row]
-                              for row in weight.exponents]}
+                "exponents": _echo_exponents(weight.exponents[0])}
         return weight, echo
 
     if kind == "type2":
@@ -213,9 +212,8 @@ def load_weight_spec(doc: dict):
             raise _fail(str(exc)) from exc
         echo = {"kind": kind, "n": n, "d": weight.d,
                 "coeff": _echo_matrix(coeff),
-                "exponents_per_coordinate": [
-                    [[format_rational(e) for e in row] for row in mat]
-                    for mat in weight.exponents_per_coordinate]}
+                "exponents_per_coordinate": [_echo_exponents(m)
+                                             for m in weight.exponents]}
         return weight, echo
 
     coeff = _coeff_matrix(_get(doc, "coeff", kind), "coeff")
@@ -230,9 +228,12 @@ def load_weight_spec(doc: dict):
     except ValueError as exc:
         raise _fail(str(exc)) from exc
     echo = {"kind": kind, "n": n, "d": weight.d, "coeff": _echo_matrix(coeff),
-            "exponents": [[format_rational(e) for e in row]
-                          for row in weight.exponents]}
+            "exponents": _echo_exponents(weight.exponents[0])}
     return weight, echo
+
+
+def _echo_exponents(mat):
+    return [[format_rational(e) for e in row] for row in mat]
 
 
 def _echo_matrix(m: np.ndarray):
@@ -258,19 +259,9 @@ def _read_spec(path: str):
 
 
 def _decide(weight) -> A2Report:
-    if isinstance(weight, SymbolicPowerMatrix):
-        return type1.check_a2(weight)
     if isinstance(weight, type2.Type2Weight):
         return type2.decide_a2(weight)
-    if isinstance(weight, multivar.Type1aWeight):
-        return multivar.check_a2_type1a(weight)
-    if isinstance(weight, multivar.Type1bWeight):
-        return multivar.check_a2_type1b(weight)
-    raise TypeError(f"no decision rule for {type(weight).__name__}")
-
-
-def _report_payload(report: A2Report) -> dict:
-    return report.to_payload()
+    return type1.check_a2(weight)
 
 
 def _print_json(payload: dict) -> None:
@@ -293,7 +284,7 @@ def cmd_check(args) -> int:
     report = _decide(weight)
     elapsed = time.perf_counter() - t0
     payload = {"command": "check", "version": __version__, "seed": None,
-               "spec": echo, "report": _report_payload(report)}
+               "spec": echo, "report": report.to_payload()}
     if args.json:
         _print_json(payload)
         return _EXIT_OK
@@ -315,9 +306,9 @@ def cmd_check(args) -> int:
     return _EXIT_OK
 
 
-def _interval_config(grid: str | None) -> SupSearchConfig | None:
+def _interval_config(grid: str | None, weight) -> SupSearchConfig:
     if grid is None:
-        return None
+        return default_config_for(weight)
     return default_interval_config() if grid == "fine" else coarse_interval_config()
 
 
@@ -337,30 +328,26 @@ def cmd_constant(args) -> int:
         return _EXIT_DECISION
 
     t0 = time.perf_counter()
-    if isinstance(weight, (multivar.Type1aWeight, multivar.Type1bWeight)):
+    symbolic = isinstance(weight, SymbolicPowerMatrix)
+    if symbolic and weight.d > 1:
         cfg = _cube_config(args.grid)
         result = multivar.estimate_a2_cubes(weight, args.functional, cfg)
         argmax = {"lower": list(result.argmax.lower),
                   "side": result.argmax.side}
-        config_echo = {"grid": args.grid or "default",
-                       "sides": len(cfg.sides),
-                       "families": list(cfg.families),
-                       "refine_rounds": cfg.refine_rounds,
-                       "quadrature_tol": cfg.quadrature_tol}
+        config_echo = {"sides": len(cfg.sides), "families": list(cfg.families)}
     else:
-        cfg = _interval_config(args.grid)
+        cfg = _interval_config(args.grid, weight)
         result = estimate_a2(weight, args.functional, cfg)
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
-        config_echo = {"grid": args.grid or "default"}
-        if cfg is not None:
-            config_echo.update({"centers": len(cfg.centers),
-                                "halflengths": len(cfg.halflengths),
-                                "refine_rounds": cfg.refine_rounds,
-                                "quadrature_tol": cfg.quadrature_tol})
+        config_echo = {"centers": len(cfg.centers),
+                       "halflengths": len(cfg.halflengths)}
+    config_echo.update({"grid": args.grid or "default",
+                        "refine_rounds": cfg.refine_rounds,
+                        "quadrature_tol": cfg.quadrature_tol})
     elapsed = time.perf_counter() - t0
 
     upper = None
-    if isinstance(weight, SymbolicPowerMatrix):
+    if symbolic and weight.d == 1:
         try:
             upper = float(type1.a2_upper_bound(weight))
         except (NotA2Error, NotIntegrableError):

@@ -9,7 +9,6 @@ proper, the trace form sandwiches it within a factor of the dimension.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +31,7 @@ __all__ = [
     "NonPositiveInputError",
     "default_interval_config",
     "coarse_interval_config",
+    "default_config_for",
     "average_symbolic",
     "average_numeric",
     "a2_functional_trace",
@@ -44,16 +44,25 @@ class NonPositiveInputError(ArithmeticError):
     """A functional received an average that is not positive definite."""
 
 
-def average_symbolic(w: SymbolicPowerMatrix, iv: Interval) -> np.ndarray:
-    """<W>_I computed entrywise from the closed-form power integrals."""
-    n = w.n
-    eff = w.effective_coeff()
-    exps = type1.normalized_exponents(w)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if eff[i, j] != 0:
-                out[i, j] = eff[i, j] * average_abs_pow(exps[i][j], iv)
+def average_symbolic(w: SymbolicPowerMatrix, region) -> np.ndarray:
+    """<W> over an interval, or over a multivar.Cube for a separable weight,
+    entrywise as products of the closed-form 1D power averages."""
+    if isinstance(region, Interval):
+        ivs = (region,)
+    else:
+        ivs = tuple(region.interval(c) for c in range(region.d))
+    if len(ivs) != w.d or not w.separable:
+        raise ValueError("region dimension does not match the weight")
+    out = np.zeros((w.n, w.n), dtype=complex)
+    try:
+        for i, j, a, exps in w.terms:
+            factor = 1.0
+            for c, e in enumerate(exps):
+                factor *= average_abs_pow(e, ivs[c])
+            out[i, j] = a * factor
+    except NotIntegrableError as exc:
+        raise NotIntegrableError(
+            f"entry ({i}, {j}), coordinate {c}: {exc}") from exc
     return out
 
 
@@ -115,8 +124,10 @@ _FUNCTIONALS = {
 
 
 def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
-    exps = type1.normalized_exponents(w)
-    flat = [e for row in exps for e in row]
+    if w.d != 1:
+        raise ValueError("interval estimates need a weight on the line; "
+                         "use multivar.estimate_a2_cubes for d >= 2")
+    flat = [e for row in type1.normalized_exponents(w)[0] for e in row]
     bad = [e for e in flat if not (Fraction(-1) < e < Fraction(1))]
     if bad:
         raise NotIntegrableError(
@@ -146,21 +157,27 @@ def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
     return evaluate
 
 
+def default_config_for(weight) -> SupSearchConfig:
+    """The interval grid a weight gets when none is asked for: the full one
+    for closed-form averages, the coarse one for quadrature-backed Type 2."""
+    if isinstance(weight, Type2Weight):
+        return coarse_interval_config()
+    return default_interval_config()
+
+
 def estimate_a2(weight, functional: str = "trace",
                 config: SupSearchConfig | None = None) -> SupSearchResult:
     """Searched lower bound of the chosen A2 functional's supremum.
 
-    Accepts a symbolic power matrix (a scalar weight is the 1x1 case) or
-    a Type 2 weight. Symbolic weights get the full default grid;
-    quadrature-backed weights default to the coarse one.
+    Accepts a symbolic power matrix on the line (a scalar weight is the
+    1x1 case) or a Type 2 weight; config defaults to default_config_for.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
+    cfg = config if config is not None else default_config_for(weight)
     if isinstance(weight, SymbolicPowerMatrix):
-        cfg = config if config is not None else default_interval_config()
         fn = _symbolic_eval_fn(weight, functional)
     elif isinstance(weight, Type2Weight):
-        cfg = config if config is not None else coarse_interval_config()
         fn = _type2_eval_fn(weight, functional, cfg.quadrature_tol)
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")

@@ -1,15 +1,12 @@
-"""Multivariable power weights over axis-aligned cubes in R^d, d in {2, 3}.
+"""Cubes in R^d, d in {2, 3}, and the A2 search over them.
 
-Two families. Separable weights have entries a_ij prod_c |x_c|^(e_ij,c)
-with one exponent matrix per coordinate; their cube averages factor into
-1D closed forms. Radial weights have entries a_ij ||x||^(e_ij); their
-averages need cube quadrature, done by orthant splitting plus a tensor
-Gauss rule with geometric grading toward the origin and an analytic bound
-on the innermost origin cell.
-
-The A2 decision rules mirror the one-variable ones coordinate-wise: the
-separable family needs every per-coordinate diagonal exponent in (-1, 1),
-the radial family needs them in (-d, d).
+The weights are type1.SymbolicPowerMatrix objects with d = 2 or 3. Separable
+ones (one exponent matrix per coordinate) average over a cube in closed
+form, as a product of 1D averages (estimator.average_symbolic). Radial
+ones (entries a_ij ||x||^(e_ij)) need cube quadrature, done here by
+orthant splitting plus a tensor Gauss rule with geometric grading toward
+the origin and an analytic bound on the innermost origin cell. This
+module also builds both families from their spec data.
 """
 
 from __future__ import annotations
@@ -21,31 +18,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .estimator import a2_functional_norm, a2_functional_trace
+from . import type1
+from .estimator import a2_functional_norm, a2_functional_trace, average_symbolic
 from .quadrature import QuadratureBudgetError
-from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
-                     VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE)
-from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
-                           format_rational)
+from .report import VERDICT_A2
+from .scalar_power import NotA2Error, NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize, golden_max
-from .type1 import (_exponent_matrix, _midpoint_complete, _midpoint_findings,
-                    _negated, _normalized_matrix, _require_midpoint)
+from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
     "Cube",
-    "Type1aWeight",
-    "Type1bWeight",
     "build_type1a",
     "build_type1a_raw",
     "build_type1b",
     "build_type1b_raw",
-    "check_a2_type1a",
-    "check_a2_type1b",
-    "average_type1a",
     "average_type1b",
-    "inverse_type1a",
-    "inverse_type1b",
     "cube_integral_radial",
     "CubeSearchConfig",
     "default_cube_config",
@@ -103,212 +90,42 @@ class Cube:
                              for lo, hi in zip(self.lower, self.upper)))
 
 
-@dataclass(frozen=True, eq=False)
-class Type1aWeight:
-    """Separable power matrix: one exponent matrix per coordinate."""
-
-    coeff: np.ndarray
-    exponents_per_coordinate: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", linalg.as_square(self.coeff))
-        mats = tuple(_exponent_matrix(m) for m in self.exponents_per_coordinate)
-        object.__setattr__(self, "exponents_per_coordinate", mats)
-        if len(mats) not in _DIMS:
-            raise ValueError("need one exponent matrix per coordinate, d in {2, 3}")
-        if any(len(m) != self.coeff.shape[0] for m in mats):
-            raise ValueError("exponent matrices must match the coefficient order")
-
-    @property
-    def n(self) -> int:
-        return self.coeff.shape[0]
-
-    @property
-    def d(self) -> int:
-        return len(self.exponents_per_coordinate)
+def _cube_dim(d: int, message: str) -> int:
+    if d not in _DIMS:
+        raise ValueError(message)
+    return d
 
 
-@dataclass(frozen=True, eq=False)
-class Type1bWeight:
-    """Radial power matrix: entries a_ij ||x||^(e_ij) in R^d."""
-
-    coeff: np.ndarray
-    exponents: tuple[tuple[Fraction, ...], ...]
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", linalg.as_square(self.coeff))
-        object.__setattr__(self, "exponents", _exponent_matrix(self.exponents))
-        object.__setattr__(self, "d", int(self.d))
-        if self.d not in _DIMS:
-            raise ValueError("radial weights are supported in dimensions 2 and 3")
-        if len(self.exponents) != self.coeff.shape[0]:
-            raise ValueError("exponent matrix must match the coefficient order")
-
-    @property
-    def n(self) -> int:
-        return self.coeff.shape[0]
+_SEPARABLE_DIMS = "need one exponent matrix per coordinate, d in {2, 3}"
+_RADIAL_DIMS = "radial weights are supported in dimensions 2 and 3"
 
 
-def build_type1a(coeff, diag_exponents_per_coordinate) -> Type1aWeight:
-    """Midpoint-completed separable weight from per-coordinate diagonals."""
-    a = linalg.as_hermitian(coeff)
-    mats = []
-    for diag in diag_exponents_per_coordinate:
-        drow = tuple(Fraction(g) for g in diag)
-        if len(drow) != a.shape[0]:
-            raise ValueError("need one diagonal exponent per row per coordinate")
-        mats.append(_midpoint_complete(drow))
-    return Type1aWeight(a, tuple(mats))
+def build_type1a(coeff, diagonals) -> SymbolicPowerMatrix:
+    """Midpoint-completed separable weight from one diagonal per coordinate."""
+    diags = list(diagonals)
+    return _completed(coeff, diags, _cube_dim(len(diags), _SEPARABLE_DIMS))
 
 
-def build_type1a_raw(coeff, exponents_per_coordinate) -> Type1aWeight:
-    """Store the given data verbatim so checkers can see violations."""
-    return Type1aWeight(linalg.as_square(coeff),
-                        tuple(_exponent_matrix(m)
-                              for m in exponents_per_coordinate))
+def build_type1a_raw(coeff, exponents) -> SymbolicPowerMatrix:
+    """Store one exponent matrix per coordinate verbatim so checkers can see
+    violations."""
+    mats = tuple(exponents)
+    return SymbolicPowerMatrix(coeff, mats, _cube_dim(len(mats), _SEPARABLE_DIMS))
 
 
-def build_type1b(coeff, diag_exponents, d: int) -> Type1bWeight:
+def build_type1b(coeff, diag_exponents, d: int) -> SymbolicPowerMatrix:
     """Midpoint-completed radial weight from diagonal exponents."""
-    a = linalg.as_hermitian(coeff)
-    diag = tuple(Fraction(g) for g in diag_exponents)
-    if len(diag) != a.shape[0]:
-        raise ValueError("need one diagonal exponent per row")
-    return Type1bWeight(a, _midpoint_complete(diag), d)
+    return _completed(coeff, (diag_exponents,), _cube_dim(d, _RADIAL_DIMS))
 
 
-def build_type1b_raw(coeff, exponents, d: int) -> Type1bWeight:
-    return Type1bWeight(linalg.as_square(coeff), _exponent_matrix(exponents), d)
+def build_type1b_raw(coeff, exponents, d: int) -> SymbolicPowerMatrix:
+    return SymbolicPowerMatrix(coeff, (exponents,), _cube_dim(d, _RADIAL_DIMS))
 
 
-def _diag_of(mat) -> tuple[Fraction, ...]:
-    return tuple(mat[i][i] for i in range(len(mat)))
-
-
-def _structural_findings(coeff: np.ndarray) -> tuple[list[Finding], str | None]:
-    """Self-adjointness and positive definiteness of the coefficient matrix."""
-    findings: list[Finding] = []
-    defect = linalg.hermitian_defect(coeff)
-    if defect > 1e-12:
-        findings.append(Finding(
-            kind="coefficient-not-self-adjoint", where=(),
-            detail=f"hermitian defect {defect:.3e} exceeds tolerance"))
-        return findings, VERDICT_NOT_PD_AE
-    pd = linalg.is_positive_definite(linalg.as_hermitian(coeff, tol=math.inf))
-    if pd.verdict == "not_positive":
-        findings.append(Finding(
-            kind="leading-minor-not-positive", where=(pd.failed_minor,),
-            detail=(f"leading principal minor {pd.failed_minor} is "
-                    f"{pd.minors[pd.failed_minor]:.6g}")))
-        return findings, VERDICT_NOT_PD_AE
-    if pd.verdict == "marginal":
-        findings.append(Finding(
-            kind="coefficient-marginal", where=(),
-            detail="a leading principal minor is within tolerance of zero"))
-        return findings, VERDICT_MARGINAL
-    return findings, None
-
-
-def _range_findings(diag: tuple[Fraction, ...], bound: int,
-                    where_prefix: tuple) -> tuple[list[Finding], list[Finding]]:
-    """Diagonal exponents vs (-bound, bound): (not integrable, not A2)."""
-    low, high = [], []
-    for k, g in enumerate(diag):
-        if g <= -bound:
-            low.append(Finding(
-                kind="diagonal-exponent-range", where=where_prefix + (k,),
-                detail=(f"diagonal exponent {format_rational(g)} <= "
-                        f"{-bound}: weight not locally integrable")))
-        elif g >= bound:
-            high.append(Finding(
-                kind="diagonal-exponent-range", where=where_prefix + (k,),
-                detail=(f"diagonal exponent {format_rational(g)} >= {bound}: "
-                        "inverse weight not locally integrable")))
-    return low, high
-
-
-def _decide(structural: list[Finding], structural_verdict: str | None,
-            low: list[Finding], high: list[Finding]) -> A2Report:
-    if structural_verdict is not None:
-        return A2Report(structural_verdict,
-                        tuple(structural + low + high))
-    if low:
-        return A2Report(VERDICT_NOT_INTEGRABLE, tuple(low + high))
-    if high:
-        return A2Report(VERDICT_NOT_A2, tuple(high))
-    return A2Report(VERDICT_A2)
-
-
-def check_a2_type1a(w: Type1aWeight) -> A2Report:
-    """A2 iff coeff is positive definite and every coordinate's exponent
-    matrix satisfies the exact midpoint condition with diagonals in (-1, 1)."""
-    structural, verdict = _structural_findings(w.coeff)
-    if verdict is None:
-        for c, mat in enumerate(w.exponents_per_coordinate):
-            bad = _midpoint_findings(w.coeff, mat, (c,))
-            if bad:
-                structural.extend(bad)
-                verdict = VERDICT_NOT_PD_AE
-    low: list[Finding] = []
-    high: list[Finding] = []
-    for c, mat in enumerate(w.exponents_per_coordinate):
-        lo, hi = _range_findings(_diag_of(mat), 1, (c,))
-        low.extend(lo)
-        high.extend(hi)
-    return _decide(structural, verdict, low, high)
-
-
-def check_a2_type1b(w: Type1bWeight) -> A2Report:
-    """A2 iff coeff is positive definite, midpoint holds exactly, and every
-    diagonal exponent lies strictly between -d and d."""
-    structural, verdict = _structural_findings(w.coeff)
-    if verdict is None:
-        bad = _midpoint_findings(w.coeff, w.exponents)
-        if bad:
-            structural.extend(bad)
-            verdict = VERDICT_NOT_PD_AE
-    low, high = _range_findings(_diag_of(w.exponents), w.d, ())
-    return _decide(structural, verdict, low, high)
-
-
-def average_type1a(w: Type1aWeight, cube: Cube) -> np.ndarray:
-    """Entrywise cube average via per-coordinate 1D closed forms."""
-    if cube.d != w.d:
-        raise ValueError("cube dimension does not match the weight")
-    out = np.zeros((w.n, w.n), dtype=complex)
-    for i in range(w.n):
-        for j in range(w.n):
-            a = w.coeff[i, j]
-            if a == 0:
-                continue
-            factor = 1.0
-            for c in range(w.d):
-                e = w.exponents_per_coordinate[c][i][j]
-                try:
-                    factor *= average_abs_pow(e, cube.interval(c))
-                except NotIntegrableError as exc:
-                    raise NotIntegrableError(
-                        f"entry ({i}, {j}), coordinate {c}: {exc}") from exc
-            out[i, j] = a * factor
-    out = 0.5 * (out + out.conj().T)
-    return out.real if np.all(out.imag == 0) else out
-
-
-def inverse_type1a(w: Type1aWeight) -> Type1aWeight:
-    """Pointwise inverse: adjugate coefficients, negated exponents."""
-    mats = tuple(_normalized_matrix(w.coeff, m)
-                 for m in w.exponents_per_coordinate)
-    for c, mat in enumerate(mats):
-        _require_midpoint(w.coeff, mat, (c,))
-    return Type1aWeight(linalg.adjugate_inverse(w.coeff),
-                        tuple(_negated(m) for m in mats))
-
-
-def inverse_type1b(w: Type1bWeight) -> Type1bWeight:
-    mat = _normalized_matrix(w.coeff, w.exponents)
-    _require_midpoint(w.coeff, mat)
-    return Type1bWeight(linalg.adjugate_inverse(w.coeff), _negated(mat), w.d)
+# The benchmark's tracer (a2wbench/tracing.py) wraps these names, and the
+# cube search calls the averages through them so its counters hold.
+check_a2_type1a = check_a2_type1b = type1.check_a2
+average_type1a = average_symbolic
 
 
 def _tensor_gl(gamma: float, lo, hi) -> float:
@@ -463,30 +280,25 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6,
     return val_sum
 
 
-def average_type1b(w: Type1bWeight, cube: Cube, tol: float = 1e-6,
+def average_type1b(w: SymbolicPowerMatrix, cube: Cube, tol: float = 1e-6,
                    budget: int = 50000) -> np.ndarray:
-    """Entrywise cube average by radial-power quadrature, one integral per
-    distinct exponent."""
-    if cube.d != w.d:
-        raise ValueError("cube dimension does not match the weight")
+    """Entrywise cube average of a radial weight by radial-power quadrature,
+    one integral per distinct exponent."""
+    if w.separable or cube.d != w.d:
+        raise ValueError("cube dimension does not match the radial weight")
     lo, hi = cube.lower, cube.upper
     cache: dict[Fraction, float] = {}
     out = np.zeros((w.n, w.n), dtype=complex)
-    for i in range(w.n):
-        for j in range(w.n):
-            a = w.coeff[i, j]
-            if a == 0:
-                continue
-            e = w.exponents[i][j]
-            if e not in cache:
-                try:
-                    cache[e] = (cube_integral_radial(float(e), lo, hi, tol,
-                                                     budget, scale=0.0)
-                                / cube.volume)
-                except ValueError as exc:
-                    raise NotIntegrableError(
-                        f"entry ({i}, {j}): {exc}") from exc
-            out[i, j] = a * cache[e]
+    for i, j, a, (e,) in w.terms:
+        if e not in cache:
+            try:
+                cache[e] = (cube_integral_radial(float(e), lo, hi, tol,
+                                                 budget, scale=0.0)
+                            / cube.volume)
+            except ValueError as exc:
+                raise NotIntegrableError(
+                    f"entry ({i}, {j}): {exc}") from exc
+        out[i, j] = a * cache[e]
     out = 0.5 * (out + out.conj().T)
     return out.real if np.all(out.imag == 0) else out
 
@@ -552,27 +364,21 @@ def estimate_a2_cubes(weight, functional: str = "trace",
     if func is None:
         raise ValueError(f"unknown functional {functional!r}")
 
-    if isinstance(weight, Type1aWeight):
-        report = check_a2_type1a(weight)
-        if report.verdict != VERDICT_A2:
-            raise NotA2Error(
-                f"cube estimation precondition failed: {report.verdict}")
-        inverse = inverse_type1a(weight)
+    if not isinstance(weight, SymbolicPowerMatrix):
+        raise TypeError(f"cannot estimate for {type(weight).__name__}")
+    report = type1.check_a2(weight)
+    if report.verdict != VERDICT_A2:
+        raise NotA2Error(
+            f"cube estimation precondition failed: {report.verdict}")
+    inverse = type1.symbolic_inverse(weight)
 
+    if weight.separable:
         def averages(cube: Cube):
             return average_type1a(weight, cube), average_type1a(inverse, cube)
-    elif isinstance(weight, Type1bWeight):
-        report = check_a2_type1b(weight)
-        if report.verdict != VERDICT_A2:
-            raise NotA2Error(
-                f"cube estimation precondition failed: {report.verdict}")
-        inverse = inverse_type1b(weight)
-
+    else:
         def averages(cube: Cube):
             return (average_type1b(weight, cube, cfg.quadrature_tol, cfg.budget),
                     average_type1b(inverse, cube, cfg.quadrature_tol, cfg.budget))
-    else:
-        raise TypeError(f"cannot estimate for {type(weight).__name__}")
 
     d = weight.d
 

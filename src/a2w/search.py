@@ -125,9 +125,8 @@ def _candidate(center: float, halflength: float) -> Interval | None:
         return Interval(-halflength, halflength)
     if abs(center) < halflength:
         return None  # asymmetric straddler, not in the family
-    if abs(center) == halflength:
-        # anchored: difference is exact, one endpoint is 0.0
-        return Interval(center - halflength, center + halflength)
+    # abs(center) == halflength is anchored: the difference is exact, so
+    # one endpoint is exactly 0.0
     return Interval(center - halflength, center + halflength)
 
 

@@ -1,11 +1,14 @@
-"""Entrywise matrix power functions W(x)[i, j] = s * a_ij * |x|^(e_ij).
+"""Matrix power functions on R^d: W(x)[i, j] = a_ij * prod_f r_f(x)^(e_ij,f).
 
-The exponent matrix is exact rational data. When every off-diagonal
-exponent is the average of its two diagonal neighbors (the midpoint
-condition), the function factors as |x|^(D/2) A |x|^(D/2) and inherits
-closed-form determinants, minors, and inverses; those identities drive
-both the exact A2 decision and the symbolic interval averages used by the
-estimator.
+One type covers the line and both several-variable families. On the line
+(d = 1) the single factor r is |x|; separable weights on R^d have one
+factor |x_c| per coordinate, radial weights the single factor ||x||.
+Every factor carries an exact rational exponent matrix. When every
+off-diagonal exponent is the average of its two diagonal neighbors (the
+midpoint condition), each factor splits as r^(D/2) A r^(D/2), and W
+inherits closed-form determinants, minors and inverses; those identities
+drive both the exact A2 decision and the symbolic averages used by the
+estimators.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_PD_AE)
 from .scalar_power import (NotA2Error, format_rational,
-                           scalar_closed_form_constant, scalar_is_a2)
+                           scalar_closed_form_constant)
 
 __all__ = [
     "SymbolicPowerMatrix",
@@ -38,9 +42,6 @@ __all__ = [
     "symbolic_inverse",
     "a2_upper_bound",
 ]
-
-ONE = Fraction(1)
-
 
 class MidpointConditionError(ValueError):
     """Exponent matrix does not satisfy the midpoint condition."""
@@ -66,81 +67,81 @@ def _midpoint_complete(diag: tuple[Fraction, ...]) -> ExponentMatrix:
     return tuple(tuple((gi + gj) / 2 for gj in diag) for gi in diag)
 
 
-def _normalized_matrix(coeff: np.ndarray, mat) -> ExponentMatrix:
-    """Rewrite exponents of zero-coefficient off-diagonal entries to midpoint."""
-    n = len(mat)
-    return tuple(tuple((mat[i][i] + mat[j][j]) / 2
-                       if i != j and coeff[i, j] == 0 else mat[i][j]
-                       for j in range(n)) for i in range(n))
-
-
 def _negated(mat) -> ExponentMatrix:
     return tuple(tuple(-e for e in row) for row in mat)
 
 
-def _midpoint_findings(coeff: np.ndarray, mat, where: tuple = ()) -> list[Finding]:
-    """One finding per normalized exponent off its midpoint, located at
-    where + (i, j)."""
-    exps = _normalized_matrix(coeff, mat)
-    found = []
-    for i, row in enumerate(exps):
-        for j, e in enumerate(row):
-            want = (exps[i][i] + exps[j][j]) / 2
-            if e != want:
-                at = where + (i, j)
-                found.append(Finding(
-                    kind="midpoint-violated", where=at,
-                    detail=(f"exponent {format_rational(e)} at {at}"
-                            f" differs from midpoint {format_rational(want)}")))
-    return found
-
-
 @dataclass(frozen=True, eq=False)
 class SymbolicPowerMatrix:
-    """Coefficient matrix, exact exponent matrix, and a global scalar factor."""
+    """Coefficient matrix and exact exponent matrices on R^d, d in {1, 2, 3}.
+
+    exponents holds one matrix per coordinate factor |x_c| (separable; on
+    the line this is the one factor |x|), or, for d >= 2, a single matrix
+    for the radial factor ||x||.
+    """
 
     coeff: np.ndarray
-    exponents: ExponentMatrix
-    global_scale: complex = 1.0 + 0j
+    exponents: tuple[ExponentMatrix, ...]
+    d: int = 1
 
     def __post_init__(self):
         a = linalg.as_square(self.coeff)
         if a.shape[0] > linalg.MAX_ORDER:
             raise ValueError(f"order limited to {linalg.MAX_ORDER}")
+        mats = tuple(_exponent_matrix(m) for m in self.exponents)
+        d = int(self.d)
+        if d not in (1, 2, 3) or len(mats) not in (1, d):
+            raise ValueError("need d in {1, 2, 3} and one exponent matrix per "
+                             "coordinate or a single radial one")
+        if any(len(m) != a.shape[0] for m in mats):
+            raise ValueError("exponent matrices must match the coefficient order")
         object.__setattr__(self, "coeff", a)
-        object.__setattr__(self, "exponents", _exponent_matrix(self.exponents))
-        if len(self.exponents) != a.shape[0]:
-            raise ValueError("coefficient and exponent shapes differ")
-        object.__setattr__(self, "global_scale", complex(self.global_scale))
+        object.__setattr__(self, "exponents", mats)
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
         return self.coeff.shape[0]
 
-    def effective_coeff(self) -> np.ndarray:
-        return self.global_scale * self.coeff
+    @property
+    def separable(self) -> bool:
+        """One factor per coordinate; a weight on the line is separable."""
+        return len(self.exponents) == self.d
 
-    def diag_exponents(self) -> tuple[Fraction, ...]:
-        return tuple(self.exponents[i][i] for i in range(self.n))
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, complex, tuple[Fraction, ...]], ...]:
+        """(i, j, a_ij, normalized e_ij per factor) for every a_ij != 0,
+        built once per weight for the entrywise average loops."""
+        norm = normalized_exponents(self)
+        return tuple((i, j, complex(self.coeff[i, j]), tuple(m[i][j] for m in norm))
+                     for i in range(self.n) for j in range(self.n)
+                     if self.coeff[i, j] != 0)
 
     def scaled(self, factor: float) -> "SymbolicPowerMatrix":
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError("scale factor must be positive and finite")
-        return SymbolicPowerMatrix(self.coeff, self.exponents,
-                                   self.global_scale * factor)
+        return SymbolicPowerMatrix(self.coeff * factor, self.exponents, self.d)
+
+
+def _completed(coeff, diags, d: int) -> SymbolicPowerMatrix:
+    """Midpoint-completed weight from one diagonal per exponent matrix."""
+    a = linalg.as_hermitian(coeff)
+    mats = []
+    for diag in diags:
+        diag = tuple(Fraction(g) for g in diag)
+        if len(diag) != a.shape[0]:
+            raise ValueError("need one diagonal exponent per row")
+        mats.append(_midpoint_complete(diag))
+    return SymbolicPowerMatrix(a, tuple(mats), d)
 
 
 def build_type1(coeff, diag_exponents) -> SymbolicPowerMatrix:
-    """Construct the midpoint-completed power matrix from diagonal exponents.
+    """Construct the midpoint-completed power matrix on the line.
 
     Off-diagonal exponents are derived exactly: e_ij = (e_ii + e_jj) / 2.
     The coefficient matrix must be self-adjoint.
     """
-    a = linalg.as_hermitian(coeff)
-    diag = tuple(Fraction(g) for g in diag_exponents)
-    if len(diag) != a.shape[0]:
-        raise ValueError("need one diagonal exponent per row")
-    return SymbolicPowerMatrix(a, _midpoint_complete(diag))
+    return _completed(coeff, (diag_exponents,), 1)
 
 
 def build_type1_raw(coeff, exponents) -> SymbolicPowerMatrix:
@@ -148,28 +149,63 @@ def build_type1_raw(coeff, exponents) -> SymbolicPowerMatrix:
 
     Exists so that invalid exponent patterns can be fed to the checkers.
     """
-    return SymbolicPowerMatrix(linalg.as_square(coeff), _exponent_matrix(exponents))
+    return SymbolicPowerMatrix(coeff, (exponents,))
 
 
-def _float_exponents(w: SymbolicPowerMatrix) -> np.ndarray:
-    return np.array([[float(e) for e in row] for row in w.exponents])
+def _line(w: SymbolicPowerMatrix) -> ExponentMatrix:
+    """The exponent matrix of a weight on the line; other d are rejected."""
+    if w.d != 1:
+        raise ValueError("defined for weights on the line (d = 1) only")
+    return w.exponents[0]
+
+
+def _diag(mat) -> tuple[Fraction, ...]:
+    return tuple(mat[i][i] for i in range(len(mat)))
 
 
 def evaluate(w: SymbolicPowerMatrix, x: float) -> np.ndarray:
-    """Pointwise value W(x) for x != 0."""
+    """Pointwise value W(x) for x != 0, on the line."""
+    floats = np.array([[float(e) for e in row] for row in _line(w)])
     if x == 0.0:
         raise EvaluationAtOriginError("evaluation at the origin")
-    return w.effective_coeff() * np.abs(x) ** _float_exponents(w)
+    return w.coeff * np.abs(x) ** floats
 
 
-def normalized_exponents(w: SymbolicPowerMatrix) -> ExponentMatrix:
-    """Exponent matrix with zero-coefficient off-diagonal entries rewritten.
+def normalized_exponents(w: SymbolicPowerMatrix) -> tuple[ExponentMatrix, ...]:
+    """Exponent matrices with zero-coefficient off-diagonal entries rewritten.
 
     An entry with a_ij = 0 contributes nothing pointwise, so its exponent is
     replaced by the midpoint value before any structural check; this makes
     the midpoint test insensitive to don't-care exponents.
     """
-    return _normalized_matrix(w.coeff, w.exponents)
+    n = w.n
+    return tuple(tuple(tuple((m[i][i] + m[j][j]) / 2
+                             if i != j and w.coeff[i, j] == 0 else m[i][j]
+                             for j in range(n)) for i in range(n))
+                 for m in w.exponents)
+
+
+def _located(mats) -> list[tuple[tuple, ExponentMatrix]]:
+    """(location prefix, matrix) per factor: (c,) when the weight has one
+    matrix per coordinate of R^2 or R^3, () for a single matrix."""
+    return [((c,) if len(mats) > 1 else (), m) for c, m in enumerate(mats)]
+
+
+def _midpoint_findings(w: SymbolicPowerMatrix) -> list[Finding]:
+    """One finding per normalized exponent off its midpoint, located at
+    prefix + (i, j)."""
+    found = []
+    for where, exps in _located(normalized_exponents(w)):
+        for i, row in enumerate(exps):
+            for j, e in enumerate(row):
+                want = (exps[i][i] + exps[j][j]) / 2
+                if e != want:
+                    at = where + (i, j)
+                    found.append(Finding(
+                        kind="midpoint-violated", where=at,
+                        detail=(f"exponent {format_rational(e)} at {at}"
+                                f" differs from midpoint {format_rational(want)}")))
+    return found
 
 
 def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
@@ -190,20 +226,20 @@ def check_positive_definite_ae(w: SymbolicPowerMatrix,
     """Decide whether W(x) is positive definite for a.e. x.
 
     Characterization: coefficient matrix positive definite and the midpoint
-    condition on exponents. All violations are reported, and a numeric
-    witness point is attached whenever the scan finds one.
+    condition on every exponent matrix. All violations are reported; on
+    the line a numeric witness point is attached whenever the scan finds
+    one.
     """
     findings: list[Finding] = []
-    if linalg.hermitian_defect(w.effective_coeff()) > hermitian_tol:
+    if linalg.hermitian_defect(w.coeff) > hermitian_tol:
         findings.append(Finding(
             kind="coefficient-not-self-adjoint", where=(),
             detail="coefficient matrix is not self-adjoint within tolerance"))
-    findings.extend(_midpoint_findings(w.coeff, w.exponents))
+    findings.extend(_midpoint_findings(w))
 
     pd = None
     if not any(f.kind == "coefficient-not-self-adjoint" for f in findings):
-        pd = linalg.is_positive_definite((w.effective_coeff()
-                                          + w.effective_coeff().conj().T) / 2.0)
+        pd = linalg.is_positive_definite((w.coeff + w.coeff.conj().T) / 2.0)
         if pd.verdict == "not_positive":
             idx = pd.failed_minor if pd.failed_minor is not None else w.n - 1
             findings.append(Finding(
@@ -220,33 +256,37 @@ def check_positive_definite_ae(w: SymbolicPowerMatrix,
     if pd is not None and pd.verdict == "marginal" and all(
             f.kind == "coefficient-marginal" for f in findings):
         return A2Report(VERDICT_MARGINAL, tuple(findings))
-    return A2Report(VERDICT_NOT_PD_AE, tuple(findings), witness=_witness_scan(w))
+    witness = _witness_scan(w) if w.d == 1 else None
+    return A2Report(VERDICT_NOT_PD_AE, tuple(findings), witness=witness)
 
 
 def check_a2(w: SymbolicPowerMatrix) -> A2Report:
-    """Full exact A2 decision for a Type 1 power matrix.
+    """Full exact A2 decision for a Type 1 power matrix on R^d.
 
     A2 holds iff the function is positive definite a.e. and every diagonal
-    exponent lies strictly inside (-1, 1): below -1 the weight itself loses
-    local integrability, at or above 1 the inverse does.
+    exponent lies strictly inside (-b, b), where b = 1 for |x| and for each
+    coordinate factor and b = d for the radial factor: at or below -b the
+    weight itself loses local integrability, at or above b the inverse does.
     """
     pd = check_positive_definite_ae(w)
     if pd.verdict != VERDICT_PD_AE:
         return pd
+    bound = 1 if w.separable else w.d
     findings: list[Finding] = []
     weight_bad = False
-    for i, g in enumerate(w.diag_exponents()):
-        if g <= -1:
-            weight_bad = True
-            findings.append(Finding(
-                kind="diagonal-exponent-range", where=(i,),
-                detail=(f"diagonal exponent {format_rational(g)} <= -1: "
-                        "the weight is not locally integrable")))
-        elif g >= 1:
-            findings.append(Finding(
-                kind="diagonal-exponent-range", where=(i,),
-                detail=(f"diagonal exponent {format_rational(g)} >= 1: "
-                        "the inverse weight is not locally integrable")))
+    for where, mat in _located(w.exponents):
+        for i, g in enumerate(_diag(mat)):
+            if g <= -bound:
+                weight_bad = True
+                findings.append(Finding(
+                    kind="diagonal-exponent-range", where=where + (i,),
+                    detail=(f"diagonal exponent {format_rational(g)} <= {-bound}: "
+                            "the weight is not locally integrable")))
+            elif g >= bound:
+                findings.append(Finding(
+                    kind="diagonal-exponent-range", where=where + (i,),
+                    detail=(f"diagonal exponent {format_rational(g)} >= {bound}: "
+                            "the inverse weight is not locally integrable")))
     if weight_bad:
         return A2Report(VERDICT_NOT_INTEGRABLE, tuple(findings))
     if findings:
@@ -254,51 +294,52 @@ def check_a2(w: SymbolicPowerMatrix) -> A2Report:
     return A2Report(VERDICT_A2)
 
 
-def _require_midpoint(coeff: np.ndarray, mat, where: tuple = ()) -> None:
-    bad = _midpoint_findings(coeff, mat, where)
+def _require_midpoint(w: SymbolicPowerMatrix) -> None:
+    bad = _midpoint_findings(w)
     if bad:
         raise MidpointConditionError("; ".join(f.detail for f in bad))
 
 
 def symbolic_det(w: SymbolicPowerMatrix) -> tuple[complex, Fraction]:
-    """det W(x) = coefficient * |x|^exponent, exact in the exponent.
+    """det W(x) = coefficient * |x|^exponent on the line, exact in the exponent.
 
     Under the midpoint condition every permutation term carries the same
     power of |x|, namely the diagonal exponent sum.
     """
-    _require_midpoint(w.coeff, w.exponents)
-    coeff = linalg.lu_det(w.effective_coeff())
-    return coeff, sum(w.diag_exponents(), Fraction(0))
+    mat = _line(w)
+    _require_midpoint(w)
+    return linalg.lu_det(w.coeff), sum(_diag(mat), Fraction(0))
 
 
 def symbolic_minor_det(w: SymbolicPowerMatrix, i: int, j: int) -> tuple[complex, Fraction]:
     """Determinant of W(x) with row i and column j deleted (0-based)."""
-    _require_midpoint(w.coeff, w.exponents)
+    mat = _line(w)
+    _require_midpoint(w)
     n = w.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"minor index ({i}, {j}) out of range for order {n}")
     if n == 1:
         return 1.0 + 0j, Fraction(0)
-    minor = np.delete(np.delete(w.effective_coeff(), i, axis=0), j, axis=1)
-    exps = normalized_exponents(w)
-    total = sum(w.diag_exponents(), Fraction(0))
-    return linalg.lu_det(minor), total - exps[i][j]
+    minor = np.delete(np.delete(w.coeff, i, axis=0), j, axis=1)
+    exps = normalized_exponents(w)[0]
+    return linalg.lu_det(minor), sum(_diag(mat), Fraction(0)) - exps[i][j]
 
 
 def symbolic_inverse(w: SymbolicPowerMatrix,
                      singular_rtol: float = 1e-12) -> SymbolicPowerMatrix:
-    """Closed-form inverse: adjugate coefficients, negated exponents.
+    """Closed-form inverse: adjugate coefficients, every factor's exponents negated.
 
-    W(x)^-1 [i, j] = cof(A, j, i) / det A * |x|^(-e_ij).
+    W(x)^-1 [i, j] = cof(A, j, i) / det A * prod_f r_f(x)^(-e_ij,f).
     """
-    _require_midpoint(w.coeff, w.exponents)
+    _require_midpoint(w)
     return SymbolicPowerMatrix(
-        linalg.adjugate_inverse(w.effective_coeff(), singular_rtol),
-        _negated(normalized_exponents(w)))
+        linalg.adjugate_inverse(w.coeff, singular_rtol),
+        tuple(_negated(m) for m in normalized_exponents(w)), w.d)
 
 
 def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
-    """Certified upper bound for the trace A2 functional over the search family.
+    """Certified upper bound for the trace A2 functional over the search
+    family, for a weight on the line.
 
     sup_ij |a_ij * det A_ij| / |det A| times the sum over all entries of the
     per-exponent closed-form constants 1/(1 - e_ij^2). Valid for every
@@ -308,10 +349,11 @@ def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
     With validate=True each distinct closed-form factor is re-checked
     against a coarse sup-search oracle at call time.
     """
+    _line(w)
     report = check_a2(w)
     if report.verdict != VERDICT_A2:
         raise NotA2Error(f"a2_upper_bound needs an A2 weight, got {report.verdict}")
-    a = w.effective_coeff()
+    a = w.coeff
     det = abs(linalg.lu_det(a))
     n = w.n
     sup_factor = 0.0
@@ -319,7 +361,7 @@ def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
         for j in range(n):
             minor_mag = abs(linalg.cofactor(a, i, j))
             sup_factor = max(sup_factor, abs(a[i, j]) * minor_mag / det)
-    exps = normalized_exponents(w)
+    exps = normalized_exponents(w)[0]
     if validate:
         _validate_closed_form_factors({exps[i][j] for i in range(n) for j in range(n)})
     total = 0.0
@@ -337,7 +379,7 @@ def _validate_closed_form_factors(exponents: set[Fraction]) -> None:
     cfg = coarse_interval_config()
     for g in exponents:
         closed = scalar_closed_form_constant(g)
-        scalar = SymbolicPowerMatrix(np.array([[1.0]]), ((g,),))
+        scalar = SymbolicPowerMatrix(np.array([[1.0]]), (((g,),),))
         est = estimate_a2(scalar, "trace", cfg).estimate
         if est > closed * (1.0 + 1e-9) or est < closed * 0.98:
             raise ArithmeticError(

@@ -193,7 +193,7 @@ def _prop_double_inverse(rng, trials):
         back = type1.symbolic_inverse(type1.symbolic_inverse(w))
         if back.exponents != w.exponents:
             return False, f"trial {t}: exponents changed on double inverse"
-        err = _rel_err(back.effective_coeff(), w.effective_coeff())
+        err = _rel_err(back.coeff, w.coeff)
         if err > 1e-9:
             return False, f"trial {t}: coefficients deviate by {err:.3e}"
     return True, ""
@@ -320,7 +320,7 @@ def _prop_equal_exponent_collapse(rng, trials):
 # --------------------------------------------------------------- multivar
 
 
-def _random_type1a(rng, n: int, d: int) -> multivar.Type1aWeight:
+def _random_type1a(rng, n: int, d: int) -> type1.SymbolicPowerMatrix:
     g = rng.normal(size=(n, n))
     a = g @ g.T + n * np.eye(n)
     diags = [tuple(Fraction(int(rng.integers(-9, 10)), 10) for _ in range(n))
@@ -338,8 +338,8 @@ def _prop_separable_fubini(rng, trials):
         brute = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
-                e0 = float(w.exponents_per_coordinate[0][i][j])
-                e1 = float(w.exponents_per_coordinate[1][i][j])
+                e0 = float(w.exponents[0][i][j])
+                e1 = float(w.exponents[1][i][j])
                 f0 = adaptive_quad(lambda x, p=e0: np.abs(x) ** p,
                                    iv0.a, iv0.b, 1e-10,
                                    singular_exponent=e0) / iv0.length
@@ -384,6 +384,9 @@ def _prop_radial_permutation(rng, trials):
     return True, ""
 
 
+_PER_FACTOR = ("midpoint-violated", "diagonal-exponent-range")
+
+
 def _prop_decision_reduction(rng, trials):
     for t in range(trials):
         n = int(rng.integers(1, 4))
@@ -392,11 +395,17 @@ def _prop_decision_reduction(rng, trials):
         diag = tuple(Fraction(int(rng.integers(-15, 16)), 10)
                      for _ in range(n))
         one_d = type1.check_a2(type1.build_type1(a, diag))
-        two_d = multivar.check_a2_type1a(
+        two_d = type1.check_a2(
             multivar.build_type1a(a, [diag, (Fraction(0),) * n]))
         if one_d.verdict != two_d.verdict:
             return False, (f"trial {t}: 1D verdict {one_d.verdict} vs "
                            f"separable {two_d.verdict}")
+        # exponent findings of the embedding sit in coordinate 0
+        want = [(f.kind, (0,) + f.where if f.kind in _PER_FACTOR else f.where)
+                for f in one_d.findings]
+        got = [(f.kind, f.where) for f in two_d.findings]
+        if want != got:
+            return False, f"trial {t}: 1D findings {want} vs separable {got}"
     return True, ""
 
 
@@ -406,7 +415,7 @@ def _prop_cube_sandwich(rng, trials):
         w = _random_type1a(rng, n, 2)
         cube = random_cube(rng, 2)
         avg_w = multivar.average_type1a(w, cube)
-        avg_winv = multivar.average_type1a(multivar.inverse_type1a(w), cube)
+        avg_winv = multivar.average_type1a(type1.symbolic_inverse(w), cube)
         tr = estimator.a2_functional_trace(avg_w, avg_winv)
         nm = estimator.a2_functional_norm(avg_w, avg_winv)
         tol = 1e-9 * max(tr, nm)

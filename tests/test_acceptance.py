@@ -20,8 +20,7 @@ from a2w.cli import main
 from a2w.estimator import (a2_functional_norm, a2_functional_trace,
                            average_numeric, average_symbolic, estimate_a2)
 from a2w.linalg import elim_inverse, lu_det
-from a2w.multivar import (Cube, average_type1a, average_type1b, build_type1a,
-                          build_type1b, check_a2_type1b)
+from a2w.multivar import Cube, average_type1b, build_type1a, build_type1b
 from a2w.search import Interval, coarse_interval_config
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, evaluate, symbolic_det,
@@ -107,7 +106,7 @@ def test_criterion_03_symbolic_routes_match_numeric_oracles():
 
 
 def test_criterion_04_scalar_constant_reaches_the_closed_form():
-    result = estimate_a2(SymbolicPowerMatrix(np.array([[1.0]]), ((HALF,),)),
+    result = estimate_a2(SymbolicPowerMatrix(np.array([[1.0]]), (((HALF,),),)),
                          "trace")
     top = 4.0 / 3.0
     # searched values are lower bounds; 1e-9 relative slack absorbs
@@ -243,18 +242,18 @@ def test_criterion_09_cube_averages_and_radial_range_rule():
     w = build_type1a([[5.0, 3.0], [3.0, 2.0]],
                      [(HALF, -Fraction(2, 3)), (Fraction(1, 3), Fraction(0))])
     for cube in (Cube((-0.4, 0.25), 1.3), Cube((0.0, 0.0), 2.0)):
-        avg = average_type1a(w, cube)
+        avg = average_symbolic(w, cube)
         for i in range(2):
             for j in range(2):
                 closed = float(w.coeff[i, j].real)
                 for c in range(2):
                     closed *= average_abs_pow(
-                        w.exponents_per_coordinate[c][i][j], cube.interval(c))
+                        w.exponents[c][i][j], cube.interval(c))
                 assert abs(avg[i, j] - closed) <= 1e-12 * abs(closed)
                 brute = _brute_cube_average(
                     float(w.coeff[i, j].real),
-                    float(w.exponents_per_coordinate[0][i][j]),
-                    float(w.exponents_per_coordinate[1][i][j]), cube)
+                    float(w.exponents[0][i][j]),
+                    float(w.exponents[1][i][j]), cube)
                 assert abs(avg[i, j] - brute) <= 1e-7 * abs(brute)
 
     radial = build_type1b([[1.0]], (Fraction(1),), 2)
@@ -262,9 +261,9 @@ def test_criterion_09_cube_averages_and_radial_range_rule():
     exact = (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 3.0
     assert abs(float(avg_r[0, 0]) - exact) <= 1e-6
 
-    assert check_a2_type1b(
+    assert check_a2(
         build_type1b([[1.0]], (Fraction(3, 2),), 2)).verdict == "a2"
-    assert check_a2_type1b(
+    assert check_a2(
         build_type1b([[1.0]], (Fraction(2),), 2)).verdict == "not_a2"
 
 

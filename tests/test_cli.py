@@ -7,7 +7,6 @@ import pytest
 from a2w import __version__
 from a2w import linalg, verify
 from a2w.cli import SchemaError, load_weight_spec, main
-from a2w.multivar import Type1aWeight, Type1bWeight
 from a2w.type1 import SymbolicPowerMatrix
 from a2w.type2 import Type2Weight
 
@@ -57,7 +56,8 @@ class TestLoadWeightSpec:
         doc = {"kind": "type1a", "coeff": [[1.0]],
                "diag_exponents_per_coordinate": [["1/2"], ["0"]]}
         weight, echo = load_weight_spec(doc)
-        assert isinstance(weight, Type1aWeight)
+        assert isinstance(weight, SymbolicPowerMatrix)
+        assert weight.d == 2 and weight.separable
         assert echo["d"] == 2
         assert echo["exponents_per_coordinate"] == [[["1/2"]], [["0"]]]
 
@@ -65,7 +65,8 @@ class TestLoadWeightSpec:
         doc = {"kind": "type1b", "coeff": [[1.0]],
                "diag_exponents": ["3/2"], "d": 2}
         weight, echo = load_weight_spec(doc)
-        assert isinstance(weight, Type1bWeight)
+        assert isinstance(weight, SymbolicPowerMatrix)
+        assert weight.d == 2 and not weight.separable
         assert echo["d"] == 2
 
     def test_complex_coefficients(self):
@@ -239,6 +240,14 @@ class TestConstantCommand:
         # trace functional on a 2x2 equal-exponent rotation: 2 * (4/3)
         assert payload["estimate"] <= 8.0 / 3.0 * (1.0 + 1e-6)
         assert payload["estimate"] >= 0.99 * 8.0 / 3.0
+
+    def test_type2_default_grid_is_echoed(self, tmp_path, capsys):
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, ROTATION_EQUAL), "--json"])
+        assert code == 0
+        assert payload["config"] == {"grid": "default", "centers": 27,
+                                     "halflengths": 13, "refine_rounds": 8,
+                                     "quadrature_tol": 1e-6}
 
     def test_separable_cube_weight(self, tmp_path, capsys):
         doc = {"kind": "type1a", "coeff": [[1.0]],

@@ -23,14 +23,14 @@ TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
 
 
 def _as_pointwise(w) -> PointwiseMatrixFunction:
-    eff = w.effective_coeff()
-    floats = np.array([[float(e) for e in row] for row in w.exponents])
+    eff = w.coeff
+    floats = np.array([[float(e) for e in row] for row in w.exponents[0]])
 
     def values(xs):
         ax = np.abs(np.asarray(xs, dtype=float))
         return eff[:, :, None] * ax[None, None, :] ** floats[:, :, None]
 
-    smin = min(min(row) for row in w.exponents)
+    smin = min(min(row) for row in w.exponents[0])
     return PointwiseMatrixFunction(n=w.n, values=values, singular_exponent=smin)
 
 
@@ -41,7 +41,7 @@ class TestAverages:
         for i in range(2):
             for j in range(2):
                 want = TWO_BY_TWO.coeff[i, j] * average_abs_pow(
-                    TWO_BY_TWO.exponents[i][j], iv)
+                    TWO_BY_TWO.exponents[0][i][j], iv)
                 assert got[i, j] == pytest.approx(want, rel=1e-12)
 
     def test_numeric_route_matches_symbolic(self):
@@ -187,7 +187,7 @@ class TestFunctionals:
 
 class TestEstimateA2:
     def test_scalar_weight_reaches_closed_form(self):
-        w = SymbolicPowerMatrix(np.array([[1.0]]), ((Fraction(1, 2),),))
+        w = SymbolicPowerMatrix(np.array([[1.0]]), (((Fraction(1, 2),),),))
         res = estimate_a2(w, functional="trace")
         want = scalar_closed_form_constant(Fraction(1, 2))
         assert 0.99 * want <= res.estimate <= want * (1.0 + 1e-9)

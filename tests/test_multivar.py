@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from a2w.estimator import a2_functional_trace
+from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.linalg import SingularMatrixError
-from a2w.multivar import (Cube, CubeSearchConfig, Type1aWeight, Type1bWeight,
-                          average_type1a, average_type1b, build_type1a,
+from a2w.multivar import (Cube, CubeSearchConfig, average_type1b, build_type1a,
                           build_type1a_raw, build_type1b, build_type1b_raw,
-                          check_a2_type1a, check_a2_type1b, coarse_cube_config,
-                          cube_integral_radial, default_cube_config,
-                          estimate_a2_cubes, inverse_type1a, inverse_type1b)
+                          coarse_cube_config, cube_integral_radial,
+                          default_cube_config, estimate_a2_cubes)
 from a2w.quadrature import QuadratureBudgetError
 from a2w.report import (VERDICT_A2, VERDICT_MARGINAL, VERDICT_NOT_A2,
                         VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE)
 from a2w.scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
-from a2w.type1 import MidpointConditionError
+from a2w.search import Interval
+from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix,
+                       a2_upper_bound, check_a2, evaluate, symbolic_det,
+                       symbolic_inverse, symbolic_minor_det)
 
 HALF = Fraction(1, 2)
 
@@ -73,22 +74,22 @@ class TestCube:
 class TestBuilders:
     def test_separable_midpoint_completion(self):
         w = separable_pair()
-        mx, my = w.exponents_per_coordinate
+        mx, my = w.exponents
         assert mx[0][1] == (HALF - Fraction(2, 3)) / 2 == Fraction(-1, 12)
         assert my[0][1] == Fraction(1, 6)
         assert w.n == 2 and w.d == 2
 
     def test_radial_midpoint_completion(self):
         w = build_type1b([[4.0, 1.0], [1.0, 2.0]], (HALF, -Fraction(1, 4)), 3)
-        assert w.exponents[0][1] == Fraction(1, 8)
+        assert w.exponents[0][0][1] == Fraction(1, 8)
         assert w.d == 3
 
     def test_raw_stores_verbatim(self):
         mats = (((HALF, Fraction(1, 7)), (Fraction(1, 7), HALF)),)
         w = build_type1a_raw(np.eye(2), mats * 2)
-        assert w.exponents_per_coordinate[0][0][1] == Fraction(1, 7)
+        assert w.exponents[0][0][1] == Fraction(1, 7)
         wb = build_type1b_raw(np.eye(2), mats[0], 2)
-        assert wb.exponents[0][1] == Fraction(1, 7)
+        assert wb.exponents[0][0][1] == Fraction(1, 7)
 
     def test_diagonal_length_must_match(self):
         with pytest.raises(ValueError, match="per row"):
@@ -104,18 +105,18 @@ class TestBuilders:
 
     def test_exponent_matrix_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
-            Type1aWeight(np.eye(2), (((HALF, HALF),), ((HALF, HALF),)))
+            SymbolicPowerMatrix(np.eye(2), (((HALF, HALF),), ((HALF, HALF),)), 2)
         with pytest.raises(ValueError, match="match the coefficient"):
-            Type1bWeight(np.eye(3), ((HALF, HALF), (HALF, HALF)), 2)
+            SymbolicPowerMatrix(np.eye(3), (((HALF, HALF), (HALF, HALF)),), 2)
 
 
 class TestCheckSeparable:
     def test_valid_weight_is_a2(self):
-        assert check_a2_type1a(separable_pair()).verdict == VERDICT_A2
+        assert check_a2(separable_pair()).verdict == VERDICT_A2
 
     def test_diagonal_exponent_at_one_rejected(self):
         w = build_type1a(np.eye(2), [(HALF, 0), (1, 0)])
-        report = check_a2_type1a(w)
+        report = check_a2(w)
         assert report.verdict == VERDICT_NOT_A2
         f = report.findings[0]
         assert f.kind == "diagonal-exponent-range"
@@ -123,13 +124,13 @@ class TestCheckSeparable:
 
     def test_nonintegrable_exponent_rejected(self):
         w = build_type1a(np.eye(2), [(-1, 0), (0, 0)])
-        assert check_a2_type1a(w).verdict == VERDICT_NOT_INTEGRABLE
+        assert check_a2(w).verdict == VERDICT_NOT_INTEGRABLE
 
     def test_midpoint_violation_breaks_positivity(self):
         mats = (((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)),
                 ((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)))
         w = build_type1a_raw([[2.0, 1.0], [1.0, 2.0]], mats)
-        report = check_a2_type1a(w)
+        report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "midpoint-violated"
         assert report.findings[0].where == (0, 0, 1)
@@ -137,11 +138,11 @@ class TestCheckSeparable:
     def test_zero_coefficient_offdiagonal_is_dont_care(self):
         mats = (((Fraction(0), Fraction(9)), (Fraction(9), HALF)),) * 2
         w = build_type1a_raw(np.diag([1.0, 2.0]), mats)
-        assert check_a2_type1a(w).verdict == VERDICT_A2
+        assert check_a2(w).verdict == VERDICT_A2
 
     def test_indefinite_coefficient(self):
         w = build_type1a([[1.0, 3.0], [3.0, 1.0]], [(0, 0), (0, 0)])
-        report = check_a2_type1a(w)
+        report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert any(f.kind == "leading-minor-not-positive"
                    for f in report.findings)
@@ -149,69 +150,90 @@ class TestCheckSeparable:
     def test_nonhermitian_coefficient(self):
         w = build_type1a_raw([[1.0, 0.5], [0.0, 1.0]],
                              (((Fraction(0), Fraction(0)),) * 2,) * 2)
-        report = check_a2_type1a(w)
+        report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "coefficient-not-self-adjoint"
 
     def test_marginal_coefficient(self):
         w = build_type1a_raw([[1.0, 1.0], [1.0, 1.0]],
                              (((Fraction(0), Fraction(0)),) * 2,) * 2)
-        assert check_a2_type1a(w).verdict == VERDICT_MARGINAL
+        assert check_a2(w).verdict == VERDICT_MARGINAL
+
+    def test_marginal_coefficient_with_midpoint_violation(self):
+        mats = (((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)),
+                ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
+        report = check_a2(build_type1a_raw([[1.0, 1.0], [1.0, 1.0]], mats))
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert [(f.kind, f.where) for f in report.findings] == [
+            ("midpoint-violated", (0, 0, 1)), ("midpoint-violated", (0, 1, 0)),
+            ("coefficient-marginal", ())]
+        assert report.witness is None
 
 
 class TestCheckRadial:
     def test_wider_range_in_dimension_two(self):
         ok = build_type1b([[1.0]], (Fraction(3, 2),), 2)
-        assert check_a2_type1b(ok).verdict == VERDICT_A2
+        assert check_a2(ok).verdict == VERDICT_A2
 
     def test_exponent_two_rejected_in_dimension_two(self):
         bad = build_type1b([[1.0]], (Fraction(2),), 2)
-        report = check_a2_type1b(bad)
+        report = check_a2(bad)
         assert report.verdict == VERDICT_NOT_A2
         assert report.findings[0].kind == "diagonal-exponent-range"
         assert "inverse" in report.findings[0].detail
 
     def test_three_dimensional_bound(self):
-        assert check_a2_type1b(
+        assert check_a2(
             build_type1b([[1.0]], (Fraction(5, 2),), 3)).verdict == VERDICT_A2
-        assert check_a2_type1b(
+        assert check_a2(
             build_type1b([[1.0]], (Fraction(3),), 3)).verdict == VERDICT_NOT_A2
 
     def test_nonintegrable_exponent(self):
-        report = check_a2_type1b(build_type1b([[1.0]], (Fraction(-2),), 2))
+        report = check_a2(build_type1b([[1.0]], (Fraction(-2),), 2))
         assert report.verdict == VERDICT_NOT_INTEGRABLE
 
     def test_midpoint_violation(self):
         w = build_type1b_raw([[2.0, 1.0], [1.0, 2.0]],
                              ((Fraction(0), Fraction(1)), (Fraction(1),
                                                            Fraction(0))), 2)
-        report = check_a2_type1b(w)
+        report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "midpoint-violated"
+
+    def test_marginal_coefficient_with_midpoint_violation(self):
+        w = build_type1b_raw([[1.0, 1.0], [1.0, 1.0]],
+                             ((Fraction(0), Fraction(1)), (Fraction(1),
+                                                           Fraction(0))), 3)
+        report = check_a2(w)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert [(f.kind, f.where) for f in report.findings] == [
+            ("midpoint-violated", (0, 1)), ("midpoint-violated", (1, 0)),
+            ("coefficient-marginal", ())]
+        assert report.witness is None
 
 
 class TestAverageSeparable:
     def test_matches_product_of_1d_closed_forms(self):
         w = separable_pair()
         cube = Cube((-0.25, 0.5), 1.5)
-        avg = average_type1a(w, cube)
+        avg = average_symbolic(w, cube)
         for i in range(2):
             for j in range(2):
                 expect = w.coeff[i, j]
                 for c in range(2):
                     expect *= average_abs_pow(
-                        w.exponents_per_coordinate[c][i][j], cube.interval(c))
+                        w.exponents[c][i][j], cube.interval(c))
                 assert avg[i, j] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_tensor_gauss_on_origin_free_cube(self):
         w = separable_pair()
         cube = Cube((0.5, 0.25), 1.0)
         nodes, wts = np.polynomial.legendre.leggauss(40)
-        avg = average_type1a(w, cube)
+        avg = average_symbolic(w, cube)
         for i in range(2):
             for j in range(2):
-                ex = float(w.exponents_per_coordinate[0][i][j])
-                ey = float(w.exponents_per_coordinate[1][i][j])
+                ex = float(w.exponents[0][i][j])
+                ey = float(w.exponents[1][i][j])
                 fx = sum(wt * (0.5 * (n + 1.0) * 1.0 + 0.5) ** ex
                          for n, wt in zip(nodes, wts)) * 0.5
                 fy = sum(wt * (0.5 * (n + 1.0) * 1.0 + 0.25) ** ey
@@ -222,7 +244,7 @@ class TestAverageSeparable:
     def test_matches_quadpack_on_straddling_cube(self):
         w = separable_pair()
         cube = Cube((-0.25, -0.5), 1.5)
-        avg = average_type1a(w, cube)
+        avg = average_symbolic(w, cube)
         ix = quad(lambda t: abs(t) ** 0.5, -0.25, 1.25, points=[0.0])[0]
         iy = quad(lambda t: 1.0, -0.5, 1.0)[0]
         expect = w.coeff[0, 0] * ix * iy / cube.volume
@@ -233,17 +255,17 @@ class TestAverageSeparable:
         with pytest.raises(ValueError, match="does not match"):
             average_type1b(w, Cube((0.0, 0.0), 1.0))
         with pytest.raises(ValueError, match="does not match"):
-            average_type1a(separable_pair(), Cube((0.0,) * 3, 1.0))
+            average_symbolic(separable_pair(), Cube((0.0,) * 3, 1.0))
 
     def test_nonintegrable_entry_reported(self):
         w = build_type1a_raw([[1.0]], (((Fraction(-3, 2),),), ((Fraction(0),),)))
         with pytest.raises(NotIntegrableError, match=r"coordinate 0"):
-            average_type1a(w, Cube((0.0, 0.0), 1.0))
+            average_symbolic(w, Cube((0.0, 0.0), 1.0))
 
     def test_hermitized_real_output(self):
-        avg = average_type1a(separable_pair(), Cube((0.0, 0.0), 2.0))
-        assert avg.dtype == np.float64
-        assert np.array_equal(avg, avg.T)
+        avg = average_symbolic(separable_pair(), Cube((0.0, 0.0), 2.0))
+        assert np.all(avg.imag == 0.0)
+        assert np.array_equal(avg, avg.conj().T)
 
 
 class TestRadialIntegral:
@@ -325,7 +347,7 @@ class TestAverageRadial:
         # functional is invariant under that similarity, so every cornered
         # cube gives the same value; tiny cubes need relative error control
         w = build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)
-        winv = inverse_type1b(w)
+        winv = symbolic_inverse(w)
         values = []
         for side in np.logspace(-3.0, 3.0, 7):
             cube = Cube((0.0, 0.0), side)
@@ -343,7 +365,7 @@ class TestAverageRadial:
 class TestInverses:
     def test_separable_inverse_is_pointwise_inverse(self):
         w = separable_pair()
-        inv = inverse_type1a(w)
+        inv = symbolic_inverse(w)
         assert np.allclose(w.coeff @ inv.coeff, np.eye(2), atol=1e-12)
         for x in ((0.7, 1.3), (-0.4, 2.0)):
             wx = np.empty((2, 2), dtype=complex)
@@ -351,21 +373,21 @@ class TestInverses:
             for i in range(2):
                 for j in range(2):
                     wx[i, j] = w.coeff[i, j] * math.prod(
-                        abs(x[c]) ** float(w.exponents_per_coordinate[c][i][j])
+                        abs(x[c]) ** float(w.exponents[c][i][j])
                         for c in range(2))
                     ix[i, j] = inv.coeff[i, j] * math.prod(
-                        abs(x[c]) ** float(inv.exponents_per_coordinate[c][i][j])
+                        abs(x[c]) ** float(inv.exponents[c][i][j])
                         for c in range(2))
             assert np.allclose(wx @ ix, np.eye(2), atol=1e-12)
 
     def test_radial_inverse_is_pointwise_inverse(self):
         w = build_type1b([[4.0, 1.0], [1.0, 2.0]], (HALF, -Fraction(1, 4)), 2)
-        inv = inverse_type1b(w)
+        inv = symbolic_inverse(w)
         for x in ((0.6, -0.9), (2.0, 1.0)):
             r = math.hypot(*x)
-            wx = np.array([[w.coeff[i, j] * r ** float(w.exponents[i][j])
+            wx = np.array([[w.coeff[i, j] * r ** float(w.exponents[0][i][j])
                             for j in range(2)] for i in range(2)])
-            ix = np.array([[inv.coeff[i, j] * r ** float(inv.exponents[i][j])
+            ix = np.array([[inv.coeff[i, j] * r ** float(inv.exponents[0][i][j])
                             for j in range(2)] for i in range(2)])
             assert np.allclose(wx @ ix, np.eye(2), atol=1e-12)
 
@@ -373,15 +395,33 @@ class TestInverses:
         mats = (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),) * 2
         w = build_type1a_raw([[2.0, 1.0], [1.0, 2.0]], mats)
         with pytest.raises(MidpointConditionError):
-            inverse_type1a(w)
+            symbolic_inverse(w)
         wb = build_type1b_raw([[2.0, 1.0], [1.0, 2.0]], mats[0], 2)
         with pytest.raises(MidpointConditionError):
-            inverse_type1b(wb)
+            symbolic_inverse(wb)
 
     def test_singular_coefficient_rejected(self):
         w = build_type1a([[1.0, 1.0], [1.0, 1.0]], [(0, 0), (0, 0)])
         with pytest.raises(SingularMatrixError):
-            inverse_type1a(w)
+            symbolic_inverse(w)
+
+
+class TestLineOnly:
+    @pytest.mark.parametrize("w", [
+        separable_pair(), build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, 0), 2)])
+    def test_line_functions_reject_cube_weights(self, w):
+        for call in (lambda: symbolic_det(w), lambda: symbolic_minor_det(w, 0, 0),
+                     lambda: evaluate(w, 1.0), lambda: a2_upper_bound(w),
+                     lambda: estimate_a2(w)):
+            with pytest.raises(ValueError, match="line"):
+                call()
+
+    def test_interval_average_needs_a_weight_on_the_line(self):
+        with pytest.raises(ValueError, match="does not match"):
+            average_symbolic(separable_pair(), Interval(0.0, 1.0))
+        radial = build_type1b([[1.0]], (HALF,), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            average_symbolic(radial, Cube((0.0, 0.0), 1.0))
 
 
 class TestCubeSearch:

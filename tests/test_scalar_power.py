@@ -21,7 +21,7 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
 def scalar_weight(coeff, gamma) -> SymbolicPowerMatrix:
     """coeff |x|^gamma as a 1x1 power matrix."""
-    return SymbolicPowerMatrix(np.array([[coeff]]), ((Fraction(gamma),),))
+    return SymbolicPowerMatrix(np.array([[coeff]]), (((Fraction(gamma),),),))
 
 
 def scalar_product(w: SymbolicPowerMatrix, iv: Interval) -> float:

@@ -1,4 +1,5 @@
-"""Smoke tests: the gallery scripts run against the current package API."""
+"""Smoke tests: the gallery scripts and the benchmark tracer run against the
+current package API."""
 
 import os
 import subprocess
@@ -34,3 +35,12 @@ def test_divergence_sweep_few_points():
     rows = [line.split() for line in lines[2:]]
     assert len(rows) == 6
     assert all(float(r[2]) > 0.0 for r in rows)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # install() rebinds a2w names for the whole process, so it runs apart
+    code = ("import sys; sys.path[:0] = ['a2wbench', 'src']; "
+            "from tracing import Tracer; Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,7 @@ from a2w.type1 import SymbolicPowerMatrix, symbolic_inverse
 
 def scalar_objective(coeff, gamma):
     """<w>_I <1/w>_I for w = coeff |x|^gamma, as a 1x1 trace functional."""
-    w = SymbolicPowerMatrix(np.array([[coeff]]), ((gamma,),))
+    w = SymbolicPowerMatrix(np.array([[coeff]]), (((gamma,),),))
     winv = symbolic_inverse(w)
     return lambda iv: a2_functional_trace(average_symbolic(w, iv),
                                           average_symbolic(winv, iv))

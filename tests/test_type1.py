@@ -25,11 +25,11 @@ THREE_BY_THREE = build_type1(
 
 class TestBuild:
     def test_midpoint_completion_two_by_two(self):
-        assert TWO_BY_TWO.exponents[0][1] == Fraction(-1, 12)
-        assert TWO_BY_TWO.exponents[1][0] == Fraction(-1, 12)
+        assert TWO_BY_TWO.exponents[0][0][1] == Fraction(-1, 12)
+        assert TWO_BY_TWO.exponents[0][1][0] == Fraction(-1, 12)
 
     def test_midpoint_completion_three_by_three(self):
-        e = THREE_BY_THREE.exponents
+        e = THREE_BY_THREE.exponents[0]
         assert e[0][1] == Fraction(0)
         assert e[0][2] == Fraction(5, 8)
         assert e[1][2] == Fraction(-1, 8)
@@ -45,7 +45,7 @@ class TestBuild:
 
     def test_raw_keeps_exponents_verbatim(self):
         w = build_type1_raw(np.eye(2), [["0", "1/3"], ["1/3", "0"]])
-        assert w.exponents[0][1] == Fraction(1, 3)
+        assert w.exponents[0][0][1] == Fraction(1, 3)
 
     def test_order_cap(self):
         n = linalg.MAX_ORDER + 1
@@ -54,7 +54,7 @@ class TestBuild:
 
     def test_scaled_multiplies_global_scale(self):
         w = TWO_BY_TWO.scaled(3.0)
-        assert np.allclose(w.effective_coeff(), 3.0 * TWO_BY_TWO.effective_coeff())
+        assert np.allclose(w.coeff, 3.0 * TWO_BY_TWO.coeff)
         with pytest.raises(ValueError):
             TWO_BY_TWO.scaled(-1.0)
 
@@ -64,7 +64,7 @@ class TestEvaluate:
         for _ in range(10):
             x = float(rng.uniform(0.1, 10.0))
             got = evaluate(THREE_BY_THREE, x)
-            e = THREE_BY_THREE.exponents
+            e = THREE_BY_THREE.exponents[0]
             want = np.array([[THREE_BY_THREE.coeff[i, j] * x ** float(e[i][j])
                               for j in range(3)] for i in range(3)])
             assert np.allclose(got, want, rtol=1e-12)
@@ -82,7 +82,7 @@ class TestNormalizedExponents:
         w = build_type1_raw(np.array([[2.0, 0.0], [0.0, 3.0]]),
                             [["1/2", "9/9"], ["9/9", "-1/2"]])
         norm = normalized_exponents(w)
-        assert norm[0][1] == Fraction(0)  # rewritten to the midpoint
+        assert norm[0][0][1] == Fraction(0)  # rewritten to the midpoint
         assert check_positive_definite_ae(w).verdict == VERDICT_PD_AE
 
 
@@ -195,12 +195,12 @@ class TestSymbolicAlgebra:
         winv = symbolic_inverse(TWO_BY_TWO)
         for i in range(2):
             for j in range(2):
-                assert winv.exponents[i][j] == -TWO_BY_TWO.exponents[i][j]
+                assert winv.exponents[0][i][j] == -TWO_BY_TWO.exponents[0][i][j]
 
     def test_double_inverse_roundtrip(self, rng):
         w = random_type1_weight(rng, 3)
         back = symbolic_inverse(symbolic_inverse(w))
-        assert np.allclose(back.effective_coeff(), w.effective_coeff(), atol=1e-10)
+        assert np.allclose(back.coeff, w.coeff, atol=1e-10)
         assert back.exponents == w.exponents
 
     def test_singular_coefficient_rejected(self):
@@ -224,5 +224,5 @@ class TestUpperBound:
             a2_upper_bound(TWO_BY_TWO), rel=1e-12)
 
     def test_scalar_case_reduces_to_closed_form(self):
-        w = SymbolicPowerMatrix(np.array([[2.0]]), ((Fraction(1, 2),),))
+        w = SymbolicPowerMatrix(np.array([[2.0]]), (((Fraction(1, 2),),),))
         assert a2_upper_bound(w) == pytest.approx(4.0 / 3.0, rel=1e-12)
