@@ -30,8 +30,8 @@ from .estimator import (NonPositiveInputError, a2_functional_norm,
                         estimate_a2)
 from .type2 import (DivergenceRow, Type2Weight, check_local_integrability,
                     check_necessary_a2, decide_a2, decide_rotation_a2,
-                    diagonal_entry, divergence_experiment, evaluate_type2,
-                    fit_loglog_slope, logspaced_ints)
+                    divergence_experiment, evaluate_type2, fit_loglog_slope,
+                    logspaced_ints)
 from .multivar import (Cube, CubeSearchConfig, average_type1b, build_type1a,
                        build_type1b, cube_integral_radial, default_cube_config,
                        estimate_a2_cubes)
@@ -55,7 +55,7 @@ __all__ = [
     "NonPositiveInputError", "a2_functional_norm", "a2_functional_trace",
     "average_numeric", "average_symbolic", "estimate_a2",
     "DivergenceRow", "Type2Weight", "check_local_integrability",
-    "check_necessary_a2", "decide_a2", "decide_rotation_a2", "diagonal_entry",
+    "check_necessary_a2", "decide_a2", "decide_rotation_a2",
     "divergence_experiment", "evaluate_type2", "fit_loglog_slope",
     "logspaced_ints",
     "Cube", "CubeSearchConfig", "average_type1b", "build_type1a",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -287,12 +286,12 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube, tol: float = 1e-6,
     if w.separable or cube.d != w.d:
         raise ValueError("cube dimension does not match the radial weight")
     lo, hi = cube.lower, cube.upper
-    cache: dict[Fraction, float] = {}
+    cache: dict[float, float] = {}
     out = np.zeros((w.n, w.n), dtype=complex)
     for i, j, a, (e,) in w.terms:
         if e not in cache:
             try:
-                cache[e] = (cube_integral_radial(float(e), lo, hi, tol,
+                cache[e] = (cube_integral_radial(e, lo, hi, tol,
                                                  budget, scale=0.0)
                             / cube.volume)
             except ValueError as exc:

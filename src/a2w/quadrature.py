@@ -8,10 +8,12 @@ underestimates the panel mass by a computable factor, which gives both a
 correction-free error bound and a geometric tail argument, so grading
 toward 0 terminates without ever sampling the singularity.
 
-adaptive_quad integrates one scalar function. matrix_quad integrates a
-Hermitian matrix function with one panel tree for all its entries: each
-panel evaluates the upper triangle in one call and keeps one error per
-entry, and refinement runs until every entry meets its own tolerance.
+One refinement loop serves scalar and matrix integrands: a panel tree over
+m rows, where each panel evaluates every row in one call and keeps one
+error per row, and refinement runs until every row meets its own
+tolerance. The zero split and any endpoint grading are its seed cuts.
+adaptive_quad is the one-row front end; matrix_quad integrates the upper
+triangle of a Hermitian matrix function, one row per entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from fractions import Fraction
 from typing import Callable
 
 import heapq
+import itertools
 import math
+from operator import add, gt, sub, truediv
 
 import numpy as np
 
@@ -57,16 +61,12 @@ class PointwiseMatrixFunction:
 
     def entry(self, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized x -> entry (i, j), read off values."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i}, {j}) out of range for order {self.n}")
+
         def fn(xs):
             return self.values(np.atleast_1d(np.asarray(xs, dtype=float)))[i, j]
         return fn
-
-
-def _gl_panel(f, lo: float, hi: float) -> complex:
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    vals = np.asarray(f(mid + half * _NODES), dtype=complex)
-    return complex(half * np.dot(_WEIGHTS, vals))
 
 
 def _gauss_power_deficit(s: float) -> float:
@@ -90,237 +90,164 @@ def _graded_cuts(lo: float, hi: float, levels: int) -> list[float]:
     return out
 
 
-def _refine_positive_side(f, lo: float, hi: float, tol_abs: float,
-                          s: float | None, budget: int,
-                          grading: int = 0) -> tuple[complex, int]:
-    """Adaptive integral over [lo, hi] with 0 <= lo; singular model exponent s.
-
-    The panel whose left edge is 0 gets a certified error from the power
-    model: for a pure power the Gauss value is off by exactly the deficit
-    ratio, and that holds for any exponent > -1 (fractional positive
-    powers are continuous but still non-smooth at 0). Other panels learn
-    their error from one split-and-compare round; panels with pending
-    comparisons count as unknown so the loop cannot declare convergence
-    while any remain (inf minus inf is NaN, which would end the loop).
-    """
-    singular = lo == 0.0 and s is not None
-    deficit_gap = abs(_gauss_power_deficit(s) - 1.0) if singular else 0.0
-
-    def panel_state(a: float, b: float):
-        val = _gl_panel(f, a, b)
-        if a == 0.0 and singular:
-            err = abs(val) * deficit_gap * 2.0 + 1e-300
-        else:
-            err = math.inf  # unknown until first split comparison
-        return val, err
-
-    cuts = _graded_cuts(lo, hi, grading) if grading > 0 else [lo, hi]
-    heap = []
-    counter = 0
-    used = 0
-    finite_err = 0.0
-    unknown = 0
-    for a, b in zip(cuts, cuts[1:]):
-        val, err = panel_state(a, b)
-        used += 1
-        heap.append((-err, counter, a, b, val))
-        counter += 1
-        if err == math.inf:
-            unknown += 1
-        else:
-            finite_err += err
-    heapq.heapify(heap)
-
-    while unknown > 0 or finite_err > tol_abs:
-        if used >= budget:
-            raise QuadratureBudgetError("panel budget exhausted")
-        neg_err, _, a, b, old_val = heapq.heappop(heap)
-        if -neg_err == math.inf:
-            unknown -= 1
-        else:
-            finite_err -= -neg_err
-        mid = (a + b) / 2.0
-        used += 2
-        lv, lerr = panel_state(a, mid)
-        rv, rerr = panel_state(mid, b)
-        if lerr == math.inf:
-            lerr = abs((lv + rv) - old_val) / 2.0 + 1e-300
-        if rerr == math.inf:
-            rerr = abs((lv + rv) - old_val) / 2.0 + 1e-300
-        counter += 1
-        heapq.heappush(heap, (-lerr, counter, a, mid, lv))
-        counter += 1
-        heapq.heappush(heap, (-rerr, counter, mid, b, rv))
-        finite_err += lerr + rerr
-    return sum(item[4] for item in heap), used
-
-
-def adaptive_quad(f, a: float, b: float, tol: float,
-                  singular_exponent=None, panel_budget: int = 20000,
-                  endpoint_grading: int = 0, scale: float | None = None) -> complex:
-    """Integral of f over [a, b] with absolute error about tol * (scale + |result|).
-
-    f must accept ndarray input. singular_exponent certifies the power
-    behavior of f at 0; it is required (and only used) when the closed
-    interval touches 0 and the behavior is non-smooth there.
-
-    endpoint_grading > 0 seeds that many geometrically shrinking panels
-    toward each endpoint before refinement. Split-compare cannot detect
-    mass hiding between the outermost Gauss node and the boundary, so
-    callers whose integrands concentrate at interval endpoints (sharp
-    reciprocal peaks of oscillating weights) should grade explicitly.
-    The graded panels also supply the mass estimate that tol is relative
-    to; a single coarse panel would miss endpoint peaks entirely and
-    turn a relative request into one far tighter than intended.
-
-    scale sets the magnitude against which tol is relative; it defaults
-    to 1, which turns tol into an absolute floor for integrals much
-    smaller than 1. Callers averaging tiny-mass entries (matrix averages
-    over short intervals) should pass their natural scale, e.g. the
-    largest diagonal mass, to keep the error relative to it. scale = 0
-    requests purely relative control and is only safe for integrands
-    without cancellation.
-    """
-    if not a < b:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    s = float(singular_exponent) if singular_exponent is not None else None
-    if s is not None and s <= -1.0 and a <= 0.0 <= b:
-        raise ValueError("integrand is certified non-integrable at 0")
-
-    pieces: list[tuple[float, float]] = []
-    if a < 0.0 < b:
-        pieces = [(a, 0.0), (0.0, b)]
-    else:
-        pieces = [(a, b)]
-
-    mass = 0.0
-    for lo, hi in pieces:
-        seeds = _graded_cuts(lo, hi, endpoint_grading) if endpoint_grading > 0 else [lo, hi]
-        for u, v in zip(seeds, seeds[1:]):
-            mass += abs(_gl_panel(f, u, v))
-    floor = 1.0 if scale is None else abs(scale)
-    tol_abs = tol * (floor + mass)
-    if tol_abs == 0.0:
-        tol_abs = 1e-290  # zero integrand: converge once split-compare agrees
-
-    total = 0j
-    budget = panel_budget
-    for lo, hi in pieces:
-        if budget < 1:
-            raise QuadratureBudgetError("panel budget exhausted")
-        share = tol_abs * (hi - lo) / (b - a)
-        if hi <= 0.0:
-            # reflect to the positive axis so 0 is always a left endpoint
-            def g(u, _f=f):
-                return _f(-u)
-            val, used = _refine_positive_side(g, -hi, -lo, share, s, budget,
-                                              grading=endpoint_grading)
-        else:
-            val, used = _refine_positive_side(f, lo, hi, share, s, budget,
-                                              grading=endpoint_grading)
-        total += val
-        budget -= used
-    return total
+def _seed_cuts(a: float, b: float, grading: int) -> list[float]:
+    """Seed panel boundaries: the zero split, then each piece graded."""
+    ends = [a, 0.0, b] if a < 0.0 < b else [a, b]
+    cuts = [a]
+    for lo, hi in zip(ends, ends[1:]):
+        cuts += _graded_cuts(lo, hi, grading)[1:]
+    return cuts
 
 
 def _gl_panels(f, cuts) -> np.ndarray:
     """Gauss values of f on the panels between consecutive cuts, one call of f.
 
-    f maps the concatenated nodes to an (m, nodes) array; the result is
-    shaped (m, len(cuts) - 1).
+    f maps the concatenated nodes to m rows of values, shaped (m, nodes),
+    or (nodes,) for one row; the result is shaped (m, len(cuts) - 1).
     """
-    cuts = np.asarray(cuts, dtype=float)
-    mids = (cuts[:-1] + cuts[1:]) / 2.0
-    halves = (cuts[1:] - cuts[:-1]) / 2.0
-    vals = f((mids[:, None] + halves[:, None] * _NODES).ravel())
-    return (vals.reshape(vals.shape[0], mids.size, _NODES.size) @ _WEIGHTS) * halves
+    mh = np.array([((lo + hi) / 2.0, (hi - lo) / 2.0)
+                   for lo, hi in zip(cuts, cuts[1:])])  # (mid, half) per panel
+    halves = mh[:, 1]
+    vals = np.asarray(f((mh[:, 1:] * _NODES + mh[:, :1]).ravel()))
+    return (vals.reshape(-1, halves.size, _NODES.size) @ _WEIGHTS) * halves
+
+
+def _checked_exponent(a: float, b: float, singular_exponent) -> float | None:
+    """The declared exponent at 0 as a float, or None if [a, b] misses 0."""
+    if not a < b:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    if singular_exponent is None or not a <= 0.0 <= b:
+        return None
+    s = float(singular_exponent)
+    if s <= -1.0:
+        raise ValueError("integrand is certified non-integrable at 0")
+    return s
+
+
+def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
+    """Sum over one adaptive panel tree of the m rows of f, shaped (m,).
+
+    f maps nodes to m rows of values (see _gl_panels). The seed panels
+    between cuts are evaluated in one call, and tolerance maps their row
+    masses (sums of |Gauss values|) to one absolute tolerance per row.
+    Each panel keeps one error per row; the panel split next is the one
+    with the largest ratio of row error to row tolerance, and refinement
+    stops only when every row's summed error is within its tolerance. A
+    split evaluates both children in one call and gives each the
+    split-compare error. A panel with an endpoint at 0 takes its error
+    from the power model at exponent s instead: for a pure power the
+    Gauss value is off by exactly the deficit ratio, for any s > -1
+    (fractional positive powers are continuous but still non-smooth at
+    0). Other panels count as unknown until their first comparison, so the
+    loop cannot declare convergence while any remain. where(k) names row
+    k in a budget error.
+    """
+    seed_vals = _gl_panels(f, cuts)
+    mass = np.sum(np.abs(seed_vals), axis=1)
+    tols = tolerance(mass)
+    tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
+    tols = tols.tolist()
+    gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
+
+    # Per-row bookkeeping runs on Python lists of floats: the same double
+    # arithmetic as numpy, and cheaper than numpy calls for the few rows
+    # of a scalar or small matrix integrand.
+    heap = []
+    order = itertools.count()
+    used = len(cuts) - 1
+    err_sum = [0.0] * len(tols)
+    unknown = 0
+
+    def push(lo, hi, val, err, key):
+        nonlocal unknown, err_sum
+        if s is not None and (lo == 0.0 or hi == 0.0):
+            err = [abs(v) * gap * 2.0 + 1e-300 for v in val]
+            key = max(map(truediv, err, tols))
+        if err is None:
+            unknown += 1
+        else:
+            err_sum = list(map(add, err_sum, err))
+        heapq.heappush(heap, (-key, next(order), lo, hi, val, err))
+
+    for lo, hi, val in zip(cuts, cuts[1:], seed_vals.T.tolist()):
+        push(lo, hi, val, None, math.inf)
+
+    while unknown > 0 or any(map(gt, err_sum, tols)):
+        if used >= panel_budget:
+            worst = max(range(len(tols)), key=lambda k: err_sum[k] / tols[k])
+            pending = f"; {unknown} panel(s) not yet estimated" if unknown else ""
+            raise QuadratureBudgetError(
+                f"panel budget {panel_budget} exhausted: {where(worst)}error sum "
+                f"{err_sum[worst]:.3g} exceeds its tolerance {tols[worst]:.3g}{pending}")
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        if err is None:
+            unknown -= 1
+        else:
+            err_sum = list(map(sub, err_sum, err))
+        mid = (lo + hi) / 2.0
+        used += 2
+        lv, rv = _gl_panels(f, (lo, mid, hi)).T.tolist()
+        split_err = [abs(l + r - v) / 2.0 + 1e-300 for l, r, v in zip(lv, rv, val)]
+        key = max(map(truediv, split_err, tols))
+        push(lo, mid, lv, split_err, key)
+        push(mid, hi, rv, split_err, key)
+    return np.sum([item[4] for item in heap], axis=0)
+
+
+def adaptive_quad(f, a: float, b: float, tol: float,
+                  singular_exponent=None, panel_budget: int = 20000,
+                  endpoint_grading: int = 0, scale: float | None = None) -> complex:
+    """Integral of f over [a, b]: the one-row front end of the panel tree.
+
+    f must accept ndarray input; its values may be complex. The absolute
+    tolerance is tol * (scale + seed mass), where the seed mass is the sum
+    of |Gauss values| over the seed panels. singular_exponent certifies
+    the power behavior of f at 0; it is required (and only used) when the
+    closed interval touches 0 and the behavior is non-smooth there.
+
+    endpoint_grading > 0 seeds that many geometrically shrinking panels
+    toward each endpoint (and toward 0 on both sides of a zero split)
+    before refinement. Split-compare cannot detect mass hiding between
+    the outermost Gauss node and the boundary, so callers whose
+    integrands concentrate at interval endpoints (sharp reciprocal peaks
+    of oscillating weights) should grade explicitly. The graded panels
+    also supply the mass estimate that tol is relative to; a single
+    coarse panel would miss endpoint peaks entirely and turn a relative
+    request into one far tighter than intended.
+
+    scale defaults to 1, which turns tol into an absolute floor for
+    integrals much smaller than 1. Callers averaging tiny masses should
+    pass their natural scale to keep the error relative to it. scale = 0
+    requests purely relative control and is only safe for integrands
+    without cancellation.
+    """
+    s = _checked_exponent(a, b, singular_exponent)
+    floor = 1.0 if scale is None else abs(scale)
+    total = _refine(f, _seed_cuts(a, b, endpoint_grading),
+                    lambda mass: tol * (floor + mass), s, panel_budget,
+                    lambda k: "")
+    return complex(total[0])
 
 
 def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
                 panel_budget: int = 20000) -> np.ndarray:
     """Integral over [a, b] of a Hermitian matrix function, one panel tree.
 
-    Only the upper triangle is integrated; the lower one is its
-    conjugate and the diagonal is real. Every entry has its own absolute
-    tolerance, scaled by the masses of the seed panels (the sum of
-    their |Gauss values|): a diagonal entry is a positive mass and gets
-    tol times its own mass, an off-diagonal entry can cancel and gets tol
-    times the largest diagonal mass plus its own. Each panel keeps one
-    error per entry; the panel split next is the one with the largest
-    ratio of entry error to entry tolerance, and refinement stops only
-    when every entry's summed error is within its tolerance. A split
-    evaluates both children in one call. Panels with an endpoint at 0
-    take their error from the power model at pmf.singular_exponent, as
-    in adaptive_quad.
+    Only the upper triangle is integrated, one row of the tree per entry;
+    the lower triangle is its conjugate and the diagonal is real. A
+    diagonal entry is a positive mass and gets tol times its own seed
+    mass; an off-diagonal entry can cancel and gets tol times the largest
+    diagonal seed mass plus its own. The power model at 0 uses
+    pmf.singular_exponent.
     """
-    if not a < b:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    s = float(pmf.singular_exponent) if pmf.singular_exponent is not None else None
-    if s is not None and s <= -1.0 and a <= 0.0 <= b:
-        raise ValueError("integrand is certified non-integrable at 0")
+    s = _checked_exponent(a, b, pmf.singular_exponent)
     rows, cols = np.triu_indices(pmf.n)
     diagonal = rows == cols
-
-    def f(xs):
-        return pmf.values(xs)[rows, cols]
-
-    deficit_gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
-
-    def model_err(lo, hi, val):
-        """Power-model error of a panel touching 0, or None if it does not."""
-        if s is None or (lo != 0.0 and hi != 0.0):
-            return None
-        return np.abs(val) * deficit_gap * 2.0 + 1e-300
-
-    cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]
-    seed_vals = _gl_panels(f, cuts)
-    mass = np.sum(np.abs(seed_vals), axis=1)
-    tols = tol * np.where(diagonal, mass, np.max(mass[diagonal]) + mass)
-    tols[tols == 0.0] = 1e-290  # zero entry: converge once split-compare agrees
-
-    heap = []
-    counter = 0
-    used = len(cuts) - 1
-    err_sum = np.zeros(mass.shape)
-    unknown = 0  # panels not yet error-estimated count as infinitely wrong
-
-    def push(lo, hi, val, err):
-        nonlocal counter, unknown, err_sum
-        if err is None:
-            unknown += 1
-            key = math.inf
-        else:
-            err_sum = err_sum + err
-            key = float((err / tols).max())
-        heapq.heappush(heap, (-key, counter, lo, hi, val, err))
-        counter += 1
-
-    for lo, hi, val in zip(cuts, cuts[1:], seed_vals.T):
-        push(lo, hi, val, model_err(lo, hi, val))
-
-    while unknown > 0 or (err_sum > tols).any():
-        if used >= panel_budget:
-            worst = int(np.argmax(err_sum / tols))
-            pending = f"; {unknown} panel(s) not yet estimated" if unknown else ""
-            raise QuadratureBudgetError(
-                f"panel budget {panel_budget} exhausted: entry "
-                f"({rows[worst]}, {cols[worst]}) error sum {err_sum[worst]:.3g} "
-                f"exceeds its tolerance {tols[worst]:.3g}{pending}")
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        if err is None:
-            unknown -= 1
-        else:
-            err_sum = err_sum - err
-        mid = (lo + hi) / 2.0
-        used += 2
-        pair = _gl_panels(f, (lo, mid, hi))
-        lv, rv = pair[:, 0], pair[:, 1]
-        split_err = np.abs((lv + rv) - val) / 2.0 + 1e-300
-        for clo, chi, cval in ((lo, mid, lv), (mid, hi, rv)):
-            cerr = model_err(clo, chi, cval)
-            push(clo, chi, cval, split_err if cerr is None else cerr)
-
-    total = np.sum([item[4] for item in heap], axis=0).astype(complex)
+    total = _refine(lambda xs: pmf.values(xs)[rows, cols], _seed_cuts(a, b, 0),
+                    lambda mass: tol * np.where(diagonal, mass,
+                                                np.max(mass[diagonal]) + mass),
+                    s, panel_budget,
+                    lambda k: f"entry ({rows[k]}, {cols[k]}) ").astype(complex)
     total[diagonal] = total[diagonal].real
     out = np.zeros((pmf.n, pmf.n), dtype=complex)
     out[rows, cols] = total

@@ -65,13 +65,13 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _integral_positive_side(g: float, lo: float, hi: float, minus_one: bool) -> float:
+def _integral_positive_side(g: float, lo: float, hi: float) -> float:
     """Integral of x^g over [lo, hi] with 0 <= lo < hi."""
     if lo == 0.0:
-        if minus_one or g <= -1.0:
+        if g <= -1.0:
             raise NotIntegrableError(f"|x|^{g} is not integrable at 0")
         return hi ** (g + 1.0) / (g + 1.0)
-    if minus_one:
+    if g == -1.0:
         return math.log1p((hi - lo) / lo)
     return lo ** (g + 1.0) * math.expm1((g + 1.0) * math.log1p((hi - lo) / lo)) / (g + 1.0)
 
@@ -80,16 +80,16 @@ def integral_abs_pow(gamma, iv: Interval) -> float:
     """Closed-form integral of |x|^gamma over iv.
 
     Splits at 0 when the interval straddles it; gamma <= -1 with 0 in the
-    closed interval raises NotIntegrableError.
+    closed interval raises NotIntegrableError. The exponent is used as a
+    float, so one within rounding of -1 takes the logarithmic form.
     """
     g = float(gamma)
-    minus_one = Fraction(gamma) == -1 if isinstance(gamma, (Fraction, int)) else g == -1.0
     a, b = iv.a, iv.b
     if a >= 0.0:
-        return _integral_positive_side(g, a, b, minus_one)
+        return _integral_positive_side(g, a, b)
     if b <= 0.0:
-        return _integral_positive_side(g, -b, -a, minus_one)
-    if minus_one or g <= -1.0:
+        return _integral_positive_side(g, -b, -a)
+    if g <= -1.0:
         raise NotIntegrableError(f"|x|^{g} is not integrable across 0")
     return (-a) ** (g + 1.0) / (g + 1.0) + b ** (g + 1.0) / (g + 1.0)
 

@@ -65,9 +65,6 @@ class Interval:
         """Distance from 0 to the endpoint closer to it."""
         return min(abs(self.a), abs(self.b))
 
-    def reflected(self) -> "Interval":
-        return Interval(-self.b, -self.a)
-
 
 @dataclass(frozen=True)
 class SupSearchConfig:

@@ -109,11 +109,12 @@ class SymbolicPowerMatrix:
         return len(self.exponents) == self.d
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, int, complex, tuple[Fraction, ...]], ...]:
-        """(i, j, a_ij, normalized e_ij per factor) for every a_ij != 0,
-        built once per weight for the entrywise average loops."""
+    def terms(self) -> tuple[tuple[int, int, complex, tuple[float, ...]], ...]:
+        """(i, j, a_ij, normalized e_ij per factor as a float) for every
+        a_ij != 0, built once per weight for the entrywise average loops."""
         norm = normalized_exponents(self)
-        return tuple((i, j, complex(self.coeff[i, j]), tuple(m[i][j] for m in norm))
+        return tuple((i, j, complex(self.coeff[i, j]),
+                      tuple(float(m[i][j]) for m in norm))
                      for i in range(self.n) for j in range(self.n)
                      if self.coeff[i, j] != 0)
 

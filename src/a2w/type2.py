@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -35,9 +34,6 @@ __all__ = [
     "rotation3d_euler",
     "unitary_stack",
     "evaluate_type2",
-    "entry_function",
-    "ScalarProfile",
-    "diagonal_entry",
     "as_pointwise",
     "inverse_weight",
     "inverse_pointwise",
@@ -137,52 +133,6 @@ def evaluate_type2(w: Type2Weight, x: float) -> np.ndarray:
     u = unitary_stack(w.unitary, w.n, np.array([x]))[:, :, 0]
     diag = np.diag([a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas)])
     return u @ diag @ u.conj().T
-
-
-def entry_function(w: Type2Weight, i: int, j: int) -> Callable:
-    """Vectorized x -> w_ij(x) from the eigenvalue expansion."""
-    if not (0 <= i < w.n and 0 <= j < w.n):
-        raise IndexError(f"entry ({i}, {j}) out of range for order {w.n}")
-    alphas = np.array(w.alphas)
-    gammas = np.array([float(g) for g in w.gammas])
-
-    def fn(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        u = unitary_stack(w.unitary, w.n, xs)
-        powers = np.abs(xs)[None, :] ** gammas[:, None]
-        return np.sum(alphas[:, None] * powers * u[i, :, :] * u[j, :, :].conj(),
-                      axis=0)
-
-    return fn
-
-
-@dataclass(frozen=True)
-class ScalarProfile:
-    """Evaluation handle for one scalar entry plus its growth data at 0.
-
-    origin_exponent is the smallest eigenvalue exponent, a lower bound on
-    the entry's power behaviour near the origin; singular_exponent exposes
-    it in the convention of the quadrature module. It is always declared:
-    positive fractional powers are continuous yet non-smooth at 0, and for
-    integer powers the declared model is exact with zero correction, so
-    there is no case where suppressing it helps.
-    """
-
-    evaluate: Callable
-    origin_exponent: Fraction
-
-    def __call__(self, xs):
-        return self.evaluate(xs)
-
-    @property
-    def singular_exponent(self) -> Fraction:
-        return self.origin_exponent
-
-
-def diagonal_entry(w: Type2Weight, i: int) -> ScalarProfile:
-    """Descriptor for w_ii, the scalar probe used by the divergence run."""
-    return ScalarProfile(evaluate=entry_function(w, i, i),
-                         origin_exponent=min(w.gammas))
 
 
 def as_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
@@ -340,8 +290,7 @@ def divergence_experiment(gamma1, gamma2, n_values,
     if not ns or any(n <= 0 for n in ns) or any(
             b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be positive and strictly increasing")
-    w = Type2Weight((1.0, 1.0), (g1, g2), "rotation2d")
-    probe = diagonal_entry(w, 0)
+    probe = as_pointwise(Type2Weight((1.0, 1.0), (g1, g2), "rotation2d")).entry(0, 0)
 
     def one_row(n: int) -> DivergenceRow:
         a = 2.0 * math.pi * n

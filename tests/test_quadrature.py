@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 from a2w.quadrature import (PointwiseMatrixFunction, QuadratureBudgetError,
-                            adaptive_quad)
+                            adaptive_quad, matrix_quad)
 
 
 class TestPurePowers:
@@ -93,9 +93,11 @@ class TestEndpointGrading:
 
     def test_grading_with_origin_singularity(self):
         p = -0.7
-        got = adaptive_quad(lambda x: np.abs(x) ** p, 0.0, 1.0, 1e-10,
-                            singular_exponent=p, endpoint_grading=12)
-        assert got.real == pytest.approx(1.0 / (p + 1.0), rel=1e-8)
+        for a, b in ((0.0, 1.0), (-1.0, 2.0)):
+            got = adaptive_quad(lambda x: np.abs(x) ** p, a, b, 1e-10,
+                                singular_exponent=p, endpoint_grading=12)
+            want = ((-a) ** (p + 1.0) + b ** (p + 1.0)) / (p + 1.0)
+            assert got.real == pytest.approx(want, rel=1e-8)
 
 
 class TestBudgetAndValidation:
@@ -125,6 +127,18 @@ class TestBudgetAndValidation:
         tight = adaptive_quad(f, 0.0, 1.0, 1e-12, singular_exponent=-0.8).real
         assert abs(tight - want) <= abs(loose - want) + 1e-13
         assert tight == pytest.approx(want, rel=1e-10)
+
+
+class TestOneTree:
+    def test_scalar_and_matrix_integrands_share_the_tree(self):
+        # one row under the same tolerance: the same panels, the same sum
+        p = -0.5
+        pmf = PointwiseMatrixFunction(
+            n=1, values=lambda xs: (np.abs(xs) ** p)[None, None, :],
+            singular_exponent=p)
+        got = adaptive_quad(lambda x: np.abs(x) ** p, -2.0, 1.0, 1e-10,
+                            singular_exponent=p, scale=0.0)
+        assert got.real == matrix_quad(pmf, -2.0, 1.0, 1e-10)[0, 0].real
 
 
 class TestPointwiseMatrixFunction:

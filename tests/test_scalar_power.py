@@ -72,6 +72,12 @@ class TestClosedFormIntegrals:
         iv = Interval(1.0, math.e)
         assert integral_abs_pow(Fraction(-1), iv) == pytest.approx(1.0, rel=1e-12)
 
+    def test_exponent_within_rounding_of_minus_one_takes_log_form(self):
+        g = Fraction(-10**20 - 1, 10**20)
+        assert float(g) == -1.0
+        assert integral_abs_pow(g, Interval(1.0, math.e)) == pytest.approx(
+            1.0, rel=1e-12)
+
     def test_minus_one_rejected_at_zero(self):
         with pytest.raises(NotIntegrableError):
             integral_abs_pow(Fraction(-1), Interval(0.0, 1.0))

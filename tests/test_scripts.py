@@ -38,9 +38,19 @@ def test_divergence_sweep_few_points():
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
-    # install() rebinds a2w names for the whole process, so it runs apart
-    code = ("import sys; sys.path[:0] = ['a2wbench', 'src']; "
-            "from tracing import Tracer; Tracer().install()")
+    # install() rebinds a2w names for the whole process, so it runs apart.
+    # A traced divergence run must still feed the quadrature counters.
+    code = "\n".join([
+        "import sys; sys.path[:0] = ['a2wbench', 'src']",
+        "from tracing import Tracer; from a2w import cli",
+        "tracer = Tracer(); tracer.install()",
+        "tracer.run_op(0, cli.main, ['divergence', '--gamma1=-1/2', '--gamma2=1/2',"
+        " '--points=2', '--n-min=100', '--n-max=200', '--json'])",
+        "m = tracer.layer_metrics(1)",
+        "print(m['quadrature.adaptive_quad.calls'][0], m['type2.unitary_stack.calls'][0])",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    quad_calls, stack_calls = (float(v) for v in proc.stdout.split()[-2:])
+    assert quad_calls > 0 and stack_calls > 0

@@ -27,7 +27,6 @@ class TestInterval:
         assert iv.halflength == 2.0
         assert iv.contains_zero()
         assert iv.near_endpoint_distance() == 1.0
-        assert iv.reflected() == Interval(-3.0, 1.0)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

@@ -16,11 +16,10 @@ from a2w.report import (VERDICT_A2, VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
 from a2w.type1 import EvaluationAtOriginError
 from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise,
                        check_local_integrability, check_necessary_a2,
-                       decide_a2, decide_rotation_a2, diagonal_entry,
-                       divergence_experiment, entry_function, evaluate_type2,
-                       fit_loglog_slope, inverse_pointwise, inverse_weight,
-                       logspaced_ints, rotation2d, rotation3d_euler,
-                       unitary_stack)
+                       decide_a2, decide_rotation_a2, divergence_experiment,
+                       evaluate_type2, fit_loglog_slope, inverse_pointwise,
+                       inverse_weight, logspaced_ints, rotation2d,
+                       rotation3d_euler, unitary_stack)
 
 HALF = Fraction(1, 2)
 
@@ -146,28 +145,19 @@ class TestEvaluation:
         xs = np.linspace(0.2, 9.0, 40)
         for i in range(3):
             for j in range(3):
-                fn = entry_function(w, i, j)
-                vals = fn(xs)
+                vals = as_pointwise(w).entry(i, j)(xs)
                 direct = np.array([evaluate_type2(w, x)[i, j] for x in xs])
                 assert np.allclose(vals, direct, rtol=1e-12, atol=1e-14)
 
     def test_entry_function_index_bounds(self):
-        w = planar(0, HALF)
+        pw = as_pointwise(planar(0, HALF))
         with pytest.raises(IndexError):
-            entry_function(w, 2, 0)
+            pw.entry(2, 0)
         with pytest.raises(IndexError):
-            entry_function(w, 0, -1)
+            pw.entry(0, -1)
 
 
 class TestProfilesAndInverse:
-    def test_diagonal_entry_declares_worst_exponent(self):
-        w = planar(-Fraction(1, 3), HALF)
-        profile = diagonal_entry(w, 1)
-        assert profile.singular_exponent == Fraction(-1, 3)
-        assert profile.origin_exponent == Fraction(-1, 3)
-        xs = np.array([0.5, 2.0])
-        assert np.allclose(profile(xs), entry_function(w, 1, 1)(xs))
-
     def test_as_pointwise_entries(self):
         w = planar(HALF, -HALF, a1=2.0)
         pw = as_pointwise(w)
@@ -177,7 +167,7 @@ class TestProfilesAndInverse:
         for i in range(2):
             for j in range(2):
                 assert np.allclose(pw.entry(i, j)(xs),
-                                   entry_function(w, i, j)(xs))
+                                   [evaluate_type2(w, x)[i, j] for x in xs])
 
     def test_inverse_weight_swaps_data(self):
         w = planar(HALF, -Fraction(1, 4), a1=2.0, a2=5.0)
@@ -198,7 +188,7 @@ class TestProfilesAndInverse:
         assert pw.singular_exponent == -HALF
         xs = np.array([0.9])
         assert np.allclose(pw.entry(0, 0)(xs),
-                           entry_function(inverse_weight(w), 0, 0)(xs))
+                           evaluate_type2(inverse_weight(w), 0.9)[0, 0])
 
     def test_inverse_requires_positive_coefficients(self):
         w = planar(0, HALF, a1=-1.0)
@@ -381,6 +371,16 @@ class TestDivergenceExperiment:
                         epsrel=1e-11, limit=400)[0]
         assert row.avg_w == pytest.approx(ref_w / math.pi, rel=1e-7)
         assert row.avg_winv == pytest.approx(ref_winv / math.pi, rel=1e-7)
+
+    def test_rows_keep_their_values(self):
+        # pinned rows: the probe and the panel tree must keep these values
+        want = [(12.568718997378452, 0.9999998301985615, 12.568716863191886),
+                (39.64453382817957, 0.9999999992073209, 39.644533796754175)]
+        rows = divergence_experiment("-1/2", "1/2", [100, 1000])
+        assert [row.n for row in rows] == [100, 1000]
+        for row, values in zip(rows, want):
+            got = (row.avg_w, row.avg_winv, row.product)
+            assert got == pytest.approx(values, rel=1e-12)
 
     def test_slope_tracks_exponent_gap(self):
         rows = divergence_experiment("-1/2", "1/2", logspaced_ints(10, 2000, 6))
