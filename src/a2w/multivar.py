@@ -3,15 +3,18 @@
 The weights are type1.SymbolicPowerMatrix objects with d = 2 or 3. Separable
 ones (one exponent matrix per coordinate) average over a cube in closed
 form, as a product of 1D averages (estimator.average_symbolic). Radial
-ones (entries a_ij ||x||^(e_ij)) need cube quadrature, done here by
-orthant splitting plus a tensor Gauss rule with geometric grading toward
-the origin and an analytic bound on the innermost origin cell. This
-module also builds both families from their spec data.
+ones (entries a_ij ||x||^(e_ij)) need one integral of ||x||^e over the
+cube per distinct exponent. The divergence theorem reduces it to the
+cube's faces and each face to signed triangles about the foot point of
+the origin (Lasserre, Proc. AMS 126, 1998; Chin, Lasserre & Sukumar,
+Comput. Mech. 56, 2015), whose radial parts are closed form; the smooth
+angular integrals left over run as rows of one quadrature panel tree,
+with error relative to the integral. This module also builds both
+families from their spec data.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import type1
 from .estimator import a2_functional_norm, a2_functional_trace, average_symbolic
-from .quadrature import QuadratureBudgetError
+from .quadrature import QuadratureBudgetError, _refine
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize, golden_max
@@ -40,8 +43,12 @@ __all__ = [
 ]
 
 _DIMS = (2, 3)
-_SPHERE_MEASURE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Floor of a radial integral's error target, relative to the summed mass
+# of its rows: the rounding level of their node values and Gauss sums,
+# which is what is left where the face terms cancel. Below 8 eps the
+# split-compare noise alone can exhaust the panel budget.
+_ROUNDING = 8 * np.finfo(float).eps
+_PANEL_BUDGET = 2000  # the smooth angular rows converge in about 100 panels
 
 
 @dataclass(frozen=True)
@@ -127,68 +134,42 @@ check_a2_type1a = check_a2_type1b = type1.check_a2
 average_type1a = average_symbolic
 
 
-def _tensor_gl(gamma: float, lo, hi) -> float:
-    """Tensor product Gauss rule for ||x||^gamma over an origin-free box."""
-    d = len(lo)
-    r2, wts = 0.0, []
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = (mid + half * _GL_NODES).reshape((-1,) + (1,) * (d - 1 - k))
-        r2 = r2 + x * x  # broadcasts to the (8,) * d tensor grid
-        wts.append(half * _GL_WEIGHTS)
-    vals = r2 ** (0.5 * gamma)
-    w = wts[0]
-    for extra in wts[1:]:
-        w = np.multiply.outer(w, extra)
-    return float(np.sum(vals * w))
+def _edge_pieces(lo, hi):
+    """Signed polar triangles of the rectangle [lo, hi] about its plane's origin.
 
-
-def _origin_cell_bound(gamma: float, hi, d: int) -> float:
-    """Certified bound on the integral over the box [0, hi] at the origin.
-
-    For gamma < 0 the box sits inside the orthant sector of the ball of
-    radius ||hi||, whose integral is (surface / 2^d) R^(gamma+d)/(gamma+d).
-    For gamma >= 0 the supremum bound volume * ||hi||^gamma is tighter.
+    One piece per edge whose line misses the origin, as (h, phi0, span): h
+    is the distance of the edge's line, negative when the outward normal
+    points toward the origin, and the edge is seen at the angles
+    [phi0, phi0 + span] from that normal.
     """
-    radius = math.sqrt(sum(u * u for u in hi))
-    if gamma < 0:
-        return (_SPHERE_MEASURE[d] / 2 ** d) * radius ** (gamma + d) / (gamma + d)
-    vol = math.prod(hi)
-    return vol * radius ** gamma
+    for k in (0, 1):
+        a, b = lo[1 - k], hi[1 - k]
+        for h in (hi[k], -lo[k]):
+            if h != 0.0:
+                e = abs(h)
+                yield h, math.atan2(a, e), math.atan2((b - a) * e, e * e + a * b)
 
 
-def _split_signed(lo, hi):
-    """Split a box at the coordinate hyperplanes, reflect into x >= 0."""
-    pieces = [((), ())]
-    for a, b in zip(lo, hi):
-        grown = []
-        for plo, phi in pieces:
-            if a < 0.0 < b:
-                grown.append((plo + (0.0,), phi + (-a,)))
-                grown.append((plo + (0.0,), phi + (b,)))
-            elif b <= 0.0:
-                grown.append((plo + (-b,), phi + (-a,)))
-            else:
-                grown.append((plo + (a,), phi + (b,)))
-        pieces = grown
-    return [(plo, phi) for plo, phi in pieces
-            if all(u > l for l, u in zip(plo, phi))]
-
-
-def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6,
-                         budget: int = 50000,
-                         scale: float | None = None) -> float:
+def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6) -> float:
     """Integral of ||x||^gamma over the box [lo, hi], origin allowed inside.
 
-    Orthant splitting reduces to boxes in the closed positive orthant; the
-    box whose corner is the origin is graded geometrically (split ratio
-    1/2) with the analytic cell bound closing the recursion. Everything
-    else uses the tensor Gauss rule with worst-first split-and-compare
-    refinement. Raises when the cell budget (evaluated Gauss cells) runs
-    out before the error target tol * (scale + |coarse value|) is met.
-    scale defaults to 1, an absolute floor for tiny integrals; passing 0
-    requests purely relative control, safe here because the integrand
-    never changes sign.
+    The divergence theorem, div(x ||x||^gamma) = (d + gamma) ||x||^gamma,
+    turns the box into a signed sum over its faces of (x . n) times the
+    face integral; faces in a plane through the origin drop out. At
+    gamma = -d, on boxes away from the origin, the field is
+    x ||x||^(-d) log(||x|| / r) instead, whose divergence is ||x||^(-d) for
+    any r. In d = 2 each face is a polar triangle about the origin; in
+    d = 3 each face splits into signed triangles about the foot point of
+    the origin, whose radial integrals are closed form. What is left is
+    one smooth angular integral per triangle, each a row of one panel
+    tree over [0, 1].
+
+    The error is relative to the integral itself: the rows share
+    tol * |value| / 2 equally (the other half covers the seed panel's
+    estimate of |value|), but never go below the rounding level of their
+    summed masses. On boxes far from the origin the face terms cancel;
+    when their rounding alone exceeds tol * |value|, QuadratureBudgetError
+    names the box rather than returning an unverified value.
     """
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
@@ -204,85 +185,72 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6,
     if gamma == 0.0:
         return math.prod(b - a for a, b in zip(lo, hi))
 
-    used = 0
-    counter = 0
-    heap: list = []
-    err_sum = 0.0
-    inf_count = 0
-    val_sum = 0.0
+    # Rows (phi0, span, e, weight, c): the triangle of edge distance e on
+    # the face at coordinate c contributes weight * span * F(c, s) at the
+    # angles phi0 + span * t, where s = e sec(phi) / c.
+    log_form = gamma == -d
+    kappa = 1.0 if log_form else 1.0 / (d + gamma)
+    rows = []
+    if d == 2:
+        for h, phi0, span in _edge_pieces(lo, hi):
+            rows.append((phi0, span, abs(h), math.copysign(1.0, h) * kappa,
+                         abs(h)))
+    else:
+        for k in range(3):
+            rest = [j for j in range(3) if j != k]
+            for flux in (hi[k], -lo[k]):  # x . n on the face
+                if flux == 0.0:
+                    continue
+                for h, phi0, span in _edge_pieces([lo[j] for j in rest],
+                                                  [hi[j] for j in rest]):
+                    rows.append((phi0, span, abs(h),
+                                 math.copysign(1.0, h) * kappa * flux, abs(flux)))
+    phi0, span, e, weight, c = (np.array(col)[:, None] for col in zip(*rows))
+    # The log form's radius r: x ||x||^(-d) has no flux out of a box that
+    # misses the origin, so any r gives the same integral; the largest
+    # coordinate keeps log(c / r) small.
+    ref_log = np.log(c / max(map(abs, lo + hi)))
+    beta = gamma / 2.0 + 1.0
 
-    def push(kind: str, plo, phi, val: float, err: float):
-        nonlocal counter, err_sum, inf_count, val_sum
-        heapq.heappush(heap, (-err, counter, kind, plo, phi, val))
-        counter += 1
-        val_sum += val
-        if math.isinf(err):
-            inf_count += 1
-        else:
-            err_sum += err
+    def radial(s):
+        """F(c, s): the radial integral out to the edge per unit angle,
+        without the factor kappa."""
+        if d == 2:
+            return ref_log + np.log(s) if log_form else (c * s) ** (gamma + 2.0)
+        lg = np.log1p(s * s)
+        if log_form:
+            return -((ref_log + 1.0) * np.expm1(-lg / 2.0)
+                     + lg / 2.0 * np.exp(-lg / 2.0)) / c
+        if beta == 0.0:  # gamma = -2
+            return lg / 2.0
+        return c ** (gamma + 2.0) * np.expm1(beta * lg) / (2.0 * beta)
 
-    def pop():
-        nonlocal err_sum, inf_count, val_sum
-        neg_err, _, kind, plo, phi, val = heapq.heappop(heap)
-        err = -neg_err
-        val_sum -= val
-        if math.isinf(err):
-            inf_count -= 1
-        else:
-            err_sum -= err
-        return kind, plo, phi, val
+    def values(t):
+        return weight * span * radial(e / (c * np.cos(phi0 + span * t)))
 
-    def gl_value(plo, phi) -> float:
-        nonlocal used
-        if used >= budget:
-            raise QuadratureBudgetError(
-                f"cube quadrature budget of {budget} cells exhausted")
-        used += 1
-        return _tensor_gl(gamma, plo, phi)
+    target = 0.0
 
-    for plo, phi in _split_signed(lo, hi):
-        if all(v == 0.0 for v in plo):
-            bound = _origin_cell_bound(gamma, phi, d)
-            push("origin", plo, phi, 0.5 * bound, 0.5 * bound)
-        else:
-            push("gl", plo, phi, gl_value(plo, phi), math.inf)
+    def tolerance(mass, total):
+        nonlocal target
+        target = max(tol * abs(total.sum()), _ROUNDING * mass.sum())
+        return np.full(len(rows), target / (2 * len(rows)))
 
-    floor = 1.0 if scale is None else abs(scale)
-    tol_abs = tol * (floor + abs(val_sum))
-    if tol_abs == 0.0:
-        tol_abs = 1e-290
-
-    def children_boxes(plo, phi):
-        mids = tuple(0.5 * (a + b) for a, b in zip(plo, phi))
-        boxes = [((), ())]
-        for a, m, b in zip(plo, mids, phi):
-            boxes = [(clo + (a,), chi + (m,)) for clo, chi in boxes] + \
-                    [(clo + (m,), chi + (b,)) for clo, chi in boxes]
-        return boxes
-
-    while inf_count > 0 or err_sum > tol_abs:
-        kind, plo, phi, val = pop()
-        if kind == "origin":
-            for clo, chi in children_boxes(plo, phi):
-                if all(v == 0.0 for v in clo):
-                    bound = _origin_cell_bound(gamma, chi, d)
-                    push("origin", clo, chi, 0.5 * bound, 0.5 * bound)
-                else:
-                    push("gl", clo, chi, gl_value(clo, chi), math.inf)
-        else:
-            kids = [(clo, chi, gl_value(clo, chi))
-                    for clo, chi in children_boxes(plo, phi)]
-            spread = abs(sum(v for _, _, v in kids) - val)
-            share = spread / len(kids)
-            for clo, chi, v in kids:
-                push("gl", clo, chi, v, share)
-    return val_sum
+    box = f"box {lo}..{hi}"
+    value = float(np.sum(_refine(values, (0.0, 1.0), tolerance, None,
+                                 _PANEL_BUDGET,
+                                 lambda k: f"{box}, angular piece {k}: ")))
+    if not target <= 2 * tol * abs(value):
+        raise QuadratureBudgetError(
+            f"{box}: rounding in the face terms allows "
+            f"{target / (2 * abs(value)):.3g} relative error, "
+            f"above the tolerance {tol:.3g}")
+    return value
 
 
-def average_type1b(w: SymbolicPowerMatrix, cube: Cube, tol: float = 1e-6,
-                   budget: int = 50000) -> np.ndarray:
-    """Entrywise cube average of a radial weight by radial-power quadrature,
-    one integral per distinct exponent."""
+def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
+                   tol: float = 1e-6) -> np.ndarray:
+    """Entrywise cube average of a radial weight: one cube_integral_radial
+    per distinct exponent, each within tol of itself relatively."""
     if w.separable or cube.d != w.d:
         raise ValueError("cube dimension does not match the radial weight")
     lo, hi = cube.lower, cube.upper
@@ -291,9 +259,7 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube, tol: float = 1e-6,
     for i, j, a, (e,) in w.terms:
         if e not in cache:
             try:
-                cache[e] = (cube_integral_radial(e, lo, hi, tol,
-                                                 budget, scale=0.0)
-                            / cube.volume)
+                cache[e] = cube_integral_radial(e, lo, hi, tol) / cube.volume
             except ValueError as exc:
                 raise NotIntegrableError(
                     f"entry ({i}, {j}): {exc}") from exc
@@ -314,7 +280,6 @@ class CubeSearchConfig:
     shifts: tuple[int, ...] = (1, 2)
     refine_rounds: int = 8
     quadrature_tol: float = 1e-6
-    budget: int = 50000
 
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
@@ -327,7 +292,7 @@ class CubeSearchConfig:
             raise ValueError(f"families must come from {_FAMILIES}")
         if any(k < 1 for k in self.shifts):
             raise ValueError("shift multiples must be >= 1")
-        if self.refine_rounds < 0 or self.quadrature_tol <= 0 or self.budget < 1:
+        if self.refine_rounds < 0 or self.quadrature_tol <= 0:
             raise ValueError("invalid refinement or quadrature settings")
 
 
@@ -376,8 +341,8 @@ def estimate_a2_cubes(weight, functional: str = "trace",
             return average_type1a(weight, cube), average_type1a(inverse, cube)
     else:
         def averages(cube: Cube):
-            return (average_type1b(weight, cube, cfg.quadrature_tol, cfg.budget),
-                    average_type1b(inverse, cube, cfg.quadrature_tol, cfg.budget))
+            return (average_type1b(weight, cube, cfg.quadrature_tol),
+                    average_type1b(inverse, cube, cfg.quadrature_tol))
 
     d = weight.d
 

@@ -129,7 +129,8 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
 
     f maps nodes to m rows of values (see _gl_panels). The seed panels
     between cuts are evaluated in one call, and tolerance maps their row
-    masses (sums of |Gauss values|) to one absolute tolerance per row.
+    masses (sums of |Gauss values|) and row sums to one absolute
+    tolerance per row.
     Each panel keeps one error per row; the panel split next is the one
     with the largest ratio of row error to row tolerance, and refinement
     stops only when every row's summed error is within its tolerance. A
@@ -143,8 +144,7 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     k in a budget error.
     """
     seed_vals = _gl_panels(f, cuts)
-    mass = np.sum(np.abs(seed_vals), axis=1)
-    tols = tolerance(mass)
+    tols = tolerance(np.sum(np.abs(seed_vals), axis=1), np.sum(seed_vals, axis=1))
     tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
     tols = tols.tolist()
     gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
@@ -224,7 +224,7 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     s = _checked_exponent(a, b, singular_exponent)
     floor = 1.0 if scale is None else abs(scale)
     total = _refine(f, _seed_cuts(a, b, endpoint_grading),
-                    lambda mass: tol * (floor + mass), s, panel_budget,
+                    lambda mass, _: tol * (floor + mass), s, panel_budget,
                     lambda k: "")
     return complex(total[0])
 
@@ -244,8 +244,8 @@ def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
     rows, cols = np.triu_indices(pmf.n)
     diagonal = rows == cols
     total = _refine(lambda xs: pmf.values(xs)[rows, cols], _seed_cuts(a, b, 0),
-                    lambda mass: tol * np.where(diagonal, mass,
-                                                np.max(mass[diagonal]) + mass),
+                    lambda mass, _: tol * np.where(diagonal, mass,
+                                                   np.max(mass[diagonal]) + mass),
                     s, panel_budget,
                     lambda k: f"entry ({rows[k]}, {cols[k]}) ").astype(complex)
     total[diagonal] = total[diagonal].real

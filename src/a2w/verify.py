@@ -360,9 +360,9 @@ def _prop_radial_dilation(rng, trials):
         unit = multivar.Cube((-1.0, -1.0), 2.0)
         scaled = multivar.Cube((-h, -h), 2.0 * h)
         v1 = multivar.cube_integral_radial(gamma, unit.lower, unit.upper,
-                                           1e-8, scale=0.0) / unit.volume
+                                           1e-8) / unit.volume
         vh = multivar.cube_integral_radial(gamma, scaled.lower, scaled.upper,
-                                           1e-8, scale=0.0) / scaled.volume
+                                           1e-8) / scaled.volume
         if abs(vh - h ** gamma * v1) > 1e-6 * max(vh, h ** gamma * v1):
             return False, f"trial {t}: dilation law off at h={h}, g={gamma}"
     return True, ""

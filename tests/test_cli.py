@@ -278,7 +278,25 @@ class TestConstantCommand:
             capsys, ["constant", write_spec(tmp_path, doc), "--json"])
         assert code == 0
         assert payload["config"]["grid"] == "default"
-        assert payload["estimate"] == pytest.approx(2.18602131011745, rel=1e-9)
+        assert payload["estimate"] == pytest.approx(2.1860225424733, rel=1e-9)
+
+    def test_radial_matrix_weight_in_three_dimensions(self, tmp_path, capsys):
+        doc = {"kind": "type1b", "coeff": [[2, 1], [1, 2]],
+               "diag_exponents": ["1/2", "-1/2"], "d": 3}
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+        assert code == 0
+        assert payload["argmax"] == {"lower": [0.0, 0.0, 0.0], "side": 0.001}
+        assert payload["estimate"] == pytest.approx(2.0871913, abs=1e-7)
+
+    def test_radial_scalar_weight_in_three_dimensions(self, tmp_path, capsys):
+        doc = {"kind": "type1b", "coeff": [[1]], "diag_exponents": ["1/2"],
+               "d": 3}
+        code, payload = run_json(
+            capsys,
+            ["constant", write_spec(tmp_path, doc), "--json", "--grid", "coarse"])
+        assert code == 0
+        assert payload["config"]["grid"] == "coarse"
 
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):
