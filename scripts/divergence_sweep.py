@@ -32,9 +32,7 @@ class SweepConfig:
     n_min: int = 100
     n_max: int = 100000
     points: int = 13
-    quad_tol: float = 1e-8
     out_csv: str | None = None
-    seed: int = 0  # echoed into the CSV; the experiment itself is deterministic
 
     def n_values(self) -> list[int]:
         return logspaced_ints(self.n_min, self.n_max, self.points)
@@ -43,7 +41,7 @@ class SweepConfig:
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     records = []
     for g1, g2 in cfg.gamma_pairs:
-        rows = divergence_experiment(g1, g2, cfg.n_values(), tol=cfg.quad_tol)
+        rows = divergence_experiment(g1, g2, cfg.n_values())
         slope = fit_loglog_slope(rows)
         theory = float(Fraction(g2) - Fraction(g1)) / 2.0
         records.append(

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from .quadrature import QuadratureBudgetError
 from .report import A2Report, VERDICT_A2, VERDICT_MARGINAL
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
-from .search import (SearchError, SupSearchConfig, coarse_interval_config,
+from .search import (SearchError, coarse_interval_config,
                      default_interval_config)
 from .type1 import MidpointConditionError, SymbolicPowerMatrix
 from .verify import VERIFY_MODULES, run_suites
@@ -47,20 +48,14 @@ _EXIT_DECISION = 3
 _EXIT_SEARCH = 4
 _EXIT_PROPERTY = 5
 
-_KINDS = ("type1", "type1_raw", "type2", "type1a", "type1b", "scalar")
-
-
 class SchemaError(ValueError):
-    """The weight specification does not match the documented schema."""
-
-
-def _fail(msg: str) -> "SchemaError":
-    return SchemaError(msg)
+    """A weight spec or a command argument is malformed, or a file named on
+    the command line cannot be read or written."""
 
 
 def _get(doc: dict, key: str, kind: str):
     if key not in doc:
-        raise _fail(f"kind {kind!r} requires field {key!r}")
+        raise SchemaError(f"kind {kind!r} requires field {key!r}")
     return doc[key]
 
 
@@ -68,21 +63,21 @@ def _rational(value, where: str) -> Fraction:
     try:
         return parse_rational(value)
     except (ValueError, TypeError) as exc:
-        raise _fail(f"{where}: {exc}") from exc
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{where}: expected a number, got {value!r}")
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
     if not math.isfinite(float(value)):
-        raise _fail(f"{where}: number must be finite")
+        raise SchemaError(f"{where}: number must be finite")
     return float(value)
 
 
 def _coeff_entry(value, where: str) -> complex:
     if isinstance(value, list):
         if len(value) != 2:
-            raise _fail(f"{where}: complex entries are [re, im] pairs")
+            raise SchemaError(f"{where}: complex entries are [re, im] pairs")
         return complex(_real(value[0], where + "[0]"),
                        _real(value[1], where + "[1]"))
     return complex(_real(value, where), 0.0)
@@ -90,28 +85,28 @@ def _coeff_entry(value, where: str) -> complex:
 
 def _coeff_matrix(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
-        raise _fail(f"{where}: expected a nonempty nested array")
+        raise SchemaError(f"{where}: expected a nonempty nested array")
     n = len(value)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
-            raise _fail(f"{where}: row {i} must have {n} entries")
+            raise SchemaError(f"{where}: row {i} must have {n} entries")
         for j, entry in enumerate(row):
             out[i, j] = _coeff_entry(entry, f"{where}[{i}][{j}]")
     return out.real if np.all(out.imag == 0.0) else out
 
 
-def _rational_list(value, length: int | None, where: str) -> tuple[Fraction, ...]:
+def _rational_list(value, length: int, where: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list) or not value:
-        raise _fail(f"{where}: expected a nonempty list")
-    if length is not None and len(value) != length:
-        raise _fail(f"{where}: expected {length} entries, got {len(value)}")
+        raise SchemaError(f"{where}: expected a nonempty list")
+    if len(value) != length:
+        raise SchemaError(f"{where}: expected {length} entries, got {len(value)}")
     return tuple(_rational(v, f"{where}[{k}]") for k, v in enumerate(value))
 
 
 def _rational_matrix(value, n: int, where: str):
     if not isinstance(value, list) or len(value) != n:
-        raise _fail(f"{where}: expected {n} rows")
+        raise SchemaError(f"{where}: expected {n} rows")
     return tuple(_rational_list(row, n, f"{where}[{i}]")
                  for i, row in enumerate(value))
 
@@ -119,116 +114,109 @@ def _rational_matrix(value, n: int, where: str):
 def _check_n(doc: dict, n: int, kind: str) -> None:
     if "n" in doc:
         if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
-            raise _fail("field 'n' must be an integer")
+            raise SchemaError("field 'n' must be an integer")
         if doc["n"] != n:
-            raise _fail(f"field 'n' = {doc['n']} does not match the "
-                        f"{kind} data (order {n})")
+            raise SchemaError(f"field 'n' = {doc['n']} does not match the "
+                              f"{kind} data (order {n})")
 
 
 _ALLOWED_KEYS = {
-    "scalar": {"kind", "n", "coeff", "gamma"},
     "type1": {"kind", "n", "coeff", "diag_exponents"},
     "type1_raw": {"kind", "n", "coeff", "exponents"},
     "type2": {"kind", "n", "alphas", "gammas", "unitary"},
     "type1a": {"kind", "n", "coeff", "diag_exponents_per_coordinate"},
     "type1b": {"kind", "n", "coeff", "diag_exponents", "d"},
+    "scalar": {"kind", "n", "coeff", "gamma"},
 }
+_KINDS = tuple(_ALLOWED_KEYS)
 
 
 def load_weight_spec(doc: dict):
-    """Parse a spec document into (weight object, resolved echo dict)."""
+    """Parse a spec document into (weight object, resolved echo dict).
+
+    A malformed field, or a ValueError that a weight builder raises on the
+    parsed data, is a SchemaError.
+    """
+    try:
+        return _parse_spec(doc)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _parse_spec(doc: dict):
     if not isinstance(doc, dict):
-        raise _fail("spec must be a JSON object")
+        raise SchemaError("spec must be a JSON object")
     kind = doc.get("kind")
     if kind not in _KINDS:
-        raise _fail(f"unsupported kind {kind!r}; expected one of {_KINDS}")
+        raise SchemaError(f"unsupported kind {kind!r}; expected one of {_KINDS}")
     stray = set(doc) - _ALLOWED_KEYS[kind]
     if stray:
-        raise _fail(f"unknown fields for kind {kind!r}: {sorted(stray)}")
+        raise SchemaError(f"unknown fields for kind {kind!r}: {sorted(stray)}")
 
     if kind == "scalar":
         gamma = _rational(_get(doc, "gamma", kind), "gamma")
         coeff = _real(doc.get("coeff", 1), "coeff")
         if coeff <= 0:
-            raise _fail("scalar coeff must be positive")
+            raise SchemaError("scalar coeff must be positive")
         _check_n(doc, 1, kind)
         weight = SymbolicPowerMatrix(np.array([[coeff]]), (((gamma,),),))
         echo = {"kind": kind, "n": 1, "coeff": coeff,
                 "gamma": format_rational(gamma)}
         return weight, echo
 
-    if kind in ("type1", "type1_raw"):
-        coeff = _coeff_matrix(_get(doc, "coeff", kind), "coeff")
-        n = coeff.shape[0]
-        _check_n(doc, n, kind)
-        if kind == "type1":
-            diag = _rational_list(_get(doc, "diag_exponents", kind), n,
-                                  "diag_exponents")
-            try:
-                weight = type1.build_type1(coeff, diag)
-            except ValueError as exc:
-                raise _fail(str(exc)) from exc
-        else:
-            exps = _rational_matrix(_get(doc, "exponents", kind), n, "exponents")
-            weight = type1.build_type1_raw(coeff, exps)
-        echo = {"kind": kind, "n": n, "coeff": _echo_matrix(coeff),
-                "exponents": _echo_exponents(weight.exponents[0])}
-        return weight, echo
-
     if kind == "type2":
         alphas_raw = _get(doc, "alphas", kind)
         if not isinstance(alphas_raw, list) or not alphas_raw:
-            raise _fail("alphas: expected a nonempty list")
+            raise SchemaError("alphas: expected a nonempty list")
         alphas = tuple(_real(a, f"alphas[{k}]")
                        for k, a in enumerate(alphas_raw))
         gammas = _rational_list(_get(doc, "gammas", kind), len(alphas), "gammas")
         unitary = doc.get("unitary", "identity")
         if unitary not in type2.UNITARY_FAMILIES:
-            raise _fail(f"unknown unitary family {unitary!r}; expected one "
-                        f"of {type2.UNITARY_FAMILIES}")
+            raise SchemaError(f"unknown unitary family {unitary!r}; expected "
+                              f"one of {type2.UNITARY_FAMILIES}")
         _check_n(doc, len(alphas), kind)
-        try:
-            weight = type2.Type2Weight(alphas, gammas, unitary)
-        except ValueError as exc:
-            raise _fail(str(exc)) from exc
+        weight = type2.Type2Weight(alphas, gammas, unitary)
         echo = {"kind": kind, "n": weight.n, "alphas": list(weight.alphas),
                 "gammas": [format_rational(g) for g in weight.gammas],
                 "unitary": unitary}
         return weight, echo
 
-    if kind == "type1a":
-        coeff = _coeff_matrix(_get(doc, "coeff", kind), "coeff")
-        n = coeff.shape[0]
-        _check_n(doc, n, kind)
-        per_coord = _get(doc, "diag_exponents_per_coordinate", kind)
-        if not isinstance(per_coord, list) or not per_coord:
-            raise _fail("diag_exponents_per_coordinate: expected a list of "
-                        "per-coordinate diagonals")
-        diags = [_rational_list(row, n, f"diag_exponents_per_coordinate[{c}]")
-                 for c, row in enumerate(per_coord)]
-        try:
-            weight = multivar.build_type1a(coeff, diags)
-        except ValueError as exc:
-            raise _fail(str(exc)) from exc
-        echo = {"kind": kind, "n": n, "d": weight.d,
-                "coeff": _echo_matrix(coeff),
-                "exponents_per_coordinate": [_echo_exponents(m)
-                                             for m in weight.exponents]}
-        return weight, echo
-
+    # type1, type1_raw, type1a and type1b: a coefficient matrix, then the
+    # kind's exponent data and builder.
     coeff = _coeff_matrix(_get(doc, "coeff", kind), "coeff")
     n = coeff.shape[0]
     _check_n(doc, n, kind)
-    d_raw = _get(doc, "d", kind)
-    if not isinstance(d_raw, int) or isinstance(d_raw, bool):
-        raise _fail("field 'd' must be an integer")
-    diag = _rational_list(_get(doc, "diag_exponents", kind), n, "diag_exponents")
-    try:
-        weight = multivar.build_type1b(coeff, diag, d_raw)
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
-    echo = {"kind": kind, "n": n, "d": weight.d, "coeff": _echo_matrix(coeff),
-            "exponents": _echo_exponents(weight.exponents[0])}
+    if kind == "type1":
+        weight = type1.build_type1(coeff, _rational_list(
+            _get(doc, "diag_exponents", kind), n, "diag_exponents"))
+    elif kind == "type1_raw":
+        weight = type1.build_type1_raw(coeff, _rational_matrix(
+            _get(doc, "exponents", kind), n, "exponents"))
+    elif kind == "type1a":
+        per_coord = _get(doc, "diag_exponents_per_coordinate", kind)
+        if not isinstance(per_coord, list) or not per_coord:
+            raise SchemaError("diag_exponents_per_coordinate: expected a list "
+                              "of per-coordinate diagonals")
+        weight = multivar.build_type1a(coeff, [
+            _rational_list(row, n, f"diag_exponents_per_coordinate[{c}]")
+            for c, row in enumerate(per_coord)])
+    else:
+        d = _get(doc, "d", kind)
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise SchemaError("field 'd' must be an integer")
+        weight = multivar.build_type1b(coeff, _rational_list(
+            _get(doc, "diag_exponents", kind), n, "diag_exponents"), d)
+    echo = {"kind": kind, "n": n, "coeff": _echo_matrix(coeff)}
+    if weight.d > 1:
+        echo["d"] = weight.d
+    if kind == "type1a":
+        echo["exponents_per_coordinate"] = [_echo_exponents(m)
+                                            for m in weight.exponents]
+    else:
+        echo["exponents"] = _echo_exponents(weight.exponents[0])
     return weight, echo
 
 
@@ -252,9 +240,9 @@ def _read_spec(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read spec file: {exc}") from exc
+        raise SchemaError(f"cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"spec is not valid JSON: {exc}") from exc
+        raise SchemaError(f"spec is not valid JSON: {exc}") from exc
     return load_weight_spec(doc)
 
 
@@ -264,8 +252,24 @@ def _decide(weight) -> A2Report:
     return type1.check_a2(weight)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(args, payload: dict, lines: list[str], elapsed: float) -> None:
+    """Print the command's result: with --json the payload, plus the command
+    and version, as one sorted JSON document; otherwise the header, the text
+    lines and the wall time, which the JSON never carries."""
+    if args.json:
+        print(json.dumps(dict(payload, command=args.command, version=__version__),
+                         sort_keys=True, indent=2))
+        return
+    header = f"a2w {args.command} v{__version__}"
+    if args.command == "verify":
+        header += f" (seed = {args.seed}, trials = {args.trials})"
+    for line in (header, *lines, f"wall time: {elapsed:.4f} s"):
+        print(line)
+
+
+def _reasons(report: A2Report) -> str:
+    reasons = "; ".join(f.detail for f in report.findings)
+    return f" ({reasons})" if reasons else ""
 
 
 def _human_verdict(report: A2Report) -> str:
@@ -273,9 +277,7 @@ def _human_verdict(report: A2Report) -> str:
         return "A2: yes"
     if report.verdict == VERDICT_MARGINAL:
         return "A2: undetermined (marginal coefficient positivity)"
-    reasons = "; ".join(f.detail for f in report.findings)
-    tail = f" ({reasons})" if reasons else ""
-    return f"A2: no [{report.verdict}]{tail}"
+    return f"A2: no [{report.verdict}]{_reasons(report)}"
 
 
 def cmd_check(args) -> int:
@@ -283,60 +285,49 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     report = _decide(weight)
     elapsed = time.perf_counter() - t0
-    payload = {"command": "check", "version": __version__, "seed": None,
-               "spec": echo, "report": report.to_payload()}
-    if args.json:
-        _print_json(payload)
-        return _EXIT_OK
-    print(f"a2w check v{__version__}")
-    print(f"kind: {echo['kind']} (n = {echo['n']})")
-    for key in ("gamma", "exponents", "exponents_per_coordinate", "gammas"):
-        if key in echo:
-            print(f"{key}: {json.dumps(echo[key])}")
-    print(f"verdict: {report.verdict}")
+    lines = [f"kind: {echo['kind']} (n = {echo['n']})"]
+    lines += [f"{key}: {json.dumps(echo[key])}"
+              for key in ("gamma", "exponents", "exponents_per_coordinate",
+                          "gammas") if key in echo]
+    lines.append(f"verdict: {report.verdict}")
     for f in report.findings:
         where = f" at {f.where}" if f.where else ""
-        print(f"  finding: {f.kind}{where}: {f.detail}")
+        lines.append(f"  finding: {f.kind}{where}: {f.detail}")
     if report.witness is not None:
-        print(f"  witness: x = {report.witness!r}")
-    for note in report.notes:
-        print(f"  note: {note}")
-    print(_human_verdict(report))
-    print(f"wall time: {elapsed:.4f} s")
+        lines.append(f"  witness: x = {report.witness!r}")
+    lines += [f"  note: {note}" for note in report.notes]
+    lines.append(_human_verdict(report))
+    _emit(args, {"seed": None, "spec": echo, "report": report.to_payload()},
+          lines, elapsed)
     return _EXIT_OK
 
 
-def _interval_config(grid: str | None, weight) -> SupSearchConfig:
-    if grid is None:
-        return default_config_for(weight)
-    return default_interval_config() if grid == "fine" else coarse_interval_config()
-
-
-def _cube_config(grid: str | None):
-    if grid == "coarse":
-        return multivar.coarse_cube_config()
-    return multivar.default_cube_config()
+# --grid value -> (interval grid, cube grid); without --grid the interval
+# grid follows the weight kind (estimator.default_config_for).
+_GRIDS = {"fine": (default_interval_config, multivar.default_cube_config),
+          "coarse": (coarse_interval_config, multivar.coarse_cube_config)}
 
 
 def cmd_constant(args) -> int:
     weight, echo = _read_spec(args.spec)
     report = _decide(weight)
     if report.verdict != VERDICT_A2:
-        reasons = "; ".join(f.detail for f in report.findings)
-        print(f"decision failed: {report.verdict}"
-              + (f" ({reasons})" if reasons else ""), file=sys.stderr)
-        return _EXIT_DECISION
+        raise NotA2Error(report.verdict + _reasons(report))
 
     t0 = time.perf_counter()
     symbolic = isinstance(weight, SymbolicPowerMatrix)
-    if symbolic and weight.d > 1:
-        cfg = _cube_config(args.grid)
+    cubes = symbolic and weight.d > 1
+    if args.grid is not None:
+        cfg = _GRIDS[args.grid][cubes]()
+    else:
+        cfg = multivar.default_cube_config() if cubes else default_config_for(weight)
+    if cubes:
         result = multivar.estimate_a2_cubes(weight, args.functional, cfg)
         argmax = {"lower": list(result.argmax.lower),
                   "side": result.argmax.side}
-        config_echo = {"sides": len(cfg.sides), "families": list(cfg.families)}
+        config_echo = {"sides": len(cfg.sides),
+                       "families": list(multivar.CUBE_FAMILIES)}
     else:
-        cfg = _interval_config(args.grid, weight)
         result = estimate_a2(weight, args.functional, cfg)
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
         config_echo = {"centers": len(cfg.centers),
@@ -346,111 +337,81 @@ def cmd_constant(args) -> int:
                         "quadrature_tol": cfg.quadrature_tol})
     elapsed = time.perf_counter() - t0
 
-    upper = None
-    if symbolic and weight.d == 1:
-        try:
-            upper = float(type1.a2_upper_bound(weight))
-        except (NotA2Error, NotIntegrableError):
-            upper = None
-
-    payload = {"command": "constant", "version": __version__, "seed": None,
-               "spec": echo, "functional": result.functional,
+    payload = {"seed": None, "spec": echo, "functional": result.functional,
                "config": config_echo, "estimate": result.estimate,
                "argmax": argmax, "evaluations": result.evaluations}
-    if upper is not None:
-        payload["upper_bound"] = upper
-    if args.json:
-        _print_json(payload)
-        return _EXIT_OK
-    print(f"a2w constant v{__version__}")
-    print(f"functional: {result.functional}")
-    print(f"estimate (searched lower bound): {result.estimate!r}")
-    print(f"argmax: {argmax}")
-    print(f"evaluations: {result.evaluations}")
-    if upper is not None:
-        print(f"closed-form upper bound: {upper!r}")
-    print(f"wall time: {elapsed:.4f} s")
+    lines = [f"functional: {result.functional}",
+             f"estimate (searched lower bound): {result.estimate!r}",
+             f"argmax: {argmax}", f"evaluations: {result.evaluations}"]
+    if symbolic and not cubes:
+        # The weight was decided A2 above, so the bound exists.
+        payload["upper_bound"] = float(type1.a2_upper_bound(weight))
+        lines.append(f"closed-form upper bound: {payload['upper_bound']!r}")
+    _emit(args, payload, lines, elapsed)
     return _EXIT_OK
-
-
-def _csv_lines(rows) -> list[str]:
-    lines = ["n,a,b,avg_w,avg_winv,product"]
-    for r in rows:
-        lines.append(f"{r.n},{r.a!r},{r.b!r},{r.avg_w!r},"
-                     f"{r.avg_winv!r},{r.product!r}")
-    return lines
 
 
 def cmd_divergence(args) -> int:
     g1 = _rational(args.gamma1, "--gamma1")
     g2 = _rational(args.gamma2, "--gamma2")
     if not (Fraction(-1) < g1 < g2 < Fraction(1)):
-        print("invalid exponents: need -1 < gamma1 < gamma2 < 1 "
-              f"(got {format_rational(g1)}, {format_rational(g2)})",
-              file=sys.stderr)
-        return _EXIT_SCHEMA
+        raise SchemaError("invalid exponents: need -1 < gamma1 < gamma2 < 1 "
+                          f"(got {format_rational(g1)}, {format_rational(g2)})")
     if args.points < 2 or args.n_min < 1 or args.n_max < args.n_min:
-        print("invalid sweep: need points >= 2 and 1 <= n-min <= n-max",
-              file=sys.stderr)
-        return _EXIT_SCHEMA
+        raise SchemaError("invalid sweep: need points >= 2 and "
+                          "1 <= n-min <= n-max")
 
     ns = type2.logspaced_ints(args.n_min, args.n_max, args.points)
     t0 = time.perf_counter()
     rows = type2.divergence_experiment(g1, g2, ns)
     elapsed = time.perf_counter() - t0
     slope = type2.fit_loglog_slope(rows)
-    theoretical = (g2 - g1) / 2
+    theoretical = format_rational((g2 - g1) / 2)
+    csv = [",".join(f.name for f in fields(type2.DivergenceRow))]
+    csv += [",".join(map(repr, astuple(r))) for r in rows]
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(_csv_lines(rows)) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(csv) + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write csv file: {exc}") from exc
 
-    payload = {"command": "divergence", "version": __version__, "seed": None,
+    payload = {"seed": None,
                "config": {"gamma1": format_rational(g1),
                           "gamma2": format_rational(g2),
                           "n_min": args.n_min, "n_max": args.n_max,
                           "points": args.points},
-               "rows": [{"n": r.n, "a": r.a, "b": r.b, "avg_w": r.avg_w,
-                         "avg_winv": r.avg_winv, "product": r.product}
-                        for r in rows],
+               "rows": [asdict(r) for r in rows],
                "fitted_slope": slope,
-               "theoretical_exponent": format_rational(theoretical)}
-    if args.json:
-        _print_json(payload)
-        return _EXIT_OK
-    print(f"a2w divergence v{__version__}")
-    print(f"gamma1 = {format_rational(g1)}, gamma2 = {format_rational(g2)}")
-    for line in _csv_lines(rows):
-        print(line)
-    print(f"fitted log-log slope: {slope!r}")
-    print(f"theoretical exponent (gamma2 - gamma1)/2: "
-          f"{format_rational(theoretical)}")
+               "theoretical_exponent": theoretical}
+    lines = [f"gamma1 = {format_rational(g1)}, gamma2 = {format_rational(g2)}",
+             *csv, f"fitted log-log slope: {slope!r}",
+             f"theoretical exponent (gamma2 - gamma1)/2: {theoretical}"]
     if args.out:
-        print(f"csv written to: {args.out}")
-    print(f"wall time: {elapsed:.4f} s")
+        lines.append(f"csv written to: {args.out}")
+    _emit(args, payload, lines, elapsed)
     return _EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SchemaError(f"--trials must be at least 1, got {args.trials}")
     t0 = time.perf_counter()
     results = run_suites(args.module, trials=args.trials, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    payload = {"command": "verify", "version": __version__, "seed": args.seed,
+    payload = {"seed": args.seed,
                "config": {"module": args.module, "trials": args.trials},
                "results": [{"module": r.module, "property": r.name,
                             "trials": r.trials, "passed": r.passed,
                             "detail": r.detail} for r in results]}
+    lines = []
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        tail = f": {r.detail}" if (r.detail and not r.passed) else ""
+        lines.append(f"{mark} {r.module}/{r.name} ({r.trials} trials){tail}")
+    _emit(args, payload, lines, elapsed)
     failed = [r for r in results if not r.passed]
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"a2w verify v{__version__} (seed = {args.seed}, "
-              f"trials = {args.trials})")
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            tail = f": {r.detail}" if (r.detail and not r.passed) else ""
-            print(f"{mark} {r.module}/{r.name} ({r.trials} trials){tail}")
-        print(f"wall time: {elapsed:.4f} s")
     if failed:
         names = ", ".join(f"{r.module}/{r.name}" for r in failed)
         print(f"property failure: {names}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
-from .report import VERDICT_NECESSARY_PASSED
+from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
@@ -143,10 +143,10 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
 
 
 def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
-    necessary = type2.check_necessary_a2(w)
-    if necessary.verdict != VERDICT_NECESSARY_PASSED:
+    decision = type2.decide_a2(w)
+    if decision.verdict != VERDICT_A2:
         raise NotA2Error(
-            f"type 2 estimation precondition failed: {necessary.verdict}")
+            f"type 2 estimation precondition failed: {decision.verdict}")
     fwd = type2.as_pointwise(w)
     bwd = type2.inverse_pointwise(w)
     func = _FUNCTIONALS[functional]

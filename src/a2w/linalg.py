@@ -56,24 +56,28 @@ def as_square(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def hermitian_defect(m) -> float:
-    """Max-entry distance from self-adjointness, relative to the entry scale."""
-    a = as_square(m)
+def _defect(a: np.ndarray) -> float:
+    """hermitian_defect of a matrix that as_square has already validated."""
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(a - a.conj().T))) / scale
 
 
+def hermitian_defect(m) -> float:
+    """Max-entry distance from self-adjointness, relative to the entry scale."""
+    return _defect(as_square(m))
+
+
 def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
     """Check self-adjointness within tol and return the exactly symmetrized matrix."""
     a = as_square(m)
-    if hermitian_defect(a) > tol:
+    if _defect(a) > tol:
         raise ValueError("matrix is not self-adjoint within tolerance")
     return (a + a.conj().T) / 2.0
 
@@ -148,15 +152,16 @@ def lu_det(m) -> complex:
     return det
 
 
-def elim_inverse(m, singular_rtol: float = 1e-14) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting."""
+def elim_inverse(m) -> np.ndarray:
+    """Inverse by Gauss-Jordan elimination with partial pivoting; a pivot at
+    or below 1e-14 times the largest entry is singular."""
     a = as_square(m).copy()
     n = a.shape[0]
     scale = float(np.max(np.abs(a)))
     aug = np.hstack([a, np.eye(n, dtype=complex)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if np.abs(aug[piv, col]) <= singular_rtol * max(scale, 1e-300):
+        if np.abs(aug[piv, col]) <= 1e-14 * max(scale, 1e-300):
             raise SingularMatrixError("pivot below singularity tolerance")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
@@ -180,10 +185,10 @@ def cofactor(m, i: int, j: int) -> complex:
     return sign * lu_det(minor)
 
 
-def adjugate_inverse(m, singular_rtol: float = 1e-12) -> np.ndarray:
+def adjugate_inverse(m) -> np.ndarray:
     """Inverse via the adjugate: inv(M)[i, j] = cofactor(M, j, i) / det M.
 
-    The singularity test compares |det M| against singular_rtol times
+    The singularity test compares |det M| against 1e-12 times
     max|entry|^n, which keeps the threshold scale consistent with the
     determinant itself.
     """
@@ -191,7 +196,7 @@ def adjugate_inverse(m, singular_rtol: float = 1e-12) -> np.ndarray:
     n = a.shape[0]
     det = lu_det(a)
     scale = float(np.max(np.abs(a)))
-    if abs(det) <= singular_rtol * scale**n:
+    if abs(det) <= 1e-12 * scale**n:
         raise SingularMatrixError("determinant below singularity tolerance")
     out = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -200,16 +205,18 @@ def adjugate_inverse(m, singular_rtol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def sym_eigen(m, hermitian_tol: float = 1e-12, max_sweeps: int = 50):
+def sym_eigen(m):
     """Eigendecomposition of a self-adjoint matrix by cyclic Jacobi rotations.
 
     Sweeps run over the upper triangle in fixed row-major order, which makes
     the output a deterministic function of the input entries on any IEEE-754
     platform. Returns (eigenvalues ascending, unitary matrix of column
-    eigenvectors).
+    eigenvectors). The input must be self-adjoint within as_hermitian's
+    default tolerance.
     """
-    h = as_hermitian(m, hermitian_tol)
+    h = as_hermitian(m)
     n = h.shape[0]
+    max_sweeps = 50
     v = np.eye(n, dtype=complex)
     scale = float(np.max(np.abs(h)))
     if scale == 0.0:
@@ -247,15 +254,15 @@ def sym_eigen(m, hermitian_tol: float = 1e-12, max_sweeps: int = 50):
     return vals[order], v[:, order]
 
 
-def sqrt_psd(m, clamp_rtol: float = 1e-12) -> np.ndarray:
+def sqrt_psd(m) -> np.ndarray:
     """Self-adjoint square root of a PSD matrix.
 
-    Eigenvalues in [-clamp_rtol * spectral_radius, 0) are clamped to zero;
+    Eigenvalues in [-1e-12 * spectral_radius, 0) are clamped to zero;
     anything lower raises NegativeEigenvalueError.
     """
     vals, vecs = sym_eigen(m)
     radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    floor = -clamp_rtol * radius
+    floor = -1e-12 * radius
     if np.any(vals < floor):
         raise NegativeEigenvalueError(
             f"eigenvalue {vals.min():.6e} below PSD clamp {floor:.6e}")
@@ -282,12 +289,12 @@ class PosDefResult:
     failed_minor: int | None = None  # 0-based index of first failing leading minor
 
 
-def is_positive_definite(m, margin_rtol: float = 1e-10) -> PosDefResult:
+def is_positive_definite(m) -> PosDefResult:
     """Decide positive definiteness by leading minors and, independently, eigenvalues.
 
-    Both routes must agree with a clear margin (relative to the entry scale)
-    for a "positive" or "not_positive" verdict; disagreement or a verdict
-    within the margin yields "marginal".
+    "positive" needs both routes clearly positive, with a margin of 1e-10
+    relative to the entry scale. "not_positive" needs neither route positive
+    and at least one clearly negative. Anything else is "marginal".
     """
     h = as_hermitian(m)
     n = h.shape[0]
@@ -300,22 +307,18 @@ def is_positive_definite(m, margin_rtol: float = 1e-10) -> PosDefResult:
     vals, _ = sym_eigen(h)
     lam_min = float(vals[0])
     minor_margins = [mk / scale**k for k, mk in enumerate(minors, start=1)]
-    minors_pos = all(g > margin_rtol for g in minor_margins)
-    minors_neg = any(g < -margin_rtol for g in minor_margins)
-    eig_pos = lam_min > margin_rtol * scale
-    eig_neg = lam_min < -margin_rtol * scale
+    margin = 1e-10
+    minors_pos = all(g > margin for g in minor_margins)
+    minors_neg = any(g < -margin for g in minor_margins)
+    eig_pos = lam_min > margin * scale
+    eig_neg = lam_min < -margin * scale
     failed = None
     for k, g in enumerate(minor_margins):
-        if g <= margin_rtol:
+        if g <= margin:
             failed = k
             break
     if minors_pos and eig_pos:
         return PosDefResult("positive", tuple(minors), lam_min, None)
-    if minors_neg and eig_neg:
+    if not minors_pos and not eig_pos and (minors_neg or eig_neg):
         return PosDefResult("not_positive", tuple(minors), lam_min, failed)
-    if not minors_pos and not eig_pos:
-        # agreement on failure, but possibly only marginally negative
-        if minors_neg or eig_neg:
-            return PosDefResult("not_positive", tuple(minors), lam_min, failed)
-        return PosDefResult("marginal", tuple(minors), lam_min, failed)
     return PosDefResult("marginal", tuple(minors), lam_min, failed)

@@ -36,6 +36,7 @@ __all__ = [
     "build_type1b_raw",
     "average_type1b",
     "cube_integral_radial",
+    "CUBE_FAMILIES",
     "CubeSearchConfig",
     "default_cube_config",
     "coarse_cube_config",
@@ -268,30 +269,23 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
     return out.real if np.all(out.imag == 0) else out
 
 
-_FAMILIES = ("cornered", "centered", "shifted")
+CUBE_FAMILIES = ("cornered", "centered", "shifted")
+_SHIFTS = (1, 2)  # shifted cubes start this many sides out on the diagonal
 
 
 @dataclass(frozen=True)
 class CubeSearchConfig:
-    """Candidate cubes: families x log-spaced side lengths."""
+    """Candidate cubes: CUBE_FAMILIES x log-spaced side lengths."""
 
     sides: tuple[float, ...]
-    families: tuple[str, ...] = _FAMILIES
-    shifts: tuple[int, ...] = (1, 2)
     refine_rounds: int = 8
     quadrature_tol: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "shifts", tuple(int(k) for k in self.shifts))
         if not self.sides or any(s <= 0 or not math.isfinite(s)
                                  for s in self.sides):
             raise ValueError("side grid must be positive and finite")
-        if any(f not in _FAMILIES for f in self.families) or not self.families:
-            raise ValueError(f"families must come from {_FAMILIES}")
-        if any(k < 1 for k in self.shifts):
-            raise ValueError("shift multiples must be >= 1")
         if self.refine_rounds < 0 or self.quadrature_tol <= 0:
             raise ValueError("invalid refinement or quadrature settings")
 
@@ -351,8 +345,8 @@ def estimate_a2_cubes(weight, functional: str = "trace",
 
     labels: list[tuple[str, int]] = []
     grid: list[Cube] = []
-    for family in cfg.families:
-        shifts = cfg.shifts if family == "shifted" else (0,)
+    for family in CUBE_FAMILIES:
+        shifts = _SHIFTS if family == "shifted" else (0,)
         for shift in shifts:
             for side in cfg.sides:
                 labels.append((family, shift))

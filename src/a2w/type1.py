@@ -222,8 +222,7 @@ def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
     return None
 
 
-def check_positive_definite_ae(w: SymbolicPowerMatrix,
-                               hermitian_tol: float = 1e-12) -> A2Report:
+def check_positive_definite_ae(w: SymbolicPowerMatrix) -> A2Report:
     """Decide whether W(x) is positive definite for a.e. x.
 
     Characterization: coefficient matrix positive definite and the midpoint
@@ -232,7 +231,7 @@ def check_positive_definite_ae(w: SymbolicPowerMatrix,
     one.
     """
     findings: list[Finding] = []
-    if linalg.hermitian_defect(w.coeff) > hermitian_tol:
+    if linalg.hermitian_defect(w.coeff) > 1e-12:
         findings.append(Finding(
             kind="coefficient-not-self-adjoint", where=(),
             detail="coefficient matrix is not self-adjoint within tolerance"))
@@ -326,15 +325,14 @@ def symbolic_minor_det(w: SymbolicPowerMatrix, i: int, j: int) -> tuple[complex,
     return linalg.lu_det(minor), sum(_diag(mat), Fraction(0)) - exps[i][j]
 
 
-def symbolic_inverse(w: SymbolicPowerMatrix,
-                     singular_rtol: float = 1e-12) -> SymbolicPowerMatrix:
+def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:
     """Closed-form inverse: adjugate coefficients, every factor's exponents negated.
 
     W(x)^-1 [i, j] = cof(A, j, i) / det A * prod_f r_f(x)^(-e_ij,f).
     """
     _require_midpoint(w)
     return SymbolicPowerMatrix(
-        linalg.adjugate_inverse(w.coeff, singular_rtol),
+        linalg.adjugate_inverse(w.coeff),
         tuple(_negated(m) for m in normalized_exponents(w)), w.d)
 
 

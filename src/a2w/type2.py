@@ -274,14 +274,14 @@ def logspaced_ints(n_min: int, n_max: int, points: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def divergence_experiment(gamma1, gamma2, n_values,
-                          tol: float = 1e-8) -> list[DivergenceRow]:
+def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
     """Scalar products of the planar-rotation diagonal entry over I_n.
 
     The probe is w_11(x) = |x|^g1 cos^2 x + |x|^g2 sin^2 x with averages
-    over I_n = [2 pi n, 2 pi n + pi]. For g1 < g2 the product grows like
-    n^((g2 - g1)/2). The degenerate g1 = g2 case is rejected: it is not a
-    divergence experiment (the product stays bounded by 1/(1 - g^2)).
+    over I_n = [2 pi n, 2 pi n + pi], each to 1e-8 relative error. For
+    g1 < g2 the product grows like n^((g2 - g1)/2). The degenerate g1 = g2
+    case is rejected: it is not a divergence experiment (the product stays
+    bounded by 1/(1 - g^2)).
     """
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     if not (Fraction(-1) < g1 < g2 < Fraction(1)):
@@ -298,9 +298,9 @@ def divergence_experiment(gamma1, gamma2, n_values,
         # Both integrands are strictly positive (relative control is safe)
         # and 1/w_11 peaks sharply at the window endpoints (cos^2 x = 1
         # there, peak width ~ n^-(g2-g1)/2), so grade panels toward them.
-        avg_w = adaptive_quad(probe, a, b, tol, endpoint_grading=24,
+        avg_w = adaptive_quad(probe, a, b, 1e-8, endpoint_grading=24,
                               scale=0.0).real / (b - a)
-        avg_winv = adaptive_quad(lambda xs: 1.0 / probe(xs), a, b, tol,
+        avg_winv = adaptive_quad(lambda xs: 1.0 / probe(xs), a, b, 1e-8,
                                  endpoint_grading=24, scale=0.0).real / (b - a)
         return DivergenceRow(n=n, a=a, b=b, avg_w=avg_w, avg_winv=avg_winv,
                              product=avg_w * avg_winv)

@@ -48,11 +48,10 @@ def _rel_err(a, b) -> float:
     return num / den
 
 
-def random_type1_weight(rng: np.random.Generator, n: int,
-                        complex_prob: float = 0.3) -> type1.SymbolicPowerMatrix:
+def random_type1_weight(rng: np.random.Generator, n: int) -> type1.SymbolicPowerMatrix:
     """Valid midpoint-completed weight with a well-conditioned PD coefficient
     matrix and diagonal exponents in (-1, 1) with denominator 10."""
-    if rng.random() < complex_prob:
+    if rng.random() < 0.3:
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     else:
         g = rng.normal(size=(n, n)).astype(complex)

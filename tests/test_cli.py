@@ -189,6 +189,17 @@ class TestCheckCommand:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_builder_error_is_schema_error(self, tmp_path, capsys):
+        doc = {"kind": "type1_raw", "coeff": [[float(i == j) for j in range(9)]
+                                              for i in range(9)],
+               "exponents": [["0"] * 9 for _ in range(9)]}
+        code = main(["check", write_spec(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("schema error: SchemaError: "
+                                "order limited to 8\n")
+
     def test_stray_key_is_schema_error(self, tmp_path, capsys):
         code = main(["check",
                      write_spec(tmp_path, dict(SCALAR_HALF, mystery=1))])
@@ -316,7 +327,9 @@ class TestConstantCommand:
         code = main(["constant", write_spec(tmp_path, doc), "--json"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "decision failed" in captured.err
+        assert captured.err == (
+            "decision failed: NotA2Error: not_a2 (diagonal exponent 1 >= 1: "
+            "the inverse weight is not locally integrable)\n")
         assert captured.out == ""
 
     def test_text_output_mentions_bound(self, tmp_path, capsys):
@@ -356,6 +369,18 @@ class TestDivergenceCommand:
         assert first[0] == "5"
         assert float(first[5]) == pytest.approx(float(first[3]) *
                                                 float(first[4]), rel=1e-12)
+
+    def test_unwritable_csv_is_schema_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "rows.csv"
+        code = main(["divergence", "--gamma1", "0", "--gamma2", "1/2",
+                     "--n-min", "5", "--n-max", "50", "--points", "2",
+                     "--out", str(out_path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "schema error: SchemaError: cannot write csv file:")
+        assert not out_path.parent.exists()
 
     def test_equal_exponents_rejected(self, capsys):
         code = main(["divergence", "--gamma1", "1/2", "--gamma2", "1/2"])
@@ -406,6 +431,13 @@ class TestVerifyCommand:
         failed = [r for r in payload["results"] if not r["passed"]]
         assert len(failed) == 1
         assert failed[0]["detail"] == "injected fault (self-test)"
+
+    def test_trials_below_one_rejected(self, capsys):
+        code = main(["verify", "--module", "linalg", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--trials must be at least 1" in captured.err
 
     def test_text_output_lists_properties(self, capsys):
         code = main(["verify", "--module", "type2", "--trials", "8"])

@@ -227,6 +227,13 @@ class TestEstimateA2:
         with pytest.raises(NotA2Error):
             estimate_a2(w)
 
+    def test_type2_passing_only_the_necessary_conditions_is_rejected(self):
+        # Exponents inside (-1, 1) but unequal under a rotation: not A2, so
+        # the supremum is infinite and no finite estimate may be returned.
+        w = Type2Weight((1.0, 1.0), ("-1/2", "1/2"), "rotation2d")
+        with pytest.raises(NotA2Error, match="not_a2"):
+            estimate_a2(w)
+
     def test_unsupported_weight_type(self):
         with pytest.raises(TypeError):
             estimate_a2(object())

@@ -490,10 +490,6 @@ class TestCubeSearch:
             CubeSearchConfig(sides=())
         with pytest.raises(ValueError, match="side grid"):
             CubeSearchConfig(sides=(-1.0,))
-        with pytest.raises(ValueError, match="families"):
-            CubeSearchConfig(sides=(1.0,), families=("spherical",))
-        with pytest.raises(ValueError, match="shift"):
-            CubeSearchConfig(sides=(1.0,), shifts=(0,))
         with pytest.raises(ValueError, match="settings"):
             CubeSearchConfig(sides=(1.0,), refine_rounds=-1)
 
