@@ -5,6 +5,10 @@ characteristic by supremum search and prints the certified upper bound
 when one is available. Scalar weights also get the closed form
 1 / (1 - gamma^2) so the search accuracy is visible at a glance.
 
+Interval searches run on the coarse grid unless --fine asks for each
+weight kind's default grid; cube searches have no grid (one unit cube per
+family), so --fine leaves them as they are.
+
 Run:  python3 scripts/constant_estimates.py [--fine]
 """
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from a2w.estimator import SupSearchConfig, coarse_interval_config, estimate_a2
-from a2w.multivar import build_type1b, coarse_cube_config, estimate_a2_cubes
+from a2w.multivar import build_type1b, estimate_a2_cubes
 from a2w.scalar_power import scalar_closed_form_constant
 from a2w.type1 import a2_upper_bound, build_type1, check_a2
 from a2w.type2 import Type2Weight, decide_a2
@@ -58,8 +62,7 @@ def gallery(cfg: GalleryConfig) -> None:
                  None, None))
 
     radial = build_type1b(np.array([[2.0]]), ["1/2"], d=2)
-    est = estimate_a2_cubes(radial, functional=cfg.functional,
-                            config=None if cfg.fine else coarse_cube_config())
+    est = estimate_a2_cubes(radial, functional=cfg.functional)
     rows.append(("planar radial ||x||^(1/2)", check_a2(radial).verdict,
                  est.estimate, None, None))
 
@@ -75,7 +78,8 @@ def gallery(cfg: GalleryConfig) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fine", action="store_true",
-                    help="use the full default search grids (slower)")
+                    help="use each weight kind's default interval grid "
+                         "instead of the coarse one (slower)")
     ap.add_argument("--functional", choices=("trace", "norm"), default="trace")
     args = ap.parse_args()
     gallery(GalleryConfig(functional=args.functional, fine=args.fine))

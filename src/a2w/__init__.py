@@ -32,9 +32,8 @@ from .type2 import (DivergenceRow, Type2Weight, check_local_integrability,
                     check_necessary_a2, decide_a2, decide_rotation_a2,
                     divergence_experiment, evaluate_type2, fit_loglog_slope,
                     logspaced_ints)
-from .multivar import (Cube, CubeSearchConfig, average_type1b, build_type1a,
-                       build_type1b, cube_integral_radial, default_cube_config,
-                       estimate_a2_cubes)
+from .multivar import (Cube, average_type1b, build_type1a, build_type1b,
+                       cube_integral_radial, estimate_a2_cubes)
 
 __all__ = [
     "__version__",
@@ -58,7 +57,6 @@ __all__ = [
     "check_necessary_a2", "decide_a2", "decide_rotation_a2",
     "divergence_experiment", "evaluate_type2", "fit_loglog_slope",
     "logspaced_ints",
-    "Cube", "CubeSearchConfig", "average_type1b", "build_type1a",
-    "build_type1b", "cube_integral_radial", "default_cube_config",
-    "estimate_a2_cubes",
+    "Cube", "average_type1b", "build_type1a", "build_type1b",
+    "cube_integral_radial", "estimate_a2_cubes",
 ]

@@ -28,14 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, multivar, type1, type2
-from .estimator import NonPositiveInputError, default_config_for, estimate_a2
+from .estimator import NonPositiveInputError, estimate_a2, search_config
 from .linalg import (ConvergenceError, NegativeEigenvalueError,
                      SingularMatrixError)
 from .quadrature import QuadratureBudgetError
 from .report import A2Report, VERDICT_A2, VERDICT_MARGINAL
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
-from .search import (SearchError, coarse_interval_config,
+from .search import (FAMILIES, SearchError, coarse_interval_config,
                      default_interval_config)
 from .type1 import MidpointConditionError, SymbolicPowerMatrix
 from .verify import VERIFY_MODULES, run_suites
@@ -302,10 +302,9 @@ def cmd_check(args) -> int:
     return _EXIT_OK
 
 
-# --grid value -> (interval grid, cube grid); without --grid the interval
-# grid follows the weight kind (estimator.default_config_for).
-_GRIDS = {"fine": (default_interval_config, multivar.default_cube_config),
-          "coarse": (coarse_interval_config, multivar.coarse_cube_config)}
+# --grid value -> interval grid; without --grid the grid follows the weight
+# kind (estimator.search_config). Cube searches have no grid to select.
+_GRIDS = {"fine": default_interval_config, "coarse": coarse_interval_config}
 
 
 def cmd_constant(args) -> int:
@@ -317,24 +316,23 @@ def cmd_constant(args) -> int:
     t0 = time.perf_counter()
     symbolic = isinstance(weight, SymbolicPowerMatrix)
     cubes = symbolic and weight.d > 1
-    if args.grid is not None:
-        cfg = _GRIDS[args.grid][cubes]()
-    else:
-        cfg = multivar.default_cube_config() if cubes else default_config_for(weight)
     if cubes:
-        result = multivar.estimate_a2_cubes(weight, args.functional, cfg)
+        result = multivar.estimate_a2_cubes(weight, args.functional)
         argmax = {"lower": list(result.argmax.lower),
                   "side": result.argmax.side}
-        config_echo = {"sides": len(cfg.sides),
-                       "families": list(multivar.CUBE_FAMILIES)}
+        config_echo = {"families": list(multivar.CUBE_FAMILIES),
+                       "quadrature_tol": multivar.RADIAL_TOL}
     else:
-        result = estimate_a2(weight, args.functional, cfg)
+        requested = _GRIDS[args.grid]() if args.grid else None
+        result = estimate_a2(weight, args.functional, requested)
+        cfg = search_config(weight, requested)
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
-        config_echo = {"centers": len(cfg.centers),
-                       "halflengths": len(cfg.halflengths)}
-    config_echo.update({"grid": args.grid or "default",
-                        "refine_rounds": cfg.refine_rounds,
-                        "quadrature_tol": cfg.quadrature_tol})
+        config_echo = {"families": list(FAMILIES),
+                       "centers": len(cfg.centers),
+                       "halflengths": len(cfg.halflengths),
+                       "grid": args.grid or "default",
+                       "refine_rounds": cfg.refine_rounds,
+                       "quadrature_tol": cfg.quadrature_tol}
     elapsed = time.perf_counter() - t0
 
     payload = {"seed": None, "spec": echo, "functional": result.functional,
@@ -345,8 +343,8 @@ def cmd_constant(args) -> int:
              f"argmax: {argmax}", f"evaluations: {result.evaluations}"]
     if symbolic and not cubes:
         # The weight was decided A2 above, so the bound exists.
-        payload["upper_bound"] = float(type1.a2_upper_bound(weight))
-        lines.append(f"closed-form upper bound: {payload['upper_bound']!r}")
+        bound = payload["upper_bound"] = float(type1.a2_upper_bound(weight))
+        lines.append(f"closed-form upper bound (search families): {bound!r}")
     _emit(args, payload, lines, elapsed)
     return _EXIT_OK
 
@@ -440,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--functional", choices=("trace", "norm"),
                          default="trace")
     p_const.add_argument("--grid", choices=("coarse", "fine"), default=None,
-                         help="candidate grid density (default: per weight kind)")
+                         help="interval grid density (default: per weight kind); "
+                              "cube searches have no grid")
     p_const.add_argument("--json", action="store_true")
     p_const.set_defaults(fn=cmd_constant)
 

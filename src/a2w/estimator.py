@@ -9,6 +9,7 @@ proper, the trace form sandwiches it within a factor of the dimension.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ __all__ = [
     "NonPositiveInputError",
     "default_interval_config",
     "coarse_interval_config",
-    "default_config_for",
+    "search_config",
     "average_symbolic",
     "average_numeric",
     "a2_functional_trace",
@@ -157,12 +158,23 @@ def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
     return evaluate
 
 
-def default_config_for(weight) -> SupSearchConfig:
-    """The interval grid a weight gets when none is asked for: the full one
-    for closed-form averages, the coarse one for quadrature-backed Type 2."""
-    if isinstance(weight, Type2Weight):
-        return coarse_interval_config()
-    return default_interval_config()
+def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchConfig:
+    """The interval grid that runs for weight: config, or else the full
+    grid for closed-form averages and the coarse one for Type 2.
+
+    Power matrices and identity Type 2 weights are homogeneous,
+    W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their functionals see
+    an interval's shape |c|/h and not its size: they run the smallest
+    half-length row alone, which on the built-in grids (one log lattice
+    for |c| and h) holds every shape and is the row the tie-break picks.
+    """
+    if config is None:
+        config = (coarse_interval_config() if isinstance(weight, Type2Weight)
+                  else default_interval_config())
+    if (isinstance(weight, SymbolicPowerMatrix)
+            or (isinstance(weight, Type2Weight) and weight.unitary == "identity")):
+        config = replace(config, halflengths=(min(config.halflengths),))
+    return config
 
 
 def estimate_a2(weight, functional: str = "trace",
@@ -170,11 +182,11 @@ def estimate_a2(weight, functional: str = "trace",
     """Searched lower bound of the chosen A2 functional's supremum.
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
-    1x1 case) or a Type 2 weight; config defaults to default_config_for.
+    1x1 case) or a Type 2 weight, on the grid search_config picks.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    cfg = config if config is not None else default_config_for(weight)
+    cfg = search_config(weight, config)
     if isinstance(weight, SymbolicPowerMatrix):
         fn = _symbolic_eval_fn(weight, functional)
     elif isinstance(weight, Type2Weight):

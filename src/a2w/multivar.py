@@ -10,7 +10,8 @@ the origin (Lasserre, Proc. AMS 126, 1998; Chin, Lasserre & Sukumar,
 Comput. Mech. 56, 2015), whose radial parts are closed form; the smooth
 angular integrals left over run as rows of one quadrature panel tree,
 with error relative to the integral. This module also builds both
-families from their spec data.
+families from their spec data. Both are homogeneous, so the search
+evaluates each cube family once, on its unit cube.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import type1
+from . import search, type1
 from .estimator import a2_functional_norm, a2_functional_trace, average_symbolic
 from .quadrature import QuadratureBudgetError, _refine
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError
-from .search import Interval, SupSearchResult, _maximize, golden_max
+from .search import Interval, SupSearchResult, _maximize
 from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
@@ -37,9 +38,7 @@ __all__ = [
     "average_type1b",
     "cube_integral_radial",
     "CUBE_FAMILIES",
-    "CubeSearchConfig",
-    "default_cube_config",
-    "coarse_cube_config",
+    "RADIAL_TOL",
     "estimate_a2_cubes",
 ]
 
@@ -50,6 +49,7 @@ _DIMS = (2, 3)
 # split-compare noise alone can exhaust the panel budget.
 _ROUNDING = 8 * np.finfo(float).eps
 _PANEL_BUDGET = 2000  # the smooth angular rows converge in about 100 panels
+RADIAL_TOL = 1e-6  # relative error of each radial cube average
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,10 @@ def build_type1b_raw(coeff, exponents, d: int) -> SymbolicPowerMatrix:
 
 # The benchmark's tracer (a2wbench/tracing.py) wraps these names, and the
 # cube search calls the averages through them so its counters hold.
+# golden_max is here for the tracer alone: the cube search does not refine.
 check_a2_type1a = check_a2_type1b = type1.check_a2
 average_type1a = average_symbolic
+golden_max = search.golden_max
 
 
 def _edge_pieces(lo, hi):
@@ -249,7 +251,7 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6) -> float:
 
 
 def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
-                   tol: float = 1e-6) -> np.ndarray:
+                   tol: float = RADIAL_TOL) -> np.ndarray:
     """Entrywise cube average of a radial weight: one cube_integral_radial
     per distinct exponent, each within tol of itself relatively."""
     if w.separable or cube.d != w.d:
@@ -270,54 +272,18 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
 
 
 CUBE_FAMILIES = ("cornered", "centered", "shifted")
-_SHIFTS = (1, 2)  # shifted cubes start this many sides out on the diagonal
 
 
-@dataclass(frozen=True)
-class CubeSearchConfig:
-    """Candidate cubes: CUBE_FAMILIES x log-spaced side lengths."""
+def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
+    """Maximum of the A2 functional over the cube families, a lower bound
+    of its supremum over all cubes.
 
-    sides: tuple[float, ...]
-    refine_rounds: int = 8
-    quadrature_tol: float = 1e-6
-
-    def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
-        if not self.sides or any(s <= 0 or not math.isfinite(s)
-                                 for s in self.sides):
-            raise ValueError("side grid must be positive and finite")
-        if self.refine_rounds < 0 or self.quadrature_tol <= 0:
-            raise ValueError("invalid refinement or quadrature settings")
-
-
-def default_cube_config() -> CubeSearchConfig:
-    return CubeSearchConfig(sides=tuple(np.logspace(-3.0, 3.0, 13)))
-
-
-def coarse_cube_config() -> CubeSearchConfig:
-    """Smaller grid for quadrature-bound radial weights."""
-    return CubeSearchConfig(sides=tuple(np.logspace(-2.0, 2.0, 9)),
-                            refine_rounds=6)
-
-
-def _family_cube(family: str, shift: int, d: int, side: float) -> Cube:
-    if family == "cornered":
-        return Cube((0.0,) * d, side)
-    if family == "centered":
-        return Cube((-0.5 * side,) * d, side)
-    return Cube((shift * side,) * d, side)
-
-
-def estimate_a2_cubes(weight, functional: str = "trace",
-                      config: CubeSearchConfig | None = None) -> SupSearchResult:
-    """Searched lower bound of the A2 functional supremum over cubes.
-
-    Same search as for intervals: grid scan over the family grid, golden
-    refinement in log side length through the incumbent, and the canonical
-    tie-break preferring cubes whose nearest vertex is closest to the
-    origin in units of the side.
+    The weight is homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)),
+    so each family takes one value whatever the side: the unit cubes
+    cornered at and centered on the origin, and shifted one and two sides
+    out along the diagonal, run once each. Values within 1e-12 relative
+    tie; ties go to the cube whose nearest vertex is closest to the origin.
     """
-    cfg = config if config is not None else default_cube_config()
     func = {"trace": a2_functional_trace, "norm": a2_functional_norm}.get(functional)
     if func is None:
         raise ValueError(f"unknown functional {functional!r}")
@@ -329,39 +295,11 @@ def estimate_a2_cubes(weight, functional: str = "trace",
         raise NotA2Error(
             f"cube estimation precondition failed: {report.verdict}")
     inverse = type1.symbolic_inverse(weight)
-
-    if weight.separable:
-        def averages(cube: Cube):
-            return average_type1a(weight, cube), average_type1a(inverse, cube)
-    else:
-        def averages(cube: Cube):
-            return (average_type1b(weight, cube, cfg.quadrature_tol),
-                    average_type1b(inverse, cube, cfg.quadrature_tol))
-
-    d = weight.d
+    average = average_type1a if weight.separable else average_type1b
 
     def evaluate(cube: Cube) -> float:
-        return func(*averages(cube))
+        return func(average(weight, cube), average(inverse, cube))
 
-    labels: list[tuple[str, int]] = []
-    grid: list[Cube] = []
-    for family in CUBE_FAMILIES:
-        shifts = _SHIFTS if family == "shifted" else (0,)
-        for shift in shifts:
-            for side in cfg.sides:
-                labels.append((family, shift))
-                grid.append(_family_cube(family, shift, d, side))
-
-    def refine(scored, incumbent) -> None:
-        if cfg.refine_rounds == 0:
-            return
-        idx, best_cube = incumbent()
-        family, shift = labels[idx]
-        span = math.log(4.0)
-        s0 = math.log(best_cube.side)
-        golden_max(lambda logs: scored(_family_cube(family, shift, d,
-                                                    math.exp(logs))),
-                   s0 - span, s0 + span, cfg.refine_rounds)
-
-    return _maximize(grid, evaluate, refine,
-                     lambda c: c.nearest_vertex_distance() / c.side, functional)
+    cubes = [Cube((c,) * weight.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
+    return _maximize(cubes, evaluate, lambda scored, incumbent: None,
+                     Cube.nearest_vertex_distance, functional)

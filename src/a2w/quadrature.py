@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import cmath
 import heapq
 import itertools
 import math
@@ -42,7 +43,8 @@ _WEIGHTS01 = _WEIGHTS / 2.0
 
 
 class QuadratureBudgetError(ArithmeticError):
-    """Panel budget exhausted before reaching the requested tolerance."""
+    """Panel budget exhausted, or Gauss values overflowed, before reaching
+    the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,14 @@ def _checked_exponent(a: float, b: float, singular_exponent) -> float | None:
     return s
 
 
+def _require_finite(sums, lo: float, hi: float, where) -> None:
+    """Raise if the row sums of the Gauss values on [lo, hi] are not finite."""
+    if not cmath.isfinite(sum(sums)):
+        k = next((k for k, v in enumerate(sums) if not cmath.isfinite(v)), 0)
+        raise QuadratureBudgetError(
+            f"{where(k)}Gauss values on [{lo!r}, {hi!r}] are not finite")
+
+
 def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     """Sum over one adaptive panel tree of the m rows of f, shaped (m,).
 
@@ -141,10 +151,12 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     (fractional positive powers are continuous but still non-smooth at
     0). Other panels count as unknown until their first comparison, so the
     loop cannot declare convergence while any remain. where(k) names row
-    k in a budget error.
+    k in a budget error, and in the error for Gauss values that overflow.
     """
     seed_vals = _gl_panels(f, cuts)
-    tols = tolerance(np.sum(np.abs(seed_vals), axis=1), np.sum(seed_vals, axis=1))
+    seed_sums = np.sum(seed_vals, axis=1)
+    _require_finite(seed_sums.tolist(), cuts[0], cuts[-1], where)
+    tols = tolerance(np.sum(np.abs(seed_vals), axis=1), seed_sums)
     tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
     tols = tols.tolist()
     gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
@@ -187,7 +199,9 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
         mid = (lo + hi) / 2.0
         used += 2
         lv, rv = _gl_panels(f, (lo, mid, hi)).T.tolist()
-        split_err = [abs(l + r - v) / 2.0 + 1e-300 for l, r, v in zip(lv, rv, val)]
+        sums = list(map(add, lv, rv))
+        _require_finite(sums, lo, hi, where)
+        split_err = [abs(t - v) / 2.0 + 1e-300 for t, v in zip(sums, val)]
         key = max(map(truediv, split_err, tols))
         push(lo, mid, lv, split_err, key)
         push(mid, hi, rv, split_err, key)

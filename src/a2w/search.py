@@ -1,14 +1,16 @@
 """Supremum search over interval families.
 
-The functionals this package maximizes are scale invariant, so candidate
-intervals are parametrized by (center, half-length) on logarithmic grids.
-The family deliberately contains only three interval shapes relative to the
-origin: symmetric (center 0), anchored (one endpoint exactly 0), and
-origin-free. Asymmetric intervals with 0 strictly inside are excluded;
-on those the scalar product <w><1/w> is not controlled by the closed-form
-per-exponent constants this package certifies against, so admitting them
-would break the certified upper bounds. Estimates are honest lower bounds
-of the true supremum either way, since only real intervals are evaluated.
+Candidate intervals are parametrized by (center, half-length) on
+logarithmic grids. A homogeneous weight's functionals are scale invariant,
+so it searches one size per shape (estimator.search_config); a rotation's
+are not. The family (FAMILIES) deliberately contains only three interval
+shapes relative to the origin: symmetric (center 0), anchored (one
+endpoint exactly 0), and origin-free. Asymmetric intervals with 0 strictly
+inside are excluded; on those the scalar product <w><1/w> is not
+controlled by the closed-form per-exponent constants this package
+certifies against, so admitting them would break the certified upper
+bounds. Estimates are honest lower bounds of the true supremum either way,
+since only real intervals are evaluated.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FAMILIES",
     "Interval",
     "SupSearchConfig",
     "SupSearchResult",
@@ -29,6 +32,7 @@ __all__ = [
     "golden_max",
 ]
 
+FAMILIES = ("symmetric", "anchored", "origin-free")
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_RTOL = 1e-12
 

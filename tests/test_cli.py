@@ -15,6 +15,9 @@ TWO_BY_TWO = {"kind": "type1", "coeff": [[5, 3], [3, 2]],
               "diag_exponents": ["1/2", "-2/3"]}
 ROTATION_EQUAL = {"kind": "type2", "alphas": [1.0, 1.0],
                   "gammas": ["1/2", "1/2"], "unitary": "rotation2d"}
+INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
+CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
+               "quadrature_tol": 1e-6}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -258,7 +261,37 @@ class TestConstantCommand:
         assert code == 0
         assert payload["config"] == {"grid": "default", "centers": 27,
                                      "halflengths": 13, "refine_rounds": 8,
-                                     "quadrature_tol": 1e-6}
+                                     "quadrature_tol": 1e-6,
+                                     "families": INTERVAL_FAMILIES}
+
+    def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
+        # Dilation invariance: power matrices and identity Type 2 weights
+        # search the smallest half-length row alone, every shape of the grid.
+        identity = {"kind": "type2", "alphas": [1.0, 2.0],
+                    "gammas": ["1/2", "-1/3"], "unitary": "identity"}
+        for doc, centers, rounds in ((TWO_BY_TWO, 99, 20), (identity, 27, 8)):
+            code, payload = run_json(
+                capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+            assert code == 0
+            assert payload["config"] == {
+                "grid": "default", "centers": centers, "halflengths": 1,
+                "refine_rounds": rounds, "quadrature_tol": 1e-6,
+                "families": INTERVAL_FAMILIES}
+            # the grid row, plus the golden refinement's rounds + 2
+            assert payload["evaluations"] == centers + rounds + 2
+
+    def test_overflowing_quadrature_exits_four(self, tmp_path, capsys):
+        # |x|^(-99/100) in the inverse: the panel at 0 is bisected until its
+        # Gauss values overflow, and the error names the interval.
+        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "1/3"],
+               "unitary": "identity"}
+        code = main(["constant", write_spec(tmp_path, doc), "--json"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "search failed: QuadratureBudgetError on Interval(a=")
+        assert "not finite" in captured.err
 
     def test_separable_cube_weight(self, tmp_path, capsys):
         doc = {"kind": "type1a", "coeff": [[1.0]],
@@ -280,7 +313,7 @@ class TestConstantCommand:
              "--grid", "coarse"])
         assert code == 0
         assert payload["estimate"] >= 1.0
-        assert payload["config"]["grid"] == "coarse"
+        assert payload["config"] == CUBE_CONFIG  # --grid selects nothing
 
     def test_radial_matrix_weight_on_default_grid(self, tmp_path, capsys):
         doc = {"kind": "type1b", "coeff": [[2, 1], [1, 2]],
@@ -288,7 +321,8 @@ class TestConstantCommand:
         code, payload = run_json(
             capsys, ["constant", write_spec(tmp_path, doc), "--json"])
         assert code == 0
-        assert payload["config"]["grid"] == "default"
+        assert payload["config"] == CUBE_CONFIG
+        assert payload["evaluations"] == 4
         assert payload["estimate"] == pytest.approx(2.1860225424733, rel=1e-9)
 
     def test_radial_matrix_weight_in_three_dimensions(self, tmp_path, capsys):
@@ -297,7 +331,7 @@ class TestConstantCommand:
         code, payload = run_json(
             capsys, ["constant", write_spec(tmp_path, doc), "--json"])
         assert code == 0
-        assert payload["argmax"] == {"lower": [0.0, 0.0, 0.0], "side": 0.001}
+        assert payload["argmax"] == {"lower": [0.0, 0.0, 0.0], "side": 1.0}
         assert payload["estimate"] == pytest.approx(2.0871913, abs=1e-7)
 
     def test_radial_scalar_weight_in_three_dimensions(self, tmp_path, capsys):
@@ -307,7 +341,7 @@ class TestConstantCommand:
             capsys,
             ["constant", write_spec(tmp_path, doc), "--json", "--grid", "coarse"])
         assert code == 0
-        assert payload["config"]["grid"] == "coarse"
+        assert payload["config"] == CUBE_CONFIG
 
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):
@@ -337,7 +371,7 @@ class TestConstantCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "estimate (searched lower bound)" in out
-        assert "closed-form upper bound" in out
+        assert "closed-form upper bound (search families): " in out
 
 
 class TestDivergenceCommand:

@@ -1,0 +1,139 @@
+"""Reference tests for the homogeneity reduction of the searches.
+
+Power matrices (type1 and its cube extensions type1a and type1b) and
+identity Type 2 weights satisfy W(tx) = T W(x) T with T = diag(|t|^(g_i/2)),
+so both A2 functionals are invariant under dilation. The interval search
+therefore runs one half-length row of its grid, and the cube search one
+unit cube per family; these tests check both against the full searches
+they replace.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from a2w.estimator import (a2_functional_norm, a2_functional_trace,
+                           average_numeric, average_symbolic, estimate_a2,
+                           search_config)
+from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
+                          estimate_a2_cubes)
+from a2w.search import (Interval, coarse_interval_config,
+                        default_interval_config, run_interval_search)
+from a2w.type1 import build_type1, symbolic_inverse
+from a2w.type2 import Type2Weight, as_pointwise, inverse_pointwise
+
+HALF = Fraction(1, 2)
+FUNCTIONALS = (a2_functional_trace, a2_functional_norm)
+SCALES = (1e-6, 1e-3, 1e3, 1e6)
+GRIDS = (default_interval_config, coarse_interval_config)
+
+W2 = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
+SCALAR = build_type1(np.array([[1.0]]), ["1/2"])
+IDENTITY = Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity")
+
+
+def averages(weight):
+    """region -> (<W>, <W^-1>), by the route the searches use."""
+    if isinstance(weight, Type2Weight):
+        fwd, bwd = as_pointwise(weight), inverse_pointwise(weight)
+        return lambda iv: (average_numeric(fwd, iv, 1e-6),
+                           average_numeric(bwd, iv, 1e-6))
+    average = average_symbolic if weight.separable else average_type1b
+    inverse = symbolic_inverse(weight)
+    return lambda region: (average(weight, region), average(inverse, region))
+
+
+def dilate(region, t):
+    if isinstance(region, Interval):
+        return Interval(t * region.a, t * region.b)
+    return Cube(tuple(t * c for c in region.lower), t * region.side)
+
+
+INTERVALS = (Interval(-1.0, 1.0), Interval(0.0, 1.0), Interval(-3.0, -1.0),
+             Interval(1.0, 2.0), Interval(-0.25, 1.0))
+
+
+def cubes(d):
+    return (Cube((0.0,) * d, 1.0), Cube((-0.5,) * d, 1.0),
+            Cube((1.0,) * d, 1.0), Cube((2.0,) * d, 1.0),
+            Cube((-0.25,) + (-0.75,) * (d - 1), 1.0))
+
+
+@pytest.mark.parametrize("weight, regions", [
+    (W2, INTERVALS),
+    (IDENTITY, INTERVALS),
+    (build_type1a([[2.0, 1.0], [1.0, 3.0]], [(HALF, -HALF), (Fraction(-1, 3), 0)]),
+     cubes(2)),
+    (build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2), cubes(2)),
+    (build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 3), cubes(3)),
+], ids=["type1", "identity", "type1a", "type1b-d2", "type1b-d3"])
+def test_functionals_are_dilation_invariant(weight, regions):
+    pair = averages(weight)
+    for region in regions:
+        for func in FUNCTIONALS:
+            base = func(*pair(region))
+            for t in SCALES:
+                assert func(*pair(dilate(region, t))) == \
+                    pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY],
+                         ids=["w2", "scalar", "identity"])
+def test_one_row_matches_the_full_grid(weight, grid):
+    config = grid()
+    pair = averages(weight)
+    full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
+                               config, "trace")
+    reduced = estimate_a2(weight, "trace", config)
+    assert search_config(weight, config).halflengths == (min(config.halflengths),)
+    assert reduced.estimate == full.estimate
+    assert reduced.argmax == full.argmax
+    assert reduced.evaluations < full.evaluations
+
+
+def shapes(centers, halflengths):
+    """Every interval shape of a grid: symmetric, or a signed |c|/h >= 1,
+    rounded past the grid's floating-point noise."""
+    out = set()
+    for c in centers:
+        for h in halflengths:
+            if c == 0.0:
+                out.add("symmetric")
+            elif abs(c) >= h:
+                out.add((math.copysign(1.0, c), round(math.log10(abs(c) / h), 9)))
+    return out
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_smallest_halflength_row_holds_every_shape(grid):
+    config = grid()
+    row = (min(config.halflengths),)
+    assert shapes(config.centers, row) == shapes(config.centers,
+                                                 config.halflengths)
+
+
+@pytest.mark.parametrize("weight", [
+    build_type1a([[1.0]], [(HALF,), (0,)]),
+    build_type1a([[2.0, 1.0], [1.0, 3.0]], [(HALF, -HALF), (Fraction(-1, 3), 0)]),
+    build_type1b([[1.0]], (HALF,), 2),
+    build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2),
+    build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 3),
+], ids=["type1a-scalar", "type1a", "type1b-scalar", "type1b-d2", "type1b-d3"])
+@pytest.mark.parametrize("functional", ["trace", "norm"])
+def test_unit_cubes_match_the_old_side_grid(weight, functional):
+    # The side grid the cube search used to scan: 13 sides from 1e-3 to 1e3
+    # for each family.
+    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
+    pair = averages(weight)
+    d = weight.d
+    best = max(func(*pair(cube))
+               for side in np.logspace(-3.0, 3.0, 13)
+               for cube in (Cube((0.0,) * d, side), Cube((-0.5 * side,) * d, side),
+                            Cube((side,) * d, side), Cube((2.0 * side,) * d, side)))
+    result = estimate_a2_cubes(weight, functional)
+    assert result.estimate == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert result.argmax.side == 1.0
+    assert result.evaluations == 4

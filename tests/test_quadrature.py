@@ -107,6 +107,23 @@ class TestBudgetAndValidation:
         with pytest.raises(QuadratureBudgetError):
             adaptive_quad(rng_vals, 0.0, 1.0, 1e-14, panel_budget=8)
 
+    def test_overflowing_gauss_values_raise(self):
+        # The power model keeps bisecting the panel at 0 for exponents this
+        # close to -1, until |x|^-0.98 overflows at its Gauss nodes; before
+        # that was caught the sum came back as inf.
+        f = lambda x: np.abs(x) ** -0.98
+        with np.errstate(over="ignore"):
+            with pytest.raises(QuadratureBudgetError, match="not finite"):
+                adaptive_quad(f, 0.0, 1.0, 1e-6, singular_exponent=-0.98)
+
+    def test_non_finite_seed_panel_names_its_row(self):
+        pmf = PointwiseMatrixFunction(
+            2, lambda xs: np.stack([[np.ones_like(xs), 0 * xs],
+                                    [0 * xs, np.full_like(xs, np.inf)]]))
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"entry \(1, 1\) Gauss values on \[1.0, 2.0\]"):
+            matrix_quad(pmf, 1.0, 2.0, 1e-8)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad(np.cos, 1.0, 1.0, 1e-8)

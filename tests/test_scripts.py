@@ -30,6 +30,18 @@ def test_constant_estimates_gallery_coarse():
     assert scalar[-3] == scalar[-1] == "1.33333"
 
 
+def test_constant_estimates_gallery_fine():
+    # --fine switches the line weights to their default interval grid;
+    # every row keeps its verdict and the scalar its closed form.
+    lines = run_script("constant_estimates.py", "--fine")
+    rows = lines[2:]
+    assert len(rows) == 5
+    assert all(r.split()[-4] == "a2" for r in rows)
+    scalar = rows[0].split()
+    assert scalar[-3] == scalar[-1] == "1.33333"
+    assert rows[1].split()[-3:-1] == ["13.2075", "51.4732"]
+
+
 def test_divergence_sweep_few_points():
     lines = run_script("divergence_sweep.py", "--points", "2")
     rows = [line.split() for line in lines[2:]]
