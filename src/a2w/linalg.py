@@ -1,7 +1,12 @@
 """Small dense matrix kernel.
 
 Everything here is written for matrices of order <= 8 and favors
-determinism over speed: fixed iteration orders, no platform BLAS calls.
+determinism over speed: fixed iteration orders. lu_det, cofactor,
+adjugate_inverse and sym_eigen validate their input as an ndarray and
+then run on Python complex scalars in nested lists, with no BLAS call;
+elim_inverse and leibniz_det, the independent routes the verify suites
+compare against, stay on numpy rows, and sqrt_psd and operator_norm form
+their products with numpy's matmul on the eigenvectors sym_eigen returns.
 All routines accept anything convertible to a square complex ndarray.
 """
 
@@ -122,34 +127,48 @@ def leibniz_det(m) -> complex:
     return total
 
 
-def _lu_decompose(a: np.ndarray):
-    """In-place partially pivoted elimination. Returns (matrix, swaps, ok)."""
-    n = a.shape[0]
+def _eliminate(a: list[list[complex]]) -> complex:
+    """Determinant by partially pivoted elimination, overwriting the rows of a.
+
+    The pivot of each column is the first row, on or below the diagonal,
+    with the largest abs; a column that is zero there makes the
+    determinant 0j.
+    """
+    n = len(a)
     swaps = 0
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            return a, swaps, False
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            swaps += 1
+        piv, big = col, abs(a[col][col])
         for row in range(col + 1, n):
-            f = a[row, col] / a[col, col]
-            a[row, col] = f
-            a[row, col + 1:] -= f * a[col, col + 1:]
-    return a, swaps, True
+            mag = abs(a[row][col])
+            if mag > big:
+                piv, big = row, mag
+        if big == 0.0:
+            return 0j
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            swaps += 1
+        top = a[col]
+        pivot = top[col]
+        for row in a[col + 1:]:
+            f = row[col] / pivot
+            row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], top[col + 1:])]
+    det = complex(-1 if swaps % 2 else 1)
+    for i in range(n):
+        det *= a[i][i]
+    return det
+
+
+def _cofactor(rows: list[list[complex]], i: int, j: int) -> complex:
+    """cofactor on a validated matrix given as rows of Python complex."""
+    if len(rows) == 1:
+        return 1 + 0j  # determinant of the empty matrix
+    minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+    return (-1 if (i + j) % 2 else 1) * _eliminate(minor)
 
 
 def lu_det(m) -> complex:
     """Determinant via partially pivoted elimination; returns 0 for singular input."""
-    a = as_square(m).copy()
-    a, swaps, ok = _lu_decompose(a)
-    if not ok:
-        return 0j
-    det = complex(-1 if swaps % 2 else 1)
-    for i in range(a.shape[0]):
-        det *= a[i, i]
-    return det
+    return _eliminate(as_square(m).tolist())
 
 
 def elim_inverse(m) -> np.ndarray:
@@ -178,11 +197,7 @@ def cofactor(m, i: int, j: int) -> complex:
     n = a.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"cofactor index ({i}, {j}) out of range for order {n}")
-    if n == 1:
-        return 1 + 0j  # determinant of the empty matrix
-    minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-    sign = -1 if (i + j) % 2 else 1
-    return sign * lu_det(minor)
+    return _cofactor(a.tolist(), i, j)
 
 
 def adjugate_inverse(m) -> np.ndarray:
@@ -192,66 +207,70 @@ def adjugate_inverse(m) -> np.ndarray:
     max|entry|^n, which keeps the threshold scale consistent with the
     determinant itself.
     """
-    a = as_square(m)
-    n = a.shape[0]
-    det = lu_det(a)
-    scale = float(np.max(np.abs(a)))
+    rows = as_square(m).tolist()
+    n = len(rows)
+    det = _eliminate([row[:] for row in rows])
+    scale = max(abs(x) for row in rows for x in row)
     if abs(det) <= 1e-12 * scale**n:
         raise SingularMatrixError("determinant below singularity tolerance")
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = cofactor(a, j, i) / det
-    return out
+    return np.array([[_cofactor(rows, j, i) / det for j in range(n)]
+                     for i in range(n)], dtype=complex)
+
+
+def _rotate_columns(rows: list[list[complex]], p: int, q: int,
+                    c: float, a: complex, b: complex) -> None:
+    """rows <- rows @ J for the Jacobi rotation J with J[p, p] = J[q, q] = c,
+    J[p, q] = -a and J[q, p] = b; only columns p and q change."""
+    for row in rows:
+        xp, xq = row[p], row[q]
+        row[p] = xp * c + xq * b
+        row[q] = xq * c - xp * a
 
 
 def sym_eigen(m):
     """Eigendecomposition of a self-adjoint matrix by cyclic Jacobi rotations.
 
-    Sweeps run over the upper triangle in fixed row-major order, which makes
-    the output a deterministic function of the input entries on any IEEE-754
-    platform. Returns (eigenvalues ascending, unitary matrix of column
-    eigenvectors). The input must be self-adjoint within as_hermitian's
-    default tolerance.
+    Sweeps run over the upper triangle in fixed row-major order and each
+    rotation updates rows and columns p, q in place in Python complex
+    arithmetic, without BLAS, which makes the output a deterministic
+    function of the input entries on any IEEE-754 platform. Returns
+    (eigenvalues ascending, unitary matrix of column eigenvectors). The
+    input must be self-adjoint within as_hermitian's default tolerance.
     """
-    h = as_hermitian(m)
-    n = h.shape[0]
+    h = as_hermitian(m).tolist()
+    n = len(h)
     max_sweeps = 50
-    v = np.eye(n, dtype=complex)
-    scale = float(np.max(np.abs(h)))
+    scale = max(abs(x) for row in h for x in row)
     if scale == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), np.eye(n, dtype=complex)
+    v = [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     stop = 1e-14 * scale
     for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(h[p, q]))
-        if off <= stop:
+        if max((abs(h[p][q]) for p, q in pairs), default=0.0) <= stop:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = h[p, q]
-                r = abs(g)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = g / r
-                tau = (h[p, p].real - h[q, q].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                jrot = np.eye(n, dtype=complex)
-                jrot[p, p] = c
-                jrot[p, q] = -s * phase
-                jrot[q, p] = s * np.conj(phase)
-                jrot[q, q] = c
-                h = jrot.conj().T @ h @ jrot
-                v = v @ jrot
+        for p, q in pairs:
+            g = h[p][q]
+            r = abs(g)
+            if r <= 1e-18 * scale:
+                continue
+            phase = g / r
+            tau = (h[p][p].real - h[q][q].real) / (2.0 * r)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            sa, sb = s * phase, s * phase.conjugate()
+            # h <- (J* h) J: rows p, q by J*, then columns p, q by J
+            hp, hq = h[p], h[q]
+            h[p] = [c * x + sa * y for x, y in zip(hp, hq)]
+            h[q] = [c * y - sb * x for x, y in zip(hp, hq)]
+            _rotate_columns(h, p, q, c, sa, sb)
+            _rotate_columns(v, p, q, c, sa, sb)
     else:
         raise ConvergenceError(f"Jacobi sweep budget {max_sweeps} exhausted")
-    vals = h.diagonal().real.copy()
+    vals = np.array([h[i][i].real for i in range(n)])
     order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], np.array(v, dtype=complex)[:, order]
 
 
 def sqrt_psd(m) -> np.ndarray:

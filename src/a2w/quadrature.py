@@ -134,6 +134,10 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
             f"{where(k)}Gauss values on [{lo!r}, {hi!r}] are not finite")
 
 
+# An integrand that overflows (|x|^g at subnormal x) yields non-finite Gauss
+# values, which _require_finite turns into QuadratureBudgetError; numpy's
+# overflow warning would only add a second report on stderr.
+@np.errstate(over="ignore")
 def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     """Sum over one adaptive panel tree of the m rows of f, shaped (m,).
 

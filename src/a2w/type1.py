@@ -55,7 +55,8 @@ ExponentMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _exponent_matrix(rows) -> ExponentMatrix:
-    mat = tuple(tuple(Fraction(e) for e in row) for row in rows)
+    mat = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row)
+                for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("exponent matrix must be square and nonempty")

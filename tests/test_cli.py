@@ -1,6 +1,10 @@
 """End-to-end tests for the a2w command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ TWO_BY_TWO = {"kind": "type1", "coeff": [[5, 3], [3, 2]],
 ROTATION_EQUAL = {"kind": "type2", "alphas": [1.0, 1.0],
                   "gammas": ["1/2", "1/2"], "unitary": "rotation2d"}
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
+ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
                "quadrature_tol": 1e-6}
 
@@ -293,6 +298,22 @@ class TestConstantCommand:
             "search failed: QuadratureBudgetError on Interval(a=")
         assert "not finite" in captured.err
 
+    def test_overflowing_quadrature_leaves_one_stderr_line(self, tmp_path):
+        # In-process, pytest captures numpy's RuntimeWarning; a fresh
+        # interpreter shows what a user sees on stderr.
+        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "1/3"],
+               "unitary": "identity"}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "a2w.cli", "constant", write_spec(tmp_path, doc)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("search failed: QuadratureBudgetError")
+
     def test_separable_cube_weight(self, tmp_path, capsys):
         doc = {"kind": "type1a", "coeff": [[1.0]],
                "diag_exponents_per_coordinate": [["1/2"], ["0"]]}
@@ -453,6 +474,14 @@ class TestVerifyCommand:
         assert len(payload["results"]) == 5
         assert all(r["passed"] for r in payload["results"])
         assert all(r["module"] == "linalg" for r in payload["results"])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1234])
+    def test_all_modules_pass_at_benchmark_and_default_seeds(self, capsys, seed):
+        code, payload = run_json(
+            capsys, ["verify", "--json", "--module", "all", "--seed", str(seed)])
+        assert code == 0
+        failed = [r for r in payload["results"] if not r["passed"]]
+        assert failed == []
 
     def test_injected_fault_exits_five(self, capsys, monkeypatch):
         (name, _), *rest = verify._SUITES["linalg"]

@@ -81,6 +81,53 @@ def test_cofactor_alternating_signs():
     assert linalg.cofactor(m, 1, 1) == pytest.approx(1.0)
 
 
+def _complex_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("n", range(1, linalg.MAX_ORDER + 1))
+def test_elimination_kernels_match_numpy(rng, n):
+    for _ in range(10):
+        m = _complex_matrix(rng, n)
+        det = np.linalg.det(m)
+        assert abs(linalg.lu_det(m) - det) <= 1e-10 * abs(det)
+        inv = np.linalg.inv(m)
+        assert np.allclose(linalg.adjugate_inverse(m), inv, rtol=1e-9, atol=1e-12)
+        for i in range(n):
+            for j in range(n):
+                # cof(M, i, j) = det M * inv(M)[j, i]
+                want = det * inv[j, i]
+                assert abs(linalg.cofactor(m, i, j) - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_zero_column_below_pivot_gives_exact_zero():
+    m = np.array([[2.0, 1.0, 3.0], [0.0, 0.0, 5.0], [0.0, 0.0, 7.0j]])
+    det = linalg.lu_det(m)
+    assert det == 0j and type(det) is complex
+
+
+def test_sym_eigen_of_diagonal_is_exact():
+    diag = [3.0, -1.0, 2.5, 0.0, -1.0]
+    vals, vecs = linalg.sym_eigen(np.diag(diag))
+    order = np.argsort(diag, kind="stable")
+    assert vals.tolist() == sorted(diag)
+    assert np.array_equal(vecs, np.eye(len(diag))[:, order])
+
+
+def test_sym_eigen_order_eight_matches_eigvalsh(rng):
+    for _ in range(5):
+        a = _hermitian(_complex_matrix(rng, linalg.MAX_ORDER))
+        vals, _ = linalg.sym_eigen(a)
+        want = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(vals - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sym_eigen_repeat_calls_are_bit_identical(rng):
+    a = _hermitian(_complex_matrix(rng, 6))
+    (v1, u1), (v2, u2) = linalg.sym_eigen(a), linalg.sym_eigen(a)
+    assert v1.tobytes() == v2.tobytes() and u1.tobytes() == u2.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sym_eigen_matches_numpy(rng, n):
     for _ in range(25):
