@@ -323,9 +323,8 @@ def cmd_constant(args) -> int:
         config_echo = {"families": list(multivar.CUBE_FAMILIES),
                        "quadrature_tol": multivar.RADIAL_TOL}
     else:
-        requested = _GRIDS[args.grid]() if args.grid else None
-        result = estimate_a2(weight, args.functional, requested)
-        cfg = search_config(weight, requested)
+        cfg = search_config(weight, _GRIDS[args.grid]() if args.grid else None)
+        result = estimate_a2(weight, args.functional, cfg)
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
         config_echo = {"families": list(FAMILIES),
                        "centers": len(cfg.centers),

@@ -69,13 +69,15 @@ def average_symbolic(w: SymbolicPowerMatrix, region) -> np.ndarray:
 
 def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
                     tol: float = 1e-8, panel_budget: int = 20000) -> np.ndarray:
-    """<W>_I from one matrix-valued panel tree.
+    """<W>_I from one matrix-valued panel tree, shaped (n, n); for a stack
+    of m matrices (such as type2.pair_pointwise's W and W^-1) the m
+    averages from one shared tree, shaped (m, n, n).
 
     Diagonal entries are positive masses, so they run under purely
     relative control; off-diagonal entries can cancel, so their tolerance
-    is anchored to the largest diagonal mass (the natural matrix scale)
-    plus their own, instead of an absolute floor. panel_budget bounds
-    the whole tree.
+    is anchored to the largest diagonal mass of their own matrix (the
+    natural matrix scale) plus their own, instead of an absolute floor.
+    panel_budget bounds the whole tree.
     """
     return matrix_quad(pmf, iv.a, iv.b, tol, panel_budget) / iv.length
 
@@ -148,14 +150,36 @@ def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
     if decision.verdict != VERDICT_A2:
         raise NotA2Error(
             f"type 2 estimation precondition failed: {decision.verdict}")
-    fwd = type2.as_pointwise(w)
-    bwd = type2.inverse_pointwise(w)
+    pair = type2.pair_pointwise(w)
     func = _FUNCTIONALS[functional]
 
     def evaluate(iv: Interval) -> float:
-        return func(average_numeric(fwd, iv, tol), average_numeric(bwd, iv, tol))
+        return func(*average_numeric(pair, iv, tol))
 
     return evaluate
+
+
+def _one_size(config: SupSearchConfig) -> SupSearchConfig:
+    """config's grid on its smallest half-length h0 alone.
+
+    Every interval shape the grid holds (symmetric, or a signed ratio
+    |c|/h >= 1, rounded past floating-point noise) moves to h0, in order
+    of first occurrence. An anchored shape keeps its endpoint at exactly 0,
+    and a center already on the h0 row is kept exactly. A grid of one
+    half-length is returned as it is.
+    """
+    if len(config.halflengths) == 1:
+        return config
+    h0 = min(config.halflengths)
+    h = np.array(config.halflengths)
+    c = np.array(config.centers)[:, None]
+    ratio = np.abs(c) / h
+    member = (c == 0.0) | (ratio >= 1.0)  # the family's rule (search._candidate)
+    shape = np.sign(c) * (1.0 + np.round(np.log10(np.maximum(ratio, 1.0)), 9))
+    _, first = np.unique(shape[member], return_index=True)
+    mag = np.where(ratio == 1.0, h0, np.maximum(np.abs(c) * (h0 / h), h0))
+    centers = np.where(c == 0.0, 0.0, np.copysign(mag, c))[member][np.sort(first)]
+    return replace(config, centers=tuple(centers.tolist()), halflengths=(h0,))
 
 
 def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchConfig:
@@ -164,16 +188,17 @@ def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchCon
 
     Power matrices and identity Type 2 weights are homogeneous,
     W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their functionals see
-    an interval's shape |c|/h and not its size: they run the smallest
-    half-length row alone, which on the built-in grids (one log lattice
-    for |c| and h) holds every shape and is the row the tie-break picks.
+    an interval's shape |c|/h and not its size: they run every shape of
+    the grid at its smallest half-length alone (the row the tie-break
+    picks). On the built-in grids (one log lattice for |c| and h) that
+    row already holds every shape.
     """
     if config is None:
         config = (coarse_interval_config() if isinstance(weight, Type2Weight)
                   else default_interval_config())
     if (isinstance(weight, SymbolicPowerMatrix)
             or (isinstance(weight, Type2Weight) and weight.unitary == "identity")):
-        config = replace(config, halflengths=(min(config.halflengths),))
+        config = _one_size(config)
     return config
 
 

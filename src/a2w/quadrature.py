@@ -2,18 +2,21 @@
 
 Panels are Gauss-Legendre order 10; refinement is worst-first bisection
 driven by a split-comparison error estimate. Intervals straddling 0 are
-split there first. A panel touching 0 with a certified negative power
-behavior is handled by a power-law model: for f ~ C x^s the Gauss value
-underestimates the panel mass by a computable factor, which gives both a
-correction-free error bound and a geometric tail argument, so grading
-toward 0 terminates without ever sampling the singularity.
+split there first. A panel touching 0 with a certified power behavior is
+handled by a power-law model: for f ~ C x^s the Gauss value misses the
+panel mass by a computable factor, and for a sum of such terms by at most
+the worst factor over their exponents. That gives both a correction-free
+error bound and a geometric tail argument, so grading toward 0 terminates
+without ever sampling the singularity.
 
 One refinement loop serves scalar and matrix integrands: a panel tree over
 m rows, where each panel evaluates every row in one call and keeps one
-error per row, and refinement runs until every row meets its own
-tolerance. The zero split and any endpoint grading are its seed cuts.
-adaptive_quad is the one-row front end; matrix_quad integrates the upper
-triangle of a Hermitian matrix function, one row per entry.
+error, one tolerance and one power-model factor per row, and refinement
+runs until every row meets its own tolerance. The zero split and any
+endpoint grading are its seed cuts. adaptive_quad is the one-row front
+end; matrix_quad integrates the upper triangles of a stack of Hermitian
+matrix functions evaluated together (a weight and its inverse share one
+tree), one row per entry.
 """
 
 from __future__ import annotations
@@ -49,20 +52,26 @@ class QuadratureBudgetError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PointwiseMatrixFunction:
-    """Hermitian matrix-valued function given pointwise, for numeric averaging.
+    """Hermitian matrix-valued function given pointwise, for numeric
+    averaging, or a stack of m such functions evaluated together.
 
     values(xs) returns the matrix at every point of the 1-D array xs,
-    shaped (n, n, len(xs)). The singular_exponent is a certified lower
-    bound s with |entries(x)| = O(|x|^s) as x -> 0; None means entries
-    extend continuously through 0.
+    shaped (n, n, len(xs)), or (m, n, n, len(xs)) for a stack of m > 1. The
+    singular_exponent is a certified lower bound s with
+    |entries(x)| = O(|x|^s) as x -> 0; None means entries extend
+    continuously through 0. exponents, when given, lists for each matrix
+    every power e of its terms |x|^e times a smooth factor near 0, and
+    its length is m; without it there is one matrix, whose power model
+    is singular_exponent alone.
     """
 
     n: int
     values: Callable[[np.ndarray], np.ndarray]
     singular_exponent: Fraction | None = None
+    exponents: tuple[tuple[Fraction, ...], ...] | None = None
 
     def entry(self, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized x -> entry (i, j), read off values."""
+        """Vectorized x -> entry (i, j) of a single matrix, read off values."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range for order {self.n}")
 
@@ -71,10 +80,12 @@ class PointwiseMatrixFunction:
         return fn
 
 
-def _gauss_power_deficit(s: float) -> float:
-    """True-over-Gauss ratio for x^s on a panel [0, L]; 1 iff the rule is exact."""
+def _power_gap(s) -> float:
+    """Relative Gauss error for x^s on a panel [0, L]: |true / Gauss - 1|,
+    0 iff the rule is exact."""
+    s = float(s)
     gauss = float(np.dot(_WEIGHTS01, _NODES01**s))
-    return (1.0 / (s + 1.0)) / gauss
+    return abs((1.0 / (s + 1.0)) / gauss - 1.0)
 
 
 def _graded_cuts(lo: float, hi: float, levels: int) -> list[float]:
@@ -138,7 +149,7 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
 # values, which _require_finite turns into QuadratureBudgetError; numpy's
 # overflow warning would only add a second report on stderr.
 @np.errstate(over="ignore")
-def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
+def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
     """Sum over one adaptive panel tree of the m rows of f, shaped (m,).
 
     f maps nodes to m rows of values (see _gl_panels). The seed panels
@@ -149,13 +160,15 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     with the largest ratio of row error to row tolerance, and refinement
     stops only when every row's summed error is within its tolerance. A
     split evaluates both children in one call and gives each the
-    split-compare error. A panel with an endpoint at 0 takes its error
-    from the power model at exponent s instead: for a pure power the
-    Gauss value is off by exactly the deficit ratio, for any s > -1
-    (fractional positive powers are continuous but still non-smooth at
-    0). Other panels count as unknown until their first comparison, so the
-    loop cannot declare convergence while any remain. where(k) names row
-    k in a budget error, and in the error for Gauss values that overflow.
+    split-compare error. When gaps is not None, a panel with an endpoint
+    at 0 takes row k's error from the power model instead: gaps[k] bounds
+    the relative Gauss error of that row's terms there (for a pure power
+    |x|^s the Gauss value is off by exactly the deficit ratio, for any
+    s > -1; fractional positive powers are continuous but still non-smooth
+    at 0). Other panels count as unknown until their first comparison, so
+    the loop cannot declare convergence while any remain. where(k) names
+    row k in a budget error, and in the error for Gauss values that
+    overflow.
     """
     seed_vals = _gl_panels(f, cuts)
     seed_sums = np.sum(seed_vals, axis=1)
@@ -163,7 +176,6 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
     tols = tolerance(np.sum(np.abs(seed_vals), axis=1), seed_sums)
     tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
     tols = tols.tolist()
-    gap = abs(_gauss_power_deficit(s) - 1.0) if s is not None else 0.0
 
     # Per-row bookkeeping runs on Python lists of floats: the same double
     # arithmetic as numpy, and cheaper than numpy calls for the few rows
@@ -176,8 +188,8 @@ def _refine(f, cuts, tolerance, s, panel_budget: int, where) -> np.ndarray:
 
     def push(lo, hi, val, err, key):
         nonlocal unknown, err_sum
-        if s is not None and (lo == 0.0 or hi == 0.0):
-            err = [abs(v) * gap * 2.0 + 1e-300 for v in val]
+        if gaps is not None and (lo == 0.0 or hi == 0.0):
+            err = [abs(v) * gap * 2.0 + 1e-300 for v, gap in zip(val, gaps)]
             key = max(map(truediv, err, tols))
         if err is None:
             unknown += 1
@@ -242,32 +254,50 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     s = _checked_exponent(a, b, singular_exponent)
     floor = 1.0 if scale is None else abs(scale)
     total = _refine(f, _seed_cuts(a, b, endpoint_grading),
-                    lambda mass, _: tol * (floor + mass), s, panel_budget,
+                    lambda mass, _: tol * (floor + mass),
+                    None if s is None else [_power_gap(s)], panel_budget,
                     lambda k: "")
     return complex(total[0])
 
 
 def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
                 panel_budget: int = 20000) -> np.ndarray:
-    """Integral over [a, b] of a Hermitian matrix function, one panel tree.
+    """Integral over [a, b] of a Hermitian matrix function, or of a stack
+    of them, on one panel tree; shaped (n, n), or (m, n, n) for a stack.
 
-    Only the upper triangle is integrated, one row of the tree per entry;
-    the lower triangle is its conjugate and the diagonal is real. A
-    diagonal entry is a positive mass and gets tol times its own seed
-    mass; an off-diagonal entry can cancel and gets tol times the largest
-    diagonal seed mass plus its own. The power model at 0 uses
-    pmf.singular_exponent.
+    Only the upper triangles are integrated, one row of the tree per
+    entry; the lower triangles are their conjugates and the diagonals are
+    real. A diagonal entry is a positive mass and gets tol times its own
+    seed mass; an off-diagonal entry can cancel and gets tol times the
+    largest diagonal seed mass of its own matrix plus its own. On panels
+    at 0, each matrix's rows take the largest power-model gap over that
+    matrix's exponents (pmf.exponents, else pmf.singular_exponent).
     """
     s = _checked_exponent(a, b, pmf.singular_exponent)
-    rows, cols = np.triu_indices(pmf.n)
+    m, n = len(pmf.exponents) if pmf.exponents else 1, pmf.n
+    rows, cols = np.triu_indices(n)
     diagonal = rows == cols
-    total = _refine(lambda xs: pmf.values(xs)[rows, cols], _seed_cuts(a, b, 0),
-                    lambda mass, _: tol * np.where(diagonal, mass,
-                                                   np.max(mass[diagonal]) + mass),
-                    s, panel_budget,
-                    lambda k: f"entry ({rows[k]}, {cols[k]}) ").astype(complex)
-    total[diagonal] = total[diagonal].real
-    out = np.zeros((pmf.n, pmf.n), dtype=complex)
-    out[rows, cols] = total
-    out[cols, rows] = total.conj()
-    return out
+    gaps = None
+    if s is not None:
+        worst = [max(map(_power_gap, es)) for es in pmf.exponents or ((s,),)]
+        gaps = np.repeat(worst, rows.size).tolist()
+
+    def values(xs):
+        return pmf.values(xs).reshape(m, n, n, -1)[:, rows, cols].reshape(m * rows.size, -1)
+
+    def tolerance(mass, _):
+        mass = mass.reshape(m, -1)
+        scale = np.max(mass[:, diagonal], axis=1, keepdims=True)
+        return (tol * np.where(diagonal, mass, scale + mass)).ravel()
+
+    def where(k):
+        q, k = divmod(k, rows.size)
+        return f"{f'matrix {q} ' if m > 1 else ''}entry ({rows[k]}, {cols[k]}) "
+
+    total = _refine(values, _seed_cuts(a, b, 0), tolerance, gaps, panel_budget,
+                    where).astype(complex).reshape(m, -1)
+    total[:, diagonal] = total[:, diagonal].real
+    out = np.zeros((m, n, n), dtype=complex)
+    out[:, rows, cols] = total
+    out[:, cols, rows] = total.conj()
+    return out[0] if m == 1 else out

@@ -119,6 +119,23 @@ class SymbolicPowerMatrix:
                      for i in range(self.n) for j in range(self.n)
                      if self.coeff[i, j] != 0)
 
+    @cached_property
+    def midpoint_findings(self) -> tuple[Finding, ...]:
+        """One finding per normalized exponent off its midpoint, located at
+        prefix + (i, j) (see _located); built once per weight."""
+        found = []
+        for where, exps in _located(normalized_exponents(self)):
+            for i, row in enumerate(exps):
+                for j, e in enumerate(row):
+                    want = (exps[i][i] + exps[j][j]) / 2
+                    if e != want:
+                        at = where + (i, j)
+                        found.append(Finding(
+                            kind="midpoint-violated", where=at,
+                            detail=(f"exponent {format_rational(e)} at {at}"
+                                    f" differs from midpoint {format_rational(want)}")))
+        return tuple(found)
+
     def scaled(self, factor: float) -> "SymbolicPowerMatrix":
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError("scale factor must be positive and finite")
@@ -193,23 +210,6 @@ def _located(mats) -> list[tuple[tuple, ExponentMatrix]]:
     return [((c,) if len(mats) > 1 else (), m) for c, m in enumerate(mats)]
 
 
-def _midpoint_findings(w: SymbolicPowerMatrix) -> list[Finding]:
-    """One finding per normalized exponent off its midpoint, located at
-    prefix + (i, j)."""
-    found = []
-    for where, exps in _located(normalized_exponents(w)):
-        for i, row in enumerate(exps):
-            for j, e in enumerate(row):
-                want = (exps[i][i] + exps[j][j]) / 2
-                if e != want:
-                    at = where + (i, j)
-                    found.append(Finding(
-                        kind="midpoint-violated", where=at,
-                        detail=(f"exponent {format_rational(e)} at {at}"
-                                f" differs from midpoint {format_rational(want)}")))
-    return found
-
-
 def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
     """First x in +/- logspace(1e-8, 1e8, 65) where W(x) fails positivity."""
     mags = np.logspace(-8.0, 8.0, 65)
@@ -236,7 +236,7 @@ def check_positive_definite_ae(w: SymbolicPowerMatrix) -> A2Report:
         findings.append(Finding(
             kind="coefficient-not-self-adjoint", where=(),
             detail="coefficient matrix is not self-adjoint within tolerance"))
-    findings.extend(_midpoint_findings(w))
+    findings.extend(w.midpoint_findings)
 
     pd = None
     if not any(f.kind == "coefficient-not-self-adjoint" for f in findings):
@@ -296,7 +296,7 @@ def check_a2(w: SymbolicPowerMatrix) -> A2Report:
 
 
 def _require_midpoint(w: SymbolicPowerMatrix) -> None:
-    bad = _midpoint_findings(w)
+    bad = w.midpoint_findings
     if bad:
         raise MidpointConditionError("; ".join(f.detail for f in bad))
 

@@ -37,6 +37,7 @@ __all__ = [
     "as_pointwise",
     "inverse_weight",
     "inverse_pointwise",
+    "pair_pointwise",
     "check_local_integrability",
     "check_necessary_a2",
     "decide_rotation_a2",
@@ -135,19 +136,30 @@ def evaluate_type2(w: Type2Weight, x: float) -> np.ndarray:
     return u @ diag @ u.conj().T
 
 
-def as_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
-    """W as a matrix function: one unitary_stack call per node set."""
-    alphas = np.array(w.alphas)
-    gammas = np.array([float(g) for g in w.gammas])
+def _pointwise(*weights: Type2Weight) -> PointwiseMatrixFunction:
+    """Weights that share a unitary family and an order as one stack of
+    matrix functions: one unitary_stack call, one power and one einsum per
+    node set. Each matrix's power model at 0 lists all its exponents."""
+    w0 = weights[0]
+    alphas = np.array([w.alphas for w in weights])[:, :, None]
+    gammas = np.array([[float(g) for g in w.gammas] for w in weights])[:, :, None]
 
     def values(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        u = unitary_stack(w.unitary, w.n, xs)
-        scaled = alphas[:, None] * np.abs(xs)[None, :] ** gammas[:, None]
-        return np.einsum("ikN,kN,jkN->ijN", u, scaled, u.conj())
+        u = unitary_stack(w0.unitary, w0.n, xs)
+        scaled = alphas * np.abs(xs) ** gammas
+        out = np.einsum("ikN,mkN,jkN->mijN", u, scaled, u.conj())
+        return out[0] if len(weights) == 1 else out
 
-    return PointwiseMatrixFunction(n=w.n, values=values,
-                                   singular_exponent=min(w.gammas))
+    exponents = tuple(w.gammas for w in weights)
+    return PointwiseMatrixFunction(
+        n=w0.n, values=values, exponents=exponents,
+        singular_exponent=min(min(es) for es in exponents))
+
+
+def as_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
+    """W as a matrix function: one unitary_stack call per node set."""
+    return _pointwise(w)
 
 
 def inverse_weight(w: Type2Weight) -> Type2Weight:
@@ -159,6 +171,12 @@ def inverse_weight(w: Type2Weight) -> Type2Weight:
 
 def inverse_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
     return as_pointwise(inverse_weight(w))
+
+
+def pair_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
+    """W and W^-1 as one stack of two: both averages from one panel tree,
+    with one unitary_stack call per node set."""
+    return _pointwise(w, inverse_weight(w))
 
 
 def _alpha_findings(w: Type2Weight) -> list[Finding]:
@@ -290,7 +308,12 @@ def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
     if not ns or any(n <= 0 for n in ns) or any(
             b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be positive and strictly increasing")
-    probe = as_pointwise(Type2Weight((1.0, 1.0), (g1, g2), "rotation2d")).entry(0, 0)
+    p1, p2 = float(g1), float(g2)
+
+    def probe(xs):
+        u = unitary_stack("rotation2d", 2, xs)  # c = u[0, 0], s = -u[0, 1]
+        ax = np.abs(xs)
+        return ax**p1 * u[0, 0]**2 + ax**p2 * u[0, 1]**2
 
     def one_row(n: int) -> DivergenceRow:
         a = 2.0 * math.pi * n

@@ -303,8 +303,7 @@ def _prop_equal_exponent_collapse(rng, trials):
         a, b = 2.0 * math.pi * n_idx, 2.0 * math.pi * n_idx + math.pi
         iv = Interval(a, b)
         tr = estimator.a2_functional_trace(
-            estimator.average_numeric(type2.as_pointwise(w), iv, 1e-9),
-            estimator.average_numeric(type2.inverse_pointwise(w), iv, 1e-9))
+            *estimator.average_numeric(type2.pair_pointwise(w), iv, 1e-9))
         gf = float(g)
         scalar = (adaptive_quad(lambda x: x ** gf, a, b, 1e-10).real
                   * adaptive_quad(lambda x: x ** (-gf), a, b, 1e-10).real

@@ -16,7 +16,9 @@ from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
-from a2w.type2 import Type2Weight, as_pointwise, inverse_pointwise
+from a2w import type2
+from a2w.type2 import (Type2Weight, as_pointwise, inverse_pointwise,
+                      pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
 
 TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
@@ -137,6 +139,81 @@ class TestMatrixRouteOracles:
         with pytest.raises(QuadratureBudgetError,
                            match=r"entry \(0, 1\) error sum .* tolerance"):
             average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10, panel_budget=5)
+
+
+class TestPairRoute:
+    """W and W^-1 from one panel tree: type2.pair_pointwise."""
+
+    @pytest.mark.parametrize("w", [
+        Type2Weight((2.0, 1.0), (Fraction(1, 2), Fraction(-1, 3)), "rotation2d"),
+        Type2Weight((1.0, 3.0, 0.5), (Fraction(1, 4), 0, Fraction(-1, 2)),
+                    "rotation3d_euler"),
+        Type2Weight((2.0, 0.5), (Fraction(1, 5), 0), "identity"),
+    ], ids=["rotation2d", "rotation3d", "identity"])
+    @pytest.mark.parametrize("iv", ORACLE_INTERVALS)
+    def test_pair_matches_the_one_matrix_routes(self, w, iv):
+        got = average_numeric(pair_pointwise(w), iv, tol=1e-10)
+        assert got.shape == (2, w.n, w.n)
+        _assert_matrix_close(got[0], average_numeric(as_pointwise(w), iv, tol=1e-12))
+        _assert_matrix_close(got[1], average_numeric(inverse_pointwise(w), iv,
+                                                     tol=1e-12))
+
+    def test_one_matrix_power_model_covers_every_exponent(self):
+        # |x|^(1/5) beside |x|^0: the origin panel's error must come from the
+        # worst exponent, not from min(gammas) = 0, where Gauss is exact.
+        w = Type2Weight((1.0, 1.0), ("1/5", "0"), "identity")
+        got = average_numeric(as_pointwise(w), Interval(0.0, 1.0), 1e-6)[0, 0]
+        assert got.real == pytest.approx(1.0 / 1.2, rel=2e-6)
+
+    def test_off_diagonals_anchor_to_their_own_matrix(self):
+        # A huge first matrix must not loosen the second one's off-diagonal.
+        def values(xs):
+            out = np.zeros((2, 2, 2, xs.size))
+            out[0, 0, 0] = out[0, 1, 1] = 1e8
+            out[1, 0, 0] = out[1, 1, 1] = 1.0
+            out[1, 0, 1] = out[1, 1, 0] = np.cos(7.0 * xs)
+            return out
+
+        pmf = PointwiseMatrixFunction(n=2, values=values, exponents=((0,), (0,)))
+        got = average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10)
+        want = (math.sin(35.0) - math.sin(7.0)) / 7.0 / 4.0
+        assert got[1, 0, 1].real == pytest.approx(want, rel=1e-8)
+        assert got[0, 0, 0].real == pytest.approx(1e8, rel=1e-12)
+
+    def test_budget_failure_names_the_matrix(self):
+        def values(xs):
+            out = np.zeros((2, 2, 2, xs.size))
+            out[:, 0, 0], out[:, 1, 1] = 1.0, 2.0
+            out[1, 0, 1] = out[1, 1, 0] = np.cos(40.0 * xs)
+            return out
+
+        pmf = PointwiseMatrixFunction(n=2, values=values, exponents=((0,), (0,)))
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"matrix 1 entry \(0, 1\) error sum"):
+            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10, panel_budget=5)
+
+    @pytest.mark.parametrize("w", [
+        Type2Weight((3.0, 9.0), (Fraction(1, 4),) * 2, "rotation2d"),
+        Type2Weight((3.0,) * 3, (Fraction(-1, 4),) * 3, "rotation3d_euler"),
+        Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity"),
+    ], ids=["rotation2d", "rotation3d", "identity"])
+    @pytest.mark.parametrize("center, halflength", [(0.0, 1.0), (2.0, 2.0), (10.0, 1.0)],
+                             ids=["symmetric", "anchored", "origin-free"])
+    def test_one_evaluation_evaluates_each_node_set_once(self, monkeypatch, w,
+                                                        center, halflength):
+        seen = []
+        stack = type2.unitary_stack
+
+        def spy(family, n, xs):
+            seen.append(np.asarray(xs).tobytes())
+            return stack(family, n, xs)
+
+        monkeypatch.setattr(type2, "unitary_stack", spy)
+        config = SupSearchConfig(centers=(center,), halflengths=(halflength,),
+                                 refine_rounds=0)
+        assert estimate_a2(w, "trace", config).evaluations == 1
+        assert seen
+        assert len(set(seen)) == len(seen)
 
 
 class TestFunctionals:

@@ -9,6 +9,7 @@ they replace.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,10 @@ from a2w.estimator import (a2_functional_norm, a2_functional_trace,
                            search_config)
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
                           estimate_a2_cubes)
-from a2w.search import (Interval, coarse_interval_config,
+from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
                         default_interval_config, run_interval_search)
 from a2w.type1 import build_type1, symbolic_inverse
-from a2w.type2 import Type2Weight, as_pointwise, inverse_pointwise
+from a2w.type2 import Type2Weight, pair_pointwise
 
 HALF = Fraction(1, 2)
 FUNCTIONALS = (a2_functional_trace, a2_functional_norm)
@@ -37,9 +38,8 @@ IDENTITY = Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity")
 def averages(weight):
     """region -> (<W>, <W^-1>), by the route the searches use."""
     if isinstance(weight, Type2Weight):
-        fwd, bwd = as_pointwise(weight), inverse_pointwise(weight)
-        return lambda iv: (average_numeric(fwd, iv, 1e-6),
-                           average_numeric(bwd, iv, 1e-6))
+        pair = pair_pointwise(weight)
+        return lambda iv: tuple(average_numeric(pair, iv, 1e-6))
     average = average_symbolic if weight.separable else average_type1b
     inverse = symbolic_inverse(weight)
     return lambda region: (average(weight, region), average(inverse, region))
@@ -113,6 +113,30 @@ def test_smallest_halflength_row_holds_every_shape(grid):
     row = (min(config.halflengths),)
     assert shapes(config.centers, row) == shapes(config.centers,
                                                  config.halflengths)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_builtin_grids_keep_their_smallest_halflength_row(grid):
+    # the candidate list, in order, of the row that already holds every shape
+    config = grid()
+    for weight in (W2, IDENTITY):
+        assert search_config(weight, config) == replace(
+            config, halflengths=(min(config.halflengths),))
+
+
+def test_every_shape_moves_to_the_smallest_halflength():
+    # [0, 6] is anchored, a shape the h = 1 row lacks: it runs as [0, 2]
+    config = SupSearchConfig(centers=(0.0, 3.0), halflengths=(1.0, 3.0),
+                             refine_rounds=0)
+    pair = averages(W2)
+    full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
+                               config, "trace")
+    reduced = estimate_a2(W2, "trace", config)
+    assert full.argmax == Interval(0.0, 6.0)
+    assert reduced.argmax == Interval(0.0, 2.0)
+    assert reduced.estimate == pytest.approx(full.estimate, rel=1e-12, abs=0.0)
+    assert reduced.evaluations == 3
+    assert search_config(W2, search_config(W2, config)) == search_config(W2, config)
 
 
 @pytest.mark.parametrize("weight", [

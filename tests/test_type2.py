@@ -195,10 +195,6 @@ class TestProfilesAndInverse:
         with pytest.raises(ValueError, match="positive"):
             inverse_weight(w)
 
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "type2.as_pointwise declares singular_exponent=min(gammas) = 0, so the "
-        "quadrature models the origin panel of |x|^(1/5) as exact"))
     def test_identity_exponent_zero_stays_under_closed_form_bound(self):
         w = Type2Weight((1.0, 1.0), ("1/5", "0"), "identity")
         bound = 1.0 / (1.0 - 1.0 / 25.0) + 1.0
