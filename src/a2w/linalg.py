@@ -237,7 +237,12 @@ def sym_eigen(m):
     (eigenvalues ascending, unitary matrix of column eigenvectors). The
     input must be self-adjoint within as_hermitian's default tolerance.
     """
-    h = as_hermitian(m).tolist()
+    return _jacobi(as_hermitian(m))
+
+
+def _jacobi(a: np.ndarray):
+    """sym_eigen on a finite, exactly self-adjoint matrix, not re-validated."""
+    h = a.tolist()
     n = len(h)
     max_sweeps = 50
     scale = max(abs(x) for row in h for x in row)
@@ -293,7 +298,7 @@ def operator_norm(m) -> float:
     """Largest singular value, computed from the top eigenvalue of M* M."""
     a = as_square(m)
     gram = a.conj().T @ a
-    vals, _ = sym_eigen((gram + gram.conj().T) / 2.0)
+    vals, _ = _jacobi(as_square((gram + gram.conj().T) / 2.0))
     top = float(vals[-1])
     return math.sqrt(top) if top > 0.0 else 0.0
 
@@ -323,7 +328,7 @@ def is_positive_definite(m) -> PosDefResult:
     minors = []
     for k in range(1, n + 1):
         minors.append(lu_det(h[:k, :k]).real)
-    vals, _ = sym_eigen(h)
+    vals, _ = _jacobi(h)
     lam_min = float(vals[0])
     minor_margins = [mk / scale**k for k, mk in enumerate(minors, start=1)]
     margin = 1e-10

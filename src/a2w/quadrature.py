@@ -1,8 +1,10 @@
 """Adaptive 1D quadrature for power-times-smooth integrands.
 
-Panels are Gauss-Legendre order 10; refinement is worst-first bisection
-driven by a split-comparison error estimate. Intervals straddling 0 are
-split there first. A panel touching 0 with a certified power behavior is
+Panels are Gauss-Legendre order 10; refinement bisects in rounds, driven
+by a split-comparison error estimate: each round takes the worst panels,
+as many as the error sums say must be split, and evaluates all their
+children in one call of the integrand. Intervals straddling 0 are split
+there first. A panel touching 0 with a certified power behavior is
 handled by a power-law model: for f ~ C x^s the Gauss value misses the
 panel mass by a computable factor, and for a sum of such terms by at most
 the worst factor over their exponents. That gives both a correction-free
@@ -112,14 +114,14 @@ def _seed_cuts(a: float, b: float, grading: int) -> list[float]:
     return cuts
 
 
-def _gl_panels(f, cuts) -> np.ndarray:
-    """Gauss values of f on the panels between consecutive cuts, one call of f.
+def _gl_panels(f, panels) -> np.ndarray:
+    """Gauss values of f on the (lo, hi) panels, one call of f.
 
     f maps the concatenated nodes to m rows of values, shaped (m, nodes),
-    or (nodes,) for one row; the result is shaped (m, len(cuts) - 1).
+    or (nodes,) for one row; the result is shaped (m, len(panels)).
     """
     mh = np.array([((lo + hi) / 2.0, (hi - lo) / 2.0)
-                   for lo, hi in zip(cuts, cuts[1:])])  # (mid, half) per panel
+                   for lo, hi in panels])  # (mid, half) per panel
     halves = mh[:, 1]
     vals = np.asarray(f((mh[:, 1:] * _NODES + mh[:, :1]).ravel()))
     return (vals.reshape(-1, halves.size, _NODES.size) @ _WEIGHTS) * halves
@@ -156,21 +158,26 @@ def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
     between cuts are evaluated in one call, and tolerance maps their row
     masses (sums of |Gauss values|) and row sums to one absolute
     tolerance per row.
-    Each panel keeps one error per row; the panel split next is the one
-    with the largest ratio of row error to row tolerance, and refinement
-    stops only when every row's summed error is within its tolerance. A
-    split evaluates both children in one call and gives each the
-    split-compare error. When gaps is not None, a panel with an endpoint
-    at 0 takes row k's error from the power model instead: gaps[k] bounds
-    the relative Gauss error of that row's terms there (for a pure power
+    Each panel keeps one error per row and is keyed by its largest ratio
+    of row error to row tolerance; refinement stops only when every row's
+    summed error is within its tolerance. It splits in rounds: a round
+    pops, worst first, every panel not yet estimated, then known panels
+    for as long as some row's summed error, less the errors already
+    popped, still exceeds its tolerance, and bisects them all with one
+    call of f for every child. Each child pair gets its split-compare
+    error. When gaps is not None, a panel with an endpoint at 0 takes
+    row k's error from the power model instead: gaps[k] bounds the
+    relative Gauss error of that row's terms there (for a pure power
     |x|^s the Gauss value is off by exactly the deficit ratio, for any
-    s > -1; fractional positive powers are continuous but still non-smooth
-    at 0). Other panels count as unknown until their first comparison, so
-    the loop cannot declare convergence while any remain. where(k) names
-    row k in a budget error, and in the error for Gauss values that
-    overflow.
+    s > -1; fractional positive powers are continuous but still
+    non-smooth at 0). Other panels count as unknown until their first
+    comparison, so the loop cannot declare convergence while any remain.
+    Every split counts two panels against panel_budget, so the count
+    never passes panel_budget + 1. where(k) names row k in a budget
+    error, and in the error for Gauss values that overflow, which names
+    the first such panel in pop order.
     """
-    seed_vals = _gl_panels(f, cuts)
+    seed_vals = _gl_panels(f, zip(cuts, cuts[1:]))
     seed_sums = np.sum(seed_vals, axis=1)
     _require_finite(seed_sums.tolist(), cuts[0], cuts[-1], where)
     tols = tolerance(np.sum(np.abs(seed_vals), axis=1), seed_sums)
@@ -207,20 +214,27 @@ def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
             raise QuadratureBudgetError(
                 f"panel budget {panel_budget} exhausted: {where(worst)}error sum "
                 f"{err_sum[worst]:.3g} exceeds its tolerance {tols[worst]:.3g}{pending}")
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        if err is None:
-            unknown -= 1
-        else:
-            err_sum = list(map(sub, err_sum, err))
-        mid = (lo + hi) / 2.0
-        used += 2
-        lv, rv = _gl_panels(f, (lo, mid, hi)).T.tolist()
-        sums = list(map(add, lv, rv))
-        _require_finite(sums, lo, hi, where)
-        split_err = [abs(t - v) / 2.0 + 1e-300 for t, v in zip(sums, val)]
-        key = max(map(truediv, split_err, tols))
-        push(lo, mid, lv, split_err, key)
-        push(mid, hi, rv, split_err, key)
+        popped = []
+        while heap and used < panel_budget:
+            err = heap[0][5]
+            if err is None:
+                unknown -= 1
+            elif popped and not any(map(gt, err_sum, tols)):
+                break  # the worst panel always goes: the loop test says work remains
+            else:
+                err_sum = list(map(sub, err_sum, err))
+            _, _, lo, hi, val, _ = heapq.heappop(heap)
+            popped.append((lo, (lo + hi) / 2.0, hi, val))
+            used += 2
+        vals = _gl_panels(f, [p for lo, mid, hi, _ in popped
+                              for p in ((lo, mid), (mid, hi))]).T.tolist()
+        for (lo, mid, hi, val), lv, rv in zip(popped, vals[::2], vals[1::2]):
+            sums = list(map(add, lv, rv))
+            _require_finite(sums, lo, hi, where)
+            split_err = [abs(t - v) / 2.0 + 1e-300 for t, v in zip(sums, val)]
+            key = max(map(truediv, split_err, tols))
+            push(lo, mid, lv, split_err, key)
+            push(mid, hi, rv, split_err, key)
     return np.sum([item[4] for item in heap], axis=0)
 
 

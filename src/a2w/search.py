@@ -155,10 +155,12 @@ def _maximize(candidates, evaluate, refine, tie_key,
 
     Every candidate region is evaluated in order; refine(scored, incumbent)
     may then evaluate more regions through scored, and incumbent() returns
-    (index, region) of the current maximum, earliest first. Values within
-    1e-12 relative of the maximum tie; ties go to the smallest tie_key,
-    then to the earliest evaluation. An exception raised while evaluating
-    a region carries that region as its ``region`` attribute.
+    the region of the current maximum. Values within 1e-12 relative
+    of the maximum tie; ties go to the smallest tie_key, then to the
+    earliest evaluation. The incumbent and the final argmax follow this
+    one rule, so a last-ulp difference between tied values cannot steer
+    refinement. An exception raised while evaluating a region carries
+    that region as its ``region`` attribute.
     """
     if not candidates:
         raise SearchError("candidate family is empty")
@@ -175,19 +177,17 @@ def _maximize(candidates, evaluate, refine, tie_key,
         record.append((val, len(record), region))
         return val
 
-    def incumbent():
-        _, idx, region = max(record, key=lambda t: (t[0], -t[1]))
-        return idx, region
+    def best():
+        top = max(v for v, _, _ in record)
+        floor = top * (1.0 - _TIE_RTOL) if top > 0 else top
+        return min((t for t in record if t[0] >= floor),
+                   key=lambda t: (tie_key(t[2]), t[1]))
 
     for region in candidates:
         scored(region)
-    refine(scored, incumbent)
+    refine(scored, lambda: best()[2])
 
-    best_val = max(v for v, _, _ in record)
-    floor = best_val * (1.0 - _TIE_RTOL) if best_val > 0 else best_val
-    tied = [t for t in record if t[0] >= floor]
-    tied.sort(key=lambda t: (tie_key(t[2]), t[1]))
-    val, _, argmax = tied[0]
+    val, _, argmax = best()
     return SupSearchResult(estimate=val, argmax=argmax,
                            evaluations=len(record), functional=functional)
 
@@ -215,7 +215,7 @@ def run_interval_search(evaluate, config: SupSearchConfig,
     def refine(scored, incumbent) -> None:
         if rounds == 0:
             return
-        _, best_iv = incumbent()
+        best_iv = incumbent()
         span = math.log(4.0)
         if best_iv.a == 0.0 or best_iv.b == 0.0:
             sign = 1.0 if best_iv.b > 0.0 else -1.0
@@ -247,7 +247,7 @@ def run_interval_search(evaluate, config: SupSearchConfig,
                         math.log(h0) - span,
                         min(math.log(h0) + span, math.log(abs(c0))),
                         rounds)
-            _, best_iv = incumbent()
+            best_iv = incumbent()
             if not best_iv.contains_zero():
                 c1 = (best_iv.a + best_iv.b) / 2.0
                 h1 = best_iv.halflength

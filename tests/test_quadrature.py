@@ -1,5 +1,6 @@
 """Adaptive quadrature: power-law model at 0, graded endpoints, budgets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,17 @@ import scipy.integrate
 
 from a2w.quadrature import (PointwiseMatrixFunction, QuadratureBudgetError,
                             adaptive_quad, matrix_quad)
+from a2w.type2 import Type2Weight, pair_pointwise
+
+
+def spied(f):
+    """f and the list of node counts of its calls, one entry per call."""
+    seen = []
+
+    def g(xs):
+        seen.append(np.size(xs))
+        return f(xs)
+    return g, seen
 
 
 class TestPurePowers:
@@ -130,6 +142,51 @@ class TestBudgetAndValidation:
         with pytest.raises(ValueError):
             adaptive_quad(np.cos, 2.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("budget,panels", [(40, 41), (41, 41)])
+    def test_rounds_stop_at_the_budget(self, budget, panels):
+        # one seed panel and two more per split: the count reaches the
+        # budget, or budget + 1 for an even budget, and never passes it
+        f, seen = spied(lambda x: 2.0 + np.sin(1e4 * x))
+        with pytest.raises(QuadratureBudgetError, match=f"panel budget {budget} "):
+            adaptive_quad(f, 1.0, 2.0, 1e-12, panel_budget=budget)
+        assert sum(seen) == 10 * panels
+
+    def test_budget_error_names_pending_panels(self):
+        # 10 seed panels, all unknown: the first round stops at the budget
+        # after three splits and leaves seven of them not yet estimated
+        f, seen = spied(np.cos)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"panel budget 15 exhausted: error sum .*; "
+                                 r"7 panel\(s\) not yet estimated"):
+            adaptive_quad(f, 1.0, 2.0, 1e-8, panel_budget=15, endpoint_grading=5)
+        assert seen == [100, 60]
+
+    def test_budget_error_names_the_worst_row(self):
+        # entry (0, 0) is constant and converges; entry (1, 1) oscillates
+        # far too fast for 9 panels
+        def values(xs):
+            return np.stack([[np.ones_like(xs), 0 * xs],
+                             [0 * xs, 2.0 + np.sin(1e4 * xs)]])
+
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"panel budget 9 exhausted: entry \(1, 1\) error sum"):
+            matrix_quad(PointwiseMatrixFunction(2, values), 1.0, 2.0, 1e-12,
+                        panel_budget=9)
+
+    def test_non_finite_values_mid_round_name_the_first_panel(self):
+        # the four seed panels of [1, 2] are split in one round; the
+        # children of the second and the fourth are not finite, and the
+        # error names the second, the first in pop order
+        def bad(xs):
+            hit = ((1.25 < xs) & (xs < 1.5)) | (1.75 < xs)
+            return np.where(hit & (len(seen) > 1), np.inf, 1.0)
+
+        f, seen = spied(bad)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"Gauss values on \[1.25, 1.5\] are not finite"):
+            adaptive_quad(f, 1.0, 2.0, 1e-8, endpoint_grading=2)
+        assert seen == [40, 80]
+
     def test_determinism(self):
         f = lambda x: np.abs(x) ** -0.4 * (1.0 + np.sin(x) ** 2)
         a = adaptive_quad(f, 0.0, 3.0, 1e-10, singular_exponent=-0.4)
@@ -171,3 +228,16 @@ class TestPointwiseMatrixFunction:
         top = adaptive_quad(pmf.entry(0, 0), 0.0, 1.0, 1e-10,
                             singular_exponent=0.5)
         assert top.real == pytest.approx(2.0 / 3.0, rel=1e-8)
+
+
+class TestRoundCounts:
+    """Counters, not clocks: the trees below make 532 and 74 splits, and
+    a round of splits per integrand call keeps them on few calls."""
+
+    @pytest.mark.parametrize("a,b,nodes", [(0.0, 2000.0, 10650), (-1.0, 1.0, 1500)])
+    def test_rotation_pair_tree(self, a, b, nodes):
+        pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
+        values, seen = spied(pmf.values)
+        matrix_quad(dataclasses.replace(pmf, values=values), a, b, 1e-6)
+        assert sum(seen) == nodes
+        assert len(seen) <= 40

@@ -118,6 +118,28 @@ class TestRunIntervalSearch:
         res = run_interval_search(lambda iv: 5.0, cfg, functional="probe")
         assert res.argmax.near_endpoint_distance() == 0.0
 
+    def test_ulp_noise_on_ties_does_not_steer_refinement(self):
+        # a functional of the length alone ties [-1, 1], [0, 2] and [1, 3];
+        # nudging the symmetric value by one ulp either way must leave the
+        # incumbent, and so every refined interval, unchanged
+        cfg = SupSearchConfig(centers=(0.0, 1.0, 2.0), halflengths=(1.0, 2.0),
+                              refine_rounds=6)
+
+        def refined(direction):
+            seen = []
+
+            def f(iv):
+                seen.append(iv)
+                val = 1.0 / (1.0 + (math.log(iv.length) - 1.0) ** 2)
+                return math.nextafter(val, direction) if iv.a == -iv.b else val
+
+            run_interval_search(f, cfg, functional="probe")
+            return seen
+
+        up, down = refined(math.inf), refined(-math.inf)
+        assert up == down
+        assert all(iv.a == 0.0 for iv in up[5:])  # anchored refinement
+
     def test_nonfinite_objective_raises(self):
         cfg = SupSearchConfig(centers=(1.0,), halflengths=(0.5,), refine_rounds=0)
         with pytest.raises(SearchError):

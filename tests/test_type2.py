@@ -383,6 +383,20 @@ class TestDivergenceExperiment:
         slope = fit_loglog_slope(rows)
         assert 0.40 < slope < 0.60
 
+    def test_probe_calls_are_rounds_not_splits(self, monkeypatch):
+        # Counters, not clocks: 26 seed calls and 1,248 splits, and a round
+        # of splits per probe call keeps them on few calls.
+        seen = []
+
+        def spy(family, n, xs):
+            seen.append(np.size(xs))
+            return unitary_stack(family, n, xs)
+
+        monkeypatch.setattr("a2w.type2.unitary_stack", spy)
+        divergence_experiment("-1/2", "0", logspaced_ints(100, 100000, 13))
+        assert sum(seen) == 37440
+        assert len(seen) <= 60
+
 
 class TestFitSlope:
     def test_exact_power_law(self):
