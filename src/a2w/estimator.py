@@ -15,12 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, type1, type2
-from .quadrature import PointwiseMatrixFunction, matrix_quad
+from .quadrature import (PointwiseMatrixFunction, QuadratureBudgetError,
+                         matrix_quad, matrix_quads)
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
-                     run_interval_search)
+                     interval_grid, run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
 
@@ -145,16 +146,35 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
     return evaluate
 
 
-def _type2_eval_fn(w: Type2Weight, functional: str, tol: float):
+def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
+    """The functional of (<W>, <W^-1>) per interval. The first call, the
+    first interval of the grid scan, integrates every grid interval as one
+    forest of panel trees (quadrature.matrix_quads), so that work counts
+    as scan time; grid intervals take their pair from it, and a grid
+    tree's budget error is raised when the search reaches its interval.
+    Any other interval gets its own tree (average_numeric).
+    """
     decision = type2.decide_a2(w)
     if decision.verdict != VERDICT_A2:
         raise NotA2Error(
             f"type 2 estimation precondition failed: {decision.verdict}")
     pair = type2.pair_pointwise(w)
     func = _FUNCTIONALS[functional]
+    tol = config.quadrature_tol
+    grid_integrals: dict | None = None
 
     def evaluate(iv: Interval) -> float:
-        return func(*average_numeric(pair, iv, tol))
+        nonlocal grid_integrals
+        if grid_integrals is None:
+            grid = interval_grid(config)
+            grid_integrals = dict(zip(grid, matrix_quads(
+                pair, [(v.a, v.b) for v in grid], tol)))
+        integral = grid_integrals.get(iv)
+        if integral is None:
+            return func(*average_numeric(pair, iv, tol))
+        if isinstance(integral, QuadratureBudgetError):
+            raise integral
+        return func(*(integral / iv.length))
 
     return evaluate
 
@@ -215,7 +235,7 @@ def estimate_a2(weight, functional: str = "trace",
     if isinstance(weight, SymbolicPowerMatrix):
         fn = _symbolic_eval_fn(weight, functional)
     elif isinstance(weight, Type2Weight):
-        fn = _type2_eval_fn(weight, functional, cfg.quadrature_tol)
+        fn = _type2_eval_fn(weight, functional, cfg)
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     return run_interval_search(fn, cfg, functional=functional)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import search, type1
 from .estimator import a2_functional_norm, a2_functional_trace, average_symbolic
-from .quadrature import QuadratureBudgetError, _refine
+from .quadrature import QuadratureBudgetError, _grow, _refine
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize
@@ -239,9 +239,9 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6) -> float:
         return np.full(len(rows), target / (2 * len(rows)))
 
     box = f"box {lo}..{hi}"
-    value = float(np.sum(_refine(values, (0.0, 1.0), tolerance, None,
-                                 _PANEL_BUDGET,
-                                 lambda k: f"{box}, angular piece {k}: ")))
+    tree = _refine((0.0, 1.0), tolerance, None, _PANEL_BUDGET,
+                   lambda k: f"{box}, angular piece {k}: ")
+    value = float(np.sum(_grow(values, tree)))
     if not target <= 2 * tol * abs(value):
         raise QuadratureBudgetError(
             f"{box}: rounding in the face terms allows "

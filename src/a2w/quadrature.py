@@ -3,22 +3,26 @@
 Panels are Gauss-Legendre order 10; refinement bisects in rounds, driven
 by a split-comparison error estimate: each round takes the worst panels,
 as many as the error sums say must be split, and evaluates all their
-children in one call of the integrand. Intervals straddling 0 are split
-there first. A panel touching 0 with a certified power behavior is
-handled by a power-law model: for f ~ C x^s the Gauss value misses the
-panel mass by a computable factor, and for a sum of such terms by at most
-the worst factor over their exponents. That gives both a correction-free
-error bound and a geometric tail argument, so grading toward 0 terminates
+children together. Intervals straddling 0 are split there first. A panel
+touching 0 with a certified power behavior is handled by a power-law
+model: for f ~ C x^s the Gauss value misses the panel mass by a
+computable factor, and for a sum of such terms by at most the worst
+factor over their exponents. That gives both a correction-free error
+bound and a geometric tail argument, so grading toward 0 terminates
 without ever sampling the singularity.
 
 One refinement loop serves scalar and matrix integrands: a panel tree over
 m rows, where each panel evaluates every row in one call and keeps one
 error, one tolerance and one power-model factor per row, and refinement
 runs until every row meets its own tolerance. The zero split and any
-endpoint grading are its seed cuts. adaptive_quad is the one-row front
-end; matrix_quad integrates the upper triangles of a stack of Hermitian
-matrix functions evaluated together (a weight and its inverse share one
-tree), one row per entry.
+endpoint grading are its seed cuts. A tree is a state machine (_refine)
+that asks for panels and is sent their Gauss values; _forest refines
+many trees over one integrand in lockstep, each round evaluating the
+requests of every live tree together, and a single integral is a forest
+of one. adaptive_quad is the one-row front end; matrix_quad integrates
+the upper triangles of a stack of Hermitian matrix functions evaluated
+together (a weight and its inverse share one tree), one row per entry,
+and matrix_quads does so over many intervals as one forest.
 """
 
 from __future__ import annotations
@@ -40,11 +44,14 @@ __all__ = [
     "PointwiseMatrixFunction",
     "adaptive_quad",
     "matrix_quad",
+    "matrix_quads",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
 _NODES01 = (_NODES + 1.0) / 2.0
 _WEIGHTS01 = _WEIGHTS / 2.0
+_PANEL_CAP = 512  # panels per call of the integrand, however many trees ask
+_LIVE_TREES = 16  # trees refined at once; more buy no time and hold more heaps
 
 
 class QuadratureBudgetError(ArithmeticError):
@@ -72,8 +79,16 @@ class PointwiseMatrixFunction:
     singular_exponent: Fraction | None = None
     exponents: tuple[tuple[Fraction, ...], ...] | None = None
 
+    @property
+    def m(self) -> int:
+        """The number of matrices values returns: len(exponents), else 1."""
+        return len(self.exponents) if self.exponents else 1
+
     def entry(self, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized x -> entry (i, j) of a single matrix, read off values."""
+        if self.m > 1:
+            raise ValueError(f"entry ({i}, {j}) is ambiguous in a stack of "
+                             f"{self.m} matrices")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range for order {self.n}")
 
@@ -114,17 +129,20 @@ def _seed_cuts(a: float, b: float, grading: int) -> list[float]:
     return cuts
 
 
-def _gl_panels(f, panels) -> np.ndarray:
-    """Gauss values of f on the (lo, hi) panels, one call of f.
+def _gl_panels(f, panels: np.ndarray) -> np.ndarray:
+    """Gauss values of f on panels, an array of (mid, half-width) rows, in
+    one call of f.
 
     f maps the concatenated nodes to m rows of values, shaped (m, nodes),
     or (nodes,) for one row; the result is shaped (m, len(panels)).
     """
-    mh = np.array([((lo + hi) / 2.0, (hi - lo) / 2.0)
-                   for lo, hi in panels])  # (mid, half) per panel
-    halves = mh[:, 1]
-    vals = np.asarray(f((mh[:, 1:] * _NODES + mh[:, :1]).ravel()))
-    return (vals.reshape(-1, halves.size, _NODES.size) @ _WEIGHTS) * halves
+    halves = panels[:, 1]
+    vals = np.asarray(f((panels[:, 1:] * _NODES + panels[:, :1]).ravel()))
+    # vecdot, not matmul: BLAS rounds a panel's sum by its position in the
+    # call, while vecdot sums each panel's nodes on their own, so a panel's
+    # value does not depend on which panels share the call (see _forest).
+    # The weights go first: vecdot conjugates its first argument.
+    return np.vecdot(_WEIGHTS, vals.reshape(-1, halves.size, _NODES.size)) * halves
 
 
 def _checked_exponent(a: float, b: float, singular_exponent) -> float | None:
@@ -147,24 +165,23 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
             f"{where(k)}Gauss values on [{lo!r}, {hi!r}] are not finite")
 
 
-# An integrand that overflows (|x|^g at subnormal x) yields non-finite Gauss
-# values, which _require_finite turns into QuadratureBudgetError; numpy's
-# overflow warning would only add a second report on stderr.
-@np.errstate(over="ignore")
-def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
-    """Sum over one adaptive panel tree of the m rows of f, shaped (m,).
+def _refine(cuts, tolerance, gaps, panel_budget: int, where):
+    """One adaptive panel tree over the m rows of an integrand, as a state
+    machine: a generator that yields the panels it needs as a flat list
+    mid0, half0, mid1, half1, ... of midpoints and half-widths, is sent
+    their Gauss values shaped (m, panels), and returns its row sums,
+    shaped (m,). _forest runs it.
 
-    f maps nodes to m rows of values (see _gl_panels). The seed panels
-    between cuts are evaluated in one call, and tolerance maps their row
-    masses (sums of |Gauss values|) and row sums to one absolute
+    The first request is the seed panels between cuts, and tolerance maps
+    their row masses (sums of |Gauss values|) and row sums to one absolute
     tolerance per row.
     Each panel keeps one error per row and is keyed by its largest ratio
     of row error to row tolerance; refinement stops only when every row's
     summed error is within its tolerance. It splits in rounds: a round
     pops, worst first, every panel not yet estimated, then known panels
     for as long as some row's summed error, less the errors already
-    popped, still exceeds its tolerance, and bisects them all with one
-    call of f for every child. Each child pair gets its split-compare
+    popped, still exceeds its tolerance, and requests every child of the
+    bisected panels at once. Each child pair gets its split-compare
     error. When gaps is not None, a panel with an endpoint at 0 takes
     row k's error from the power model instead: gaps[k] bounds the
     relative Gauss error of that row's terms there (for a pure power
@@ -177,10 +194,11 @@ def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
     error, and in the error for Gauss values that overflow, which names
     the first such panel in pop order.
     """
-    seed_vals = _gl_panels(f, zip(cuts, cuts[1:]))
-    seed_sums = np.sum(seed_vals, axis=1)
+    seed_vals = yield [x for lo, hi in zip(cuts, cuts[1:])
+                       for x in ((lo + hi) / 2.0, (hi - lo) / 2.0)]
+    seed_sums = np.add.reduce(seed_vals, axis=1)
     _require_finite(seed_sums.tolist(), cuts[0], cuts[-1], where)
-    tols = tolerance(np.sum(np.abs(seed_vals), axis=1), seed_sums)
+    tols = tolerance(np.add.reduce(np.abs(seed_vals), axis=1), seed_sums)
     tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
     tols = tols.tolist()
 
@@ -226,8 +244,9 @@ def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
             _, _, lo, hi, val, _ = heapq.heappop(heap)
             popped.append((lo, (lo + hi) / 2.0, hi, val))
             used += 2
-        vals = _gl_panels(f, [p for lo, mid, hi, _ in popped
-                              for p in ((lo, mid), (mid, hi))]).T.tolist()
+        vals = (yield [x for lo, mid, hi, _ in popped
+                       for x in ((lo + mid) / 2.0, (mid - lo) / 2.0,
+                                 (mid + hi) / 2.0, (hi - mid) / 2.0)]).T.tolist()
         for (lo, mid, hi, val), lv, rv in zip(popped, vals[::2], vals[1::2]):
             sums = list(map(add, lv, rv))
             _require_finite(sums, lo, hi, where)
@@ -235,7 +254,62 @@ def _refine(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
             key = max(map(truediv, split_err, tols))
             push(lo, mid, lv, split_err, key)
             push(mid, hi, rv, split_err, key)
-    return np.sum([item[4] for item in heap], axis=0)
+    return np.add.reduce(np.array([item[4] for item in heap]), axis=0)
+
+
+# An integrand that overflows (|x|^g at subnormal x) yields non-finite Gauss
+# values, which _require_finite turns into QuadratureBudgetError; numpy's
+# overflow warning would only add a second report on stderr.
+@np.errstate(over="ignore")
+def _forest(f, trees) -> list:
+    """Run the panel trees (_refine generators) over one integrand f in
+    lockstep; entry k of the result is tree k's row sums, or the
+    QuadratureBudgetError it raised.
+
+    Each round gathers the requests of every live tree and evaluates them
+    together, in calls of f of at most _PANEL_CAP panels, then sends each
+    tree its own columns. Gauss values do not depend on which panels share
+    a call, so every tree pops, splits and sums exactly as it would alone.
+    At most _LIVE_TREES trees are live at once; the next one starts when
+    one finishes, so memory stays that of a few heaps however many trees
+    there are.
+    """
+    trees = iter(trees)
+    results: list = []
+    live = []  # (result index, tree, requested panels)
+
+    def step(k, tree, vals):
+        try:
+            live.append((k, tree, tree.send(vals)))
+        except StopIteration as done:
+            results[k] = done.value
+        except QuadratureBudgetError as exc:
+            results[k] = exc
+
+    while True:
+        for tree in itertools.islice(trees, _LIVE_TREES - len(live)):
+            results.append(None)
+            step(len(results) - 1, tree, None)
+        if not live:
+            return results
+        panels = np.fromiter(itertools.chain.from_iterable(
+            request for _, _, request in live), float).reshape(-1, 2)
+        vals = [_gl_panels(f, panels[i:i + _PANEL_CAP])
+                for i in range(0, len(panels), _PANEL_CAP)]
+        vals = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
+        round_, live, start = live, [], 0
+        for k, tree, request in round_:
+            end = start + len(request) // 2
+            step(k, tree, vals[:, start:end])
+            start = end
+
+
+def _grow(f, tree) -> np.ndarray:
+    """A forest of one: the tree's row sums; an error it raised is raised."""
+    (total,) = _forest(f, (tree,))
+    if isinstance(total, QuadratureBudgetError):
+        raise total
+    return total
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
@@ -267,11 +341,58 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     """
     s = _checked_exponent(a, b, singular_exponent)
     floor = 1.0 if scale is None else abs(scale)
-    total = _refine(f, _seed_cuts(a, b, endpoint_grading),
-                    lambda mass, _: tol * (floor + mass),
-                    None if s is None else [_power_gap(s)], panel_budget,
-                    lambda k: "")
+    total = _grow(f, _refine(_seed_cuts(a, b, endpoint_grading),
+                             lambda mass, _: tol * (floor + mass),
+                             None if s is None else [_power_gap(s)], panel_budget,
+                             lambda k: ""))
     return complex(total[0])
+
+
+def matrix_quads(pmf: PointwiseMatrixFunction, intervals, tol: float,
+                 panel_budget: int = 20000) -> list:
+    """matrix_quad over each (a, b) of intervals, one panel tree each, all
+    refined together as one forest (see _forest): entry k is what
+    matrix_quad(pmf, a_k, b_k, tol, panel_budget) returns, bit for bit, or
+    the QuadratureBudgetError it would raise.
+    """
+    m, n = pmf.m, pmf.n
+    rows, cols = np.triu_indices(n)
+    diagonal = rows == cols
+
+    def values(xs):
+        return pmf.values(xs).reshape(m, n, n, -1)[:, rows, cols].reshape(m * rows.size, -1)
+
+    def tolerance(mass, _):
+        mass = mass.reshape(m, -1)
+        scale = np.max(mass[:, diagonal], axis=1, keepdims=True)
+        return (tol * np.where(diagonal, mass, scale + mass)).ravel()
+
+    def where(k):
+        q, k = divmod(k, rows.size)
+        return f"{f'matrix {q} ' if m > 1 else ''}entry ({rows[k]}, {cols[k]}) "
+
+    s, gaps = pmf.singular_exponent, None  # gaps: every tree at 0 shares them
+    if s is not None and s > -1:
+        worst = [max(map(_power_gap, es)) for es in pmf.exponents or ((s,),)]
+        gaps = np.repeat(worst, rows.size).tolist()
+
+    def tree(interval):
+        a, b = interval
+        at_zero = _checked_exponent(a, b, s) is not None
+        return _refine(_seed_cuts(a, b, 0), tolerance, gaps if at_zero else None,
+                       panel_budget, where)
+
+    def assemble(total):
+        if isinstance(total, QuadratureBudgetError):
+            return total
+        total = total.astype(complex).reshape(m, -1)
+        total[:, diagonal] = total[:, diagonal].real
+        out = np.zeros((m, n, n), dtype=complex)
+        out[:, rows, cols] = total
+        out[:, cols, rows] = total.conj()
+        return out[0] if m == 1 else out
+
+    return [assemble(total) for total in _forest(values, map(tree, intervals))]
 
 
 def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
@@ -287,31 +408,7 @@ def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
     at 0, each matrix's rows take the largest power-model gap over that
     matrix's exponents (pmf.exponents, else pmf.singular_exponent).
     """
-    s = _checked_exponent(a, b, pmf.singular_exponent)
-    m, n = len(pmf.exponents) if pmf.exponents else 1, pmf.n
-    rows, cols = np.triu_indices(n)
-    diagonal = rows == cols
-    gaps = None
-    if s is not None:
-        worst = [max(map(_power_gap, es)) for es in pmf.exponents or ((s,),)]
-        gaps = np.repeat(worst, rows.size).tolist()
-
-    def values(xs):
-        return pmf.values(xs).reshape(m, n, n, -1)[:, rows, cols].reshape(m * rows.size, -1)
-
-    def tolerance(mass, _):
-        mass = mass.reshape(m, -1)
-        scale = np.max(mass[:, diagonal], axis=1, keepdims=True)
-        return (tol * np.where(diagonal, mass, scale + mass)).ravel()
-
-    def where(k):
-        q, k = divmod(k, rows.size)
-        return f"{f'matrix {q} ' if m > 1 else ''}entry ({rows[k]}, {cols[k]}) "
-
-    total = _refine(values, _seed_cuts(a, b, 0), tolerance, gaps, panel_budget,
-                    where).astype(complex).reshape(m, -1)
-    total[:, diagonal] = total[:, diagonal].real
-    out = np.zeros((m, n, n), dtype=complex)
-    out[:, rows, cols] = total
-    out[:, cols, rows] = total.conj()
-    return out[0] if m == 1 else out
+    (out,) = matrix_quads(pmf, [(a, b)], tol, panel_budget)
+    if isinstance(out, QuadratureBudgetError):
+        raise out
+    return out

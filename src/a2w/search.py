@@ -28,6 +28,7 @@ __all__ = [
     "SearchError",
     "default_interval_config",
     "coarse_interval_config",
+    "interval_grid",
     "run_interval_search",
     "golden_max",
 ]
@@ -131,6 +132,18 @@ def _candidate(center: float, halflength: float) -> Interval | None:
     return Interval(center - halflength, center + halflength)
 
 
+def interval_grid(config: SupSearchConfig) -> list[Interval]:
+    """The family's intervals on config's grid, in scan order: centers
+    outer, half-lengths inner."""
+    grid = []
+    for c in config.centers:
+        for h in config.halflengths:
+            iv = _candidate(c, h)
+            if iv is not None:
+                grid.append(iv)
+    return grid
+
+
 def golden_max(f, lo: float, hi: float, rounds: int):
     """Golden-section maximization of f on [lo, hi] with a fixed round budget."""
     a, b = lo, hi
@@ -204,12 +217,6 @@ def run_interval_search(evaluate, config: SupSearchConfig,
     evaluation. The reported estimate is the functional value at the
     reported argmax, recomputable exactly.
     """
-    grid = []
-    for c in config.centers:
-        for h in config.halflengths:
-            iv = _candidate(c, h)
-            if iv is not None:
-                grid.append(iv)
     rounds = config.refine_rounds
 
     def refine(scored, incumbent) -> None:
@@ -261,6 +268,6 @@ def run_interval_search(evaluate, config: SupSearchConfig,
                             math.log(abs(c1)) + span,
                             rounds)
 
-    return _maximize(grid, evaluate, refine,
+    return _maximize(interval_grid(config), evaluate, refine,
                     lambda iv: iv.near_endpoint_distance() / iv.halflength,
                     functional)

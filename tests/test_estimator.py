@@ -1,5 +1,6 @@
 """Averages, A2 functionals, and the supremum estimator."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
-from a2w import type2
+from a2w import estimator, quadrature, type2
+from a2w.search import interval_grid
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_pointwise,
                       pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
@@ -214,6 +216,53 @@ class TestPairRoute:
         assert estimate_a2(w, "trace", config).evaluations == 1
         assert seen
         assert len(set(seen)) == len(seen)
+
+
+class TestGridForest:
+    """Type 2 grid averages come from one forest of panel trees."""
+
+    @pytest.mark.parametrize("w, nodes", [
+        (Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"), 114340),
+        (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 49940),
+    ], ids=["rotation2d", "rotation3d"])
+    def test_same_nodes_on_few_calls(self, monkeypatch, w, nodes):
+        # Counters, not clocks: the nodes of one tree per interval, which
+        # took 1,485 and 1,354 integrand calls one tree at a time.
+        seen = []
+        stack = type2.unitary_stack
+
+        def spy(family, n, xs):
+            seen.append(np.size(xs))
+            return stack(family, n, xs)
+
+        monkeypatch.setattr(type2, "unitary_stack", spy)
+        assert estimate_a2(w).evaluations == 205
+        assert sum(seen) == nodes
+        assert len(seen) <= 400
+
+    def test_budget_failure_surfaces_at_its_interval(self, monkeypatch):
+        # Under a 200-panel budget several grid trees fail. The search
+        # raises the first failure in grid order, with its interval as
+        # region: the error one tree per interval raises.
+        w = Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d")
+        pair, grid = pair_pointwise(w), interval_grid(coarse_interval_config())
+        for k, iv in enumerate(grid):
+            try:
+                average_numeric(pair, iv, 1e-6, panel_budget=200)
+            except QuadratureBudgetError as exc:
+                want = str(exc)
+                break
+        else:
+            pytest.fail("no grid tree fails under the budget")
+        assert k > 0
+        monkeypatch.setattr(estimator, "matrix_quads", functools.partial(
+            quadrature.matrix_quads, panel_budget=200))
+        monkeypatch.setattr(estimator, "average_numeric", functools.partial(
+            average_numeric, panel_budget=200))
+        with pytest.raises(QuadratureBudgetError) as got:
+            estimate_a2(w)
+        assert got.value.region == grid[k]
+        assert str(got.value) == want
 
 
 class TestFunctionals:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from a2w.quadrature import (PointwiseMatrixFunction, QuadratureBudgetError,
-                            adaptive_quad, matrix_quad)
+from a2w.quadrature import (_PANEL_CAP, PointwiseMatrixFunction,
+                            QuadratureBudgetError, adaptive_quad, matrix_quad,
+                            matrix_quads)
+from a2w.search import coarse_interval_config, interval_grid
 from a2w.type2 import Type2Weight, pair_pointwise
 
 
@@ -229,6 +231,14 @@ class TestPointwiseMatrixFunction:
                             singular_exponent=0.5)
         assert top.real == pytest.approx(2.0 / 3.0, rel=1e-8)
 
+    def test_entry_of_a_stack_is_rejected(self):
+        # values is shaped (m, n, n, N) for a stack, so [i, j] would pick
+        # row j of matrix i, not an entry
+        pmf = pair_pointwise(Type2Weight((1.0, 2.0), ("1/4", "-1/3"), "identity"))
+        assert pmf.m == 2
+        with pytest.raises(ValueError, match="stack of 2 matrices"):
+            pmf.entry(0, 0)
+
 
 class TestRoundCounts:
     """Counters, not clocks: the trees below make 532 and 74 splits, and
@@ -241,3 +251,46 @@ class TestRoundCounts:
         matrix_quad(dataclasses.replace(pmf, values=values), a, b, 1e-6)
         assert sum(seen) == nodes
         assert len(seen) <= 40
+
+
+GRID = [(iv.a, iv.b) for iv in interval_grid(coarse_interval_config())]
+
+
+class TestForest:
+    """matrix_quads: one panel tree per interval, all refined in lockstep."""
+
+    @pytest.mark.parametrize("w", [
+        Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"),
+        Type2Weight((3.0, 3.0, 3.0), ("-1/4",) * 3, "rotation3d_euler"),
+        Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity"),
+    ], ids=["rotation2d", "rotation3d", "identity"])
+    def test_forest_matches_one_tree_per_interval(self, w):
+        pmf = pair_pointwise(w)
+        got = matrix_quads(pmf, GRID, 1e-6)
+        assert len(got) == len(GRID) == 195
+        for (a, b), total in zip(GRID, got):
+            assert np.array_equal(total, matrix_quad(pmf, a, b, 1e-6))
+
+    def test_calls_stay_under_the_panel_cap(self):
+        pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
+        values, seen = spied(pmf.values)
+        matrix_quads(dataclasses.replace(pmf, values=values), GRID, 1e-6)
+        assert max(seen) == 10 * _PANEL_CAP
+        assert len(seen) <= 200
+
+    def test_a_failing_tree_leaves_the_others(self):
+        # under a budget of 200 panels some trees of the grid fail; each
+        # entry is what its own matrix_quad returns, or the error it raises
+        pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
+        got = matrix_quads(pmf, GRID, 1e-6, panel_budget=200)
+        failed = 0
+        for (a, b), total in zip(GRID, got):
+            if isinstance(total, QuadratureBudgetError):
+                failed += 1
+                with pytest.raises(QuadratureBudgetError) as alone:
+                    matrix_quad(pmf, a, b, 1e-6, panel_budget=200)
+                assert str(total) == str(alone.value)
+            else:
+                assert np.array_equal(total, matrix_quad(pmf, a, b, 1e-6,
+                                                         panel_budget=200))
+        assert 0 < failed < len(GRID)

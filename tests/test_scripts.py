@@ -1,6 +1,7 @@
 """Smoke tests: the gallery scripts and the benchmark tracer run against the
 current package API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +67,25 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.returncode == 0, proc.stderr
     quad_calls, stack_calls = (float(v) for v in proc.stdout.split()[-2:])
     assert quad_calls > 0 and stack_calls > 0
+
+
+def test_benchmark_tracer_counts_a_rotation_constant(tmp_path):
+    # The tracer binds estimator.average_numeric, estimator.run_interval_search,
+    # search.golden_max, type2.unitary_stack and quadrature.adaptive_quad by
+    # name; a traced constant run must still count every evaluation and node.
+    spec = tmp_path / "rotation.json"
+    spec.write_text(json.dumps({"kind": "type2", "alphas": [3.0, 9.0],
+                                "gammas": ["1/4", "1/4"], "unitary": "rotation2d"}))
+    code = "\n".join([
+        "import sys; sys.path[:0] = ['a2wbench', 'src']",
+        "from tracing import Tracer; from a2w import cli",
+        "tracer = Tracer(); tracer.install()",
+        f"rc = tracer.run_op(0, cli.main, ['constant', {str(spec)!r}, '--json'])",
+        "m = tracer.layer_metrics(1)",
+        "print(rc, m['search.evaluations'][0], m['type2.unitary_stack.nodes'][0])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, evaluations, nodes = proc.stdout.split()[-3:]
+    assert (int(rc), float(evaluations), float(nodes)) == (0, 205, 114340)
