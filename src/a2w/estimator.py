@@ -1,10 +1,11 @@
 """Interval averages and A2 functionals, plus the supremum estimator.
 
-Two averaging routes exist on purpose: closed forms for symbolic power
-matrices and adaptive quadrature for pointwise-defined weights. The two
-functionals are the trace form Tr(<W> <W^-1>) and the norm form
-||<W>^(1/2) <W^-1>^(1/2)||^2; the norm form is the A2 characteristic
-proper, the trace form sandwiches it within a factor of the dimension.
+Two averaging routes exist on purpose: closed forms for power matrices,
+identity Type 2 weights among them (type2.as_type1), and adaptive
+quadrature for the Type 2 rotations. The two functionals are the trace
+form Tr(<W> <W^-1>) and the norm form ||<W>^(1/2) <W^-1>^(1/2)||^2; the
+norm form is the A2 characteristic proper, the trace form sandwiches it
+within a factor of the dimension.
 """
 
 from __future__ import annotations
@@ -147,17 +148,13 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
 
 
 def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
-    """The functional of (<W>, <W^-1>) per interval. The first call, the
-    first interval of the grid scan, integrates every grid interval as one
-    forest of panel trees (quadrature.matrix_quads), so that work counts
-    as scan time; grid intervals take their pair from it, and a grid
-    tree's budget error is raised when the search reaches its interval.
-    Any other interval gets its own tree (average_numeric).
+    """The functional of (<W>, <W^-1>) per interval, for a rotation. The
+    first call, the first interval of the grid scan, integrates every grid
+    interval as one forest of panel trees (quadrature.matrix_quads), so
+    that work counts as scan time; grid intervals take their pair from it,
+    and a grid tree's budget error is raised when the search reaches its
+    interval. Any other interval gets its own tree (average_numeric).
     """
-    decision = type2.decide_a2(w)
-    if decision.verdict != VERDICT_A2:
-        raise NotA2Error(
-            f"type 2 estimation precondition failed: {decision.verdict}")
     pair = type2.pair_pointwise(w)
     func = _FUNCTIONALS[functional]
     tol = config.quadrature_tol
@@ -202,24 +199,28 @@ def _one_size(config: SupSearchConfig) -> SupSearchConfig:
     return replace(config, centers=tuple(centers.tolist()), halflengths=(h0,))
 
 
+def _estimated(weight):
+    """The weight the estimator runs: an identity Type 2 weight as its
+    diagonal power matrix (type2.as_type1), any other weight as it is."""
+    if isinstance(weight, Type2Weight) and not weight.is_rotation:
+        return type2.as_type1(weight)
+    return weight
+
+
 def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchConfig:
     """The interval grid that runs for weight: config, or else the full
-    grid for closed-form averages and the coarse one for Type 2.
+    grid for closed-form averages and the coarse one for rotations.
 
-    Power matrices and identity Type 2 weights are homogeneous,
+    Power matrices, identity Type 2 weights among them, are homogeneous,
     W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their functionals see
     an interval's shape |c|/h and not its size: they run every shape of
     the grid at its smallest half-length alone (the row the tie-break
     picks). On the built-in grids (one log lattice for |c| and h) that
     row already holds every shape.
     """
-    if config is None:
-        config = (coarse_interval_config() if isinstance(weight, Type2Weight)
-                  else default_interval_config())
-    if (isinstance(weight, SymbolicPowerMatrix)
-            or (isinstance(weight, Type2Weight) and weight.unitary == "identity")):
-        config = _one_size(config)
-    return config
+    if isinstance(_estimated(weight), Type2Weight):
+        return config or coarse_interval_config()
+    return _one_size(config or default_interval_config())
 
 
 def estimate_a2(weight, functional: str = "trace",
@@ -227,10 +228,17 @@ def estimate_a2(weight, functional: str = "trace",
     """Searched lower bound of the chosen A2 functional's supremum.
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
-    1x1 case) or a Type 2 weight, on the grid search_config picks.
+    1x1 case) or a Type 2 weight that decide_a2 calls A2, on the grid
+    search_config picks; only rotations run quadrature.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
+    if isinstance(weight, Type2Weight):
+        decision = type2.decide_a2(weight)
+        if decision.verdict != VERDICT_A2:
+            raise NotA2Error(
+                f"type 2 estimation precondition failed: {decision.verdict}")
+    weight = _estimated(weight)
     cfg = search_config(weight, config)
     if isinstance(weight, SymbolicPowerMatrix):
         fn = _symbolic_eval_fn(weight, functional)

@@ -203,15 +203,16 @@ def cofactor(m, i: int, j: int) -> complex:
 def adjugate_inverse(m) -> np.ndarray:
     """Inverse via the adjugate: inv(M)[i, j] = cofactor(M, j, i) / det M.
 
-    The singularity test compares |det M| against 1e-12 times
-    max|entry|^n, which keeps the threshold scale consistent with the
-    determinant itself.
+    The singularity test compares |det M| against 1e-12 times the product
+    of the row 2-norms, Hadamard's bound on |det M|: a badly scaled but
+    well-conditioned matrix such as diag(1e-6, 1e6) attains that bound
+    and inverts, while rows that are nearly dependent fall far below it.
     """
     rows = as_square(m).tolist()
     n = len(rows)
     det = _eliminate([row[:] for row in rows])
-    scale = max(abs(x) for row in rows for x in row)
-    if abs(det) <= 1e-12 * scale**n:
+    if abs(det) <= 1e-12 * math.prod(math.sqrt(sum(abs(x) ** 2 for x in row))
+                                     for row in rows):
         raise SingularMatrixError("determinant below singularity tolerance")
     return np.array([[_cofactor(rows, j, i) / det for j in range(n)]
                      for i in range(n)], dtype=complex)

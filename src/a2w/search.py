@@ -1,12 +1,13 @@
 """Supremum search over interval families.
 
 Candidate intervals are parametrized by (center, half-length) on
-logarithmic grids. A homogeneous weight's functionals are scale invariant,
-so it searches one size per shape (estimator.search_config); a rotation's
-are not. The family (FAMILIES) deliberately contains only three interval
-shapes relative to the origin: symmetric (center 0), anchored (one
-endpoint exactly 0), and origin-free. Asymmetric intervals with 0 strictly
-inside are excluded; on those the scalar product <w><1/w> is not
+logarithmic grids. A power matrix's functionals, an identity Type 2
+weight's among them, are scale invariant, so it searches one size per
+shape (estimator.search_config); a rotation's are not, and it scans the
+whole grid. The family (FAMILIES) deliberately contains only three
+interval shapes relative to the origin: symmetric (center 0), anchored
+(one endpoint exactly 0), and origin-free. Asymmetric intervals with 0
+strictly inside are excluded; on those the scalar product <w><1/w> is not
 controlled by the closed-form per-exponent constants this package
 certifies against, so admitting them would break the certified upper
 bounds. Estimates are honest lower bounds of the true supremum either way,

@@ -337,7 +337,7 @@ def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:
         tuple(_negated(m) for m in normalized_exponents(w)), w.d)
 
 
-def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
+def a2_upper_bound(w: SymbolicPowerMatrix) -> float:
     """Certified upper bound for the trace A2 functional over the search
     family, for a weight on the line.
 
@@ -345,9 +345,6 @@ def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
     per-exponent closed-form constants 1/(1 - e_ij^2). Valid for every
     interval in the search family (anchored, symmetric, origin-free), where
     each scalar factor obeys its closed-form constant.
-
-    With validate=True each distinct closed-form factor is re-checked
-    against a coarse sup-search oracle at call time.
     """
     _line(w)
     report = check_a2(w)
@@ -355,33 +352,7 @@ def a2_upper_bound(w: SymbolicPowerMatrix, validate: bool = False) -> float:
         raise NotA2Error(f"a2_upper_bound needs an A2 weight, got {report.verdict}")
     a = w.coeff
     det = abs(linalg.lu_det(a))
-    n = w.n
-    sup_factor = 0.0
-    for i in range(n):
-        for j in range(n):
-            minor_mag = abs(linalg.cofactor(a, i, j))
-            sup_factor = max(sup_factor, abs(a[i, j]) * minor_mag / det)
-    exps = normalized_exponents(w)[0]
-    if validate:
-        _validate_closed_form_factors({exps[i][j] for i in range(n) for j in range(n)})
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += scalar_closed_form_constant(exps[i][j])
-    return sup_factor * total
-
-
-def _validate_closed_form_factors(exponents: set[Fraction]) -> None:
-    """Cross-check 1/(1-g^2) against a coarse sup search on |x|^g."""
-    from .estimator import estimate_a2
-    from .search import coarse_interval_config
-
-    cfg = coarse_interval_config()
-    for g in exponents:
-        closed = scalar_closed_form_constant(g)
-        scalar = SymbolicPowerMatrix(np.array([[1.0]]), (((g,),),))
-        est = estimate_a2(scalar, "trace", cfg).estimate
-        if est > closed * (1.0 + 1e-9) or est < closed * 0.98:
-            raise ArithmeticError(
-                f"closed-form constant failed validation for exponent {g}: "
-                f"search found {est}, closed form {closed}")
+    sup_factor = max(abs(a[i, j]) * abs(linalg.cofactor(a, i, j)) / det
+                     for i in range(w.n) for j in range(w.n))
+    return sup_factor * sum(scalar_closed_form_constant(e)
+                            for row in normalized_exponents(w)[0] for e in row)

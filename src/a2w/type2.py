@@ -6,6 +6,10 @@ assembled as the product of the three basic axis rotations, each at angle
 x. Entry values never need the assembled matrix:
 w_ij(x) = sum_k a_k |x|^(g_k) u_ik(x) conj(u_jk(x)).
 
+An identity weight is the diagonal Type 1 power matrix with coefficients
+a_k and exponents g_k (as_type1), averaged in closed form; the pointwise
+matrix functions here serve the rotations' quadrature.
+
 For unequal exponents the planar rotation family is the package's standard
 counterexample: the necessary conditions hold but interval products over
 I_n = [2 pi n, 2 pi n + pi] grow like n^((g2 - g1)/2), which the
@@ -25,11 +29,12 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_WEIGHT_OK)
 from .scalar_power import format_rational
-from .type1 import EvaluationAtOriginError
+from .type1 import EvaluationAtOriginError, SymbolicPowerMatrix, build_type1
 
 __all__ = [
     "UNITARY_FAMILIES",
     "Type2Weight",
+    "as_type1",
     "rotation2d",
     "rotation3d_euler",
     "unitary_stack",
@@ -87,6 +92,14 @@ class Type2Weight:
     @property
     def is_rotation(self) -> bool:
         return self.unitary != "identity"
+
+
+def as_type1(w: Type2Weight) -> SymbolicPowerMatrix:
+    """An identity weight diag(a_k |x|^(g_k)) as the diagonal Type 1 power
+    matrix it is; a rotation has no such form and raises ValueError."""
+    if w.is_rotation:
+        raise ValueError(f"{w.unitary} weights are not power matrices")
+    return build_type1(np.diag(w.alphas), w.gammas)
 
 
 def rotation2d(x: float) -> np.ndarray:

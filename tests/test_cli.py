@@ -19,6 +19,8 @@ TWO_BY_TWO = {"kind": "type1", "coeff": [[5, 3], [3, 2]],
               "diag_exponents": ["1/2", "-2/3"]}
 ROTATION_EQUAL = {"kind": "type2", "alphas": [1.0, 1.0],
                   "gammas": ["1/2", "1/2"], "unitary": "rotation2d"}
+IDENTITY = {"kind": "type2", "alphas": [1.0, 2.0], "gammas": ["1/2", "-1/3"],
+            "unitary": "identity"}
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
@@ -270,26 +272,54 @@ class TestConstantCommand:
                                      "families": INTERVAL_FAMILIES}
 
     def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
-        # Dilation invariance: power matrices and identity Type 2 weights
-        # search the smallest half-length row alone, every shape of the grid.
-        identity = {"kind": "type2", "alphas": [1.0, 2.0],
-                    "gammas": ["1/2", "-1/3"], "unitary": "identity"}
-        for doc, centers, rounds in ((TWO_BY_TWO, 99, 20), (identity, 27, 8)):
+        # Dilation invariance: power matrices, identity Type 2 weights among
+        # them, search the default grid's smallest half-length row alone,
+        # every shape of the grid.
+        for doc in (TWO_BY_TWO, IDENTITY):
             code, payload = run_json(
                 capsys, ["constant", write_spec(tmp_path, doc), "--json"])
             assert code == 0
             assert payload["config"] == {
-                "grid": "default", "centers": centers, "halflengths": 1,
-                "refine_rounds": rounds, "quadrature_tol": 1e-6,
+                "grid": "default", "centers": 99, "halflengths": 1,
+                "refine_rounds": 20, "quadrature_tol": 1e-6,
                 "families": INTERVAL_FAMILIES}
             # the grid row, plus the golden refinement's rounds + 2
-            assert payload["evaluations"] == centers + rounds + 2
+            assert payload["evaluations"] == 99 + 20 + 2
+
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "coarse"]],
+                             ids=["default", "coarse"])
+    def test_identity_runs_as_its_diagonal_type1_twin(self, tmp_path, capsys,
+                                                      functional, grid):
+        twin = {"kind": "type1", "coeff": [[1.0, 0.0], [0.0, 2.0]],
+                "diag_exponents": IDENTITY["gammas"]}
+        got = []
+        for name, doc in (("identity.json", IDENTITY), ("twin.json", twin)):
+            code, payload = run_json(
+                capsys, ["constant", write_spec(tmp_path, doc, name), "--json",
+                         "--functional", functional, *grid])
+            assert code == 0
+            got.append({key: payload[key] for key in
+                        ("estimate", "argmax", "evaluations", "config")})
+        assert got[0] == got[1]
+
+    def test_identity_near_the_range_end_is_exact(self, tmp_path, capsys):
+        # |x|^(-99/100) in the inverse used to overflow the quadrature at 0;
+        # the closed form gives the anchored family's sum of 1/(1 - g^2).
+        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "1/3"],
+               "unitary": "identity"}
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+        assert code == 0
+        want = 1.0 / (1.0 - 0.99 ** 2) + 1.0 / (1.0 - 1.0 / 9.0)
+        assert payload["estimate"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert "upper_bound" not in payload
 
     def test_overflowing_quadrature_exits_four(self, tmp_path, capsys):
         # |x|^(-99/100) in the inverse: the panel at 0 is bisected until its
         # Gauss values overflow, and the error names the interval.
-        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "1/3"],
-               "unitary": "identity"}
+        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "99/100"],
+               "unitary": "rotation2d"}
         code = main(["constant", write_spec(tmp_path, doc), "--json"])
         captured = capsys.readouterr()
         assert code == 4
@@ -301,8 +331,8 @@ class TestConstantCommand:
     def test_overflowing_quadrature_leaves_one_stderr_line(self, tmp_path):
         # In-process, pytest captures numpy's RuntimeWarning; a fresh
         # interpreter shows what a user sees on stderr.
-        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "1/3"],
-               "unitary": "identity"}
+        doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "99/100"],
+               "unitary": "rotation2d"}
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)

@@ -214,8 +214,29 @@ class TestPairRoute:
         config = SupSearchConfig(centers=(center,), halflengths=(halflength,),
                                  refine_rounds=0)
         assert estimate_a2(w, "trace", config).evaluations == 1
-        assert seen
-        assert len(set(seen)) == len(seen)
+        if w.unitary == "identity":
+            # closed-form averages: no node set is evaluated at all
+            assert seen == []
+        else:
+            assert seen
+            assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_identity_runs_no_quadrature(self, monkeypatch, functional):
+        # An identity weight is its diagonal power matrix: closed-form
+        # averages, so no node set is ever evaluated.
+        seen = []
+        stack = type2.unitary_stack
+
+        def spy(family, n, xs):
+            seen.append(family)
+            return stack(family, n, xs)
+
+        monkeypatch.setattr(type2, "unitary_stack", spy)
+        w = Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity")
+        result = estimate_a2(w, functional)
+        assert result == estimate_a2(type2.as_type1(w), functional)
+        assert seen == []
 
 
 class TestGridForest:
@@ -351,6 +372,12 @@ class TestEstimateA2:
     def test_type2_non_member_rejected(self):
         w = Type2Weight((1.0, 1.0), ("3/2", "1/2"), "rotation2d")
         with pytest.raises(NotA2Error):
+            estimate_a2(w)
+
+    def test_identity_non_member_rejected_before_conversion(self):
+        # decide_a2's verdict, not an error of the closed-form route
+        w = Type2Weight((1.0, -1.0), ("1/2", "1/2"), "identity")
+        with pytest.raises(NotA2Error, match="not_positive_definite_ae"):
             estimate_a2(w)
 
     def test_type2_passing_only_the_necessary_conditions_is_rejected(self):

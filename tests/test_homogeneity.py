@@ -1,11 +1,14 @@
 """Reference tests for the homogeneity reduction of the searches.
 
-Power matrices (type1 and its cube extensions type1a and type1b) and
-identity Type 2 weights satisfy W(tx) = T W(x) T with T = diag(|t|^(g_i/2)),
-so both A2 functionals are invariant under dilation. The interval search
-therefore runs one half-length row of its grid, and the cube search one
-unit cube per family; these tests check both against the full searches
-they replace.
+Power matrices (type1 and its cube extensions type1a and type1b) satisfy
+W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so both A2 functionals are
+invariant under dilation. The interval search therefore runs one
+half-length row of its grid, and the cube search one unit cube per
+family; these tests check both against the full searches they replace.
+An identity Type 2 weight is a diagonal power matrix: its dilation
+invariance is checked on the quadrature averages, and its search against
+the full grid of its diagonal twin's closed-form averages, the route the
+estimator runs it on.
 """
 
 import math
@@ -23,7 +26,7 @@ from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
 from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
                         default_interval_config, run_interval_search)
 from a2w.type1 import build_type1, symbolic_inverse
-from a2w.type2 import Type2Weight, pair_pointwise
+from a2w.type2 import Type2Weight, as_type1, pair_pointwise
 
 HALF = Fraction(1, 2)
 FUNCTIONALS = (a2_functional_trace, a2_functional_norm)
@@ -84,7 +87,7 @@ def test_functionals_are_dilation_invariant(weight, regions):
                          ids=["w2", "scalar", "identity"])
 def test_one_row_matches_the_full_grid(weight, grid):
     config = grid()
-    pair = averages(weight)
+    pair = averages(as_type1(weight) if weight is IDENTITY else weight)
     full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
                                config, "trace")
     reduced = estimate_a2(weight, "trace", config)

@@ -73,6 +73,18 @@ def test_adjugate_inverse_identity(rng, n):
         assert np.allclose(m @ inv, np.eye(n), atol=1e-9)
 
 
+@pytest.mark.parametrize("diag", [(1e-6, 1e6), (1e-3, 1.0, 1.0, 1e3)])
+def test_adjugate_inverse_of_badly_scaled_diagonals(diag):
+    # Well conditioned per row: Hadamard's bound is attained, not undercut.
+    inv = linalg.adjugate_inverse(np.diag(diag))
+    assert np.allclose(inv, np.diag([1.0 / d for d in diag]), rtol=1e-15, atol=0.0)
+
+
+def test_adjugate_inverse_rejects_singular():
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.adjugate_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
 def test_cofactor_alternating_signs():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert linalg.cofactor(m, 0, 0) == pytest.approx(4.0)

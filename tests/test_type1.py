@@ -9,7 +9,9 @@ from a2w import linalg, type1
 from a2w.report import (VERDICT_A2, VERDICT_MARGINAL, VERDICT_NOT_A2,
                         VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                         VERDICT_PD_AE)
-from a2w.scalar_power import NotA2Error
+from a2w.estimator import estimate_a2
+from a2w.scalar_power import NotA2Error, scalar_closed_form_constant
+from a2w.search import coarse_interval_config
 from a2w.type1 import (EvaluationAtOriginError, MidpointConditionError,
                        SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, check_positive_definite_ae,
@@ -211,8 +213,16 @@ class TestSymbolicAlgebra:
 
 class TestUpperBound:
     def test_positive_and_validates(self):
-        b = a2_upper_bound(TWO_BY_TWO, validate=True)
-        assert b > 0
+        # Each closed-form factor 1/(1 - e^2) against a coarse sup search on
+        # the scalar weight |x|^e, for every distinct exponent of the weight.
+        assert a2_upper_bound(TWO_BY_TWO) > 0
+        exps = {e for row in normalized_exponents(TWO_BY_TWO)[0] for e in row}
+        assert len(exps) == 3
+        for e in exps:
+            closed = scalar_closed_form_constant(e)
+            scalar = SymbolicPowerMatrix(np.array([[1.0]]), (((e,),),))
+            est = estimate_a2(scalar, "trace", coarse_interval_config()).estimate
+            assert closed * 0.98 <= est <= closed * (1.0 + 1e-9)
 
     def test_requires_a2(self):
         w = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1", "-2/3"])

@@ -13,8 +13,8 @@ from a2w.estimator import estimate_a2
 from a2w.report import (VERDICT_A2, VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
                         VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                         VERDICT_WEIGHT_OK)
-from a2w.type1 import EvaluationAtOriginError
-from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise,
+from a2w.type1 import EvaluationAtOriginError, evaluate
+from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise, as_type1,
                        check_local_integrability, check_necessary_a2,
                        decide_a2, decide_rotation_a2, divergence_experiment,
                        evaluate_type2, fit_loglog_slope, inverse_pointwise,
@@ -38,6 +38,20 @@ class TestConstruction:
     def test_identity_default(self):
         w = Type2Weight((1.0,), (HALF,))
         assert w.unitary == "identity" and not w.is_rotation
+
+    def test_identity_is_its_diagonal_power_matrix(self):
+        w = Type2Weight((2.0, 0.5, 3.0), (HALF, Fraction(-1, 3), 0))
+        twin = as_type1(w)
+        assert twin.exponents[0][0][1] == Fraction(1, 12)
+        for x in (-3.5, 0.25, 7.0):
+            assert np.allclose(evaluate(twin, x), evaluate_type2(w, x),
+                               rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("unitary, n", [("rotation2d", 2),
+                                            ("rotation3d_euler", 3)])
+    def test_rotations_have_no_power_matrix(self, unitary, n):
+        with pytest.raises(ValueError, match=unitary):
+            as_type1(Type2Weight((1.0,) * n, (HALF,) * n, unitary))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="matching nonempty"):
