@@ -2,14 +2,17 @@
 
 Two averaging routes exist on purpose: closed forms for power matrices,
 identity Type 2 weights among them (type2.as_type1), and adaptive
-quadrature for the Type 2 rotations. The two functionals are the trace
-form Tr(<W> <W^-1>) and the norm form ||<W>^(1/2) <W^-1>^(1/2)||^2; the
-norm form is the A2 characteristic proper, the trace form sandwiches it
+quadrature for the Type 2 rotations, whose search integrates each
+segment of the line between neighbouring grid endpoints (and 0) once and
+sums segments per interval. The two functionals are the trace form
+Tr(<W> <W^-1>) and the norm form ||<W>^(1/2) <W^-1>^(1/2)||^2; the norm
+form is the A2 characteristic proper, the trace form sandwiches it
 within a factor of the dimension.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import replace
 from fractions import Fraction
 
@@ -148,30 +151,54 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
 
 
 def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
-    """The functional of (<W>, <W^-1>) per interval, for a rotation. The
-    first call, the first interval of the grid scan, integrates every grid
-    interval as one forest of panel trees (quadrature.matrix_quads), so
-    that work counts as scan time; grid intervals take their pair from it,
-    and a grid tree's budget error is raised when the search reaches its
-    interval. Any other interval gets its own tree (average_numeric).
+    """The functional of (<W>, <W^-1>) per interval, for a rotation.
+
+    The grid's endpoints and 0 cut the line into elementary segments. The
+    first call, the first interval of the grid scan, integrates every
+    segment once, as one forest of panel trees (quadrature.matrix_quads),
+    so that work counts as scan time. An interval's integrals are the
+    left-to-right sum of the segments it covers, plus fresh trees,
+    evaluated together, on the end pieces it covers only in part (a grid
+    interval has none; an interval with no cut inside is one fresh
+    piece). Each tree meets tol against its own masses, and masses add: a
+    summed diagonal entry stays within tol of its mass, a summed
+    off-diagonal entry within tol times its matrix's trace mass plus its
+    own absolute mass. A segment's budget error names the segment, and an
+    interval that covers failed segments raises the leftmost one's error,
+    so the scan raises it at the first grid interval that covers it.
     """
     pair = type2.pair_pointwise(w)
     func = _FUNCTIONALS[functional]
     tol = config.quadrature_tol
-    grid_integrals: dict | None = None
+    cuts: list[float] = []
+    failed: dict[int, QuadratureBudgetError] = {}  # segment k = [cuts[k], cuts[k + 1]]
+    segments = np.zeros(0)
 
     def evaluate(iv: Interval) -> float:
-        nonlocal grid_integrals
-        if grid_integrals is None:
-            grid = interval_grid(config)
-            grid_integrals = dict(zip(grid, matrix_quads(
-                pair, [(v.a, v.b) for v in grid], tol)))
-        integral = grid_integrals.get(iv)
-        if integral is None:
-            return func(*average_numeric(pair, iv, tol))
-        if isinstance(integral, QuadratureBudgetError):
-            raise integral
-        return func(*(integral / iv.length))
+        nonlocal segments
+        if not cuts:
+            cuts.extend(sorted({0.0, *(x for v in interval_grid(config)
+                                       for x in (v.a, v.b))}))
+            spans = list(zip(cuts, cuts[1:]))
+            totals = matrix_quads(pair, spans, tol)
+            for k, ((p, q), total) in enumerate(zip(spans, totals)):
+                if isinstance(total, QuadratureBudgetError):
+                    failed[k] = QuadratureBudgetError(f"grid segment [{p!r}, {q!r}]: {total}")
+                    totals[k] = np.zeros((pair.m, pair.n, pair.n))
+            segments = np.array(totals)
+        i = bisect.bisect_left(cuts, iv.a)
+        j = bisect.bisect_right(cuts, iv.b) - 1  # cuts[i:j + 1] lie in [a, b]
+        covered = [k for k in failed if i <= k < j]
+        if covered:
+            raise failed[min(covered)]
+        ends = ([(iv.a, iv.b)] if i > j else
+                [(a, b) for a, b in ((iv.a, cuts[i]), (cuts[j], iv.b)) if a < b])
+        total = np.add.reduce(segments[i:j])
+        for piece in matrix_quads(pair, ends, tol) if ends else ():
+            if isinstance(piece, QuadratureBudgetError):
+                raise piece
+            total = total + piece
+        return func(*(total / iv.length))
 
     return evaluate
 

@@ -239,16 +239,20 @@ class TestPairRoute:
         assert seen == []
 
 
+ROTATION_39 = Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d")
+
+
 class TestGridForest:
-    """Type 2 grid averages come from one forest of panel trees."""
+    """Type 2 grid averages are sums of elementary segments, integrated
+    once each as one forest of panel trees."""
 
     @pytest.mark.parametrize("w, nodes", [
-        (Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"), 114340),
-        (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 49940),
+        (ROTATION_39, 35100),
+        (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 12620),
     ], ids=["rotation2d", "rotation3d"])
     def test_same_nodes_on_few_calls(self, monkeypatch, w, nodes):
-        # Counters, not clocks: the nodes of one tree per interval, which
-        # took 1,485 and 1,354 integrand calls one tree at a time.
+        # Counters, not clocks: one tree per grid interval took 114,340 and
+        # 49,940 nodes; one tree per elementary segment takes these.
         seen = []
         stack = type2.unitary_stack
 
@@ -261,29 +265,84 @@ class TestGridForest:
         assert sum(seen) == nodes
         assert len(seen) <= 400
 
+    def test_grid_sums_meet_the_per_segment_bound(self, monkeypatch):
+        # Each segment is within tol of its own masses, so a sum of them is
+        # within tol of the interval's diagonal mass, and an off-diagonal
+        # within tol of the trace mass plus its own.
+        config = coarse_interval_config()
+        seen = []
+        trace = estimator.a2_functional_trace
+
+        def recording(avg_w, avg_winv):
+            seen.append(np.array([avg_w, avg_winv]))
+            return trace(avg_w, avg_winv)
+
+        monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
+        evaluate = estimator._type2_eval_fn(ROTATION_39, "trace", config)
+        pair = pair_pointwise(ROTATION_39)
+        off = ~np.eye(2, dtype=bool)
+        for iv in interval_grid(config):
+            evaluate(iv)
+            got, want = seen.pop(), average_numeric(pair, iv, 1e-10)
+            err = np.abs(got - want)
+            for e, m in zip(err, want):
+                diag = np.abs(m.diagonal())
+                assert np.all(e.diagonal() <= 1e-6 * diag), iv
+                assert np.all(e[off] <= 1e-6 * (diag.sum() + np.abs(m[off]))), iv
+
+    @pytest.mark.parametrize("w", [
+        ROTATION_39,
+        Type2Weight((1.0, 2.0), ("1/2", "1/2"), "rotation2d"),
+    ], ids=["alphas-3-9", "alphas-1-2"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_estimate_at_the_argmax_matches_a_tight_evaluation(self, w, functional):
+        # The argmax comes from golden refinement: covered segments plus
+        # fresh end pieces.
+        result = estimate_a2(w, functional)
+        tight = estimator._FUNCTIONALS[functional](
+            *average_numeric(pair_pointwise(w), result.argmax, 1e-12))
+        assert result.estimate == pytest.approx(tight, rel=1e-8)
+
     def test_budget_failure_surfaces_at_its_interval(self, monkeypatch):
-        # Under a 200-panel budget several grid trees fail. The search
-        # raises the first failure in grid order, with its interval as
-        # region: the error one tree per interval raises.
-        w = Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d")
-        pair, grid = pair_pointwise(w), interval_grid(coarse_interval_config())
-        for k, iv in enumerate(grid):
+        # Under a 200-panel budget several segment trees fail. The search
+        # raises, at the first grid interval in scan order that covers a
+        # failed segment, that interval's leftmost failure, named by its
+        # segment and with the interval as region.
+        grid = interval_grid(coarse_interval_config())
+        cuts = sorted({0.0, *(x for iv in grid for x in (iv.a, iv.b))})
+        pair = pair_pointwise(ROTATION_39)
+        failed = {}
+        for p, q in zip(cuts, cuts[1:]):
             try:
-                average_numeric(pair, iv, 1e-6, panel_budget=200)
+                quadrature.matrix_quad(pair, p, q, 1e-6, panel_budget=200)
             except QuadratureBudgetError as exc:
-                want = str(exc)
-                break
-        else:
-            pytest.fail("no grid tree fails under the budget")
+                failed[p, q] = f"grid segment [{p!r}, {q!r}]: {exc}"
+        assert failed
+        k, want = next((k, msg) for k, iv in enumerate(grid)
+                       for (p, q), msg in sorted(failed.items())
+                       if iv.a <= p and q <= iv.b)
         assert k > 0
         monkeypatch.setattr(estimator, "matrix_quads", functools.partial(
             quadrature.matrix_quads, panel_budget=200))
-        monkeypatch.setattr(estimator, "average_numeric", functools.partial(
-            average_numeric, panel_budget=200))
         with pytest.raises(QuadratureBudgetError) as got:
-            estimate_a2(w)
+            estimate_a2(ROTATION_39)
         assert got.value.region == grid[k]
         assert str(got.value) == want
+
+
+class TestExactOracles:
+    """An equal-alpha rotation is alpha |x|^g I, whatever the unitary: over
+    anchored intervals <W><W^-1> = I / (1 - g^2), the family's maximum."""
+
+    @pytest.mark.parametrize("unitary, n", [("rotation2d", 2), ("rotation3d_euler", 3)])
+    @pytest.mark.parametrize("gamma", ["-9/10", "-1/3", "1/4", "1/2", "9/10"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_equal_alphas_reach_the_exact_constant(self, unitary, n, gamma, functional):
+        w = Type2Weight((2.0,) * n, (gamma,) * n, unitary)
+        g = Fraction(gamma)
+        want = float((n if functional == "trace" else 1) / (1 - g * g))
+        got = estimate_a2(w, functional).estimate
+        assert abs(got / want - 1.0) <= 1e-8
 
 
 class TestFunctionals:
