@@ -5,7 +5,7 @@ The package builds matrix-valued power functions (entrywise powers of
 |x|, radial and separable multivariable variants, and unitary-conjugated
 diagonal families), decides exactly whether each is an A2 matrix weight,
 and estimates the A2 characteristic by supremum search with closed-form
-or adaptive-quadrature interval averages.
+interval averages, and adaptive quadrature for radial cube averages.
 """
 
 __version__ = "0.1.0"

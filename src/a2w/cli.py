@@ -330,8 +330,7 @@ def cmd_constant(args) -> int:
                        "centers": len(cfg.centers),
                        "halflengths": len(cfg.halflengths),
                        "grid": args.grid or "default",
-                       "refine_rounds": cfg.refine_rounds,
-                       "quadrature_tol": cfg.quadrature_tol}
+                       "refine_rounds": cfg.refine_rounds}
     elapsed = time.perf_counter() - t0
 
     payload = {"seed": None, "spec": echo, "functional": result.functional,

@@ -1,28 +1,28 @@
 """Interval averages and A2 functionals, plus the supremum estimator.
 
-Two averaging routes exist on purpose: closed forms for power matrices,
-identity Type 2 weights among them (type2.as_type1), and adaptive
-quadrature for the Type 2 rotations, whose search integrates each
-segment of the line between neighbouring grid endpoints (and 0) once and
-sums segments per interval. The two functionals are the trace form
-Tr(<W> <W^-1>) and the norm form ||<W>^(1/2) <W^-1>^(1/2)||^2; the norm
-form is the A2 characteristic proper, the trace form sandwiches it
-within a factor of the dimension.
+Power matrices, identity Type 2 weights among them (type2.as_type1),
+average in closed form. A Type 2 rotation that decide_a2 admits is
+|x|^g times a trigonometric polynomial in x, so its averages are closed
+form too: sums of Fourier-power moments, with one Gauss-Legendre rule on
+short intervals far from 0. Adaptive quadrature (average_numeric) stays
+as the independent oracle the tests and verify check them against. The
+two functionals are the trace form Tr(<W> <W^-1>) and the norm form
+||<W>^(1/2) <W^-1>^(1/2)||^2; the norm form is the A2 characteristic
+proper, the trace form sandwiches it within a factor of the dimension.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg, type1, type2
-from .quadrature import (PointwiseMatrixFunction, QuadratureBudgetError,
-                         matrix_quad, matrix_quads)
+from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .report import VERDICT_A2
-from .scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
+from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
+                           integral_abs_pow)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
@@ -44,6 +44,9 @@ __all__ = [
     "a2_functional_norm",
     "estimate_a2",
 ]
+
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 class NonPositiveInputError(ArithmeticError):
@@ -153,52 +156,44 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
 def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
     """The functional of (<W>, <W^-1>) per interval, for a rotation.
 
-    The grid's endpoints and 0 cut the line into elementary segments. The
-    first call, the first interval of the grid scan, integrates every
-    segment once, as one forest of panel trees (quadrature.matrix_quads),
-    so that work counts as scan time. An interval's integrals are the
-    left-to-right sum of the segments it covers, plus fresh trees,
-    evaluated together, on the end pieces it covers only in part (a grid
-    interval has none; an interval with no cut inside is one fresh
-    piece). Each tree meets tol against its own masses, and masses add: a
-    summed diagonal entry stays within tol of its mass, a summed
-    off-diagonal entry within tol times its matrix's trace mass plus its
-    own absolute mass. A segment's budget error names the segment, and an
-    interval that covers failed segments raises the leftmost one's error,
-    so the scan raises it at the first grid interval that covers it.
+    decide_a2 admits a rotation only with one exponent g, so W = |x|^g U D U*
+    and W^-1 = |x|^-g U D^-1 U*, where U D U* = sum over |m| <= K of
+    C_m e^(imx) (type2.fourier_coefficients). Over [a, b], W integrates to
+    C_0 times the closed-form integral of |x|^g plus, for m = 1..K,
+    C_m (Phi_m(b) - Phi_m(a)) and its adjoint, with the Fourier-power
+    moments Phi_m of type2.fourier_power_moments; W^-1 likewise with -g.
+    The first call, the first interval of the grid scan, evaluates Phi_m at
+    every endpoint of the grid at once, so that work counts as scan time;
+    a refinement interval's endpoints are evaluated as they come.
+
+    On a short interval far from 0 (K |I| <= 1 and dist(I, 0) >= 2 |I|)
+    a difference of Phi_m loses the phase of e^(imx) to the rounding of
+    x, so (W, W^-1) is integrated there by one 20-point Gauss-Legendre
+    rule instead; the integrand is analytic on I.
     """
+    g = float(w.gammas[0])
     pair = type2.pair_pointwise(w)
+    coeffs = type2.fourier_coefficients(w)
+    degree = coeffs.shape[1] - 1
     func = _FUNCTIONALS[functional]
-    tol = config.quadrature_tol
-    cuts: list[float] = []
-    failed: dict[int, QuadratureBudgetError] = {}  # segment k = [cuts[k], cuts[k + 1]]
-    segments = np.zeros(0)
+    pending = [x for v in interval_grid(config) for x in (v.a, v.b)]
+    moments: dict[float, np.ndarray] = {}  # x -> Phi_m(x) for (g, -g), m = 1..K
+
+    def integrals(iv: Interval) -> np.ndarray:
+        if degree * iv.length <= 1.0 and iv.near_endpoint_distance() >= 2.0 * iv.length:
+            nodes = (iv.a + iv.b) / 2.0 + iv.halflength * _GAUSS_NODES
+            return pair.values(nodes) @ _GAUSS_WEIGHTS * iv.halflength
+        missing = sorted({x for x in (*pending, iv.a, iv.b) if x not in moments})
+        pending.clear()
+        if missing:
+            phi = type2.fourier_power_moments((g, -g), degree, missing)
+            moments.update(zip(missing, np.moveaxis(phi, -1, 0)))
+        osc = np.einsum("pmij,pm->pij", coeffs[:, 1:], moments[iv.b] - moments[iv.a])
+        mass = np.array([integral_abs_pow(g, iv), integral_abs_pow(-g, iv)])
+        return coeffs[:, 0] * mass[:, None, None] + osc + osc.conj().swapaxes(1, 2)
 
     def evaluate(iv: Interval) -> float:
-        nonlocal segments
-        if not cuts:
-            cuts.extend(sorted({0.0, *(x for v in interval_grid(config)
-                                       for x in (v.a, v.b))}))
-            spans = list(zip(cuts, cuts[1:]))
-            totals = matrix_quads(pair, spans, tol)
-            for k, ((p, q), total) in enumerate(zip(spans, totals)):
-                if isinstance(total, QuadratureBudgetError):
-                    failed[k] = QuadratureBudgetError(f"grid segment [{p!r}, {q!r}]: {total}")
-                    totals[k] = np.zeros((pair.m, pair.n, pair.n))
-            segments = np.array(totals)
-        i = bisect.bisect_left(cuts, iv.a)
-        j = bisect.bisect_right(cuts, iv.b) - 1  # cuts[i:j + 1] lie in [a, b]
-        covered = [k for k in failed if i <= k < j]
-        if covered:
-            raise failed[min(covered)]
-        ends = ([(iv.a, iv.b)] if i > j else
-                [(a, b) for a, b in ((iv.a, cuts[i]), (cuts[j], iv.b)) if a < b])
-        total = np.add.reduce(segments[i:j])
-        for piece in matrix_quads(pair, ends, tol) if ends else ():
-            if isinstance(piece, QuadratureBudgetError):
-                raise piece
-            total = total + piece
-        return func(*(total / iv.length))
+        return func(*(integrals(iv) / iv.length))
 
     return evaluate
 
@@ -256,7 +251,8 @@ def estimate_a2(weight, functional: str = "trace",
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
     1x1 case) or a Type 2 weight that decide_a2 calls A2, on the grid
-    search_config picks; only rotations run quadrature.
+    search_config picks. Every route averages in closed form, up to
+    rounding; a rotation's short intervals far from 0 take a Gauss rule.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")

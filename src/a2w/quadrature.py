@@ -16,13 +16,12 @@ m rows, where each panel evaluates every row in one call and keeps one
 error, one tolerance and one power-model factor per row, and refinement
 runs until every row meets its own tolerance. The zero split and any
 endpoint grading are its seed cuts. A tree is a state machine (_refine)
-that asks for panels and is sent their Gauss values; _forest refines
-many trees over one integrand in lockstep, each round evaluating the
-requests of every live tree together, and a single integral is a forest
-of one. adaptive_quad is the one-row front end; matrix_quad integrates
-the upper triangles of a stack of Hermitian matrix functions evaluated
-together (a weight and its inverse share one tree), one row per entry,
-and matrix_quads does so over many intervals as one forest.
+that asks for panels and is sent their Gauss values; _grow evaluates
+each request of one tree. adaptive_quad is the front end for an
+integrand of one row or of a few rows (a function and its reciprocal
+share one tree); matrix_quad integrates the upper triangles of a stack
+of Hermitian matrix functions evaluated together (a weight and its
+inverse share one tree), one row per entry.
 """
 
 from __future__ import annotations
@@ -44,14 +43,12 @@ __all__ = [
     "PointwiseMatrixFunction",
     "adaptive_quad",
     "matrix_quad",
-    "matrix_quads",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
 _NODES01 = (_NODES + 1.0) / 2.0
 _WEIGHTS01 = _WEIGHTS / 2.0
-_PANEL_CAP = 512  # panels per call of the integrand, however many trees ask
-_LIVE_TREES = 16  # trees refined at once; more buy no time and hold more heaps
+_PANEL_CAP = 512  # panels per call of the integrand, however many a round asks
 
 
 class QuadratureBudgetError(ArithmeticError):
@@ -140,7 +137,7 @@ def _gl_panels(f, panels: np.ndarray) -> np.ndarray:
     vals = np.asarray(f((panels[:, 1:] * _NODES + panels[:, :1]).ravel()))
     # vecdot, not matmul: BLAS rounds a panel's sum by its position in the
     # call, while vecdot sums each panel's nodes on their own, so a panel's
-    # value does not depend on which panels share the call (see _forest).
+    # value does not depend on which panels share the call (see _grow).
     # The weights go first: vecdot conjugates its first argument.
     return np.vecdot(_WEIGHTS, vals.reshape(-1, halves.size, _NODES.size)) * halves
 
@@ -170,7 +167,7 @@ def _refine(cuts, tolerance, gaps, panel_budget: int, where):
     machine: a generator that yields the panels it needs as a flat list
     mid0, half0, mid1, half1, ... of midpoints and half-widths, is sent
     their Gauss values shaped (m, panels), and returns its row sums,
-    shaped (m,). _forest runs it.
+    shaped (m,). _grow runs it.
 
     The first request is the seed panels between cuts, and tolerance maps
     their row masses (sums of |Gauss values|) and row sums to one absolute
@@ -261,65 +258,36 @@ def _refine(cuts, tolerance, gaps, panel_budget: int, where):
 # values, which _require_finite turns into QuadratureBudgetError; numpy's
 # overflow warning would only add a second report on stderr.
 @np.errstate(over="ignore")
-def _forest(f, trees) -> list:
-    """Run the panel trees (_refine generators) over one integrand f in
-    lockstep; entry k of the result is tree k's row sums, or the
-    QuadratureBudgetError it raised.
+def _grow(f, tree) -> np.ndarray:
+    """Run one panel tree (a _refine generator) over the integrand f and
+    return its row sums; a QuadratureBudgetError it raises propagates.
 
-    Each round gathers the requests of every live tree and evaluates them
-    together, in calls of f of at most _PANEL_CAP panels, then sends each
-    tree its own columns. Gauss values do not depend on which panels share
-    a call, so every tree pops, splits and sums exactly as it would alone.
-    At most _LIVE_TREES trees are live at once; the next one starts when
-    one finishes, so memory stays that of a few heaps however many trees
-    there are.
+    Each request is evaluated in calls of f of at most _PANEL_CAP panels,
+    so memory stays bounded however many panels a round asks for. Gauss
+    values do not depend on which panels share a call.
     """
-    trees = iter(trees)
-    results: list = []
-    live = []  # (result index, tree, requested panels)
-
-    def step(k, tree, vals):
-        try:
-            live.append((k, tree, tree.send(vals)))
-        except StopIteration as done:
-            results[k] = done.value
-        except QuadratureBudgetError as exc:
-            results[k] = exc
-
+    request = next(tree)
     while True:
-        for tree in itertools.islice(trees, _LIVE_TREES - len(live)):
-            results.append(None)
-            step(len(results) - 1, tree, None)
-        if not live:
-            return results
-        panels = np.fromiter(itertools.chain.from_iterable(
-            request for _, _, request in live), float).reshape(-1, 2)
+        panels = np.array(request, dtype=float).reshape(-1, 2)
         vals = [_gl_panels(f, panels[i:i + _PANEL_CAP])
                 for i in range(0, len(panels), _PANEL_CAP)]
-        vals = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
-        round_, live, start = live, [], 0
-        for k, tree, request in round_:
-            end = start + len(request) // 2
-            step(k, tree, vals[:, start:end])
-            start = end
-
-
-def _grow(f, tree) -> np.ndarray:
-    """A forest of one: the tree's row sums; an error it raised is raised."""
-    (total,) = _forest(f, (tree,))
-    if isinstance(total, QuadratureBudgetError):
-        raise total
-    return total
+        try:
+            request = tree.send(vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1))
+        except StopIteration as done:
+            return done.value
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
                   singular_exponent=None, panel_budget: int = 20000,
-                  endpoint_grading: int = 0, scale: float | None = None) -> complex:
-    """Integral of f over [a, b]: the one-row front end of the panel tree.
+                  endpoint_grading: int = 0, scale: float | None = None):
+    """Integral of f over [a, b], complex; for an f of m > 1 rows, the m
+    row integrals from one shared panel tree, shaped (m,).
 
-    f must accept ndarray input; its values may be complex. The absolute
-    tolerance is tol * (scale + seed mass), where the seed mass is the sum
-    of |Gauss values| over the seed panels. singular_exponent certifies
+    f must accept ndarray input and return one value per point, or m rows
+    of them shaped (m, points); values may be complex. The absolute
+    tolerance of each row is tol * (scale + its seed mass), where the seed
+    mass is the sum of |Gauss values| over the seed panels, and refinement
+    runs until every row meets its own. singular_exponent certifies
     the power behavior of f at 0; it is required (and only used) when the
     closed interval touches 0 and the behavior is non-smooth there.
 
@@ -343,17 +311,23 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     floor = 1.0 if scale is None else abs(scale)
     total = _grow(f, _refine(_seed_cuts(a, b, endpoint_grading),
                              lambda mass, _: tol * (floor + mass),
-                             None if s is None else [_power_gap(s)], panel_budget,
-                             lambda k: ""))
-    return complex(total[0])
+                             None if s is None else itertools.repeat(_power_gap(s)),
+                             panel_budget, lambda k: ""))
+    return complex(total[0]) if total.size == 1 else total.astype(complex)
 
 
-def matrix_quads(pmf: PointwiseMatrixFunction, intervals, tol: float,
-                 panel_budget: int = 20000) -> list:
-    """matrix_quad over each (a, b) of intervals, one panel tree each, all
-    refined together as one forest (see _forest): entry k is what
-    matrix_quad(pmf, a_k, b_k, tol, panel_budget) returns, bit for bit, or
-    the QuadratureBudgetError it would raise.
+def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
+                panel_budget: int = 20000) -> np.ndarray:
+    """Integral over [a, b] of a Hermitian matrix function, or of a stack
+    of them, on one panel tree; shaped (n, n), or (m, n, n) for a stack.
+
+    Only the upper triangles are integrated, one row of the tree per
+    entry; the lower triangles are their conjugates and the diagonals are
+    real. A diagonal entry is a positive mass and gets tol times its own
+    seed mass; an off-diagonal entry can cancel and gets tol times the
+    largest diagonal seed mass of its own matrix plus its own. On panels
+    at 0, each matrix's rows take the largest power-model gap over that
+    matrix's exponents (pmf.exponents, else pmf.singular_exponent).
     """
     m, n = pmf.m, pmf.n
     rows, cols = np.triu_indices(n)
@@ -371,44 +345,15 @@ def matrix_quads(pmf: PointwiseMatrixFunction, intervals, tol: float,
         q, k = divmod(k, rows.size)
         return f"{f'matrix {q} ' if m > 1 else ''}entry ({rows[k]}, {cols[k]}) "
 
-    s, gaps = pmf.singular_exponent, None  # gaps: every tree at 0 shares them
-    if s is not None and s > -1:
+    s, gaps = _checked_exponent(a, b, pmf.singular_exponent), None
+    if s is not None:
         worst = [max(map(_power_gap, es)) for es in pmf.exponents or ((s,),)]
         gaps = np.repeat(worst, rows.size).tolist()
-
-    def tree(interval):
-        a, b = interval
-        at_zero = _checked_exponent(a, b, s) is not None
-        return _refine(_seed_cuts(a, b, 0), tolerance, gaps if at_zero else None,
-                       panel_budget, where)
-
-    def assemble(total):
-        if isinstance(total, QuadratureBudgetError):
-            return total
-        total = total.astype(complex).reshape(m, -1)
-        total[:, diagonal] = total[:, diagonal].real
-        out = np.zeros((m, n, n), dtype=complex)
-        out[:, rows, cols] = total
-        out[:, cols, rows] = total.conj()
-        return out[0] if m == 1 else out
-
-    return [assemble(total) for total in _forest(values, map(tree, intervals))]
-
-
-def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
-                panel_budget: int = 20000) -> np.ndarray:
-    """Integral over [a, b] of a Hermitian matrix function, or of a stack
-    of them, on one panel tree; shaped (n, n), or (m, n, n) for a stack.
-
-    Only the upper triangles are integrated, one row of the tree per
-    entry; the lower triangles are their conjugates and the diagonals are
-    real. A diagonal entry is a positive mass and gets tol times its own
-    seed mass; an off-diagonal entry can cancel and gets tol times the
-    largest diagonal seed mass of its own matrix plus its own. On panels
-    at 0, each matrix's rows take the largest power-model gap over that
-    matrix's exponents (pmf.exponents, else pmf.singular_exponent).
-    """
-    (out,) = matrix_quads(pmf, [(a, b)], tol, panel_budget)
-    if isinstance(out, QuadratureBudgetError):
-        raise out
-    return out
+    total = _grow(values, _refine(_seed_cuts(a, b, 0), tolerance, gaps,
+                                  panel_budget, where))
+    total = total.astype(complex).reshape(m, -1)
+    total[:, diagonal] = total[:, diagonal].real
+    out = np.zeros((m, n, n), dtype=complex)
+    out[:, rows, cols] = total
+    out[:, cols, rows] = total.conj()
+    return out[0] if m == 1 else out

@@ -79,7 +79,6 @@ class SupSearchConfig:
     centers: tuple[float, ...]
     halflengths: tuple[float, ...]
     refine_rounds: int = 20
-    quadrature_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.centers or not self.halflengths:
@@ -96,20 +95,21 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), count))
 
 
-def default_interval_config(quadrature_tol: float = 1e-6) -> SupSearchConfig:
+def default_interval_config() -> SupSearchConfig:
     """Default family: centers {0} and +/- logspace(1e-6, 1e6, 49), same half-lengths."""
     mags = _log_grid(1e-6, 1e6, 49)
     centers = (0.0,) + mags + tuple(-m for m in mags)
-    return SupSearchConfig(centers=centers, halflengths=mags,
-                           refine_rounds=20, quadrature_tol=quadrature_tol)
+    return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=20)
 
 
-def coarse_interval_config(quadrature_tol: float = 1e-6) -> SupSearchConfig:
-    """Reduced grid for expensive (quadrature-backed) functionals."""
+def coarse_interval_config() -> SupSearchConfig:
+    """Reduced grid: centers {0} and +/- logspace(1e-3, 1e3, 13), same
+    half-lengths, 195 family intervals. It is the default for rotations,
+    whose functionals are not scale invariant: they scan the whole grid,
+    where a power matrix scans one row of the default grid."""
     mags = _log_grid(1e-3, 1e3, 13)
     centers = (0.0,) + mags + tuple(-m for m in mags)
-    return SupSearchConfig(centers=centers, halflengths=mags,
-                           refine_rounds=8, quadrature_tol=quadrature_tol)
+    return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=8)
 
 
 @dataclass(frozen=True)

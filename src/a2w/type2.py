@@ -7,8 +7,12 @@ x. Entry values never need the assembled matrix:
 w_ij(x) = sum_k a_k |x|^(g_k) u_ik(x) conj(u_jk(x)).
 
 An identity weight is the diagonal Type 1 power matrix with coefficients
-a_k and exponents g_k (as_type1), averaged in closed form; the pointwise
-matrix functions here serve the rotations' quadrature.
+a_k and exponents g_k (as_type1), averaged in closed form. A rotation
+with one exponent g is |x|^g times the trigonometric polynomial U D U*,
+so its averages are closed form too: fourier_coefficients gives the
+polynomial's coefficients and fourier_power_moments the integrals of
+|x|^g e^(imx). The pointwise matrix functions here serve the numeric
+oracle (estimator.average_numeric) and the short-interval Gauss rule.
 
 For unequal exponents the planar rotation family is the package's standard
 counterexample: the necessary conditions hold but interval products over
@@ -43,6 +47,8 @@ __all__ = [
     "inverse_weight",
     "inverse_pointwise",
     "pair_pointwise",
+    "fourier_coefficients",
+    "fourier_power_moments",
     "check_local_integrability",
     "check_necessary_a2",
     "decide_rotation_a2",
@@ -192,6 +198,73 @@ def pair_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
     return _pointwise(w, inverse_weight(w))
 
 
+# The trigonometric degree K of U D U*: the entries of U have degree 1
+# (rotation2d) or 3 (a product of three rotations at angle x), and an entry
+# of U D U* is a sum of products of two of them.
+_DEGREES = {"rotation2d": 2, "rotation3d_euler": 6}
+_SAMPLES = 16  # more than 2K + 1 = 13 samples: the FFT aliases no coefficient
+_SERIES_TERMS = 40  # 4^40 / 40! < 1e-23
+_CF_DEPTH = 50  # reaches rounding at |z| = 4 for every s in (0, 2); 40 leave 5e-15
+
+
+def fourier_coefficients(w: Type2Weight) -> np.ndarray:
+    """The matrix coefficients C_m, m = 0..K, of the trigonometric
+    polynomial U(x) D U(x)* = sum over |m| <= K of C_m e^(imx), with
+    D = diag(alphas), and those of U D^-1 U*; shaped (2, K + 1, n, n).
+
+    C_-m is the adjoint of C_m. One unitary_stack call at 16 equispaced
+    points of [0, 2 pi) and one FFT give them exactly, up to rounding.
+    """
+    if not w.is_rotation:
+        raise ValueError("Fourier coefficients need a rotation unitary family")
+    u = unitary_stack(w.unitary, w.n, 2.0 * math.pi * np.arange(_SAMPLES) / _SAMPLES)
+    d = np.array([w.alphas, [1.0 / a for a in w.alphas]])
+    samples = np.einsum("ikN,pk,jkN->pNij", u, d, u)  # U is real
+    return np.fft.fft(samples, axis=1)[:, :_DEGREES[w.unitary] + 1] / _SAMPLES
+
+
+def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
+    """Phi_m(x), the integral over [0, x] of |t|^g e^(imt) dt, for each
+    exponent g > -1 of gammas, m = 1..degree and x of xs; shaped
+    (len(gammas), degree, len(xs)).
+
+    With s = g + 1, y = |x| and z = m y, Phi_m(y) is the power series
+    y^s sum_n (iz)^n / (n! (s + n)) for z < 4; otherwise it is
+    Gamma(s) m^-s e^(i pi s / 2) - y^s e^(iz) h, where
+    Gamma(s, -iz) = e^(iz) (-iz)^s h and h is the continued fraction of
+    the upper incomplete gamma function (Numerical Recipes, section 6.2),
+    evaluated bottom-up from a fixed depth. For x < 0,
+    Phi_m(x) = -conj(Phi_m(|x|)). Each value depends on its own x alone,
+    not on the other points of the call.
+    """
+    xs = np.asarray(xs, dtype=float)
+    s = np.array([[float(g) + 1.0] for g in gammas])  # one row per exponent
+    m = np.arange(1, degree + 1)[:, None]
+    y = np.broadcast_to(np.abs(xs), (degree, xs.size))
+    z = m * y
+    out = np.empty((len(s), degree, xs.size), dtype=complex)
+    near = z < 4.0  # the same elements for every exponent
+    n = np.arange(_SERIES_TERMS)
+    ratios = np.where(n == 0, 1.0, 1j * z[near][:, None] / np.maximum(n, 1))
+    terms = np.cumprod(ratios, axis=1)  # term n = (iz)^n / n!
+    # vecdot, like the Gauss sums of quadrature._gl_panels, sums each
+    # element's terms on their own
+    out[:, near] = y[near] ** s * np.vecdot((1.0 / (s + n))[:, None, :], terms)
+    far = ~near
+    iz = 1j * z[far]
+    # h = 1 / (b_0 - a_1 / (b_1 - a_2 / (b_2 - ...))) with b_k = 2k + 1 - s - iz
+    # and a_k = k (k - s), from the deepest level up
+    base = -iz - s
+    t = base + (2 * _CF_DEPTH + 1)
+    k = np.arange(_CF_DEPTH, 0, -1)
+    for level, a in zip(k.tolist(), k[:, None, None] * (k[:, None, None] - s)):
+        t = base + (2 * level - 1) - a / t
+    const = (np.array([[[math.gamma(v)]] for v in s[:, 0]]) * m ** -s[:, :, None]
+             * np.exp(0.5j * math.pi * s[:, :, None]))
+    out[:, far] = np.broadcast_to(const, out.shape)[:, far] - y[far] ** s * np.exp(iz) / t
+    return np.where(xs < 0.0, -out.conj(), out)
+
+
 def _alpha_findings(w: Type2Weight) -> list[Finding]:
     return [Finding(kind="alpha-not-positive", where=(k,),
                     detail=f"eigenvalue coefficient alpha_{k} = {a:.6g} "
@@ -323,23 +396,23 @@ def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
         raise ValueError("n values must be positive and strictly increasing")
     p1, p2 = float(g1), float(g2)
 
-    def probe(xs):
+    def probe_pair(xs):
         u = unitary_stack("rotation2d", 2, xs)  # c = u[0, 0], s = -u[0, 1]
         ax = np.abs(xs)
-        return ax**p1 * u[0, 0]**2 + ax**p2 * u[0, 1]**2
+        probe = ax**p1 * u[0, 0]**2 + ax**p2 * u[0, 1]**2
+        return np.array([probe, 1.0 / probe])
 
     def one_row(n: int) -> DivergenceRow:
         a = 2.0 * math.pi * n
         b = a + math.pi
-        # Both integrands are strictly positive (relative control is safe)
-        # and 1/w_11 peaks sharply at the window endpoints (cos^2 x = 1
-        # there, peak width ~ n^-(g2-g1)/2), so grade panels toward them.
-        avg_w = adaptive_quad(probe, a, b, 1e-8, endpoint_grading=24,
-                              scale=0.0).real / (b - a)
-        avg_winv = adaptive_quad(lambda xs: 1.0 / probe(xs), a, b, 1e-8,
-                                 endpoint_grading=24, scale=0.0).real / (b - a)
-        return DivergenceRow(n=n, a=a, b=b, avg_w=avg_w, avg_winv=avg_winv,
-                             product=avg_w * avg_winv)
+        # w_11 and 1/w_11 share one panel tree, each row under its own
+        # relative control (both are strictly positive, so that is safe).
+        # 1/w_11 peaks sharply at the window endpoints (cos^2 x = 1 there,
+        # peak width ~ n^-(g2-g1)/2), so panels are graded toward them.
+        avg_w, avg_winv = adaptive_quad(probe_pair, a, b, 1e-8, endpoint_grading=24,
+                                        scale=0.0).real / (b - a)
+        return DivergenceRow(n=n, a=a, b=b, avg_w=float(avg_w),
+                             avg_winv=float(avg_winv), product=float(avg_w * avg_winv))
 
     return [one_row(n) for n in ns]
 

@@ -24,7 +24,7 @@ IDENTITY = {"kind": "type2", "alphas": [1.0, 2.0], "gammas": ["1/2", "-1/3"],
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
-               "quadrature_tol": 1e-6}
+               "quadrature_tol": 1e-6}  # multivar.RADIAL_TOL
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -241,7 +241,7 @@ class TestConstantCommand:
         assert payload["estimate"] <= payload["upper_bound"] * (1.0 + 1e-9)
         assert payload["estimate"] >= 2.0
         assert payload["config"]["centers"] > 0
-        assert payload["config"]["quadrature_tol"] > 0
+        assert "quadrature_tol" not in payload["config"]
 
     def test_norm_functional_selected(self, tmp_path, capsys):
         code, payload = run_json(
@@ -268,7 +268,6 @@ class TestConstantCommand:
         assert code == 0
         assert payload["config"] == {"grid": "default", "centers": 27,
                                      "halflengths": 13, "refine_rounds": 8,
-                                     "quadrature_tol": 1e-6,
                                      "families": INTERVAL_FAMILIES}
 
     def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
@@ -281,8 +280,7 @@ class TestConstantCommand:
             assert code == 0
             assert payload["config"] == {
                 "grid": "default", "centers": 99, "halflengths": 1,
-                "refine_rounds": 20, "quadrature_tol": 1e-6,
-                "families": INTERVAL_FAMILIES}
+                "refine_rounds": 20, "families": INTERVAL_FAMILIES}
             # the grid row, plus the golden refinement's rounds + 2
             assert payload["evaluations"] == 99 + 20 + 2
 
@@ -315,20 +313,17 @@ class TestConstantCommand:
         assert payload["estimate"] == pytest.approx(want, rel=1e-12, abs=0.0)
         assert "upper_bound" not in payload
 
-    def test_overflowing_quadrature_exits_four(self, tmp_path, capsys):
-        # |x|^(-99/100) in the inverse: the panel at 0 is bisected until its
-        # Gauss values overflow, and the error names the interval.
+    def test_rotation_near_the_range_end_exits_zero(self, tmp_path, capsys):
+        # |x|^(-99/100) in the inverse used to overflow the quadrature at 0
+        # (exit 4); the moments are closed form there.
         doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "99/100"],
                "unitary": "rotation2d"}
-        code = main(["constant", write_spec(tmp_path, doc), "--json"])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "search failed: QuadratureBudgetError on Interval(a=")
-        assert "not finite" in captured.err
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+        assert code == 0
+        assert payload["estimate"] == pytest.approx(120.2069226611, rel=1e-10)
 
-    def test_overflowing_quadrature_leaves_one_stderr_line(self, tmp_path):
+    def test_rotation_near_the_range_end_leaves_stderr_empty(self, tmp_path):
         # In-process, pytest captures numpy's RuntimeWarning; a fresh
         # interpreter shows what a user sees on stderr.
         doc = {"kind": "type2", "alphas": [1, 2], "gammas": ["99/100", "99/100"],
@@ -339,10 +334,17 @@ class TestConstantCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "a2w.cli", "constant", write_spec(tmp_path, doc)],
             capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 4
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("search failed: QuadratureBudgetError")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_rotation_on_the_fine_grid(self, tmp_path, capsys):
+        doc = {"kind": "type2", "alphas": [3.0, 9.0], "gammas": ["1/4", "1/4"],
+               "unitary": "rotation2d"}
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, doc), "--json", "--grid", "fine"])
+        assert code == 0
+        assert payload["estimate"] == pytest.approx(2.86075, abs=1e-5)
+        assert payload["config"]["centers"] == 99
 
     def test_separable_cube_weight(self, tmp_path, capsys):
         doc = {"kind": "type1a", "coeff": [[1.0]],

@@ -1,6 +1,5 @@
 """Averages, A2 functionals, and the supremum estimator."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
-from a2w import estimator, quadrature, type2
+from a2w import estimator, type2
 from a2w.search import interval_grid
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_pointwise,
                       pair_pointwise)
@@ -242,17 +241,53 @@ class TestPairRoute:
 ROTATION_39 = Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d")
 
 
-class TestGridForest:
-    """Type 2 grid averages are sums of elementary segments, integrated
-    once each as one forest of panel trees."""
+ROTATION_WEIGHTS = [
+    ROTATION_39,
+    Type2Weight((3.0, 9.0), ("9/10", "9/10"), "rotation2d"),
+    Type2Weight((3.0, 9.0), ("-9/10", "-9/10"), "rotation2d"),
+    Type2Weight((1.0, 3.0, 0.5), ("-1/3",) * 3, "rotation3d_euler"),
+]
+
+
+def _recorded_averages(monkeypatch, w, intervals):
+    """(<W>, <W^-1>) as the rotation search computes them on each interval,
+    with the trace functional's value."""
+    seen = []
+    trace = estimator.a2_functional_trace
+
+    def recording(avg_w, avg_winv):
+        seen.append(np.array([avg_w, avg_winv]))
+        return trace(avg_w, avg_winv)
+
+    monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
+    evaluate = estimator._type2_eval_fn(w, "trace", coarse_interval_config())
+    for iv in intervals:
+        value = evaluate(iv)
+        yield iv, seen.pop(), value
+
+
+def _assert_close_to_the_oracle(got, want, iv, tol):
+    # a diagonal entry within tol of its own mass, an off-diagonal entry
+    # within tol of its matrix's trace mass plus its own
+    err = np.abs(got - want)
+    off = ~np.eye(want.shape[-1], dtype=bool)
+    for e, m in zip(err, want):
+        diag = np.abs(m.diagonal())
+        assert np.all(e.diagonal() <= tol * diag), iv
+        assert np.all(e[off] <= tol * (diag.sum() + np.abs(m[off]))), iv
+
+
+class TestRotationMoments:
+    """Rotation averages in closed form: Fourier-power moments, and one
+    Gauss-Legendre rule on short intervals far from 0."""
 
     @pytest.mark.parametrize("w, nodes", [
-        (ROTATION_39, 35100),
-        (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 12620),
+        (ROTATION_39, 1816),
+        (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 1536),
     ], ids=["rotation2d", "rotation3d"])
-    def test_same_nodes_on_few_calls(self, monkeypatch, w, nodes):
-        # Counters, not clocks: one tree per grid interval took 114,340 and
-        # 49,940 nodes; one tree per elementary segment takes these.
+    def test_unitary_nodes(self, monkeypatch, w, nodes):
+        # Counters, not clocks: 16 nodes for the Fourier coefficients, then
+        # 20 per interval that takes the Gauss rule.
         seen = []
         stack = type2.unitary_stack
 
@@ -263,32 +298,26 @@ class TestGridForest:
         monkeypatch.setattr(type2, "unitary_stack", spy)
         assert estimate_a2(w).evaluations == 205
         assert sum(seen) == nodes
-        assert len(seen) <= 400
+        assert seen[0] == 16 and set(seen[1:]) == {20}
 
-    def test_grid_sums_meet_the_per_segment_bound(self, monkeypatch):
-        # Each segment is within tol of its own masses, so a sum of them is
-        # within tol of the interval's diagonal mass, and an off-diagonal
-        # within tol of the trace mass plus its own.
-        config = coarse_interval_config()
-        seen = []
-        trace = estimator.a2_functional_trace
+    @pytest.mark.parametrize("w", ROTATION_WEIGHTS,
+                             ids=["g=1/4", "g=9/10", "g=-9/10", "rotation3d"])
+    def test_grid_averages_match_a_tight_panel_tree(self, monkeypatch, w):
+        grid = interval_grid(coarse_interval_config())
+        pair = pair_pointwise(w)
+        for iv, got, _ in _recorded_averages(monkeypatch, w, grid):
+            _assert_close_to_the_oracle(got, average_numeric(pair, iv, 1e-12), iv, 1e-10)
 
-        def recording(avg_w, avg_winv):
-            seen.append(np.array([avg_w, avg_winv]))
-            return trace(avg_w, avg_winv)
-
-        monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
-        evaluate = estimator._type2_eval_fn(ROTATION_39, "trace", config)
-        pair = pair_pointwise(ROTATION_39)
-        off = ~np.eye(2, dtype=bool)
-        for iv in interval_grid(config):
-            evaluate(iv)
-            got, want = seen.pop(), average_numeric(pair, iv, 1e-10)
-            err = np.abs(got - want)
-            for e, m in zip(err, want):
-                diag = np.abs(m.diagonal())
-                assert np.all(e.diagonal() <= 1e-6 * diag), iv
-                assert np.all(e[off] <= 1e-6 * (diag.sum() + np.abs(m[off]))), iv
+    @pytest.mark.parametrize("w", ROTATION_WEIGHTS,
+                             ids=["g=1/4", "g=9/10", "g=-9/10", "rotation3d"])
+    def test_far_short_intervals_keep_the_floor(self, monkeypatch, w):
+        # There a difference of moments would lose the phase of e^(imx) to
+        # the rounding of x; the Gauss rule keeps the averages and the floor.
+        far = [Interval(1e6 - 1e-6, 1e6 + 1e-6), Interval(1e3, 1e3 + 1e-3)]
+        pair = pair_pointwise(w)
+        for iv, got, value in _recorded_averages(monkeypatch, w, far):
+            assert value >= w.n
+            _assert_close_to_the_oracle(got, average_numeric(pair, iv, 1e-12), iv, 1e-10)
 
     @pytest.mark.parametrize("w", [
         ROTATION_39,
@@ -296,38 +325,12 @@ class TestGridForest:
     ], ids=["alphas-3-9", "alphas-1-2"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_estimate_at_the_argmax_matches_a_tight_evaluation(self, w, functional):
-        # The argmax comes from golden refinement: covered segments plus
-        # fresh end pieces.
+        # The argmax comes from golden refinement, whose endpoints are off
+        # the grid.
         result = estimate_a2(w, functional)
         tight = estimator._FUNCTIONALS[functional](
             *average_numeric(pair_pointwise(w), result.argmax, 1e-12))
         assert result.estimate == pytest.approx(tight, rel=1e-8)
-
-    def test_budget_failure_surfaces_at_its_interval(self, monkeypatch):
-        # Under a 200-panel budget several segment trees fail. The search
-        # raises, at the first grid interval in scan order that covers a
-        # failed segment, that interval's leftmost failure, named by its
-        # segment and with the interval as region.
-        grid = interval_grid(coarse_interval_config())
-        cuts = sorted({0.0, *(x for iv in grid for x in (iv.a, iv.b))})
-        pair = pair_pointwise(ROTATION_39)
-        failed = {}
-        for p, q in zip(cuts, cuts[1:]):
-            try:
-                quadrature.matrix_quad(pair, p, q, 1e-6, panel_budget=200)
-            except QuadratureBudgetError as exc:
-                failed[p, q] = f"grid segment [{p!r}, {q!r}]: {exc}"
-        assert failed
-        k, want = next((k, msg) for k, iv in enumerate(grid)
-                       for (p, q), msg in sorted(failed.items())
-                       if iv.a <= p and q <= iv.b)
-        assert k > 0
-        monkeypatch.setattr(estimator, "matrix_quads", functools.partial(
-            quadrature.matrix_quads, panel_budget=200))
-        with pytest.raises(QuadratureBudgetError) as got:
-            estimate_a2(ROTATION_39)
-        assert got.value.region == grid[k]
-        assert str(got.value) == want
 
 
 class TestExactOracles:
@@ -423,7 +426,7 @@ class TestEstimateA2:
     def test_type2_equal_exponents_near_scalar_constant(self):
         w = Type2Weight((1.0, 1.0), ("1/2", "1/2"), "rotation2d")
         res = estimate_a2(w, functional="norm",
-                          config=coarse_interval_config(quadrature_tol=1e-9))
+                          config=coarse_interval_config())
         # rotation conjugation collapses; the scalar constant 4/3 governs
         assert res.estimate <= 4.0 / 3.0 * (1.0 + 1e-6)
         assert res.estimate >= 0.95 * 4.0 / 3.0

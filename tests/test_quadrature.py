@@ -2,15 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from a2w.quadrature import (_PANEL_CAP, PointwiseMatrixFunction,
-                            QuadratureBudgetError, adaptive_quad, matrix_quad,
-                            matrix_quads)
-from a2w.search import coarse_interval_config, interval_grid
+                            QuadratureBudgetError, adaptive_quad, matrix_quad)
 from a2w.type2 import Type2Weight, pair_pointwise
 
 
@@ -130,6 +129,15 @@ class TestBudgetAndValidation:
             with pytest.raises(QuadratureBudgetError, match="not finite"):
                 adaptive_quad(f, 0.0, 1.0, 1e-6, singular_exponent=-0.98)
 
+    def test_overflow_is_reported_once(self):
+        # The error is the one report: numpy's overflow warning, which the
+        # CLI would print as a second stderr line, stays silent.
+        f = lambda x: np.abs(x) ** -0.98
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureBudgetError, match="not finite"):
+                adaptive_quad(f, 0.0, 1.0, 1e-6, singular_exponent=-0.98)
+
     def test_non_finite_seed_panel_names_its_row(self):
         pmf = PointwiseMatrixFunction(
             2, lambda xs: np.stack([[np.ones_like(xs), 0 * xs],
@@ -216,6 +224,19 @@ class TestOneTree:
                             singular_exponent=p, scale=0.0)
         assert got.real == matrix_quad(pmf, -2.0, 1.0, 1e-10)[0, 0].real
 
+    def test_rows_of_one_integrand_share_the_tree(self):
+        # f and 1/f on one tree: the row integrals, each within its own
+        # relative tolerance of the exact value
+        def rows(x):
+            f = 2.0 + np.cos(x)
+            return np.array([f, 1.0 / f])
+
+        got = adaptive_quad(rows, 0.0, 2.0 * math.pi, 1e-10, scale=0.0)
+        assert got.shape == (2,)
+        want = [4.0 * math.pi, 2.0 * math.pi / math.sqrt(3.0)]
+        assert got.real == pytest.approx(want, rel=1e-10)
+        assert np.all(got.imag == 0.0)
+
 
 class TestPointwiseMatrixFunction:
     def test_entry_closures_integrate(self):
@@ -252,45 +273,9 @@ class TestRoundCounts:
         assert sum(seen) == nodes
         assert len(seen) <= 40
 
-
-GRID = [(iv.a, iv.b) for iv in interval_grid(coarse_interval_config())]
-
-
-class TestForest:
-    """matrix_quads: one panel tree per interval, all refined in lockstep."""
-
-    @pytest.mark.parametrize("w", [
-        Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"),
-        Type2Weight((3.0, 3.0, 3.0), ("-1/4",) * 3, "rotation3d_euler"),
-        Type2Weight((1.0, 2.0), ("1/2", "-1/3"), "identity"),
-    ], ids=["rotation2d", "rotation3d", "identity"])
-    def test_forest_matches_one_tree_per_interval(self, w):
-        pmf = pair_pointwise(w)
-        got = matrix_quads(pmf, GRID, 1e-6)
-        assert len(got) == len(GRID) == 195
-        for (a, b), total in zip(GRID, got):
-            assert np.array_equal(total, matrix_quad(pmf, a, b, 1e-6))
-
     def test_calls_stay_under_the_panel_cap(self):
+        # the larger rounds on [0, 2000] split more than _PANEL_CAP panels
         pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
         values, seen = spied(pmf.values)
-        matrix_quads(dataclasses.replace(pmf, values=values), GRID, 1e-6)
+        matrix_quad(dataclasses.replace(pmf, values=values), 0.0, 2000.0, 1e-6)
         assert max(seen) == 10 * _PANEL_CAP
-        assert len(seen) <= 200
-
-    def test_a_failing_tree_leaves_the_others(self):
-        # under a budget of 200 panels some trees of the grid fail; each
-        # entry is what its own matrix_quad returns, or the error it raises
-        pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
-        got = matrix_quads(pmf, GRID, 1e-6, panel_budget=200)
-        failed = 0
-        for (a, b), total in zip(GRID, got):
-            if isinstance(total, QuadratureBudgetError):
-                failed += 1
-                with pytest.raises(QuadratureBudgetError) as alone:
-                    matrix_quad(pmf, a, b, 1e-6, panel_budget=200)
-                assert str(total) == str(alone.value)
-            else:
-                assert np.array_equal(total, matrix_quad(pmf, a, b, 1e-6,
-                                                         panel_budget=200))
-        assert 0 < failed < len(GRID)

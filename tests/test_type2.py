@@ -17,7 +17,8 @@ from a2w.type1 import EvaluationAtOriginError, evaluate
 from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise, as_type1,
                        check_local_integrability, check_necessary_a2,
                        decide_a2, decide_rotation_a2, divergence_experiment,
-                       evaluate_type2, fit_loglog_slope, inverse_pointwise,
+                       evaluate_type2, fit_loglog_slope, fourier_coefficients,
+                       fourier_power_moments, inverse_pointwise,
                        inverse_weight, logspaced_ints, rotation2d,
                        rotation3d_euler, unitary_stack)
 
@@ -398,8 +399,9 @@ class TestDivergenceExperiment:
         assert 0.40 < slope < 0.60
 
     def test_probe_calls_are_rounds_not_splits(self, monkeypatch):
-        # Counters, not clocks: 26 seed calls and 1,248 splits, and a round
-        # of splits per probe call keeps them on few calls.
+        # Counters, not clocks: the probe and its reciprocal share one tree
+        # per window, and a round of splits per probe call keeps them on
+        # few calls.
         seen = []
 
         def spy(family, n, xs):
@@ -408,8 +410,50 @@ class TestDivergenceExperiment:
 
         monkeypatch.setattr("a2w.type2.unitary_stack", spy)
         divergence_experiment("-1/2", "0", logspaced_ints(100, 100000, 13))
-        assert sum(seen) == 37440
-        assert len(seen) <= 60
+        assert sum(seen) == 18720
+        assert len(seen) <= 30
+
+
+class TestFourierMoments:
+    """The closed-form pieces of a rotation's averages."""
+
+    @pytest.mark.parametrize("unitary, alphas", [("rotation2d", (3.0, 9.0)),
+                                                 ("rotation3d_euler", (1.0, 3.0, 0.5))])
+    def test_coefficients_resynthesize_the_weight(self, unitary, alphas, rng):
+        coeffs = fourier_coefficients(Type2Weight(alphas, ("1/4",) * len(alphas), unitary))
+        ms = np.arange(coeffs.shape[1])
+        for x in rng.uniform(-50.0, 50.0, 5):
+            u = unitary_stack(unitary, len(alphas), np.array([x]))[:, :, 0]
+            for c, d in zip(coeffs, (np.array(alphas), 1.0 / np.array(alphas))):
+                terms = np.einsum("mij,m->ij", c, np.exp(1j * ms * x))
+                got = terms + terms.conj().T - c[0]
+                assert np.allclose(got, u @ np.diag(d) @ u.T, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("s", [0.1, 2 / 3, 1.25, 1.9])
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_moments_match_the_incomplete_gamma_function(self, s, m):
+        # Phi_m(x) = (-im)^-s gamma(s, -imx) for x > 0, on both sides of
+        # the switch from the power series to the continued fraction at mx = 4
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1e-3, 0.3, 0.67, 4 / m - 1e-9, 4 / m + 1e-9, 100.0, 1e6]
+        got = fourier_power_moments([s - 1.0], 6, xs + [-x for x in xs])[0, m - 1]
+        with mpmath.workdps(40):
+            for x, pos, neg in zip(xs, got, got[len(xs):]):
+                want = complex((-1j * m) ** -mpmath.mpf(s)
+                               * mpmath.gammainc(s, 0, -1j * m * mpmath.mpf(x)))
+                assert abs(pos - want) <= 1e-13 * abs(want), x
+                assert neg == -pos.conjugate()
+
+    def test_a_moment_does_not_depend_on_the_other_points(self):
+        # grid endpoints are evaluated together, refinement endpoints alone
+        xs = np.concatenate([-np.logspace(-3, 6, 40), np.logspace(-3, 6, 40)])
+        together = fourier_power_moments([-0.5, 0.5], 6, xs)
+        for k, x in enumerate(xs):
+            assert np.array_equal(together[..., k],
+                                  fourier_power_moments([-0.5, 0.5], 6, [x])[..., 0])
+
+    def test_moments_vanish_at_zero(self):
+        assert np.all(fourier_power_moments([-0.5, 0.5], 2, [0.0]) == 0.0)
 
 
 class TestFitSlope:
