@@ -24,7 +24,7 @@ import numpy as np
 from . import search, type1
 from .estimator import (_FUNCTIONALS, a2_functional_norm, a2_functional_trace,
                         average_symbolic)
-from .quadrature import QuadratureBudgetError, _grow, _refine
+from .quadrature import QuadratureBudgetError, _panel_tree
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize
@@ -242,9 +242,8 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6) -> float:
         return np.full(len(rows), target / (2 * len(rows)))
 
     box = f"box {lo}..{hi}"
-    tree = _refine((0.0, 1.0), tolerance, None, _PANEL_BUDGET,
-                   lambda k: f"{box}, angular piece {k}: ")
-    value = float(np.sum(_grow(values, tree)))
+    value = float(np.sum(_panel_tree(values, (0.0, 1.0), tolerance, None, _PANEL_BUDGET,
+                                     lambda k: f"{box}, angular piece {k}: ")))
     if not target <= 2 * tol * abs(value):
         raise QuadratureBudgetError(
             f"{box}: rounding in the face terms allows "

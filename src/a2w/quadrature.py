@@ -9,19 +9,20 @@ model: for f ~ C x^s the Gauss value misses the panel mass by a
 computable factor, and for a sum of such terms by at most the worst
 factor over their exponents. That gives both a correction-free error
 bound and a geometric tail argument, so grading toward 0 terminates
-without ever sampling the singularity.
+without ever sampling the singularity. Non-negative integer exponents
+give no model: such terms are smooth on each side of 0.
 
 One refinement loop serves scalar and matrix integrands: a panel tree over
 m rows, where each panel evaluates every row in one call and keeps one
 error, one tolerance and one power-model factor per row, and refinement
 runs until every row meets its own tolerance. The zero split and any
-endpoint grading are its seed cuts. A tree is a state machine (_refine)
-that asks for panels and is sent their Gauss values; _grow evaluates
-each request of one tree. adaptive_quad is the front end for an
-integrand of one row or of a few rows (a function and its reciprocal
-share one tree); matrix_quad integrates the upper triangles of a stack
-of Hermitian matrix functions evaluated together (a weight and its
-inverse share one tree), one row per entry.
+endpoint grading are its seed cuts. _panel_tree runs one tree and
+evaluates the integrand itself, one round of panels at a time.
+adaptive_quad is the front end for an integrand of one row or of a few
+rows (a function and its reciprocal share one tree); matrix_quad
+integrates the upper triangles of a stack of Hermitian matrix functions
+evaluated together (a weight and its inverse share one tree), one row
+per entry.
 """
 
 from __future__ import annotations
@@ -62,18 +63,15 @@ class PointwiseMatrixFunction:
     averaging, or a stack of m such functions evaluated together.
 
     values(xs) returns the matrix at every point of the 1-D array xs,
-    shaped (n, n, len(xs)), or (m, n, n, len(xs)) for a stack of m > 1. The
-    singular_exponent is a certified lower bound s with
-    |entries(x)| = O(|x|^s) as x -> 0; None means entries extend
-    continuously through 0. exponents, when given, lists for each matrix
-    every power e of its terms |x|^e times a smooth factor near 0, and
-    its length is m; without it there is one matrix, whose power model
-    is singular_exponent alone.
+    shaped (n, n, len(xs)), or (m, n, n, len(xs)) for a stack of m > 1.
+    exponents is the power model at 0: one tuple per matrix, listing
+    every power e of its terms |x|^e times a smooth factor near 0, so its
+    length is m. None means one matrix whose entries extend smoothly
+    through 0.
     """
 
     n: int
     values: Callable[[np.ndarray], np.ndarray]
-    singular_exponent: Fraction | None = None
     exponents: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
@@ -81,17 +79,11 @@ class PointwiseMatrixFunction:
         """The number of matrices values returns: len(exponents), else 1."""
         return len(self.exponents) if self.exponents else 1
 
-    def entry(self, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized x -> entry (i, j) of a single matrix, read off values."""
-        if self.m > 1:
-            raise ValueError(f"entry ({i}, {j}) is ambiguous in a stack of "
-                             f"{self.m} matrices")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of range for order {self.n}")
-
-        def fn(xs):
-            return self.values(np.atleast_1d(np.asarray(xs, dtype=float)))[i, j]
-        return fn
+    @property
+    def singular_exponent(self) -> Fraction | None:
+        """The smallest exponent of the power model, a lower bound s with
+        |entries(x)| = O(|x|^s) as x -> 0; None when smooth."""
+        return min(map(min, self.exponents)) if self.exponents else None
 
 
 def _power_gap(s) -> float:
@@ -126,32 +118,48 @@ def _seed_cuts(a: float, b: float, grading: int) -> list[float]:
     return cuts
 
 
-def _gl_panels(f, panels: np.ndarray) -> np.ndarray:
-    """Gauss values of f on panels, an array of (mid, half-width) rows, in
-    one call of f.
+def _gl_panels(f, panels) -> np.ndarray:
+    """Gauss values of f on panels, a list of (mid, half-width) pairs,
+    shaped (m, len(panels)).
 
     f maps the concatenated nodes to m rows of values, shaped (m, nodes),
-    or (nodes,) for one row; the result is shaped (m, len(panels)).
+    or (nodes,) for one row. It is called on at most _PANEL_CAP panels at
+    a time, so memory stays bounded however many panels a round asks for.
     """
-    halves = panels[:, 1]
-    vals = np.asarray(f((panels[:, 1:] * _NODES + panels[:, :1]).ravel()))
-    # vecdot, not matmul: BLAS rounds a panel's sum by its position in the
-    # call, while vecdot sums each panel's nodes on their own, so a panel's
-    # value does not depend on which panels share the call (see _grow).
-    # The weights go first: vecdot conjugates its first argument.
-    return np.vecdot(_WEIGHTS, vals.reshape(-1, halves.size, _NODES.size)) * halves
+    panels = np.array(panels, dtype=float).reshape(-1, 2)
+    out = []
+    for i in range(0, len(panels), _PANEL_CAP):
+        chunk = panels[i:i + _PANEL_CAP]
+        halves = chunk[:, 1]
+        vals = np.asarray(f((chunk[:, 1:] * _NODES + chunk[:, :1]).ravel()))
+        # vecdot, not matmul: BLAS rounds a panel's sum by its position in
+        # the call, while vecdot sums each panel's nodes on their own, so a
+        # panel's value does not depend on which panels share the call.
+        # The weights go first: vecdot conjugates its first argument.
+        out.append(np.vecdot(_WEIGHTS, vals.reshape(-1, halves.size, _NODES.size))
+                   * halves)
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
-def _checked_exponent(a: float, b: float, singular_exponent) -> float | None:
-    """The declared exponent at 0 as a float, or None if [a, b] misses 0."""
+def _gaps(a: float, b: float, exponents) -> list[float] | None:
+    """The power-model gap at 0 of each matrix of a power model (one tuple
+    of exponents per matrix): the largest _power_gap over its exponents.
+
+    None when [a, b] misses 0 or there is no model. None too when every
+    exponent is a non-negative integer: each term is then smooth on each
+    side of 0, its gap is 0 up to rounding and would mark a panel at 0
+    converged whatever the smooth factor does, so panels there go through
+    split-compare like any other.
+    """
     if not a < b:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    if singular_exponent is None or not a <= 0.0 <= b:
+    if exponents is None or not a <= 0.0 <= b:
         return None
-    s = float(singular_exponent)
-    if s <= -1.0:
+    if float(min(map(min, exponents))) <= -1.0:
         raise ValueError("integrand is certified non-integrable at 0")
-    return s
+    if all(e >= 0 and float(e).is_integer() for es in exponents for e in es):
+        return None
+    return [max(map(_power_gap, es)) for es in exponents]
 
 
 def _require_finite(sums, lo: float, hi: float, where) -> None:
@@ -162,22 +170,24 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
             f"{where(k)}Gauss values on [{lo!r}, {hi!r}] are not finite")
 
 
-def _refine(cuts, tolerance, gaps, panel_budget: int, where):
-    """One adaptive panel tree over the m rows of an integrand, as a state
-    machine: a generator that yields the panels it needs as a flat list
-    mid0, half0, mid1, half1, ... of midpoints and half-widths, is sent
-    their Gauss values shaped (m, panels), and returns its row sums,
-    shaped (m,). _grow runs it.
+# An integrand that overflows (|x|^g at subnormal x) gives non-finite Gauss
+# values, which _require_finite turns into QuadratureBudgetError; numpy's
+# overflow warning would only add a second report on stderr.
+@np.errstate(over="ignore")
+def _panel_tree(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
+    """The row sums, shaped (m,), of one adaptive panel tree over the m
+    rows of the integrand f (see _gl_panels); a QuadratureBudgetError
+    propagates.
 
-    The first request is the seed panels between cuts, and tolerance maps
-    their row masses (sums of |Gauss values|) and row sums to one absolute
-    tolerance per row.
+    The seed panels lie between cuts, and tolerance maps their row masses
+    (sums of |Gauss values|) and row sums to one absolute tolerance per
+    row.
     Each panel keeps one error per row and is keyed by its largest ratio
     of row error to row tolerance; refinement stops only when every row's
     summed error is within its tolerance. It splits in rounds: a round
     pops, worst first, every panel not yet estimated, then known panels
     for as long as some row's summed error, less the errors already
-    popped, still exceeds its tolerance, and requests every child of the
+    popped, still exceeds its tolerance, and evaluates every child of the
     bisected panels at once. Each child pair gets its split-compare
     error. When gaps is not None, a panel with an endpoint at 0 takes
     row k's error from the power model instead: gaps[k] bounds the
@@ -191,8 +201,8 @@ def _refine(cuts, tolerance, gaps, panel_budget: int, where):
     error, and in the error for Gauss values that overflow, which names
     the first such panel in pop order.
     """
-    seed_vals = yield [x for lo, hi in zip(cuts, cuts[1:])
-                       for x in ((lo + hi) / 2.0, (hi - lo) / 2.0)]
+    seed_vals = _gl_panels(f, [((lo + hi) / 2.0, (hi - lo) / 2.0)
+                               for lo, hi in zip(cuts, cuts[1:])])
     seed_sums = np.add.reduce(seed_vals, axis=1)
     _require_finite(seed_sums.tolist(), cuts[0], cuts[-1], where)
     tols = tolerance(np.add.reduce(np.abs(seed_vals), axis=1), seed_sums)
@@ -241,9 +251,10 @@ def _refine(cuts, tolerance, gaps, panel_budget: int, where):
             _, _, lo, hi, val, _ = heapq.heappop(heap)
             popped.append((lo, (lo + hi) / 2.0, hi, val))
             used += 2
-        vals = (yield [x for lo, mid, hi, _ in popped
-                       for x in ((lo + mid) / 2.0, (mid - lo) / 2.0,
-                                 (mid + hi) / 2.0, (hi - mid) / 2.0)]).T.tolist()
+        children = [panel for lo, mid, hi, _ in popped
+                    for panel in (((lo + mid) / 2.0, (mid - lo) / 2.0),
+                                  ((mid + hi) / 2.0, (hi - mid) / 2.0))]
+        vals = _gl_panels(f, children).T.tolist()
         for (lo, mid, hi, val), lv, rv in zip(popped, vals[::2], vals[1::2]):
             sums = list(map(add, lv, rv))
             _require_finite(sums, lo, hi, where)
@@ -252,29 +263,6 @@ def _refine(cuts, tolerance, gaps, panel_budget: int, where):
             push(lo, mid, lv, split_err, key)
             push(mid, hi, rv, split_err, key)
     return np.add.reduce(np.array([item[4] for item in heap]), axis=0)
-
-
-# An integrand that overflows (|x|^g at subnormal x) yields non-finite Gauss
-# values, which _require_finite turns into QuadratureBudgetError; numpy's
-# overflow warning would only add a second report on stderr.
-@np.errstate(over="ignore")
-def _grow(f, tree) -> np.ndarray:
-    """Run one panel tree (a _refine generator) over the integrand f and
-    return its row sums; a QuadratureBudgetError it raises propagates.
-
-    Each request is evaluated in calls of f of at most _PANEL_CAP panels,
-    so memory stays bounded however many panels a round asks for. Gauss
-    values do not depend on which panels share a call.
-    """
-    request = next(tree)
-    while True:
-        panels = np.array(request, dtype=float).reshape(-1, 2)
-        vals = [_gl_panels(f, panels[i:i + _PANEL_CAP])
-                for i in range(0, len(panels), _PANEL_CAP)]
-        try:
-            request = tree.send(vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1))
-        except StopIteration as done:
-            return done.value
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
@@ -307,12 +295,12 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     requests purely relative control and is only safe for integrands
     without cancellation.
     """
-    s = _checked_exponent(a, b, singular_exponent)
+    gaps = _gaps(a, b, None if singular_exponent is None else ((singular_exponent,),))
     floor = 1.0 if scale is None else abs(scale)
-    total = _grow(f, _refine(_seed_cuts(a, b, endpoint_grading),
-                             lambda mass, _: tol * (floor + mass),
-                             None if s is None else itertools.repeat(_power_gap(s)),
-                             panel_budget, lambda k: ""))
+    total = _panel_tree(f, _seed_cuts(a, b, endpoint_grading),
+                        lambda mass, _: tol * (floor + mass),
+                        None if gaps is None else itertools.repeat(gaps[0]),
+                        panel_budget, lambda k: "")
     return complex(total[0]) if total.size == 1 else total.astype(complex)
 
 
@@ -327,7 +315,7 @@ def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
     seed mass; an off-diagonal entry can cancel and gets tol times the
     largest diagonal seed mass of its own matrix plus its own. On panels
     at 0, each matrix's rows take the largest power-model gap over that
-    matrix's exponents (pmf.exponents, else pmf.singular_exponent).
+    matrix's exponents in pmf.exponents.
     """
     m, n = pmf.m, pmf.n
     rows, cols = np.triu_indices(n)
@@ -345,12 +333,11 @@ def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
         q, k = divmod(k, rows.size)
         return f"{f'matrix {q} ' if m > 1 else ''}entry ({rows[k]}, {cols[k]}) "
 
-    s, gaps = _checked_exponent(a, b, pmf.singular_exponent), None
-    if s is not None:
-        worst = [max(map(_power_gap, es)) for es in pmf.exponents or ((s,),)]
-        gaps = np.repeat(worst, rows.size).tolist()
-    total = _grow(values, _refine(_seed_cuts(a, b, 0), tolerance, gaps,
-                                  panel_budget, where))
+    gaps = _gaps(a, b, pmf.exponents)
+    if gaps is not None:
+        gaps = np.repeat(gaps, rows.size).tolist()
+    total = _panel_tree(values, _seed_cuts(a, b, 0), tolerance, gaps,
+                        panel_budget, where)
     total = total.astype(complex).reshape(m, -1)
     total[:, diagonal] = total[:, diagonal].real
     out = np.zeros((m, n, n), dtype=complex)

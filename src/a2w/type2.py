@@ -45,7 +45,6 @@ __all__ = [
     "evaluate_type2",
     "as_pointwise",
     "inverse_weight",
-    "inverse_pointwise",
     "pair_pointwise",
     "fourier_coefficients",
     "fourier_power_moments",
@@ -170,10 +169,8 @@ def _pointwise(*weights: Type2Weight) -> PointwiseMatrixFunction:
         out = np.einsum("ikN,mkN,jkN->mijN", u, scaled, u.conj())
         return out[0] if len(weights) == 1 else out
 
-    exponents = tuple(w.gammas for w in weights)
-    return PointwiseMatrixFunction(
-        n=w0.n, values=values, exponents=exponents,
-        singular_exponent=min(min(es) for es in exponents))
+    return PointwiseMatrixFunction(n=w0.n, values=values,
+                                   exponents=tuple(w.gammas for w in weights))
 
 
 def as_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
@@ -186,10 +183,6 @@ def inverse_weight(w: Type2Weight) -> Type2Weight:
         raise ValueError("inverse needs positive eigenvalue coefficients")
     return Type2Weight(tuple(1.0 / a for a in w.alphas),
                        tuple(-g for g in w.gammas), w.unitary)
-
-
-def inverse_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:
-    return as_pointwise(inverse_weight(w))
 
 
 def pair_pointwise(w: Type2Weight) -> PointwiseMatrixFunction:

@@ -6,11 +6,13 @@ PASS/FAIL line per criterion at the end of the run.
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, evaluate, symbolic_det,
                        symbolic_inverse)
 from a2w.type2 import (Type2Weight, as_pointwise, evaluate_type2,
-                       inverse_pointwise, logspaced_ints, rotation2d,
+                       inverse_weight, logspaced_ints, rotation2d,
                        rotation3d_euler)
 from a2w.verify import random_interval, random_point, random_type1_weight
 
@@ -150,7 +152,7 @@ def test_criterion_06_divergence_sweep_and_bounded_control(capsys):
 
     # equal-exponent control: same windows, trace stays at the 2x2 ceiling
     control = Type2Weight((1.0, 1.0), (HALF, HALF), "rotation2d")
-    fwd, bwd = as_pointwise(control), inverse_pointwise(control)
+    fwd, bwd = as_pointwise(control), as_pointwise(inverse_weight(control))
     for n in logspaced_ints(100, 100000, 13):
         a = 2.0 * math.pi * n
         iv = Interval(a, a + math.pi)
@@ -273,10 +275,13 @@ def test_criterion_10_byte_identical_repeat_runs(tmp_path):
         sys.executable, "-c",
         "import sys; from a2w.cli import main; sys.exit(main())"]
     spec = _write_spec(tmp_path, TWO_BY_TWO, "c10.json")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
     const_argv = base + ["constant", spec, "--json", "--grid", "coarse"]
-    first = subprocess.run(const_argv, capture_output=True, check=True)
-    second = subprocess.run(const_argv, capture_output=True, check=True)
+    first = subprocess.run(const_argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(const_argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     json.loads(first.stdout.decode("utf-8"))
 
@@ -285,9 +290,9 @@ def test_criterion_10_byte_identical_repeat_runs(tmp_path):
                        "--json"]
     csv1, csv2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
     d1 = subprocess.run(div_argv + ["--out", csv1], capture_output=True,
-                        check=True)
+                        check=True, env=env)
     d2 = subprocess.run(div_argv + ["--out", csv2], capture_output=True,
-                        check=True)
+                        check=True, env=env)
     assert d1.stdout == d2.stdout
     with open(csv1, "rb") as f1, open(csv2, "rb") as f2:
         assert f1.read() == f2.read()

@@ -18,8 +18,8 @@ from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
 from a2w import estimator, type2
 from a2w.search import interval_grid
-from a2w.type2 import (Type2Weight, as_pointwise, inverse_pointwise,
-                      pair_pointwise)
+from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
+                       pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
 
 TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
@@ -33,8 +33,8 @@ def _as_pointwise(w) -> PointwiseMatrixFunction:
         ax = np.abs(np.asarray(xs, dtype=float))
         return eff[:, :, None] * ax[None, None, :] ** floats[:, :, None]
 
-    smin = min(min(row) for row in w.exponents[0])
-    return PointwiseMatrixFunction(n=w.n, values=values, singular_exponent=smin)
+    return PointwiseMatrixFunction(
+        n=w.n, values=values, exponents=(tuple(e for row in w.exponents[0] for e in row),))
 
 
 class TestAverages:
@@ -102,7 +102,7 @@ class TestMatrixRouteOracles:
         gammas = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
         w = Type2Weight((2.0, 0.5, 3.0), gammas, "identity")
         for pmf, data in ((as_pointwise(w), zip(w.alphas, gammas)),
-                          (inverse_pointwise(w),
+                          (as_pointwise(inverse_weight(w)),
                            ((1.0 / a, -g) for a, g in zip(w.alphas, gammas)))):
             want = np.diag([a * average_abs_pow(g, iv) for a, g in data])
             _assert_matrix_close(average_numeric(pmf, iv, tol=1e-10), want)
@@ -156,8 +156,8 @@ class TestPairRoute:
         got = average_numeric(pair_pointwise(w), iv, tol=1e-10)
         assert got.shape == (2, w.n, w.n)
         _assert_matrix_close(got[0], average_numeric(as_pointwise(w), iv, tol=1e-12))
-        _assert_matrix_close(got[1], average_numeric(inverse_pointwise(w), iv,
-                                                     tol=1e-12))
+        _assert_matrix_close(got[1], average_numeric(as_pointwise(inverse_weight(w)),
+                                                     iv, tol=1e-12))
 
     def test_one_matrix_power_model_covers_every_exponent(self):
         # |x|^(1/5) beside |x|^0: the origin panel's error must come from the
@@ -300,8 +300,9 @@ class TestRotationMoments:
         assert sum(seen) == nodes
         assert seen[0] == 16 and set(seen[1:]) == {20}
 
-    @pytest.mark.parametrize("w", ROTATION_WEIGHTS,
-                             ids=["g=1/4", "g=9/10", "g=-9/10", "rotation3d"])
+    @pytest.mark.parametrize("w", ROTATION_WEIGHTS + [
+        Type2Weight((3.0, 9.0), ("0", "0"), "rotation2d"),
+    ], ids=["g=1/4", "g=9/10", "g=-9/10", "rotation3d", "g=0"])
     def test_grid_averages_match_a_tight_panel_tree(self, monkeypatch, w):
         grid = interval_grid(coarse_interval_config())
         pair = pair_pointwise(w)

@@ -3,14 +3,17 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from a2w import quadrature
+from a2w.multivar import cube_integral_radial
 from a2w.quadrature import (_PANEL_CAP, PointwiseMatrixFunction,
                             QuadratureBudgetError, adaptive_quad, matrix_quad)
-from a2w.type2 import Type2Weight, pair_pointwise
+from a2w.type2 import Type2Weight, divergence_experiment, pair_pointwise
 
 
 def spied(f):
@@ -46,6 +49,13 @@ class TestPurePowers:
                             singular_exponent=p)
         want = 3.0 ** (p + 1.0) / (p + 1.0)
         assert got.real == pytest.approx(want, rel=5e-9)
+
+    def test_integer_exponent_leaves_the_panel_at_zero_to_split_compare(self):
+        # |x|^0 gets no power model: its gap is 0 up to rounding, so the
+        # model would mark the panel at 0 converged whatever cos^2 does.
+        got = adaptive_quad(lambda x: np.cos(x) ** 2, 0.0, 30.0, 1e-10,
+                            singular_exponent=0)
+        assert got.real == pytest.approx(15.0 + math.sin(60.0) / 4.0, rel=1e-9)
 
     def test_nonintegrable_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +229,7 @@ class TestOneTree:
         p = -0.5
         pmf = PointwiseMatrixFunction(
             n=1, values=lambda xs: (np.abs(xs) ** p)[None, None, :],
-            singular_exponent=p)
+            exponents=((p,),))
         got = adaptive_quad(lambda x: np.abs(x) ** p, -2.0, 1.0, 1e-10,
                             singular_exponent=p, scale=0.0)
         assert got.real == matrix_quad(pmf, -2.0, 1.0, 1e-10)[0, 0].real
@@ -239,26 +249,25 @@ class TestOneTree:
 
 
 class TestPointwiseMatrixFunction:
-    def test_entry_closures_integrate(self):
+    def test_entries_integrate(self):
         def values(xs):
             out = np.zeros((2, 2, xs.size))
             for i in range(2):
                 out[i, i] = np.abs(xs) ** 0.5 + i
             return out
 
-        pmf = PointwiseMatrixFunction(n=2, values=values, singular_exponent=None)
-        assert pmf.n == 2
-        top = adaptive_quad(pmf.entry(0, 0), 0.0, 1.0, 1e-10,
+        pmf = PointwiseMatrixFunction(n=2, values=values)
+        assert (pmf.m, pmf.singular_exponent) == (1, None)
+        top = adaptive_quad(lambda xs: pmf.values(xs)[0, 0], 0.0, 1.0, 1e-10,
                             singular_exponent=0.5)
         assert top.real == pytest.approx(2.0 / 3.0, rel=1e-8)
 
-    def test_entry_of_a_stack_is_rejected(self):
-        # values is shaped (m, n, n, N) for a stack, so [i, j] would pick
-        # row j of matrix i, not an entry
+    def test_singular_exponent_is_the_least_of_the_power_model(self):
         pmf = pair_pointwise(Type2Weight((1.0, 2.0), ("1/4", "-1/3"), "identity"))
         assert pmf.m == 2
-        with pytest.raises(ValueError, match="stack of 2 matrices"):
-            pmf.entry(0, 0)
+        assert pmf.exponents == ((Fraction(1, 4), Fraction(-1, 3)),
+                                 (Fraction(-1, 4), Fraction(1, 3)))
+        assert pmf.singular_exponent == Fraction(-1, 3)
 
 
 class TestRoundCounts:
@@ -279,3 +288,17 @@ class TestRoundCounts:
         values, seen = spied(pmf.values)
         matrix_quad(dataclasses.replace(pmf, values=values), 0.0, 2000.0, 1e-6)
         assert max(seen) == 10 * _PANEL_CAP
+
+    def test_results_do_not_depend_on_how_a_round_is_split_into_calls(self, monkeypatch):
+        # Each of the three trees has rounds of more than 7 panels.
+        def results():
+            pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
+            return (matrix_quad(pmf, 0.0, 2000.0, 1e-6),
+                    cube_integral_radial(1.5, (0.01, -2.0, -0.5), (3.0, 0.2, 0.1), 1e-12),
+                    divergence_experiment("0", "1/2", (100, 1000)))
+
+        default = results()
+        monkeypatch.setattr(quadrature, "_PANEL_CAP", 7)
+        capped = results()
+        assert np.array_equal(capped[0], default[0])
+        assert capped[1:] == default[1:]

@@ -18,9 +18,9 @@ from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise, as_type1,
                        check_local_integrability, check_necessary_a2,
                        decide_a2, decide_rotation_a2, divergence_experiment,
                        evaluate_type2, fit_loglog_slope, fourier_coefficients,
-                       fourier_power_moments, inverse_pointwise,
-                       inverse_weight, logspaced_ints, rotation2d,
-                       rotation3d_euler, unitary_stack)
+                       fourier_power_moments, inverse_weight,
+                       logspaced_ints, rotation2d, rotation3d_euler,
+                       unitary_stack)
 
 HALF = Fraction(1, 2)
 
@@ -160,16 +160,9 @@ class TestEvaluation:
         xs = np.linspace(0.2, 9.0, 40)
         for i in range(3):
             for j in range(3):
-                vals = as_pointwise(w).entry(i, j)(xs)
+                vals = as_pointwise(w).values(xs)[i, j]
                 direct = np.array([evaluate_type2(w, x)[i, j] for x in xs])
                 assert np.allclose(vals, direct, rtol=1e-12, atol=1e-14)
-
-    def test_entry_function_index_bounds(self):
-        pw = as_pointwise(planar(0, HALF))
-        with pytest.raises(IndexError):
-            pw.entry(2, 0)
-        with pytest.raises(IndexError):
-            pw.entry(0, -1)
 
 
 class TestProfilesAndInverse:
@@ -177,11 +170,12 @@ class TestProfilesAndInverse:
         w = planar(HALF, -HALF, a1=2.0)
         pw = as_pointwise(w)
         assert pw.n == 2
+        assert pw.exponents == (w.gammas,)
         assert pw.singular_exponent == -HALF
         xs = np.array([0.7, 3.0])
         for i in range(2):
             for j in range(2):
-                assert np.allclose(pw.entry(i, j)(xs),
+                assert np.allclose(pw.values(xs)[i, j],
                                    [evaluate_type2(w, x)[i, j] for x in xs])
 
     def test_inverse_weight_swaps_data(self):
@@ -197,12 +191,12 @@ class TestProfilesAndInverse:
             prod = evaluate_type2(w, x) @ evaluate_type2(inverse_weight(w), x)
             assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
-    def test_inverse_pointwise_wrapper(self):
+    def test_inverse_weight_as_pointwise(self):
         w = planar(HALF, 0)
-        pw = inverse_pointwise(w)
+        pw = as_pointwise(inverse_weight(w))
         assert pw.singular_exponent == -HALF
         xs = np.array([0.9])
-        assert np.allclose(pw.entry(0, 0)(xs),
+        assert np.allclose(pw.values(xs)[0, 0],
                            evaluate_type2(inverse_weight(w), 0.9)[0, 0])
 
     def test_inverse_requires_positive_coefficients(self):
