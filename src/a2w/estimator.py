@@ -9,6 +9,12 @@ as the independent oracle the tests and verify check them against. The
 two functionals are the trace form Tr(<W> <W^-1>) and the norm form
 ||<W>^(1/2) <W^-1>^(1/2)||^2; the norm form is the A2 characteristic
 proper, the trace form sandwiches it within a factor of the dimension.
+
+Averages and functionals run on stacks shaped (k, n, n). A search's
+evaluate function scores its whole grid as one stack on its first call
+and looks grid intervals up after that; any other interval, and
+average_symbolic, run the same code as a stack of one, so a value never
+depends on its batch (_grid_scan).
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .report import VERDICT_A2
-from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
-                           integral_abs_pow)
+from .scalar_power import (NotA2Error, NotIntegrableError, integral_abs_pow,
+                           integral_abs_pow_stack)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
@@ -53,26 +59,71 @@ class NonPositiveInputError(ArithmeticError):
     """A functional received an average that is not positive definite."""
 
 
+def _term_table(weights) -> tuple:
+    """The terms of power matrices of one order and dimension as one
+    table (which, rows, cols, coeffs, exponents, factor, index), laid out
+    as SymbolicPowerMatrix.terms: which[t] is the weight of term t (0 for
+    a single weight)."""
+    if len(weights) == 1:
+        return (0, *weights[0].terms)
+    parts = [w.terms for w in weights]
+    which = np.concatenate([np.full(p[0].size, m) for m, p in enumerate(parts)])
+    offsets = np.cumsum([0] + [p[3].size for p in parts[:-1]])
+    index = np.concatenate([p[5] + off for p, off in zip(parts, offsets)], axis=1)
+    return (which, *(np.concatenate([p[k] for p in parts]) for k in range(5)), index)
+
+
+def _averages(table, count: int, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """<W> for each of the count weights of a _term_table over k boxes
+    with lower corners lo and upper corners hi, both shaped (d, k);
+    shaped (count, k, n, n).
+
+    One integral_abs_pow_stack call averages every exponent of the table
+    over its coordinate's side of each box; an entry is its coefficient
+    times the product of its coordinates' averages, in coordinate order.
+    An average that does not exist raises NotIntegrableError for the
+    first entry (in table order) and coordinate that has one.
+    """
+    which, rows, cols, coeffs, exponents, factor, index = table
+    side = integral_abs_pow_stack(exponents[:, None], lo[factor], hi[factor]) / (hi - lo)[factor]
+    product = side[index[0]]
+    for idx in index[1:]:
+        product = product * side[idx]
+    if np.isnan(product).any():
+        _raise_not_integrable(table, lo, hi)
+    out = np.zeros((count, lo.shape[1], n, n), dtype=complex)
+    out[which, :, rows, cols] = coeffs[:, None] * product
+    return out
+
+
+def _raise_not_integrable(table, lo: np.ndarray, hi: np.ndarray):
+    """Raise integral_abs_pow's NotIntegrableError for the first box and
+    term, in table order, and coordinate at which an average does not
+    exist."""
+    _, rows, cols, _, exponents, _, index = table
+    for box in range(lo.shape[1]):
+        for t, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            for c, idx in enumerate(index):
+                try:
+                    integral_abs_pow(exponents[idx[t]], Interval(lo[c, box], hi[c, box]))
+                except NotIntegrableError as exc:
+                    raise NotIntegrableError(
+                        f"entry ({i}, {j}), coordinate {c}: {exc}") from exc
+
+
 def average_symbolic(w: SymbolicPowerMatrix, region) -> np.ndarray:
     """<W> over an interval, or over a multivar.Cube for a separable weight,
-    entrywise as products of the closed-form 1D power averages."""
+    entrywise as products of the closed-form 1D power averages: the
+    search's stacked route on one box."""
     if isinstance(region, Interval):
         ivs = (region,)
     else:
         ivs = tuple(region.interval(c) for c in range(region.d))
     if len(ivs) != w.d or not w.separable:
         raise ValueError("region dimension does not match the weight")
-    out = np.zeros((w.n, w.n), dtype=complex)
-    try:
-        for i, j, a, exps in w.terms:
-            factor = 1.0
-            for c, e in enumerate(exps):
-                factor *= average_abs_pow(e, ivs[c])
-            out[i, j] = a * factor
-    except NotIntegrableError as exc:
-        raise NotIntegrableError(
-            f"entry ({i}, {j}), coordinate {c}: {exc}") from exc
-    return out
+    lo = np.array([[iv.a] for iv in ivs])
+    hi = np.array([[iv.b] for iv in ivs])
+    return _averages(_term_table((w,)), 1, w.n, lo, hi)[0, 0]
 
 
 def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
@@ -90,42 +141,76 @@ def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
     return matrix_quad(pmf, iv.a, iv.b, tol, panel_budget) / iv.length
 
 
-def _check_average_pair(avg_w: np.ndarray, avg_winv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = linalg.as_hermitian(avg_w, tol=1e-8)
-    b = linalg.as_hermitian(avg_winv, tol=1e-8)
-    if a.shape != b.shape:
-        raise ValueError("average matrices must share a shape")
-    if np.any(a.diagonal().real <= 0) or np.any(b.diagonal().real <= 0):
+def _checked_pair(avg_w, avg_winv) -> tuple[np.ndarray, np.ndarray]:
+    """Both averages, each a matrix or a stack of them, exactly
+    symmetrized after every matrix passed the checks both functionals
+    share: finite, self-adjoint within 1e-8, one shape, positive diagonals.
+    The two are checked as one stack; if that fails, they are checked one
+    after the other, so the failure raised is the one a pair raises alone."""
+    try:
+        a, b = linalg.as_hermitian_stack(np.array([avg_w, avg_winv]), tol=1e-8)
+    except ValueError:
+        linalg.as_hermitian_stack(avg_w, tol=1e-8)
+        linalg.as_hermitian_stack(avg_winv, tol=1e-8)
+        raise ValueError("average matrices must share a shape") from None
+    if (a.diagonal(0, -2, -1).real <= 0).any() or (b.diagonal(0, -2, -1).real <= 0).any():
         raise NonPositiveInputError("averages must be positive definite")
     return a, b
 
 
-def a2_functional_trace(avg_w, avg_winv) -> float:
-    """Tr(<W> <W^-1>); bounded below by the dimension for true averages."""
-    a, b = _check_average_pair(avg_w, avg_winv)
-    n = a.shape[0]
-    val = float(np.trace(a @ b).real)
-    if val < n * (1.0 - 1e-9):
-        raise NonPositiveInputError(
-            f"trace functional {val} below its floor {n}; inputs are not "
-            "averages of a weight and its inverse")
-    return val
+def _values(val: np.ndarray):
+    """A functional's values: a float for one pair of matrices, an array
+    for a stack of pairs."""
+    return float(val) if val.ndim == 0 else val
 
 
-def a2_functional_norm(avg_w, avg_winv) -> float:
-    """||<W>^(1/2) <W^-1>^(1/2)||^2, the matrix A2 product for one interval."""
-    a, b = _check_average_pair(avg_w, avg_winv)
-    try:
-        ra = linalg.sqrt_psd(a)
-        rb = linalg.sqrt_psd(b)
-    except linalg.NegativeEigenvalueError as exc:
-        raise NonPositiveInputError(str(exc)) from exc
-    op = linalg.operator_norm(ra @ rb)
-    val = op * op
-    if val < 1.0 - 1e-9:
+def a2_functional_trace(avg_w, avg_winv):
+    """Tr(<W> <W^-1>); bounded below by the dimension for true averages.
+
+    Takes one pair of (n, n) averages, or stacks of them shaped (..., n, n)
+    with one value per pair; a value does not depend on the rest of its
+    stack. Any pair that fails a check raises, as if it came alone.
+    """
+    a, b = _checked_pair(avg_w, avg_winv)
+    n = a.shape[-1]
+    # sum over i, j of conj(a_ij) b_ij, which is Tr(a b) for self-adjoint a
+    val = np.vecdot(a.reshape(*a.shape[:-2], n * n), b.reshape(*b.shape[:-2], n * n)).real
+    low = val < n * (1.0 - 1e-9)
+    if low.any():
         raise NonPositiveInputError(
-            f"norm functional {val} below its floor 1")
-    return val
+            f"trace functional {val[low][0]} below its floor {n}; "
+            "inputs are not averages of a weight and its inverse")
+    return _values(val)
+
+
+def a2_functional_norm(avg_w, avg_winv):
+    """||<W>^(1/2) <W^-1>^(1/2)||^2, the matrix A2 product for one interval.
+
+    Stacks as a2_functional_trace. With <W> = U_a D_a U_a* and
+    <W^-1> = U_b D_b U_b* from LAPACK (linalg.eigh_stack), eigenvalues in
+    [-1e-12 * spectral radius, 0) clamp to 0 as in linalg.sqrt_psd and
+    lower ones raise; the value is the top eigenvalue of C C* with
+    C = D_a^(1/2) U_a* U_b D_b^(1/2), the squared top singular value of
+    the product of the two square roots.
+    """
+    a, b = _checked_pair(avg_w, avg_winv)
+    roots = []
+    for m in (a, b):
+        vals, vecs = linalg.eigh_stack(m)
+        floor = -1e-12 * np.abs(vals).max(axis=-1)
+        low = vals[..., 0] < floor
+        if low.any():
+            raise NonPositiveInputError(
+                f"eigenvalue {vals[low][0, 0]:.6e} below PSD clamp {floor[low][0]:.6e}")
+        roots.append((vecs, np.sqrt(np.clip(vals, 0.0, None))))
+    (ua, ra), (ub, rb) = roots
+    c = ra[..., :, None] * (ua.conj().swapaxes(-1, -2) @ ub) * rb[..., None, :]
+    val = linalg.eigh_stack(c @ c.conj().swapaxes(-1, -2))[0][..., -1]
+    low = val < 1.0 - 1e-9
+    if low.any():
+        raise NonPositiveInputError(
+            f"norm functional {val[low][0]} below its floor 1")
+    return _values(val)
 
 
 _FUNCTIONALS = {
@@ -134,7 +219,36 @@ _FUNCTIONALS = {
 }
 
 
-def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
+def _grid_scan(score, grid: list):
+    """evaluate(region) for a search from score(regions), which returns
+    one functional value per interval or cube of its list.
+
+    The first call scores the whole grid in one stack, and a grid region
+    then reads its value; any other region is scored as a stack of one,
+    by the same code, so a value never depends on its batch. If the grid
+    stack fails a check, every region is scored alone instead, so the
+    failure is raised on its own region when the scan reaches it.
+    """
+    table = None
+
+    def evaluate(region) -> float:
+        nonlocal table
+        if table is None:
+            try:
+                table = dict(zip(grid, score(grid).tolist()))
+            except (ArithmeticError, ValueError):
+                table = {}
+        value = table.get(region)
+        return float(score([region])[0]) if value is None else value
+
+    return evaluate
+
+
+def _endpoints(ivs: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
+
+
+def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, config: SupSearchConfig):
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
@@ -144,13 +258,14 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str):
         raise NotIntegrableError(
             "symbolic estimation needs every exponent in (-1, 1); "
             f"got {sorted(set(bad))}")
-    winv = type1.symbolic_inverse(w)
+    table = _term_table((w, type1.symbolic_inverse(w)))
     func = _FUNCTIONALS[functional]
 
-    def evaluate(iv: Interval) -> float:
-        return func(average_symbolic(w, iv), average_symbolic(winv, iv))
+    def score(ivs: list[Interval]) -> np.ndarray:
+        a, b = _endpoints(ivs)
+        return func(*_averages(table, 2, w.n, a[None], b[None]))
 
-    return evaluate
+    return _grid_scan(score, interval_grid(config))
 
 
 def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
@@ -162,40 +277,51 @@ def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
     C_0 times the closed-form integral of |x|^g plus, for m = 1..K,
     C_m (Phi_m(b) - Phi_m(a)) and its adjoint, with the Fourier-power
     moments Phi_m of type2.fourier_power_moments; W^-1 likewise with -g.
-    The first call, the first interval of the grid scan, evaluates Phi_m at
-    every endpoint of the grid at once, so that work counts as scan time;
-    a refinement interval's endpoints are evaluated as they come.
+    A stack of intervals evaluates Phi_m once at each of its distinct
+    endpoints; the grid is one stack (see _grid_scan).
 
     On a short interval far from 0 (K |I| <= 1 and dist(I, 0) >= 2 |I|)
     a difference of Phi_m loses the phase of e^(imx) to the rounding of
     x, so (W, W^-1) is integrated there by one 20-point Gauss-Legendre
-    rule instead; the integrand is analytic on I.
+    rule instead; the integrand is analytic on I. The stack's Gauss
+    intervals share one pair.values call.
     """
     g = float(w.gammas[0])
     pair = type2.pair_pointwise(w)
-    coeffs = type2.fourier_coefficients(w)
+    coeffs = type2.fourier_coefficients(w)  # (2, K + 1, n, n)
     degree = coeffs.shape[1] - 1
+    conj_osc = np.moveaxis(coeffs[:, 1:], 1, -1).conj()  # (2, n, n, K), for vecdot
     func = _FUNCTIONALS[functional]
-    pending = [x for v in interval_grid(config) for x in (v.a, v.b)]
-    moments: dict[float, np.ndarray] = {}  # x -> Phi_m(x) for (g, -g), m = 1..K
 
-    def integrals(iv: Interval) -> np.ndarray:
-        if degree * iv.length <= 1.0 and iv.near_endpoint_distance() >= 2.0 * iv.length:
-            nodes = (iv.a + iv.b) / 2.0 + iv.halflength * _GAUSS_NODES
-            return pair.values(nodes) @ _GAUSS_WEIGHTS * iv.halflength
-        missing = sorted({x for x in (*pending, iv.a, iv.b) if x not in moments})
-        pending.clear()
-        if missing:
-            phi = type2.fourier_power_moments((g, -g), degree, missing)
-            moments.update(zip(missing, np.moveaxis(phi, -1, 0)))
-        osc = np.einsum("pmij,pm->pij", coeffs[:, 1:], moments[iv.b] - moments[iv.a])
-        mass = np.array([integral_abs_pow(g, iv), integral_abs_pow(-g, iv)])
-        return coeffs[:, 0] * mass[:, None, None] + osc + osc.conj().swapaxes(1, 2)
+    def integrals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(integral of W, of W^-1) over each [a_i, b_i], shaped (k, 2, n, n)."""
+        out = np.empty((a.size, 2, w.n, w.n), dtype=complex)
+        length = b - a
+        half = length / 2.0
+        gauss = (degree * length <= 1.0) & (np.minimum(np.abs(a), np.abs(b)) >= 2.0 * length)
+        if gauss.any():
+            nodes = ((a + b)[gauss] / 2.0)[:, None] + half[gauss][:, None] * _GAUSS_NODES
+            values = pair.values(nodes.ravel()).reshape(2, w.n, w.n, *nodes.shape)
+            # vecdot, like the Gauss sums of quadrature._gl_panels, sums
+            # each interval's nodes on their own
+            out[gauss] = np.moveaxis(np.vecdot(_GAUSS_WEIGHTS, values) * half[gauss], -1, 0)
+        moment = ~gauss
+        if moment.any():
+            ends, where = np.unique(np.concatenate([a[moment], b[moment]]), return_inverse=True)
+            at_a, at_b = where.reshape(2, -1)
+            phi = type2.fourier_power_moments((g, -g), degree, ends)  # (2, K, ends)
+            diff = np.moveaxis(phi[..., at_b] - phi[..., at_a], -1, 0)
+            osc = np.vecdot(conj_osc, diff[:, :, None, None, :])
+            mass = integral_abs_pow_stack([[g], [-g]], a[moment], b[moment]).T
+            out[moment] = coeffs[:, 0] * mass[:, :, None, None] + osc + osc.conj().swapaxes(-1, -2)
+        return out
 
-    def evaluate(iv: Interval) -> float:
-        return func(*(integrals(iv) / iv.length))
+    def score(ivs: list[Interval]) -> np.ndarray:
+        a, b = _endpoints(ivs)
+        avg = integrals(a, b) / (b - a)[:, None, None, None]
+        return func(avg[:, 0], avg[:, 1])
 
-    return evaluate
+    return _grid_scan(score, interval_grid(config))
 
 
 def _one_size(config: SupSearchConfig) -> SupSearchConfig:
@@ -264,7 +390,7 @@ def estimate_a2(weight, functional: str = "trace",
     weight = _estimated(weight)
     cfg = search_config(weight, config)
     if isinstance(weight, SymbolicPowerMatrix):
-        fn = _symbolic_eval_fn(weight, functional)
+        fn = _symbolic_eval_fn(weight, functional, cfg)
     elif isinstance(weight, Type2Weight):
         fn = _type2_eval_fn(weight, functional, cfg)
     else:

@@ -7,7 +7,10 @@ then run on Python complex scalars in nested lists, with no BLAS call;
 elim_inverse and leibniz_det, the independent routes the verify suites
 compare against, stay on numpy rows, and sqrt_psd and operator_norm form
 their products with numpy's matmul on the eigenvectors sym_eigen returns.
-All routines accept anything convertible to a square complex ndarray.
+All of these accept anything convertible to a square complex ndarray.
+as_hermitian_stack and eigh_stack take stacks of matrices, shaped
+(..., n, n), for the estimator's A2 functionals: the stacked eigensolve is
+LAPACK's, through numpy.linalg.eigh, one matrix at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "NegativeEigenvalueError",
     "as_square",
     "as_hermitian",
+    "as_hermitian_stack",
     "hermitian_defect",
     "permutation_sign",
     "leibniz_det",
@@ -35,6 +39,7 @@ __all__ = [
     "cofactor",
     "adjugate_inverse",
     "sym_eigen",
+    "eigh_stack",
     "sqrt_psd",
     "operator_norm",
     "PosDefResult",
@@ -85,6 +90,26 @@ def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
     if _defect(a) > tol:
         raise ValueError("matrix is not self-adjoint within tolerance")
     return (a + a.conj().T) / 2.0
+
+
+def as_hermitian_stack(m, tol: float = 1e-12) -> np.ndarray:
+    """as_hermitian on every matrix of a stack shaped (..., n, n): the
+    same checks and texts, raised if any matrix fails, and the exactly
+    symmetrized stack. A matrix passes when its hermitian_defect is at
+    most tol, that is, when its largest entry of M - M* is at most tol
+    times its largest entry."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise ValueError("empty matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    adjoint = a.conj().swapaxes(-1, -2)
+    gap = np.abs(a - adjoint).max(axis=(-2, -1))
+    if (gap > tol * np.abs(a).max(axis=(-2, -1))).any():
+        raise ValueError("matrix is not self-adjoint within tolerance")
+    return (a + adjoint) / 2.0
 
 
 def permutation_sign(images: tuple[int, ...]) -> int:
@@ -277,6 +302,18 @@ def _jacobi(a: np.ndarray):
     vals = np.array([h[i][i].real for i in range(n)])
     order = np.argsort(vals, kind="stable")
     return vals[order], np.array(v, dtype=complex)[:, order]
+
+
+def eigh_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and column eigenvectors of every matrix of
+    a self-adjoint stack (..., n, n), by LAPACK through numpy.linalg.eigh,
+    which reads the lower triangles. Each matrix is solved on its own, so
+    its result does not depend on the rest of the stack. LAPACK's failure
+    to converge raises ConvergenceError."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh: {exc}") from exc
 
 
 def sqrt_psd(m) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search, type1
-from .estimator import (_FUNCTIONALS, a2_functional_norm, a2_functional_trace,
-                        average_symbolic)
+from .estimator import (_FUNCTIONALS, _averages, _grid_scan, _term_table,
+                        a2_functional_norm, a2_functional_trace, average_symbolic)
 from .quadrature import QuadratureBudgetError, _panel_tree
 from .report import VERDICT_A2
 from .scalar_power import NotA2Error, NotIntegrableError
@@ -261,7 +261,9 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
     lo, hi = cube.lower, cube.upper
     cache: dict[float, float] = {}
     out = np.zeros((w.n, w.n), dtype=complex)
-    for i, j, a, (e,) in w.terms:
+    rows, cols, coeffs, exponents, _, (index,) = w.terms
+    for i, j, a, e in zip(rows.tolist(), cols.tolist(), coeffs.tolist(),
+                          exponents[index].tolist()):
         if e not in cache:
             try:
                 cache[e] = cube_integral_radial(e, lo, hi, tol) / cube.volume
@@ -283,8 +285,9 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     The weight is homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)),
     so each family takes one value whatever the side: the unit cubes
     cornered at and centered on the origin, and shifted one and two sides
-    out along the diagonal, run once each. Values within 1e-12 relative
-    tie; ties go to the cube whose nearest vertex is closest to the origin.
+    out along the diagonal, run once each, as one stack
+    (estimator._grid_scan). Values within 1e-12 relative tie; ties go to
+    the cube whose nearest vertex is closest to the origin.
     """
     func = _FUNCTIONALS.get(functional)
     if func is None:
@@ -297,11 +300,18 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
         raise NotA2Error(
             f"cube estimation precondition failed: {report.verdict}")
     inverse = type1.symbolic_inverse(weight)
-    average = average_type1a if weight.separable else average_type1b
+    if weight.separable:
+        table = _term_table((weight, inverse))
 
-    def evaluate(cube: Cube) -> float:
-        return func(average(weight, cube), average(inverse, cube))
+        def averages(stack: list[Cube]):
+            lo = np.array([c.lower for c in stack]).T
+            hi = np.array([c.upper for c in stack]).T
+            return _averages(table, 2, weight.n, lo, hi)
+    else:
+        def averages(stack: list[Cube]):
+            return [np.array([average_type1b(w, c) for c in stack]) for w in (weight, inverse)]
 
     cubes = [Cube((c,) * weight.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
+    evaluate = _grid_scan(lambda stack: func(*averages(stack)), cubes)
     return _maximize(cubes, evaluate, lambda scored, incumbent: None,
                      Cube.nearest_vertex_distance, functional)

@@ -3,6 +3,8 @@
 Exponents are exact rationals (stdlib Fraction); interval averages use
 closed forms, with log1p/expm1 forms on origin-free intervals so narrow
 far-from-zero intervals do not lose precision to cancellation.
+integral_abs_pow_stack applies the same forms to many exponents and
+intervals at once, elementwise.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .search import Interval
 
@@ -20,6 +24,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "integral_abs_pow",
+    "integral_abs_pow_stack",
     "average_abs_pow",
     "scalar_is_a2",
     "scalar_closed_form_constant",
@@ -92,6 +97,38 @@ def integral_abs_pow(gamma, iv: Interval) -> float:
     if g <= -1.0:
         raise NotIntegrableError(f"|x|^{g} is not integrable across 0")
     return (-a) ** (g + 1.0) / (g + 1.0) + b ** (g + 1.0) / (g + 1.0)
+
+
+def integral_abs_pow_stack(gammas, a, b) -> np.ndarray:
+    """integral_abs_pow elementwise over gammas, a and b broadcast together
+    (exponents shaped (m, 1) against intervals shaped (1, k) give every
+    pair), with NaN where it would raise NotIntegrableError.
+
+    The closed forms and their operations are integral_abs_pow's, so a
+    value depends on its own exponent and interval alone: an interval that
+    touches 0 sums |x|^s / s over its sides (a side of length 0 adds 0),
+    an origin-free one takes the log1p/expm1 form. Branches computed for
+    other elements of the stack (0 ** s, a negative base) run under
+    np.errstate and are discarded.
+    """
+    s = np.asarray(gammas, dtype=float) + 1.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    touch = (a <= 0.0) & (b >= 0.0)
+    touching = np.count_nonzero(touch)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if touching == touch.size:
+            return np.where(s > 0.0, b ** s / s + (-a) ** s / s, np.nan)
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        lo, hi = np.minimum(abs_a, abs_b), np.maximum(abs_a, abs_b)
+        log = np.log1p((hi - lo) / lo)
+        out = lo ** s * np.expm1(s * log) / s
+        if touching:
+            out = np.where(touch, b ** s / s + (-a) ** s / s, out)
+        if s.min() <= 0.0:
+            out = np.where(s == 0.0, log, out)
+            out = np.where((s <= 0.0) & touch, np.nan, out)
+    return out
 
 
 def average_abs_pow(gamma, iv: Interval) -> float:

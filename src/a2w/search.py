@@ -12,6 +12,11 @@ controlled by the closed-form per-exponent constants this package
 certifies against, so admitting them would break the certified upper
 bounds. Estimates are honest lower bounds of the true supremum either way,
 since only real intervals are evaluated.
+
+run_interval_search calls evaluate once per interval, grid first, in
+scan order. The estimator's evaluate functions compute the whole grid
+as one stack on that first call (estimator._grid_scan), so the search's
+counts, order and tie rule do not see the batching.
 """
 
 from __future__ import annotations

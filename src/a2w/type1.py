@@ -110,14 +110,25 @@ class SymbolicPowerMatrix:
         return len(self.exponents) == self.d
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, int, complex, tuple[float, ...]], ...]:
-        """(i, j, a_ij, normalized e_ij per factor as a float) for every
-        a_ij != 0, built once per weight for the entrywise average loops."""
-        norm = normalized_exponents(self)
-        return tuple((i, j, complex(self.coeff[i, j]),
-                      tuple(float(m[i][j]) for m in norm))
-                     for i in range(self.n) for j in range(self.n)
-                     if self.coeff[i, j] != 0)
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """The entries a_ij != 0 in row-major order, built once per weight
+        for the average kernels: (rows, columns, coefficients, exponents,
+        factor, index). exponents lists each factor's distinct exponents of
+        these entries (which normalized_exponents leaves as they are) as
+        floats, factor[e] is the factor of exponents[e], and index[f, t]
+        locates term t's exponent of factor f in exponents."""
+        rows, cols = np.nonzero(self.coeff)
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        exponents, factor, index = [], [], []
+        for f, m in enumerate(self.exponents):
+            exps = [float(m[i][j]) for i, j in cells]
+            at = {e: len(exponents) + k for k, e in enumerate(dict.fromkeys(exps))}
+            exponents += at
+            factor += [f] * len(at)
+            index.append([at[e] for e in exps])
+        return (rows, cols, self.coeff[rows, cols], np.array(exponents),
+                np.array(factor, dtype=np.intp),
+                np.array(index, dtype=np.intp).reshape(len(index), len(cells)))
 
     @cached_property
     def midpoint_findings(self) -> tuple[Finding, ...]:

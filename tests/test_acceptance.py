@@ -129,8 +129,9 @@ def test_criterion_05_no_interval_beats_the_certified_trace_bound(monkeypatch):
         seen: list[float] = []
 
         def recording_trace(avg_w, avg_winv, _out=seen):
+            # the search passes stacks of averages: one value per interval
             val = a2_functional_trace(avg_w, avg_winv)
-            _out.append(val)
+            _out.extend(np.atleast_1d(val).tolist())
             return val
 
         monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording_trace)

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from a2w import __version__
-from a2w import linalg, verify
+from a2w import verify
 from a2w.cli import SchemaError, load_weight_spec, main
 from a2w.type1 import SymbolicPowerMatrix
 from a2w.type2 import Type2Weight
@@ -398,16 +399,30 @@ class TestConstantCommand:
 
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):
+        # the norm functional's eigensolve (linalg.eigh_stack) runs on
+        # LAPACK, whose failure to converge must leave as ConvergenceError
         def no_convergence(m):
-            raise linalg.ConvergenceError("Jacobi sweep budget 50 exhausted")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(linalg, "operator_norm", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         code = main(["constant", write_spec(tmp_path, TWO_BY_TWO),
                      "--functional", "norm", "--grid", "coarse", "--json"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert "ConvergenceError on Interval(a=" in captured.err
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "fine"]], ids=["default", "fine"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_ill_conditioned_power_matrix_runs_on_every_grid(self, tmp_path, capsys,
+                                                            grid, functional):
+        # cond(coeff) is about 2e6; the trace floor check once failed here
+        doc = {"kind": "type1", "coeff": [[1, 0.999999], [0.999999, 1]],
+               "diag_exponents": ["-99/100", "1/2"]}
+        code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc), "--json",
+                                          "--functional", functional] + grid)
+        assert code == 0
+        assert payload["estimate"] >= (2.0 if functional == "trace" else 1.0)
 
     def test_non_a2_weight_exits_three(self, tmp_path, capsys):
         doc = {"kind": "scalar", "gamma": "1"}

@@ -1,6 +1,7 @@
 """Averages, A2 functionals, and the supremum estimator."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        symbolic_inverse)
-from a2w import estimator, type2
+from a2w import estimator, linalg, type2
 from a2w.search import interval_grid
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        pair_pointwise)
@@ -251,19 +252,26 @@ ROTATION_WEIGHTS = [
 
 def _recorded_averages(monkeypatch, w, intervals):
     """(<W>, <W^-1>) as the rotation search computes them on each interval,
-    with the trace functional's value."""
-    seen = []
+    with the trace functional's value. The first evaluation scores the
+    whole coarse grid as one stack; an interval off the grid is a stack of
+    one. The trace functional records every stack it is passed."""
+    stacks = []
     trace = estimator.a2_functional_trace
 
     def recording(avg_w, avg_winv):
-        seen.append(np.array([avg_w, avg_winv]))
+        stacks.append(np.stack([avg_w, avg_winv], axis=1))
         return trace(avg_w, avg_winv)
 
     monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
+    grid = interval_grid(coarse_interval_config())
     evaluate = estimator._type2_eval_fn(w, "trace", coarse_interval_config())
-    for iv in intervals:
-        value = evaluate(iv)
-        yield iv, seen.pop(), value
+    values = [evaluate(iv) for iv in intervals]
+    scan, *alone = stacks
+    assert len(scan) == len(grid) and all(len(s) == 1 for s in alone)
+    on_grid = dict(zip(grid, scan))
+    alone = iter(alone)
+    for iv, value in zip(intervals, values):
+        yield iv, on_grid[iv] if iv in on_grid else next(alone)[0], value
 
 
 def _assert_close_to_the_oracle(got, want, iv, tol):
@@ -286,8 +294,9 @@ class TestRotationMoments:
         (Type2Weight((3.0, 3.0, 3.0), ("1/4",) * 3, "rotation3d_euler"), 1536),
     ], ids=["rotation2d", "rotation3d"])
     def test_unitary_nodes(self, monkeypatch, w, nodes):
-        # Counters, not clocks: 16 nodes for the Fourier coefficients, then
-        # 20 per interval that takes the Gauss rule.
+        # Counters, not clocks: 16 nodes for the Fourier coefficients, one
+        # call of 20 nodes per grid interval that takes the Gauss rule,
+        # then 20 per refinement interval that takes it.
         seen = []
         stack = type2.unitary_stack
 
@@ -296,9 +305,14 @@ class TestRotationMoments:
             return stack(family, n, xs)
 
         monkeypatch.setattr(type2, "unitary_stack", spy)
+        degree = {"rotation2d": 2, "rotation3d_euler": 6}[w.unitary]
+        gauss = sum(degree * iv.length <= 1.0
+                    and iv.near_endpoint_distance() >= 2.0 * iv.length
+                    for iv in interval_grid(coarse_interval_config()))
         assert estimate_a2(w).evaluations == 205
         assert sum(seen) == nodes
-        assert seen[0] == 16 and set(seen[1:]) == {20}
+        assert seen[:2] == [16, 20 * gauss]
+        assert set(seen[2:]) <= {20}
 
     @pytest.mark.parametrize("w", ROTATION_WEIGHTS + [
         Type2Weight((3.0, 9.0), ("0", "0"), "rotation2d"),
@@ -332,6 +346,101 @@ class TestRotationMoments:
         tight = estimator._FUNCTIONALS[functional](
             *average_numeric(pair_pointwise(w), result.argmax, 1e-12))
         assert result.estimate == pytest.approx(tight, rel=1e-8)
+
+
+def _eval_fn(w, functional, config):
+    if isinstance(w, Type2Weight):
+        return estimator._type2_eval_fn(w, functional, config)
+    return estimator._symbolic_eval_fn(w, functional, config)
+
+
+def _grid_cells(config):
+    """(config of that one interval, interval) for each grid interval."""
+    for c in config.centers:
+        for h in config.halflengths:
+            one = replace(config, centers=(c,), halflengths=(h,))
+            for iv in interval_grid(one):
+                yield one, iv
+
+
+class TestStackedGrid:
+    """An evaluate function scores its whole grid as one stack on its first
+    call; every value must be the value of its interval scored alone."""
+
+    @pytest.mark.parametrize("w", [
+        TWO_BY_TWO,
+        build_type1(np.array([[4.0, 1 + 2j, 0.5], [1 - 2j, 3.0, 0.0], [0.5, 0.0, 2.0]]),
+                    ["1/2", "-1/3", "3/4"]),
+        ROTATION_39,
+        Type2Weight((1.0, 3.0, 0.5), ("-1/3",) * 3, "rotation3d_euler"),
+    ], ids=["type1-2x2", "type1-3x3", "rotation2d", "rotation3d"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_grid_values_equal_values_alone(self, w, functional):
+        config = estimator.search_config(w)
+        grid = interval_grid(config)
+        evaluate = _eval_fn(w, functional, config)
+        for one, iv in _grid_cells(config):
+            assert evaluate(iv) == _eval_fn(w, functional, one)(iv), iv
+        if isinstance(w, Type2Weight):
+            # the Gauss-rule intervals are on the grid too
+            degree = {"rotation2d": 2, "rotation3d_euler": 6}[w.unitary]
+            assert any(degree * iv.length <= 1.0
+                       and iv.near_endpoint_distance() >= 2.0 * iv.length for iv in grid)
+
+    def test_refinement_intervals_are_scored_alone(self, monkeypatch):
+        sizes = []
+        trace = estimator.a2_functional_trace
+
+        def recording(avg_w, avg_winv):
+            sizes.append(len(avg_w))
+            return trace(avg_w, avg_winv)
+
+        monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
+        result = estimate_a2(TWO_BY_TWO, "trace")
+        grid = interval_grid(estimator.search_config(TWO_BY_TWO))
+        assert sizes == [len(grid)] + [1] * (result.evaluations - len(grid))
+
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_a_failing_check_is_raised_on_its_own_interval(self, monkeypatch, functional):
+        # Both averages on grid interval j shrink to a quarter, which puts
+        # that interval's value below its floor: the scan raises there, and
+        # with the text that interval raises alone.
+        w = TWO_BY_TWO
+        config = estimator.search_config(w)
+        j = 7
+        one, iv = list(_grid_cells(config))[j]
+        kernel = estimator.integral_abs_pow_stack
+
+        def planted(gammas, a, b):
+            out = kernel(gammas, a, b)
+            return np.where((a == iv.a) & (b == iv.b), 0.25 * out, out)
+
+        monkeypatch.setattr(estimator, "integral_abs_pow_stack", planted)
+        with pytest.raises(NonPositiveInputError) as alone:
+            _eval_fn(w, functional, one)(iv)
+        with pytest.raises(NonPositiveInputError, match="below its floor") as scan:
+            estimate_a2(w, functional)
+        assert scan.value.region == iv == interval_grid(config)[j]
+        assert str(scan.value) == str(alone.value)
+
+    def test_lapack_failure_is_raised_on_its_own_interval(self, monkeypatch):
+        # LAPACK fails on <W> of grid interval j alone; that is the interval
+        # the scan reports, as a ConvergenceError.
+        w = TWO_BY_TWO
+        grid = interval_grid(estimator.search_config(w))
+        j = 11
+        target = linalg.as_hermitian(average_symbolic(w, grid[j]))
+        eigh = np.linalg.eigh
+
+        def planted(m):
+            if any(np.array_equal(x, target) for x in np.reshape(m, (-1, w.n, w.n))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", planted)
+        with pytest.raises(linalg.ConvergenceError, match="LAPACK eigh") as scan:
+            estimate_a2(w, "norm")
+        assert scan.value.region == grid[j]
 
 
 class TestExactOracles:

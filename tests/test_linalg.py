@@ -199,6 +199,39 @@ def test_as_hermitian_symmetrizes_within_tol():
         linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_as_hermitian_stack_checks_every_matrix():
+    good = np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]])
+    stack = linalg.as_hermitian_stack(np.array([good, 2.0 * good, np.zeros((2, 2))]))
+    for got, m in zip(stack, (good, 2.0 * good, np.zeros((2, 2)))):
+        assert np.array_equal(got, linalg.as_hermitian(m))
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        linalg.as_hermitian_stack(np.array([good, skew]))
+    with pytest.raises(ValueError, match="must be finite"):
+        linalg.as_hermitian_stack(np.array([good, np.full((2, 2), np.nan)]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        linalg.as_hermitian_stack(np.zeros((3, 2, 1)))
+
+
+def test_eigh_stack_solves_each_matrix_alone(rng):
+    g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    stack = g @ g.conj().swapaxes(-1, -2)
+    vals, vecs = linalg.eigh_stack(stack)
+    for k, m in enumerate(stack):
+        one_vals, one_vecs = linalg.eigh_stack(m)
+        assert np.array_equal(one_vals, vals[k]) and np.array_equal(one_vecs, vecs[k])
+        assert np.allclose(one_vals, linalg.sym_eigen(m)[0], rtol=1e-12, atol=1e-12)
+
+
+def test_eigh_stack_failure_is_a_convergence_error(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(linalg.ConvergenceError, match="Eigenvalues did not converge"):
+        linalg.eigh_stack(np.eye(2))
+
+
 class TestIsPositiveDefinite:
     def test_positive_case_has_all_minors(self, rng):
         g = rng.normal(size=(3, 3))

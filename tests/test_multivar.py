@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad, tplquad
 
+from a2w import estimator, multivar
 from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.linalg import SingularMatrixError
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1a_raw,
@@ -528,3 +529,39 @@ class TestCubeSearch:
         assert r1.estimate == r2.estimate
         assert r1.argmax == r2.argmax
         assert r1.evaluations == r2.evaluations
+
+    @pytest.mark.parametrize("w", [separable_pair(), build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)],
+                             ids=["type1a", "type1b"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_cube_stack_equals_each_cube_alone(self, monkeypatch, w, functional):
+        # the four family cubes are scored as one stack; each value is the
+        # value of its cube scored alone
+        stacks = []
+        func = estimator._FUNCTIONALS[functional]
+
+        def recording(avg_w, avg_winv):
+            stacks.append(func(avg_w, avg_winv))
+            return stacks[-1]
+
+        monkeypatch.setitem(estimator._FUNCTIONALS, functional, recording)
+        estimate_a2_cubes(w, functional)
+        average = average_symbolic if w.separable else average_type1b
+        cubes = [Cube((c,) * w.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
+        (stack,) = stacks
+        for cube, value in zip(cubes, stack):
+            assert value == func(average(w, cube), average(symbolic_inverse(w), cube))
+
+    def test_failure_is_raised_on_its_own_cube(self, monkeypatch):
+        w = build_type1b([[1.0]], (HALF,), 2)
+        failing = Cube((1.0, 1.0), 1.0)
+        average = multivar.average_type1b
+
+        def planted(weight, cube):
+            if cube == failing:
+                raise NotIntegrableError("planted")
+            return average(weight, cube)
+
+        monkeypatch.setattr(multivar, "average_type1b", planted)
+        with pytest.raises(NotIntegrableError, match="planted") as err:
+            estimate_a2_cubes(w, "trace")
+        assert err.value.region == failing

@@ -9,11 +9,14 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
+from a2w.estimator import (a2_functional_trace, average_symbolic, estimate_a2,
+                           search_config)
 from a2w.scalar_power import (Interval, NotA2Error, NotIntegrableError,
                               average_abs_pow, format_rational,
-                              integral_abs_pow, parse_rational,
-                              scalar_closed_form_constant, scalar_is_a2)
+                              integral_abs_pow, integral_abs_pow_stack,
+                              parse_rational, scalar_closed_form_constant,
+                              scalar_is_a2)
+from a2w.search import interval_grid
 from a2w.type1 import SymbolicPowerMatrix, check_a2, symbolic_inverse
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)
@@ -107,6 +110,52 @@ class TestClosedFormIntegrals:
         want = math.sqrt(lo) * (hi - lo)  # first-order exact to ~1e-13 rel
         assert got == pytest.approx(want, rel=1e-6)
         assert got > 0
+
+
+class TestStackedIntegrals:
+    """integral_abs_pow_stack against integral_abs_pow, elementwise."""
+
+    EXPONENTS = sorted({Fraction(p, q) for q in (2, 3, 4, 5, 7, 10, 100)
+                        for p in range(1 - q, q)})
+
+    @pytest.mark.parametrize("intervals", ["grid", "far"])
+    def test_agrees_with_the_scalar_form(self, intervals):
+        if intervals == "grid":
+            # the row a power matrix's search scans on the default grid
+            ivs = interval_grid(search_config(scalar_weight(1, "1/2")))
+        else:
+            ivs = [Interval(1e6 - 1e-6, 1e6 + 1e-6), Interval(1e3, 1e3 + 1e-3),
+                   Interval(-1e3 - 1e-3, -1e3)]
+        a = np.array([iv.a for iv in ivs])
+        b = np.array([iv.b for iv in ivs])
+        got = integral_abs_pow_stack(np.array([[float(g)] for g in self.EXPONENTS]), a, b)
+        want = np.array([[integral_abs_pow(g, iv) for iv in ivs] for g in self.EXPONENTS])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_a_value_does_not_depend_on_its_stack(self):
+        ivs = [Interval(-2.0, 3.0), Interval(0.0, 2.0), Interval(-2.0, 0.0),
+               Interval(1.0, 3.0), Interval(-3.0, -1.0), Interval(1e3, 1e3 + 1e-3)]
+        gammas = [-1.5, -1.0, -0.5, 0.0, 1 / 3, 0.99, 2.5]
+        a = np.array([iv.a for iv in ivs])
+        b = np.array([iv.b for iv in ivs])
+        stack = integral_abs_pow_stack(np.array(gammas)[:, None], a, b)
+        for i, g in enumerate(gammas):
+            for k in range(len(ivs)):
+                alone = integral_abs_pow_stack(g, a[k], b[k])
+                assert np.array_equal(alone, stack[i, k], equal_nan=True)
+
+    @pytest.mark.parametrize("g", [-1.0, -1.5])
+    def test_nan_exactly_where_the_scalar_form_raises(self, g):
+        ivs = [Interval(-1.0, 2.0), Interval(0.0, 2.0), Interval(-2.0, 0.0),
+               Interval(1.0, 3.0), Interval(-3.0, -1.0)]
+        got = integral_abs_pow_stack(g, [iv.a for iv in ivs], [iv.b for iv in ivs])
+        for iv, value in zip(ivs, got):
+            if iv.contains_zero():
+                assert np.isnan(value)
+                with pytest.raises(NotIntegrableError):
+                    integral_abs_pow(g, iv)
+            else:
+                assert value == pytest.approx(integral_abs_pow(g, iv), rel=1e-15)
 
 
 class TestA2Membership:
