@@ -1,16 +1,16 @@
 """Small dense matrix kernel.
 
-Everything here is written for matrices of order <= 8 and favors
-determinism over speed: fixed iteration orders. lu_det, cofactor,
-adjugate_inverse and sym_eigen validate their input as an ndarray and
-then run on Python complex scalars in nested lists, with no BLAS call;
-elim_inverse and leibniz_det, the independent routes the verify suites
-compare against, stay on numpy rows, and sqrt_psd and operator_norm form
-their products with numpy's matmul on the eigenvectors sym_eigen returns.
-All of these accept anything convertible to a square complex ndarray.
-as_hermitian_stack and eigh_stack take stacks of matrices, shaped
-(..., n, n), for the estimator's A2 functionals: the stacked eigensolve is
-LAPACK's, through numpy.linalg.eigh, one matrix at a time.
+Everything here is written for matrices of order <= 8. lu_det, cofactor
+and adjugate_inverse validate their input as an ndarray and then run on
+Python complex scalars in nested lists, with no BLAS call; elim_inverse
+and leibniz_det, the independent routes the verify suites compare
+against, stay on numpy rows. There is one eigensolver, eigh_stack:
+LAPACK's, through numpy.linalg.eigh, on one matrix or a stack shaped
+(..., n, n), one matrix at a time. sym_eigen, sqrt_psd, operator_norm and
+is_positive_definite take their eigenvalues from it, and the estimator's
+A2 functionals call it on whole stacks. Repeat runs on one machine give
+bit-identical results. All of these accept anything convertible to a
+square complex ndarray; as_hermitian_stack validates a stack.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class ConvergenceError(ArithmeticError):
-    """Iterative routine did not converge within its sweep budget."""
+    """LAPACK's eigensolver did not converge."""
 
 
 class NegativeEigenvalueError(ArithmeticError):
@@ -243,65 +243,13 @@ def adjugate_inverse(m) -> np.ndarray:
                      for i in range(n)], dtype=complex)
 
 
-def _rotate_columns(rows: list[list[complex]], p: int, q: int,
-                    c: float, a: complex, b: complex) -> None:
-    """rows <- rows @ J for the Jacobi rotation J with J[p, p] = J[q, q] = c,
-    J[p, q] = -a and J[q, p] = b; only columns p and q change."""
-    for row in rows:
-        xp, xq = row[p], row[q]
-        row[p] = xp * c + xq * b
-        row[q] = xq * c - xp * a
-
-
 def sym_eigen(m):
-    """Eigendecomposition of a self-adjoint matrix by cyclic Jacobi rotations.
-
-    Sweeps run over the upper triangle in fixed row-major order and each
-    rotation updates rows and columns p, q in place in Python complex
-    arithmetic, without BLAS, which makes the output a deterministic
-    function of the input entries on any IEEE-754 platform. Returns
-    (eigenvalues ascending, unitary matrix of column eigenvectors). The
-    input must be self-adjoint within as_hermitian's default tolerance.
+    """Eigendecomposition of a self-adjoint matrix: as_hermitian, then
+    eigh_stack. Returns (eigenvalues ascending, unitary matrix of column
+    eigenvectors). The input must be self-adjoint within as_hermitian's
+    default tolerance.
     """
-    return _jacobi(as_hermitian(m))
-
-
-def _jacobi(a: np.ndarray):
-    """sym_eigen on a finite, exactly self-adjoint matrix, not re-validated."""
-    h = a.tolist()
-    n = len(h)
-    max_sweeps = 50
-    scale = max(abs(x) for row in h for x in row)
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex)
-    v = [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    stop = 1e-14 * scale
-    for _ in range(max_sweeps):
-        if max((abs(h[p][q]) for p, q in pairs), default=0.0) <= stop:
-            break
-        for p, q in pairs:
-            g = h[p][q]
-            r = abs(g)
-            if r <= 1e-18 * scale:
-                continue
-            phase = g / r
-            tau = (h[p][p].real - h[q][q].real) / (2.0 * r)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            sa, sb = s * phase, s * phase.conjugate()
-            # h <- (J* h) J: rows p, q by J*, then columns p, q by J
-            hp, hq = h[p], h[q]
-            h[p] = [c * x + sa * y for x, y in zip(hp, hq)]
-            h[q] = [c * y - sb * x for x, y in zip(hp, hq)]
-            _rotate_columns(h, p, q, c, sa, sb)
-            _rotate_columns(v, p, q, c, sa, sb)
-    else:
-        raise ConvergenceError(f"Jacobi sweep budget {max_sweeps} exhausted")
-    vals = np.array([h[i][i].real for i in range(n)])
-    order = np.argsort(vals, kind="stable")
-    return vals[order], np.array(v, dtype=complex)[:, order]
+    return eigh_stack(as_hermitian(m))
 
 
 def eigh_stack(m) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +284,7 @@ def operator_norm(m) -> float:
     """Largest singular value, computed from the top eigenvalue of M* M."""
     a = as_square(m)
     gram = a.conj().T @ a
-    vals, _ = _jacobi(as_square((gram + gram.conj().T) / 2.0))
+    vals, _ = eigh_stack((gram + gram.conj().T) / 2.0)
     top = float(vals[-1])
     return math.sqrt(top) if top > 0.0 else 0.0
 
@@ -366,7 +314,7 @@ def is_positive_definite(m) -> PosDefResult:
     minors = []
     for k in range(1, n + 1):
         minors.append(lu_det(h[:k, :k]).real)
-    vals, _ = _jacobi(h)
+    vals, _ = eigh_stack(h)
     lam_min = float(vals[0])
     minor_margins = [mk / scale**k for k, mk in enumerate(minors, start=1)]
     margin = 1e-10

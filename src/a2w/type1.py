@@ -193,12 +193,14 @@ def _diag(mat) -> tuple[Fraction, ...]:
     return tuple(mat[i][i] for i in range(len(mat)))
 
 
-def evaluate(w: SymbolicPowerMatrix, x: float) -> np.ndarray:
-    """Pointwise value W(x) for x != 0, on the line."""
+def evaluate(w: SymbolicPowerMatrix, x) -> np.ndarray:
+    """Pointwise value W(x) for x != 0, on the line; an array of points
+    gives the stack of values, shaped x.shape + (n, n)."""
     floats = np.array([[float(e) for e in row] for row in _line(w)])
-    if x == 0.0:
+    x = np.abs(x)
+    if np.any(x == 0.0):
         raise EvaluationAtOriginError("evaluation at the origin")
-    return w.coeff * np.abs(x) ** floats
+    return w.coeff * x[..., None, None] ** floats
 
 
 def normalized_exponents(w: SymbolicPowerMatrix) -> tuple[ExponentMatrix, ...]:
@@ -221,17 +223,21 @@ def _located(mats) -> list[tuple[tuple, ExponentMatrix]]:
     return [((c,) if len(mats) > 1 else (), m) for c, m in enumerate(mats)]
 
 
+_WITNESS_POINTS = np.logspace(-8.0, 8.0, 65)
+
+
 def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
-    """First x in +/- logspace(1e-8, 1e8, 65) where W(x) fails positivity."""
-    mags = np.logspace(-8.0, 8.0, 65)
-    for x in list(mags) + list(-mags):
-        m = evaluate(w, float(x))
-        h = (m + m.conj().T) / 2.0
-        vals, _ = linalg.sym_eigen(h)
-        radius = float(np.max(np.abs(vals)))
-        if vals[0] < -1e-12 * radius:
-            return float(x)
-    return None
+    """First x in _WITNESS_POINTS where W(x) is finite and fails
+    positivity, all points in one eigh_stack call. W(-x) = W(x), so
+    negative points add no witness."""
+    xs = _WITNESS_POINTS
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = evaluate(w, xs)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    xs, m = xs[finite], m[finite]
+    vals, _ = linalg.eigh_stack((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    fails = vals[:, 0] < -1e-12 * np.abs(vals).max(axis=-1)
+    return float(xs[fails][0]) if fails.any() else None
 
 
 def check_positive_definite_ae(w: SymbolicPowerMatrix) -> A2Report:

@@ -44,7 +44,7 @@ class PropertyResult:
 def _rel_err(a, b) -> float:
     num = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
     den = max(float(np.max(np.abs(np.asarray(a)))),
-              float(np.max(np.abs(np.asarray(b)))), 1.0)
+              float(np.max(np.abs(np.asarray(b)))), 1e-300)
     return num / den
 
 
@@ -97,7 +97,7 @@ def _prop_leibniz_vs_lu(rng, trials):
         n = int(rng.integers(2, 6))
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         lhs, rhs = linalg.leibniz_det(m), linalg.lu_det(m)
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1.0):
+        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
             return False, f"trial {t}: dets {lhs} vs {rhs} (n={n})"
     return True, ""
 
@@ -151,7 +151,7 @@ def _prop_opnorm_unitary_invariance(rng, trials):
         _, v = linalg.sym_eigen(s2 + s2.T)
         base = linalg.operator_norm(m)
         rotated = linalg.operator_norm(u @ m @ v)
-        if abs(base - rotated) > 1e-9 * max(base, 1.0):
+        if abs(base - rotated) > 1e-9 * max(base, 1e-300):
             return False, f"trial {t}: norm {base} changed to {rotated}"
     return True, ""
 
@@ -253,7 +253,7 @@ def _prop_trace_identity(rng, trials):
         x = random_point(rng)
         lhs = float(np.trace(type2.evaluate_type2(w, x)).real)
         rhs = sum(a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas))
-        if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1.0):
+        if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1e-300):
             return False, f"trial {t}: trace {lhs} vs eigen sum {rhs}"
     return True, ""
 

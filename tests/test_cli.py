@@ -20,6 +20,8 @@ TWO_BY_TWO = {"kind": "type1", "coeff": [[5, 3], [3, 2]],
               "diag_exponents": ["1/2", "-2/3"]}
 ROTATION_EQUAL = {"kind": "type2", "alphas": [1.0, 1.0],
                   "gammas": ["1/2", "1/2"], "unitary": "rotation2d"}
+MIDPOINT_VIOLATOR = {"kind": "type1_raw", "coeff": [[5, 3], [3, 2]],
+                     "exponents": [["1/2", "1/60"], ["1/60", "-2/3"]]}
 IDENTITY = {"kind": "type2", "alphas": [1.0, 2.0], "gammas": ["1/2", "-1/3"],
             "unitary": "identity"}
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
@@ -171,10 +173,8 @@ class TestCheckCommand:
         assert kinds == ["rotation-exponents-unequal"]
 
     def test_witness_for_midpoint_violation(self, tmp_path, capsys):
-        doc = {"kind": "type1_raw", "coeff": [[5, 3], [3, 2]],
-               "exponents": [["1/2", "1/60"], ["1/60", "-2/3"]]}
         code, payload = run_json(
-            capsys, ["check", write_spec(tmp_path, doc), "--json"])
+            capsys, ["check", write_spec(tmp_path, MIDPOINT_VIOLATOR), "--json"])
         assert code == 0
         assert payload["report"]["verdict"] == "not_positive_definite_ae"
         assert "witness" in payload["report"]
@@ -210,6 +210,19 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == ("schema error: SchemaError: "
                                 "order limited to 8\n")
+
+    def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the decision's eigensolve is LAPACK's too (linalg.eigh_stack)
+        def no_convergence(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        code = main(["check", write_spec(tmp_path, TWO_BY_TWO), "--json"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "ConvergenceError" in captured.err
 
     def test_stray_key_is_schema_error(self, tmp_path, capsys):
         code = main(["check",
@@ -400,11 +413,17 @@ class TestConstantCommand:
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):
         # the norm functional's eigensolve (linalg.eigh_stack) runs on
-        # LAPACK, whose failure to converge must leave as ConvergenceError
-        def no_convergence(m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # LAPACK, whose failure to converge must leave as ConvergenceError;
+        # only the functional's stacked calls fail, so the decision, which
+        # solves one matrix at a time, passes first
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        def no_convergence_on_stacks(m):
+            if np.ndim(m) >= 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence_on_stacks)
         code = main(["constant", write_spec(tmp_path, TWO_BY_TWO),
                      "--functional", "norm", "--grid", "coarse", "--json"])
         captured = capsys.readouterr()
@@ -563,6 +582,23 @@ class TestDeterminism:
         main(["constant", spec, "--json"])
         first = capsys.readouterr().out
         main(["constant", spec, "--json"])
+        second = capsys.readouterr().out
+        assert first == second
+
+    def test_check_output_with_witness_is_stable(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, MIDPOINT_VIOLATOR)
+        main(["check", spec, "--json"])
+        first = capsys.readouterr().out
+        main(["check", spec, "--json"])
+        second = capsys.readouterr().out
+        assert first == second
+        assert json.loads(first)["report"]["witness"] is not None
+
+    def test_verify_output_is_stable(self, capsys):
+        argv = ["verify", "--json", "--module", "all"]
+        main(argv)
+        first = capsys.readouterr().out
+        main(argv)
         second = capsys.readouterr().out
         assert first == second
 

@@ -77,6 +77,15 @@ class TestEvaluate:
     def test_origin_rejected(self):
         with pytest.raises(EvaluationAtOriginError):
             evaluate(TWO_BY_TWO, 0.0)
+        with pytest.raises(EvaluationAtOriginError):
+            evaluate(TWO_BY_TWO, np.array([1.0, 0.0]))
+
+    def test_array_of_points_gives_the_stack(self):
+        xs = np.array([-3.0, 1e-8, 0.5, 1e8])
+        got = evaluate(THREE_BY_THREE, xs)
+        assert got.shape == (4, 3, 3)
+        for k, x in enumerate(xs):
+            assert np.array_equal(got[k], evaluate(THREE_BY_THREE, float(x)))
 
 
 class TestNormalizedExponents:
@@ -145,6 +154,61 @@ class TestDecisions:
             n = int(rng.integers(2, 5))
             w = random_type1_weight(rng, n)
             assert check_a2(w).verdict == VERDICT_A2
+
+
+def _reference_scan(w):
+    """The witness scan point by point, in its scan order (+logspace, then
+    -logspace), one eigvalsh per point; points where W(x) overflows are
+    skipped."""
+    mags = np.logspace(-8.0, 8.0, 65)
+    for x in list(mags) + list(-mags):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = evaluate(w, float(x))
+        if not np.isfinite(m).all():
+            continue
+        vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        if vals[0] < -1e-12 * np.max(np.abs(vals)):
+            return float(x)
+    return None
+
+
+class TestWitnessScan:
+    # W(-x) = W(x), so the reference never reaches its negative half with
+    # a witness still to find; the stacked scan leaves that half out.
+    @pytest.mark.parametrize("coeff, exps, want", [
+        # criterion 2: the off-diagonal exponent 1/10 above its midpoint
+        ([[5.0, 3.0], [3.0, 2.0]], [["1/2", "1/60"], ["1/60", "-2/3"]], None),
+        # det W(x) = 1 - |x|/4: positive definite up to |x| = 4
+        ([[1.0, 0.5], [0.5, 1.0]], [["1/2", "1/2"], ["1/2", "-1/2"]],
+         10.0 ** 0.75),
+        # complex coefficients, and W(x) overflows below |x| = 10^-7.7
+        ([[1.0, 0.5j], [-0.5j, 1.0]], [["-40", "-79/2"], ["-79/2", "-40"]],
+         10.0 ** 0.75),
+        # order 3: 3|x|^(1/5) > 1 from |x| = 3^-5 on
+        ([[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+         [["0", "1/5", "0"], ["1/5", "0", "0"], ["0", "0", "1/2"]],
+         10.0 ** -2.25),
+    ], ids=["criterion-2", "fails-above-4", "overflowing", "order-3"])
+    def test_matches_the_point_by_point_scan(self, coeff, exps, want):
+        w = build_type1_raw(np.array(coeff), exps)
+        got = type1._witness_scan(w)
+        assert got is not None and got == _reference_scan(w)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("w", [TWO_BY_TWO, THREE_BY_THREE],
+                             ids=["two-by-two", "three-by-three"])
+    def test_positive_definite_weight_has_no_witness(self, w):
+        assert _reference_scan(w) is None
+        assert type1._witness_scan(w) is None
+
+    def test_overflow_leaves_a_verdict(self):
+        # pytest turns numpy's overflow RuntimeWarning into an error
+        w = build_type1_raw(np.array([[1.0, 0.5], [0.5, 1.0]]),
+                            [["-40", "-79/2"], ["-79/2", "-40"]])
+        report = check_a2(w)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert report.witness == pytest.approx(10.0 ** 0.75, rel=1e-12)
 
 
 class TestSymbolicAlgebra:
