@@ -18,6 +18,7 @@ only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -415,7 +416,10 @@ def cmd_verify(args) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="a2w",
         description="Matrix power weights: exact A2 decisions, characteristic "

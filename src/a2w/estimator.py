@@ -141,21 +141,22 @@ def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
     return matrix_quad(pmf, iv.a, iv.b, tol, panel_budget) / iv.length
 
 
-def _checked_pair(avg_w, avg_winv) -> tuple[np.ndarray, np.ndarray]:
-    """Both averages, each a matrix or a stack of them, exactly
-    symmetrized after every matrix passed the checks both functionals
-    share: finite, self-adjoint within 1e-8, one shape, positive diagonals.
-    The two are checked as one stack; if that fails, they are checked one
-    after the other, so the failure raised is the one a pair raises alone."""
+def _checked_pair(avg_w, avg_winv) -> np.ndarray:
+    """Both averages, each a matrix or a stack of them, as one stack
+    (2, ..., n, n), exactly symmetrized after every matrix passed the
+    checks both functionals share: finite, self-adjoint within 1e-8, one
+    shape, positive diagonals. The two are checked as one stack; if that
+    fails, they are checked one after the other, so the failure raised is
+    the one a pair raises alone."""
     try:
-        a, b = linalg.as_hermitian_stack(np.array([avg_w, avg_winv]), tol=1e-8)
+        pair = linalg.as_hermitian(np.array([avg_w, avg_winv]), tol=1e-8)
     except ValueError:
-        linalg.as_hermitian_stack(avg_w, tol=1e-8)
-        linalg.as_hermitian_stack(avg_winv, tol=1e-8)
+        linalg.as_hermitian(avg_w, tol=1e-8)
+        linalg.as_hermitian(avg_winv, tol=1e-8)
         raise ValueError("average matrices must share a shape") from None
-    if (a.diagonal(0, -2, -1).real <= 0).any() or (b.diagonal(0, -2, -1).real <= 0).any():
+    if (pair.diagonal(0, -2, -1).real <= 0).any():
         raise NonPositiveInputError("averages must be positive definite")
-    return a, b
+    return pair
 
 
 def _values(val: np.ndarray):
@@ -187,23 +188,17 @@ def a2_functional_norm(avg_w, avg_winv):
     """||<W>^(1/2) <W^-1>^(1/2)||^2, the matrix A2 product for one interval.
 
     Stacks as a2_functional_trace. With <W> = U_a D_a U_a* and
-    <W^-1> = U_b D_b U_b* from LAPACK (linalg.eigh_stack), eigenvalues in
-    [-1e-12 * spectral radius, 0) clamp to 0 as in linalg.sqrt_psd and
-    lower ones raise; the value is the top eigenvalue of C C* with
-    C = D_a^(1/2) U_a* U_b D_b^(1/2), the squared top singular value of
-    the product of the two square roots.
+    <W^-1> = U_b D_b U_b* from LAPACK under linalg's PSD clamp (as in
+    linalg.sqrt_psd, a failure raises NonPositiveInputError), the value
+    is the top eigenvalue of C C* with C = D_a^(1/2) U_a* U_b D_b^(1/2),
+    the squared top singular value of the product of the two square roots.
     """
-    a, b = _checked_pair(avg_w, avg_winv)
-    roots = []
-    for m in (a, b):
-        vals, vecs = linalg.eigh_stack(m)
-        floor = -1e-12 * np.abs(vals).max(axis=-1)
-        low = vals[..., 0] < floor
-        if low.any():
-            raise NonPositiveInputError(
-                f"eigenvalue {vals[low][0, 0]:.6e} below PSD clamp {floor[low][0]:.6e}")
-        roots.append((vecs, np.sqrt(np.clip(vals, 0.0, None))))
-    (ua, ra), (ub, rb) = roots
+    pair = _checked_pair(avg_w, avg_winv)
+    try:
+        vals, (ua, ub), _ = linalg._psd_eigh(pair)
+    except linalg.NegativeEigenvalueError as exc:
+        raise NonPositiveInputError(str(exc)) from exc
+    ra, rb = np.sqrt(vals)
     c = ra[..., :, None] * (ua.conj().swapaxes(-1, -2) @ ub) * rb[..., None, :]
     val = linalg.eigh_stack(c @ c.conj().swapaxes(-1, -2))[0][..., -1]
     low = val < 1.0 - 1e-9

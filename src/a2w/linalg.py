@@ -8,9 +8,12 @@ against, stay on numpy rows. There is one eigensolver, eigh_stack:
 LAPACK's, through numpy.linalg.eigh, on one matrix or a stack shaped
 (..., n, n), one matrix at a time. sym_eigen, sqrt_psd, operator_norm and
 is_positive_definite take their eigenvalues from it, and the estimator's
-A2 functionals call it on whole stacks. Repeat runs on one machine give
-bit-identical results. All of these accept anything convertible to a
-square complex ndarray; as_hermitian_stack validates a stack.
+A2 functionals call it on whole stacks. One routine, _psd_eigh, holds the
+PSD clamp (eigenvalues just below 0 clamp to 0, lower ones raise) for
+sqrt_psd, the norm functional and the Type 1 witness scan, which reads
+its mask. as_hermitian and hermitian_defect take one matrix or a stack.
+Repeat runs on one machine give bit-identical results. All of these
+accept anything convertible to a square complex ndarray.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "NegativeEigenvalueError",
     "as_square",
     "as_hermitian",
-    "as_hermitian_stack",
     "hermitian_defect",
     "permutation_sign",
     "leibniz_det",
@@ -59,57 +61,45 @@ class NegativeEigenvalueError(ArithmeticError):
     """Matrix has an eigenvalue below the PSD clamping tolerance."""
 
 
-def as_square(m) -> np.ndarray:
-    """Validate and return a finite square complex matrix."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def _defect(a: np.ndarray) -> float:
-    """hermitian_defect of a matrix that as_square has already validated."""
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T))) / scale
-
-
-def hermitian_defect(m) -> float:
-    """Max-entry distance from self-adjointness, relative to the entry scale."""
-    return _defect(as_square(m))
-
-
-def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
-    """Check self-adjointness within tol and return the exactly symmetrized matrix."""
-    a = as_square(m)
-    if _defect(a) > tol:
-        raise ValueError("matrix is not self-adjoint within tolerance")
-    return (a + a.conj().T) / 2.0
-
-
-def as_hermitian_stack(m, tol: float = 1e-12) -> np.ndarray:
-    """as_hermitian on every matrix of a stack shaped (..., n, n): the
-    same checks and texts, raised if any matrix fails, and the exactly
-    symmetrized stack. A matrix passes when its hermitian_defect is at
-    most tol, that is, when its largest entry of M - M* is at most tol
-    times its largest entry."""
-    a = np.asarray(m, dtype=complex)
+def _as_squares(a: np.ndarray) -> np.ndarray:
+    """Validate a complex array as a finite stack (..., n, n) of square
+    matrices."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] == 0:
         raise ValueError("empty matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    adjoint = a.conj().swapaxes(-1, -2)
-    gap = np.abs(a - adjoint).max(axis=(-2, -1))
-    if (gap > tol * np.abs(a).max(axis=(-2, -1))).any():
+    return a
+
+
+def as_square(m) -> np.ndarray:
+    """Validate and return a finite square complex matrix."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _as_squares(a)
+
+
+def hermitian_defect(m):
+    """Max-entry distance from self-adjointness, relative to the entry
+    scale: a float for one matrix, an array with one value per matrix for
+    a stack shaped (..., n, n)."""
+    a = _as_squares(np.asarray(m, dtype=complex))
+    gap = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.abs(a).max(axis=(-2, -1))
+    defect = gap / np.where(scale > 0.0, scale, 1.0)
+    return float(defect) if a.ndim == 2 else defect
+
+
+def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
+    """Check self-adjointness within tol and return the exactly
+    symmetrized matrix; a stack shaped (..., n, n) raises if any of its
+    matrices fails."""
+    a = np.asarray(m, dtype=complex)
+    if np.any(hermitian_defect(a) > tol):
         raise ValueError("matrix is not self-adjoint within tolerance")
-    return (a + adjoint) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def permutation_sign(images: tuple[int, ...]) -> int:
@@ -264,20 +254,31 @@ def eigh_stack(m) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"LAPACK eigh: {exc}") from exc
 
 
-def sqrt_psd(m) -> np.ndarray:
-    """Self-adjoint square root of a PSD matrix.
-
-    Eigenvalues in [-1e-12 * spectral_radius, 0) are clamped to zero;
-    anything lower raises NegativeEigenvalueError.
-    """
-    vals, vecs = sym_eigen(m)
-    radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    floor = -1e-12 * radius
-    if np.any(vals < floor):
+def _psd_eigh(m, strict: bool = True):
+    """The PSD clamp: eigh_stack of a self-adjoint matrix or stack
+    (..., n, n), with each matrix's eigenvalues in [-1e-12 * spectral
+    radius, 0) clamped to 0. Returns (clamped eigenvalues, eigenvectors,
+    below), below marking the matrices with a lower eigenvalue; strict
+    raises NegativeEigenvalueError for the first of them in stack order
+    instead."""
+    vals, vecs = eigh_stack(m)
+    floor = -1e-12 * np.abs(vals).max(axis=-1)
+    below = vals[..., 0] < floor
+    if strict and below.any():
         raise NegativeEigenvalueError(
-            f"eigenvalue {vals.min():.6e} below PSD clamp {floor:.6e}")
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+            f"eigenvalue {vals[below][0, 0]:.6e} below PSD clamp {floor[below][0]:.6e}")
+    return np.clip(vals, 0.0, None), vecs, below
+
+
+def sqrt_psd(m) -> np.ndarray:
+    """Self-adjoint square root of a PSD matrix, or of every matrix of a
+    stack (..., n, n), under the PSD clamp (_psd_eigh): eigenvalues in
+    [-1e-12 * spectral_radius, 0) are clamped to zero; anything lower
+    raises NegativeEigenvalueError.
+    """
+    vals, vecs, _ = _psd_eigh(as_hermitian(m))
+    root = (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
 
 
 def operator_norm(m) -> float:
@@ -306,7 +307,7 @@ def is_positive_definite(m) -> PosDefResult:
     relative to the entry scale. "not_positive" needs neither route positive
     and at least one clearly negative. Anything else is "marginal".
     """
-    h = as_hermitian(m)
+    h = as_hermitian(as_square(m))
     n = h.shape[0]
     scale = float(np.max(np.abs(h)))
     if scale == 0.0:

@@ -271,8 +271,7 @@ def average_type1b(w: SymbolicPowerMatrix, cube: Cube,
                 raise NotIntegrableError(
                     f"entry ({i}, {j}): {exc}") from exc
         out[i, j] = a * cache[e]
-    out = 0.5 * (out + out.conj().T)
-    return out.real if np.all(out.imag == 0) else out
+    return out
 
 
 CUBE_FAMILIES = ("cornered", "centered", "shifted")

@@ -227,16 +227,15 @@ _WITNESS_POINTS = np.logspace(-8.0, 8.0, 65)
 
 
 def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
-    """First x in _WITNESS_POINTS where W(x) is finite and fails
-    positivity, all points in one eigh_stack call. W(-x) = W(x), so
-    negative points add no witness."""
+    """First x in _WITNESS_POINTS where W(x) is finite and falls below
+    linalg's PSD clamp, all points in one eigh_stack call. W(-x) = W(x),
+    so negative points add no witness."""
     xs = _WITNESS_POINTS
     with np.errstate(over="ignore", invalid="ignore"):
         m = evaluate(w, xs)
     finite = np.isfinite(m).all(axis=(-2, -1))
     xs, m = xs[finite], m[finite]
-    vals, _ = linalg.eigh_stack((m + m.conj().swapaxes(-1, -2)) / 2.0)
-    fails = vals[:, 0] < -1e-12 * np.abs(vals).max(axis=-1)
+    _, _, fails = linalg._psd_eigh((m + m.conj().swapaxes(-1, -2)) / 2.0, strict=False)
     return float(xs[fails][0]) if fails.any() else None
 
 
@@ -289,27 +288,33 @@ def check_a2(w: SymbolicPowerMatrix) -> A2Report:
     pd = check_positive_definite_ae(w)
     if pd.verdict != VERDICT_PD_AE:
         return pd
-    bound = 1 if w.separable else w.d
-    findings: list[Finding] = []
-    weight_bad = False
-    for where, mat in _located(w.exponents):
-        for i, g in enumerate(_diag(mat)):
-            if g <= -bound:
-                weight_bad = True
-                findings.append(Finding(
-                    kind="diagonal-exponent-range", where=where + (i,),
-                    detail=(f"diagonal exponent {format_rational(g)} <= {-bound}: "
-                            "the weight is not locally integrable")))
-            elif g >= bound:
-                findings.append(Finding(
-                    kind="diagonal-exponent-range", where=where + (i,),
-                    detail=(f"diagonal exponent {format_rational(g)} >= {bound}: "
-                            "the inverse weight is not locally integrable")))
-    if weight_bad:
+    located = [(where + (i,), g) for where, mat in _located(w.exponents)
+               for i, g in enumerate(_diag(mat))]
+    return _exponent_range_report("diagonal", located, 1 if w.separable else w.d,
+                                  VERDICT_A2)
+
+
+def _exponent_range_report(noun: str, located, bound: int, passed: str) -> A2Report:
+    """The scalar rule behind both characterizations, |x|^g is A2 iff
+    -1 < g < 1, applied to (where, g) pairs with a bound b: g <= -b costs
+    the weight its local integrability, g >= b the inverse's. The verdict
+    is not_locally_integrable if the weight's fails, else not_a2 if any
+    exponent fails, else passed."""
+    findings = []
+    for where, g in located:
+        if g <= -bound:
+            side = f"<= {-bound}: the weight"
+        elif g >= bound:
+            side = f">= {bound}: the inverse weight"
+        else:
+            continue
+        findings.append(Finding(
+            kind=f"{noun}-exponent-range", where=where,
+            detail=(f"{noun} exponent {format_rational(g)} {side} "
+                    "is not locally integrable")))
+    if any(g <= -bound for _, g in located):
         return A2Report(VERDICT_NOT_INTEGRABLE, tuple(findings))
-    if findings:
-        return A2Report(VERDICT_NOT_A2, tuple(findings))
-    return A2Report(VERDICT_A2)
+    return A2Report(VERDICT_NOT_A2 if findings else passed, tuple(findings))
 
 
 def _require_midpoint(w: SymbolicPowerMatrix) -> None:

@@ -33,7 +33,8 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_WEIGHT_OK)
 from .scalar_power import format_rational
-from .type1 import EvaluationAtOriginError, SymbolicPowerMatrix, build_type1
+from .type1 import (EvaluationAtOriginError, SymbolicPowerMatrix, _exponent_range_report,
+                    build_type1)
 
 __all__ = [
     "UNITARY_FAMILIES",
@@ -289,24 +290,8 @@ def check_necessary_a2(w: Type2Weight) -> A2Report:
     findings = _alpha_findings(w)
     if findings:
         return A2Report(VERDICT_NOT_PD_AE, tuple(findings))
-    weight_bad = False
-    for k, g in enumerate(w.gammas):
-        if g <= -1:
-            weight_bad = True
-            findings.append(Finding(
-                kind="eigenvalue-exponent-range", where=(k,),
-                detail=f"eigenvalue exponent {format_rational(g)} <= -1: "
-                       "the weight is not locally integrable"))
-        elif g >= 1:
-            findings.append(Finding(
-                kind="eigenvalue-exponent-range", where=(k,),
-                detail=f"eigenvalue exponent {format_rational(g)} >= 1: "
-                       "the inverse weight is not locally integrable"))
-    if weight_bad:
-        return A2Report(VERDICT_NOT_INTEGRABLE, tuple(findings))
-    if findings:
-        return A2Report(VERDICT_NOT_A2, tuple(findings))
-    return A2Report(VERDICT_NECESSARY_PASSED)
+    return _exponent_range_report("eigenvalue", [((k,), g) for k, g in enumerate(w.gammas)],
+                                  1, VERDICT_NECESSARY_PASSED)
 
 
 def decide_rotation_a2(w: Type2Weight) -> A2Report:

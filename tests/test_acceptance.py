@@ -262,7 +262,7 @@ def test_criterion_09_cube_averages_and_radial_range_rule():
     radial = build_type1b([[1.0]], (Fraction(1),), 2)
     avg_r = average_type1b(radial, Cube((0.0, 0.0), 1.0), tol=1e-8)
     exact = (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 3.0
-    assert abs(float(avg_r[0, 0]) - exact) <= 1e-6
+    assert abs(avg_r[0, 0] - exact) <= 1e-6
 
     assert check_a2(
         build_type1b([[1.0]], (Fraction(3, 2),), 2)).verdict == "a2"

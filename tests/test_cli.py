@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from a2w import __version__
-from a2w import verify
+from a2w import cli, verify
 from a2w.cli import SchemaError, load_weight_spec, main
 from a2w.type1 import SymbolicPowerMatrix
 from a2w.type2 import Type2Weight
@@ -626,3 +626,16 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; each call's flags are its own
+        assert cli._build_parser() is cli._build_parser()
+        spec = write_spec(tmp_path, TWO_BY_TWO)
+        code, payload = run_json(capsys, ["check", spec, "--json"])
+        assert code == 0 and payload["report"]["verdict"] == "a2"
+        assert main(["check", spec]) == 0
+        assert "verdict: a2" in capsys.readouterr().out
+        code, payload = run_json(capsys, ["constant", spec, "--json", "--functional", "norm"])
+        assert code == 0 and payload["functional"] == "norm"
+        code, payload = run_json(capsys, ["constant", spec, "--json"])
+        assert code == 0 and payload["functional"] == "trace"

@@ -490,6 +490,34 @@ class TestFunctionals:
             assert nm >= 1.0 - 1e-9
             assert tr >= n * (1.0 - 1e-9)
 
+    @staticmethod
+    def _rotated(low: float) -> np.ndarray:
+        """diag(1, low) turned by 45 degrees: positive diagonal, eigenvalue low."""
+        q = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        return q @ np.diag([1.0, low]) @ q.T
+
+    def test_norm_shares_the_psd_clamp_of_sqrt_psd(self):
+        # -1e-12 times the spectral radius 1 is the floor: a matrix just
+        # above it clamps in both, one just below it fails both, same text
+        above, below = self._rotated(-0.5e-12), self._rotated(-3e-12)
+        linalg.sqrt_psd(above)
+        assert a2_functional_norm(above, np.eye(2)) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(linalg.NegativeEigenvalueError) as root:
+            linalg.sqrt_psd(below)
+        with pytest.raises(NonPositiveInputError) as norm:
+            a2_functional_norm(below, np.eye(2))
+        assert "below PSD clamp" in str(root.value)
+        assert str(norm.value) == str(root.value)
+
+    def test_norm_raises_on_the_failing_pair_of_a_stack(self):
+        eye = np.eye(2)
+        bad = self._rotated(-0.5)
+        with pytest.raises(linalg.NegativeEigenvalueError) as root:
+            linalg.sqrt_psd(bad)
+        with pytest.raises(NonPositiveInputError) as norm:
+            a2_functional_norm(np.array([eye, eye, eye]), np.array([eye, bad, eye]))
+        assert str(norm.value) == str(root.value)
+
     def test_below_floor_raises(self):
         # trace of a pair that is not (average, inverse average) compatible
         with pytest.raises(NonPositiveInputError):

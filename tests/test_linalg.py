@@ -126,12 +126,22 @@ def test_sym_eigen_of_diagonal_is_exact():
     assert np.array_equal(vecs, np.eye(len(diag))[:, order])
 
 
-def test_sym_eigen_order_eight_matches_eigvalsh(rng):
+def _assert_trace_and_determinant(a, vals):
+    """sum(vals) = tr a and prod(vals) = lu_det(a), each within rounding
+    of the spectral scale: oracles that run no LAPACK eigensolver."""
+    n = len(vals)
+    scale = np.max(np.abs(vals))
+    assert abs(vals.sum() - np.trace(a).real) <= 1e-14 * n * scale
+    # first order in the eigenvalues: d prod / d lambda_i = prod_{j != i} lambda_j
+    cofactors = [np.prod(np.abs(np.delete(vals, i))) for i in range(n)]
+    assert abs(np.prod(vals) - linalg.lu_det(a)) <= 1e-14 * n * scale * sum(cofactors)
+
+
+def test_sym_eigen_order_eight_meets_trace_and_determinant(rng):
     for _ in range(5):
         a = _hermitian(_complex_matrix(rng, linalg.MAX_ORDER))
         vals, _ = linalg.sym_eigen(a)
-        want = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(vals - want)) <= 1e-12 * np.max(np.abs(want))
+        _assert_trace_and_determinant(a, vals)
 
 
 def test_sym_eigen_repeat_calls_are_bit_identical(rng):
@@ -145,10 +155,16 @@ def test_sym_eigen_matches_numpy(rng, n):
     for _ in range(25):
         a = _hermitian(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         vals, vecs = linalg.sym_eigen(a)
-        want = np.linalg.eigvalsh(a)
-        assert np.allclose(vals, want, rtol=1e-9, atol=1e-9)
+        _assert_trace_and_determinant(a, vals)
         # eigenvector columns reconstruct the matrix
         assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, a, atol=1e-9)
+        if n == 2:
+            # closed form (a + d)/2 -+ sqrt(((a - d)/2)^2 + |b|^2)
+            mean, half = np.trace(a).real / 2.0, (a[0, 0] - a[1, 1]).real / 2.0
+            radius = np.hypot(half, abs(a[0, 1]))
+            scale = np.max(np.abs(vals))
+            assert 2.0 * radius > 1e-3 * scale  # well separated
+            assert np.max(np.abs(vals - [mean - radius, mean + radius])) <= 4e-14 * scale
 
 
 def test_sym_eigen_ascending_order(rng):
@@ -199,18 +215,43 @@ def test_as_hermitian_symmetrizes_within_tol():
         linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_as_hermitian_stack_checks_every_matrix():
+def test_as_hermitian_checks_every_matrix_of_a_stack():
     good = np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]])
-    stack = linalg.as_hermitian_stack(np.array([good, 2.0 * good, np.zeros((2, 2))]))
+    stack = linalg.as_hermitian(np.array([good, 2.0 * good, np.zeros((2, 2))]))
     for got, m in zip(stack, (good, 2.0 * good, np.zeros((2, 2)))):
         assert np.array_equal(got, linalg.as_hermitian(m))
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not self-adjoint"):
-        linalg.as_hermitian_stack(np.array([good, skew]))
+        linalg.as_hermitian(np.array([good, skew]))
     with pytest.raises(ValueError, match="must be finite"):
-        linalg.as_hermitian_stack(np.array([good, np.full((2, 2), np.nan)]))
+        linalg.as_hermitian(np.array([good, np.full((2, 2), np.nan)]))
     with pytest.raises(ValueError, match="expected a square matrix"):
-        linalg.as_hermitian_stack(np.zeros((3, 2, 1)))
+        linalg.as_hermitian(np.zeros((3, 2, 1)))
+
+
+def test_hermitian_defect_of_a_stack_is_per_matrix():
+    good = np.array([[1.0, 2.0], [2.0, 1.0]])
+    skew = np.array([[1.0, 1.0 + 1e-10], [1.0, 1.0]])
+    stack = np.array([good, skew, np.zeros((2, 2))])
+    assert linalg.hermitian_defect(stack).tolist() == [
+        linalg.hermitian_defect(m) for m in stack]
+
+
+def test_sqrt_psd_of_a_stack_is_per_matrix(rng):
+    g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    stack = g @ g.conj().swapaxes(-1, -2)
+    roots = linalg.sqrt_psd(stack)
+    for root, m in zip(roots, stack):
+        assert np.array_equal(root, linalg.sqrt_psd(m))
+
+
+def test_psd_clamp_raises_on_the_first_failing_matrix_of_a_stack():
+    eye = np.eye(2)
+    for stack, low in (([eye, np.diag([1.0, -0.5]), eye], -0.5),
+                       ([eye, eye, np.diag([-0.25, 1.0]), np.diag([1.0, -0.5])], -0.25)):
+        with pytest.raises(linalg.NegativeEigenvalueError) as err:
+            linalg.sqrt_psd(np.array(stack))
+        assert str(err.value) == f"eigenvalue {low:.6e} below PSD clamp {-1e-12:.6e}"
 
 
 def test_eigh_stack_solves_each_matrix_alone(rng):

@@ -90,3 +90,30 @@ def test_benchmark_tracer_counts_a_rotation_constant(tmp_path):
     rc, evaluations, nodes = proc.stdout.split()[-3:]
     # 16 nodes for the Fourier coefficients, 20 per Gauss-rule interval
     assert (int(rc), float(evaluations), float(nodes)) == (0, 205, 1816)
+
+
+def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):
+    # The tracer binds linalg.as_hermitian by name, and the weight's
+    # builder, the decisions and the functionals' stacked pair check all
+    # call it: 3 outside the search (the builder, the decision and the
+    # closed-form bound's decision), then one per scored stack, the grid's
+    # and each of the 22 golden-refinement intervals'.
+    spec = tmp_path / "w2.json"
+    spec.write_text(json.dumps({"kind": "type1", "coeff": [[5, 3], [3, 2]],
+                                "diag_exponents": ["1/2", "-2/3"]}))
+    code = "\n".join([
+        "import sys; sys.path[:0] = ['a2wbench', 'src']",
+        "from tracing import Tracer; from a2w import cli",
+        "tracer = Tracer(); tracer.install()",
+        f"rc = tracer.run_op(0, cli.main, ['constant', {str(spec)!r}, '--json',"
+        " '--functional', 'norm'])",
+        "m = tracer.layer_metrics(1)",
+        "print(rc, m['linalg.as_hermitian.calls'][0], m['search.evaluations'][0],"
+        " m['search.refine_evaluations'][0])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, checks, evaluations, refined = proc.stdout.split()[-4:]
+    assert (int(rc), float(evaluations), float(refined)) == (0, 121, 22)
+    assert float(checks) == 3 + 1 + 22

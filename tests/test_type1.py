@@ -172,29 +172,53 @@ def _reference_scan(w):
     return None
 
 
+WITNESS_CASES = [
+    # criterion 2: the off-diagonal exponent 1/10 above its midpoint
+    ([[5.0, 3.0], [3.0, 2.0]], [["1/2", "1/60"], ["1/60", "-2/3"]], None),
+    # det W(x) = 1 - |x|/4: positive definite up to |x| = 4
+    ([[1.0, 0.5], [0.5, 1.0]], [["1/2", "1/2"], ["1/2", "-1/2"]],
+     10.0 ** 0.75),
+    # complex coefficients, and W(x) overflows below |x| = 10^-7.7
+    ([[1.0, 0.5j], [-0.5j, 1.0]], [["-40", "-79/2"], ["-79/2", "-40"]],
+     10.0 ** 0.75),
+    # order 3: 3|x|^(1/5) > 1 from |x| = 3^-5 on
+    ([[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+     [["0", "1/5", "0"], ["1/5", "0", "0"], ["0", "0", "1/2"]],
+     10.0 ** -2.25),
+]
+WITNESS_IDS = ["criterion-2", "fails-above-4", "overflowing", "order-3"]
+
+
 class TestWitnessScan:
     # W(-x) = W(x), so the reference never reaches its negative half with
     # a witness still to find; the stacked scan leaves that half out.
-    @pytest.mark.parametrize("coeff, exps, want", [
-        # criterion 2: the off-diagonal exponent 1/10 above its midpoint
-        ([[5.0, 3.0], [3.0, 2.0]], [["1/2", "1/60"], ["1/60", "-2/3"]], None),
-        # det W(x) = 1 - |x|/4: positive definite up to |x| = 4
-        ([[1.0, 0.5], [0.5, 1.0]], [["1/2", "1/2"], ["1/2", "-1/2"]],
-         10.0 ** 0.75),
-        # complex coefficients, and W(x) overflows below |x| = 10^-7.7
-        ([[1.0, 0.5j], [-0.5j, 1.0]], [["-40", "-79/2"], ["-79/2", "-40"]],
-         10.0 ** 0.75),
-        # order 3: 3|x|^(1/5) > 1 from |x| = 3^-5 on
-        ([[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
-         [["0", "1/5", "0"], ["1/5", "0", "0"], ["0", "0", "1/2"]],
-         10.0 ** -2.25),
-    ], ids=["criterion-2", "fails-above-4", "overflowing", "order-3"])
+    @pytest.mark.parametrize("coeff, exps, want", WITNESS_CASES, ids=WITNESS_IDS)
     def test_matches_the_point_by_point_scan(self, coeff, exps, want):
         w = build_type1_raw(np.array(coeff), exps)
         got = type1._witness_scan(w)
         assert got is not None and got == _reference_scan(w)
         if want is not None:
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("coeff, exps", [case[:2] for case in WITNESS_CASES],
+                             ids=WITNESS_IDS)
+    def test_flags_a_point_where_sqrt_psd_raises(self, coeff, exps):
+        # one PSD clamp: the scan's mask holds the finite points whose W(x)
+        # sqrt_psd rejects, and its witness is the first of them
+        w = build_type1_raw(np.array(coeff), exps)
+        xs = type1._WITNESS_POINTS
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = evaluate(w, xs)
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        raising = []
+        for x, m in zip(xs[finite].tolist(), stack[finite]):
+            try:
+                linalg.sqrt_psd(m)
+            except linalg.NegativeEigenvalueError:
+                raising.append(x)
+        _, _, below = linalg._psd_eigh(linalg.as_hermitian(stack[finite]), strict=False)
+        assert xs[finite][below].tolist() == raising
+        assert raising and type1._witness_scan(w) == raising[0]
 
     @pytest.mark.parametrize("w", [TWO_BY_TWO, THREE_BY_THREE],
                              ids=["two-by-two", "three-by-three"])
