@@ -18,8 +18,9 @@ error, one tolerance and one power-model factor per row, and refinement
 runs until every row meets its own tolerance. The zero split and any
 endpoint grading are its seed cuts. _panel_tree runs one tree and
 evaluates the integrand itself, one round of panels at a time.
-adaptive_quad is the front end for an integrand of one row or of a few
-rows (a function and its reciprocal share one tree); matrix_quad
+adaptive_quad is the front end for an integrand of one row or of many
+(the divergence windows of a sweep and their reciprocals share one tree,
+each row under its own tolerance); matrix_quad
 integrates the upper triangles of a stack of Hermitian matrix functions
 evaluated together (a weight and its inverse share one tree), one row
 per entry.

@@ -356,14 +356,21 @@ def logspaced_ints(n_min: int, n_max: int, points: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_WINDOWS_PER_TREE = 32  # bounds a tree's memory for any sweep length
+
+
 def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
     """Scalar products of the planar-rotation diagonal entry over I_n.
 
-    The probe is w_11(x) = |x|^g1 cos^2 x + |x|^g2 sin^2 x with averages
-    over I_n = [2 pi n, 2 pi n + pi], each to 1e-8 relative error. For
-    g1 < g2 the product grows like n^((g2 - g1)/2). The degenerate g1 = g2
-    case is rejected: it is not a divergence experiment (the product stays
-    bounded by 1/(1 - g^2)).
+    The probe is w_11(x) = |x|^g1 cos^2 x + |x|^g2 sin^2 x, averaged over
+    I_n = [2 pi n, 2 pi n + pi]. For g1 < g2 the product grows like
+    n^((g2 - g1)/2); the bounded g1 = g2 case is rejected.
+
+    Windows are integrated in the local phase t = x - 2 pi n in [0, pi],
+    where U(x) = U(t), so the rounding of a large x never shifts the sharp
+    1/w_11 peaks at the window ends. Up to _WINDOWS_PER_TREE windows share
+    one panel tree, graded toward both ends, with w_11 and 1/w_11 of each
+    as two rows, each held to 1e-8 of its own mass (both are positive).
     """
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     if not (Fraction(-1) < g1 < g2 < Fraction(1)):
@@ -372,27 +379,19 @@ def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
     if not ns or any(n <= 0 for n in ns) or any(
             b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be positive and strictly increasing")
-    p1, p2 = float(g1), float(g2)
+    starts = np.array([2.0 * math.pi * n for n in ns])
+    avgs = []
+    for i in range(0, len(ns), _WINDOWS_PER_TREE):
+        def probes(ts):
+            u = unitary_stack("rotation2d", 2, ts)  # c = u[0, 0], s = -u[0, 1]
+            xs = starts[i:i + _WINDOWS_PER_TREE, None] + ts
+            probe = xs**float(g1) * u[0, 0]**2 + xs**float(g2) * u[0, 1]**2
+            return np.concatenate([probe, 1.0 / probe])
 
-    def probe_pair(xs):
-        u = unitary_stack("rotation2d", 2, xs)  # c = u[0, 0], s = -u[0, 1]
-        ax = np.abs(xs)
-        probe = ax**p1 * u[0, 0]**2 + ax**p2 * u[0, 1]**2
-        return np.array([probe, 1.0 / probe])
-
-    def one_row(n: int) -> DivergenceRow:
-        a = 2.0 * math.pi * n
-        b = a + math.pi
-        # w_11 and 1/w_11 share one panel tree, each row under its own
-        # relative control (both are strictly positive, so that is safe).
-        # 1/w_11 peaks sharply at the window endpoints (cos^2 x = 1 there,
-        # peak width ~ n^-(g2-g1)/2), so panels are graded toward them.
-        avg_w, avg_winv = adaptive_quad(probe_pair, a, b, 1e-8, endpoint_grading=24,
-                                        scale=0.0).real / (b - a)
-        return DivergenceRow(n=n, a=a, b=b, avg_w=float(avg_w),
-                             avg_winv=float(avg_winv), product=float(avg_w * avg_winv))
-
-    return [one_row(n) for n in ns]
+        sums = adaptive_quad(probes, 0.0, math.pi, 1e-8, endpoint_grading=24, scale=0.0)
+        avgs += (sums.real / math.pi).reshape(2, -1).T.tolist()
+    return [DivergenceRow(n, a, a + math.pi, w, winv, w * winv)
+            for n, a, (w, winv) in zip(ns, starts.tolist(), avgs)]
 
 
 def fit_loglog_slope(rows: list[DivergenceRow]) -> float:

@@ -476,6 +476,15 @@ class TestDivergenceCommand:
         assert payload["fitted_slope"] > 0.0
         assert payload["config"]["gamma1"] == "0"
 
+    def test_near_extreme_exponents_sweep(self, capsys):
+        # the 1/w_11 peaks at n = 1e5 are ~1e-5 wide; a probe that took
+        # cos x at x ~ 6e5 exhausted its panel budget (exit 4)
+        code, payload = run_json(
+            capsys, ["divergence", "--gamma1=-99/100", "--gamma2=99/100", "--json"])
+        assert code == 0
+        assert len(payload["rows"]) == 13
+        assert payload["fitted_slope"] == pytest.approx(0.99, abs=0.02)
+
     def test_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code = main(["divergence", "--gamma1=-1/2", "--gamma2", "1/2",

@@ -158,16 +158,27 @@ class TestDecisions:
 
 def _reference_scan(w):
     """The witness scan point by point, in its scan order (+logspace, then
-    -logspace), one eigvalsh per point; points where W(x) overflows are
-    skipped."""
+    -logspace), with no eigensolver; points where W(x) overflows are
+    skipped.
+
+    Sylvester: W(x) is positive definite iff its leading principal minors
+    are positive, and the clamp never flags a positive definite matrix.
+    When the first minor that is not positive is negative, interlacing
+    puts an eigenvalue of W(x) below 0. With W(x) scaled to largest entry
+    1, that minor is below -1e-6 at every witness of these cases, so the
+    eigenvalue lies far past the clamp's -1e-12 and both decide alike.
+    """
     mags = np.logspace(-8.0, 8.0, 65)
     for x in list(mags) + list(-mags):
         with np.errstate(over="ignore", invalid="ignore"):
             m = evaluate(w, float(x))
         if not np.isfinite(m).all():
             continue
-        vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if vals[0] < -1e-12 * np.max(np.abs(vals)):
+        m = m / np.max(np.abs(m))
+        minors = [linalg.lu_det(m[:k, :k]).real for k in range(1, len(m) + 1)]
+        first = next((d for d in minors if d <= 0.0), None)
+        if first is not None:
+            assert first < -1e-6, f"W({x!r}) is too close to the PSD clamp"
             return float(x)
     return None
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from a2w.estimator import estimate_a2
+from a2w.quadrature import adaptive_quad
 from a2w.report import (VERDICT_A2, VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
                         VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                         VERDICT_WEIGHT_OK)
@@ -379,13 +380,61 @@ class TestDivergenceExperiment:
 
     def test_rows_keep_their_values(self):
         # pinned rows: the probe and the panel tree must keep these values
-        want = [(12.568718997378452, 0.9999998301985615, 12.568716863191886),
-                (39.64453382817957, 0.9999999992073209, 39.644533796754175)]
+        want = [(12.568718997378273, 0.9999998301986538, 12.568716863192867),
+                (39.64453382818765, 0.9999999991942375, 39.64453379624357)]
         rows = divergence_experiment("-1/2", "1/2", [100, 1000])
         assert [row.n for row in rows] == [100, 1000]
         for row, values in zip(rows, want):
             got = (row.avg_w, row.avg_winv, row.product)
             assert got == pytest.approx(values, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 100000])
+    def test_rows_match_an_mpmath_reference(self, n):
+        # At n = 1e5 the 1/w_11 peaks at the window ends are ~4e-5 wide; a
+        # probe that took cos x at x ~ 6e5 put avg_winv 3.7e-8 off.
+        mpmath = pytest.importorskip("mpmath")
+        (row,) = divergence_experiment("-3/4", "3/4", [n])
+        with mpmath.workdps(30):
+            g, a = mpmath.mpf(3) / 4, 2 * mpmath.pi * n
+
+            def w11(t):
+                return ((a + t) ** -g * mpmath.cos(t) ** 2
+                        + (a + t) ** g * mpmath.sin(t) ** 2)
+
+            ends = [mpmath.mpf(10) ** -k for k in range(1, 10)]
+            cuts = sorted([0, mpmath.pi / 2, mpmath.pi] + ends
+                          + [mpmath.pi - e for e in ends])
+            want_w = float(mpmath.quad(w11, cuts) / mpmath.pi)
+            want_winv = float(mpmath.quad(lambda t: 1 / w11(t), cuts) / mpmath.pi)
+        assert row.avg_w == pytest.approx(want_w, rel=1e-10)
+        assert row.avg_winv == pytest.approx(want_winv, rel=1e-10)
+
+    def test_a_row_keeps_its_value_in_a_longer_sweep(self):
+        # windows that share a tree refine it for the sharpest of them
+        short = divergence_experiment("-1/2", "1/2", [100, 1000])
+        full = divergence_experiment("-1/2", "1/2", logspaced_ints(100, 100000, 13))
+        assert full[0].n == 100
+        assert (full[0].avg_w, full[0].avg_winv) == pytest.approx(
+            (short[0].avg_w, short[0].avg_winv), rel=1e-10)
+
+    def test_long_sweeps_run_in_chunks_of_windows(self, monkeypatch):
+        trees = []
+
+        def spy(*args, **kwargs):
+            trees.append(args[0])
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr("a2w.type2.adaptive_quad", spy)
+        ns = logspaced_ints(100, 100000, 13)
+        divergence_experiment("-1/2", "0", ns)
+        assert len(trees) == 1
+        monkeypatch.setattr("a2w.type2._WINDOWS_PER_TREE", 5)
+        trees.clear()
+        rows = divergence_experiment("-1/2", "0", ns)
+        assert len(trees) == 3
+        alone = [row for i in range(0, len(ns), 5)
+                 for row in divergence_experiment("-1/2", "0", ns[i:i + 5])]
+        assert rows == alone
 
     def test_slope_tracks_exponent_gap(self):
         rows = divergence_experiment("-1/2", "1/2", logspaced_ints(10, 2000, 6))
@@ -393,8 +442,8 @@ class TestDivergenceExperiment:
         assert 0.40 < slope < 0.60
 
     def test_probe_calls_are_rounds_not_splits(self, monkeypatch):
-        # Counters, not clocks: the probe and its reciprocal share one tree
-        # per window, and a round of splits per probe call keeps them on
+        # Counters, not clocks: every window of the sweep and its reciprocal
+        # share one tree, and a round of splits per probe call keeps it on
         # few calls.
         seen = []
 
@@ -404,8 +453,8 @@ class TestDivergenceExperiment:
 
         monkeypatch.setattr("a2w.type2.unitary_stack", spy)
         divergence_experiment("-1/2", "0", logspaced_ints(100, 100000, 13))
-        assert sum(seen) == 18720
-        assert len(seen) <= 30
+        assert sum(seen) == 1440
+        assert len(seen) == 2
 
 
 class TestFourierMoments:
