@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .search import (Interval, SupSearchConfig, SupSearchResult, SearchError,
                      default_interval_config, coarse_interval_config)
-from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
-                     VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
-                     VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
+from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
+                     VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_PD_AE, VERDICT_WEIGHT_OK)
 from .scalar_power import (NotA2Error, NotIntegrableError, average_abs_pow,
                            format_rational, integral_abs_pow, parse_rational,
@@ -40,9 +39,9 @@ __all__ = [
     "Interval", "SupSearchConfig", "SupSearchResult", "SearchError",
     "default_interval_config", "coarse_interval_config",
     "A2Report", "Finding",
-    "VERDICT_A2", "VERDICT_MARGINAL", "VERDICT_NECESSARY_PASSED",
-    "VERDICT_NOT_A2", "VERDICT_NOT_INTEGRABLE", "VERDICT_NOT_PD_AE",
-    "VERDICT_PD_AE", "VERDICT_WEIGHT_OK",
+    "VERDICT_A2", "VERDICT_NECESSARY_PASSED", "VERDICT_NOT_A2",
+    "VERDICT_NOT_INTEGRABLE", "VERDICT_NOT_PD_AE", "VERDICT_PD_AE",
+    "VERDICT_WEIGHT_OK",
     "NotA2Error", "NotIntegrableError",
     "average_abs_pow", "format_rational", "integral_abs_pow",
     "parse_rational", "scalar_closed_form_constant", "scalar_is_a2",

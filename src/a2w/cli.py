@@ -33,7 +33,7 @@ from .estimator import NonPositiveInputError, estimate_a2, search_config
 from .linalg import (ConvergenceError, NegativeEigenvalueError,
                      SingularMatrixError)
 from .quadrature import QuadratureBudgetError
-from .report import A2Report, VERDICT_A2, VERDICT_MARGINAL
+from .report import A2Report, VERDICT_A2
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
 from .search import (FAMILIES, SearchError, coarse_interval_config,
@@ -276,8 +276,6 @@ def _reasons(report: A2Report) -> str:
 def _human_verdict(report: A2Report) -> str:
     if report.verdict == VERDICT_A2:
         return "A2: yes"
-    if report.verdict == VERDICT_MARGINAL:
-        return "A2: undetermined (marginal coefficient positivity)"
     return f"A2: no [{report.verdict}]{_reasons(report)}"
 
 
@@ -475,7 +473,8 @@ _EXIT_TABLE = (
     ((NotA2Error, NotIntegrableError, MidpointConditionError),
      _EXIT_DECISION, "decision failed"),
     ((SearchError, QuadratureBudgetError, NonPositiveInputError,
-      SingularMatrixError, ConvergenceError, NegativeEigenvalueError),
+      SingularMatrixError, ConvergenceError, NegativeEigenvalueError,
+      OverflowError),
      _EXIT_SEARCH, "search failed"),
 )
 _MAPPED = tuple(cls for classes, _, _ in _EXIT_TABLE for cls in classes)

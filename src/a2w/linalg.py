@@ -6,19 +6,21 @@ Python complex scalars in nested lists, with no BLAS call; elim_inverse
 and leibniz_det, the independent routes the verify suites compare
 against, stay on numpy rows. There is one eigensolver, eigh_stack:
 LAPACK's, through numpy.linalg.eigh, on one matrix or a stack shaped
-(..., n, n), one matrix at a time. sym_eigen, sqrt_psd, operator_norm and
-is_positive_definite take their eigenvalues from it, and the estimator's
-A2 functionals call it on whole stacks. One routine, _psd_eigh, holds the
-PSD clamp (eigenvalues just below 0 clamp to 0, lower ones raise) for
-sqrt_psd, the norm functional and the Type 1 witness scan, which reads
-its mask. as_hermitian and hermitian_defect take one matrix or a stack.
-Repeat runs on one machine give bit-identical results. All of these
-accept anything convertible to a square complex ndarray.
+(..., n, n), one matrix at a time. sym_eigen, sqrt_psd and operator_norm
+take their eigenvalues from it, and the estimator's A2 functionals call
+it on whole stacks; is_positive_definite is exact, in integers. One
+routine, _psd_eigh, holds the PSD clamp (eigenvalues just below 0 clamp
+to 0, lower ones raise) for sqrt_psd, the norm functional and the Type 1
+witness scan, which reads its mask. as_hermitian and hermitian_defect
+take one matrix or a stack. Repeat runs on one machine give bit-identical
+results. All of these accept anything convertible to a square complex
+ndarray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 import math
 
@@ -292,44 +294,42 @@ def operator_norm(m) -> float:
 
 @dataclass(frozen=True)
 class PosDefResult:
-    """Outcome of the two-route positive definiteness test."""
+    """Outcome of Sylvester's criterion, decided exactly."""
 
-    verdict: str  # "positive" | "not_positive" | "marginal"
-    minors: tuple[float, ...]
-    min_eigenvalue: float
-    failed_minor: int | None = None  # 0-based index of first failing leading minor
+    verdict: str  # "positive" | "not_positive"
+    minors: tuple[Fraction, ...]  # leading minors, up to the first not positive
+    failed_minor: int | None = None  # 0-based index of that minor
 
 
 def is_positive_definite(m) -> PosDefResult:
-    """Decide positive definiteness by leading minors and, independently, eigenvalues.
+    """Decide positive definiteness exactly, by Sylvester's criterion.
 
-    "positive" needs both routes clearly positive, with a margin of 1e-10
-    relative to the entry scale. "not_positive" needs neither route positive
-    and at least one clearly negative. Anything else is "marginal".
+    Floats are dyadic rationals, so one power of 2 scales the symmetrized
+    matrix (as_hermitian) to Gaussian integers. Fraction-free (Bareiss)
+    elimination gives each leading minor exactly, as a pivot that is a real
+    integer, and stops at the first that is not positive. Each division is
+    by the previous pivot, which is positive, so no pivoting is needed.
     """
     h = as_hermitian(as_square(m))
     n = h.shape[0]
-    scale = float(np.max(np.abs(h)))
-    if scale == 0.0:
-        return PosDefResult("not_positive", tuple(0.0 for _ in range(n)), 0.0, 0)
-    minors = []
-    for k in range(1, n + 1):
-        minors.append(lu_det(h[:k, :k]).real)
-    vals, _ = eigh_stack(h)
-    lam_min = float(vals[0])
-    minor_margins = [mk / scale**k for k, mk in enumerate(minors, start=1)]
-    margin = 1e-10
-    minors_pos = all(g > margin for g in minor_margins)
-    minors_neg = any(g < -margin for g in minor_margins)
-    eig_pos = lam_min > margin * scale
-    eig_neg = lam_min < -margin * scale
-    failed = None
-    for k, g in enumerate(minor_margins):
-        if g <= margin:
-            failed = k
-            break
-    if minors_pos and eig_pos:
-        return PosDefResult("positive", tuple(minors), lam_min, None)
-    if not minors_pos and not eig_pos and (minors_neg or eig_neg):
-        return PosDefResult("not_positive", tuple(minors), lam_min, failed)
-    return PosDefResult("marginal", tuple(minors), lam_min, failed)
+    ratios = [[x.as_integer_ratio() for x in row]
+              for row in h.real.tolist() + h.imag.tolist()]
+    denom = max(d for row in ratios for _, d in row)  # every d is a power of 2
+    ints = [[num * (denom // d) for num, d in row] for row in ratios]
+    re, im = ints[:n], ints[n:]
+    minors, prev = [], 1
+    for k in range(n):
+        pivot = re[k][k]
+        minors.append(Fraction(pivot, denom ** (k + 1)))
+        if pivot <= 0:
+            return PosDefResult("not_positive", tuple(minors), k)
+        # Bareiss step k: the quotient is a Gaussian integer, so each of
+        # its components divides exactly by the real integer prev
+        for i in range(k + 1, n):
+            ar, ai = re[i][k], im[i][k]
+            for j in range(k + 1, n):
+                br, bi = re[k][j], im[k][j]
+                re[i][j] = (re[i][j] * pivot - ar * br + ai * bi) // prev
+                im[i][j] = (im[i][j] * pivot - ar * bi - ai * br) // prev
+        prev = pivot
+    return PosDefResult("positive", tuple(minors))

@@ -8,7 +8,6 @@ VERDICT_A2 = "a2"
 VERDICT_NOT_A2 = "not_a2"
 VERDICT_NOT_PD_AE = "not_positive_definite_ae"
 VERDICT_NOT_INTEGRABLE = "not_locally_integrable"
-VERDICT_MARGINAL = "marginal"
 VERDICT_PD_AE = "positive_definite_ae"
 VERDICT_WEIGHT_OK = "locally_integrable_weight"
 VERDICT_NECESSARY_PASSED = "inconclusive_necessary_passed"
@@ -20,7 +19,6 @@ __all__ = [
     "VERDICT_NOT_A2",
     "VERDICT_NOT_PD_AE",
     "VERDICT_NOT_INTEGRABLE",
-    "VERDICT_MARGINAL",
     "VERDICT_PD_AE",
     "VERDICT_WEIGHT_OK",
     "VERDICT_NECESSARY_PASSED",

@@ -14,16 +14,17 @@ estimators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .report import (A2Report, Finding, VERDICT_A2, VERDICT_MARGINAL,
-                     VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
-                     VERDICT_PD_AE)
+from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NOT_A2,
+                     VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE, VERDICT_PD_AE)
 from .scalar_power import (NotA2Error, format_rational,
                            scalar_closed_form_constant)
 
@@ -242,39 +243,37 @@ def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
 def check_positive_definite_ae(w: SymbolicPowerMatrix) -> A2Report:
     """Decide whether W(x) is positive definite for a.e. x.
 
-    Characterization: coefficient matrix positive definite and the midpoint
-    condition on every exponent matrix. All violations are reported; on
-    the line a numeric witness point is attached whenever the scan finds
-    one.
+    Characterization: coefficient matrix positive definite, decided exactly
+    on its floats, and the midpoint condition on every exponent matrix.
+    All violations are reported; on the line a numeric witness point is
+    attached whenever the scan finds one.
     """
-    findings: list[Finding] = []
-    if linalg.hermitian_defect(w.coeff) > 1e-12:
-        findings.append(Finding(
-            kind="coefficient-not-self-adjoint", where=(),
-            detail="coefficient matrix is not self-adjoint within tolerance"))
+    self_adjoint = linalg.hermitian_defect(w.coeff) <= 1e-12
+    findings = [] if self_adjoint else [Finding(
+        kind="coefficient-not-self-adjoint", where=(),
+        detail="coefficient matrix is not self-adjoint within tolerance")]
     findings.extend(w.midpoint_findings)
-
-    pd = None
-    if not any(f.kind == "coefficient-not-self-adjoint" for f in findings):
-        pd = linalg.is_positive_definite((w.coeff + w.coeff.conj().T) / 2.0)
-        if pd.verdict == "not_positive":
-            idx = pd.failed_minor if pd.failed_minor is not None else w.n - 1
+    if self_adjoint:
+        pd = linalg.is_positive_definite(w.coeff)
+        k = pd.failed_minor
+        if k is not None:
             findings.append(Finding(
-                kind="leading-minor-not-positive", where=(idx,),
-                detail=(f"leading minor {idx + 1} of the coefficient matrix is "
-                        f"{pd.minors[idx]:.6g}")))
-        elif pd.verdict == "marginal":
-            findings.append(Finding(
-                kind="coefficient-marginal", where=(),
-                detail="coefficient positivity is within tolerance of zero"))
-
+                kind="leading-minor-not-positive", where=(k,),
+                detail=(f"leading minor {k + 1} of the coefficient matrix is "
+                        f"{_six_digits(pd.minors[k])}")))
     if not findings:
         return A2Report(VERDICT_PD_AE)
-    if pd is not None and pd.verdict == "marginal" and all(
-            f.kind == "coefficient-marginal" for f in findings):
-        return A2Report(VERDICT_MARGINAL, tuple(findings))
     witness = _witness_scan(w) if w.d == 1 else None
     return A2Report(VERDICT_NOT_PD_AE, tuple(findings), witness=witness)
+
+
+def _six_digits(q: Fraction) -> str:
+    """q as format(float(q), ".6g") writes it, also beyond the float range
+    (a minor of a coefficient near 1e300 is)."""
+    if q == 0 or sys.float_info.min <= abs(q) <= sys.float_info.max:
+        return f"{float(q):.6g}"
+    six = Context(prec=6)
+    return f"{six.divide(Decimal(q.numerator), q.denominator).normalize(six):g}"
 
 
 def check_a2(w: SymbolicPowerMatrix) -> A2Report:

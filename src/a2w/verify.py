@@ -114,6 +114,8 @@ def _prop_adjugate_inverse(rng, trials):
 
 
 def _prop_pd_dual_route(rng, trials):
+    # the exact route against the eigenvalue route: a PD matrix passes, and
+    # fails once its bottom eigenvalue is flipped
     for t in range(trials):
         n = int(rng.integers(2, 6))
         g = rng.normal(size=(n, n))

@@ -24,6 +24,10 @@ MIDPOINT_VIOLATOR = {"kind": "type1_raw", "coeff": [[5, 3], [3, 2]],
                      "exponents": [["1/2", "1/60"], ["1/60", "-2/3"]]}
 IDENTITY = {"kind": "type2", "alphas": [1.0, 2.0], "gammas": ["1/2", "-1/3"],
             "unitary": "identity"}
+NEAR_SINGULAR = {"kind": "type1", "coeff": [[1, 1 - 5e-11], [1 - 5e-11, 1]],
+                 "diag_exponents": ["1/2", "-1/3"]}
+HUGE = {"kind": "type1", "coeff": [[1e300, 0], [0, 1e300]],
+        "diag_exponents": ["1/2", "-1/3"]}
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
@@ -213,16 +217,33 @@ class TestCheckCommand:
 
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):
-        # the decision's eigensolve is LAPACK's too (linalg.eigh_stack)
+        # positivity is decided without an eigensolver, but an indefinite
+        # coefficient sends check on to the witness scan, whose eigensolve
+        # is LAPACK's (linalg.eigh_stack)
         def no_convergence(m):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-        code = main(["check", write_spec(tmp_path, TWO_BY_TWO), "--json"])
+        doc = dict(TWO_BY_TWO, coeff=[[1, 3], [3, 1]])
+        code = main(["check", write_spec(tmp_path, doc), "--json"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert "ConvergenceError" in captured.err
+
+    @pytest.mark.parametrize("doc, verdict, findings", [
+        (NEAR_SINGULAR, "a2", []),
+        (HUGE, "a2", []),
+        (dict(HUGE, coeff=[[1e300, 2e300], [2e300, 1e300]]), "not_positive_definite_ae",
+         [{"kind": "leading-minor-not-positive", "where": [1],
+           "detail": "leading minor 2 of the coefficient matrix is -3e+600"}]),
+    ], ids=["near-singular", "huge", "huge-indefinite"])
+    def test_coefficient_positivity_is_exact(self, tmp_path, capsys, doc, verdict,
+                                             findings):
+        code, payload = run_json(capsys, ["check", write_spec(tmp_path, doc), "--json"])
+        assert code == 0
+        assert payload["report"]["verdict"] == verdict
+        assert payload["report"]["findings"] == findings
 
     def test_stray_key_is_schema_error(self, tmp_path, capsys):
         code = main(["check",
@@ -430,6 +451,23 @@ class TestConstantCommand:
         assert code == 4
         assert captured.out == ""
         assert "ConvergenceError on Interval(a=" in captured.err
+
+    def test_near_singular_coefficient_is_a2(self, tmp_path, capsys):
+        # 1 - c^2 is about 1e-10, exactly positive: the weight is A2
+        code, payload = run_json(
+            capsys, ["constant", write_spec(tmp_path, NEAR_SINGULAR), "--json"])
+        assert code == 0
+        assert payload["estimate"] == pytest.approx(4443472827.94, rel=1e-9)
+        assert payload["estimate"] <= payload["upper_bound"]
+
+    def test_overflow_exits_four_without_a_traceback(self, tmp_path, capsys):
+        # the inverse's Hadamard bound squares entries of 1e300
+        code = main(["constant", write_spec(tmp_path, HUGE)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("search failed: OverflowError: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", [[], ["--grid", "fine"]], ids=["default", "fine"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])

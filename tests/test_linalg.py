@@ -1,5 +1,7 @@
 """Dense linear algebra kernel against numpy oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,29 @@ from a2w import linalg
 
 def _hermitian(values: np.ndarray) -> np.ndarray:
     return (values + values.conj().T) / 2.0
+
+
+def _exact_leading_minors(h) -> list[Fraction]:
+    """Oracle for Sylvester's criterion: the leading minors of a
+    self-adjoint matrix, up to the first that is not positive, as products
+    of the pivots of Gaussian elimination in Fraction arithmetic on the
+    entries' exact values. Complex entries are (re, im) pairs; every pivot
+    is real, because each step leaves the trailing block self-adjoint."""
+    a = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+         for row in np.asarray(h, dtype=complex).tolist()]
+    minors, det = [], Fraction(1)
+    for k in range(len(a)):
+        pivot = a[k][k][0]
+        det *= pivot
+        minors.append(det)
+        if pivot <= 0:
+            break
+        for i in range(k + 1, len(a)):
+            fr, fi = a[i][k][0] / pivot, a[i][k][1] / pivot
+            for j in range(k + 1, len(a)):
+                (r, im), (br, bi) = a[i][j], a[k][j]
+                a[i][j] = (r - fr * br + fi * bi, im - fr * bi - fi * br)
+    return minors
 
 
 def _square_strategy(n: int, complex_entries: bool = False):
@@ -284,18 +309,75 @@ class TestIsPositiveDefinite:
         assert res.verdict == "positive"
         assert len(res.minors) == 3
         assert all(m > 0 for m in res.minors)
-        assert res.min_eigenvalue > 0
+        assert np.linalg.eigvalsh(a)[0] > 0
 
     def test_indefinite_case_names_failed_minor(self):
         a = np.diag([1.0, -2.0, 3.0])
         res = linalg.is_positive_definite(a)
         assert res.verdict == "not_positive"
         assert res.failed_minor == 1
-        assert res.min_eigenvalue < 0
+        assert np.linalg.eigvalsh(a)[0] < 0
 
     def test_marginal_case(self):
+        # exactly singular: the minor that is 0 fails, with no margin
         res = linalg.is_positive_definite(np.diag([1.0, 0.0]))
-        assert res.verdict == "marginal"
+        assert res.verdict == "not_positive"
+        assert res.failed_minor == 1
+        assert res.minors == (1, 0)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1e-300, 1.0]),
+        [[1.0, 1.0 - 2.0**-52], [1.0 - 2.0**-52, 1.0]],
+        [[2.0, 1 + 1j], [1 - 1j, 2.0]],
+        [[1e300, 0.0], [0.0, 1e300]],
+    ], ids=["tiny-diagonal", "one-ulp-from-singular", "complex", "huge"])
+    def test_exactly_positive_definite(self, m):
+        res = linalg.is_positive_definite(m)
+        assert res.verdict == "positive"
+        assert res.failed_minor is None
+        assert res.minors == tuple(_exact_leading_minors(m))
+
+    @pytest.mark.parametrize("m, minors", [
+        ([[1.0, 1j], [-1j, 1.0]], (1, 0)),
+        ([[1e300, 2e300], [2e300, 1e300]],
+         (Fraction(1e300), Fraction(1e300) ** 2 - Fraction(2e300) ** 2)),
+        (np.zeros((3, 3)), (0,)),
+    ], ids=["complex-singular", "huge-indefinite", "zero"])
+    def test_first_minor_not_positive_is_named_exactly(self, m, minors):
+        res = linalg.is_positive_definite(m)
+        assert res.verdict == "not_positive"
+        assert res.failed_minor == len(minors) - 1
+        assert res.minors == minors
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_matches_the_fraction_oracle(self, rng, complex_entries):
+        # random self-adjoint matrices, mostly indefinite; Gram matrices,
+        # mostly positive definite; and exactly singular B B* from an
+        # integer B of shape n x (n - 1)
+        def draw(shape, ints=False):
+            def part():
+                return rng.integers(-3, 4, size=shape) if ints else rng.normal(size=shape)
+            return part() + 1j * part() if complex_entries else part() + 0j
+
+        for trial in range(300):
+            n = int(rng.integers(1, 6))
+            if trial % 3 == 0:
+                m = _hermitian(draw((n, n)))
+            elif trial % 3 == 1:
+                g = draw((n, n))
+                m = g @ g.conj().T + 1e-3 * np.eye(n)
+            else:
+                b = draw((n, n - 1), ints=True)
+                m = b @ b.conj().T
+            h = linalg.as_hermitian(m)
+            want = _exact_leading_minors(h)
+            res = linalg.is_positive_definite(m)
+            assert res.minors == tuple(want)
+            failed = next((k for k, d in enumerate(want) if d <= 0), None)
+            assert res.failed_minor == failed
+            assert res.verdict == ("positive" if failed is None else "not_positive")
+            if trial % 3 == 2:
+                assert failed is not None
 
     def test_dual_route_agreement(self, rng):
         # Sylvester minors and the eigenvalue route must agree

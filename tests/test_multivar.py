@@ -14,8 +14,8 @@ from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1a_raw,
                           build_type1b, build_type1b_raw, cube_integral_radial,
                           estimate_a2_cubes)
 from a2w.quadrature import QuadratureBudgetError
-from a2w.report import (VERDICT_A2, VERDICT_MARGINAL, VERDICT_NOT_A2,
-                        VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE)
+from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
+                        VERDICT_NOT_PD_AE)
 from a2w.scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from a2w.search import Interval
 from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix,
@@ -187,9 +187,13 @@ class TestCheckSeparable:
         assert report.findings[0].kind == "coefficient-not-self-adjoint"
 
     def test_marginal_coefficient(self):
+        # [[1, 1], [1, 1]] is exactly singular: its leading minor 2 is 0
         w = build_type1a_raw([[1.0, 1.0], [1.0, 1.0]],
                              (((Fraction(0), Fraction(0)),) * 2,) * 2)
-        assert check_a2(w).verdict == VERDICT_MARGINAL
+        report = check_a2(w)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert [(f.kind, f.where) for f in report.findings] == [
+            ("leading-minor-not-positive", (1,))]
 
     def test_marginal_coefficient_with_midpoint_violation(self):
         mats = (((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)),
@@ -198,7 +202,7 @@ class TestCheckSeparable:
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [(f.kind, f.where) for f in report.findings] == [
             ("midpoint-violated", (0, 0, 1)), ("midpoint-violated", (0, 1, 0)),
-            ("coefficient-marginal", ())]
+            ("leading-minor-not-positive", (1,))]
         assert report.witness is None
 
 
@@ -240,7 +244,7 @@ class TestCheckRadial:
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [(f.kind, f.where) for f in report.findings] == [
             ("midpoint-violated", (0, 1)), ("midpoint-violated", (1, 0)),
-            ("coefficient-marginal", ())]
+            ("leading-minor-not-positive", (1,))]
         assert report.witness is None
 
 

@@ -1,14 +1,19 @@
 """Power matrices with exact exponent bookkeeping: build, decide, invert."""
 
+import json
+import math
+import re
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from a2w import linalg, type1
-from a2w.report import (VERDICT_A2, VERDICT_MARGINAL, VERDICT_NOT_A2,
-                        VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
-                        VERDICT_PD_AE)
+from a2w.cli import load_weight_spec
+from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
+                        VERDICT_NOT_PD_AE, VERDICT_PD_AE)
 from a2w.estimator import estimate_a2
 from a2w.scalar_power import NotA2Error, scalar_closed_form_constant
 from a2w.search import coarse_interval_config
@@ -138,8 +143,31 @@ class TestDecisions:
         assert any(f.kind == "leading-minor-not-positive" for f in report.findings)
 
     def test_marginal_coefficient(self):
+        # [[1, 1], [1, 1]] is exactly singular: its leading minor 2 is 0
         w = build_type1(np.array([[1.0, 1.0], [1.0, 1.0]]), ["0", "0"])
-        assert check_a2(w).verdict == VERDICT_MARGINAL
+        report = check_a2(w)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert [(f.kind, f.where, f.detail) for f in report.findings] == [
+            ("leading-minor-not-positive", (1,),
+             "leading minor 2 of the coefficient matrix is 0")]
+
+    def test_complex_coefficient_decided_exactly(self):
+        # |i|^2 = 1 makes [[1, i], [-i, 1]] singular: minor 2 is exactly 0
+        singular = build_type1(np.array([[1.0, 1j], [-1j, 1.0]]), ["0", "0"])
+        report = check_a2(singular)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert [(f.kind, f.where, f.detail) for f in report.findings] == [
+            ("leading-minor-not-positive", (1,),
+             "leading minor 2 of the coefficient matrix is 0")]
+        ok = build_type1(np.array([[2.0, 1 + 1j], [1 - 1j, 2.0]]), ["0", "0"])
+        assert check_a2(ok).verdict == VERDICT_A2
+
+    def test_minor_beyond_the_float_range_is_reported(self):
+        w = build_type1(np.array([[1e300, 2e300], [2e300, 1e300]]), ["1/2", "-1/3"])
+        report = check_a2(w)
+        assert report.verdict == VERDICT_NOT_PD_AE
+        assert report.findings[0].detail == (
+            "leading minor 2 of the coefficient matrix is -3e+600")
 
     def test_all_violations_reported(self):
         exps = [["1/2", "0"], ["0", "-2/3"]]  # both off-diagonals wrong
@@ -335,3 +363,97 @@ class TestUpperBound:
     def test_scalar_case_reduces_to_closed_form(self):
         w = SymbolicPowerMatrix(np.array([[2.0]]), (((Fraction(1, 2),),),))
         assert a2_upper_bound(w) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse in Fraction arithmetic, swapping in the first
+    nonzero pivot of each column."""
+    n = len(m)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def exact_trace_on_unit_interval(w) -> Fraction:
+    """The trace functional of a Type 1 weight on [0, 1] (and on [-1, 1]),
+    T = sum_ij a_ij (A^-1)_ji / (1 - e_ij^2), in exact rationals from the
+    coefficient's floats: <W> has entries a_ij / (1 + e_ij) and <W^-1>
+    entries (A^-1)_ij / (1 - e_ij). A^-1 comes from the real embedding
+    [[X, -Y], [Y, X]] of A = X + iY, whose inverse embeds A^-1."""
+    n = w.n
+    x = [[Fraction(v) for v in row] for row in w.coeff.real.tolist()]
+    y = [[Fraction(v) for v in row] for row in w.coeff.imag.tolist()]
+    inv = _fraction_inverse([xr + [-v for v in yr] for xr, yr in zip(x, y)]
+                            + [yr + xr for xr, yr in zip(x, y)])
+    exps = normalized_exponents(w)[0]
+    return sum((x[i][j] * inv[j][i] - y[i][j] * inv[j + n][i]) / (1 - exps[i][j] ** 2)
+               for i in range(n) for j in range(n))
+
+
+def _det_rounding(w) -> float:
+    """Relative rounding allowance of a float determinant of the
+    coefficient, 4 n eps sum_s |prod_i a_i,s(i)| / |det A|. The estimate
+    averages W^-1 from A^-1 = adj A / det A formed in floats, so it
+    inherits this error; it is below 1e-13 unless A is ill-conditioned."""
+    a = np.abs(w.coeff)
+    terms = sum(math.prod(a[i, s[i]] for i in range(w.n))
+                for s in permutations(range(w.n)))
+    return 4 * w.n * np.finfo(float).eps * terms / abs(np.linalg.det(w.coeff))
+
+
+def _readme_specs() -> list[dict]:
+    """Every type1 and type1_raw spec in the README's json blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    docs = [json.loads(doc) for block in re.findall(r"```json\n(.*?)```", text, re.S)
+            for doc in block.strip().split("\n\n")]
+    return [doc for doc in docs if doc["kind"] in ("type1", "type1_raw")]
+
+
+# The A2 type1 and type1_raw specs that the tests use, once each.
+TEST_SPECS = [
+    {"kind": "type1", "coeff": [[5, 3], [3, 2]], "diag_exponents": ["1/2", "-2/3"]},
+    {"kind": "type1", "coeff": [[4, 1, 2], [1, 2, -1], [2, -1, 3]],
+     "diag_exponents": ["3/4", "-3/4", "1/2"]},
+    {"kind": "type1", "coeff": [[4, [1, 2], 0.5], [[1, -2], 3, 0], [0.5, 0, 2]],
+     "diag_exponents": ["1/2", "-1/3", "3/4"]},
+    {"kind": "type1", "coeff": [[2.0, [0.0, 1.0]], [[0.0, -1.0], 2.0]],
+     "diag_exponents": ["1/2", "0"]},
+    {"kind": "type1", "coeff": [[1.0, 0.0], [0.0, 2.0]], "diag_exponents": ["1/2", "-1/3"]},
+    {"kind": "type1", "coeff": [[1, 0.999999], [0.999999, 1]],
+     "diag_exponents": ["-99/100", "1/2"]},
+    {"kind": "type1", "coeff": [[1, 0.99999999995], [0.99999999995, 1]],
+     "diag_exponents": ["1/2", "-1/3"]},
+    {"kind": "type1", "coeff": [[1.0]], "diag_exponents": ["1/2"]},
+    {"kind": "type1_raw", "coeff": [[1.0]], "exponents": [["1/3"]]},
+    {"kind": "type1_raw", "coeff": [[2.0, 0.0], [0.0, 3.0]],
+     "exponents": [["1/2", "9/9"], ["9/9", "-1/2"]]},
+]
+
+
+class TestExactTraceOracle:
+    def test_two_by_two_value(self):
+        assert exact_trace_on_unit_interval(TWO_BY_TWO) == (
+            Fraction(40, 3) + 18 - Fraction(2592, 143))
+
+    def test_readme_specs_are_covered(self):
+        assert _readme_specs()
+        assert all(check_a2(load_weight_spec(doc)[0]).verdict == VERDICT_A2
+                   for doc in _readme_specs())
+
+    @pytest.mark.parametrize("doc", TEST_SPECS + _readme_specs())
+    def test_estimate_between_exact_value_and_upper_bound(self, doc):
+        # [0, 1] is anchored, so every grid holds it or a dilate of it with
+        # the same value: the estimate cannot fall below T but by rounding
+        w, _ = load_weight_spec(doc)
+        assert check_a2(w).verdict == VERDICT_A2
+        exact = exact_trace_on_unit_interval(w)
+        estimate = estimate_a2(w, "trace").estimate
+        assert estimate >= float(exact) * (1.0 - 1e-12 - _det_rounding(w))
+        assert estimate <= a2_upper_bound(w)
