@@ -1,20 +1,18 @@
 """Small dense matrix kernel.
 
-Everything here is written for matrices of order <= 8. lu_det, cofactor
-and adjugate_inverse validate their input as an ndarray and then run on
-Python complex scalars in nested lists, with no BLAS call; elim_inverse
-and leibniz_det, the independent routes the verify suites compare
-against, stay on numpy rows. There is one eigensolver, eigh_stack:
-LAPACK's, through numpy.linalg.eigh, on one matrix or a stack shaped
-(..., n, n), one matrix at a time. sym_eigen, sqrt_psd and operator_norm
-take their eigenvalues from it, and the estimator's A2 functionals call
-it on whole stacks; is_positive_definite is exact, in integers. One
-routine, _psd_eigh, holds the PSD clamp (eigenvalues just below 0 clamp
-to 0, lower ones raise) for sqrt_psd, the norm functional and the Type 1
-witness scan, which reads its mask. as_hermitian and hermitian_defect
-take one matrix or a stack. Repeat runs on one machine give bit-identical
-results. All of these accept anything convertible to a square complex
-ndarray.
+Everything here is written for matrices of order <= 8. One exact
+elimination serves the coefficient matrix: _bareiss, fraction-free
+Gauss-Jordan on its floats read as Gaussian integers over one power of 2
+(_scaled). is_positive_definite, lu_det, cofactor and adjugate_inverse
+take their minors, determinants and inverses from it, correctly rounded,
+so a matrix is singular only when its determinant is exactly 0.
+elim_inverse and leibniz_det, the float routes the verify suites compare
+against, stay on numpy rows. The one eigensolver, eigh_stack, is LAPACK's
+numpy.linalg.eigh on one matrix or a stack (..., n, n); _psd_eigh holds
+its PSD clamp (eigenvalues just below 0 clamp to 0, lower ones raise).
+as_hermitian and hermitian_defect take one matrix or a stack. Repeat runs
+give bit-identical results. All of these accept anything convertible to
+a square complex ndarray.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ __all__ = [
 
 
 class SingularMatrixError(ArithmeticError):
-    """Matrix is singular (or too close to it) for the requested inverse."""
+    """Matrix is singular (exactly, or within elim_inverse's pivot tolerance)."""
 
 
 class ConvergenceError(ArithmeticError):
@@ -144,48 +142,69 @@ def leibniz_det(m) -> complex:
     return total
 
 
-def _eliminate(a: list[list[complex]]) -> complex:
-    """Determinant by partially pivoted elimination, overwriting the rows of a.
+def _scaled(a: np.ndarray) -> tuple[list[list[int]], list[list[int]], int]:
+    """The real and imaginary parts of a finite complex matrix as integer
+    rows over one common denominator. Floats are dyadic rationals, so the
+    denominator is the largest power of 2 among the entries' own."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in a.real.tolist() + a.imag.tolist()]
+    denom = max(d for row in ratios for _, d in row)
+    ints = [[num * (denom // d) for num, d in row] for row in ratios]
+    return ints[:a.shape[0]], ints[a.shape[0]:], denom
 
-    The pivot of each column is the first row, on or below the diagonal,
-    with the largest abs; a column that is zero there makes the
-    determinant 0j.
+
+def _bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination, in place, of the
+    leading n columns of n Gaussian-integer rows (re, im) of any width.
+    Step k divides every row but k by the previous pivot, exactly: each
+    entry is a determinant of the integer matrix (E. H. Bareiss, Math.
+    Comp. 22, 1968). Rows swap only at a pivot that is 0, which a positive
+    definite matrix never has. Returns (pivots, swaps): pivots[k] is the
+    diagonal entry met at step k before any swap, the (k + 1)-th leading
+    minor while no row has moved. They end at (0, 0) for a singular
+    matrix; otherwise the last, D, is the determinant of the row-swapped
+    leading block B, and the columns past n hold D B^-1 times what stood
+    there.
     """
-    n = len(a)
-    swaps = 0
-    for col in range(n):
-        piv, big = col, abs(a[col][col])
-        for row in range(col + 1, n):
-            mag = abs(a[row][col])
-            if mag > big:
-                piv, big = row, mag
-        if big == 0.0:
-            return 0j
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    n = len(re)
+    pivots, swaps, (cr, ci, norm) = [], 0, (1, 0, 1)
+    for k in range(n):
+        pivots.append((re[k][k], im[k][k]))
+        if pivots[-1] == (0, 0):
+            r = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
+            if r is None:
+                break
+            re[k], re[r], im[k], im[r] = re[r], re[k], im[r], im[k]
             swaps += 1
-        top = a[col]
-        pivot = top[col]
-        for row in a[col + 1:]:
-            f = row[col] / pivot
-            row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], top[col + 1:])]
-    det = complex(-1 if swaps % 2 else 1)
-    for i in range(n):
-        det *= a[i][i]
-    return det
+        kr, ki = re[k], im[k]
+        pr, pi = kr[k], ki[k]
+        for ir, ii in zip(re, im):
+            if ir is kr:
+                continue
+            ar, ai = ir[k], ii[k]
+            for j in range(k + 1, len(kr)):
+                nr = pr * ir[j] - pi * ii[j] - ar * kr[j] + ai * ki[j]
+                ni = pr * ii[j] + pi * ir[j] - ar * ki[j] - ai * kr[j]
+                # times the conjugate of the previous pivot, over its norm
+                ir[j], ii[j] = (nr * cr - ni * ci) // norm, (nr * ci + ni * cr) // norm
+        cr, ci, norm = (1, 0, pr) if pi == 0 else (pr, -pi, pr * pr + pi * pi)
+    return pivots, swaps
 
 
-def _cofactor(rows: list[list[complex]], i: int, j: int) -> complex:
-    """cofactor on a validated matrix given as rows of Python complex."""
-    if len(rows) == 1:
-        return 1 + 0j  # determinant of the empty matrix
-    minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-    return (-1 if (i + j) % 2 else 1) * _eliminate(minor)
+def _ratio(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded; +-inf beyond floats."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def lu_det(m) -> complex:
-    """Determinant via partially pivoted elimination; returns 0 for singular input."""
-    return _eliminate(as_square(m).tolist())
+    """Exact determinant, each part correctly rounded (_bareiss): 0j for
+    a singular matrix, +-inf in a part beyond the float range."""
+    re, im, denom = _scaled(as_square(m))
+    pivots, swaps = _bareiss(re, im)
+    (dr, di), sign, scale = pivots[-1], (-1) ** swaps, denom ** len(re)
+    return complex(_ratio(sign * dr, scale), _ratio(sign * di, scale))
 
 
 def elim_inverse(m) -> np.ndarray:
@@ -209,30 +228,33 @@ def elim_inverse(m) -> np.ndarray:
 
 
 def cofactor(m, i: int, j: int) -> complex:
-    """Signed minor (-1)^(i+j) det M_ij with row i and column j deleted (0-based)."""
+    """Signed minor (-1)^(i+j) det M_ij with row i and column j deleted
+    (0-based), by lu_det."""
     a = as_square(m)
     n = a.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"cofactor index ({i}, {j}) out of range for order {n}")
-    return _cofactor(a.tolist(), i, j)
+    minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+    return (-1) ** (i + j) * (lu_det(minor) if n > 1 else 1 + 0j)
 
 
 def adjugate_inverse(m) -> np.ndarray:
-    """Inverse via the adjugate: inv(M)[i, j] = cofactor(M, j, i) / det M.
+    """Exact inverse, each part of each entry correctly rounded.
 
-    The singularity test compares |det M| against 1e-12 times the product
-    of the row 2-norms, Hadamard's bound on |det M|: a badly scaled but
-    well-conditioned matrix such as diag(1e-6, 1e6) attains that bound
-    and inverts, while rows that are nearly dependent fall far below it.
+    _bareiss on [M | I], scaled to Gaussian integers, leaves X = D inv(M)
+    past column n, with D its last pivot: X is adj M up to a sign and a
+    power of 2. Each part of X conj(D) / |D|^2 is then one int / int.
+    Raises SingularMatrixError only when det M is exactly 0.
     """
-    rows = as_square(m).tolist()
-    n = len(rows)
-    det = _eliminate([row[:] for row in rows])
-    if abs(det) <= 1e-12 * math.prod(math.sqrt(sum(abs(x) ** 2 for x in row))
-                                     for row in rows):
-        raise SingularMatrixError("determinant below singularity tolerance")
-    return np.array([[_cofactor(rows, j, i) / det for j in range(n)]
-                     for i in range(n)], dtype=complex)
+    a = as_square(m)
+    n = a.shape[0]
+    re, im, _ = _scaled(np.hstack([a, np.eye(n)]))
+    dr, di = _bareiss(re, im)[0][-1]
+    if dr == di == 0:
+        raise SingularMatrixError("matrix is singular")
+    norm = dr * dr + di * di
+    return np.array([[complex((xr * dr + xi * di) / norm, (xi * dr - xr * di) / norm)
+                      for xr, xi in zip(rr[n:], ri[n:])] for rr, ri in zip(re, im)])
 
 
 def sym_eigen(m):
@@ -304,32 +326,15 @@ class PosDefResult:
 def is_positive_definite(m) -> PosDefResult:
     """Decide positive definiteness exactly, by Sylvester's criterion.
 
-    Floats are dyadic rationals, so one power of 2 scales the symmetrized
-    matrix (as_hermitian) to Gaussian integers. Fraction-free (Bareiss)
-    elimination gives each leading minor exactly, as a pivot that is a real
-    integer, and stops at the first that is not positive. Each division is
-    by the previous pivot, which is positive, so no pivoting is needed.
+    The leading minors of the symmetrized matrix (as_hermitian) are the
+    pivots of its exact elimination (_bareiss), read up to the first that
+    is not positive; each is a real integer over a power of 2. A positive
+    definite matrix never needs a row swap.
     """
-    h = as_hermitian(as_square(m))
-    n = h.shape[0]
-    ratios = [[x.as_integer_ratio() for x in row]
-              for row in h.real.tolist() + h.imag.tolist()]
-    denom = max(d for row in ratios for _, d in row)  # every d is a power of 2
-    ints = [[num * (denom // d) for num, d in row] for row in ratios]
-    re, im = ints[:n], ints[n:]
-    minors, prev = [], 1
-    for k in range(n):
-        pivot = re[k][k]
+    re, im, denom = _scaled(as_hermitian(as_square(m)))
+    minors = []
+    for k, (pivot, _) in enumerate(_bareiss(re, im)[0]):
         minors.append(Fraction(pivot, denom ** (k + 1)))
         if pivot <= 0:
             return PosDefResult("not_positive", tuple(minors), k)
-        # Bareiss step k: the quotient is a Gaussian integer, so each of
-        # its components divides exactly by the real integer prev
-        for i in range(k + 1, n):
-            ar, ai = re[i][k], im[i][k]
-            for j in range(k + 1, n):
-                br, bi = re[k][j], im[k][j]
-                re[i][j] = (re[i][j] * pivot - ar * br + ai * bi) // prev
-                im[i][j] = (im[i][j] * pivot - ar * bi - ai * br) // prev
-        prev = pivot
     return PosDefResult("positive", tuple(minors))

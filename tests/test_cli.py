@@ -460,14 +460,20 @@ class TestConstantCommand:
         assert payload["estimate"] == pytest.approx(4443472827.94, rel=1e-9)
         assert payload["estimate"] <= payload["upper_bound"]
 
-    def test_overflow_exits_four_without_a_traceback(self, tmp_path, capsys):
-        # the inverse's Hadamard bound squares entries of 1e300
-        code = main(["constant", write_spec(tmp_path, HUGE)])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == ""
-        assert captured.err.startswith("search failed: OverflowError: ")
-        assert captured.err.count("\n") == 1
+    @pytest.mark.parametrize("doc", [HUGE, dict(HUGE, coeff=[[1e-300, 0], [0, 1e-300]])],
+                             ids=["huge", "tiny"])
+    @pytest.mark.parametrize("functional, value", [("trace", 59 / 24), ("norm", 4 / 3)],
+                             ids=["trace", "norm"])
+    def test_extreme_coefficient_scales_run_through(self, tmp_path, capsys, doc,
+                                                    functional, value):
+        # both functionals are invariant under A -> tA, so diag(t, t) gives
+        # the identity's closed forms: 1/(1 - 1/4) + 1/(1 - 1/9) for the
+        # trace and the larger term for the norm
+        code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc), "--json",
+                                          "--functional", functional])
+        assert code == 0
+        assert abs(payload["estimate"] - value) <= 1e-15
+        assert payload["estimate"] <= payload["upper_bound"]
 
     @pytest.mark.parametrize("grid", [[], ["--grid", "fine"]], ids=["default", "fine"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])

@@ -15,27 +15,57 @@ def _hermitian(values: np.ndarray) -> np.ndarray:
     return (values + values.conj().T) / 2.0
 
 
-def _exact_leading_minors(h) -> list[Fraction]:
-    """Oracle for Sylvester's criterion: the leading minors of a
-    self-adjoint matrix, up to the first that is not positive, as products
-    of the pivots of Gaussian elimination in Fraction arithmetic on the
-    entries' exact values. Complex entries are (re, im) pairs; every pivot
-    is real, because each step leaves the trailing block self-adjoint."""
+def _times(x, y):
+    """Product of two complex Fractions given as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _over(x, y):
+    """Quotient x / y of two complex Fractions given as (re, im) pairs."""
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def _exact_elimination(m):
+    """Oracle for the exact kernel: Gauss-Jordan elimination of [m | I] in
+    Fraction arithmetic on the entries' exact values, complex entries as
+    (re, im) pairs, swapping rows only at a pivot that is 0. Returns
+    (minors, det, inverse): the leading minors' real parts up to the
+    first that is not positive (for a self-adjoint m every pivot is real,
+    because each step leaves the trailing block self-adjoint), the
+    determinant, and the inverse's rows, None for a singular m."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    rows = np.asarray(m, dtype=complex).tolist()
+    n = len(rows)
     a = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
-         for row in np.asarray(h, dtype=complex).tolist()]
-    minors, det = [], Fraction(1)
-    for k in range(len(a)):
-        pivot = a[k][k][0]
-        det *= pivot
-        minors.append(det)
-        if pivot <= 0:
-            break
-        for i in range(k + 1, len(a)):
-            fr, fi = a[i][k][0] / pivot, a[i][k][1] / pivot
-            for j in range(k + 1, len(a)):
-                (r, im), (br, bi) = a[i][j], a[k][j]
-                a[i][j] = (r - fr * br + fi * bi, im - fr * bi - fi * br)
-    return minors
+         + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
+    minors, det = [], one
+    for k in range(n):
+        if not minors or minors[-1] > 0:
+            minors.append(_times(det, a[k][k])[0])
+        if a[k][k] == zero:
+            r = next((r for r in range(k + 1, n) if a[r][k] != zero), None)
+            if r is None:
+                return minors, zero, None
+            a[k], a[r] = a[r], a[k]
+            det = (-det[0], -det[1])
+        pivot = a[k][k]
+        det = _times(det, pivot)
+        a[k] = [_over(x, pivot) for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and f != zero:
+                a[i] = [(x[0] - y[0], x[1] - y[1])
+                        for x, y in zip(a[i], (_times(f, z) for z in a[k]))]
+    return minors, det, [row[n:] for row in a]
+
+
+def _rounded(z) -> complex:
+    return complex(float(z[0]), float(z[1]))
+
+
+def _bits(z) -> bytes:
+    return np.asarray(z, dtype=complex).tobytes()
 
 
 def _square_strategy(n: int, complex_entries: bool = False):
@@ -100,9 +130,10 @@ def test_adjugate_inverse_identity(rng, n):
 
 @pytest.mark.parametrize("diag", [(1e-6, 1e6), (1e-3, 1.0, 1.0, 1e3)])
 def test_adjugate_inverse_of_badly_scaled_diagonals(diag):
-    # Well conditioned per row: Hadamard's bound is attained, not undercut.
+    # no scale is singular: each entry is the exact 1/d rounded once,
+    # which is what float division gives
     inv = linalg.adjugate_inverse(np.diag(diag))
-    assert np.allclose(inv, np.diag([1.0 / d for d in diag]), rtol=1e-15, atol=0.0)
+    assert np.array_equal(inv, np.diag([1.0 / d for d in diag]))
 
 
 def test_adjugate_inverse_rejects_singular():
@@ -335,7 +366,7 @@ class TestIsPositiveDefinite:
         res = linalg.is_positive_definite(m)
         assert res.verdict == "positive"
         assert res.failed_minor is None
-        assert res.minors == tuple(_exact_leading_minors(m))
+        assert res.minors == tuple(_exact_elimination(m)[0])
 
     @pytest.mark.parametrize("m, minors", [
         ([[1.0, 1j], [-1j, 1.0]], (1, 0)),
@@ -352,32 +383,53 @@ class TestIsPositiveDefinite:
     @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
     def test_matches_the_fraction_oracle(self, rng, complex_entries):
         # random self-adjoint matrices, mostly indefinite; Gram matrices,
-        # mostly positive definite; and exactly singular B B* from an
-        # integer B of shape n x (n - 1)
+        # mostly positive definite; exactly singular B B* from an integer
+        # B of shape n x (n - 1); and matrices that are not self-adjoint:
+        # two that need a row swap, and small integer ones, which often
+        # need one or are singular. Minors are read from the self-adjoint
+        # ones; determinants and inverses, correctly rounded, from all
         def draw(shape, ints=False):
             def part():
                 return rng.integers(-3, 4, size=shape) if ints else rng.normal(size=shape)
             return part() + 1j * part() if complex_entries else part() + 0j
 
-        for trial in range(300):
+        swapping = [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1j], [2.0, 0.0]]]
+        for trial in range(-len(swapping), 400):
             n = int(rng.integers(1, 6))
-            if trial % 3 == 0:
+            if trial < 0:
+                m = np.array(swapping[trial], dtype=complex)
+            elif trial % 4 == 0:
                 m = _hermitian(draw((n, n)))
-            elif trial % 3 == 1:
+            elif trial % 4 == 1:
                 g = draw((n, n))
                 m = g @ g.conj().T + 1e-3 * np.eye(n)
-            else:
+            elif trial % 4 == 2:
                 b = draw((n, n - 1), ints=True)
                 m = b @ b.conj().T
-            h = linalg.as_hermitian(m)
-            want = _exact_leading_minors(h)
-            res = linalg.is_positive_definite(m)
-            assert res.minors == tuple(want)
-            failed = next((k for k, d in enumerate(want) if d <= 0), None)
-            assert res.failed_minor == failed
-            assert res.verdict == ("positive" if failed is None else "not_positive")
-            if trial % 3 == 2:
-                assert failed is not None
+            else:
+                m = draw((n, n), ints=trial % 8 == 7)
+            self_adjoint = 0 <= trial and trial % 4 < 3
+            if self_adjoint:
+                res = linalg.is_positive_definite(m)
+                m = linalg.as_hermitian(m)
+            want, det, inv = _exact_elimination(m)
+            if self_adjoint:
+                assert res.minors == tuple(want)
+                failed = next((k for k, d in enumerate(want) if d <= 0), None)
+                assert res.failed_minor == failed
+                assert res.verdict == ("positive" if failed is None else "not_positive")
+            assert _bits(linalg.lu_det(m)) == _bits(_rounded(det))
+            if inv is None:
+                with pytest.raises(linalg.SingularMatrixError):
+                    linalg.adjugate_inverse(m)
+            else:
+                got = linalg.adjugate_inverse(m)
+                assert _bits(got) == _bits([[_rounded(z) for z in row] for row in inv])
+                if self_adjoint:
+                    assert np.array_equal(got, got.conj().T)
+            if trial >= 0 and trial % 4 == 2:
+                assert failed is not None and inv is None
+                assert linalg.lu_det(m) == 0j
 
     def test_dual_route_agreement(self, rng):
         # Sylvester minors and the eigenvalue route must agree

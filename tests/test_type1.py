@@ -1,10 +1,8 @@
 """Power matrices with exact exponent bookkeeping: build, decide, invert."""
 
 import json
-import math
 import re
 from fractions import Fraction
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -397,17 +395,6 @@ def exact_trace_on_unit_interval(w) -> Fraction:
                for i in range(n) for j in range(n))
 
 
-def _det_rounding(w) -> float:
-    """Relative rounding allowance of a float determinant of the
-    coefficient, 4 n eps sum_s |prod_i a_i,s(i)| / |det A|. The estimate
-    averages W^-1 from A^-1 = adj A / det A formed in floats, so it
-    inherits this error; it is below 1e-13 unless A is ill-conditioned."""
-    a = np.abs(w.coeff)
-    terms = sum(math.prod(a[i, s[i]] for i in range(w.n))
-                for s in permutations(range(w.n)))
-    return 4 * w.n * np.finfo(float).eps * terms / abs(np.linalg.det(w.coeff))
-
-
 def _readme_specs() -> list[dict]:
     """Every type1 and type1_raw spec in the README's json blocks."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -442,6 +429,14 @@ class TestExactTraceOracle:
         assert exact_trace_on_unit_interval(TWO_BY_TWO) == (
             Fraction(40, 3) + 18 - Fraction(2592, 143))
 
+    def test_two_by_two_estimate_and_bound(self):
+        # the estimate reaches the exact T of [0, 1], and the bound is
+        # max |a_ij (A^-1)_ji| = 10 times 4/3 + 9/5 + 2 * 144/143
+        exact = Fraction(40, 3) + 18 - Fraction(2592, 143)
+        bound = Fraction(110410, 2145)
+        assert abs(Fraction(estimate_a2(TWO_BY_TWO, "trace").estimate) - exact) <= 1e-15 * exact
+        assert abs(Fraction(a2_upper_bound(TWO_BY_TWO)) - bound) <= 1e-15 * bound
+
     def test_readme_specs_are_covered(self):
         assert _readme_specs()
         assert all(check_a2(load_weight_spec(doc)[0]).verdict == VERDICT_A2
@@ -455,5 +450,34 @@ class TestExactTraceOracle:
         assert check_a2(w).verdict == VERDICT_A2
         exact = exact_trace_on_unit_interval(w)
         estimate = estimate_a2(w, "trace").estimate
-        assert estimate >= float(exact) * (1.0 - 1e-12 - _det_rounding(w))
+        assert estimate >= float(exact) * (1.0 - 1e-12)
         assert estimate <= a2_upper_bound(w)
+
+
+SCALED_SPECS = [
+    ([[5, 3], [3, 2]], ["1/2", "-2/3"]),
+    ([[4, 1, 0.5], [1, 3, 0.2], [0.5, 0.2, 2]], ["1/2", "-1/3", "1/4"]),
+    ([[2, 1 + 1j], [1 - 1j, 2]], ["1/2", "-1/3"]),
+]
+
+
+@pytest.mark.parametrize("t", [2.0 ** -990, 1e-300, 1e300, 2.0 ** 990],
+                         ids=["2^-990", "1e-300", "1e300", "2^990"])
+@pytest.mark.parametrize("coeff, exps", SCALED_SPECS, ids=["w2", "three-by-three", "complex"])
+def test_coefficient_scale_leaves_estimates_and_bound(coeff, exps, t):
+    # both functionals and the bound are invariant under A -> tA; the norm
+    # may drift by LAPACK's internal scaling, and a power of 2 scales every
+    # closed-form trace term exactly
+    a = np.array(coeff, dtype=complex)
+
+    def values(s):
+        w = build_type1(s * a, exps)
+        return (estimate_a2(w, "trace").estimate, a2_upper_bound(w),
+                estimate_a2(w, "norm").estimate)
+
+    (trace1, bound1, norm1), (trace, bound, norm) = values(1.0), values(t)
+    assert trace == pytest.approx(trace1, rel=1e-14, abs=0.0)
+    assert bound == pytest.approx(bound1, rel=1e-14, abs=0.0)
+    assert norm == pytest.approx(norm1, rel=1e-12, abs=0.0)
+    if np.frexp(t)[0] == 0.5:
+        assert trace == trace1
