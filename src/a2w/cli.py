@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, multivar, type1, type2
-from .estimator import NonPositiveInputError, estimate_a2, search_config
+from .estimator import NonPositiveInputError, estimate_a2
 from .linalg import (ConvergenceError, NegativeEigenvalueError,
                      SingularMatrixError)
 from .quadrature import QuadratureBudgetError
@@ -322,8 +322,9 @@ def cmd_constant(args) -> int:
         config_echo = {"families": list(multivar.CUBE_FAMILIES),
                        "quadrature_tol": multivar.RADIAL_TOL}
     else:
-        cfg = search_config(weight, _GRIDS[args.grid]() if args.grid else None)
-        result = estimate_a2(weight, args.functional, cfg)
+        result = estimate_a2(weight, args.functional,
+                             _GRIDS[args.grid]() if args.grid else None)
+        cfg = result.config
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
         config_echo = {"families": list(FAMILIES),
                        "centers": len(cfg.centers),

@@ -12,9 +12,10 @@ proper, the trace form sandwiches it within a factor of the dimension.
 
 Averages and functionals run on stacks shaped (k, n, n). A search's
 evaluate function scores its whole grid as one stack on its first call
-and looks grid intervals up after that; any other interval, and
-average_symbolic, run the same code as a stack of one, so a value never
-depends on its batch (_grid_scan).
+and looks grid intervals up after that; any other interval (an
+origin-free power-matrix incumbent's or a rotation's golden-refinement
+intervals), and average_symbolic, run the same code as a stack of one,
+so a value never depends on its batch (_grid_scan).
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _averages(table, count: int, n: int, lo: np.ndarray, hi: np.ndarray) -> np.n
     over its coordinate's side of each box; an entry is its coefficient
     times the product of its coordinates' averages, in coordinate order.
     An average that does not exist raises NotIntegrableError for the
-    first entry (in table order) and coordinate that has one.
+    first entry (in table order) and coordinate that has one, and one
+    past the float range raises OverflowError for the first such entry.
     """
     which, rows, cols, coeffs, exponents, factor, index = table
     side = integral_abs_pow_stack(exponents[:, None], lo[factor], hi[factor]) / (hi - lo)[factor]
@@ -91,8 +93,15 @@ def _averages(table, count: int, n: int, lo: np.ndarray, hi: np.ndarray) -> np.n
         product = product * side[idx]
     if np.isnan(product).any():
         _raise_not_integrable(table, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = coeffs[:, None] * product
+    over = ~np.isfinite(entries).all(axis=1)
+    if over.any():
+        t = over.argmax()
+        raise OverflowError(f"average of entry ({rows[t]}, {cols[t]}) "
+                            "overflows the float range")
     out = np.zeros((count, lo.shape[1], n, n), dtype=complex)
-    out[which, :, rows, cols] = coeffs[:, None] * product
+    out[which, :, rows, cols] = entries
     return out
 
 
@@ -243,7 +252,7 @@ def _endpoints(ivs: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
 
 
-def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, config: SupSearchConfig):
+def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interval]):
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
@@ -260,10 +269,10 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, config: SupSearch
         a, b = _endpoints(ivs)
         return func(*_averages(table, 2, w.n, a[None], b[None]))
 
-    return _grid_scan(score, interval_grid(config))
+    return _grid_scan(score, grid)
 
 
-def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
+def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     """The functional of (<W>, <W^-1>) per interval, for a rotation.
 
     decide_a2 admits a rotation only with one exponent g, so W = |x|^g U D U*
@@ -316,7 +325,7 @@ def _type2_eval_fn(w: Type2Weight, functional: str, config: SupSearchConfig):
         avg = integrals(a, b) / (b - a)[:, None, None, None]
         return func(avg[:, 0], avg[:, 1])
 
-    return _grid_scan(score, interval_grid(config))
+    return _grid_scan(score, grid)
 
 
 def _one_size(config: SupSearchConfig) -> SupSearchConfig:
@@ -372,8 +381,10 @@ def estimate_a2(weight, functional: str = "trace",
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
     1x1 case) or a Type 2 weight that decide_a2 calls A2, on the grid
-    search_config picks. Every route averages in closed form, up to
-    rounding; a rotation's short intervals far from 0 take a Gauss rule.
+    search_config picks; the result's config is that grid. Every route
+    averages in closed form, up to rounding; a rotation's short intervals
+    far from 0 take a Gauss rule. A power matrix is homogeneous, so its
+    search refines only an origin-free incumbent (run_interval_search).
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
@@ -384,10 +395,13 @@ def estimate_a2(weight, functional: str = "trace",
                 f"type 2 estimation precondition failed: {decision.verdict}")
     weight = _estimated(weight)
     cfg = search_config(weight, config)
-    if isinstance(weight, SymbolicPowerMatrix):
-        fn = _symbolic_eval_fn(weight, functional, cfg)
+    grid = interval_grid(cfg)
+    homogeneous = isinstance(weight, SymbolicPowerMatrix)
+    if homogeneous:
+        fn = _symbolic_eval_fn(weight, functional, grid)
     elif isinstance(weight, Type2Weight):
-        fn = _type2_eval_fn(weight, functional, cfg)
+        fn = _type2_eval_fn(weight, functional, grid)
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
-    return run_interval_search(fn, cfg, functional=functional)
+    return run_interval_search(fn, cfg, functional=functional, grid=grid,
+                               homogeneous=homogeneous)

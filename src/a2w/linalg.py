@@ -94,12 +94,27 @@ def hermitian_defect(m):
 
 def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
     """Check self-adjointness within tol and return the exactly
-    symmetrized matrix; a stack shaped (..., n, n) raises if any of its
-    matrices fails."""
+    symmetrized matrix (_symmetrized); a stack shaped (..., n, n) raises
+    if any of its matrices fails."""
     a = np.asarray(m, dtype=complex)
     if np.any(hermitian_defect(a) > tol):
         raise ValueError("matrix is not self-adjoint within tolerance")
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    return _symmetrized(a)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 for a finite complex stack (..., n, n), exactly
+    self-adjoint. The real part of the diagonal comes back bit for bit,
+    subnormals and entries near the float limit included."""
+    adj = a.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + adj) / 2.0
+    over = ~np.isfinite(h)
+    if over.any():
+        # a sum past the float limit has halves that are normal floats,
+        # halved exactly; adding them commutes, so h stays self-adjoint
+        h[over] = a[over] / 2.0 + adj[over] / 2.0
+    return h
 
 
 def permutation_sign(images: tuple[int, ...]) -> int:

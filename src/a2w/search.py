@@ -16,13 +16,15 @@ since only real intervals are evaluated.
 run_interval_search calls evaluate once per interval, grid first, in
 scan order. The estimator's evaluate functions compute the whole grid
 as one stack on that first call (estimator._grid_scan), so the search's
-counts, order and tie rule do not see the batching.
+counts, order and tie rule do not see the batching. A homogeneous
+weight's anchored or symmetric incumbent is not refined: its grid value
+is the value of its whole shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,12 +121,14 @@ def coarse_interval_config() -> SupSearchConfig:
 
 @dataclass(frozen=True)
 class SupSearchResult:
-    """Searched maximum; argmax is an Interval, or a multivar.Cube for cubes."""
+    """Searched maximum; argmax is an Interval, or a multivar.Cube for cubes.
+    config is the interval grid the search ran (None for cube searches)."""
 
     estimate: float
     argmax: Interval
     evaluations: int
     functional: str
+    config: SupSearchConfig | None = None
 
 
 def _candidate(center: float, halflength: float) -> Interval | None:
@@ -211,17 +215,22 @@ def _maximize(candidates, evaluate, refine, tie_key,
                            evaluations=len(record), functional=functional)
 
 
-def run_interval_search(evaluate, config: SupSearchConfig,
-                        functional: str) -> SupSearchResult:
+def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
+                        grid: list[Interval] | None = None,
+                        homogeneous: bool = False) -> SupSearchResult:
     """Maximize evaluate(Interval) over the configured family.
 
-    Grid scan, then golden-section refinement along the one-parameter
-    subfamily through the incumbent (scale direction, and the offset
-    direction for origin-free intervals). Ties within 1e-12 relative are
-    resolved deterministically toward the interval whose near endpoint is
-    closest to 0 in units of its half-length, then toward the earliest
-    evaluation. The reported estimate is the functional value at the
-    reported argmax, recomputable exactly.
+    Grid scan (grid, when the caller already holds interval_grid(config)),
+    then golden-section refinement along the one-parameter subfamily
+    through the incumbent: the scale direction, and the offset direction
+    for origin-free intervals. A homogeneous evaluate (a power matrix's
+    functional, which sees an interval's shape and not its size) is
+    constant along the scale direction of an anchored or symmetric
+    interval, so such an incumbent is not refined. Ties within 1e-12
+    relative are resolved deterministically toward the interval whose
+    near endpoint is closest to 0 in units of its half-length, then
+    toward the earliest evaluation. The reported estimate is the
+    functional value at the reported argmax, recomputable exactly.
     """
     rounds = config.refine_rounds
 
@@ -229,6 +238,8 @@ def run_interval_search(evaluate, config: SupSearchConfig,
         if rounds == 0:
             return
         best_iv = incumbent()
+        if homogeneous and best_iv.contains_zero():
+            return  # anchored or symmetric: refinement would only tie
         span = math.log(4.0)
         if best_iv.a == 0.0 or best_iv.b == 0.0:
             sign = 1.0 if best_iv.b > 0.0 else -1.0
@@ -274,6 +285,8 @@ def run_interval_search(evaluate, config: SupSearchConfig,
                             math.log(abs(c1)) + span,
                             rounds)
 
-    return _maximize(interval_grid(config), evaluate, refine,
-                    lambda iv: iv.near_endpoint_distance() / iv.halflength,
-                    functional)
+    result = _maximize(interval_grid(config) if grid is None else grid,
+                       evaluate, refine,
+                       lambda iv: iv.near_endpoint_distance() / iv.halflength,
+                       functional)
+    return replace(result, config=config)

@@ -148,6 +148,17 @@ class SymbolicPowerMatrix:
                                     f" differs from midpoint {format_rational(want)}")))
         return tuple(found)
 
+    @cached_property
+    def a2_report(self) -> A2Report:
+        """check_a2's decision, made once per weight."""
+        return _decide_a2(self)
+
+    @cached_property
+    def coeff_inverse(self) -> np.ndarray:
+        """The correctly rounded inverse of the coefficient matrix
+        (linalg.adjugate_inverse), computed once per weight."""
+        return linalg.adjugate_inverse(self.coeff)
+
     def scaled(self, factor: float) -> "SymbolicPowerMatrix":
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError("scale factor must be positive and finite")
@@ -236,7 +247,7 @@ def _witness_scan(w: SymbolicPowerMatrix) -> float | None:
         m = evaluate(w, xs)
     finite = np.isfinite(m).all(axis=(-2, -1))
     xs, m = xs[finite], m[finite]
-    _, _, fails = linalg._psd_eigh((m + m.conj().swapaxes(-1, -2)) / 2.0, strict=False)
+    _, _, fails = linalg._psd_eigh(linalg._symmetrized(m), strict=False)
     return float(xs[fails][0]) if fails.any() else None
 
 
@@ -277,13 +288,18 @@ def _six_digits(q: Fraction) -> str:
 
 
 def check_a2(w: SymbolicPowerMatrix) -> A2Report:
-    """Full exact A2 decision for a Type 1 power matrix on R^d.
+    """Full exact A2 decision for a Type 1 power matrix on R^d, made once
+    per weight (SymbolicPowerMatrix.a2_report).
 
     A2 holds iff the function is positive definite a.e. and every diagonal
     exponent lies strictly inside (-b, b), where b = 1 for |x| and for each
     coordinate factor and b = d for the radial factor: at or below -b the
     weight itself loses local integrability, at or above b the inverse does.
     """
+    return w.a2_report
+
+
+def _decide_a2(w: SymbolicPowerMatrix) -> A2Report:
     pd = check_positive_definite_ae(w)
     if pd.verdict != VERDICT_PD_AE:
         return pd
@@ -349,7 +365,7 @@ def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:
     """
     _require_midpoint(w)
     return SymbolicPowerMatrix(
-        linalg.adjugate_inverse(w.coeff),
+        w.coeff_inverse,
         tuple(_negated(m) for m in normalized_exponents(w)), w.d)
 
 
@@ -358,7 +374,7 @@ def a2_upper_bound(w: SymbolicPowerMatrix) -> float:
     family, for a weight on the line.
 
     max_ij |a_ij (A^-1)_ji|, that is |a_ij cof_ij(A)| / |det A|, from the
-    correctly rounded inverse, times the sum over all entries of the
+    weight's correctly rounded inverse, times the sum over all entries of the
     per-exponent closed-form constants 1/(1 - e_ij^2). Valid for every
     interval in the search family (anchored, symmetric, origin-free),
     where each scalar factor obeys its closed-form constant.
@@ -367,7 +383,6 @@ def a2_upper_bound(w: SymbolicPowerMatrix) -> float:
     report = check_a2(w)
     if report.verdict != VERDICT_A2:
         raise NotA2Error(f"a2_upper_bound needs an A2 weight, got {report.verdict}")
-    a = w.coeff
-    sup_factor = float((np.abs(a) * np.abs(linalg.adjugate_inverse(a).T)).max())
+    sup_factor = float((np.abs(w.coeff) * np.abs(w.coeff_inverse.T)).max())
     return sup_factor * sum(scalar_closed_form_constant(e)
                             for row in normalized_exponents(w)[0] for e in row)

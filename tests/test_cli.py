@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ NEAR_SINGULAR = {"kind": "type1", "coeff": [[1, 1 - 5e-11], [1 - 5e-11, 1]],
                  "diag_exponents": ["1/2", "-1/3"]}
 HUGE = {"kind": "type1", "coeff": [[1e300, 0], [0, 1e300]],
         "diag_exponents": ["1/2", "-1/3"]}
+# a + a* of this coefficient overflows; its halves do not
+AT_FLOAT_LIMIT = dict(HUGE, coeff=[[1.7e308, 0], [0, 1.7e308]])
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
@@ -245,6 +248,21 @@ class TestCheckCommand:
         assert payload["report"]["verdict"] == verdict
         assert payload["report"]["findings"] == findings
 
+    @pytest.mark.parametrize("doc, verdict", [
+        (AT_FLOAT_LIMIT, "a2"),
+        (dict(HUGE, coeff=[[5e-324, 0], [0, 1]]), "a2"),
+        # the witness scan symmetrizes W(x) near the float limit
+        (dict(HUGE, coeff=[[1.7e308, 1.7e308], [1.7e308, 1]]), "not_positive_definite_ae"),
+    ], ids=["float-limit", "subnormal", "float-limit-indefinite"])
+    def test_symmetrizing_keeps_extreme_diagonals(self, tmp_path, capsys, doc, verdict):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_json(capsys, ["check", write_spec(tmp_path, doc),
+                                              "--json"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert payload["report"]["verdict"] == verdict
+
     def test_stray_key_is_schema_error(self, tmp_path, capsys):
         code = main(["check",
                      write_spec(tmp_path, dict(SCALAR_HALF, mystery=1))])
@@ -264,7 +282,9 @@ class TestConstantCommand:
         assert payload["estimate"] <= payload["upper_bound"] * (1.0 + 1e-9)
         assert payload["estimate"] >= 0.99 * payload["upper_bound"]
         assert set(payload["argmax"]) == {"a", "b"}
-        assert payload["evaluations"] > 100
+        # the grid row alone: an anchored argmax of a homogeneous weight
+        # is not refined
+        assert payload["evaluations"] == 99
         assert payload["config"]["grid"] == "default"
 
     def test_matrix_estimate_respects_upper_bound(self, tmp_path, capsys):
@@ -316,8 +336,8 @@ class TestConstantCommand:
             assert payload["config"] == {
                 "grid": "default", "centers": 99, "halflengths": 1,
                 "refine_rounds": 20, "families": INTERVAL_FAMILIES}
-            # the grid row, plus the golden refinement's rounds + 2
-            assert payload["evaluations"] == 99 + 20 + 2
+            # the grid row alone: the anchored argmax is not refined
+            assert payload["evaluations"] == 99
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "coarse"]],
@@ -486,6 +506,49 @@ class TestConstantCommand:
                                           "--functional", functional] + grid)
         assert code == 0
         assert payload["estimate"] >= (2.0 if functional == "trace" else 1.0)
+
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_coefficient_at_the_float_limit_fails_in_one_line(self, tmp_path, capsys,
+                                                              functional):
+        # check calls it a2; the averages of diag(1.7e308, 1.7e308) |x|^D
+        # pass the float range, which the search reports as one error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["constant", write_spec(tmp_path, AT_FLOAT_LIMIT),
+                         "--functional", functional])
+        captured = capsys.readouterr()
+        assert code in (0, 4)
+        if code == 4:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("search failed: OverflowError on ")
+
+    def test_each_piece_of_work_runs_once(self, tmp_path, capsys, monkeypatch):
+        # one symbolic constant: one grid, one decision (the closed-form
+        # bound reads it back from the weight) and one coefficient inverse
+        # (shared by the search's inverse weight and the bound)
+        from a2w import estimator, linalg, search
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((search, "interval_grid"), (estimator, "interval_grid"),
+                             (estimator, "search_config"),
+                             (linalg, "is_positive_definite"),
+                             (linalg, "adjugate_inverse")):
+            counted(module, name)
+        code, payload = run_json(capsys, ["constant", write_spec(tmp_path, TWO_BY_TWO),
+                                          "--json"])
+        assert code == 0
+        assert "upper_bound" in payload
+        assert calls == {"interval_grid": 1, "search_config": 1,
+                         "is_positive_definite": 1, "adjugate_inverse": 1}
 
     def test_non_a2_weight_exits_three(self, tmp_path, capsys):
         doc = {"kind": "scalar", "gamma": "1"}

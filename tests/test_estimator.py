@@ -264,7 +264,7 @@ def _recorded_averages(monkeypatch, w, intervals):
 
     monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
     grid = interval_grid(coarse_interval_config())
-    evaluate = estimator._type2_eval_fn(w, "trace", coarse_interval_config())
+    evaluate = estimator._type2_eval_fn(w, "trace", grid)
     values = [evaluate(iv) for iv in intervals]
     scan, *alone = stacks
     assert len(scan) == len(grid) and all(len(s) == 1 for s in alone)
@@ -350,8 +350,8 @@ class TestRotationMoments:
 
 def _eval_fn(w, functional, config):
     if isinstance(w, Type2Weight):
-        return estimator._type2_eval_fn(w, functional, config)
-    return estimator._symbolic_eval_fn(w, functional, config)
+        return estimator._type2_eval_fn(w, functional, interval_grid(config))
+    return estimator._symbolic_eval_fn(w, functional, interval_grid(config))
 
 
 def _grid_cells(config):

@@ -24,7 +24,8 @@ from a2w.estimator import (a2_functional_norm, a2_functional_trace,
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
                           estimate_a2_cubes)
 from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
-                        default_interval_config, run_interval_search)
+                        default_interval_config, interval_grid,
+                        run_interval_search)
 from a2w.type1 import build_type1, symbolic_inverse
 from a2w.type2 import Type2Weight, as_type1, pair_pointwise
 
@@ -164,3 +165,36 @@ def test_unit_cubes_match_the_old_side_grid(weight, functional):
     assert result.estimate == pytest.approx(best, rel=1e-12, abs=0.0)
     assert result.argmax.side == 1.0
     assert result.evaluations == 4
+
+
+# Its norm functional carries cond(<W>) eps of rounding noise on short
+# intervals, which refinement along the dilation used to climb.
+ILL_3X3 = build_type1(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]),
+                      [HALF, -HALF, HALF])
+
+
+@pytest.mark.parametrize("functional", ["trace", "norm"])
+@pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY, ILL_3X3],
+                         ids=["w2", "scalar", "identity", "ill-3x3"])
+def test_homogeneous_search_does_not_refine_along_the_dilation(weight, functional):
+    # The value of an anchored or symmetric interval is the value of its
+    # whole shape, so the search stops at the grid row, and the estimate
+    # is the grid value of the argmax.
+    result = estimate_a2(weight, functional)
+    assert result.argmax.contains_zero()
+    assert result.evaluations == len(interval_grid(search_config(weight)))
+    twin = as_type1(weight) if weight is IDENTITY else weight
+    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
+    assert result.estimate == func(*averages(twin)(result.argmax))
+
+
+@pytest.mark.parametrize("functional", ["trace", "norm"])
+def test_origin_free_incumbents_are_still_refined(functional):
+    # [2, 4] changes shape along both refinement directions: 1 grid
+    # interval, then 2 + 4 golden evaluations along the scale and as many
+    # along the offset.
+    config = SupSearchConfig(centers=(3.0,), halflengths=(1.0,), refine_rounds=4)
+    result = estimate_a2(W2, functional, config)
+    assert result.evaluations == 13
+    assert result.argmax.a == pytest.approx(0.23165531424364305, rel=1e-12)
+    assert result.argmax.b == pytest.approx(5.455743996736734, rel=1e-12)

@@ -285,6 +285,25 @@ def test_as_hermitian_checks_every_matrix_of_a_stack():
         linalg.as_hermitian(np.zeros((3, 2, 1)))
 
 
+@pytest.mark.parametrize("a", [
+    np.diag([1.7e308, 1.7e308]),
+    np.array([[1.7e308, 1.6e308 + 1e308j], [1.6e308 - 1e308j, 1.7e308]]),
+    np.array([[1.7e308, 1.6e308 + 5e-324j], [1.6e308 - 1e-323j, 1.7e308]]),
+    np.diag([5e-324, 1.0]),
+    np.array([[5e-324, 5e-324], [5e-324, 1.0]]),
+], ids=["float-limit", "complex-limit", "limit-and-subnormal", "subnormal",
+        "subnormal-off-diagonal"])
+def test_as_hermitian_is_exact_at_the_ends_of_the_float_range(a):
+    # (a + a*) / 2 would overflow near the limit; a / 2 + a* / 2 would
+    # flush 5e-324 to 0 and make diag(5e-324, 1) singular
+    with np.errstate(over="raise", invalid="raise"):
+        h = linalg.as_hermitian(a)
+    assert np.isfinite(h).all()
+    assert np.array_equal(h, h.conj().T)
+    assert np.array_equal(h.diagonal(), a.diagonal().real)
+    assert np.array_equal(h.real, a.real)
+
+
 def test_hermitian_defect_of_a_stack_is_per_matrix():
     good = np.array([[1.0, 2.0], [2.0, 1.0]])
     skew = np.array([[1.0, 1.0 + 1e-10], [1.0, 1.0]])
