@@ -20,6 +20,7 @@ so a value never depends on its batch (_grid_scan).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -328,8 +329,10 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     return _grid_scan(score, grid)
 
 
+@functools.lru_cache(maxsize=16)
 def _one_size(config: SupSearchConfig) -> SupSearchConfig:
-    """config's grid on its smallest half-length h0 alone.
+    """config's grid on its smallest half-length h0 alone, built once per
+    distinct config (a frozen, hashable value).
 
     Every interval shape the grid holds (symmetric, or a signed ratio
     |c|/h >= 1, rounded past floating-point noise) moves to h0, in order

@@ -3,7 +3,8 @@
 Everything here is written for matrices of order <= 8. One exact
 elimination serves the coefficient matrix: _bareiss, fraction-free
 Gauss-Jordan on its floats read as Gaussian integers over one power of 2
-(_scaled). is_positive_definite, lu_det, cofactor and adjugate_inverse
+(_scaled), on the real rows alone when every imaginary part is 0.
+is_positive_definite, lu_det, cofactor and adjugate_inverse
 take their minors, determinants and inverses from it, correctly rounded,
 so a matrix is singular only when its determinant is exactly 0.
 elim_inverse and leibniz_det, the float routes the verify suites compare
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 import math
+import sys
 
 import numpy as np
 
@@ -81,32 +83,53 @@ def as_square(m) -> np.ndarray:
     return _as_squares(a)
 
 
+def _defect(a: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(defect, scale) per matrix of a finite stack a and its adjoint adj:
+    scale is the largest entry modulus, defect the largest entry of
+    a - adj over scale, a scale of 0 read as 1."""
+    scale = np.abs(a).max(axis=(-2, -1))
+    gap = np.abs(a - adj).max(axis=(-2, -1))
+    return gap / np.where(scale > 0.0, scale, 1.0), scale
+
+
 def hermitian_defect(m):
     """Max-entry distance from self-adjointness, relative to the entry
     scale: a float for one matrix, an array with one value per matrix for
     a stack shaped (..., n, n)."""
     a = _as_squares(np.asarray(m, dtype=complex))
-    gap = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    scale = np.abs(a).max(axis=(-2, -1))
-    defect = gap / np.where(scale > 0.0, scale, 1.0)
+    defect, _ = _defect(a, a.conj().swapaxes(-1, -2))
     return float(defect) if a.ndim == 2 else defect
 
 
 def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
-    """Check self-adjointness within tol and return the exactly
-    symmetrized matrix (_symmetrized); a stack shaped (..., n, n) raises
-    if any of its matrices fails."""
-    a = np.asarray(m, dtype=complex)
-    if np.any(hermitian_defect(a) > tol):
-        raise ValueError("matrix is not self-adjoint within tolerance")
-    return _symmetrized(a)
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(a + a*) / 2 for a finite complex stack (..., n, n), exactly
-    self-adjoint. The real part of the diagonal comes back bit for bit,
-    subnormals and entries near the float limit included."""
+    """Check self-adjointness within tol (hermitian_defect(m) > tol
+    fails) and return the exactly symmetrized matrix (_symmetrized); a
+    stack shaped (..., n, n) raises if any of its matrices fails."""
+    a = _as_squares(np.asarray(m, dtype=complex))
     adj = a.conj().swapaxes(-1, -2)
+    defect, scale = _defect(a, adj)
+    if np.any(defect > tol):
+        raise ValueError("matrix is not self-adjoint within tolerance")
+    return _symmetrized(a, adj, scale.max(initial=0.0))
+
+
+_HALF_MAX = sys.float_info.max / 2.0
+
+
+def _symmetrized(a: np.ndarray, adj: np.ndarray | None = None,
+                 top: float | None = None) -> np.ndarray:
+    """(a + a*) / 2 for a finite complex stack (..., n, n), exactly
+    self-adjoint; adj is a* and top the largest entry modulus of a, when
+    the caller has them. The real part of the diagonal comes back bit for
+    bit, subnormals and entries near the float limit included."""
+    if adj is None:
+        adj = a.conj().swapaxes(-1, -2)
+    if top is None:
+        top = np.abs(a).max(initial=0.0)
+    if top <= _HALF_MAX:
+        # no real or imaginary part exceeds the largest modulus, so none
+        # exceeds half the float maximum and no sum of two overflows
+        return (a + adj) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         h = (a + adj) / 2.0
     over = ~np.isfinite(h)
@@ -160,11 +183,15 @@ def leibniz_det(m) -> complex:
 def _scaled(a: np.ndarray) -> tuple[list[list[int]], list[list[int]], int]:
     """The real and imaginary parts of a finite complex matrix as integer
     rows over one common denominator. Floats are dyadic rationals, so the
-    denominator is the largest power of 2 among the entries' own."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in a.real.tolist() + a.imag.tolist()]
+    denominator is the largest power of 2 among the entries' own. A real
+    matrix gets rows of zeros for its imaginary part."""
+    n = a.shape[0]
+    parts = a.real.tolist() + (a.imag.tolist() if a.imag.any() else [])
+    ratios = [[x.as_integer_ratio() for x in row] for row in parts]
     denom = max(d for row in ratios for _, d in row)
     ints = [[num * (denom // d) for num, d in row] for row in ratios]
-    return ints[:a.shape[0]], ints[a.shape[0]:], denom
+    im = ints[n:] if len(ints) > n else [[0] * a.shape[1] for _ in range(n)]
+    return ints[:n], im, denom
 
 
 def _bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
@@ -179,8 +206,13 @@ def _bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[list[tuple[int, 
     matrix; otherwise the last, D, is the determinant of the row-swapped
     leading block B, and the columns past n hold D B^-1 times what stood
     there.
+
+    When every imaginary part is 0 the same recurrence runs on the real
+    rows alone, one pair of products and one exact // per entry; the
+    imaginary rows stay 0.
     """
     n = len(re)
+    real = not any(map(any, im))
     pivots, swaps, (cr, ci, norm) = [], 0, (1, 0, 1)
     for k in range(n):
         pivots.append((re[k][k], im[k][k]))
@@ -192,6 +224,14 @@ def _bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[list[tuple[int, 
             swaps += 1
         kr, ki = re[k], im[k]
         pr, pi = kr[k], ki[k]
+        if real:
+            tail = kr[k + 1:]
+            for ir in re:
+                if ir is not kr:
+                    ar = ir[k]
+                    ir[k + 1:] = [(pr * x - ar * y) // norm for x, y in zip(ir[k + 1:], tail)]
+            norm = pr
+            continue
         for ir, ii in zip(re, im):
             if ir is kr:
                 continue
@@ -258,8 +298,10 @@ def adjugate_inverse(m) -> np.ndarray:
 
     _bareiss on [M | I], scaled to Gaussian integers, leaves X = D inv(M)
     past column n, with D its last pivot: X is adj M up to a sign and a
-    power of 2. Each part of X conj(D) / |D|^2 is then one int / int.
-    Raises SingularMatrixError only when det M is exactly 0.
+    power of 2. Each part of X / D is then one int / int: over |D| with
+    X's sign flipped for a real D < 0, else X conj(D) over |D|^2.
+    Raises SingularMatrixError only when det M is exactly 0, and
+    OverflowError naming the first entry past the float range.
     """
     a = as_square(m)
     n = a.shape[0]
@@ -267,9 +309,19 @@ def adjugate_inverse(m) -> np.ndarray:
     dr, di = _bareiss(re, im)[0][-1]
     if dr == di == 0:
         raise SingularMatrixError("matrix is singular")
-    norm = dr * dr + di * di
-    return np.array([[complex((xr * dr + xi * di) / norm, (xi * dr - xr * di) / norm)
-                      for xr, xi in zip(rr[n:], ri[n:])] for rr, ri in zip(re, im)])
+    if di == 0:
+        sr, si, norm = (1 if dr > 0 else -1), 0, abs(dr)
+    else:
+        sr, si, norm = dr, di, dr * dr + di * di
+    rows = [list(zip(rr[n:], ri[n:])) for rr, ri in zip(re, im)]
+    try:
+        return np.array([[complex((xr * sr + xi * si) / norm, (xi * sr - xr * si) / norm)
+                          for xr, xi in row] for row in rows])
+    except OverflowError:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, (xr, xi) in enumerate(row)
+                    if math.isinf(_ratio(xr * sr + xi * si, norm))
+                    or math.isinf(_ratio(xi * sr - xr * si, norm)))
+        raise OverflowError(f"inverse entry ({i}, {j}) overflows the float range") from None
 
 
 def sym_eigen(m):

@@ -23,6 +23,7 @@ is the value of its whole shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -102,6 +103,7 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(x) for x in np.logspace(math.log10(lo), math.log10(hi), count))
 
 
+@functools.cache
 def default_interval_config() -> SupSearchConfig:
     """Default family: centers {0} and +/- logspace(1e-6, 1e6, 49), same half-lengths."""
     mags = _log_grid(1e-6, 1e6, 49)
@@ -109,6 +111,7 @@ def default_interval_config() -> SupSearchConfig:
     return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=20)
 
 
+@functools.cache
 def coarse_interval_config() -> SupSearchConfig:
     """Reduced grid: centers {0} and +/- logspace(1e-3, 1e3, 13), same
     half-lengths, 195 family intervals. It is the default for rotations,

@@ -55,18 +55,33 @@ class EvaluationAtOriginError(ValueError):
 ExponentMatrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _fraction(e) -> Fraction:
+    return e if type(e) is Fraction else Fraction(e)
+
+
 def _exponent_matrix(rows) -> ExponentMatrix:
-    mat = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row)
-                for row in rows)
+    mat = tuple(tuple(map(_fraction, row)) for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("exponent matrix must be square and nonempty")
     return mat
 
 
+def _midpoint(gi: Fraction, gj: Fraction) -> Fraction:
+    """(gi + gj) / 2, one Fraction built from the integer parts."""
+    return Fraction(gi.numerator * gj.denominator + gj.numerator * gi.denominator,
+                    2 * gi.denominator * gj.denominator)
+
+
 def _midpoint_complete(diag: tuple[Fraction, ...]) -> ExponentMatrix:
-    """Exponent matrix with e_ij = (e_ii + e_jj) / 2 from its diagonal."""
-    return tuple(tuple((gi + gj) / 2 for gj in diag) for gi in diag)
+    """Exponent matrix with e_ij = (e_ii + e_jj) / 2 from its diagonal;
+    e_ij and e_ji are one Fraction."""
+    n = len(diag)
+    mat = [list(diag) for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mat[i][j] = mat[j][i] = _midpoint(diag[i], diag[j])
+    return tuple(map(tuple, mat))
 
 
 def _negated(mat) -> ExponentMatrix:
@@ -87,7 +102,9 @@ class SymbolicPowerMatrix:
     d: int = 1
 
     def __post_init__(self):
-        a = linalg.as_square(self.coeff)
+        # the weight owns a read-only copy, so what it caches stays true
+        a = linalg.as_square(self.coeff).copy()
+        a.setflags(write=False)
         if a.shape[0] > linalg.MAX_ORDER:
             raise ValueError(f"order limited to {linalg.MAX_ORDER}")
         mats = tuple(_exponent_matrix(m) for m in self.exponents)
@@ -134,13 +151,22 @@ class SymbolicPowerMatrix:
     @cached_property
     def midpoint_findings(self) -> tuple[Finding, ...]:
         """One finding per normalized exponent off its midpoint, located at
-        prefix + (i, j) (see _located); built once per weight."""
+        prefix + (i, j) (see _located); built once per weight. Diagonal
+        and zero-coefficient entries are on it (normalized_exponents); the
+        rest are tested as 2 e_ij = e_ii + e_jj in integers, and a Fraction
+        is built only for a finding."""
+        zero = (self.coeff == 0).tolist()
         found = []
-        for where, exps in _located(normalized_exponents(self)):
+        for where, exps in _located(self.exponents):
             for i, row in enumerate(exps):
+                gi = row[i]
                 for j, e in enumerate(row):
-                    want = (exps[i][i] + exps[j][j]) / 2
-                    if e != want:
+                    if i == j or zero[i][j]:
+                        continue
+                    gj = exps[j][j]
+                    twice_num = gi.numerator * gj.denominator + gj.numerator * gi.denominator
+                    if 2 * e.numerator * gi.denominator * gj.denominator != e.denominator * twice_num:
+                        want = _midpoint(gi, gj)
                         at = where + (i, j)
                         found.append(Finding(
                             kind="midpoint-violated", where=at,
@@ -156,8 +182,12 @@ class SymbolicPowerMatrix:
     @cached_property
     def coeff_inverse(self) -> np.ndarray:
         """The correctly rounded inverse of the coefficient matrix
-        (linalg.adjugate_inverse), computed once per weight."""
-        return linalg.adjugate_inverse(self.coeff)
+        (linalg.adjugate_inverse), computed once per weight. An entry past
+        the float range raises OverflowError naming it."""
+        try:
+            return linalg.adjugate_inverse(self.coeff)
+        except OverflowError as exc:
+            raise OverflowError(f"coefficient matrix: {exc}") from None
 
     def scaled(self, factor: float) -> "SymbolicPowerMatrix":
         if not (factor > 0 and math.isfinite(factor)):
@@ -170,7 +200,7 @@ def _completed(coeff, diags, d: int) -> SymbolicPowerMatrix:
     a = linalg.as_hermitian(coeff)
     mats = []
     for diag in diags:
-        diag = tuple(Fraction(g) for g in diag)
+        diag = tuple(map(_fraction, diag))
         if len(diag) != a.shape[0]:
             raise ValueError("need one diagonal exponent per row")
         mats.append(_midpoint_complete(diag))
@@ -222,10 +252,9 @@ def normalized_exponents(w: SymbolicPowerMatrix) -> tuple[ExponentMatrix, ...]:
     replaced by the midpoint value before any structural check; this makes
     the midpoint test insensitive to don't-care exponents.
     """
-    n = w.n
-    return tuple(tuple(tuple((m[i][i] + m[j][j]) / 2
-                             if i != j and w.coeff[i, j] == 0 else m[i][j]
-                             for j in range(n)) for i in range(n))
+    zero = (w.coeff == 0).tolist()
+    return tuple(tuple(tuple(_midpoint(row[i], m[j][j]) if i != j and zero[i][j] else e
+                             for j, e in enumerate(row)) for i, row in enumerate(m))
                  for m in w.exponents)
 
 

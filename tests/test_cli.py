@@ -523,6 +523,16 @@ class TestConstantCommand:
             assert captured.err.count("\n") == 1
             assert captured.err.startswith("search failed: OverflowError on ")
 
+    def test_an_inverse_past_the_float_range_is_named(self, tmp_path, capsys):
+        # check calls diag(5e-324, 1) a2; its inverse's entry (0, 0) is 2e323
+        doc = dict(HUGE, coeff=[[5e-324, 0], [0, 1]])
+        code = main(["constant", write_spec(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == ("search failed: OverflowError: coefficient matrix: "
+                                "inverse entry (0, 0) overflows the float range\n")
+
     def test_each_piece_of_work_runs_once(self, tmp_path, capsys, monkeypatch):
         # one symbolic constant: one grid, one decision (the closed-form
         # bound reads it back from the weight) and one coefficient inverse

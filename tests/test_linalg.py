@@ -1,5 +1,8 @@
 """Dense linear algebra kernel against numpy oracles."""
 
+import re
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +307,46 @@ def test_as_hermitian_is_exact_at_the_ends_of_the_float_range(a):
     assert np.array_equal(h.real, a.real)
 
 
+def test_as_hermitian_decides_as_the_defect_does_at_the_boundary(rng):
+    # a defect equal to tol passes, the next float below it fails, as
+    # hermitian_defect(a) > tol decides; a zero matrix has defect 0
+    cases = [np.array([[1.0, 0.5], [0.25, 1.0]]), np.zeros((3, 3)),
+             np.array([[0.0, 1e-300j], [0.0, 0.0]])]
+    cases += [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(20)]
+    cases += [np.diag([2.0, 3.0]) + 1e-13 * rng.normal(size=(2, 2)) for _ in range(20)]
+    for a in cases:
+        defect = linalg.hermitian_defect(a)
+        for tol in (defect, np.nextafter(defect, -1.0), np.nextafter(defect, 2.0), 0.0):
+            if defect > tol:
+                with pytest.raises(ValueError, match="not self-adjoint"):
+                    linalg.as_hermitian(a, tol)
+            else:
+                assert np.array_equal(linalg.as_hermitian(a, tol), (a + a.conj().T) / 2.0)
+    assert np.array_equal(linalg.as_hermitian(np.zeros((2, 2)), 0.0), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [sys.float_info.max, sys.float_info.max / 2.0,
+                                   np.nextafter(sys.float_info.max / 2.0, 2.0), 5e-324])
+def test_as_hermitian_keeps_diagonals_without_warnings(scale):
+    # at and just above half the float maximum a + a* may overflow; the
+    # halves are summed instead, with no RuntimeWarning
+    parts = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 0.75]])
+    a = parts * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = linalg.as_hermitian(a)
+        stack = linalg.as_hermitian(np.array([a, np.diag([1.0, 2.0])]))
+    assert np.array_equal(h.diagonal(), a.diagonal().real)
+    assert np.array_equal(h, a) and np.array_equal(stack[0], a)
+
+
+def test_an_inverse_entry_past_the_float_range_is_named():
+    for m, at in (([[5e-324, 0.0], [0.0, 1.0]], "(0, 0)"),
+                  ([[1.0, 0.0], [0.0, 1e-320j]], "(1, 1)")):
+        with pytest.raises(OverflowError, match=re.escape(f"inverse entry {at} overflows")):
+            linalg.adjugate_inverse(m)
+
+
 def test_hermitian_defect_of_a_stack_is_per_matrix():
     good = np.array([[1.0, 2.0], [2.0, 1.0]])
     skew = np.array([[1.0, 1.0 + 1e-10], [1.0, 1.0]])
@@ -404,15 +447,23 @@ class TestIsPositiveDefinite:
         # random self-adjoint matrices, mostly indefinite; Gram matrices,
         # mostly positive definite; exactly singular B B* from an integer
         # B of shape n x (n - 1); and matrices that are not self-adjoint:
-        # two that need a row swap, and small integer ones, which often
-        # need one or are singular. Minors are read from the self-adjoint
-        # ones; determinants and inverses, correctly rounded, from all
+        # fixed ones that need a row swap (real ones among them, which run
+        # the real pass, with a negative determinant or exactly singular),
+        # and small integer ones, which often need one or are singular.
+        # Minors are read from the self-adjoint ones; determinants and
+        # inverses, correctly rounded, from all
         def draw(shape, ints=False):
             def part():
                 return rng.integers(-3, 4, size=shape) if ints else rng.normal(size=shape)
             return part() + 1j * part() if complex_entries else part() + 0j
 
-        swapping = [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1j], [2.0, 0.0]]]
+        b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]) / 3.0
+        swapping = [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1j], [2.0, 0.0]],
+                    [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]],
+                    [[0.0, 0.0, 0.5], [0.0, 3.0, 0.0], [-0.25, 0.0, 0.0]],
+                    [[0.0, 2.0, 1.0, 0.0], [1.5, 0.0, 0.0, 1.0],
+                     [0.0, 0.0, 1.0, 3.0], [1.0, 1.0, 0.0, 0.0]],
+                    b @ b.T, [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]]
         for trial in range(-len(swapping), 400):
             n = int(rng.integers(1, 6))
             if trial < 0:

@@ -13,7 +13,8 @@ from a2w.cli import load_weight_spec
 from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
                         VERDICT_NOT_PD_AE, VERDICT_PD_AE)
 from a2w.estimator import estimate_a2
-from a2w.scalar_power import NotA2Error, scalar_closed_form_constant
+from a2w.scalar_power import (NotA2Error, format_rational,
+                              scalar_closed_form_constant)
 from a2w.search import coarse_interval_config
 from a2w.type1 import (EvaluationAtOriginError, MidpointConditionError,
                        SymbolicPowerMatrix, a2_upper_bound, build_type1,
@@ -63,6 +64,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             TWO_BY_TWO.scaled(-1.0)
 
+    def test_weight_owns_its_coefficient(self):
+        # the cached decision and inverse are of the coefficient as built
+        a = np.array([[2, 0], [0, 1]], dtype=complex)
+        w = build_type1_raw(a, [["1/2", "1/12"], ["1/12", "-1/3"]])
+        assert check_a2(w).verdict == VERDICT_A2
+        a[0, 0] = -1
+        assert check_a2(w).verdict == VERDICT_A2
+        assert check_a2(build_type1_raw(a, w.exponents[0])).verdict == VERDICT_NOT_PD_AE
+        assert np.array_equal(w.coeff_inverse, np.diag([0.5, 1.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            w.coeff[0, 0] = -1
+
 
 class TestEvaluate:
     def test_matches_direct_formula(self, rng):
@@ -98,6 +111,52 @@ class TestNormalizedExponents:
         norm = normalized_exponents(w)
         assert norm[0][0][1] == Fraction(0)  # rewritten to the midpoint
         assert check_positive_definite_ae(w).verdict == VERDICT_PD_AE
+
+
+def _fraction_midpoint_findings(coeff, mats):
+    """The midpoint findings of SymbolicPowerMatrix(coeff, mats, d) in
+    plain Fraction arithmetic: every normalized exponent against
+    (e_ii + e_jj) / 2."""
+    found = []
+    for c, m in enumerate(mats):
+        n = len(m)
+        norm = [[(m[i][i] + m[j][j]) / 2 if i != j and coeff[i][j] == 0 else m[i][j]
+                 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                want = (norm[i][i] + norm[j][j]) / 2
+                if norm[i][j] != want:
+                    at = ((c,) if len(mats) > 1 else ()) + (i, j)
+                    found.append((at, f"exponent {format_rational(norm[i][j])} at {at}"
+                                      f" differs from midpoint {format_rational(want)}"))
+    return found
+
+
+class TestMidpointFindings:
+    def test_integer_test_matches_fraction_arithmetic(self, rng):
+        # random exponent matrices, denominators up to 1e6, off-diagonal
+        # entries on the midpoint or 2^-k off it, zero coefficients among
+        # them; one matrix on the line, two for a separable weight on R^2
+        def exponent():
+            return Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**6)))
+
+        for trial in range(300):
+            n = int(rng.integers(1, 5))
+            d = 2 if trial % 3 == 0 else 1
+            coeff = rng.integers(-1, 2, size=(n, n)) * (rng.random((n, n)) < 0.7)
+            mats = []
+            for _ in range(d):
+                diag = [exponent() for _ in range(n)]
+                m = [[(diag[i] + diag[j]) / 2 for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        if i != j and rng.random() < 0.4:
+                            m[i][j] += Fraction(int(rng.choice([-1, 1])), 2 ** int(rng.integers(1, 60)))
+                mats.append(m)
+            w = SymbolicPowerMatrix(coeff, tuple(mats), d)
+            want = _fraction_midpoint_findings(coeff.tolist(), w.exponents)
+            assert [(f.where, f.detail) for f in w.midpoint_findings] == want
+            assert all(f.kind == "midpoint-violated" for f in w.midpoint_findings)
 
 
 class TestDecisions:
