@@ -16,6 +16,8 @@ and looks grid intervals up after that; any other interval (an
 origin-free power-matrix incumbent's or a rotation's golden-refinement
 intervals), and average_symbolic, run the same code as a stack of one,
 so a value never depends on its batch (_grid_scan).
+A power matrix scores every interval at its shape [t, 1] (search_config),
+on its equilibrated coefficient (SymbolicPowerMatrix.equilibrated).
 """
 
 from __future__ import annotations
@@ -169,6 +171,11 @@ def _checked_pair(avg_w, avg_winv) -> np.ndarray:
     return pair
 
 
+# A floor gives way by 1e-9 relative plus the inputs' rounding: _ROUNDING times
+# sum |<W>_ij <W^-1>_ji| (trace) or ||<W>|| ||<W^-1>|| (norm), large for ill-conditioned A.
+_ROUNDING = 32 * np.finfo(float).eps
+
+
 def _values(val: np.ndarray):
     """A functional's values: a float for one pair of matrices, an array
     for a stack of pairs."""
@@ -185,8 +192,9 @@ def a2_functional_trace(avg_w, avg_winv):
     a, b = _checked_pair(avg_w, avg_winv)
     n = a.shape[-1]
     # sum over i, j of conj(a_ij) b_ij, which is Tr(a b) for self-adjoint a
-    val = np.vecdot(a.reshape(*a.shape[:-2], n * n), b.reshape(*b.shape[:-2], n * n)).real
-    low = val < n * (1.0 - 1e-9)
+    a, b = a.reshape(*a.shape[:-2], n * n), b.reshape(*b.shape[:-2], n * n)
+    val = np.vecdot(a, b).real
+    low = val < n * (1.0 - 1e-9) - _ROUNDING * np.vecdot(np.abs(a), np.abs(b))
     if low.any():
         raise NonPositiveInputError(
             f"trace functional {val[low][0]} below its floor {n}; "
@@ -211,7 +219,7 @@ def a2_functional_norm(avg_w, avg_winv):
     ra, rb = np.sqrt(vals)
     c = ra[..., :, None] * (ua.conj().swapaxes(-1, -2) @ ub) * rb[..., None, :]
     val = linalg.eigh_stack(c @ c.conj().swapaxes(-1, -2))[0][..., -1]
-    low = val < 1.0 - 1e-9
+    low = val < 1.0 - 1e-9 - _ROUNDING * vals[0, ..., -1] * vals[1, ..., -1]
     if low.any():
         raise NonPositiveInputError(
             f"norm functional {val[low][0]} below its floor 1")
@@ -249,10 +257,6 @@ def _grid_scan(score, grid: list):
     return evaluate
 
 
-def _endpoints(ivs: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
-
-
 def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interval]):
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
@@ -263,12 +267,14 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interv
         raise NotIntegrableError(
             "symbolic estimation needs every exponent in (-1, 1); "
             f"got {sorted(set(bad))}")
+    w = w.equilibrated
     table = _term_table((w, type1.symbolic_inverse(w)))
     func = _FUNCTIONALS[functional]
 
     def score(ivs: list[Interval]) -> np.ndarray:
-        a, b = _endpoints(ivs)
-        return func(*_averages(table, 2, w.n, a[None], b[None]))
+        a, b = np.array([(iv.a, iv.b) for iv in ivs]).T  # to [t, 1]: |a| <= b, over b
+        t = np.where(a + b < 0.0, b, a) / np.where(a + b < 0.0, a, b)
+        return func(*_averages(table, 2, w.n, t[None], np.ones((1, t.size))))
 
     return _grid_scan(score, grid)
 
@@ -322,7 +328,7 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
         return out
 
     def score(ivs: list[Interval]) -> np.ndarray:
-        a, b = _endpoints(ivs)
+        a, b = np.array([(iv.a, iv.b) for iv in ivs]).T
         avg = integrals(a, b) / (b - a)[:, None, None, None]
         return func(avg[:, 0], avg[:, 1])
 
@@ -330,28 +336,17 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
 
 
 @functools.lru_cache(maxsize=16)
-def _one_size(config: SupSearchConfig) -> SupSearchConfig:
-    """config's grid on its smallest half-length h0 alone, built once per
-    distinct config (a frozen, hashable value).
-
-    Every interval shape the grid holds (symmetric, or a signed ratio
-    |c|/h >= 1, rounded past floating-point noise) moves to h0, in order
-    of first occurrence. An anchored shape keeps its endpoint at exactly 0,
-    and a center already on the h0 row is kept exactly. A grid of one
-    half-length is returned as it is.
-    """
-    if len(config.halflengths) == 1:
-        return config
-    h0 = min(config.halflengths)
-    h = np.array(config.halflengths)
-    c = np.array(config.centers)[:, None]
-    ratio = np.abs(c) / h
-    member = (c == 0.0) | (ratio >= 1.0)  # the family's rule (search._candidate)
-    shape = np.sign(c) * (1.0 + np.round(np.log10(np.maximum(ratio, 1.0)), 9))
-    _, first = np.unique(shape[member], return_index=True)
-    mag = np.where(ratio == 1.0, h0, np.maximum(np.abs(c) * (h0 / h), h0))
-    centers = np.where(c == 0.0, 0.0, np.copysign(mag, c))[member][np.sort(first)]
-    return replace(config, centers=tuple(centers.tolist()), halflengths=(h0,))
+def _shapes(config: SupSearchConfig) -> SupSearchConfig:
+    """config's distinct family shapes at half-length 1, mirror images
+    merged, built once per distinct config (a frozen, hashable value):
+    center 0 (symmetric) if config has it, then each ratio r = |c|/h >= 1
+    (r = 1 is anchored) in increasing order, one per run of ratios within
+    1e-9 relative of each other (floating-point noise of the grid)."""
+    r = np.unique(np.abs(np.array(config.centers))[:, None] / np.array(config.halflengths))
+    r = r[r >= 1.0]
+    r = r[np.diff(r, prepend=0.0) > 1e-9 * r]
+    symmetric = (0.0,) if 0.0 in config.centers else ()
+    return replace(config, centers=symmetric + tuple(r.tolist()), halflengths=(1.0,))
 
 
 def _estimated(weight):
@@ -366,16 +361,15 @@ def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchCon
     """The interval grid that runs for weight: config, or else the full
     grid for closed-form averages and the coarse one for rotations.
 
-    Power matrices, identity Type 2 weights among them, are homogeneous,
-    W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their functionals see
-    an interval's shape |c|/h and not its size: they run every shape of
-    the grid at its smallest half-length alone (the row the tie-break
-    picks). On the built-in grids (one log lattice for |c| and h) that
-    row already holds every shape.
+    Power matrices, identity Type 2 weights among them, are even and
+    homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their
+    functionals see an interval's shape |c|/h and not its size or side:
+    they run the grid's distinct shapes once each, at half-length 1
+    (_shapes), 50 on the default grid and 14 on the coarse one.
     """
     if isinstance(_estimated(weight), Type2Weight):
         return config or coarse_interval_config()
-    return _one_size(config or default_interval_config())
+    return _shapes(config or default_interval_config())
 
 
 def estimate_a2(weight, functional: str = "trace",
@@ -386,8 +380,8 @@ def estimate_a2(weight, functional: str = "trace",
     1x1 case) or a Type 2 weight that decide_a2 calls A2, on the grid
     search_config picks; the result's config is that grid. Every route
     averages in closed form, up to rounding; a rotation's short intervals
-    far from 0 take a Gauss rule. A power matrix is homogeneous, so its
-    search refines only an origin-free incumbent (run_interval_search).
+    far from 0 take a Gauss rule. A power matrix is scored at each interval's
+    shape, and its search refines an origin-free incumbent only.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")

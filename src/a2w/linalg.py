@@ -84,11 +84,13 @@ def as_square(m) -> np.ndarray:
 
 
 def _defect(a: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(defect, scale) per matrix of a finite stack a and its adjoint adj:
-    scale is the largest entry modulus, defect the largest entry of
-    a - adj over scale, a scale of 0 read as 1."""
-    scale = np.abs(a).max(axis=(-2, -1))
-    gap = np.abs(a - adj).max(axis=(-2, -1))
+    """(defect, scale) per matrix of a finite stack a and its adjoint adj,
+    on a / 2 and adj / 2 so that no modulus overflows: scale is the largest
+    entry modulus, defect the largest entry of a - adj over scale (0 read
+    as 1)."""
+    half, half_adj = a / 2.0, adj / 2.0
+    scale = np.abs(half).max(axis=(-2, -1))
+    gap = np.abs(half - half_adj).max(axis=(-2, -1))
     return gap / np.where(scale > 0.0, scale, 1.0), scale
 
 
@@ -110,7 +112,7 @@ def as_hermitian(m, tol: float = 1e-12) -> np.ndarray:
     defect, scale = _defect(a, adj)
     if np.any(defect > tol):
         raise ValueError("matrix is not self-adjoint within tolerance")
-    return _symmetrized(a, adj, scale.max(initial=0.0))
+    return _symmetrized(a, adj, 2.0 * float(scale.max(initial=0.0)))
 
 
 _HALF_MAX = sys.float_info.max / 2.0

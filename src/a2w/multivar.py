@@ -285,8 +285,9 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     so each family takes one value whatever the side: the unit cubes
     cornered at and centered on the origin, and shifted one and two sides
     out along the diagonal, run once each, as one stack
-    (estimator._grid_scan). Values within 1e-12 relative tie; ties go to
-    the cube whose nearest vertex is closest to the origin.
+    (estimator._grid_scan), on the equilibrated coefficient. Values within
+    1e-12 relative tie; ties go to the cube whose nearest vertex is closest
+    to the origin.
     """
     func = _FUNCTIONALS.get(functional)
     if func is None:
@@ -298,6 +299,7 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     if report.verdict != VERDICT_A2:
         raise NotA2Error(
             f"cube estimation precondition failed: {report.verdict}")
+    weight = weight.equilibrated
     inverse = type1.symbolic_inverse(weight)
     if weight.separable:
         table = _term_table((weight, inverse))

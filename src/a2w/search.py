@@ -2,23 +2,21 @@
 
 Candidate intervals are parametrized by (center, half-length) on
 logarithmic grids. A power matrix's functionals, an identity Type 2
-weight's among them, are scale invariant, so it searches one size per
-shape (estimator.search_config); a rotation's are not, and it scans the
-whole grid. The family (FAMILIES) deliberately contains only three
-interval shapes relative to the origin: symmetric (center 0), anchored
-(one endpoint exactly 0), and origin-free. Asymmetric intervals with 0
-strictly inside are excluded; on those the scalar product <w><1/w> is not
-controlled by the closed-form per-exponent constants this package
-certifies against, so admitting them would break the certified upper
-bounds. Estimates are honest lower bounds of the true supremum either way,
-since only real intervals are evaluated.
+weight's among them, see only an interval's shape, so it searches each
+shape of the grid once, mirror images merged (estimator.search_config);
+a rotation's do not, and it scans the whole grid. The family (FAMILIES)
+deliberately contains only three interval shapes relative to the origin:
+symmetric (center 0), anchored (one endpoint exactly 0), and origin-free.
+Asymmetric intervals with 0 strictly inside are excluded; on those the
+scalar product <w><1/w> is not controlled by the closed-form per-exponent
+constants this package certifies against, so admitting them would break
+the certified upper bounds. Estimates are honest lower bounds of the true
+supremum either way, since only real intervals are evaluated.
 
 run_interval_search calls evaluate once per interval, grid first, in
 scan order. The estimator's evaluate functions compute the whole grid
 as one stack on that first call (estimator._grid_scan), so the search's
-counts, order and tie rule do not see the batching. A homogeneous
-weight's anchored or symmetric incumbent is not refined: its grid value
-is the value of its whole shape.
+counts, order and tie rule do not see the batching.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ def coarse_interval_config() -> SupSearchConfig:
     """Reduced grid: centers {0} and +/- logspace(1e-3, 1e3, 13), same
     half-lengths, 195 family intervals. It is the default for rotations,
     whose functionals are not scale invariant: they scan the whole grid,
-    where a power matrix scans one row of the default grid."""
+    where a power matrix runs the 50 shapes of the default grid."""
     mags = _log_grid(1e-3, 1e3, 13)
     centers = (0.0,) + mags + tuple(-m for m in mags)
     return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=8)
@@ -229,11 +227,13 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
     for origin-free intervals. A homogeneous evaluate (a power matrix's
     functional, which sees an interval's shape and not its size) is
     constant along the scale direction of an anchored or symmetric
-    interval, so such an incumbent is not refined. Ties within 1e-12
-    relative are resolved deterministically toward the interval whose
-    near endpoint is closest to 0 in units of its half-length, then
-    toward the earliest evaluation. The reported estimate is the
-    functional value at the reported argmax, recomputable exactly.
+    interval, so such an incumbent is not refined; on an origin-free one
+    both directions move the one ratio |c|/h, so only the scale runs.
+    Ties within 1e-12 relative are resolved deterministically toward the
+    interval whose near endpoint is closest to 0 in units of its
+    half-length, then toward the earliest evaluation. The reported
+    estimate is the functional value at the reported argmax, recomputable
+    exactly.
     """
     rounds = config.refine_rounds
 
@@ -245,48 +245,37 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
             return  # anchored or symmetric: refinement would only tie
         span = math.log(4.0)
         if best_iv.a == 0.0 or best_iv.b == 0.0:
-            sign = 1.0 if best_iv.b > 0.0 else -1.0
-            t0 = max(abs(best_iv.a), abs(best_iv.b))
+            t0 = best_iv.b or best_iv.a  # the far endpoint, signed
 
             def along(logt: float) -> float:
-                t = math.exp(logt)
-                iv = Interval(0.0, t) if sign > 0 else Interval(-t, 0.0)
-                return scored(iv)
+                t = math.copysign(math.exp(logt), t0)
+                return scored(Interval(min(0.0, t), max(0.0, t)))
 
-            golden_max(along, math.log(t0) - span, math.log(t0) + span, rounds)
-        elif best_iv.contains_zero():
-            h0 = best_iv.halflength
+            golden_max(along, math.log(abs(t0)) - span, math.log(abs(t0)) + span, rounds)
+            return
+        # the scale about a fixed center, clamped to keep the family; a
+        # symmetric interval (center 0) has no clamp and no offset
+        c0 = (best_iv.a + best_iv.b) / 2.0
+        h0 = best_iv.halflength
+        cap = abs(c0) or math.inf
 
-            def along(logh: float) -> float:
-                h = math.exp(logh)
-                return scored(Interval(-h, h))
+        def along_scale(logh: float) -> float:
+            h = min(math.exp(logh), cap)
+            return scored(Interval(c0 - h, c0 + h))
 
-            golden_max(along, math.log(h0) - span, math.log(h0) + span, rounds)
-        else:
-            c0 = (best_iv.a + best_iv.b) / 2.0
-            h0 = best_iv.halflength
+        golden_max(along_scale, math.log(h0) - span, min(math.log(h0) + span, math.log(cap)),
+                   rounds)
+        best_iv = incumbent()
+        if not (homogeneous or best_iv.contains_zero()):
+            c1 = (best_iv.a + best_iv.b) / 2.0
+            h1 = best_iv.halflength
 
-            def along_scale(logh: float) -> float:
-                h = min(math.exp(logh), abs(c0))  # clamp keeps the family
-                return scored(Interval(c0 - h, c0 + h))
+            def along_offset(logc: float) -> float:
+                c = math.copysign(max(math.exp(logc), h1), c1)
+                return scored(Interval(c - h1, c + h1))
 
-            golden_max(along_scale,
-                        math.log(h0) - span,
-                        min(math.log(h0) + span, math.log(abs(c0))),
-                        rounds)
-            best_iv = incumbent()
-            if not best_iv.contains_zero():
-                c1 = (best_iv.a + best_iv.b) / 2.0
-                h1 = best_iv.halflength
-
-                def along_offset(logc: float) -> float:
-                    c = math.copysign(max(math.exp(logc), h1), c1)
-                    return scored(Interval(c - h1, c + h1))
-
-                golden_max(along_offset,
-                            max(math.log(abs(c1)) - span, math.log(h1)),
-                            math.log(abs(c1)) + span,
-                            rounds)
+            golden_max(along_offset, max(math.log(abs(c1)) - span, math.log(h1)),
+                       math.log(abs(c1)) + span, rounds)
 
     result = _maximize(interval_grid(config) if grid is None else grid,
                        evaluate, refine,

@@ -84,10 +84,6 @@ def _midpoint_complete(diag: tuple[Fraction, ...]) -> ExponentMatrix:
     return tuple(map(tuple, mat))
 
 
-def _negated(mat) -> ExponentMatrix:
-    return tuple(tuple(-e for e in row) for row in mat)
-
-
 @dataclass(frozen=True, eq=False)
 class SymbolicPowerMatrix:
     """Coefficient matrix and exact exponent matrices on R^d, d in {1, 2, 3}.
@@ -188,6 +184,19 @@ class SymbolicPowerMatrix:
             return linalg.adjugate_inverse(self.coeff)
         except OverflowError as exc:
             raise OverflowError(f"coefficient matrix: {exc}") from None
+
+    @cached_property
+    def equilibrated(self) -> "SymbolicPowerMatrix":
+        """S A S, S = diag(2^-(e_i // 2)), a_ii = m 2^e_i (math.frexp; e_i = 0 if
+        a_ii <= 0), built once; the weight itself if S = I. Exact but in the
+        subnormals, it keeps both functionals and |a_ij (A^-1)_ji|."""
+        s = np.array([2.0 ** -(math.frexp(a)[1] // 2) if a > 0 else 1.0
+                      for a in self.coeff.diagonal().real.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = self.coeff * s[:, None] * s
+        if (s == 1.0).all() or not np.isfinite(coeff).all():
+            return self  # S = I, or |a_ij| far above sqrt(a_ii a_jj): not PD
+        return SymbolicPowerMatrix(coeff, self.exponents, self.d)
 
     def scaled(self, factor: float) -> "SymbolicPowerMatrix":
         if not (factor > 0 and math.isfinite(factor)):
@@ -393,25 +402,29 @@ def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:
     W(x)^-1 [i, j] = cof(A, j, i) / det A * prod_f r_f(x)^(-e_ij,f).
     """
     _require_midpoint(w)
+    mats = normalized_exponents(w)
+    neg = {id(e): -e for m in mats for row in m for e in row}  # e_ij, e_ji: one object
     return SymbolicPowerMatrix(
         w.coeff_inverse,
-        tuple(_negated(m) for m in normalized_exponents(w)), w.d)
+        tuple(tuple(tuple(neg[id(e)] for e in row) for row in m) for m in mats), w.d)
 
 
 def a2_upper_bound(w: SymbolicPowerMatrix) -> float:
     """Certified upper bound for the trace A2 functional over the search
     family, for a weight on the line.
 
-    max_ij |a_ij (A^-1)_ji|, that is |a_ij cof_ij(A)| / |det A|, from the
-    weight's correctly rounded inverse, times the sum over all entries of the
-    per-exponent closed-form constants 1/(1 - e_ij^2). Valid for every
-    interval in the search family (anchored, symmetric, origin-free),
-    where each scalar factor obeys its closed-form constant.
+    max_ij |a_ij (A^-1)_ji|, that is |a_ij cof_ij(A)| / |det A|, on the
+    equilibrated weight and its correctly rounded inverse, times the sum
+    over all entries of the per-exponent closed-form constants
+    1/(1 - e_ij^2). Valid for every interval in the search family
+    (anchored, symmetric, origin-free), where each scalar factor obeys its
+    closed-form constant.
     """
     _line(w)
     report = check_a2(w)
     if report.verdict != VERDICT_A2:
         raise NotA2Error(f"a2_upper_bound needs an A2 weight, got {report.verdict}")
-    sup_factor = float((np.abs(w.coeff) * np.abs(w.coeff_inverse.T)).max())
+    eq = w.equilibrated
+    sup_factor = float((np.abs(eq.coeff) * np.abs(eq.coeff_inverse.T)).max())
     return sup_factor * sum(scalar_closed_form_constant(e)
                             for row in normalized_exponents(w)[0] for e in row)

@@ -1,5 +1,6 @@
 """End-to-end tests for the a2w command line interface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -282,9 +283,9 @@ class TestConstantCommand:
         assert payload["estimate"] <= payload["upper_bound"] * (1.0 + 1e-9)
         assert payload["estimate"] >= 0.99 * payload["upper_bound"]
         assert set(payload["argmax"]) == {"a", "b"}
-        # the grid row alone: an anchored argmax of a homogeneous weight
-        # is not refined
-        assert payload["evaluations"] == 99
+        # the row of shapes alone: an anchored argmax of a homogeneous
+        # weight is not refined
+        assert payload["evaluations"] == 50
         assert payload["config"]["grid"] == "default"
 
     def test_matrix_estimate_respects_upper_bound(self, tmp_path, capsys):
@@ -326,18 +327,20 @@ class TestConstantCommand:
                                      "families": INTERVAL_FAMILIES}
 
     def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
-        # Dilation invariance: power matrices, identity Type 2 weights among
-        # them, search the default grid's smallest half-length row alone,
-        # every shape of the grid.
-        for doc in (TWO_BY_TWO, IDENTITY):
+        # Dilation invariance and evenness: power matrices, identity Type 2
+        # weights among them, search each shape of the grid once, mirror
+        # images merged, at half-length 1.
+        for doc, (grid, shapes, rounds) in itertools.product(
+                (TWO_BY_TWO, IDENTITY), (([], 50, 20), (["--grid", "coarse"], 14, 8))):
             code, payload = run_json(
-                capsys, ["constant", write_spec(tmp_path, doc), "--json"])
+                capsys, ["constant", write_spec(tmp_path, doc), "--json", *grid])
             assert code == 0
             assert payload["config"] == {
-                "grid": "default", "centers": 99, "halflengths": 1,
-                "refine_rounds": 20, "families": INTERVAL_FAMILIES}
-            # the grid row alone: the anchored argmax is not refined
-            assert payload["evaluations"] == 99
+                "grid": grid[-1] if grid else "default", "centers": shapes,
+                "halflengths": 1, "refine_rounds": rounds, "families": INTERVAL_FAMILIES}
+            # the row of shapes alone: the anchored argmax is not refined
+            assert payload["evaluations"] == shapes
+            assert payload["argmax"] == {"a": 0.0, "b": 2.0}
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "coarse"]],
@@ -480,6 +483,20 @@ class TestConstantCommand:
         assert payload["estimate"] == pytest.approx(4443472827.94, rel=1e-9)
         assert payload["estimate"] <= payload["upper_bound"]
 
+    @pytest.mark.parametrize("exponents, trace", [(["0", "0"], 2.0), (["1/2", "1/2"], 8 / 3)],
+                             ids=["constant", "scalar-power"])
+    def test_near_singular_coefficient_runs_with_equal_exponents(self, tmp_path, capsys,
+                                                                  exponents, trace):
+        # W = |x|^g A: the trace is 2 / (1 - g^2), but its terms are about
+        # 1e10 and cancel, so the functionals' floors must allow their
+        # rounding (these exited 4, "below its floor")
+        doc = dict(NEAR_SINGULAR, diag_exponents=exponents)
+        for functional, want in (("trace", trace), ("norm", trace / 2.0)):
+            code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc), "--json",
+                                              "--functional", functional])
+            assert code == 0
+            assert payload["estimate"] == pytest.approx(want, rel=1e-5)
+
     @pytest.mark.parametrize("doc", [HUGE, dict(HUGE, coeff=[[1e-300, 0], [0, 1e-300]])],
                              ids=["huge", "tiny"])
     @pytest.mark.parametrize("functional, value", [("trace", 59 / 24), ("norm", 4 / 3)],
@@ -523,15 +540,25 @@ class TestConstantCommand:
             assert captured.err.count("\n") == 1
             assert captured.err.startswith("search failed: OverflowError on ")
 
-    def test_an_inverse_past_the_float_range_is_named(self, tmp_path, capsys):
-        # check calls diag(5e-324, 1) a2; its inverse's entry (0, 0) is 2e323
-        doc = dict(HUGE, coeff=[[5e-324, 0], [0, 1]])
-        code = main(["constant", write_spec(tmp_path, doc)])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == ""
-        assert captured.err == ("search failed: OverflowError: coefficient matrix: "
-                                "inverse entry (0, 0) overflows the float range\n")
+    def test_coefficients_at_the_float_ends_run_as_equilibrated(self, tmp_path, capsys):
+        # check calls both a2; the averages of diag(1.7e308, 1.7e308) |x|^D
+        # and the inverse of diag(5e-324, 1), entry (0, 0) 2e323, leave the
+        # float range, but the search and the bound run on S A S, near the
+        # identity, and print what diag(1e300, 1e300) prints
+        for functional in ("trace", "norm"):
+            _, want = run_json(capsys, ["constant", write_spec(tmp_path, HUGE), "--json",
+                                        "--functional", functional])
+            for coeff in ([[1.7e308, 0], [0, 1.7e308]], [[5e-324, 0], [0, 1]]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, payload = run_json(capsys, [
+                        "constant", write_spec(tmp_path, dict(HUGE, coeff=coeff)), "--json",
+                        "--functional", functional])
+                assert code == 0
+                assert payload["upper_bound"] == want["upper_bound"]
+                assert abs(payload["estimate"] - want["estimate"]) <= 1e-15
+                assert (payload["argmax"], payload["evaluations"]) == (
+                    want["argmax"], want["evaluations"])
 
     def test_each_piece_of_work_runs_once(self, tmp_path, capsys, monkeypatch):
         # one symbolic constant: one grid, one decision (the closed-form

@@ -354,6 +354,13 @@ def _eval_fn(w, functional, config):
     return estimator._symbolic_eval_fn(w, functional, interval_grid(config))
 
 
+def _shape(iv):
+    """The shape [t, 1] at which a power matrix scores iv: reflected so
+    that |a| <= b, then divided by b."""
+    t = iv.b / iv.a if iv.a + iv.b < 0.0 else iv.a / iv.b
+    return Interval(t + 0.0, 1.0)
+
+
 def _grid_cells(config):
     """(config of that one interval, interval) for each grid interval."""
     for c in config.centers:
@@ -402,18 +409,19 @@ class TestStackedGrid:
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_a_failing_check_is_raised_on_its_own_interval(self, monkeypatch, functional):
-        # Both averages on grid interval j shrink to a quarter, which puts
-        # that interval's value below its floor: the scan raises there, and
-        # with the text that interval raises alone.
+        # Both averages on grid interval j (scored at its shape) shrink to
+        # a quarter, which puts that interval's value below its floor: the
+        # scan raises there, and with the text that interval raises alone.
         w = TWO_BY_TWO
         config = estimator.search_config(w)
         j = 7
         one, iv = list(_grid_cells(config))[j]
+        shape = _shape(iv)
         kernel = estimator.integral_abs_pow_stack
 
         def planted(gammas, a, b):
             out = kernel(gammas, a, b)
-            return np.where((a == iv.a) & (b == iv.b), 0.25 * out, out)
+            return np.where((a == shape.a) & (b == shape.b), 0.25 * out, out)
 
         monkeypatch.setattr(estimator, "integral_abs_pow_stack", planted)
         with pytest.raises(NonPositiveInputError) as alone:
@@ -424,12 +432,13 @@ class TestStackedGrid:
         assert str(scan.value) == str(alone.value)
 
     def test_lapack_failure_is_raised_on_its_own_interval(self, monkeypatch):
-        # LAPACK fails on <W> of grid interval j alone; that is the interval
-        # the scan reports, as a ConvergenceError.
+        # LAPACK fails on <W> of grid interval j alone (at its shape, on
+        # the equilibrated weight); that is the interval the scan reports,
+        # as a ConvergenceError.
         w = TWO_BY_TWO
         grid = interval_grid(estimator.search_config(w))
         j = 11
-        target = linalg.as_hermitian(average_symbolic(w, grid[j]))
+        target = linalg.as_hermitian(average_symbolic(w.equilibrated, _shape(grid[j])))
         eigh = np.linalg.eigh
 
         def planted(m):
@@ -522,6 +531,23 @@ class TestFunctionals:
         # trace of a pair that is not (average, inverse average) compatible
         with pytest.raises(NonPositiveInputError):
             a2_functional_trace(np.diag([0.5, 0.5]), np.diag([0.5, 0.5]))
+
+    def test_floors_allow_the_rounding_of_an_ill_conditioned_pair(self):
+        # cond(A) is about 4e10, so near-constant shapes read n and 1 only
+        # to about 4e10 eps; these three once read 1.99999809, 1.99999619
+        # and 1.99999046 for the trace, below a floor of 2 (1 - 1e-9)
+        w = build_type1(np.array([[1.0, 1 - 5e-11], [1 - 5e-11, 1.0]]), ["1/2", "-1/3"])
+        inv = symbolic_inverse(w)
+        for r in (10 ** 8.25, 1e10, 1e12):
+            iv = Interval((r - 1.0) / (r + 1.0), 1.0)
+            pair = average_symbolic(w, iv), average_symbolic(inv, iv)
+            assert a2_functional_trace(*pair) == pytest.approx(2.0, abs=1e-4)
+            assert a2_functional_norm(*pair) == pytest.approx(1.0, abs=1e-4)
+            # beyond the rounding the floors still hold
+            with pytest.raises(NonPositiveInputError, match="below its floor 2"):
+                a2_functional_trace(pair[0], 0.999 * pair[1])
+            with pytest.raises(NonPositiveInputError, match="below its floor 1"):
+                a2_functional_norm(pair[0], 0.999 * pair[1])
 
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(NonPositiveInputError):

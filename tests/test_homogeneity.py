@@ -1,14 +1,15 @@
 """Reference tests for the homogeneity reduction of the searches.
 
 Power matrices (type1 and its cube extensions type1a and type1b) satisfy
-W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so both A2 functionals are
-invariant under dilation. The interval search therefore runs one
-half-length row of its grid, and the cube search one unit cube per
-family; these tests check both against the full searches they replace.
-An identity Type 2 weight is a diagonal power matrix: its dilation
-invariance is checked on the quadrature averages, and its search against
-the full grid of its diagonal twin's closed-form averages, the route the
-estimator runs it on.
+W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), and are even, so both A2
+functionals see only an interval's shape. The interval search therefore
+runs each distinct shape of its grid once, mirror images merged, scored
+at [t, 1] on the equilibrated coefficient, and the cube search one unit
+cube per family; these tests check both against the full searches they
+replace. An identity Type 2 weight is a diagonal power matrix: its
+dilation invariance is checked on the quadrature averages, and its search
+against the full grid of its diagonal twin's closed-form averages, the
+route the estimator runs it on.
 """
 
 import math
@@ -18,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from a2w.estimator import (a2_functional_norm, a2_functional_trace,
-                           average_numeric, average_symbolic, estimate_a2,
-                           search_config)
+from a2w.estimator import (_symbolic_eval_fn, a2_functional_norm,
+                           a2_functional_trace, average_numeric, average_symbolic,
+                           estimate_a2, search_config)
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
                           estimate_a2_cubes)
 from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
@@ -47,6 +48,13 @@ def averages(weight):
     average = average_symbolic if weight.separable else average_type1b
     inverse = symbolic_inverse(weight)
     return lambda region: (average(weight, region), average(inverse, region))
+
+
+def shape(iv):
+    """The shape [t, 1] at which the search scores iv: reflected so that
+    |a| <= b, then divided by b."""
+    t = iv.b / iv.a if iv.a + iv.b < 0.0 else iv.a / iv.b
+    return Interval(t + 0.0, 1.0)
 
 
 def dilate(region, t):
@@ -87,14 +95,16 @@ def test_functionals_are_dilation_invariant(weight, regions):
 @pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY],
                          ids=["w2", "scalar", "identity"])
 def test_one_row_matches_the_full_grid(weight, grid):
+    # the row of shapes at half-length 1 against the whole grid on the
+    # weight as given, refined along the dilation as any weight would be
     config = grid()
     pair = averages(as_type1(weight) if weight is IDENTITY else weight)
     full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
                                config, "trace")
     reduced = estimate_a2(weight, "trace", config)
-    assert search_config(weight, config).halflengths == (min(config.halflengths),)
-    assert reduced.estimate == full.estimate
-    assert reduced.argmax == full.argmax
+    assert search_config(weight, config).halflengths == (1.0,)
+    assert reduced.estimate == pytest.approx(full.estimate, rel=1e-13, abs=0.0)
+    assert shape(reduced.argmax).a == pytest.approx(shape(full.argmax).a, rel=1e-12, abs=0.0)
     assert reduced.evaluations < full.evaluations
 
 
@@ -120,17 +130,26 @@ def test_smallest_halflength_row_holds_every_shape(grid):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_builtin_grids_keep_their_smallest_halflength_row(grid):
-    # the candidate list, in order, of the row that already holds every shape
+def test_builtin_grids_run_each_shape_once(grid):
+    # the shapes of the whole grid with mirror images merged, in order:
+    # symmetric, then |c|/h from 1 (anchored) up, at half-length 1
     config = grid()
+    count = 50 if grid is default_interval_config else 14
+    unsigned = {s if s == "symmetric" else s[1]
+                for s in shapes(config.centers, config.halflengths)}
     for weight in (W2, IDENTITY):
-        assert search_config(weight, config) == replace(
-            config, halflengths=(min(config.halflengths),))
+        rows = search_config(weight, config)
+        assert rows == replace(config, centers=rows.centers, halflengths=(1.0,))
+        assert len(rows.centers) == len(unsigned) == count
+        assert rows.centers[:2] == (0.0, 1.0)
+        assert list(rows.centers[1:]) == sorted(rows.centers[1:])
+        assert {s[1] for s in shapes(rows.centers[1:], (1.0,))} | {"symmetric"} == unsigned
 
 
-def test_every_shape_moves_to_the_smallest_halflength():
-    # [0, 6] is anchored, a shape the h = 1 row lacks: it runs as [0, 2]
-    config = SupSearchConfig(centers=(0.0, 3.0), halflengths=(1.0, 3.0),
+def test_a_user_grid_runs_each_shape_once():
+    # [0, 6] is anchored, a shape the h = 1 row lacks, and [-4, -2] is the
+    # mirror image of [2, 4]: the shapes run as [-1, 1], [0, 2] and [2, 4]
+    config = SupSearchConfig(centers=(0.0, 3.0, -3.0), halflengths=(1.0, 3.0),
                              refine_rounds=0)
     pair = averages(W2)
     full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
@@ -138,9 +157,23 @@ def test_every_shape_moves_to_the_smallest_halflength():
     reduced = estimate_a2(W2, "trace", config)
     assert full.argmax == Interval(0.0, 6.0)
     assert reduced.argmax == Interval(0.0, 2.0)
-    assert reduced.estimate == pytest.approx(full.estimate, rel=1e-12, abs=0.0)
+    assert reduced.estimate == pytest.approx(full.estimate, rel=1e-13, abs=0.0)
     assert reduced.evaluations == 3
+    assert search_config(W2, config).centers == (0.0, 1.0, 3.0)
     assert search_config(W2, search_config(W2, config)) == search_config(W2, config)
+
+
+@pytest.mark.parametrize("functional", ["trace", "norm"])
+def test_an_interval_scores_as_its_mirror_and_its_binary_dilates(functional):
+    # every interval is scored at its shape [t, 1], and t is the same float
+    # for [a, b], [-b, -a] and [2^k a, 2^k b]
+    evaluate = _symbolic_eval_fn(W2, functional, [])
+    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
+    for iv in INTERVALS:
+        value = evaluate(iv)
+        for twin in (Interval(-iv.b, -iv.a), dilate(iv, 2.0 ** -20), dilate(iv, 2.0 ** 30)):
+            assert evaluate(twin) == value
+        assert value == pytest.approx(func(*averages(W2)(iv)), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("weight", [
@@ -179,22 +212,62 @@ ILL_3X3 = build_type1(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0
 def test_homogeneous_search_does_not_refine_along_the_dilation(weight, functional):
     # The value of an anchored or symmetric interval is the value of its
     # whole shape, so the search stops at the grid row, and the estimate
-    # is the grid value of the argmax.
+    # is the value of the argmax's shape on the equilibrated weight.
     result = estimate_a2(weight, functional)
     assert result.argmax.contains_zero()
     assert result.evaluations == len(interval_grid(search_config(weight)))
     twin = as_type1(weight) if weight is IDENTITY else weight
     func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
-    assert result.estimate == func(*averages(twin)(result.argmax))
+    assert result.estimate == func(*averages(twin.equilibrated)(shape(result.argmax)))
 
 
 @pytest.mark.parametrize("functional", ["trace", "norm"])
 def test_origin_free_incumbents_are_still_refined(functional):
-    # [2, 4] changes shape along both refinement directions: 1 grid
-    # interval, then 2 + 4 golden evaluations along the scale and as many
-    # along the offset.
+    # [2, 4] changes shape along its ratio |c|/h, which scale and offset
+    # both move: 1 grid interval, then 2 + 4 golden evaluations along the
+    # scale alone, about the same center.
     config = SupSearchConfig(centers=(3.0,), halflengths=(1.0,), refine_rounds=4)
     result = estimate_a2(W2, functional, config)
-    assert result.evaluations == 13
-    assert result.argmax.a == pytest.approx(0.23165531424364305, rel=1e-12)
-    assert result.argmax.b == pytest.approx(5.455743996736734, rel=1e-12)
+    assert result.evaluations == 7
+    assert result.argmax.a == pytest.approx(0.3879556587534543, rel=1e-12)
+    assert result.argmax.b == pytest.approx(5.612044341246546, rel=1e-12)
+    assert (result.argmax.a + result.argmax.b) / 2.0 == pytest.approx(3.0, rel=1e-15)
+    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
+    assert result.estimate > func(*averages(W2)(Interval(2.0, 4.0)))
+
+
+def mp_norm(weight, iv):
+    """The norm functional of weight on the interval iv, from its closed-form
+    averages at 40 digits (mpmath), with the exact inverse of its float
+    coefficient."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, b = mp.mpf(iv.a), mp.mpf(iv.b)
+        coeff = mp.matrix(weight.coeff.real.tolist())
+        exps = weight.exponents[0]
+
+        def average(m, sign):
+            def power_average(e):
+                s = sign * mp.mpf(e.numerator) / e.denominator + 1
+                ends = b ** s + (-a) ** s if a < 0 else b ** s - a ** s
+                return ends / (s * (b - a))
+            return mp.matrix([[m[i, j] * power_average(exps[i][j]) for j in range(weight.n)]
+                              for i in range(weight.n)])
+
+        low = mp.cholesky(average(coeff, 1))
+        top = max(mp.eigsy(low.T * average(coeff ** -1, -1) * low, eigvals_only=True))
+        return float(top)
+
+
+def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
+    # At half-length 1e-6 <W> of this weight carries diag(h^(g_i/2)) on
+    # both sides, and cond(<W>) grew to about 5e6; at [t, 1] it stays near
+    # cond(A), so the norm keeps its digits on every shape and at the
+    # argmax
+    grid = interval_grid(search_config(ILL_3X3))
+    evaluate = _symbolic_eval_fn(ILL_3X3, "norm", grid)
+    for iv in grid:
+        assert evaluate(iv) == pytest.approx(mp_norm(ILL_3X3, shape(iv)), rel=1e-13, abs=0.0)
+    result = estimate_a2(ILL_3X3, "norm")
+    assert result.estimate == pytest.approx(mp_norm(ILL_3X3, shape(result.argmax)),
+                                            rel=1e-13, abs=0.0)

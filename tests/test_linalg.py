@@ -266,6 +266,22 @@ def test_hermitian_defect_is_relative():
     assert 0.0 < linalg.hermitian_defect(b) < 1e-9
 
 
+def test_a_modulus_past_the_float_range_is_not_self_adjoint():
+    # |1.7e308 + 1.7e308j| and the gap to the adjoint, 3.4e308j, overflow;
+    # on the halved matrix both are finite and the defect is sqrt(2)
+    a = np.array([[1.7e308 + 1.7e308j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.hermitian_defect(a) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            linalg.as_hermitian(a)
+        big = np.array([[1.7e308, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 1.0]])
+        assert np.array_equal(linalg.as_hermitian(big), big)
+        big[1, 0] += 1e306j
+        assert linalg.hermitian_defect(big) == pytest.approx(
+            5e305 / abs(big[0, 1] / 2.0), rel=1e-12)
+
+
 def test_as_hermitian_symmetrizes_within_tol():
     a = np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]])
     h = linalg.as_hermitian(a)

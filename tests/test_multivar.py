@@ -538,8 +538,8 @@ class TestCubeSearch:
                              ids=["type1a", "type1b"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_cube_stack_equals_each_cube_alone(self, monkeypatch, w, functional):
-        # the four family cubes are scored as one stack; each value is the
-        # value of its cube scored alone
+        # the four family cubes are scored as one stack, on the equilibrated
+        # weight; each value is the value of its cube scored alone
         stacks = []
         func = estimator._FUNCTIONALS[functional]
 
@@ -549,11 +549,28 @@ class TestCubeSearch:
 
         monkeypatch.setitem(estimator._FUNCTIONALS, functional, recording)
         estimate_a2_cubes(w, functional)
+        w = w.equilibrated
         average = average_symbolic if w.separable else average_type1b
         cubes = [Cube((c,) * w.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
         (stack,) = stacks
         for cube, value in zip(cubes, stack):
             assert value == func(average(w, cube), average(symbolic_inverse(w), cube))
+
+    @pytest.mark.parametrize("coeff", [[[1.7e308, 0.0], [0.0, 1.7e308]],
+                                       [[5e-324, 0.0], [0.0, 1.0]]],
+                             ids=["float-limit", "subnormal"])
+    @pytest.mark.parametrize("build", [
+        lambda a: build_type1a(a, [(HALF, -HALF), (Fraction(-1, 3), 0)]),
+        lambda a: build_type1b(a, (HALF, -HALF), 2),
+    ], ids=["type1a", "type1b"])
+    def test_float_end_coefficients_run_as_equilibrated(self, coeff, build):
+        # the averages of the first and the inverse of the second leave
+        # the float range; on S A S both run, with the identity's values
+        for functional in ("trace", "norm"):
+            got = estimate_a2_cubes(build(coeff), functional)
+            want = estimate_a2_cubes(build(np.eye(2)), functional)
+            assert got.estimate == pytest.approx(want.estimate, rel=1e-14, abs=0.0)
+            assert got.argmax == want.argmax
 
     def test_failure_is_raised_on_its_own_cube(self, monkeypatch):
         w = build_type1b([[1.0]], (HALF,), 2)

@@ -97,7 +97,8 @@ def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):
     # builder, the decision and the functionals' stacked pair check all
     # call it: 2 outside the search (the builder and the decision, which
     # the closed-form bound reads back from the weight), then one for the
-    # grid's scored stack. The anchored argmax is not refined.
+    # grid's scored stack of 50 shapes. The anchored argmax is not
+    # refined.
     spec = tmp_path / "w2.json"
     spec.write_text(json.dumps({"kind": "type1", "coeff": [[5, 3], [3, 2]],
                                 "diag_exponents": ["1/2", "-2/3"]}))
@@ -115,5 +116,5 @@ def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rc, checks, evaluations, refined = proc.stdout.split()[-4:]
-    assert (int(rc), float(evaluations), float(refined)) == (0, 99, 0)
+    assert (int(rc), float(evaluations), float(refined)) == (0, 50, 0)
     assert float(checks) == 2 + 1

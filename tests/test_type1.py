@@ -64,6 +64,41 @@ class TestBuild:
         with pytest.raises(ValueError):
             TWO_BY_TWO.scaled(-1.0)
 
+    def test_equilibrated_scales_by_powers_of_two(self):
+        # S = diag(2^-k_i), k_i half the binary exponent of a_ii rounded
+        # down: exact, a diagonal in [1/2, 2), the same exponents, and the
+        # weight itself if S = I or if S A S leaves the floats (A is then
+        # far from positive definite). 1e300 = m 2^997, 5e-324 = 2^-1074.
+        w = build_type1(np.array([[1e300, 1e-12], [1e-12, 5e-324]]), ["1/2", "-1/3"])
+        eq = w.equilibrated
+        s = np.array([2.0 ** -498, 2.0 ** 537])
+        assert np.array_equal(eq.coeff, w.coeff * s[:, None] * s)
+        assert all(0.5 <= a < 2.0 for a in eq.coeff.diagonal().real)
+        assert eq.exponents == w.exponents and w.equilibrated is eq
+        for same in (build_type1(np.array([[1.0, 0.5], [0.5, 1.5]]), ["1/2", "0"]),
+                     build_type1_raw(np.array([[0.0, 1.0], [1.0, -4.0]]),
+                                     [["0", "0"], ["0", "0"]]),
+                     build_type1(np.array([[1e300, 3e150], [3e150, 5e-324]]), ["1/2", "0"])):
+            assert same.equilibrated is same
+        # |a_ij (A^-1)_ji| does not change, so neither does the bound
+        a = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
+        assert a.equilibrated is not a
+        sup_factor = float((np.abs(a.coeff) * np.abs(a.coeff_inverse.T)).max())
+        assert a2_upper_bound(a) == sup_factor * sum(
+            scalar_closed_form_constant(e) for row in a.exponents[0] for e in row)
+
+    def test_inverse_negates_each_exponent_object_once(self):
+        # after midpoint completion e_ij and e_ji are one Fraction, and so
+        # are their negations
+        w = build_type1(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.0], [0.5, 0.0, 2.0]]),
+                        ["1/2", "-1/3", "3/4"])
+        inv = symbolic_inverse(w)
+        want = tuple(tuple(tuple(-e for e in row) for row in m) for m in normalized_exponents(w))
+        assert inv.exponents == want
+        mat = inv.exponents[0]
+        assert all(mat[i][j] is mat[j][i] for i in range(3) for j in range(3)
+                   if w.coeff[i, j] != 0)
+
     def test_weight_owns_its_coefficient(self):
         # the cached decision and inverse are of the coefficient as built
         a = np.array([[2, 0], [0, 1]], dtype=complex)
@@ -525,8 +560,9 @@ SCALED_SPECS = [
 @pytest.mark.parametrize("coeff, exps", SCALED_SPECS, ids=["w2", "three-by-three", "complex"])
 def test_coefficient_scale_leaves_estimates_and_bound(coeff, exps, t):
     # both functionals and the bound are invariant under A -> tA; the norm
-    # may drift by LAPACK's internal scaling, and a power of 2 scales every
-    # closed-form trace term exactly
+    # may drift by LAPACK's internal scaling. An even power of 2 shifts
+    # every k_i of the equilibration by one integer, so S A S, and with it
+    # every value, is bit for bit that of t = 1
     a = np.array(coeff, dtype=complex)
 
     def values(s):
@@ -539,4 +575,4 @@ def test_coefficient_scale_leaves_estimates_and_bound(coeff, exps, t):
     assert bound == pytest.approx(bound1, rel=1e-14, abs=0.0)
     assert norm == pytest.approx(norm1, rel=1e-12, abs=0.0)
     if np.frexp(t)[0] == 0.5:
-        assert trace == trace1
+        assert (trace, bound, norm) == (trace1, bound1, norm1)
