@@ -29,7 +29,7 @@ from .estimator import (NonPositiveInputError, a2_functional_norm,
                         estimate_a2)
 from .type2 import (DivergenceRow, Type2Weight, check_local_integrability,
                     check_necessary_a2, decide_a2, decide_rotation_a2,
-                    divergence_experiment, evaluate_type2, fit_loglog_slope,
+                    divergence_experiment, fit_loglog_slope,
                     logspaced_ints)
 from .multivar import (Cube, average_type1b, build_type1a, build_type1b,
                        cube_integral_radial, estimate_a2_cubes)
@@ -54,7 +54,7 @@ __all__ = [
     "average_numeric", "average_symbolic", "estimate_a2",
     "DivergenceRow", "Type2Weight", "check_local_integrability",
     "check_necessary_a2", "decide_a2", "decide_rotation_a2",
-    "divergence_experiment", "evaluate_type2", "fit_loglog_slope",
+    "divergence_experiment", "fit_loglog_slope",
     "logspaced_ints",
     "Cube", "average_type1b", "build_type1a", "build_type1b",
     "cube_integral_radial", "estimate_a2_cubes",

@@ -7,8 +7,8 @@ Gauss-Jordan on its floats read as Gaussian integers over one power of 2
 is_positive_definite, lu_det, cofactor and adjugate_inverse
 take their minors, determinants and inverses from it, correctly rounded,
 so a matrix is singular only when its determinant is exactly 0.
-elim_inverse and leibniz_det, the float routes the verify suites compare
-against, stay on numpy rows. The one eigensolver, eigh_stack, is LAPACK's
+elim_inverse, the float route the verify suites compare against, stays
+on numpy rows. The one eigensolver, eigh_stack, is LAPACK's
 numpy.linalg.eigh on one matrix or a stack (..., n, n); _psd_eigh holds
 its PSD clamp (eigenvalues just below 0 clamp to 0, lower ones raise).
 as_hermitian and hermitian_defect take one matrix or a stack. Repeat runs
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 import math
 import sys
 
@@ -36,8 +35,6 @@ __all__ = [
     "as_square",
     "as_hermitian",
     "hermitian_defect",
-    "permutation_sign",
-    "leibniz_det",
     "lu_det",
     "elim_inverse",
     "cofactor",
@@ -140,46 +137,6 @@ def _symmetrized(a: np.ndarray, adj: np.ndarray | None = None,
         # halved exactly; adding them commutes, so h stays self-adjoint
         h[over] = a[over] / 2.0 + adj[over] / 2.0
     return h
-
-
-def permutation_sign(images: tuple[int, ...]) -> int:
-    """Sign of a permutation given as a tuple of images of 0..n-1.
-
-    Computed from the cycle decomposition: sign = (-1)^(n - #cycles).
-    """
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-    return 1 if (n - cycles) % 2 == 0 else -1
-
-
-def leibniz_det(m) -> complex:
-    """Determinant by full permutation expansion, terms in lexicographic order.
-
-    Exponentially slow by design; serves as the auditable counterpart to
-    lu_det. Rejects matrices of order above MAX_ORDER.
-    """
-    a = as_square(m)
-    n = a.shape[0]
-    if n > MAX_ORDER:
-        raise ValueError(f"permutation expansion limited to order {MAX_ORDER}")
-    total = 0j
-    for perm in permutations(range(n)):
-        term = complex(permutation_sign(perm))
-        for i in range(n):
-            term *= a[i, perm[i]]
-        total += term
-    return total
 
 
 def _scaled(a: np.ndarray) -> tuple[list[list[int]], list[list[int]], int]:

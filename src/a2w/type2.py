@@ -3,7 +3,8 @@
 The unitary factor is one of three built-in families: the identity (plain
 diagonal weights), a one-parameter planar rotation, and a 3D rotation
 assembled as the product of the three basic axis rotations, each at angle
-x. Entry values never need the assembled matrix:
+x. unitary_stack gives U(x) and as_pointwise gives W(x), each on a stack
+of points; entry values never need the assembled matrix:
 w_ij(x) = sum_k a_k |x|^(g_k) u_ik(x) conj(u_jk(x)).
 
 An identity weight is the diagonal Type 1 power matrix with coefficients
@@ -33,17 +34,13 @@ from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
                      VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                      VERDICT_WEIGHT_OK)
 from .scalar_power import format_rational
-from .type1 import (EvaluationAtOriginError, SymbolicPowerMatrix, _exponent_range_report,
-                    build_type1)
+from .type1 import SymbolicPowerMatrix, _exponent_range_report, build_type1
 
 __all__ = [
     "UNITARY_FAMILIES",
     "Type2Weight",
     "as_type1",
-    "rotation2d",
-    "rotation3d_euler",
     "unitary_stack",
-    "evaluate_type2",
     "as_pointwise",
     "inverse_weight",
     "pair_pointwise",
@@ -108,27 +105,6 @@ def as_type1(w: Type2Weight) -> SymbolicPowerMatrix:
     return build_type1(np.diag(w.alphas), w.gammas)
 
 
-def rotation2d(x: float) -> np.ndarray:
-    c, s = math.cos(x), math.sin(x)
-    return np.array([[c, -s], [s, c]])
-
-
-def _basic_rotations(x):
-    c, s = np.cos(x), np.sin(x)
-    one = np.ones_like(c)
-    zero = np.zeros_like(c)
-    rx = np.array([[one, zero, zero], [zero, c, s], [zero, -s, c]])
-    ry = np.array([[c, zero, -s], [zero, one, zero], [s, zero, c]])
-    rz = np.array([[c, s, zero], [-s, c, zero], [zero, zero, one]])
-    return rx, ry, rz
-
-
-def rotation3d_euler(x: float) -> np.ndarray:
-    """Product of the three basic axis rotations, each at angle x."""
-    rx, ry, rz = _basic_rotations(np.asarray(x, dtype=float))
-    return rx @ ry @ rz
-
-
 def unitary_stack(family: str, n: int, xs: np.ndarray) -> np.ndarray:
     """U(x) for every x in xs, shaped (n, n, len(xs))."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -137,22 +113,17 @@ def unitary_stack(family: str, n: int, xs: np.ndarray) -> np.ndarray:
         for k in range(n):
             out[k, k, :] = 1.0
         return out
+    c, s = np.cos(xs), np.sin(xs)
     if family == "rotation2d":
-        c, s = np.cos(xs), np.sin(xs)
         return np.array([[c, -s], [s, c]])
     if family == "rotation3d_euler":
-        rx, ry, rz = _basic_rotations(xs)
+        # the product of the three basic axis rotations, each at angle x
+        one, zero = np.ones_like(c), np.zeros_like(c)
+        rx = np.array([[one, zero, zero], [zero, c, s], [zero, -s, c]])
+        ry = np.array([[c, zero, -s], [zero, one, zero], [s, zero, c]])
+        rz = np.array([[c, s, zero], [-s, c, zero], [zero, zero, one]])
         return np.einsum("ijN,jkN,klN->ilN", rx, ry, rz)
     raise ValueError(f"unknown unitary family {family!r}")
-
-
-def evaluate_type2(w: Type2Weight, x: float) -> np.ndarray:
-    """Pointwise value via the assembled unitary: U diag U*."""
-    if x == 0.0 and any(g < 0 for g in w.gammas):
-        raise EvaluationAtOriginError("evaluation at the origin")
-    u = unitary_stack(w.unitary, w.n, np.array([x]))[:, :, 0]
-    diag = np.diag([a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas)])
-    return u @ diag @ u.conj().T
 
 
 def _pointwise(*weights: Type2Weight) -> PointwiseMatrixFunction:

@@ -2,9 +2,9 @@
 numeric oracle.
 
 Each property draws seeded random cases and compares two routes to the
-same quantity (permutation expansion vs elimination, symbolic formulas vs
-pointwise numerics, assembled matrices vs eigenvalue data). The CLI's
-verify command runs these and reports one pass/fail line per property.
+same quantity (symbolic formulas vs pointwise numerics, assembled
+matrices vs eigenvalue data). The CLI's verify command runs these and
+reports one pass/fail line per property.
 """
 
 from __future__ import annotations
@@ -90,16 +90,6 @@ def random_cube(rng: np.random.Generator, d: int) -> multivar.Cube:
 
 
 # ---------------------------------------------------------------- linalg
-
-
-def _prop_leibniz_vs_lu(rng, trials):
-    for t in range(trials):
-        n = int(rng.integers(2, 6))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lhs, rhs = linalg.leibniz_det(m), linalg.lu_det(m)
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
-            return False, f"trial {t}: dets {lhs} vs {rhs} (n={n})"
-    return True, ""
 
 
 def _prop_adjugate_inverse(rng, trials):
@@ -253,7 +243,7 @@ def _prop_trace_identity(rng, trials):
     for t in range(trials):
         w = _random_type2(rng)
         x = random_point(rng)
-        lhs = float(np.trace(type2.evaluate_type2(w, x)).real)
+        lhs = float(np.trace(type2.as_pointwise(w).values(x)[:, :, 0]).real)
         rhs = sum(a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas))
         if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1e-300):
             return False, f"trial {t}: trace {lhs} vs eigen sum {rhs}"
@@ -276,7 +266,7 @@ def _prop_eigen_multiset(rng, trials):
     for t in range(trials):
         w = _random_type2(rng)
         x = random_point(rng)
-        vals, _ = linalg.sym_eigen(type2.evaluate_type2(w, x))
+        vals, _ = linalg.sym_eigen(type2.as_pointwise(w).values(x)[:, :, 0])
         want = np.sort([a * abs(x) ** float(g)
                         for a, g in zip(w.alphas, w.gammas)])
         err = _rel_err(vals, want)
@@ -290,7 +280,7 @@ def _prop_entry_bound(rng, trials):
         w = _random_type2(rng)
         x = random_point(rng)
         cap = sum(a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas))
-        mat = type2.evaluate_type2(w, x)
+        mat = type2.as_pointwise(w).values(x)[:, :, 0]
         worst = float(np.max(np.abs(mat)))
         if worst > cap * (1.0 + 1e-12):
             return False, f"trial {t}: entry {worst} exceeds bound {cap}"
@@ -426,7 +416,6 @@ def _prop_cube_sandwich(rng, trials):
 
 _SUITES = {
     "linalg": (
-        ("leibniz-vs-lu-determinant", _prop_leibniz_vs_lu),
         ("adjugate-inverse-identity", _prop_adjugate_inverse),
         ("positive-definite-dual-route", _prop_pd_dual_route),
         ("sqrt-squares-to-input", _prop_sqrt_squares),

@@ -27,9 +27,8 @@ from a2w.search import Interval, coarse_interval_config
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, evaluate, symbolic_det,
                        symbolic_inverse)
-from a2w.type2 import (Type2Weight, as_pointwise, evaluate_type2,
-                       inverse_weight, logspaced_ints, rotation2d,
-                       rotation3d_euler)
+from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
+                       logspaced_ints, unitary_stack)
 from a2w.verify import random_interval, random_point, random_type1_weight
 
 HALF = Fraction(1, 2)
@@ -173,8 +172,8 @@ def test_criterion_07_structural_identities_of_rotation_weights():
     for w in weights:
         xs = rng.choice([-1.0, 1.0], size=100) * 10.0 ** rng.uniform(
             -3.0, 2.0, size=100)
-        for x in xs:
-            m = evaluate_type2(w, float(x))
+        values = np.moveaxis(as_pointwise(w).values(xs), -1, 0)
+        for x, m in zip(xs, values):
             expect = sum(a * abs(x) ** float(g)
                          for a, g in zip(w.alphas, w.gammas))
             assert abs(float(np.trace(m)) - expect) <= 1e-10
@@ -184,8 +183,8 @@ def test_criterion_07_structural_identities_of_rotation_weights():
             assert np.allclose(got, want, rtol=1e-9, atol=1e-13)
 
     xs = rng.uniform(-40.0, 40.0, size=100)
-    for x in xs:
-        for u, n in ((rotation2d(float(x)), 2), (rotation3d_euler(float(x)), 3)):
+    for family, n in (("rotation2d", 2), ("rotation3d_euler", 3)):
+        for u in np.moveaxis(unitary_stack(family, n, xs), -1, 0):
             assert float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) <= 1e-12
 
 

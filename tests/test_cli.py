@@ -690,7 +690,7 @@ class TestVerifyCommand:
         assert code == 0
         assert payload["command"] == "verify"
         assert payload["seed"] == 1234
-        assert len(payload["results"]) == 5
+        assert len(payload["results"]) == 4
         assert all(r["passed"] for r in payload["results"])
         assert all(r["module"] == "linalg" for r in payload["results"])
 
@@ -699,6 +699,7 @@ class TestVerifyCommand:
         code, payload = run_json(
             capsys, ["verify", "--json", "--module", "all", "--seed", str(seed)])
         assert code == 0
+        assert len(payload["results"]) == 19
         failed = [r for r in payload["results"] if not r["passed"]]
         assert failed == []
 

@@ -348,6 +348,60 @@ class TestRotationMoments:
         assert result.estimate == pytest.approx(tight, rel=1e-8)
 
 
+def _euler_rotation(x):
+    """rotation3d_euler's U(x), written out: the product of the three axis
+    rotations at angle x."""
+    c, s = math.cos(x), math.sin(x)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+    ry = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    rz = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return rx @ ry @ rz
+
+
+def _rotation_limit(w, functional):
+    """The functional's limit on [0, L] as L -> infinity, F(c_0, c_0')/(1 - g^2),
+    with c_0 and c_0' the means of U D U* and U D^-1 U* over a period.
+
+    For rotation2d both means are multiples of I, so the trace is
+    (a_1 + a_2)(1/a_1 + 1/a_2) / (2(1 - g^2)) and the norm half of it. For
+    rotation3d_euler, U D U* has degree 6, so its mean over 16 equispaced
+    points of a period is exact."""
+    g = float(w.gammas[0])
+    if w.unitary == "rotation2d":
+        (a1, a2), scale = w.alphas, 2.0 if functional == "trace" else 4.0
+        return (a1 + a2) * (1.0 / a1 + 1.0 / a2) / (scale * (1.0 - g * g))
+    us = [_euler_rotation(2.0 * math.pi * k / 16) for k in range(16)]
+    c0, c0_inv = (sum(u @ np.diag(d) @ u.T for u in us) / 16
+                  for d in (np.array(w.alphas), 1.0 / np.array(w.alphas)))
+    product = c0 @ c0_inv
+    top = np.trace(product) if functional == "trace" else np.linalg.eigvals(product).real.max()
+    return top / (1.0 - g * g)
+
+
+class TestRotationLimits:
+    """A rotation with one exponent on [0, L]: as L grows, its averages
+    tend to L^g c_0 / (1 + g) and L^-g c_0' / (1 - g), so the functional
+    tends to a target that shares no code with the closed-form route."""
+
+    @pytest.mark.parametrize("w, functional, cap", [
+        (ROTATION_39, "trace", 1e-6),
+        (ROTATION_39, "norm", 1e-4),
+        (Type2Weight((1.0, 4.0), ("-1/2", "-1/2"), "rotation2d"), "trace", 1e-6),
+        (Type2Weight((1.0, 4.0), ("-1/2", "-1/2"), "rotation2d"), "norm", 1e-4),
+        (Type2Weight((1.0, 2.0, 5.0), ("1/3",) * 3, "rotation3d_euler"), "trace", 1e-6),
+        (Type2Weight((1.0, 2.0, 5.0), ("1/3",) * 3, "rotation3d_euler"), "norm", 1e-4),
+    ], ids=["rotation2d-trace", "rotation2d-norm", "negative-g-trace", "negative-g-norm",
+            "rotation3d-trace", "rotation3d-norm"])
+    def test_long_anchored_intervals_tend_to_the_limit(self, w, functional, cap):
+        target = _rotation_limit(w, functional)
+        evaluate = estimator._type2_eval_fn(w, functional, [])
+        errors = [abs(evaluate(Interval(0.0, 10.0 ** k)) - target) / target
+                  for k in range(2, 9)]
+        # each decade of L shrinks the error, until it reaches rounding
+        assert all(b < a or b < 1e-13 for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] <= cap, errors
+
+
 def _eval_fn(w, functional, config):
     if isinstance(w, Type2Weight):
         return estimator._type2_eval_fn(w, functional, interval_grid(config))

@@ -1,11 +1,15 @@
 """Smoke tests: the gallery scripts and the benchmark tracer run against the
-current package API."""
+current package API, and every name the package exports resolves."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import a2w
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +52,16 @@ def test_divergence_sweep_few_points():
     rows = [line.split() for line in lines[2:]]
     assert len(rows) == 6
     assert all(float(r[2]) > 0.0 for r in rows)
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name behind in an __all__ fails here
+    modules = [a2w] + [importlib.import_module(f"a2w.{m.name}")
+                       for m in pkgutil.iter_modules(a2w.__path__)]
+    assert len(modules) == 12
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -14,20 +14,35 @@ from a2w.quadrature import adaptive_quad
 from a2w.report import (VERDICT_A2, VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
                         VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
                         VERDICT_WEIGHT_OK)
-from a2w.type1 import EvaluationAtOriginError, evaluate
+from a2w.type1 import evaluate
 from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise, as_type1,
                        check_local_integrability, check_necessary_a2,
                        decide_a2, decide_rotation_a2, divergence_experiment,
-                       evaluate_type2, fit_loglog_slope, fourier_coefficients,
+                       fit_loglog_slope, fourier_coefficients,
                        fourier_power_moments, inverse_weight,
-                       logspaced_ints, rotation2d, rotation3d_euler,
-                       unitary_stack)
+                       logspaced_ints, unitary_stack)
 
 HALF = Fraction(1, 2)
 
 
 def planar(g1, g2, a1=1.0, a2=1.0):
     return Type2Weight((a1, a2), (Fraction(g1), Fraction(g2)), "rotation2d")
+
+
+def planar_by_hand(w, x):
+    """A planar weight at x, written out from cos x and sin x."""
+    d1, d2 = (a * abs(x) ** float(g) for a, g in zip(w.alphas, w.gammas))
+    c, s = math.cos(x), math.sin(x)
+    return np.array([[c * c * d1 + s * s * d2, (d1 - d2) * s * c],
+                     [(d1 - d2) * s * c, s * s * d1 + c * c * d2]])
+
+
+def stack_of_points(values):
+    """A matrix function's values, shaped (n, n, N), as N matrices."""
+    return np.moveaxis(values, -1, 0)
+
+
+points = st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=20)
 
 
 class TestConstruction:
@@ -45,9 +60,9 @@ class TestConstruction:
         w = Type2Weight((2.0, 0.5, 3.0), (HALF, Fraction(-1, 3), 0))
         twin = as_type1(w)
         assert twin.exponents[0][0][1] == Fraction(1, 12)
-        for x in (-3.5, 0.25, 7.0):
-            assert np.allclose(evaluate(twin, x), evaluate_type2(w, x),
-                               rtol=1e-15, atol=0.0)
+        xs = np.array([-3.5, 0.25, 7.0])
+        for x, got in zip(xs, stack_of_points(as_pointwise(w).values(xs))):
+            assert np.allclose(evaluate(twin, x), got, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("unitary, n", [("rotation2d", 2),
                                             ("rotation3d_euler", 3)])
@@ -85,24 +100,32 @@ class TestConstruction:
 
 
 class TestUnitaries:
-    @given(st.floats(-20.0, 20.0, allow_nan=False))
-    def test_rotation2d_orthogonal(self, x):
-        u = rotation2d(x)
-        assert np.max(np.abs(u @ u.T - np.eye(2))) < 1e-12
+    @given(points)
+    def test_rotation2d_orthogonal(self, xs):
+        for u in stack_of_points(unitary_stack("rotation2d", 2, xs)):
+            assert np.max(np.abs(u @ u.T - np.eye(2))) < 1e-12
 
-    @given(st.floats(-20.0, 20.0, allow_nan=False))
-    def test_rotation3d_orthogonal(self, x):
-        u = rotation3d_euler(x)
-        assert np.max(np.abs(u @ u.T - np.eye(3))) < 1e-12
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    @given(points)
+    def test_rotation3d_orthogonal(self, xs):
+        for u in stack_of_points(unitary_stack("rotation3d_euler", 3, xs)):
+            assert np.max(np.abs(u @ u.T - np.eye(3))) < 1e-12
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
     def test_stack_matches_single_evaluations(self):
-        xs = np.linspace(-3.0, 7.0, 11)
+        # entries written out at points where they are known exactly
+        xs = np.concatenate([[0.0, math.pi / 2, math.pi], np.linspace(-3.0, 7.0, 11)])
         stack2 = unitary_stack("rotation2d", 2, xs)
         stack3 = unitary_stack("rotation3d_euler", 3, xs)
+        assert np.array_equal(stack2[:, :, 0], np.eye(2))
+        assert np.array_equal(stack3[:, :, 0], np.eye(3))
+        # at pi/2 each axis rotation is a signed permutation, and so is the
+        # product; at pi each is diagonal with entries +-1 and the product is I
+        assert np.allclose(stack3[:, :, 1], [[0, 0, -1], [0, 1, 0], [1, 0, 0]],
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(stack3[:, :, 2], np.eye(3), rtol=0.0, atol=1e-14)
         for k, x in enumerate(xs):
-            assert np.allclose(stack2[:, :, k], rotation2d(x), atol=1e-14)
-            assert np.allclose(stack3[:, :, k], rotation3d_euler(x), atol=1e-14)
+            c, s = math.cos(x), math.sin(x)
+            assert np.allclose(stack2[:, :, k], [[c, -s], [s, c]], atol=1e-14)
 
     def test_identity_stack(self):
         xs = np.array([0.3, 1.7])
@@ -118,40 +141,30 @@ class TestUnitaries:
 class TestEvaluation:
     def test_planar_entries_match_hand_formula(self):
         w = planar(HALF, -Fraction(1, 3), a1=2.0, a2=5.0)
-        for x in (0.37, -1.9, 4.0):
-            d1 = 2.0 * abs(x) ** 0.5
-            d2 = 5.0 * abs(x) ** (-1.0 / 3.0)
-            c, s = math.cos(x), math.sin(x)
-            expect = np.array([
-                [c * c * d1 + s * s * d2, (d1 - d2) * s * c],
-                [(d1 - d2) * s * c, s * s * d1 + c * c * d2],
-            ])
-            assert np.allclose(evaluate_type2(w, x), expect, rtol=1e-13)
-
-    def test_origin_rejected_for_negative_exponent(self):
-        w = planar(-HALF, HALF)
-        with pytest.raises(EvaluationAtOriginError):
-            evaluate_type2(w, 0.0)
+        xs = np.array([0.37, -1.9, 4.0])
+        for x, got in zip(xs, stack_of_points(as_pointwise(w).values(xs))):
+            assert np.allclose(got, planar_by_hand(w, x), rtol=1e-13)
 
     def test_origin_fine_for_nonnegative_exponents(self):
         w = planar(0, HALF)
-        val = evaluate_type2(w, 0.0)
+        val = as_pointwise(w).values(0.0)[:, :, 0]
         assert np.allclose(val, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_trace_is_unitarily_invariant(self, rng):
         w = Type2Weight((1.0, 2.0, 0.5),
                         (HALF, -Fraction(1, 4), Fraction(3, 4)),
                         "rotation3d_euler")
-        for x in rng.uniform(0.01, 50.0, size=25):
-            got = np.trace(evaluate_type2(w, x))
+        xs = rng.uniform(0.01, 50.0, size=25)
+        for x, got in zip(xs, np.trace(as_pointwise(w).values(xs))):
             expect = sum(a * abs(x) ** float(g)
                          for a, g in zip(w.alphas, w.gammas))
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
     def test_eigenvalues_are_the_diagonal_profile(self, rng):
         w = Type2Weight((3.0, 1.0, 2.0), (HALF, 0, -HALF), "rotation3d_euler")
-        for x in rng.uniform(0.05, 20.0, size=25):
-            got = np.linalg.eigvalsh(evaluate_type2(w, x))
+        xs = rng.uniform(0.05, 20.0, size=25)
+        values = stack_of_points(as_pointwise(w).values(xs))
+        for x, got in zip(xs, np.linalg.eigvalsh(values)):
             expect = np.sort([a * abs(x) ** float(g)
                               for a, g in zip(w.alphas, w.gammas)])
             assert np.allclose(got, expect, rtol=1e-9)
@@ -159,11 +172,14 @@ class TestEvaluation:
     def test_entry_function_matches_assembled_matrix(self):
         w = Type2Weight((1.0, 4.0, 0.25), (0, HALF, -HALF), "rotation3d_euler")
         xs = np.linspace(0.2, 9.0, 40)
+        vals = as_pointwise(w).values(xs)
+        u = stack_of_points(unitary_stack("rotation3d_euler", 3, xs))
+        d = np.array([[a * x ** float(g) for a, g in zip(w.alphas, w.gammas)]
+                      for x in xs])
+        direct = np.moveaxis(u @ (d[:, :, None] * u.conj().swapaxes(1, 2)), 0, -1)
         for i in range(3):
             for j in range(3):
-                vals = as_pointwise(w).values(xs)[i, j]
-                direct = np.array([evaluate_type2(w, x)[i, j] for x in xs])
-                assert np.allclose(vals, direct, rtol=1e-12, atol=1e-14)
+                assert np.allclose(vals[i, j], direct[i, j], rtol=1e-12, atol=1e-14)
 
 
 class TestProfilesAndInverse:
@@ -174,10 +190,10 @@ class TestProfilesAndInverse:
         assert pw.exponents == (w.gammas,)
         assert pw.singular_exponent == -HALF
         xs = np.array([0.7, 3.0])
+        direct = np.stack([planar_by_hand(w, x) for x in xs], axis=-1)
         for i in range(2):
             for j in range(2):
-                assert np.allclose(pw.values(xs)[i, j],
-                                   [evaluate_type2(w, x)[i, j] for x in xs])
+                assert np.allclose(pw.values(xs)[i, j], direct[i, j])
 
     def test_inverse_weight_swaps_data(self):
         w = planar(HALF, -Fraction(1, 4), a1=2.0, a2=5.0)
@@ -188,8 +204,10 @@ class TestProfilesAndInverse:
 
     def test_inverse_is_pointwise_matrix_inverse(self):
         w = Type2Weight((1.0, 3.0, 0.5), (HALF, 0, -HALF), "rotation3d_euler")
-        for x in (0.3, 1.2, 8.0):
-            prod = evaluate_type2(w, x) @ evaluate_type2(inverse_weight(w), x)
+        xs = np.array([0.3, 1.2, 8.0])
+        fwd = stack_of_points(as_pointwise(w).values(xs))
+        bwd = stack_of_points(as_pointwise(inverse_weight(w)).values(xs))
+        for prod in fwd @ bwd:
             assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
     def test_inverse_weight_as_pointwise(self):
@@ -198,7 +216,7 @@ class TestProfilesAndInverse:
         assert pw.singular_exponent == -HALF
         xs = np.array([0.9])
         assert np.allclose(pw.values(xs)[0, 0],
-                           evaluate_type2(inverse_weight(w), 0.9)[0, 0])
+                           planar_by_hand(inverse_weight(w), 0.9)[0, 0])
 
     def test_inverse_requires_positive_coefficients(self):
         w = planar(0, HALF, a1=-1.0)
