@@ -33,7 +33,7 @@ from .estimator import NonPositiveInputError, estimate_a2
 from .linalg import (ConvergenceError, NegativeEigenvalueError,
                      SingularMatrixError)
 from .quadrature import QuadratureBudgetError
-from .report import A2Report, VERDICT_A2
+from .report import VERDICT_A2
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
 from .search import (FAMILIES, SearchError, coarse_interval_config,
@@ -247,12 +247,6 @@ def _read_spec(path: str):
     return load_weight_spec(doc)
 
 
-def _decide(weight) -> A2Report:
-    if isinstance(weight, type2.Type2Weight):
-        return type2.decide_a2(weight)
-    return type1.check_a2(weight)
-
-
 def _emit(args, payload: dict, lines: list[str], elapsed: float) -> None:
     """Print the command's result: with --json the payload, plus the command
     and version, as one sorted JSON document; otherwise the header, the text
@@ -268,21 +262,11 @@ def _emit(args, payload: dict, lines: list[str], elapsed: float) -> None:
         print(line)
 
 
-def _reasons(report: A2Report) -> str:
-    reasons = "; ".join(f.detail for f in report.findings)
-    return f" ({reasons})" if reasons else ""
-
-
-def _human_verdict(report: A2Report) -> str:
-    if report.verdict == VERDICT_A2:
-        return "A2: yes"
-    return f"A2: no [{report.verdict}]{_reasons(report)}"
-
-
 def cmd_check(args) -> int:
     weight, echo = _read_spec(args.spec)
     t0 = time.perf_counter()
-    report = _decide(weight)
+    report = (type2.decide_a2(weight) if isinstance(weight, type2.Type2Weight)
+              else type1.check_a2(weight))
     elapsed = time.perf_counter() - t0
     lines = [f"kind: {echo['kind']} (n = {echo['n']})"]
     lines += [f"{key}: {json.dumps(echo[key])}"
@@ -295,7 +279,8 @@ def cmd_check(args) -> int:
     if report.witness is not None:
         lines.append(f"  witness: x = {report.witness!r}")
     lines += [f"  note: {note}" for note in report.notes]
-    lines.append(_human_verdict(report))
+    lines.append("A2: yes" if report.verdict == VERDICT_A2
+                 else f"A2: no [{report.verdict}]{report.reasons}")
     _emit(args, {"seed": None, "spec": echo, "report": report.to_payload()},
           lines, elapsed)
     return _EXIT_OK
@@ -308,10 +293,6 @@ _GRIDS = {"fine": default_interval_config, "coarse": coarse_interval_config}
 
 def cmd_constant(args) -> int:
     weight, echo = _read_spec(args.spec)
-    report = _decide(weight)
-    if report.verdict != VERDICT_A2:
-        raise NotA2Error(report.verdict + _reasons(report))
-
     t0 = time.perf_counter()
     symbolic = isinstance(weight, SymbolicPowerMatrix)
     cubes = symbolic and weight.d > 1
@@ -340,7 +321,7 @@ def cmd_constant(args) -> int:
              f"estimate (searched lower bound): {result.estimate!r}",
              f"argmax: {argmax}", f"evaluations: {result.evaluations}"]
     if symbolic and not cubes:
-        # The weight was decided A2 above, so the bound exists.
+        # estimate_a2 decided the weight A2, so the bound exists.
         bound = payload["upper_bound"] = float(type1.a2_upper_bound(weight))
         lines.append(f"closed-form upper bound (search families): {bound!r}")
     _emit(args, payload, lines, elapsed)
@@ -353,9 +334,9 @@ def cmd_divergence(args) -> int:
     if not (Fraction(-1) < g1 < g2 < Fraction(1)):
         raise SchemaError("invalid exponents: need -1 < gamma1 < gamma2 < 1 "
                           f"(got {format_rational(g1)}, {format_rational(g2)})")
-    if args.points < 2 or args.n_min < 1 or args.n_max < args.n_min:
+    if args.points < 2 or args.n_min < 1 or args.n_max <= args.n_min:
         raise SchemaError("invalid sweep: need points >= 2 and "
-                          "1 <= n-min <= n-max")
+                          "1 <= n-min < n-max")
 
     ns = type2.logspaced_ints(args.n_min, args.n_max, args.points)
     t0 = time.perf_counter()

@@ -24,15 +24,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
-from .report import VERDICT_A2
-from .scalar_power import (NotA2Error, NotIntegrableError, integral_abs_pow,
-                           integral_abs_pow_stack)
+from .scalar_power import NotIntegrableError, integral_abs_pow, integral_abs_pow_stack
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
@@ -139,7 +136,7 @@ def average_symbolic(w: SymbolicPowerMatrix, region) -> np.ndarray:
 
 
 def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
-                    tol: float = 1e-8, panel_budget: int = 20000) -> np.ndarray:
+                    tol: float = 1e-8) -> np.ndarray:
     """<W>_I from one matrix-valued panel tree, shaped (n, n); for a stack
     of m matrices (such as type2.pair_pointwise's W and W^-1) the m
     averages from one shared tree, shaped (m, n, n).
@@ -148,9 +145,8 @@ def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
     relative control; off-diagonal entries can cancel, so their tolerance
     is anchored to the largest diagonal mass of their own matrix (the
     natural matrix scale) plus their own, instead of an absolute floor.
-    panel_budget bounds the whole tree.
     """
-    return matrix_quad(pmf, iv.a, iv.b, tol, panel_budget) / iv.length
+    return matrix_quad(pmf, iv.a, iv.b, tol) / iv.length
 
 
 def _checked_pair(avg_w, avg_winv) -> np.ndarray:
@@ -182,6 +178,9 @@ def _values(val: np.ndarray):
     return float(val) if val.ndim == 0 else val
 
 
+# A value past the float range comes back as inf, which the search reports on
+# its interval; numpy's overflow warning would only add a second report.
+@np.errstate(over="ignore", invalid="ignore")
 def a2_functional_trace(avg_w, avg_winv):
     """Tr(<W> <W^-1>); bounded below by the dimension for true averages.
 
@@ -202,6 +201,7 @@ def a2_functional_trace(avg_w, avg_winv):
     return _values(val)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def a2_functional_norm(avg_w, avg_winv):
     """||<W>^(1/2) <W^-1>^(1/2)||^2, the matrix A2 product for one interval.
 
@@ -261,12 +261,6 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interv
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
-    flat = [e for row in type1.normalized_exponents(w)[0] for e in row]
-    bad = [e for e in flat if not (Fraction(-1) < e < Fraction(1))]
-    if bad:
-        raise NotIntegrableError(
-            "symbolic estimation needs every exponent in (-1, 1); "
-            f"got {sorted(set(bad))}")
     w = w.equilibrated
     table = _term_table((w, type1.symbolic_inverse(w)))
     func = _FUNCTIONALS[functional]
@@ -296,7 +290,11 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     x, so (W, W^-1) is integrated there by one 20-point Gauss-Legendre
     rule instead; the integrand is analytic on I. The stack's Gauss
     intervals share one pair.values call.
+
+    The weight runs equilibrated (Type2Weight.equilibrated); an average
+    past the float range raises OverflowError.
     """
+    w = w.equilibrated
     g = float(w.gammas[0])
     pair = type2.pair_pointwise(w)
     coeffs = type2.fourier_coefficients(w)  # (2, K + 1, n, n)
@@ -329,7 +327,12 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
 
     def score(ivs: list[Interval]) -> np.ndarray:
         a, b = np.array([(iv.a, iv.b) for iv in ivs]).T
-        avg = integrals(a, b) / (b - a)[:, None, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            avg = integrals(a, b) / (b - a)[:, None, None, None]
+        if not np.isfinite(avg).all():
+            _, m, i, j = np.argwhere(~np.isfinite(avg))[0].tolist()
+            raise OverflowError(f"average of {('W', 'W^-1')[m]} entry ({i}, {j}) "
+                                "overflows the float range")
         return func(avg[:, 0], avg[:, 1])
 
     return _grid_scan(score, grid)
@@ -377,28 +380,26 @@ def estimate_a2(weight, functional: str = "trace",
     """Searched lower bound of the chosen A2 functional's supremum.
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
-    1x1 case) or a Type 2 weight that decide_a2 calls A2, on the grid
-    search_config picks; the result's config is that grid. Every route
-    averages in closed form, up to rounding; a rotation's short intervals
-    far from 0 take a Gauss rule. A power matrix is scored at each interval's
-    shape, and its search refines an origin-free incumbent only.
+    1x1 case) or a Type 2 weight, on the grid search_config picks; the
+    result's config is that grid. The weight's A2 decision (check_a2 or
+    decide_a2) is the one gate: a weight that is not A2 raises NotA2Error
+    (A2Report.require_a2) before any average. Every route averages in
+    closed form, up to rounding; a rotation's short intervals far from 0
+    take a Gauss rule. A power matrix is scored at each interval's shape,
+    and its search refines an origin-free incumbent only.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if isinstance(weight, Type2Weight):
-        decision = type2.decide_a2(weight)
-        if decision.verdict != VERDICT_A2:
-            raise NotA2Error(
-                f"type 2 estimation precondition failed: {decision.verdict}")
+        type2.decide_a2(weight).require_a2()
+    elif isinstance(weight, SymbolicPowerMatrix):
+        type1.check_a2(weight).require_a2()
+    else:
+        raise TypeError(f"cannot estimate for {type(weight).__name__}")
     weight = _estimated(weight)
     cfg = search_config(weight, config)
     grid = interval_grid(cfg)
     homogeneous = isinstance(weight, SymbolicPowerMatrix)
-    if homogeneous:
-        fn = _symbolic_eval_fn(weight, functional, grid)
-    elif isinstance(weight, Type2Weight):
-        fn = _type2_eval_fn(weight, functional, grid)
-    else:
-        raise TypeError(f"cannot estimate for {type(weight).__name__}")
+    fn = (_symbolic_eval_fn if homogeneous else _type2_eval_fn)(weight, functional, grid)
     return run_interval_search(fn, cfg, functional=functional, grid=grid,
                                homogeneous=homogeneous)

@@ -25,17 +25,14 @@ from . import search, type1
 from .estimator import (_FUNCTIONALS, _averages, _grid_scan, _term_table,
                         a2_functional_norm, a2_functional_trace, average_symbolic)
 from .quadrature import QuadratureBudgetError, _panel_tree
-from .report import VERDICT_A2
-from .scalar_power import NotA2Error, NotIntegrableError
+from .scalar_power import NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize
 from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
     "Cube",
     "build_type1a",
-    "build_type1a_raw",
     "build_type1b",
-    "build_type1b_raw",
     "average_type1b",
     "cube_integral_radial",
     "CUBE_FAMILIES",
@@ -89,9 +86,6 @@ class Cube:
     def interval(self, c: int) -> Interval:
         return Interval(self.lower[c], self.lower[c] + self.side)
 
-    def contains_origin(self) -> bool:
-        return all(lo <= 0.0 <= hi for lo, hi in zip(self.lower, self.upper))
-
     def nearest_vertex_distance(self) -> float:
         """Distance from the origin to the nearest cube vertex."""
         return math.sqrt(sum(min(lo * lo, hi * hi)
@@ -104,30 +98,17 @@ def _cube_dim(d: int, message: str) -> int:
     return d
 
 
-_SEPARABLE_DIMS = "need one exponent matrix per coordinate, d in {2, 3}"
-_RADIAL_DIMS = "radial weights are supported in dimensions 2 and 3"
-
-
 def build_type1a(coeff, diagonals) -> SymbolicPowerMatrix:
     """Midpoint-completed separable weight from one diagonal per coordinate."""
     diags = list(diagonals)
-    return _completed(coeff, diags, _cube_dim(len(diags), _SEPARABLE_DIMS))
-
-
-def build_type1a_raw(coeff, exponents) -> SymbolicPowerMatrix:
-    """Store one exponent matrix per coordinate verbatim so checkers can see
-    violations."""
-    mats = tuple(exponents)
-    return SymbolicPowerMatrix(coeff, mats, _cube_dim(len(mats), _SEPARABLE_DIMS))
+    return _completed(coeff, diags, _cube_dim(
+        len(diags), "need one exponent matrix per coordinate, d in {2, 3}"))
 
 
 def build_type1b(coeff, diag_exponents, d: int) -> SymbolicPowerMatrix:
     """Midpoint-completed radial weight from diagonal exponents."""
-    return _completed(coeff, (diag_exponents,), _cube_dim(d, _RADIAL_DIMS))
-
-
-def build_type1b_raw(coeff, exponents, d: int) -> SymbolicPowerMatrix:
-    return SymbolicPowerMatrix(coeff, (exponents,), _cube_dim(d, _RADIAL_DIMS))
+    return _completed(coeff, (diag_exponents,), _cube_dim(
+        d, "radial weights are supported in dimensions 2 and 3"))
 
 
 # The benchmark's tracer (a2wbench/tracing.py) wraps these names, and the
@@ -287,18 +268,15 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     out along the diagonal, run once each, as one stack
     (estimator._grid_scan), on the equilibrated coefficient. Values within
     1e-12 relative tie; ties go to the cube whose nearest vertex is closest
-    to the origin.
+    to the origin. A weight that is not A2 raises NotA2Error
+    (A2Report.require_a2).
     """
     func = _FUNCTIONALS.get(functional)
     if func is None:
         raise ValueError(f"unknown functional {functional!r}")
-
     if not isinstance(weight, SymbolicPowerMatrix):
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
-    report = type1.check_a2(weight)
-    if report.verdict != VERDICT_A2:
-        raise NotA2Error(
-            f"cube estimation precondition failed: {report.verdict}")
+    type1.check_a2(weight).require_a2()
     weight = weight.equilibrated
     inverse = type1.symbolic_inverse(weight)
     if weight.separable:

@@ -51,6 +51,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
 _NODES01 = (_NODES + 1.0) / 2.0
 _WEIGHTS01 = _WEIGHTS / 2.0
 _PANEL_CAP = 512  # panels per call of the integrand, however many a round asks
+_PANEL_BUDGET = 20000  # panels per tree of adaptive_quad and matrix_quad
 
 
 class QuadratureBudgetError(ArithmeticError):
@@ -175,7 +176,7 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
 # values, which _require_finite turns into QuadratureBudgetError; numpy's
 # overflow warning would only add a second report on stderr.
 @np.errstate(over="ignore")
-def _panel_tree(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarray:
+def _panel_tree(f, cuts, tolerance, gaps, budget: int, where) -> np.ndarray:
     """The row sums, shaped (m,), of one adaptive panel tree over the m
     rows of the integrand f (see _gl_panels); a QuadratureBudgetError
     propagates.
@@ -197,10 +198,10 @@ def _panel_tree(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarra
     s > -1; fractional positive powers are continuous but still
     non-smooth at 0). Other panels count as unknown until their first
     comparison, so the loop cannot declare convergence while any remain.
-    Every split counts two panels against panel_budget, so the count
-    never passes panel_budget + 1. where(k) names row k in a budget
-    error, and in the error for Gauss values that overflow, which names
-    the first such panel in pop order.
+    Every split counts two panels against budget, so the count never
+    passes budget + 1. where(k) names row k in a budget error, and in the
+    error for Gauss values that overflow, which names the first such
+    panel in pop order.
     """
     seed_vals = _gl_panels(f, [((lo + hi) / 2.0, (hi - lo) / 2.0)
                                for lo, hi in zip(cuts, cuts[1:])])
@@ -234,14 +235,14 @@ def _panel_tree(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarra
         push(lo, hi, val, None, math.inf)
 
     while unknown > 0 or any(map(gt, err_sum, tols)):
-        if used >= panel_budget:
+        if used >= budget:
             worst = max(range(len(tols)), key=lambda k: err_sum[k] / tols[k])
             pending = f"; {unknown} panel(s) not yet estimated" if unknown else ""
             raise QuadratureBudgetError(
-                f"panel budget {panel_budget} exhausted: {where(worst)}error sum "
+                f"panel budget {budget} exhausted: {where(worst)}error sum "
                 f"{err_sum[worst]:.3g} exceeds its tolerance {tols[worst]:.3g}{pending}")
         popped = []
-        while heap and used < panel_budget:
+        while heap and used < budget:
             err = heap[0][5]
             if err is None:
                 unknown -= 1
@@ -267,18 +268,18 @@ def _panel_tree(f, cuts, tolerance, gaps, panel_budget: int, where) -> np.ndarra
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
-                  singular_exponent=None, panel_budget: int = 20000,
-                  endpoint_grading: int = 0, scale: float | None = None):
+                  singular_exponent=None, endpoint_grading: int = 0):
     """Integral of f over [a, b], complex; for an f of m > 1 rows, the m
     row integrals from one shared panel tree, shaped (m,).
 
     f must accept ndarray input and return one value per point, or m rows
     of them shaped (m, points); values may be complex. The absolute
-    tolerance of each row is tol * (scale + its seed mass), where the seed
-    mass is the sum of |Gauss values| over the seed panels, and refinement
-    runs until every row meets its own. singular_exponent certifies
-    the power behavior of f at 0; it is required (and only used) when the
-    closed interval touches 0 and the behavior is non-smooth there.
+    tolerance of each row is tol times its seed mass, the sum of |Gauss
+    values| over the seed panels, so its error is relative to its own
+    magnitude, and refinement runs until every row meets its tolerance.
+    singular_exponent certifies the power behavior of f at 0; it is
+    required (and only used) when the closed interval touches 0 and the
+    behavior is non-smooth there.
 
     endpoint_grading > 0 seeds that many geometrically shrinking panels
     toward each endpoint (and toward 0 on both sides of a zero split)
@@ -289,24 +290,17 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     also supply the mass estimate that tol is relative to; a single
     coarse panel would miss endpoint peaks entirely and turn a relative
     request into one far tighter than intended.
-
-    scale defaults to 1, which turns tol into an absolute floor for
-    integrals much smaller than 1. Callers averaging tiny masses should
-    pass their natural scale to keep the error relative to it. scale = 0
-    requests purely relative control and is only safe for integrands
-    without cancellation.
     """
     gaps = _gaps(a, b, None if singular_exponent is None else ((singular_exponent,),))
-    floor = 1.0 if scale is None else abs(scale)
     total = _panel_tree(f, _seed_cuts(a, b, endpoint_grading),
-                        lambda mass, _: tol * (floor + mass),
+                        lambda mass, _: tol * mass,
                         None if gaps is None else itertools.repeat(gaps[0]),
-                        panel_budget, lambda k: "")
+                        _PANEL_BUDGET, lambda k: "")
     return complex(total[0]) if total.size == 1 else total.astype(complex)
 
 
-def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
-                panel_budget: int = 20000) -> np.ndarray:
+def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float,
+                tol: float) -> np.ndarray:
     """Integral over [a, b] of a Hermitian matrix function, or of a stack
     of them, on one panel tree; shaped (n, n), or (m, n, n) for a stack.
 
@@ -338,7 +332,7 @@ def matrix_quad(pmf: PointwiseMatrixFunction, a: float, b: float, tol: float,
     if gaps is not None:
         gaps = np.repeat(gaps, rows.size).tolist()
     total = _panel_tree(values, _seed_cuts(a, b, 0), tolerance, gaps,
-                        panel_budget, where)
+                        _PANEL_BUDGET, where)
     total = total.astype(complex).reshape(m, -1)
     total[:, diagonal] = total[:, diagonal].real
     out = np.zeros((m, n, n), dtype=complex)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .scalar_power import NotA2Error
+
 VERDICT_A2 = "a2"
 VERDICT_NOT_A2 = "not_a2"
 VERDICT_NOT_PD_AE = "not_positive_definite_ae"
 VERDICT_NOT_INTEGRABLE = "not_locally_integrable"
 VERDICT_PD_AE = "positive_definite_ae"
-VERDICT_WEIGHT_OK = "locally_integrable_weight"
 VERDICT_NECESSARY_PASSED = "inconclusive_necessary_passed"
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "VERDICT_NOT_PD_AE",
     "VERDICT_NOT_INTEGRABLE",
     "VERDICT_PD_AE",
-    "VERDICT_WEIGHT_OK",
     "VERDICT_NECESSARY_PASSED",
 ]
 
@@ -51,8 +51,15 @@ class A2Report:
     notes: tuple[str, ...] = field(default=())
 
     @property
-    def passed(self) -> bool:
-        return self.verdict in (VERDICT_A2, VERDICT_PD_AE, VERDICT_WEIGHT_OK)
+    def reasons(self) -> str:
+        """' (detail; detail; ...)' of the findings, '' when there are none."""
+        details = "; ".join(f.detail for f in self.findings)
+        return f" ({details})" if details else ""
+
+    def require_a2(self) -> None:
+        """The gate of every estimate: NotA2Error(verdict + reasons) unless a2."""
+        if self.verdict != VERDICT_A2:
+            raise NotA2Error(self.verdict + self.reasons)
 
     def to_payload(self) -> dict:
         out: dict = {

@@ -6,7 +6,7 @@ factor |x_c| per coordinate, radial weights the single factor ||x||.
 Every factor carries an exact rational exponent matrix. When every
 off-diagonal exponent is the average of its two diagonal neighbors (the
 midpoint condition), each factor splits as r^(D/2) A r^(D/2), and W
-inherits closed-form determinants, minors and inverses; those identities
+inherits closed-form determinants and inverses; those identities
 drive both the exact A2 decision and the symbolic averages used by the
 estimators.
 """
@@ -25,8 +25,7 @@ import numpy as np
 from . import linalg
 from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NOT_A2,
                      VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE, VERDICT_PD_AE)
-from .scalar_power import (NotA2Error, format_rational,
-                           scalar_closed_form_constant)
+from .scalar_power import format_rational, scalar_closed_form_constant
 
 __all__ = [
     "SymbolicPowerMatrix",
@@ -39,7 +38,6 @@ __all__ = [
     "check_positive_definite_ae",
     "check_a2",
     "symbolic_det",
-    "symbolic_minor_det",
     "symbolic_inverse",
     "a2_upper_bound",
 ]
@@ -387,15 +385,6 @@ def symbolic_det(w: SymbolicPowerMatrix) -> tuple[complex, Fraction]:
     return linalg.lu_det(w.coeff), sum(_diag(mat), Fraction(0))
 
 
-def symbolic_minor_det(w: SymbolicPowerMatrix, i: int, j: int) -> tuple[complex, Fraction]:
-    """Determinant of W(x) with row i and column j deleted (0-based); its
-    coefficient is (-1)^(i+j) times the coefficient's cofactor."""
-    mat = _line(w)
-    _require_midpoint(w)
-    coeff = (-1) ** (i + j) * linalg.cofactor(w.coeff, i, j)
-    return coeff, sum(_diag(mat), Fraction(0)) - normalized_exponents(w)[0][i][j]
-
-
 def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:
     """Closed-form inverse: adjugate coefficients, every factor's exponents negated.
 
@@ -418,12 +407,11 @@ def a2_upper_bound(w: SymbolicPowerMatrix) -> float:
     over all entries of the per-exponent closed-form constants
     1/(1 - e_ij^2). Valid for every interval in the search family
     (anchored, symmetric, origin-free), where each scalar factor obeys its
-    closed-form constant.
+    closed-form constant. A weight that is not A2 raises NotA2Error
+    (A2Report.require_a2).
     """
     _line(w)
-    report = check_a2(w)
-    if report.verdict != VERDICT_A2:
-        raise NotA2Error(f"a2_upper_bound needs an A2 weight, got {report.verdict}")
+    check_a2(w).require_a2()
     eq = w.equilibrated
     sup_factor = float((np.abs(eq.coeff) * np.abs(eq.coeff_inverse.T)).max())
     return sup_factor * sum(scalar_closed_form_constant(e)

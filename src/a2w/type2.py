@@ -24,15 +24,14 @@ divergence experiment measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .quadrature import PointwiseMatrixFunction, adaptive_quad
 from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
-                     VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
-                     VERDICT_WEIGHT_OK)
+                     VERDICT_NOT_A2, VERDICT_NOT_PD_AE)
 from .scalar_power import format_rational
 from .type1 import SymbolicPowerMatrix, _exponent_range_report, build_type1
 
@@ -46,7 +45,6 @@ __all__ = [
     "pair_pointwise",
     "fourier_coefficients",
     "fourier_power_moments",
-    "check_local_integrability",
     "check_necessary_a2",
     "decide_rotation_a2",
     "decide_a2",
@@ -95,6 +93,23 @@ class Type2Weight:
     @property
     def is_rotation(self) -> bool:
         return self.unitary != "identity"
+
+    @property
+    def equilibrated(self) -> "Type2Weight":
+        """The weight times 4^-k, which centres its largest and smallest
+        alphas on 1 (both functionals are invariant under W -> cW, and a
+        power of 4 passes exactly through the norm form's square roots).
+        OverflowError if a scaled alpha or its inverse is past the float range."""
+        exps = [math.frexp(a)[1] for a in self.alphas]
+        k = (max(exps) + min(exps)) // 4
+        try:
+            alphas = tuple(math.ldexp(a, -2 * k) for a in self.alphas)
+            if math.isinf(1.0 / min(alphas)):
+                raise OverflowError
+        except OverflowError:
+            raise OverflowError(f"alphas {min(self.alphas):g} to {max(self.alphas):g} "
+                                "span more than the float range") from None
+        return replace(self, alphas=alphas)
 
 
 def as_type1(w: Type2Weight) -> SymbolicPowerMatrix:
@@ -178,14 +193,15 @@ def fourier_coefficients(w: Type2Weight) -> np.ndarray:
     D = diag(alphas), and those of U D^-1 U*; shaped (2, K + 1, n, n).
 
     C_-m is the adjoint of C_m. One unitary_stack call at 16 equispaced
-    points of [0, 2 pi) and one FFT give them exactly, up to rounding.
+    points of [0, 2 pi) and one FFT of the samples over 16 (exact, and
+    their sums stay floats) give them exactly, up to rounding.
     """
     if not w.is_rotation:
         raise ValueError("Fourier coefficients need a rotation unitary family")
     u = unitary_stack(w.unitary, w.n, 2.0 * math.pi * np.arange(_SAMPLES) / _SAMPLES)
     d = np.array([w.alphas, [1.0 / a for a in w.alphas]])
     samples = np.einsum("ikN,pk,jkN->pNij", u, d, u)  # U is real
-    return np.fft.fft(samples, axis=1)[:, :_DEGREES[w.unitary] + 1] / _SAMPLES
+    return np.fft.fft(samples / _SAMPLES, axis=1)[:, :_DEGREES[w.unitary] + 1]
 
 
 def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
@@ -230,27 +246,6 @@ def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
     return np.where(xs < 0.0, -out.conj(), out)
 
 
-def _alpha_findings(w: Type2Weight) -> list[Finding]:
-    return [Finding(kind="alpha-not-positive", where=(k,),
-                    detail=f"eigenvalue coefficient alpha_{k} = {a:.6g} "
-                           "is not positive")
-            for k, a in enumerate(w.alphas) if a <= 0]
-
-
-def check_local_integrability(w: Type2Weight) -> A2Report:
-    """W is a matrix weight iff every alpha is positive and every gamma > -1."""
-    findings = _alpha_findings(w)
-    gamma_bad = [Finding(kind="eigenvalue-exponent-integrability", where=(k,),
-                         detail=f"eigenvalue exponent {format_rational(g)} "
-                                "<= -1 is not locally integrable")
-                 for k, g in enumerate(w.gammas) if g <= -1]
-    if findings:
-        return A2Report(VERDICT_NOT_PD_AE, tuple(findings + gamma_bad))
-    if gamma_bad:
-        return A2Report(VERDICT_NOT_INTEGRABLE, tuple(gamma_bad))
-    return A2Report(VERDICT_WEIGHT_OK)
-
-
 def check_necessary_a2(w: Type2Weight) -> A2Report:
     """Necessary conditions: both W and its inverse must be weights.
 
@@ -258,7 +253,10 @@ def check_necessary_a2(w: Type2Weight) -> A2Report:
     requirement is a_k > 0 and -1 < g_k < 1 for every k. Passing is not
     sufficient, hence the inconclusive verdict.
     """
-    findings = _alpha_findings(w)
+    findings = [Finding(kind="alpha-not-positive", where=(k,),
+                        detail=f"eigenvalue coefficient alpha_{k} = {a:.6g} "
+                               "is not positive")
+                for k, a in enumerate(w.alphas) if a <= 0]
     if findings:
         return A2Report(VERDICT_NOT_PD_AE, tuple(findings))
     return _exponent_range_report("eigenvalue", [((k,), g) for k, g in enumerate(w.gammas)],
@@ -359,7 +357,7 @@ def divergence_experiment(gamma1, gamma2, n_values) -> list[DivergenceRow]:
             probe = xs**float(g1) * u[0, 0]**2 + xs**float(g2) * u[0, 1]**2
             return np.concatenate([probe, 1.0 / probe])
 
-        sums = adaptive_quad(probes, 0.0, math.pi, 1e-8, endpoint_grading=24, scale=0.0)
+        sums = adaptive_quad(probes, 0.0, math.pi, 1e-8, endpoint_grading=24)
         avgs += (sums.real / math.pi).reshape(2, -1).T.tolist()
     return [DivergenceRow(n, a, a + math.pi, w, winv, w * winv)
             for n, a, (w, winv) in zip(ns, starts.tolist(), avgs)]

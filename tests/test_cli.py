@@ -597,6 +597,67 @@ class TestConstantCommand:
             "the inverse weight is not locally integrable)\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("alphas, argv, twin", [
+        ([1e300, 1e300], ["--grid", "fine"], [1.0, 1.0]),
+        ([1e-320, 1e-320], [], [1.0, 1.0]),  # 1 / 1e-320 is past the float range
+    ], ids=["1e300-fine", "1e-320"])
+    def test_equal_alphas_at_the_float_ends_run_as_one(self, tmp_path, capsys,
+                                                       alphas, argv, twin):
+        # both functionals are invariant under W -> cW, so an equal-alpha
+        # rotation reads the estimate of alphas (1, 1), bit for bit
+        def estimate(a):
+            doc = dict(ROTATION_EQUAL, alphas=a)
+            code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc),
+                                              "--json", *argv])
+            assert code == 0
+            return payload["estimate"]
+
+        assert estimate(alphas) == estimate(twin)
+
+    def test_alphas_a_float_range_apart_run(self, tmp_path, capsys):
+        # the weight runs as 4^-k W, which a second power of 4 leaves as it is
+        def estimate(alphas):
+            doc = {"kind": "type2", "alphas": alphas, "gammas": ["-588/828"] * 2,
+                   "unitary": "rotation2d"}
+            code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc),
+                                              "--json"])
+            assert code == 0
+            return payload["estimate"]
+
+        alphas = [8.573012007848464, 1.7e308]
+        got = estimate(alphas)
+        assert got == estimate([a * 4.0 ** -300 for a in alphas])
+        assert np.isfinite(got) and got >= 2.0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "type2", "alphas": [1e308, 1e-308], "gammas": ["1/2", "1/2"],
+          "unitary": "rotation2d"},
+         # 1e308 |x|^(-1/2), entry (1, 1) of W^-1 near 0, averages past the float range
+         "search failed: OverflowError on Interval(a=-0.001, b=0.001): "
+         "average of W^-1 entry (1, 1) overflows the float range\n"),
+        ({"kind": "type2", "alphas": [5.004807362210215, 5e-324, 1.970504762186334e160],
+          "gammas": ["-142/263"] * 3, "unitary": "rotation3d_euler"},
+         "search failed: SearchError: functional returned non-finite value on "
+         "Interval(a=-0.001, b=0.001)\n"),
+    ], ids=["rotation2d", "rotation3d"])
+    def test_rotations_past_the_float_range_name_the_interval(self, tmp_path, capsys,
+                                                              doc, message):
+        code = main(["constant", write_spec(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (4, "", message)
+
+    def test_alphas_past_what_the_float_range_centres_fail_in_one_line(self, tmp_path,
+                                                                       capsys):
+        # 1 / 4e-309 is past the float range, and c 1.5e308 and 1 / (c 4e-309)
+        # are both floats only for 1.39 < c < 1.2: no scaling of W fits
+        doc = {"kind": "type2", "alphas": [1.5e308, 4e-309], "gammas": ["1/2", "1/2"],
+               "unitary": "rotation2d"}
+        code = main(["constant", write_spec(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == ("search failed: OverflowError: alphas 4e-309 to 1.5e+308 "
+                                "span more than the float range\n")
+
     def test_text_output_mentions_bound(self, tmp_path, capsys):
         code = main(["constant", write_spec(tmp_path, SCALAR_HALF)])
         out = capsys.readouterr().out
@@ -671,6 +732,15 @@ class TestDivergenceCommand:
                      "--points", "1"])
         assert code == 2
         assert "invalid sweep" in capsys.readouterr().err
+
+    def test_one_point_sweep_rejected(self, capsys):
+        # n-min = n-max gives one row, and a slope needs two
+        code = main(["divergence", "--gamma1", "0", "--gamma2", "1/2",
+                     "--points", "2", "--n-min", "5", "--n-max", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "schema error: SchemaError: invalid sweep: need points >= 2 and "
+            "1 <= n-min < n-max\n")
 
     def test_text_output(self, capsys):
         code = main(["divergence", "--gamma1", "0", "--gamma2", "1/2",

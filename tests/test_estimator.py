@@ -1,6 +1,7 @@
 """Averages, A2 functionals, and the supremum estimator."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from a2w.quadrature import PointwiseMatrixFunction, QuadratureBudgetError
 from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
-                       symbolic_inverse)
-from a2w import estimator, linalg, type2
+                       build_type1_raw, check_a2, symbolic_inverse)
+from a2w import estimator, linalg, quadrature, type2
 from a2w.search import interval_grid
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        pair_pointwise)
@@ -130,7 +131,7 @@ class TestMatrixRouteOracles:
         want = np.array([[w00, w01], [w01, w11]]) / iv.length
         _assert_matrix_close(average_numeric(as_pointwise(w), iv, tol=1e-10), want)
 
-    def test_budget_failure_names_the_worst_entry(self):
+    def test_budget_failure_names_the_worst_entry(self, monkeypatch):
         def values(xs):
             out = np.zeros((2, 2, xs.size))
             out[0, 0], out[1, 1] = 1.0, 2.0
@@ -138,9 +139,10 @@ class TestMatrixRouteOracles:
             return out
 
         pmf = PointwiseMatrixFunction(n=2, values=values)
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 5)
         with pytest.raises(QuadratureBudgetError,
                            match=r"entry \(0, 1\) error sum .* tolerance"):
-            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10, panel_budget=5)
+            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10)
 
 
 class TestPairRoute:
@@ -182,7 +184,7 @@ class TestPairRoute:
         assert got[1, 0, 1].real == pytest.approx(want, rel=1e-8)
         assert got[0, 0, 0].real == pytest.approx(1e8, rel=1e-12)
 
-    def test_budget_failure_names_the_matrix(self):
+    def test_budget_failure_names_the_matrix(self, monkeypatch):
         def values(xs):
             out = np.zeros((2, 2, 2, xs.size))
             out[:, 0, 0], out[:, 1, 1] = 1.0, 2.0
@@ -190,9 +192,10 @@ class TestPairRoute:
             return out
 
         pmf = PointwiseMatrixFunction(n=2, values=values, exponents=((0,), (0,)))
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 5)
         with pytest.raises(QuadratureBudgetError,
                            match=r"matrix 1 entry \(0, 1\) error sum"):
-            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10, panel_budget=5)
+            average_numeric(pmf, Interval(1.0, 5.0), tol=1e-10)
 
     @pytest.mark.parametrize("w", [
         Type2Weight((3.0, 9.0), (Fraction(1, 4),) * 2, "rotation2d"),
@@ -318,8 +321,9 @@ class TestRotationMoments:
         Type2Weight((3.0, 9.0), ("0", "0"), "rotation2d"),
     ], ids=["g=1/4", "g=9/10", "g=-9/10", "rotation3d", "g=0"])
     def test_grid_averages_match_a_tight_panel_tree(self, monkeypatch, w):
+        # the search averages the equilibrated weight
         grid = interval_grid(coarse_interval_config())
-        pair = pair_pointwise(w)
+        pair = pair_pointwise(w.equilibrated)
         for iv, got, _ in _recorded_averages(monkeypatch, w, grid):
             _assert_close_to_the_oracle(got, average_numeric(pair, iv, 1e-12), iv, 1e-10)
 
@@ -329,7 +333,7 @@ class TestRotationMoments:
         # There a difference of moments would lose the phase of e^(imx) to
         # the rounding of x; the Gauss rule keeps the averages and the floor.
         far = [Interval(1e6 - 1e-6, 1e6 + 1e-6), Interval(1e3, 1e3 + 1e-3)]
-        pair = pair_pointwise(w)
+        pair = pair_pointwise(w.equilibrated)
         for iv, got, value in _recorded_averages(monkeypatch, w, far):
             assert value >= w.n
             _assert_close_to_the_oracle(got, average_numeric(pair, iv, 1e-12), iv, 1e-10)
@@ -637,9 +641,11 @@ class TestEstimateA2:
 
     def test_exponent_outside_range_rejected(self):
         w = build_type1(np.array([[2.0]]), ["3/2"])
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises(NotA2Error) as exc_info:
             estimate_a2(w)
-        assert "(-1, 1)" in str(exc_info.value)
+        assert str(exc_info.value) == (
+            "not_a2 (diagonal exponent 3/2 >= 1: the inverse weight is not "
+            "locally integrable)")
 
     def test_type2_equal_exponents_near_scalar_constant(self):
         w = Type2Weight((1.0, 1.0), ("1/2", "1/2"), "rotation2d")
@@ -675,3 +681,56 @@ class TestEstimateA2:
         r1 = estimate_a2(TWO_BY_TWO, config=coarse_interval_config())
         r2 = estimate_a2(TWO_BY_TWO, config=coarse_interval_config())
         assert r1 == r2
+
+
+# Weights that are not A2, each with the message NotA2Error carries: the
+# verdict, then the findings' details. Ungated, the searches of the first
+# four fail on an average or a functional instead.
+NOT_A2 = [
+    (build_type1(np.array([[1.0, 2.0], [2.0, 1.0]]), ["1/2", "-1/3"]),
+     "not_positive_definite_ae (leading minor 2 of the coefficient matrix is -3)"),
+    (build_type1(np.array([[1.0, 1.0], [1.0, 1.0]]), ["1/2", "-1/3"]),
+     "not_positive_definite_ae (leading minor 2 of the coefficient matrix is 0)"),
+    (build_type1_raw(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                     [["1/2", "1/3"], ["1/3", "-1/2"]]),
+     "not_positive_definite_ae (exponent 1/3 at (0, 1) differs from midpoint 0; "
+     "exponent 1/3 at (1, 0) differs from midpoint 0)"),
+    (build_type1(np.eye(2), ["1", "0"]),
+     "not_a2 (diagonal exponent 1 >= 1: the inverse weight is not locally integrable)"),
+    (Type2Weight((1.0, 2.0), ("1/2", "1/4"), "rotation2d"),
+     "not_a2 (rotation weight is A2 only when all eigenvalue exponents are equal; "
+     "got (1/2, 1/4))"),
+]
+
+
+class TestTheA2Gate:
+    @pytest.mark.parametrize("w, message", NOT_A2,
+                             ids=["indefinite", "singular", "off-midpoint",
+                                  "exponent-1", "rotation-unequal"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_estimate_raises_the_decision(self, w, message, functional):
+        decide = type2.decide_a2 if isinstance(w, Type2Weight) else check_a2
+        report = decide(w)
+        assert message == report.verdict + " (" + "; ".join(
+            f.detail for f in report.findings) + ")"
+        with pytest.raises(NotA2Error) as exc:
+            estimate_a2(w, functional)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("w, message", NOT_A2[:4],
+                             ids=["indefinite", "singular", "off-midpoint", "exponent-1"])
+    def test_upper_bound_raises_the_same_text(self, w, message):
+        with pytest.raises(NotA2Error) as exc:
+            a2_upper_bound(w)
+        assert str(exc.value) == message
+
+    def test_the_decision_runs_before_any_average(self, monkeypatch):
+        # a weight that is not A2 never reaches the evaluate functions
+        def fail(*args):
+            raise AssertionError("averaged a weight that is not A2")
+
+        monkeypatch.setattr(estimator, "_symbolic_eval_fn", fail)
+        monkeypatch.setattr(estimator, "_type2_eval_fn", fail)
+        for w, message in NOT_A2:
+            with pytest.raises(NotA2Error, match=re.escape(message)):
+                estimate_a2(w)

@@ -10,9 +10,8 @@ from scipy.integrate import dblquad, quad, tplquad
 from a2w import estimator, multivar
 from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.linalg import SingularMatrixError
-from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1a_raw,
-                          build_type1b, build_type1b_raw, cube_integral_radial,
-                          estimate_a2_cubes)
+from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
+                          cube_integral_radial, estimate_a2_cubes)
 from a2w.quadrature import QuadratureBudgetError
 from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
                         VERDICT_NOT_PD_AE)
@@ -20,7 +19,7 @@ from a2w.scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from a2w.search import Interval
 from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix,
                        a2_upper_bound, check_a2, evaluate, symbolic_det,
-                       symbolic_inverse, symbolic_minor_det)
+                       symbolic_inverse)
 
 HALF = Fraction(1, 2)
 
@@ -77,12 +76,6 @@ class TestCube:
         iv = cube.interval(0)
         assert (iv.a, iv.b) == (-0.5, 1.5)
 
-    def test_contains_origin(self):
-        assert Cube((-1.0, -1.0), 2.0).contains_origin()
-        assert Cube((0.0, 0.0), 1.0).contains_origin()
-        assert not Cube((0.5, 0.5), 1.0).contains_origin()
-        assert not Cube((-2.0, 0.5), 1.0).contains_origin()
-
     def test_nearest_vertex_distance(self):
         assert Cube((0.0, 0.0), 1.0).nearest_vertex_distance() == 0.0
         assert Cube((1.0, 1.0), 1.0).nearest_vertex_distance() == \
@@ -118,9 +111,9 @@ class TestBuilders:
 
     def test_raw_stores_verbatim(self):
         mats = (((HALF, Fraction(1, 7)), (Fraction(1, 7), HALF)),)
-        w = build_type1a_raw(np.eye(2), mats * 2)
+        w = SymbolicPowerMatrix(np.eye(2), mats * 2, 2)
         assert w.exponents[0][0][1] == Fraction(1, 7)
-        wb = build_type1b_raw(np.eye(2), mats[0], 2)
+        wb = SymbolicPowerMatrix(np.eye(2), mats, 2)
         assert wb.exponents[0][0][1] == Fraction(1, 7)
 
     def test_diagonal_length_must_match(self):
@@ -161,7 +154,7 @@ class TestCheckSeparable:
     def test_midpoint_violation_breaks_positivity(self):
         mats = (((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)),
                 ((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)))
-        w = build_type1a_raw([[2.0, 1.0], [1.0, 2.0]], mats)
+        w = SymbolicPowerMatrix([[2.0, 1.0], [1.0, 2.0]], mats, 2)
         report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "midpoint-violated"
@@ -169,7 +162,7 @@ class TestCheckSeparable:
 
     def test_zero_coefficient_offdiagonal_is_dont_care(self):
         mats = (((Fraction(0), Fraction(9)), (Fraction(9), HALF)),) * 2
-        w = build_type1a_raw(np.diag([1.0, 2.0]), mats)
+        w = SymbolicPowerMatrix(np.diag([1.0, 2.0]), mats, 2)
         assert check_a2(w).verdict == VERDICT_A2
 
     def test_indefinite_coefficient(self):
@@ -180,16 +173,16 @@ class TestCheckSeparable:
                    for f in report.findings)
 
     def test_nonhermitian_coefficient(self):
-        w = build_type1a_raw([[1.0, 0.5], [0.0, 1.0]],
-                             (((Fraction(0), Fraction(0)),) * 2,) * 2)
+        w = SymbolicPowerMatrix([[1.0, 0.5], [0.0, 1.0]],
+                                (((Fraction(0), Fraction(0)),) * 2,) * 2, 2)
         report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "coefficient-not-self-adjoint"
 
     def test_marginal_coefficient(self):
         # [[1, 1], [1, 1]] is exactly singular: its leading minor 2 is 0
-        w = build_type1a_raw([[1.0, 1.0], [1.0, 1.0]],
-                             (((Fraction(0), Fraction(0)),) * 2,) * 2)
+        w = SymbolicPowerMatrix([[1.0, 1.0], [1.0, 1.0]],
+                                (((Fraction(0), Fraction(0)),) * 2,) * 2, 2)
         report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [(f.kind, f.where) for f in report.findings] == [
@@ -198,7 +191,7 @@ class TestCheckSeparable:
     def test_marginal_coefficient_with_midpoint_violation(self):
         mats = (((Fraction(0), Fraction(1, 3)), (Fraction(1, 3), HALF)),
                 ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
-        report = check_a2(build_type1a_raw([[1.0, 1.0], [1.0, 1.0]], mats))
+        report = check_a2(SymbolicPowerMatrix([[1.0, 1.0], [1.0, 1.0]], mats, 2))
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [(f.kind, f.where) for f in report.findings] == [
             ("midpoint-violated", (0, 0, 1)), ("midpoint-violated", (0, 1, 0)),
@@ -229,17 +222,15 @@ class TestCheckRadial:
         assert report.verdict == VERDICT_NOT_INTEGRABLE
 
     def test_midpoint_violation(self):
-        w = build_type1b_raw([[2.0, 1.0], [1.0, 2.0]],
-                             ((Fraction(0), Fraction(1)), (Fraction(1),
-                                                           Fraction(0))), 2)
+        w = SymbolicPowerMatrix([[2.0, 1.0], [1.0, 2.0]],
+                                (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),), 2)
         report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert report.findings[0].kind == "midpoint-violated"
 
     def test_marginal_coefficient_with_midpoint_violation(self):
-        w = build_type1b_raw([[1.0, 1.0], [1.0, 1.0]],
-                             ((Fraction(0), Fraction(1)), (Fraction(1),
-                                                           Fraction(0))), 3)
+        w = SymbolicPowerMatrix([[1.0, 1.0], [1.0, 1.0]],
+                                (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),), 3)
         report = check_a2(w)
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [(f.kind, f.where) for f in report.findings] == [
@@ -294,7 +285,7 @@ class TestAverageSeparable:
             average_symbolic(separable_pair(), Cube((0.0,) * 3, 1.0))
 
     def test_nonintegrable_entry_reported(self):
-        w = build_type1a_raw([[1.0]], (((Fraction(-3, 2),),), ((Fraction(0),),)))
+        w = SymbolicPowerMatrix([[1.0]], (((Fraction(-3, 2),),), ((Fraction(0),),)), 2)
         with pytest.raises(NotIntegrableError, match=r"coordinate 0"):
             average_symbolic(w, Cube((0.0, 0.0), 1.0))
 
@@ -421,7 +412,7 @@ class TestAverageRadial:
             assert v == pytest.approx(2.1860225424733, rel=1e-9)
 
     def test_nonintegrable_entry_wrapped(self):
-        w = build_type1b_raw([[1.0]], ((Fraction(-2),),), 2)
+        w = SymbolicPowerMatrix([[1.0]], (((Fraction(-2),),),), 2)
         with pytest.raises(NotIntegrableError, match=r"entry \(0, 0\)"):
             average_type1b(w, Cube((-1.0, -1.0), 2.0))
 
@@ -457,10 +448,10 @@ class TestInverses:
 
     def test_inverse_requires_midpoint(self):
         mats = (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),) * 2
-        w = build_type1a_raw([[2.0, 1.0], [1.0, 2.0]], mats)
+        w = SymbolicPowerMatrix([[2.0, 1.0], [1.0, 2.0]], mats, 2)
         with pytest.raises(MidpointConditionError):
             symbolic_inverse(w)
-        wb = build_type1b_raw([[2.0, 1.0], [1.0, 2.0]], mats[0], 2)
+        wb = SymbolicPowerMatrix([[2.0, 1.0], [1.0, 2.0]], mats[:1], 2)
         with pytest.raises(MidpointConditionError):
             symbolic_inverse(wb)
 
@@ -474,9 +465,8 @@ class TestLineOnly:
     @pytest.mark.parametrize("w", [
         separable_pair(), build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, 0), 2)])
     def test_line_functions_reject_cube_weights(self, w):
-        for call in (lambda: symbolic_det(w), lambda: symbolic_minor_det(w, 0, 0),
-                     lambda: evaluate(w, 1.0), lambda: a2_upper_bound(w),
-                     lambda: estimate_a2(w)):
+        for call in (lambda: symbolic_det(w), lambda: evaluate(w, 1.0),
+                     lambda: a2_upper_bound(w), lambda: estimate_a2(w)):
             with pytest.raises(ValueError, match="line"):
                 call()
 
@@ -515,10 +505,29 @@ class TestCubeSearch:
         assert result.estimate >= 1.0
 
     def test_non_a2_weight_rejected(self):
-        with pytest.raises(NotA2Error, match="precondition"):
+        # the verdict and the findings' details, as estimate_a2 raises them
+        with pytest.raises(NotA2Error) as exc:
             estimate_a2_cubes(build_type1a(np.eye(1), [(Fraction(3, 2),), (0,)]))
-        with pytest.raises(NotA2Error, match="precondition"):
+        assert str(exc.value) == ("not_a2 (diagonal exponent 3/2 >= 1: the inverse "
+                                  "weight is not locally integrable)")
+        with pytest.raises(NotA2Error) as exc:
             estimate_a2_cubes(build_type1b([[1.0]], (Fraction(2),), 2))
+        assert str(exc.value) == ("not_a2 (diagonal exponent 2 >= 2: the inverse "
+                                  "weight is not locally integrable)")
+
+    @pytest.mark.parametrize("w", [
+        build_type1a([[1.0, 2.0], [2.0, 1.0]], [(HALF, -HALF), (0, 0)]),
+        build_type1a([[1.0, 1.0], [1.0, 1.0]], [(HALF, -HALF), (0, 0)]),
+        SymbolicPowerMatrix([[2.0, 1.0], [1.0, 2.0]],
+                            (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),), 2),
+        build_type1b(np.eye(2), (Fraction(-2), 0), 2),
+    ], ids=["indefinite", "singular", "off-midpoint", "not-integrable"])
+    def test_non_a2_weight_raises_its_decision(self, w):
+        report = check_a2(w)
+        with pytest.raises(NotA2Error) as exc:
+            estimate_a2_cubes(w)
+        assert str(exc.value) == report.verdict + " (" + "; ".join(
+            f.detail for f in report.findings) + ")"
 
     def test_unknown_functional_and_type(self):
         with pytest.raises(ValueError, match="unknown functional"):

@@ -124,11 +124,12 @@ class TestEndpointGrading:
 
 
 class TestBudgetAndValidation:
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # nowhere-smooth integrand cannot converge on a tiny budget
         rng_vals = lambda x: np.sin(1.0 / (np.abs(x) + 1e-12)) / (np.abs(x) + 1e-3)
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 8)
         with pytest.raises(QuadratureBudgetError):
-            adaptive_quad(rng_vals, 0.0, 1.0, 1e-14, panel_budget=8)
+            adaptive_quad(rng_vals, 0.0, 1.0, 1e-14)
 
     def test_overflowing_gauss_values_raise(self):
         # The power model keeps bisecting the panel at 0 for exponents this
@@ -163,35 +164,37 @@ class TestBudgetAndValidation:
             adaptive_quad(np.cos, 2.0, 1.0, 1e-8)
 
     @pytest.mark.parametrize("budget,panels", [(40, 41), (41, 41)])
-    def test_rounds_stop_at_the_budget(self, budget, panels):
+    def test_rounds_stop_at_the_budget(self, monkeypatch, budget, panels):
         # one seed panel and two more per split: the count reaches the
         # budget, or budget + 1 for an even budget, and never passes it
         f, seen = spied(lambda x: 2.0 + np.sin(1e4 * x))
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", budget)
         with pytest.raises(QuadratureBudgetError, match=f"panel budget {budget} "):
-            adaptive_quad(f, 1.0, 2.0, 1e-12, panel_budget=budget)
+            adaptive_quad(f, 1.0, 2.0, 1e-12)
         assert sum(seen) == 10 * panels
 
-    def test_budget_error_names_pending_panels(self):
+    def test_budget_error_names_pending_panels(self, monkeypatch):
         # 10 seed panels, all unknown: the first round stops at the budget
         # after three splits and leaves seven of them not yet estimated
         f, seen = spied(np.cos)
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 15)
         with pytest.raises(QuadratureBudgetError,
                            match=r"panel budget 15 exhausted: error sum .*; "
                                  r"7 panel\(s\) not yet estimated"):
-            adaptive_quad(f, 1.0, 2.0, 1e-8, panel_budget=15, endpoint_grading=5)
+            adaptive_quad(f, 1.0, 2.0, 1e-8, endpoint_grading=5)
         assert seen == [100, 60]
 
-    def test_budget_error_names_the_worst_row(self):
+    def test_budget_error_names_the_worst_row(self, monkeypatch):
         # entry (0, 0) is constant and converges; entry (1, 1) oscillates
         # far too fast for 9 panels
         def values(xs):
             return np.stack([[np.ones_like(xs), 0 * xs],
                              [0 * xs, 2.0 + np.sin(1e4 * xs)]])
 
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 9)
         with pytest.raises(QuadratureBudgetError,
                            match=r"panel budget 9 exhausted: entry \(1, 1\) error sum"):
-            matrix_quad(PointwiseMatrixFunction(2, values), 1.0, 2.0, 1e-12,
-                        panel_budget=9)
+            matrix_quad(PointwiseMatrixFunction(2, values), 1.0, 2.0, 1e-12)
 
     def test_non_finite_values_mid_round_name_the_first_panel(self):
         # the four seed panels of [1, 2] are split in one round; the
@@ -231,7 +234,7 @@ class TestOneTree:
             n=1, values=lambda xs: (np.abs(xs) ** p)[None, None, :],
             exponents=((p,),))
         got = adaptive_quad(lambda x: np.abs(x) ** p, -2.0, 1.0, 1e-10,
-                            singular_exponent=p, scale=0.0)
+                            singular_exponent=p)
         assert got.real == matrix_quad(pmf, -2.0, 1.0, 1e-10)[0, 0].real
 
     def test_rows_of_one_integrand_share_the_tree(self):
@@ -241,7 +244,7 @@ class TestOneTree:
             f = 2.0 + np.cos(x)
             return np.array([f, 1.0 / f])
 
-        got = adaptive_quad(rows, 0.0, 2.0 * math.pi, 1e-10, scale=0.0)
+        got = adaptive_quad(rows, 0.0, 2.0 * math.pi, 1e-10)
         assert got.shape == (2,)
         want = [4.0 * math.pi, 2.0 * math.pi / math.sqrt(3.0)]
         assert got.real == pytest.approx(want, rel=1e-10)

@@ -215,7 +215,7 @@ class TestConstantEstimate:
     def test_rejects_non_member(self):
         w = scalar_weight(1.0, Fraction(3, 2))
         assert check_a2(w).verdict == "not_a2"
-        with pytest.raises(NotIntegrableError):
+        with pytest.raises(NotA2Error, match=r"^not_a2 \(diagonal exponent 3/2 >= 1: "):
             estimate_a2(w)
 
     def test_inverse_weight_same_constant(self):

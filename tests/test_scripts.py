@@ -1,10 +1,13 @@
 """Smoke tests: the gallery scripts and the benchmark tracer run against the
-current package API, and every name the package exports resolves."""
+current package API, and every name the package exports resolves and has a
+use outside the tests."""
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +65,39 @@ def test_every_exported_name_resolves():
     missing = [f"{mod.__name__}.{name}" for mod in modules
                for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def _code_lines(path: Path) -> list[tuple[str, set[str]]]:
+    """path's lines, each with the names whose def or class line it is,
+    leaving out __all__ lists and import statements."""
+    text = path.read_text(encoding="utf-8")
+    skip, defines = set(), {}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defines.setdefault(node.lineno, set()).add(node.name)
+    return [(line, defines.get(k, set()))
+            for k, line in enumerate(text.splitlines(), 1) if k not in skip]
+
+
+def test_every_exported_name_has_a_use_outside_the_tests():
+    # the package's own modules (its __init__ re-exports only), the
+    # gallery scripts and the benchmark tracer; a name that only tests
+    # call is dead API
+    paths = [p for p in sorted((ROOT / "src" / "a2w").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "a2wbench" / "tracing.py"]
+    lines = [entry for p in paths for entry in _code_lines(p)]
+    modules = [a2w] + [importlib.import_module(f"a2w.{m.name}")
+                       for m in pkgutil.iter_modules(a2w.__path__)]
+    names = sorted({name for mod in modules for name in mod.__all__})
+    unused = [name for name in names
+              if not any(re.search(rf"\b{re.escape(name)}\b", line) and name not in own
+                         for line, own in lines)]
+    assert unused == []
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -20,7 +20,7 @@ from a2w.type1 import (EvaluationAtOriginError, MidpointConditionError,
                        SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, check_positive_definite_ae,
                        evaluate, normalized_exponents, symbolic_det,
-                       symbolic_inverse, symbolic_minor_det)
+                       symbolic_inverse)
 from a2w.verify import random_type1_weight
 
 TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
@@ -379,23 +379,6 @@ class TestSymbolicAlgebra:
             coeff, exp = symbolic_det(TWO_BY_TWO)
             want = np.linalg.det(evaluate(TWO_BY_TWO, x))
             assert coeff * x ** float(exp) == pytest.approx(want, rel=1e-10)
-
-    def test_minor_det_matches_pointwise(self, rng):
-        w = THREE_BY_THREE
-        for _ in range(5):
-            x = float(rng.uniform(0.1, 5.0))
-            m = evaluate(w, x)
-            for i in range(3):
-                for j in range(3):
-                    coeff, exp = symbolic_minor_det(w, i, j)
-                    sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
-                    want = np.linalg.det(sub)
-                    got = coeff * x ** float(exp)
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-    def test_minor_index_validation(self):
-        with pytest.raises(IndexError):
-            symbolic_minor_det(TWO_BY_TWO, 2, 0)
 
     def test_midpoint_required_for_symbolic_routes(self):
         w = build_type1_raw(np.array([[2.0, 1.0], [1.0, 2.0]]),

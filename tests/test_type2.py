@@ -12,12 +12,10 @@ from scipy.integrate import quad
 from a2w.estimator import estimate_a2
 from a2w.quadrature import adaptive_quad
 from a2w.report import (VERDICT_A2, VERDICT_NECESSARY_PASSED, VERDICT_NOT_A2,
-                        VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE,
-                        VERDICT_WEIGHT_OK)
+                        VERDICT_NOT_INTEGRABLE, VERDICT_NOT_PD_AE)
 from a2w.type1 import evaluate
 from a2w.type2 import (DivergenceRow, Type2Weight, as_pointwise, as_type1,
-                       check_local_integrability, check_necessary_a2,
-                       decide_a2, decide_rotation_a2, divergence_experiment,
+                       check_necessary_a2, decide_a2, decide_rotation_a2, divergence_experiment,
                        fit_loglog_slope, fourier_coefficients,
                        fourier_power_moments, inverse_weight,
                        logspaced_ints, unitary_stack)
@@ -51,6 +49,32 @@ class TestConstruction:
         assert w.gammas == (HALF, Fraction(-1, 3))
         assert w.alphas == (1.0, 2.0)
         assert w.n == 2 and w.is_rotation
+
+    @pytest.mark.parametrize("alphas, want", [
+        ((3.0, 9.0), (0.75, 2.25)), ((1.0, 2.0), (1.0, 2.0)),
+        ((1e-320, 1e-320), None), ((1e300, 1e300), None),
+        ((8.573012007848464, 1.7e308), None),
+        ((5.004807362210215, 5e-324, 1.970504762186334e160), None),
+    ])
+    def test_equilibrated_scales_by_one_power_of_four(self, alphas, want):
+        # every alpha times one 4^-k, which leaves the binary exponents of
+        # the largest and the smallest summing to 0..3
+        w = Type2Weight(alphas, ("1/3",) * len(alphas),
+                        {2: "rotation2d", 3: "rotation3d_euler"}[len(alphas)])
+        eq = w.equilibrated
+        before, after = (list(map(math.frexp, x.alphas)) for x in (w, eq))
+        assert [m for m, _ in before] == [m for m, _ in after]
+        (shift,) = {b - a for (_, a), (_, b) in zip(before, after)}
+        assert shift % 2 == 0
+        assert 0 <= math.frexp(max(eq.alphas))[1] + math.frexp(min(eq.alphas))[1] <= 3
+        assert (eq.gammas, eq.unitary) == (w.gammas, w.unitary)
+        assert want is None or eq.alphas == want
+
+    @pytest.mark.parametrize("alphas", [(1.7e308, 5e-324), (1.5e308, 4e-309)],
+                             ids=["alpha-overflows", "inverse-overflows"])
+    def test_equilibrated_needs_the_alphas_within_the_float_range(self, alphas):
+        with pytest.raises(OverflowError, match="span more than the float range"):
+            Type2Weight(alphas, (HALF, HALF), "rotation2d").equilibrated
 
     def test_identity_default(self):
         w = Type2Weight((1.0,), (HALF,))
@@ -230,34 +254,16 @@ class TestProfilesAndInverse:
 
 
 class TestCheckers:
-    def test_good_weight_is_locally_integrable(self):
-        report = check_local_integrability(planar(-HALF, HALF))
-        assert report.verdict == VERDICT_WEIGHT_OK
-        assert report.findings == ()
-
     def test_nonpositive_alpha_breaks_positivity(self):
-        report = check_local_integrability(planar(0, HALF, a2=0.0))
+        report = check_necessary_a2(planar(0, HALF, a2=0.0))
         assert report.verdict == VERDICT_NOT_PD_AE
         assert [f.kind for f in report.findings] == ["alpha-not-positive"]
         assert report.findings[0].where == (1,)
 
-    def test_exponent_at_minus_one_not_integrable(self):
-        report = check_local_integrability(planar(-1, HALF))
-        assert report.verdict == VERDICT_NOT_INTEGRABLE
-        kinds = [f.kind for f in report.findings]
-        assert kinds == ["eigenvalue-exponent-integrability"]
-
-    def test_alpha_failure_reported_with_gamma_failure(self):
-        report = check_local_integrability(planar(-2, HALF, a1=-1.0))
-        assert report.verdict == VERDICT_NOT_PD_AE
-        kinds = {f.kind for f in report.findings}
-        assert kinds == {"alpha-not-positive",
-                         "eigenvalue-exponent-integrability"}
-
     def test_necessary_passes_inside_open_range(self):
         report = check_necessary_a2(planar(-HALF, Fraction(9, 10)))
         assert report.verdict == VERDICT_NECESSARY_PASSED
-        assert not report.passed
+        assert report.verdict != VERDICT_A2  # inconclusive, not a pass
 
     def test_necessary_rejects_large_exponent(self):
         report = check_necessary_a2(planar(0, 1))
@@ -282,7 +288,7 @@ class TestDecisions:
     def test_equal_exponents_are_a2(self):
         report = decide_rotation_a2(planar(HALF, HALF))
         assert report.verdict == VERDICT_A2
-        assert report.passed and report.findings == ()
+        assert report.findings == ()
 
     def test_unequal_coefficients_still_a2_with_note(self):
         report = decide_rotation_a2(planar(HALF, HALF, a1=1.0, a2=7.0))
