@@ -11,11 +11,12 @@ two functionals are the trace form Tr(<W> <W^-1>) and the norm form
 proper, the trace form sandwiches it within a factor of the dimension.
 
 Averages and functionals run on stacks shaped (k, n, n). A search's
-evaluate function scores its whole grid as one stack on its first call
-and looks grid intervals up after that; any other interval (an
-origin-free power-matrix incumbent's or a rotation's golden-refinement
-intervals), and average_symbolic, run the same code as a stack of one,
-so a value never depends on its batch (_grid_scan).
+evaluate function scores its whole grid as one stack on its first call,
+its warm function each lookahead tree of golden-refinement intervals (an
+origin-free power-matrix incumbent's or a rotation's), and evaluate
+looks those up after that; any other interval, and average_symbolic,
+run the same code as a stack of one, so a value never depends on its
+batch (_grid_scan).
 A power matrix scores every interval at its shape [t, 1] (search_config),
 on its equilibrated coefficient (SymbolicPowerMatrix.equilibrated).
 """
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
-from .scalar_power import NotIntegrableError, integral_abs_pow, integral_abs_pow_stack
+from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
+                           integral_abs_pow_stack)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
                      coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
@@ -233,34 +235,60 @@ _FUNCTIONALS = {
 
 
 def _grid_scan(score, grid: list):
-    """evaluate(region) for a search from score(regions), which returns
-    one functional value per interval or cube of its list.
+    """(evaluate(region), warm(regions)) for a search from score(regions),
+    which returns one functional value per interval or cube of its list.
 
-    The first call scores the whole grid in one stack, and a grid region
-    then reads its value; any other region is scored as a stack of one,
-    by the same code, so a value never depends on its batch. If the grid
-    stack fails a check, every region is scored alone instead, so the
-    failure is raised on its own region when the scan reaches it.
+    warm scores the regions it is given that its table lacks as one stack
+    and stores their values; if that stack fails a check, it stores
+    nothing. evaluate's first call warms the whole grid; a region then
+    reads its value from the table, and any other region is scored as a
+    stack of one, by the same code, so a value never depends on its
+    batch. A failure is thus raised on its own region, alone, when the
+    search reaches it.
     """
-    table = None
+    table = {}
+    scanned = False
+
+    def warm(regions) -> None:
+        # the grid comes first, to an empty table, and repeats no region
+        new = list(dict.fromkeys(r for r in regions if r not in table)) if table else regions
+        if not new:
+            return
+        try:
+            table.update(zip(new, score(new).tolist()))
+        except (ArithmeticError, ValueError):
+            pass
 
     def evaluate(region) -> float:
-        nonlocal table
-        if table is None:
-            try:
-                table = dict(zip(grid, score(grid).tolist()))
-            except (ArithmeticError, ValueError):
-                table = {}
+        nonlocal scanned
+        if not scanned:
+            scanned = True
+            warm(grid)
         value = table.get(region)
         return float(score([region])[0]) if value is None else value
 
-    return evaluate
+    return evaluate, warm
+
+
+def _require_float_exponents(exponents: dict) -> None:
+    """Raise SearchError for the first of exponents, keyed by the entry or
+    eigenvalue it belongs to, that rounds to -1 or 1 in double precision.
+    An A2 weight's exponents lie in (-1, 1), but the averages run on their
+    floats, and |x|^-1 has no average across 0."""
+    for where, e in exponents.items():
+        if abs(float(e)) >= 1.0:
+            raise SearchError(f"{where} exponent {format_rational(e)} rounds to "
+                              f"{float(e):g} in double precision; the averages "
+                              "need it strictly inside (-1, 1)")
 
 
 def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interval]):
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
+    _require_float_exponents({f"entry ({i}, {j})": e
+                              for i, row in enumerate(w.exponents[0])
+                              for j, e in enumerate(row) if w.coeff[i, j] != 0})
     w = w.equilibrated
     table = _term_table((w, type1.symbolic_inverse(w)))
     func = _FUNCTIONALS[functional]
@@ -292,8 +320,10 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     intervals share one pair.values call.
 
     The weight runs equilibrated (Type2Weight.equilibrated); an average
-    past the float range raises OverflowError.
+    past the float range raises OverflowError, and an exponent that rounds
+    to -1 or 1 SearchError (_require_float_exponents).
     """
+    _require_float_exponents({f"eigenvalue {k}": g for k, g in enumerate(w.gammas)})
     w = w.equilibrated
     g = float(w.gammas[0])
     pair = type2.pair_pointwise(w)
@@ -400,6 +430,7 @@ def estimate_a2(weight, functional: str = "trace",
     cfg = search_config(weight, config)
     grid = interval_grid(cfg)
     homogeneous = isinstance(weight, SymbolicPowerMatrix)
-    fn = (_symbolic_eval_fn if homogeneous else _type2_eval_fn)(weight, functional, grid)
-    return run_interval_search(fn, cfg, functional=functional, grid=grid,
-                               homogeneous=homogeneous)
+    evaluate, warm = (_symbolic_eval_fn if homogeneous else _type2_eval_fn)(
+        weight, functional, grid)
+    return run_interval_search(evaluate, cfg, functional=functional, grid=grid,
+                               homogeneous=homogeneous, warm=warm)

@@ -291,6 +291,6 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
             return [np.array([average_type1b(w, c) for c in stack]) for w in (weight, inverse)]
 
     cubes = [Cube((c,) * weight.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
-    evaluate = _grid_scan(lambda stack: func(*averages(stack)), cubes)
+    evaluate, _ = _grid_scan(lambda stack: func(*averages(stack)), cubes)
     return _maximize(cubes, evaluate, lambda scored, incumbent: None,
                      Cube.nearest_vertex_distance, functional)

@@ -25,6 +25,7 @@ __all__ = [
     "format_rational",
     "integral_abs_pow",
     "integral_abs_pow_stack",
+    "power_stack",
     "average_abs_pow",
     "scalar_is_a2",
     "scalar_closed_form_constant",
@@ -99,6 +100,20 @@ def integral_abs_pow(gamma, iv: Interval) -> float:
     return (-a) ** (g + 1.0) / (g + 1.0) + b ** (g + 1.0) / (g + 1.0)
 
 
+def power_stack(x, s) -> np.ndarray:
+    """x ** s, x and s broadcast together, with each value depending on
+    its own base and exponent alone. numpy takes an exponent of 1/2 as
+    sqrt when one exponent meets several bases, and as pow otherwise,
+    which can differ in the last bit; here 1/2 always takes sqrt. It is
+    the one exponent of (0, 2), where every s = g + 1 of an A2 exponent g
+    lies, that numpy does not always raise by pow."""
+    out = np.power(x, s)
+    half = s == 0.5
+    if np.any(half):
+        out = np.where(half, np.sqrt(x), out)
+    return out
+
+
 def integral_abs_pow_stack(gammas, a, b) -> np.ndarray:
     """integral_abs_pow elementwise over gammas, a and b broadcast together
     (exponents shaped (m, 1) against intervals shaped (1, k) give every
@@ -118,13 +133,14 @@ def integral_abs_pow_stack(gammas, a, b) -> np.ndarray:
     touching = np.count_nonzero(touch)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if touching == touch.size:
-            return np.where(s > 0.0, b ** s / s + (-a) ** s / s, np.nan)
+            return np.where(s > 0.0, power_stack(b, s) / s + power_stack(-a, s) / s,
+                            np.nan)
         abs_a, abs_b = np.abs(a), np.abs(b)
         lo, hi = np.minimum(abs_a, abs_b), np.maximum(abs_a, abs_b)
         log = np.log1p((hi - lo) / lo)
-        out = lo ** s * np.expm1(s * log) / s
+        out = power_stack(lo, s) * np.expm1(s * log) / s
         if touching:
-            out = np.where(touch, b ** s / s + (-a) ** s / s, out)
+            out = np.where(touch, power_stack(b, s) / s + power_stack(-a, s) / s, out)
         if s.min() <= 0.0:
             out = np.where(s == 0.0, log, out)
             out = np.where((s <= 0.0) & touch, np.nan, out)

@@ -15,8 +15,10 @@ supremum either way, since only real intervals are evaluated.
 
 run_interval_search calls evaluate once per interval, grid first, in
 scan order. The estimator's evaluate functions compute the whole grid
-as one stack on that first call (estimator._grid_scan), so the search's
-counts, order and tie rule do not see the batching.
+as one stack on that first call (estimator._grid_scan), and its warm
+function scores each golden_max lookahead tree of refinement intervals
+as one stack before they are visited, so the search's counts, order and
+tie rule do not see the batching.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
 
 FAMILIES = ("symmetric", "anchored", "origin-free")
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# rounds of golden_max whose reachable points are warmed as one batch
+_LOOKAHEAD = 4
 _TIE_RTOL = 1e-12
 
 
@@ -155,13 +159,36 @@ def interval_grid(config: SupSearchConfig) -> list[Interval]:
     return grid
 
 
-def golden_max(f, lo: float, hi: float, rounds: int):
-    """Golden-section maximization of f on [lo, hi] with a fixed round budget."""
+def _reachable(a: float, b: float, c: float, d: float, depth: int) -> list[float]:
+    """The points golden_max's next depth rounds can visit from the bracket
+    [a, b] with probes c < d, by the loop's own expressions: a binary tree
+    of 2^(depth + 1) - 2 points, each level's two children first."""
+    if depth == 0:
+        return []
+    c1 = d - _INVPHI * (d - a)  # fc >= fd: the bracket becomes [a, d]
+    d1 = c + _INVPHI * (b - c)  # fc < fd: the bracket becomes [c, b]
+    return [c1, d1, *_reachable(a, d, c1, c, depth - 1),
+            *_reachable(c, b, d, d1, depth - 1)]
+
+
+def golden_max(f, lo: float, hi: float, rounds: int, warm=None):
+    """Golden-section maximization of f on [lo, hi] with a fixed round budget.
+
+    warm(points), when given, is called before the first evaluation with
+    the two starting points and every point the first _LOOKAHEAD rounds
+    can visit, then every _LOOKAHEAD rounds with the points the next ones
+    can visit. It may only fill a cache that f reads: the points f is
+    called at, in their order, and the result do not depend on warm.
+    """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
+    if warm is not None:
+        warm([c, d, *_reachable(a, b, c, d, min(rounds, _LOOKAHEAD))])
     fc, fd = f(c), f(d)
-    for _ in range(rounds):
+    for r in range(rounds):
+        if warm is not None and r and r % _LOOKAHEAD == 0:
+            warm(_reachable(a, b, c, d, min(rounds - r, _LOOKAHEAD)))
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -218,7 +245,7 @@ def _maximize(candidates, evaluate, refine, tie_key,
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
                         grid: list[Interval] | None = None,
-                        homogeneous: bool = False) -> SupSearchResult:
+                        homogeneous: bool = False, warm=None) -> SupSearchResult:
     """Maximize evaluate(Interval) over the configured family.
 
     Grid scan (grid, when the caller already holds interval_grid(config)),
@@ -234,12 +261,32 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
     half-length, then toward the earliest evaluation. The reported
     estimate is the functional value at the reported argmax, recomputable
     exactly.
+
+    warm(intervals), when given, receives the intervals each golden_max
+    lookahead can refine to, before they are evaluated, to score them in
+    one stack; it must not change what evaluate returns.
     """
     rounds = config.refine_rounds
 
     def refine(scored, incumbent) -> None:
         if rounds == 0:
             return
+
+        def golden(region, lo: float, hi: float) -> None:
+            """golden_max of scored(region(p)) over p in [lo, hi]; the
+            lookahead warms the regions that are valid intervals."""
+            def regions(points):
+                out = []
+                for p in points:
+                    try:
+                        out.append(region(p))
+                    except (ArithmeticError, ValueError):
+                        pass  # raised again if the search visits it
+                return out
+
+            golden_max(lambda p: scored(region(p)), lo, hi, rounds,
+                       warm=None if warm is None else lambda ps: warm(regions(ps)))
+
         best_iv = incumbent()
         if homogeneous and best_iv.contains_zero():
             return  # anchored or symmetric: refinement would only tie
@@ -247,11 +294,11 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
         if best_iv.a == 0.0 or best_iv.b == 0.0:
             t0 = best_iv.b or best_iv.a  # the far endpoint, signed
 
-            def along(logt: float) -> float:
+            def along(logt: float) -> Interval:
                 t = math.copysign(math.exp(logt), t0)
-                return scored(Interval(min(0.0, t), max(0.0, t)))
+                return Interval(min(0.0, t), max(0.0, t))
 
-            golden_max(along, math.log(abs(t0)) - span, math.log(abs(t0)) + span, rounds)
+            golden(along, math.log(abs(t0)) - span, math.log(abs(t0)) + span)
             return
         # the scale about a fixed center, clamped to keep the family; a
         # symmetric interval (center 0) has no clamp and no offset
@@ -259,23 +306,22 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
         h0 = best_iv.halflength
         cap = abs(c0) or math.inf
 
-        def along_scale(logh: float) -> float:
+        def along_scale(logh: float) -> Interval:
             h = min(math.exp(logh), cap)
-            return scored(Interval(c0 - h, c0 + h))
+            return Interval(c0 - h, c0 + h)
 
-        golden_max(along_scale, math.log(h0) - span, min(math.log(h0) + span, math.log(cap)),
-                   rounds)
+        golden(along_scale, math.log(h0) - span, min(math.log(h0) + span, math.log(cap)))
         best_iv = incumbent()
         if not (homogeneous or best_iv.contains_zero()):
             c1 = (best_iv.a + best_iv.b) / 2.0
             h1 = best_iv.halflength
 
-            def along_offset(logc: float) -> float:
+            def along_offset(logc: float) -> Interval:
                 c = math.copysign(max(math.exp(logc), h1), c1)
-                return scored(Interval(c - h1, c + h1))
+                return Interval(c - h1, c + h1)
 
-            golden_max(along_offset, max(math.log(abs(c1)) - span, math.log(h1)),
-                       math.log(abs(c1)) + span, rounds)
+            golden(along_offset, max(math.log(abs(c1)) - span, math.log(h1)),
+                   math.log(abs(c1)) + span)
 
     result = _maximize(interval_grid(config) if grid is None else grid,
                        evaluate, refine,

@@ -32,7 +32,7 @@ import numpy as np
 from .quadrature import PointwiseMatrixFunction, adaptive_quad
 from .report import (A2Report, Finding, VERDICT_A2, VERDICT_NECESSARY_PASSED,
                      VERDICT_NOT_A2, VERDICT_NOT_PD_AE)
-from .scalar_power import format_rational
+from .scalar_power import format_rational, power_stack
 from .type1 import SymbolicPowerMatrix, _exponent_range_report, build_type1
 
 __all__ = [
@@ -230,7 +230,7 @@ def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
     terms = np.cumprod(ratios, axis=1)  # term n = (iz)^n / n!
     # vecdot, like the Gauss sums of quadrature._gl_panels, sums each
     # element's terms on their own
-    out[:, near] = y[near] ** s * np.vecdot((1.0 / (s + n))[:, None, :], terms)
+    out[:, near] = power_stack(y[near], s) * np.vecdot((1.0 / (s + n))[:, None, :], terms)
     far = ~near
     iz = 1j * z[far]
     # h = 1 / (b_0 - a_1 / (b_1 - a_2 / (b_2 - ...))) with b_k = 2k + 1 - s - iz
@@ -242,7 +242,8 @@ def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
         t = base + (2 * level - 1) - a / t
     const = (np.array([[[math.gamma(v)]] for v in s[:, 0]]) * m ** -s[:, :, None]
              * np.exp(0.5j * math.pi * s[:, :, None]))
-    out[:, far] = np.broadcast_to(const, out.shape)[:, far] - y[far] ** s * np.exp(iz) / t
+    out[:, far] = (np.broadcast_to(const, out.shape)[:, far]
+                   - power_stack(y[far], s) * np.exp(iz) / t)
     return np.where(xs < 0.0, -out.conj(), out)
 
 

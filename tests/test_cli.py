@@ -658,6 +658,32 @@ class TestConstantCommand:
         assert captured.err == ("search failed: OverflowError: alphas 4e-309 to 1.5e+308 "
                                 "span more than the float range\n")
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+    @pytest.mark.parametrize("kind", ["scalar", "type1", "identity", "rotation2d"])
+    def test_an_exponent_that_rounds_to_one_fails_the_search(self, tmp_path, capsys,
+                                                              kind, sign):
+        # 1 - 1e-20 is A2, but its float is 1.0: check says A2, and constant
+        # stops before any average, naming the entry or eigenvalue
+        g = f"{sign}99999999999999999999/100000000000000000000"
+        doc, where = {
+            "scalar": ({"kind": "scalar", "gamma": g}, "entry (0, 0)"),
+            "type1": ({"kind": "type1", "coeff": [[5, 3], [3, 2]],
+                       "diag_exponents": ["1/2", g]}, "entry (1, 1)"),
+            "identity": ({"kind": "type2", "alphas": [3.0, 9.0], "gammas": ["1/4", g],
+                          "unitary": "identity"}, "entry (1, 1)"),
+            "rotation2d": ({"kind": "type2", "alphas": [3.0, 9.0], "gammas": [g, g],
+                            "unitary": "rotation2d"}, "eigenvalue 0"),
+        }[kind]
+        path = write_spec(tmp_path, doc)
+        assert main(["check", path]) == 0
+        assert "A2: yes" in capsys.readouterr().out
+        code = main(["constant", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == (f"search failed: SearchError: {where} exponent {g} rounds to "
+                                f"{sign}1 in double precision; the averages need it strictly "
+                                "inside (-1, 1)\n")
+
     def test_text_output_mentions_bound(self, tmp_path, capsys):
         code = main(["constant", write_spec(tmp_path, SCALAR_HALF)])
         out = capsys.readouterr().out

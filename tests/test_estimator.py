@@ -12,14 +12,16 @@ import scipy.integrate
 from a2w.estimator import (Interval, NonPositiveInputError, SupSearchConfig,
                            a2_functional_norm, a2_functional_trace,
                            average_numeric, average_symbolic,
-                           coarse_interval_config, estimate_a2)
+                           coarse_interval_config, default_interval_config,
+                           estimate_a2)
 from a2w.quadrature import PointwiseMatrixFunction, QuadratureBudgetError
 from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, symbolic_inverse)
-from a2w import estimator, linalg, quadrature, type2
-from a2w.search import interval_grid
+from a2w import estimator, linalg, quadrature, search, type2
+from a2w.scalar_power import integral_abs_pow_stack
+from a2w.search import golden_max, interval_grid, run_interval_search
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
@@ -267,7 +269,7 @@ def _recorded_averages(monkeypatch, w, intervals):
 
     monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
     grid = interval_grid(coarse_interval_config())
-    evaluate = estimator._type2_eval_fn(w, "trace", grid)
+    evaluate, _ = estimator._type2_eval_fn(w, "trace", grid)
     values = [evaluate(iv) for iv in intervals]
     scan, *alone = stacks
     assert len(scan) == len(grid) and all(len(s) == 1 for s in alone)
@@ -398,7 +400,7 @@ class TestRotationLimits:
             "rotation3d-trace", "rotation3d-norm"])
     def test_long_anchored_intervals_tend_to_the_limit(self, w, functional, cap):
         target = _rotation_limit(w, functional)
-        evaluate = estimator._type2_eval_fn(w, functional, [])
+        evaluate, _ = estimator._type2_eval_fn(w, functional, [])
         errors = [abs(evaluate(Interval(0.0, 10.0 ** k)) - target) / target
                   for k in range(2, 9)]
         # each decade of L shrinks the error, until it reaches rounding
@@ -408,8 +410,8 @@ class TestRotationLimits:
 
 def _eval_fn(w, functional, config):
     if isinstance(w, Type2Weight):
-        return estimator._type2_eval_fn(w, functional, interval_grid(config))
-    return estimator._symbolic_eval_fn(w, functional, interval_grid(config))
+        return estimator._type2_eval_fn(w, functional, interval_grid(config))[0]
+    return estimator._symbolic_eval_fn(w, functional, interval_grid(config))[0]
 
 
 def _shape(iv):
@@ -426,6 +428,69 @@ def _grid_cells(config):
             one = replace(config, centers=(c,), halflengths=(h,))
             for iv in interval_grid(one):
                 yield one, iv
+
+
+# rotations whose incumbents refine: README's rotation2d (1, 2) and
+# rotation3d_euler (1, 3, 0.5), and ROTATION_39
+REFINED_ROTATIONS = [
+    ROTATION_39,
+    Type2Weight((1.0, 2.0), ("1/2", "1/2"), "rotation2d"),
+    Type2Weight((1.0, 3.0, 0.5), ("-1/3",) * 3, "rotation3d_euler"),
+]
+
+
+def _gauss(w, iv):
+    """Whether a rotation's interval takes the Gauss rule (_type2_eval_fn)."""
+    degree = {"rotation2d": 2, "rotation3d_euler": 6}[w.unitary]
+    return degree * iv.length <= 1.0 and iv.near_endpoint_distance() >= 2.0 * iv.length
+
+
+class _SearchLog:
+    """estimate_a2(w, functional, config), recording the (interval, value)
+    of each evaluation (visits), the interval lists warm receives
+    (batches), the size of each stack the functional scores (stacks) and
+    (rounds, warm calls) per golden_max call (phases). warm=False runs the
+    search without its warm entry point."""
+
+    def __init__(self, w, functional, config=None, warm=True):
+        self.visits, self.batches, self.stacks, self.phases = [], [], [], []
+        func = estimator._FUNCTIONALS[functional]
+
+        def scored(avg_w, avg_winv):
+            self.stacks.append(len(avg_w))
+            return func(avg_w, avg_winv)
+
+        def searched(evaluate, *args, warm, **kwargs):
+            def visit(iv):
+                value = evaluate(iv)
+                self.visits.append((iv, value))
+                return value
+
+            def warmed(ivs):
+                self.batches.append(ivs)
+                warm(ivs)
+
+            return run_interval_search(visit, *args, warm=warmed if use_warm else None,
+                                       **kwargs)
+
+        def golden(f, lo, hi, rounds, warm=None):
+            calls = []
+
+            def counted(points):
+                calls.append(len(points))
+                warm(points)
+
+            try:
+                return golden_max(f, lo, hi, rounds, warm=counted if warm else None)
+            finally:
+                self.phases.append((rounds, len(calls)))
+
+        use_warm = warm
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(estimator._FUNCTIONALS, functional, scored)
+            patch.setattr(estimator, "run_interval_search", searched)
+            patch.setattr(search, "golden_max", golden)
+            self.result = estimate_a2(w, functional, config)
 
 
 class TestStackedGrid:
@@ -452,18 +517,64 @@ class TestStackedGrid:
             assert any(degree * iv.length <= 1.0
                        and iv.near_endpoint_distance() >= 2.0 * iv.length for iv in grid)
 
-    def test_refinement_intervals_are_scored_alone(self, monkeypatch):
-        sizes = []
-        trace = estimator.a2_functional_trace
+    @pytest.mark.parametrize("w", REFINED_ROTATIONS, ids=["rotation2d-3-9",
+                                                          "rotation2d-1-2", "rotation3d"])
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    def test_lookahead_stacks_change_no_visit_or_value(self, w, functional, grid):
+        # The refinement's lookahead stacks only fill the table: the search
+        # sees the same intervals and values, bit for bit, as one whose
+        # golden_max gets no warm, which scores each refinement interval
+        # as a stack of one.
+        config = {"coarse": None, "fine": default_interval_config()}[grid]
+        warmed = _SearchLog(w, functional, config, warm=True)
+        cold = _SearchLog(w, functional, config, warm=False)
+        n_grid = len(interval_grid(cold.result.config))
+        assert cold.phases  # it refines: 2 starting points and one per round
+        assert cold.result.evaluations == n_grid + sum(rounds + 2 for rounds, _ in cold.phases)
+        assert [(iv.a.hex(), iv.b.hex(), v.hex()) for iv, v in warmed.visits] == \
+            [(iv.a.hex(), iv.b.hex(), v.hex()) for iv, v in cold.visits]
+        assert warmed.result == cold.result
+        assert warmed.result.estimate.hex() == cold.result.estimate.hex()
+        assert cold.stacks == [n_grid] + [1] * (cold.result.evaluations - n_grid)
+        assert cold.phases == [(rounds, 0) for rounds, _ in cold.phases]
+        assert warmed.stacks[0] == n_grid and 1 not in warmed.stacks
+        assert warmed.phases == [(rounds, math.ceil(rounds / search._LOOKAHEAD))
+                                 for rounds, _ in cold.phases]
 
-        def recording(avg_w, avg_winv):
-            sizes.append(len(avg_w))
-            return trace(avg_w, avg_winv)
+    @pytest.mark.parametrize("functional", ["trace", "norm"])
+    def test_a_failing_lookahead_stack_falls_back_to_stacks_of_one(self, monkeypatch,
+                                                                   functional):
+        # Both masses of one refinement interval change sign, so a stack
+        # that holds it fails its check. If the search never visits it,
+        # the result is the one without the failure; if it does, the search
+        # raises there, with the text that interval raises alone.
+        w = ROTATION_39
+        clean = _SearchLog(w, functional)
+        visited = {iv for iv, _ in clean.visits}
+        refined = [iv for iv, _ in clean.visits[-10:]]
+        unvisited = [iv for batch in clean.batches for iv in batch
+                     if iv not in visited and not _gauss(w, iv)]
+        for planted, raises in ((unvisited[0], False), (refined[3], True)):
+            assert not _gauss(w, planted)
+            kernel = integral_abs_pow_stack
 
-        monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
-        result = estimate_a2(TWO_BY_TWO, "trace")
-        grid = interval_grid(estimator.search_config(TWO_BY_TWO))
-        assert sizes == [len(grid)] + [1] * (result.evaluations - len(grid))
+            def flipped(gammas, a, b, planted=planted):
+                out = kernel(gammas, a, b)
+                return np.where((a == planted.a) & (b == planted.b), -out, out)
+
+            monkeypatch.setattr(estimator, "integral_abs_pow_stack", flipped)
+            if not raises:
+                log = _SearchLog(w, functional)
+                assert log.result == clean.result and log.visits == clean.visits
+                assert 1 in log.stacks  # the failed stack's visits, scored alone
+                continue
+            with pytest.raises(NonPositiveInputError) as alone:
+                estimator._type2_eval_fn(w, functional, [])[0](planted)
+            with pytest.raises(NonPositiveInputError) as search_error:
+                estimate_a2(w, functional)
+            assert search_error.value.region == planted
+            assert str(search_error.value) == str(alone.value)
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_a_failing_check_is_raised_on_its_own_interval(self, monkeypatch, functional):

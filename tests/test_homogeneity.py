@@ -167,7 +167,7 @@ def test_a_user_grid_runs_each_shape_once():
 def test_an_interval_scores_as_its_mirror_and_its_binary_dilates(functional):
     # every interval is scored at its shape [t, 1], and t is the same float
     # for [a, b], [-b, -a] and [2^k a, 2^k b]
-    evaluate = _symbolic_eval_fn(W2, functional, [])
+    evaluate, _ = _symbolic_eval_fn(W2, functional, [])
     func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
     for iv in INTERVALS:
         value = evaluate(iv)
@@ -236,27 +236,50 @@ def test_origin_free_incumbents_are_still_refined(functional):
     assert result.estimate > func(*averages(W2)(Interval(2.0, 4.0)))
 
 
+def mp_averages(weight, iv):
+    """(<W>, <W^-1>) of weight on the interval iv at 40 digits (mpmath),
+    from the closed form of the integral of |x|^e, with the exact inverse
+    of its float coefficient."""
+    mp = pytest.importorskip("mpmath")
+    a, b = mp.mpf(iv.a), mp.mpf(iv.b)
+    coeff = mp.matrix(weight.coeff.real.tolist())
+    exps = weight.exponents[0]
+
+    def average(m, sign):
+        def power_average(e):
+            s = sign * mp.mpf(e.numerator) / e.denominator + 1
+            ends = b ** s + (-a) ** s if a < 0 else b ** s - a ** s
+            return ends / (s * (b - a))
+        return mp.matrix([[m[i, j] * power_average(exps[i][j]) for j in range(weight.n)]
+                          for i in range(weight.n)])
+
+    return average(coeff, 1), average(coeff ** -1, -1)
+
+
 def mp_norm(weight, iv):
-    """The norm functional of weight on the interval iv, from its closed-form
-    averages at 40 digits (mpmath), with the exact inverse of its float
-    coefficient."""
+    """The norm functional of weight on the interval iv, from mp_averages,
+    as the top eigenvalue of L^T <W^-1> L with <W> = L L^T."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        a, b = mp.mpf(iv.a), mp.mpf(iv.b)
-        coeff = mp.matrix(weight.coeff.real.tolist())
-        exps = weight.exponents[0]
-
-        def average(m, sign):
-            def power_average(e):
-                s = sign * mp.mpf(e.numerator) / e.denominator + 1
-                ends = b ** s + (-a) ** s if a < 0 else b ** s - a ** s
-                return ends / (s * (b - a))
-            return mp.matrix([[m[i, j] * power_average(exps[i][j]) for j in range(weight.n)]
-                              for i in range(weight.n)])
-
-        low = mp.cholesky(average(coeff, 1))
-        top = max(mp.eigsy(low.T * average(coeff ** -1, -1) * low, eigvals_only=True))
+        avg_w, avg_winv = mp_averages(weight, iv)
+        low = mp.cholesky(avg_w)
+        top = max(mp.eigsy(low.T * avg_winv * low, eigvals_only=True))
         return float(top)
+
+
+def mp_norm_2x2(weight, iv):
+    """The norm functional of a 2x2 weight on the interval iv without an
+    eigensolver: the larger root (tau + sqrt(tau^2 - 4 det A det B)) / 2 of
+    the characteristic polynomial of AB, tau = tr(AB), for A = <W> and
+    B = <W^-1> from mp_averages."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        avg_w, avg_winv = mp_averages(weight, iv)
+        tau = sum((avg_w * avg_winv)[i, i] for i in range(2))
+        # the discriminant is (l1 - l2)^2, which rounds below 0 on the
+        # far shapes, where <W><W^-1> is within (1 - t)^2 of I
+        disc = tau ** 2 - 4 * mp.det(avg_w) * mp.det(avg_winv)
+        return float((tau + mp.sqrt(max(disc, 0))) / 2)
 
 
 def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
@@ -265,9 +288,23 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
     # cond(A), so the norm keeps its digits on every shape and at the
     # argmax
     grid = interval_grid(search_config(ILL_3X3))
-    evaluate = _symbolic_eval_fn(ILL_3X3, "norm", grid)
+    evaluate, _ = _symbolic_eval_fn(ILL_3X3, "norm", grid)
     for iv in grid:
         assert evaluate(iv) == pytest.approx(mp_norm(ILL_3X3, shape(iv)), rel=1e-13, abs=0.0)
     result = estimate_a2(ILL_3X3, "norm")
     assert result.estimate == pytest.approx(mp_norm(ILL_3X3, shape(result.argmax)),
                                             rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("weight", [
+    W2, build_type1(np.array([[2.0, -1.0], [-1.0, 3.0]]), ["-1/2", "1/3"])],
+    ids=["w2", "2x2-half"])
+def test_a_2x2_norm_matches_its_closed_form_at_every_shape(weight):
+    # every one of the 50 default shapes, against the roots of a quadratic
+    # in 40 digits: no code shared with the LAPACK route
+    grid = interval_grid(search_config(weight))
+    assert len(grid) == 50
+    evaluate, _ = _symbolic_eval_fn(weight, "norm", grid)
+    for iv in grid:
+        assert evaluate(iv) == pytest.approx(mp_norm_2x2(weight, shape(iv)), rel=1e-13,
+                                             abs=0.0), iv

@@ -14,8 +14,8 @@ from a2w.estimator import (a2_functional_trace, average_symbolic, estimate_a2,
 from a2w.scalar_power import (Interval, NotA2Error, NotIntegrableError,
                               average_abs_pow, format_rational,
                               integral_abs_pow, integral_abs_pow_stack,
-                              parse_rational, scalar_closed_form_constant,
-                              scalar_is_a2)
+                              parse_rational, power_stack,
+                              scalar_closed_form_constant, scalar_is_a2)
 from a2w.search import interval_grid
 from a2w.type1 import SymbolicPowerMatrix, check_a2, symbolic_inverse
 
@@ -143,6 +143,27 @@ class TestStackedIntegrals:
             for k in range(len(ivs)):
                 alone = integral_abs_pow_stack(g, a[k], b[k])
                 assert np.array_equal(alone, stack[i, k], equal_nan=True)
+
+    def test_a_half_exponent_does_not_depend_on_its_stack(self):
+        # numpy takes x ** 0.5 as sqrt only in a loop over more than one
+        # base; one interval against a column of exponents used pow
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 10.0, 200)
+        b = a + rng.uniform(0.1, 10.0, 200)
+        gammas = np.array([[-0.5], [0.5]])  # a rotation's W and W^-1 at g = 1/2
+        for lo in (a, -b):  # origin-free, then touching 0
+            stack = integral_abs_pow_stack(gammas, lo, b)
+            for k in range(a.size):
+                alone = integral_abs_pow_stack(gammas, lo[k:k + 1], b[k:k + 1])
+                assert np.array_equal(alone[:, 0], stack[:, k]), k
+
+    def test_power_stack_takes_sqrt_in_every_layout(self):
+        x = np.random.default_rng(1).uniform(1e-3, 1e3, 300)
+        s = np.array([[0.5], [0.25]])
+        stack = power_stack(x, s)
+        assert np.array_equal(stack[0], np.sqrt(x))
+        for k in range(x.size):
+            assert np.array_equal(power_stack(x[k:k + 1], s)[:, 0], stack[:, k]), k
 
     @pytest.mark.parametrize("g", [-1.0, -1.5])
     def test_nan_exactly_where_the_scalar_form_raises(self, g):

@@ -132,14 +132,18 @@ def test_benchmark_tracer_counts_a_rotation_constant(tmp_path):
         "tracer = Tracer(); tracer.install()",
         f"rc = tracer.run_op(0, cli.main, ['constant', {str(spec)!r}, '--json'])",
         "m = tracer.layer_metrics(1)",
-        "print(rc, m['search.evaluations'][0], m['type2.unitary_stack.nodes'][0])",
+        "print(rc, m['search.evaluations'][0], m['type2.unitary_stack.nodes'][0],"
+        " m['search.refine_evaluations'][0])",
     ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rc, evaluations, nodes = proc.stdout.split()[-3:]
+    rc, evaluations, nodes, refined = proc.stdout.split()[-4:]
     # 16 nodes for the Fourier coefficients, 20 per Gauss-rule interval
     assert (int(rc), float(evaluations), float(nodes)) == (0, 205, 1816)
+    # the 8 golden rounds and their 2 starting points; the lookahead
+    # stacks that score them ahead are not evaluations
+    assert float(refined) == 10
 
 
 def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from a2w.estimator import a2_functional_trace, average_symbolic
+from a2w import search
 from a2w.search import (Interval, SearchError, SupSearchConfig,
                         coarse_interval_config, default_interval_config,
                         golden_max, run_interval_search)
@@ -73,6 +74,38 @@ class TestGoldenMax:
     def test_deterministic(self):
         f = lambda t: math.sin(t)
         assert golden_max(f, 0.0, 3.0, 30) == golden_max(f, 0.0, 3.0, 30)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda t: -(t - 1.7) ** 2, 0.0, 4.0),
+        (lambda t: t, 0.0, 1.0),
+        (math.sin, 0.0, 3.0),
+        (math.sin, -2.0, 9.0),
+    ], ids=["parabola", "monotone", "sin", "sin-two-peaks"])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5, 7, 8, 13, 20, 30])
+    def test_warm_sees_every_point_first_and_changes_nothing(self, f, lo, hi, rounds):
+        # warm only fills a cache: the points f is called at, their values
+        # and the result are those without warm, and each point was in an
+        # earlier batch; a batch covers _LOOKAHEAD rounds
+        def run(warm):
+            seen = []
+
+            def g(t):
+                seen.append((t, f(t)))
+                assert warm is None or t in warmed, t
+                return f(t)
+
+            return golden_max(g, lo, hi, rounds, warm=warm), seen
+
+        warmed, batches = set(), []
+
+        def warm(points):
+            batches.append(len(points))
+            warmed.update(points)
+
+        assert run(warm) == run(None)
+        depth = search._LOOKAHEAD
+        assert len(batches) == math.ceil(rounds / depth)
+        assert batches[0] == 2 + 2 ** (min(rounds, depth) + 1) - 2
 
 
 class TestFamilyShapes:
