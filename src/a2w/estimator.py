@@ -286,9 +286,9 @@ def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interv
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
-    _require_float_exponents({f"entry ({i}, {j})": e
-                              for i, row in enumerate(w.exponents[0])
-                              for j, e in enumerate(row) if w.coeff[i, j] != 0})
+    # the other exponents of an A2 power matrix are midpoints of these
+    _require_float_exponents({f"entry ({i}, {i})": row[i]
+                              for i, row in enumerate(w.exponents[0])})
     w = w.equilibrated
     table = _term_table((w, type1.symbolic_inverse(w)))
     func = _FUNCTIONALS[functional]

@@ -108,9 +108,8 @@ def power_stack(x, s) -> np.ndarray:
     the one exponent of (0, 2), where every s = g + 1 of an A2 exponent g
     lies, that numpy does not always raise by pow."""
     out = np.power(x, s)
-    half = s == 0.5
-    if np.any(half):
-        out = np.where(half, np.sqrt(x), out)
+    if 0.5 in np.ravel(s).tolist():  # exponents are few; this test is cheap
+        out = np.where(s == 0.5, np.sqrt(x), out)
     return out
 
 

@@ -552,29 +552,30 @@ class TestStackedGrid:
         w = ROTATION_39
         clean = _SearchLog(w, functional)
         visited = {iv for iv, _ in clean.visits}
-        refined = [iv for iv, _ in clean.visits[-10:]]
-        unvisited = [iv for batch in clean.batches for iv in batch
-                     if iv not in visited and not _gauss(w, iv)]
-        for planted, raises in ((unvisited[0], False), (refined[3], True)):
-            assert not _gauss(w, planted)
-            kernel = integral_abs_pow_stack
+        warmed_only = next(iv for batch in clean.batches for iv in batch
+                           if iv not in visited and not _gauss(w, iv))
+        refined = clean.visits[-7][0]  # a refinement interval, warmed first
+        assert refined not in interval_grid(clean.result.config) and not _gauss(w, refined)
 
-            def flipped(gammas, a, b, planted=planted):
-                out = kernel(gammas, a, b)
-                return np.where((a == planted.a) & (b == planted.b), -out, out)
+        def plant(iv):
+            def flipped(gammas, a, b):
+                out = integral_abs_pow_stack(gammas, a, b)
+                return np.where((a == iv.a) & (b == iv.b), -out, out)
 
             monkeypatch.setattr(estimator, "integral_abs_pow_stack", flipped)
-            if not raises:
-                log = _SearchLog(w, functional)
-                assert log.result == clean.result and log.visits == clean.visits
-                assert 1 in log.stacks  # the failed stack's visits, scored alone
-                continue
-            with pytest.raises(NonPositiveInputError) as alone:
-                estimator._type2_eval_fn(w, functional, [])[0](planted)
-            with pytest.raises(NonPositiveInputError) as search_error:
-                estimate_a2(w, functional)
-            assert search_error.value.region == planted
-            assert str(search_error.value) == str(alone.value)
+
+        plant(warmed_only)
+        log = _SearchLog(w, functional)
+        assert log.result == clean.result and log.visits == clean.visits
+        assert 1 in log.stacks  # the failed stack's visits, scored alone
+
+        plant(refined)
+        with pytest.raises(NonPositiveInputError) as alone:
+            estimator._type2_eval_fn(w, functional, [])[0](refined)
+        with pytest.raises(NonPositiveInputError) as search_error:
+            estimate_a2(w, functional)
+        assert search_error.value.region == refined
+        assert str(search_error.value) == str(alone.value)
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_a_failing_check_is_raised_on_its_own_interval(self, monkeypatch, functional):
