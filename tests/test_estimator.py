@@ -453,6 +453,7 @@ class _SearchLog:
     search without its warm entry point."""
 
     def __init__(self, w, functional, config=None, warm=True):
+        use_warm = warm  # searched's own warm is the estimator's
         self.visits, self.batches, self.stacks, self.phases = [], [], [], []
         func = estimator._FUNCTIONALS[functional]
 
@@ -485,7 +486,6 @@ class _SearchLog:
             finally:
                 self.phases.append((rounds, len(calls)))
 
-        use_warm = warm
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(estimator._FUNCTIONALS, functional, scored)
             patch.setattr(estimator, "run_interval_search", searched)
