@@ -12,13 +12,13 @@ proper, the trace form sandwiches it within a factor of the dimension.
 
 Averages and functionals run on stacks shaped (k, n, n). A search's
 evaluate function scores its whole grid as one stack on its first call,
-its warm function each lookahead tree of golden-refinement intervals (an
-origin-free power-matrix incumbent's or a rotation's), and evaluate
-looks those up after that; any other interval, and average_symbolic,
-run the same code as a stack of one, so a value never depends on its
-batch (_grid_scan).
-A power matrix scores every interval at its shape [t, 1] (search_config),
-on its equilibrated coefficient (SymbolicPowerMatrix.equilibrated).
+its warm function each lookahead tree of a rotation's golden-refinement
+intervals, and evaluate looks those up after that; any other interval,
+and average_symbolic, run the same code as a stack of one, so a value
+never depends on its batch (_grid_scan).
+A power matrix scores its grid's shapes [t, 1] once each and stops
+(search_config); lines and cubes average it equilibrated, with its
+symbolic inverse, after a float rule on its exponents (_closed_form_pair).
 """
 
 from __future__ import annotations
@@ -270,27 +270,32 @@ def _grid_scan(score, grid: list):
     return evaluate, warm
 
 
-def _require_float_exponents(exponents: dict) -> None:
-    """Raise SearchError for the first of exponents, keyed by the entry or
-    eigenvalue it belongs to, that rounds to -1 or 1 in double precision.
-    An A2 weight's exponents lie in (-1, 1), but the averages run on their
-    floats, and |x|^-1 has no average across 0."""
-    for where, e in exponents.items():
-        if abs(float(e)) >= 1.0:
+def _require_float_exponents(located, bound: int) -> None:
+    """Raise SearchError for the first (where, e) of located whose float
+    is not inside (-bound, bound), the A2 range: averages run on floats."""
+    for where, e in located:
+        if abs(float(e)) >= bound:
             raise SearchError(f"{where} exponent {format_rational(e)} rounds to "
                               f"{float(e):g} in double precision; the averages "
-                              "need it strictly inside (-1, 1)")
+                              f"need it strictly inside ({-bound}, {bound})")
+
+
+def _closed_form_pair(w: SymbolicPowerMatrix):
+    """(W, W^-1) as lines and cubes average them: w equilibrated and its
+    symbolic inverse, once no diagonal exponent rounds to its factor's A2
+    bound (type1._diagonal_range); the others are midpoints of these."""
+    located, bound = type1._diagonal_range(w)
+    _require_float_exponents([(f"coordinate {at[0]}, entry ({at[1]}, {at[1]})" if at[1:]
+                               else f"entry ({at[0]}, {at[0]})", g) for at, g in located], bound)
+    w = w.equilibrated
+    return w, type1.symbolic_inverse(w)
 
 
 def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interval]):
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
-    # the other exponents of an A2 power matrix are midpoints of these
-    _require_float_exponents({f"entry ({i}, {i})": row[i]
-                              for i, row in enumerate(w.exponents[0])})
-    w = w.equilibrated
-    table = _term_table((w, type1.symbolic_inverse(w)))
+    table = _term_table(_closed_form_pair(w))
     func = _FUNCTIONALS[functional]
 
     def score(ivs: list[Interval]) -> np.ndarray:
@@ -323,7 +328,7 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     past the float range raises OverflowError, and an exponent that rounds
     to -1 or 1 SearchError (_require_float_exponents).
     """
-    _require_float_exponents({f"eigenvalue {k}": g for k, g in enumerate(w.gammas)})
+    _require_float_exponents([(f"eigenvalue {k}", g) for k, g in enumerate(w.gammas)], 1)
     w = w.equilibrated
     g = float(w.gammas[0])
     pair = type2.pair_pointwise(w)
@@ -371,15 +376,16 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
 @functools.lru_cache(maxsize=16)
 def _shapes(config: SupSearchConfig) -> SupSearchConfig:
     """config's distinct family shapes at half-length 1, mirror images
-    merged, built once per distinct config (a frozen, hashable value):
-    center 0 (symmetric) if config has it, then each ratio r = |c|/h >= 1
-    (r = 1 is anchored) in increasing order, one per run of ratios within
-    1e-9 relative of each other (floating-point noise of the grid)."""
+    merged, with no refinement, once per distinct (frozen) config: center
+    0 (symmetric) if config has it, then each ratio r = |c|/h >= 1 (r = 1
+    is anchored) in increasing order, one per run of ratios within 1e-9
+    relative of each other (floating-point noise of the grid)."""
     r = np.unique(np.abs(np.array(config.centers))[:, None] / np.array(config.halflengths))
     r = r[r >= 1.0]
     r = r[np.diff(r, prepend=0.0) > 1e-9 * r]
     symmetric = (0.0,) if 0.0 in config.centers else ()
-    return replace(config, centers=symmetric + tuple(r.tolist()), halflengths=(1.0,))
+    return replace(config, centers=symmetric + tuple(r.tolist()), halflengths=(1.0,),
+                   refine_rounds=0)
 
 
 def _estimated(weight):
@@ -397,8 +403,9 @@ def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchCon
     Power matrices, identity Type 2 weights among them, are even and
     homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their
     functionals see an interval's shape |c|/h and not its size or side:
-    they run the grid's distinct shapes once each, at half-length 1
-    (_shapes), 50 on the default grid and 14 on the coarse one.
+    they run the grid's distinct shapes once each, at half-length 1, and
+    stop (_shapes): 50 on the default grid and 14 on the coarse one. No
+    origin-free shape was seen to beat [-1, 1] or [0, 1] past the tie rule.
     """
     if isinstance(_estimated(weight), Type2Weight):
         return config or coarse_interval_config()
@@ -415,8 +422,7 @@ def estimate_a2(weight, functional: str = "trace",
     decide_a2) is the one gate: a weight that is not A2 raises NotA2Error
     (A2Report.require_a2) before any average. Every route averages in
     closed form, up to rounding; a rotation's short intervals far from 0
-    take a Gauss rule. A power matrix is scored at each interval's shape,
-    and its search refines an origin-free incumbent only.
+    take a Gauss rule. A power matrix is scored at each interval's shape.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
@@ -429,8 +435,6 @@ def estimate_a2(weight, functional: str = "trace",
     weight = _estimated(weight)
     cfg = search_config(weight, config)
     grid = interval_grid(cfg)
-    homogeneous = isinstance(weight, SymbolicPowerMatrix)
-    evaluate, warm = (_symbolic_eval_fn if homogeneous else _type2_eval_fn)(
-        weight, functional, grid)
-    return run_interval_search(evaluate, cfg, functional=functional, grid=grid,
-                               homogeneous=homogeneous, warm=warm)
+    evaluate, warm = (_symbolic_eval_fn if isinstance(weight, SymbolicPowerMatrix)
+                      else _type2_eval_fn)(weight, functional, grid)
+    return run_interval_search(evaluate, cfg, functional=functional, grid=grid, warm=warm)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search, type1
-from .estimator import (_FUNCTIONALS, _averages, _grid_scan, _term_table,
-                        a2_functional_norm, a2_functional_trace, average_symbolic)
+from .estimator import (_FUNCTIONALS, _averages, _closed_form_pair, _grid_scan,
+                        _term_table, a2_functional_norm, a2_functional_trace, average_symbolic)
 from .quadrature import QuadratureBudgetError, _panel_tree
 from .scalar_power import NotIntegrableError
 from .search import Interval, SupSearchResult, _maximize
@@ -266,10 +266,11 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     so each family takes one value whatever the side: the unit cubes
     cornered at and centered on the origin, and shifted one and two sides
     out along the diagonal, run once each, as one stack
-    (estimator._grid_scan), on the equilibrated coefficient. Values within
-    1e-12 relative tie; ties go to the cube whose nearest vertex is closest
-    to the origin. A weight that is not A2 raises NotA2Error
-    (A2Report.require_a2).
+    (estimator._grid_scan), on the equilibrated weight and its inverse
+    (estimator._closed_form_pair). Values within 1e-12 relative tie; ties
+    go to the cube whose nearest vertex is closest to the origin. A weight
+    that is not A2 raises NotA2Error (A2Report.require_a2), and an A2
+    exponent that rounds to its factor's bound SearchError.
     """
     func = _FUNCTIONALS.get(functional)
     if func is None:
@@ -277,8 +278,7 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     if not isinstance(weight, SymbolicPowerMatrix):
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     type1.check_a2(weight).require_a2()
-    weight = weight.equilibrated
-    inverse = type1.symbolic_inverse(weight)
+    weight, inverse = _closed_form_pair(weight)
     if weight.separable:
         table = _term_table((weight, inverse))
 

@@ -81,12 +81,6 @@ class PointwiseMatrixFunction:
         """The number of matrices values returns: len(exponents), else 1."""
         return len(self.exponents) if self.exponents else 1
 
-    @property
-    def singular_exponent(self) -> Fraction | None:
-        """The smallest exponent of the power model, a lower bound s with
-        |entries(x)| = O(|x|^s) as x -> 0; None when smooth."""
-        return min(map(min, self.exponents)) if self.exponents else None
-
 
 def _power_gap(s) -> float:
     """Relative Gauss error for x^s on a panel [0, L]: |true / Gauss - 1|,

@@ -2,9 +2,10 @@
 
 Candidate intervals are parametrized by (center, half-length) on
 logarithmic grids. A power matrix's functionals, an identity Type 2
-weight's among them, see only an interval's shape, so it searches each
-shape of the grid once, mirror images merged (estimator.search_config);
-a rotation's do not, and it scans the whole grid. The family (FAMILIES)
+weight's among them, see only an interval's shape, so it scores each
+shape of the grid once, mirror images merged, and stops
+(estimator.search_config); a rotation's do not, and it scans the whole
+grid, then refines its incumbent. The family (FAMILIES)
 deliberately contains only three interval shapes relative to the origin:
 symmetric (center 0), anchored (one endpoint exactly 0), and origin-free.
 Asymmetric intervals with 0 strictly inside are excluded; on those the
@@ -16,9 +17,9 @@ supremum either way, since only real intervals are evaluated.
 run_interval_search calls evaluate once per interval, grid first, in
 scan order. The estimator's evaluate functions compute the whole grid
 as one stack on that first call (estimator._grid_scan), and its warm
-function scores each golden_max lookahead tree of refinement intervals
-as one stack before they are visited, so the search's counts, order and
-tie rule do not see the batching.
+function scores each golden_max lookahead tree of a rotation's
+refinement intervals as one stack before they are visited, so the
+search's counts, order and tie rule do not see the batching.
 """
 
 from __future__ import annotations
@@ -244,19 +245,14 @@ def _maximize(candidates, evaluate, refine, tie_key,
 
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
-                        grid: list[Interval] | None = None,
-                        homogeneous: bool = False, warm=None) -> SupSearchResult:
+                        grid: list[Interval] | None = None, warm=None) -> SupSearchResult:
     """Maximize evaluate(Interval) over the configured family.
 
     Grid scan (grid, when the caller already holds interval_grid(config)),
-    then golden-section refinement along the one-parameter subfamily
-    through the incumbent: the scale direction, and the offset direction
-    for origin-free intervals. A homogeneous evaluate (a power matrix's
-    functional, which sees an interval's shape and not its size) is
-    constant along the scale direction of an anchored or symmetric
-    interval, so such an incumbent is not refined; on an origin-free one
-    both directions move the one ratio |c|/h, so only the scale runs.
-    Ties within 1e-12 relative are resolved deterministically toward the
+    then config.refine_rounds rounds of golden-section refinement along
+    the one-parameter subfamily through the incumbent: the scale
+    direction, and the offset direction for origin-free intervals. Ties
+    within 1e-12 relative are resolved deterministically toward the
     interval whose near endpoint is closest to 0 in units of its
     half-length, then toward the earliest evaluation. The reported
     estimate is the functional value at the reported argmax, recomputable
@@ -288,8 +284,6 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
                        warm=None if warm is None else lambda ps: warm(regions(ps)))
 
         best_iv = incumbent()
-        if homogeneous and best_iv.contains_zero():
-            return  # anchored or symmetric: refinement would only tie
         span = math.log(4.0)
         if best_iv.a == 0.0 or best_iv.b == 0.0:
             t0 = best_iv.b or best_iv.a  # the far endpoint, signed
@@ -312,7 +306,7 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
 
         golden(along_scale, math.log(h0) - span, min(math.log(h0) + span, math.log(cap)))
         best_iv = incumbent()
-        if not (homogeneous or best_iv.contains_zero()):
+        if not best_iv.contains_zero():
             c1 = (best_iv.a + best_iv.b) / 2.0
             h1 = best_iv.halflength
 

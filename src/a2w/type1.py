@@ -238,10 +238,6 @@ def _line(w: SymbolicPowerMatrix) -> ExponentMatrix:
     return w.exponents[0]
 
 
-def _diag(mat) -> tuple[Fraction, ...]:
-    return tuple(mat[i][i] for i in range(len(mat)))
-
-
 def evaluate(w: SymbolicPowerMatrix, x) -> np.ndarray:
     """Pointwise value W(x) for x != 0, on the line; an array of points
     gives the stack of values, shaped x.shape + (n, n)."""
@@ -339,10 +335,14 @@ def _decide_a2(w: SymbolicPowerMatrix) -> A2Report:
     pd = check_positive_definite_ae(w)
     if pd.verdict != VERDICT_PD_AE:
         return pd
-    located = [(where + (i,), g) for where, mat in _located(w.exponents)
-               for i, g in enumerate(_diag(mat))]
-    return _exponent_range_report("diagonal", located, 1 if w.separable else w.d,
-                                  VERDICT_A2)
+    return _exponent_range_report("diagonal", *_diagonal_range(w), VERDICT_A2)
+
+
+def _diagonal_range(w: SymbolicPowerMatrix) -> tuple[list, int]:
+    """(where, g) for every factor's diagonal exponent, and the bound b of
+    their A2 range (-b, b): 1 for |x| and each |x_c|, d for ||x||."""
+    return ([(where + (i,), mat[i][i]) for where, mat in _located(w.exponents)
+             for i in range(len(mat))], 1 if w.separable else w.d)
 
 
 def _exponent_range_report(noun: str, located, bound: int, passed: str) -> A2Report:
@@ -380,9 +380,9 @@ def symbolic_det(w: SymbolicPowerMatrix) -> tuple[complex, Fraction]:
     Under the midpoint condition every permutation term carries the same
     power of |x|, namely the diagonal exponent sum.
     """
-    mat = _line(w)
+    _line(w)
     _require_midpoint(w)
-    return linalg.lu_det(w.coeff), sum(_diag(mat), Fraction(0))
+    return linalg.lu_det(w.coeff), sum((g for _, g in _diagonal_range(w)[0]), Fraction(0))
 
 
 def symbolic_inverse(w: SymbolicPowerMatrix) -> SymbolicPowerMatrix:

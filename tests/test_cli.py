@@ -329,16 +329,16 @@ class TestConstantCommand:
     def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
         # Dilation invariance and evenness: power matrices, identity Type 2
         # weights among them, search each shape of the grid once, mirror
-        # images merged, at half-length 1.
-        for doc, (grid, shapes, rounds) in itertools.product(
-                (TWO_BY_TWO, IDENTITY), (([], 50, 20), (["--grid", "coarse"], 14, 8))):
+        # images merged, at half-length 1, and do not refine.
+        for doc, (grid, shapes) in itertools.product(
+                (TWO_BY_TWO, IDENTITY), (([], 50), (["--grid", "coarse"], 14))):
             code, payload = run_json(
                 capsys, ["constant", write_spec(tmp_path, doc), "--json", *grid])
             assert code == 0
             assert payload["config"] == {
                 "grid": grid[-1] if grid else "default", "centers": shapes,
-                "halflengths": 1, "refine_rounds": rounds, "families": INTERVAL_FAMILIES}
-            # the row of shapes alone: the anchored argmax is not refined
+                "halflengths": 1, "refine_rounds": 0, "families": INTERVAL_FAMILIES}
+            # the row of shapes alone
             assert payload["evaluations"] == shapes
             assert payload["argmax"] == {"a": 0.0, "b": 2.0}
 
@@ -659,12 +659,15 @@ class TestConstantCommand:
                                 "span more than the float range\n")
 
     @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
-    @pytest.mark.parametrize("kind", ["scalar", "type1", "identity", "rotation2d"])
+    @pytest.mark.parametrize("kind", ["scalar", "type1", "identity", "rotation2d",
+                                      "type1a", "type1b-d2", "type1b-d3"])
     def test_an_exponent_that_rounds_to_one_fails_the_search(self, tmp_path, capsys,
                                                               kind, sign):
         # 1 - 1e-20 is A2, but its float is 1.0: check says A2, and constant
-        # stops before any average, naming the entry or eigenvalue
-        g = f"{sign}99999999999999999999/100000000000000000000"
+        # stops before any average, naming the entry or eigenvalue, and a
+        # cube's coordinate. A radial factor's bound is d, so there d - 1e-20.
+        bound = {"type1b-d2": 2, "type1b-d3": 3}.get(kind, 1)
+        g = f"{sign}{bound - 1 or ''}99999999999999999999/100000000000000000000"
         doc, where = {
             "scalar": ({"kind": "scalar", "gamma": g}, "entry (0, 0)"),
             "type1": ({"kind": "type1", "coeff": [[5, 3], [3, 2]],
@@ -673,6 +676,13 @@ class TestConstantCommand:
                           "unitary": "identity"}, "entry (1, 1)"),
             "rotation2d": ({"kind": "type2", "alphas": [3.0, 9.0], "gammas": [g, g],
                             "unitary": "rotation2d"}, "eigenvalue 0"),
+            "type1a": ({"kind": "type1a", "coeff": [[2, 1], [1, 2]],
+                        "diag_exponents_per_coordinate": [["1/2", "0"], [g, "0"]]},
+                       "coordinate 1, entry (0, 0)"),
+            "type1b-d2": ({"kind": "type1b", "coeff": [[2, 1], [1, 2]],
+                           "diag_exponents": [g, "0"], "d": 2}, "entry (0, 0)"),
+            "type1b-d3": ({"kind": "type1b", "coeff": [[2, 1], [1, 2]],
+                           "diag_exponents": ["1/2", g], "d": 3}, "entry (1, 1)"),
         }[kind]
         path = write_spec(tmp_path, doc)
         assert main(["check", path]) == 0
@@ -681,8 +691,8 @@ class TestConstantCommand:
         captured = capsys.readouterr()
         assert (code, captured.out) == (4, "")
         assert captured.err == (f"search failed: SearchError: {where} exponent {g} rounds to "
-                                f"{sign}1 in double precision; the averages need it strictly "
-                                "inside (-1, 1)\n")
+                                f"{sign}{bound} in double precision; the averages need it "
+                                f"strictly inside (-{bound}, {bound})\n")
 
     def test_text_output_mentions_bound(self, tmp_path, capsys):
         code = main(["constant", write_spec(tmp_path, SCALAR_HALF)])

@@ -27,7 +27,8 @@ from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
 from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
                         default_interval_config, interval_grid,
                         run_interval_search)
-from a2w.type1 import build_type1, symbolic_inverse
+from a2w.report import VERDICT_A2
+from a2w.type1 import build_type1, check_a2, symbolic_inverse
 from a2w.type2 import Type2Weight, as_type1, pair_pointwise
 
 HALF = Fraction(1, 2)
@@ -139,7 +140,8 @@ def test_builtin_grids_run_each_shape_once(grid):
                 for s in shapes(config.centers, config.halflengths)}
     for weight in (W2, IDENTITY):
         rows = search_config(weight, config)
-        assert rows == replace(config, centers=rows.centers, halflengths=(1.0,))
+        assert rows == replace(config, centers=rows.centers, halflengths=(1.0,),
+                               refine_rounds=0)
         assert len(rows.centers) == len(unsigned) == count
         assert rows.centers[:2] == (0.0, 1.0)
         assert list(rows.centers[1:]) == sorted(rows.centers[1:])
@@ -210,9 +212,9 @@ ILL_3X3 = build_type1(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0
 @pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY, ILL_3X3],
                          ids=["w2", "scalar", "identity", "ill-3x3"])
 def test_homogeneous_search_does_not_refine_along_the_dilation(weight, functional):
-    # The value of an anchored or symmetric interval is the value of its
-    # whole shape, so the search stops at the grid row, and the estimate
-    # is the value of the argmax's shape on the equilibrated weight.
+    # A power matrix's search scores its row of shapes and stops, and the
+    # estimate is the value of the argmax's shape on the equilibrated
+    # weight.
     result = estimate_a2(weight, functional)
     assert result.argmax.contains_zero()
     assert result.evaluations == len(interval_grid(search_config(weight)))
@@ -221,19 +223,57 @@ def test_homogeneous_search_does_not_refine_along_the_dilation(weight, functiona
     assert result.estimate == func(*averages(twin.equilibrated)(shape(result.argmax)))
 
 
+def a2_power_matrices(rng, count):
+    """count A2 power matrices, n = 1..8 in turn, each n in four kinds:
+    real, complex, complex with eigenvalues across 8 decades, and sparse;
+    about a third of the diagonal exponents are within 1e-2..1e-6 of -1
+    or 1, the rest multiples of 1/100."""
+    for k in range(count):
+        n, kind = 1 + k % 8, (k // 8) % 4
+        m = rng.standard_normal((n, n))
+        if kind in (1, 2):
+            m = m + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(m)
+        a = (q * 10.0 ** rng.uniform(0.0, 8.0 if kind == 2 else 2.0, n)) @ q.conj().T
+        if kind == 3:
+            a = np.diag(rng.uniform(1.0, 4.0, n)) + np.triu(np.where(
+                rng.random((n, n)) < 0.3, rng.uniform(-0.3, 0.3, (n, n)), 0.0), 1)
+        near = [Fraction(int(s) * (10 ** e - 1), 10 ** e)
+                for s, e in zip(rng.choice([-1, 1], n), rng.integers(2, 7, n))]
+        exponents = [g if rng.random() < 0.3 else Fraction(int(rng.integers(-99, 100)), 100)
+                     for g in near]
+        yield build_type1((a + a.conj().T) / 2.0, exponents)
+
+
+# origin-free shapes [t, 1]: t from 1e-9 up, and from 1 - 1e-6 down, 200 each
+ORIGIN_FREE = np.concatenate([np.logspace(-9.0, -0.01, 200), 1.0 - np.logspace(-0.01, -6.0, 200)])
+
+
+def test_no_origin_free_shape_beats_the_anchored_and_symmetric_ones():
+    # Why a power matrix's search does not refine: on a dense grid of
+    # origin-free shapes, none beats the better of [-1, 1] and [0, 1] by
+    # more than the search's tie window, 1e-12 relative.
+    anchored = [Interval(-1.0, 1.0), Interval(0.0, 1.0)]
+    grid = anchored + [Interval(float(t), 1.0) for t in ORIGIN_FREE]
+    for weight in a2_power_matrices(np.random.default_rng(20261020), 96):
+        assert check_a2(weight).verdict == VERDICT_A2
+        for functional in ("trace", "norm"):
+            evaluate, _ = _symbolic_eval_fn(weight, functional, grid)
+            values = [evaluate(iv) for iv in grid]
+            assert max(values[2:]) <= (1.0 + 1e-12) * max(values[:2]), (weight, functional)
+
+
 @pytest.mark.parametrize("functional", ["trace", "norm"])
-def test_origin_free_incumbents_are_still_refined(functional):
-    # [2, 4] changes shape along its ratio |c|/h, which scale and offset
-    # both move: 1 grid interval, then 2 + 4 golden evaluations along the
-    # scale alone, about the same center.
-    config = SupSearchConfig(centers=(3.0,), halflengths=(1.0,), refine_rounds=4)
+def test_an_origin_free_grid_reports_its_best_shape(functional):
+    # a user grid of origin-free shapes alone: the search scores them and
+    # stops, whatever refine_rounds the grid asks for
+    config = SupSearchConfig(centers=(3.0, 5.0), halflengths=(1.0,), refine_rounds=4)
     result = estimate_a2(W2, functional, config)
-    assert result.evaluations == 7
-    assert result.argmax.a == pytest.approx(0.3879556587534543, rel=1e-12)
-    assert result.argmax.b == pytest.approx(5.612044341246546, rel=1e-12)
-    assert (result.argmax.a + result.argmax.b) / 2.0 == pytest.approx(3.0, rel=1e-15)
     func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
-    assert result.estimate > func(*averages(W2)(Interval(2.0, 4.0)))
+    values = {iv: func(*averages(W2)(iv)) for iv in (Interval(2.0, 4.0), Interval(4.0, 6.0))}
+    assert result.evaluations == 2
+    assert result.argmax == max(values, key=values.get)
+    assert result.estimate == pytest.approx(max(values.values()), rel=1e-13, abs=0.0)
 
 
 def mp_averages(weight, iv):

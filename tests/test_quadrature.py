@@ -260,17 +260,16 @@ class TestPointwiseMatrixFunction:
             return out
 
         pmf = PointwiseMatrixFunction(n=2, values=values)
-        assert (pmf.m, pmf.singular_exponent) == (1, None)
+        assert (pmf.m, pmf.exponents) == (1, None)
         top = adaptive_quad(lambda xs: pmf.values(xs)[0, 0], 0.0, 1.0, 1e-10,
                             singular_exponent=0.5)
         assert top.real == pytest.approx(2.0 / 3.0, rel=1e-8)
 
-    def test_singular_exponent_is_the_least_of_the_power_model(self):
+    def test_a_pair_lists_the_power_model_of_each_matrix(self):
         pmf = pair_pointwise(Type2Weight((1.0, 2.0), ("1/4", "-1/3"), "identity"))
         assert pmf.m == 2
         assert pmf.exponents == ((Fraction(1, 4), Fraction(-1, 3)),
                                  (Fraction(-1, 4), Fraction(1, 3)))
-        assert pmf.singular_exponent == Fraction(-1, 3)
 
 
 class TestRoundCounts:

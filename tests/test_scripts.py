@@ -3,7 +3,9 @@ current package API, and every name the package exports resolves and has a
 use outside the tests."""
 
 import ast
+import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -83,10 +85,18 @@ def _code_lines(path: Path) -> list[tuple[str, set[str]]]:
             for k, line in enumerate(text.splitlines(), 1) if k not in skip]
 
 
+def _public_members(cls) -> list[str]:
+    """The public methods and properties that cls defines itself."""
+    return [name for name, member in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(member) or isinstance(
+                member, (property, functools.cached_property, classmethod, staticmethod)))]
+
+
 def test_every_exported_name_has_a_use_outside_the_tests():
     # the package's own modules (its __init__ re-exports only), the
     # gallery scripts and the benchmark tracer; a name that only tests
-    # call is dead API
+    # call is dead API. So is a public method or property of an exported
+    # class that no line reads as an attribute (.name).
     paths = [p for p in sorted((ROOT / "src" / "a2w").glob("*.py"))
              if p.name != "__init__.py"]
     paths += sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "a2wbench" / "tracing.py"]
@@ -97,6 +107,11 @@ def test_every_exported_name_has_a_use_outside_the_tests():
     unused = [name for name in names
               if not any(re.search(rf"\b{re.escape(name)}\b", line) and name not in own
                          for line, own in lines)]
+    classes = {getattr(mod, name) for mod in modules for name in mod.__all__
+               if inspect.isclass(getattr(mod, name))}
+    unused += sorted(f"{cls.__name__}.{member}" for cls in classes
+                     for member in _public_members(cls)
+                     if not any(re.search(rf"\.{member}\b", line) for line, _ in lines))
     assert unused == []
 
 

@@ -212,7 +212,6 @@ class TestProfilesAndInverse:
         pw = as_pointwise(w)
         assert pw.n == 2
         assert pw.exponents == (w.gammas,)
-        assert pw.singular_exponent == -HALF
         xs = np.array([0.7, 3.0])
         direct = np.stack([planar_by_hand(w, x) for x in xs], axis=-1)
         for i in range(2):
@@ -237,7 +236,7 @@ class TestProfilesAndInverse:
     def test_inverse_weight_as_pointwise(self):
         w = planar(HALF, 0)
         pw = as_pointwise(inverse_weight(w))
-        assert pw.singular_exponent == -HALF
+        assert pw.exponents == ((-HALF, 0),)
         xs = np.array([0.9])
         assert np.allclose(pw.values(xs)[0, 0],
                            planar_by_hand(inverse_weight(w), 0.9)[0, 0])
