@@ -5,11 +5,11 @@ characteristic by supremum search and prints the certified upper bound
 when one is available. Scalar weights also get the closed form
 1 / (1 - gamma^2) so the search accuracy is visible at a glance.
 
-Interval searches run on the coarse grid unless --fine asks for each
-weight kind's default grid; cube searches have no grid (one unit cube per
-family), so --fine leaves them as they are.
+A power matrix on the line is scored at its anchored shape, one on
+cubes at one unit cube per family; the rotation searches its default
+(coarse) interval grid.
 
-Run:  python3 scripts/constant_estimates.py [--fine]
+Run:  python3 scripts/constant_estimates.py [--functional trace|norm]
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from a2w.estimator import SupSearchConfig, coarse_interval_config, estimate_a2
+from a2w.estimator import estimate_a2
 from a2w.multivar import build_type1b, estimate_a2_cubes
 from a2w.scalar_power import scalar_closed_form_constant
 from a2w.type1 import a2_upper_bound, build_type1, check_a2
@@ -29,22 +29,18 @@ from a2w.type2 import Type2Weight, decide_a2
 @dataclass
 class GalleryConfig:
     functional: str = "trace"
-    fine: bool = False
-
-    def interval_config(self) -> SupSearchConfig | None:
-        return None if self.fine else coarse_interval_config()
 
 
 def gallery(cfg: GalleryConfig) -> None:
     rows = []
 
     scalar = build_type1(np.array([[1.0]]), ["1/2"])
-    est = estimate_a2(scalar, functional=cfg.functional, config=cfg.interval_config())
+    est = estimate_a2(scalar, functional=cfg.functional)
     rows.append(("scalar |x|^(1/2)", check_a2(scalar).verdict, est.estimate,
                  a2_upper_bound(scalar), scalar_closed_form_constant("1/2")))
 
     w2 = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
-    est = estimate_a2(w2, functional=cfg.functional, config=cfg.interval_config())
+    est = estimate_a2(w2, functional=cfg.functional)
     rows.append(("2x2 power matrix", check_a2(w2).verdict, est.estimate,
                  a2_upper_bound(w2), None))
 
@@ -52,7 +48,7 @@ def gallery(cfg: GalleryConfig) -> None:
         np.array([[4.0, 1.0, 2.0], [1.0, 2.0, -1.0], [2.0, -1.0, 3.0]]),
         ["3/4", "-3/4", "1/2"],
     )
-    est = estimate_a2(w3, functional=cfg.functional, config=cfg.interval_config())
+    est = estimate_a2(w3, functional=cfg.functional)
     rows.append(("3x3 power matrix", check_a2(w3).verdict, est.estimate,
                  a2_upper_bound(w3), None))
 
@@ -77,12 +73,9 @@ def gallery(cfg: GalleryConfig) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fine", action="store_true",
-                    help="use each weight kind's default interval grid "
-                         "instead of the coarse one (slower)")
     ap.add_argument("--functional", choices=("trace", "norm"), default="trace")
     args = ap.parse_args()
-    gallery(GalleryConfig(functional=args.functional, fine=args.fine))
+    gallery(GalleryConfig(functional=args.functional))
 
 
 if __name__ == "__main__":

@@ -286,8 +286,8 @@ def cmd_check(args) -> int:
     return _EXIT_OK
 
 
-# --grid value -> interval grid; without --grid the grid follows the weight
-# kind (estimator.search_config). Cube searches have no grid to select.
+# --grid value -> a rotation's interval grid, the coarse one without --grid.
+# Power matrices, on the line and on cubes, have no grid to select.
 _GRIDS = {"fine": default_interval_config, "coarse": coarse_interval_config}
 
 
@@ -307,11 +307,10 @@ def cmd_constant(args) -> int:
                              _GRIDS[args.grid]() if args.grid else None)
         cfg = result.config
         argmax = {"a": result.argmax.a, "b": result.argmax.b}
-        config_echo = {"families": list(FAMILIES),
-                       "centers": len(cfg.centers),
-                       "halflengths": len(cfg.halflengths),
-                       "grid": args.grid or "default",
-                       "refine_rounds": cfg.refine_rounds}
+        config_echo = {"families": list(FAMILIES[:2])} if cfg is None else {
+            "families": list(FAMILIES), "centers": len(cfg.centers),
+            "halflengths": len(cfg.halflengths), "grid": args.grid or "default",
+            "refine_rounds": cfg.refine_rounds}
     elapsed = time.perf_counter() - t0
 
     payload = {"seed": None, "spec": echo, "functional": result.functional,
@@ -420,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--functional", choices=("trace", "norm"),
                          default="trace")
     p_const.add_argument("--grid", choices=("coarse", "fine"), default=None,
-                         help="interval grid density (default: per weight kind); "
-                              "cube searches have no grid")
+                         help="a rotation's interval grid density (default: "
+                              "coarse); power matrices have no grid")
     p_const.add_argument("--json", action="store_true")
     p_const.set_defaults(fn=cmd_constant)
 

@@ -10,21 +10,18 @@ two functionals are the trace form Tr(<W> <W^-1>) and the norm form
 ||<W>^(1/2) <W^-1>^(1/2)||^2; the norm form is the A2 characteristic
 proper, the trace form sandwiches it within a factor of the dimension.
 
-Averages and functionals run on stacks shaped (k, n, n). A search's
+Averages and functionals run on stacks shaped (k, n, n). A rotation's
 evaluate function scores its whole grid as one stack on its first call,
-its warm function each lookahead tree of a rotation's golden-refinement
+its warm function each lookahead tree of its golden-refinement
 intervals, and evaluate looks those up after that; any other interval,
 and average_symbolic, run the same code as a stack of one, so a value
 never depends on its batch (_grid_scan).
-A power matrix scores its grid's shapes [t, 1] once each and stops
-(search_config); lines and cubes average it equilibrated, with its
+A power matrix on the line is scored once, at the anchored shape [0, 1]
+(estimate_a2); lines and cubes average it equilibrated, with its
 symbolic inverse, after a float rule on its exponents (_closed_form_pair).
 """
 
 from __future__ import annotations
-
-import functools
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +30,7 @@ from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
                            integral_abs_pow_stack)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
-                     coarse_interval_config, default_interval_config,
+                     _maximize, coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
@@ -46,7 +43,6 @@ __all__ = [
     "NonPositiveInputError",
     "default_interval_config",
     "coarse_interval_config",
-    "search_config",
     "average_symbolic",
     "average_numeric",
     "a2_functional_trace",
@@ -291,19 +287,22 @@ def _closed_form_pair(w: SymbolicPowerMatrix):
     return w, type1.symbolic_inverse(w)
 
 
-def _symbolic_eval_fn(w: SymbolicPowerMatrix, functional: str, grid: list[Interval]):
+def _shape_scores(w: SymbolicPowerMatrix, functional: str):
+    """score(ts): the functional of a power matrix w on the line at each
+    shape [t, 1] of ts, t in [-1, 1), as one stack, on _closed_form_pair's
+    equilibrated pair. w is even and homogeneous, so an interval [a, b]
+    with |a| <= b takes the value of [a / b, 1]."""
     if w.d != 1:
         raise ValueError("interval estimates need a weight on the line; "
                          "use multivar.estimate_a2_cubes for d >= 2")
     table = _term_table(_closed_form_pair(w))
     func = _FUNCTIONALS[functional]
 
-    def score(ivs: list[Interval]) -> np.ndarray:
-        a, b = np.array([(iv.a, iv.b) for iv in ivs]).T  # to [t, 1]: |a| <= b, over b
-        t = np.where(a + b < 0.0, b, a) / np.where(a + b < 0.0, a, b)
-        return func(*_averages(table, 2, w.n, t[None], np.ones((1, t.size))))
+    def score(ts) -> np.ndarray:
+        t = np.array(ts, dtype=float)[None]
+        return func(*_averages(table, 2, w.n, t, np.ones_like(t)))
 
-    return _grid_scan(score, grid)
+    return score
 
 
 def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
@@ -373,68 +372,41 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     return _grid_scan(score, grid)
 
 
-@functools.lru_cache(maxsize=16)
-def _shapes(config: SupSearchConfig) -> SupSearchConfig:
-    """config's distinct family shapes at half-length 1, mirror images
-    merged, with no refinement, once per distinct (frozen) config: center
-    0 (symmetric) if config has it, then each ratio r = |c|/h >= 1 (r = 1
-    is anchored) in increasing order, one per run of ratios within 1e-9
-    relative of each other (floating-point noise of the grid)."""
-    r = np.unique(np.abs(np.array(config.centers))[:, None] / np.array(config.halflengths))
-    r = r[r >= 1.0]
-    r = r[np.diff(r, prepend=0.0) > 1e-9 * r]
-    symmetric = (0.0,) if 0.0 in config.centers else ()
-    return replace(config, centers=symmetric + tuple(r.tolist()), halflengths=(1.0,),
-                   refine_rounds=0)
-
-
-def _estimated(weight):
-    """The weight the estimator runs: an identity Type 2 weight as its
-    diagonal power matrix (type2.as_type1), any other weight as it is."""
-    if isinstance(weight, Type2Weight) and not weight.is_rotation:
-        return type2.as_type1(weight)
-    return weight
-
-
-def search_config(weight, config: SupSearchConfig | None = None) -> SupSearchConfig:
-    """The interval grid that runs for weight: config, or else the full
-    grid for closed-form averages and the coarse one for rotations.
-
-    Power matrices, identity Type 2 weights among them, are even and
-    homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), so their
-    functionals see an interval's shape |c|/h and not its size or side:
-    they run the grid's distinct shapes once each, at half-length 1, and
-    stop (_shapes): 50 on the default grid and 14 on the coarse one. No
-    origin-free shape was seen to beat [-1, 1] or [0, 1] past the tie rule.
-    """
-    if isinstance(_estimated(weight), Type2Weight):
-        return config or coarse_interval_config()
-    return _shapes(config or default_interval_config())
-
-
 def estimate_a2(weight, functional: str = "trace",
                 config: SupSearchConfig | None = None) -> SupSearchResult:
     """Searched lower bound of the chosen A2 functional's supremum.
 
     Accepts a symbolic power matrix on the line (a scalar weight is the
-    1x1 case) or a Type 2 weight, on the grid search_config picks; the
-    result's config is that grid. The weight's A2 decision (check_a2 or
+    1x1 case) or a Type 2 weight. The weight's A2 decision (check_a2 or
     decide_a2) is the one gate: a weight that is not A2 raises NotA2Error
     (A2Report.require_a2) before any average. Every route averages in
     closed form, up to rounding; a rotation's short intervals far from 0
-    take a Gauss rule. A power matrix is scored at each interval's shape.
+    take a Gauss rule.
+
+    A power matrix, identity Type 2 weights among them (type2.as_type1),
+    is even and homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)):
+    every symmetric and every anchored interval takes the value of [0, 1],
+    and no origin-free shape was seen to beat it past the search's tie
+    rule. It is scored once, on [0, 2] (_shape_scores), and the result's
+    config is None. A rotation searches config, the coarse grid by
+    default (run_interval_search), and the result's config is that grid.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if isinstance(weight, Type2Weight):
         type2.decide_a2(weight).require_a2()
+        if not weight.is_rotation:  # a diagonal power matrix
+            weight = type2.as_type1(weight)
     elif isinstance(weight, SymbolicPowerMatrix):
         type1.check_a2(weight).require_a2()
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
-    weight = _estimated(weight)
-    cfg = search_config(weight, config)
+    if isinstance(weight, SymbolicPowerMatrix):
+        score = _shape_scores(weight, functional)
+        return _maximize([Interval(0.0, 2.0)], lambda iv: score([iv.a / iv.b])[0],
+                         lambda scored, incumbent: None, Interval.near_endpoint_distance,
+                         functional)
+    cfg = config or coarse_interval_config()
     grid = interval_grid(cfg)
-    evaluate, warm = (_symbolic_eval_fn if isinstance(weight, SymbolicPowerMatrix)
-                      else _type2_eval_fn)(weight, functional, grid)
+    evaluate, warm = _type2_eval_fn(weight, functional, grid)
     return run_interval_search(evaluate, cfg, functional=functional, grid=grid, warm=warm)

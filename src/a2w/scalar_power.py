@@ -100,16 +100,18 @@ def integral_abs_pow(gamma, iv: Interval) -> float:
     return (-a) ** (g + 1.0) / (g + 1.0) + b ** (g + 1.0) / (g + 1.0)
 
 
+# exponents numpy raises by sqrt, square or reciprocal when one exponent
+# meets several bases, and by pow otherwise, which can differ in the last bit
+_BY_UFUNC = {0.5: np.sqrt, 2.0: np.square, -1.0: np.reciprocal}
+
+
 def power_stack(x, s) -> np.ndarray:
     """x ** s, x and s broadcast together, with each value depending on
-    its own base and exponent alone. numpy takes an exponent of 1/2 as
-    sqrt when one exponent meets several bases, and as pow otherwise,
-    which can differ in the last bit; here 1/2 always takes sqrt. It is
-    the one exponent of (0, 2), where every s = g + 1 of an A2 exponent g
-    lies, that numpy does not always raise by pow."""
+    its own base and exponent alone: exponents 1/2, 2 and -1 always take
+    numpy's sqrt, square and reciprocal (_BY_UFUNC), any other pow."""
     out = np.power(x, s)
-    if 0.5 in np.ravel(s).tolist():  # exponents are few; this test is cheap
-        out = np.where(s == 0.5, np.sqrt(x), out)
+    for e in _BY_UFUNC.keys() & set(np.ravel(s).tolist()):  # exponents are few
+        out = np.where(s == e, _BY_UFUNC[e](x), out)
     return out
 
 

@@ -1,13 +1,14 @@
 """Supremum search over interval families.
 
 Candidate intervals are parametrized by (center, half-length) on
-logarithmic grids. A power matrix's functionals, an identity Type 2
-weight's among them, see only an interval's shape, so it scores each
-shape of the grid once, mirror images merged, and stops
-(estimator.search_config); a rotation's do not, and it scans the whole
-grid, then refines its incumbent. The family (FAMILIES)
-deliberately contains only three interval shapes relative to the origin:
-symmetric (center 0), anchored (one endpoint exactly 0), and origin-free.
+logarithmic grids; run_interval_search scans a rotation's whole grid,
+then refines its incumbent. A power matrix's functionals, an identity
+Type 2 weight's among them, see only an interval's shape, so it is
+scored once, at its anchored shape, through _maximize
+(estimator.estimate_a2), as cubes are (multivar.estimate_a2_cubes).
+The family (FAMILIES) deliberately contains only three interval shapes
+relative to the origin: symmetric (center 0), anchored (one endpoint
+exactly 0), and origin-free.
 Asymmetric intervals with 0 strictly inside are excluded; on those the
 scalar product <w><1/w> is not controlled by the closed-form per-exponent
 constants this package certifies against, so admitting them would break
@@ -15,11 +16,11 @@ the certified upper bounds. Estimates are honest lower bounds of the true
 supremum either way, since only real intervals are evaluated.
 
 run_interval_search calls evaluate once per interval, grid first, in
-scan order. The estimator's evaluate functions compute the whole grid
+scan order. The estimator's evaluate function computes the whole grid
 as one stack on that first call (estimator._grid_scan), and its warm
-function scores each golden_max lookahead tree of a rotation's
-refinement intervals as one stack before they are visited, so the
-search's counts, order and tie rule do not see the batching.
+function scores each golden_max lookahead tree of the refinement
+intervals as one stack before they are visited, so the search's counts,
+order and tie rule do not see the batching.
 """
 
 from __future__ import annotations
@@ -117,9 +118,8 @@ def default_interval_config() -> SupSearchConfig:
 @functools.cache
 def coarse_interval_config() -> SupSearchConfig:
     """Reduced grid: centers {0} and +/- logspace(1e-3, 1e3, 13), same
-    half-lengths, 195 family intervals. It is the default for rotations,
-    whose functionals are not scale invariant: they scan the whole grid,
-    where a power matrix runs the 50 shapes of the default grid."""
+    half-lengths, 195 family intervals: the default for rotations, whose
+    functionals are not scale invariant."""
     mags = _log_grid(1e-3, 1e3, 13)
     centers = (0.0,) + mags + tuple(-m for m in mags)
     return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=8)
@@ -128,7 +128,8 @@ def coarse_interval_config() -> SupSearchConfig:
 @dataclass(frozen=True)
 class SupSearchResult:
     """Searched maximum; argmax is an Interval, or a multivar.Cube for cubes.
-    config is the interval grid the search ran (None for cube searches)."""
+    config is the interval grid a rotation's search ran (None for power
+    matrices, on the line and on cubes)."""
 
     estimate: float
     argmax: Interval

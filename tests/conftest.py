@@ -39,8 +39,9 @@ _DESCRIPTIONS = {
        "on 100 seeded weights, under 5 s",
     4: "scalar gamma=1/2 estimate reaches [0.99, 1.0] of 4/3 with argmax "
        "interval anchored near 0",
-    5: "no interval evaluated while estimating 50 seeded weights exceeds "
-       "the certified trace bound",
+    5: "no interval shape scored for 50 seeded weights (the estimate's, "
+       "the coarse grid's and 400 origin-free ones) exceeds the certified "
+       "trace bound",
     6: "divergence sweep slope >= 0.24 with strictly increasing products; "
        "equal-exponent control stays bounded, under 10 s",
     7: "structural identities: trace sum, rotation unitarity, eigenvalue "

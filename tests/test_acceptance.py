@@ -30,6 +30,7 @@ from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        logspaced_ints, unitary_stack)
 from a2w.verify import random_interval, random_point, random_type1_weight
+from test_homogeneity import ORIGIN_FREE, grid_shapes
 
 HALF = Fraction(1, 2)
 
@@ -120,22 +121,26 @@ def test_criterion_04_scalar_constant_reaches_the_closed_form():
 
 
 def test_criterion_05_no_interval_beats_the_certified_trace_bound(monkeypatch):
+    # A power matrix's estimate scores [0, 1] alone; the 14 shapes [t, 1]
+    # of the coarse grid and 400 origin-free ones are scored as well,
+    # through the same functional: 415 values per weight.
+    ts = np.concatenate([grid_shapes(coarse_interval_config), ORIGIN_FREE])
     rng = np.random.default_rng(5005)
-    cfg = coarse_interval_config()
     for k in range(50):
         w = random_type1_weight(rng, 2 + k % 3)
         bound = a2_upper_bound(w)
         seen: list[float] = []
 
         def recording_trace(avg_w, avg_winv, _out=seen):
-            # the search passes stacks of averages: one value per interval
+            # a stack of averages gives one value per interval
             val = a2_functional_trace(avg_w, avg_winv)
             _out.extend(np.atleast_1d(val).tolist())
             return val
 
         monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording_trace)
-        estimate_a2(w, "trace", cfg)
-        assert seen
+        estimate_a2(w, "trace")
+        estimator._shape_scores(w, "trace")(ts)
+        assert len(seen) == 1 + len(ts) == 415
         assert max(seen) <= bound * (1.0 + 1e-9)
 
 

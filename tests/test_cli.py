@@ -33,6 +33,7 @@ HUGE = {"kind": "type1", "coeff": [[1e300, 0], [0, 1e300]],
 # a + a* of this coefficient overflows; its halves do not
 AT_FLOAT_LIMIT = dict(HUGE, coeff=[[1.7e308, 0], [0, 1.7e308]])
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
+POWER_MATRIX_CONFIG = {"families": ["symmetric", "anchored"]}
 ROOT = Path(__file__).resolve().parents[1]
 CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
                "quadrature_tol": 1e-6}  # multivar.RADIAL_TOL
@@ -283,10 +284,9 @@ class TestConstantCommand:
         assert payload["estimate"] <= payload["upper_bound"] * (1.0 + 1e-9)
         assert payload["estimate"] >= 0.99 * payload["upper_bound"]
         assert set(payload["argmax"]) == {"a", "b"}
-        # the row of shapes alone: an anchored argmax of a homogeneous
-        # weight is not refined
-        assert payload["evaluations"] == 50
-        assert payload["config"]["grid"] == "default"
+        # a homogeneous weight is scored once, at its anchored shape
+        assert payload["evaluations"] == 1
+        assert payload["config"] == POWER_MATRIX_CONFIG
 
     def test_matrix_estimate_respects_upper_bound(self, tmp_path, capsys):
         code, payload = run_json(
@@ -296,8 +296,7 @@ class TestConstantCommand:
         assert code == 0
         assert payload["estimate"] <= payload["upper_bound"] * (1.0 + 1e-9)
         assert payload["estimate"] >= 2.0
-        assert payload["config"]["centers"] > 0
-        assert "quadrature_tol" not in payload["config"]
+        assert payload["config"] == POWER_MATRIX_CONFIG
 
     def test_norm_functional_selected(self, tmp_path, capsys):
         code, payload = run_json(
@@ -328,19 +327,46 @@ class TestConstantCommand:
 
     def test_homogeneous_weights_echo_one_halflength(self, tmp_path, capsys):
         # Dilation invariance and evenness: power matrices, identity Type 2
-        # weights among them, search each shape of the grid once, mirror
-        # images merged, at half-length 1, and do not refine.
-        for doc, (grid, shapes) in itertools.product(
-                (TWO_BY_TWO, IDENTITY), (([], 50), (["--grid", "coarse"], 14))):
+        # weights among them, are scored once, at the anchored shape, on
+        # every grid; the echo names the two families that take that value.
+        for doc, grid in itertools.product(
+                (TWO_BY_TWO, IDENTITY), ([], ["--grid", "coarse"], ["--grid", "fine"])):
             code, payload = run_json(
                 capsys, ["constant", write_spec(tmp_path, doc), "--json", *grid])
             assert code == 0
-            assert payload["config"] == {
-                "grid": grid[-1] if grid else "default", "centers": shapes,
-                "halflengths": 1, "refine_rounds": 0, "families": INTERVAL_FAMILIES}
-            # the row of shapes alone
-            assert payload["evaluations"] == shapes
+            assert payload["config"] == POWER_MATRIX_CONFIG
+            assert payload["evaluations"] == 1
             assert payload["argmax"] == {"a": 0.0, "b": 2.0}
+
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    @pytest.mark.parametrize("doc", [SCALAR_HALF, TWO_BY_TWO, IDENTITY],
+                             ids=["scalar", "type1", "identity"])
+    def test_a_grid_changes_nothing_for_a_power_matrix(self, tmp_path, capsys, doc, grid):
+        # --grid selects a rotation's grid; a power matrix ignores it, as
+        # cubes do, and prints the payload it prints without --grid
+        path = write_spec(tmp_path, doc)
+        _, plain = run_json(capsys, ["constant", path, "--json"])
+        code, payload = run_json(capsys, ["constant", path, "--json", "--grid", grid])
+        assert code == 0
+        assert payload == plain
+
+    @pytest.mark.parametrize("doc", [TWO_BY_TWO, IDENTITY], ids=["type1", "identity"])
+    def test_a_power_matrix_constant_leaves_numpy_ma_unimported(self, tmp_path, doc):
+        # np.unique imports numpy.ma on its first call, about 10 ms of a
+        # cold process; a power matrix's estimate needs neither
+        code = "\n".join([
+            "import sys",
+            "from a2w.cli import main",
+            f"assert main(['constant', {write_spec(tmp_path, doc)!r}, '--json']) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "coarse"]],
@@ -561,9 +587,10 @@ class TestConstantCommand:
                     want["argmax"], want["evaluations"])
 
     def test_each_piece_of_work_runs_once(self, tmp_path, capsys, monkeypatch):
-        # one symbolic constant: one grid, one decision (the closed-form
-        # bound reads it back from the weight) and one coefficient inverse
-        # (shared by the search's inverse weight and the bound)
+        # one symbolic constant: no grid and no grid search, one decision
+        # (the closed-form bound reads it back from the weight) and one
+        # coefficient inverse (shared by the estimate's inverse weight and
+        # the bound)
         from a2w import estimator, linalg, search
         calls = {}
 
@@ -576,7 +603,8 @@ class TestConstantCommand:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((search, "interval_grid"), (estimator, "interval_grid"),
-                             (estimator, "search_config"),
+                             (search, "run_interval_search"),
+                             (estimator, "run_interval_search"),
                              (linalg, "is_positive_definite"),
                              (linalg, "adjugate_inverse")):
             counted(module, name)
@@ -584,8 +612,8 @@ class TestConstantCommand:
                                           "--json"])
         assert code == 0
         assert "upper_bound" in payload
-        assert calls == {"interval_grid": 1, "search_config": 1,
-                         "is_positive_definite": 1, "adjugate_inverse": 1}
+        assert calls == {"is_positive_definite": 1, "adjugate_inverse": 1}
+        assert payload["evaluations"] == 1
 
     def test_non_a2_weight_exits_three(self, tmp_path, capsys):
         doc = {"kind": "scalar", "gamma": "1"}

@@ -409,16 +409,7 @@ class TestRotationLimits:
 
 
 def _eval_fn(w, functional, config):
-    if isinstance(w, Type2Weight):
-        return estimator._type2_eval_fn(w, functional, interval_grid(config))[0]
-    return estimator._symbolic_eval_fn(w, functional, interval_grid(config))[0]
-
-
-def _shape(iv):
-    """The shape [t, 1] at which a power matrix scores iv: reflected so
-    that |a| <= b, then divided by b."""
-    t = iv.b / iv.a if iv.a + iv.b < 0.0 else iv.a / iv.b
-    return Interval(t + 0.0, 1.0)
+    return estimator._type2_eval_fn(w, functional, interval_grid(config))[0]
 
 
 def _grid_cells(config):
@@ -494,8 +485,9 @@ class _SearchLog:
 
 
 class TestStackedGrid:
-    """An evaluate function scores its whole grid as one stack on its first
-    call; every value must be the value of its interval scored alone."""
+    """A rotation's evaluate function scores its whole grid as one stack on
+    its first call, and a power matrix scores its shapes [t, 1] as one
+    stack; every value must be the value of its interval scored alone."""
 
     @pytest.mark.parametrize("w", [
         TWO_BY_TWO,
@@ -506,7 +498,16 @@ class TestStackedGrid:
     ], ids=["type1-2x2", "type1-3x3", "rotation2d", "rotation3d"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_grid_values_equal_values_alone(self, w, functional):
-        config = estimator.search_config(w)
+        if isinstance(w, SymbolicPowerMatrix):
+            # the symmetric and anchored shapes, and origin-free ones from
+            # 1e-9 to 1 - 1e-9
+            ts = np.concatenate([[-1.0, 0.0], np.logspace(-9.0, -0.01, 60),
+                                 1.0 - np.logspace(-1.0, -9.0, 20)])
+            score = estimator._shape_scores(w, functional)
+            for t, value in zip(ts, score(ts)):
+                assert value == score([t])[0], t
+            return
+        config = coarse_interval_config()
         grid = interval_grid(config)
         evaluate = _eval_fn(w, functional, config)
         for one, iv in _grid_cells(config):
@@ -579,36 +580,29 @@ class TestStackedGrid:
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_a_failing_check_is_raised_on_its_own_interval(self, monkeypatch, functional):
-        # Both averages on grid interval j (scored at its shape) shrink to
-        # a quarter, which puts that interval's value below its floor: the
-        # scan raises there, and with the text that interval raises alone.
+        # Both averages on [0, 1], the shape a power matrix is scored at,
+        # shrink to a quarter, which puts its value below its floor: the
+        # estimate raises on [0, 2], with the text that shape raises alone.
         w = TWO_BY_TWO
-        config = estimator.search_config(w)
-        j = 7
-        one, iv = list(_grid_cells(config))[j]
-        shape = _shape(iv)
         kernel = estimator.integral_abs_pow_stack
 
         def planted(gammas, a, b):
             out = kernel(gammas, a, b)
-            return np.where((a == shape.a) & (b == shape.b), 0.25 * out, out)
+            return np.where((a == 0.0) & (b == 1.0), 0.25 * out, out)
 
         monkeypatch.setattr(estimator, "integral_abs_pow_stack", planted)
         with pytest.raises(NonPositiveInputError) as alone:
-            _eval_fn(w, functional, one)(iv)
+            estimator._shape_scores(w, functional)([0.0])
         with pytest.raises(NonPositiveInputError, match="below its floor") as scan:
             estimate_a2(w, functional)
-        assert scan.value.region == iv == interval_grid(config)[j]
+        assert scan.value.region == Interval(0.0, 2.0)
         assert str(scan.value) == str(alone.value)
 
     def test_lapack_failure_is_raised_on_its_own_interval(self, monkeypatch):
-        # LAPACK fails on <W> of grid interval j alone (at its shape, on
-        # the equilibrated weight); that is the interval the scan reports,
-        # as a ConvergenceError.
+        # LAPACK fails on <W> of [0, 1] (on the equilibrated weight); the
+        # estimate reports it on [0, 2], as a ConvergenceError.
         w = TWO_BY_TWO
-        grid = interval_grid(estimator.search_config(w))
-        j = 11
-        target = linalg.as_hermitian(average_symbolic(w.equilibrated, _shape(grid[j])))
+        target = linalg.as_hermitian(average_symbolic(w.equilibrated, Interval(0.0, 1.0)))
         eigh = np.linalg.eigh
 
         def planted(m):
@@ -619,7 +613,7 @@ class TestStackedGrid:
         monkeypatch.setattr(np.linalg, "eigh", planted)
         with pytest.raises(linalg.ConvergenceError, match="LAPACK eigh") as scan:
             estimate_a2(w, "norm")
-        assert scan.value.region == grid[j]
+        assert scan.value.region == Interval(0.0, 2.0)
 
 
 class TestExactOracles:
@@ -841,7 +835,7 @@ class TestTheA2Gate:
         def fail(*args):
             raise AssertionError("averaged a weight that is not A2")
 
-        monkeypatch.setattr(estimator, "_symbolic_eval_fn", fail)
+        monkeypatch.setattr(estimator, "_shape_scores", fail)
         monkeypatch.setattr(estimator, "_type2_eval_fn", fail)
         for w, message in NOT_A2:
             with pytest.raises(NotA2Error, match=re.escape(message)):

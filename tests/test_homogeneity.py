@@ -2,31 +2,28 @@
 
 Power matrices (type1 and its cube extensions type1a and type1b) satisfy
 W(tx) = T W(x) T with T = diag(|t|^(g_i/2)), and are even, so both A2
-functionals see only an interval's shape. The interval search therefore
-runs each distinct shape of its grid once, mirror images merged, scored
-at [t, 1] on the equilibrated coefficient, and the cube search one unit
-cube per family; these tests check both against the full searches they
-replace. An identity Type 2 weight is a diagonal power matrix: its
-dilation invariance is checked on the quadrature averages, and its search
-against the full grid of its diagonal twin's closed-form averages, the
-route the estimator runs it on.
+functionals see only an interval's shape. A power matrix on the line is
+therefore scored once, at the anchored shape [0, 1] on the equilibrated
+coefficient, and on cubes one unit cube per family; these tests check
+both against the full searches they replace, and that no origin-free
+shape [t, 1] beats the anchored one. An identity Type 2 weight is a
+diagonal power matrix: its dilation invariance is checked on the
+quadrature averages, and its estimate against the full grid of its
+diagonal twin's closed-form averages, the route the estimator runs it on.
 """
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from a2w.estimator import (_symbolic_eval_fn, a2_functional_norm,
-                           a2_functional_trace, average_numeric, average_symbolic,
-                           estimate_a2, search_config)
+from a2w.estimator import (_shape_scores, a2_functional_norm, a2_functional_trace,
+                           average_numeric, average_symbolic, estimate_a2)
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
                           estimate_a2_cubes)
-from a2w.search import (Interval, SupSearchConfig, coarse_interval_config,
-                        default_interval_config, interval_grid,
-                        run_interval_search)
+from a2w.search import (Interval, coarse_interval_config, default_interval_config,
+                        interval_grid, run_interval_search)
 from a2w.report import VERDICT_A2
 from a2w.type1 import build_type1, check_a2, symbolic_inverse
 from a2w.type2 import Type2Weight, as_type1, pair_pointwise
@@ -56,6 +53,16 @@ def shape(iv):
     |a| <= b, then divided by b."""
     t = iv.b / iv.a if iv.a + iv.b < 0.0 else iv.a / iv.b
     return Interval(t + 0.0, 1.0)
+
+
+def grid_shapes(grid):
+    """t of the shapes [t, 1] of grid()'s row at its smallest half-length,
+    centers >= 0: -1 (symmetric), then (c - h)/(c + h) up from 0
+    (anchored); 50 on the default grid and 14 on the coarse one."""
+    config = grid()
+    row = replace(config, centers=tuple(c for c in config.centers if c >= 0.0),
+                  halflengths=(min(config.halflengths),))
+    return [shape(iv).a for iv in interval_grid(row)]
 
 
 def dilate(region, t):
@@ -96,86 +103,17 @@ def test_functionals_are_dilation_invariant(weight, regions):
 @pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY],
                          ids=["w2", "scalar", "identity"])
 def test_one_row_matches_the_full_grid(weight, grid):
-    # the row of shapes at half-length 1 against the whole grid on the
-    # weight as given, refined along the dilation as any weight would be
+    # the one anchored shape against the whole grid on the weight as
+    # given, refined along the dilation as any weight would be
     config = grid()
     pair = averages(as_type1(weight) if weight is IDENTITY else weight)
     full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
                                config, "trace")
     reduced = estimate_a2(weight, "trace", config)
-    assert search_config(weight, config).halflengths == (1.0,)
+    assert (reduced.argmax, reduced.evaluations, reduced.config) == (Interval(0.0, 2.0), 1, None)
     assert reduced.estimate == pytest.approx(full.estimate, rel=1e-13, abs=0.0)
-    assert shape(reduced.argmax).a == pytest.approx(shape(full.argmax).a, rel=1e-12, abs=0.0)
-    assert reduced.evaluations < full.evaluations
-
-
-def shapes(centers, halflengths):
-    """Every interval shape of a grid: symmetric, or a signed |c|/h >= 1,
-    rounded past the grid's floating-point noise."""
-    out = set()
-    for c in centers:
-        for h in halflengths:
-            if c == 0.0:
-                out.add("symmetric")
-            elif abs(c) >= h:
-                out.add((math.copysign(1.0, c), round(math.log10(abs(c) / h), 9)))
-    return out
-
-
-@pytest.mark.parametrize("grid", GRIDS)
-def test_smallest_halflength_row_holds_every_shape(grid):
-    config = grid()
-    row = (min(config.halflengths),)
-    assert shapes(config.centers, row) == shapes(config.centers,
-                                                 config.halflengths)
-
-
-@pytest.mark.parametrize("grid", GRIDS)
-def test_builtin_grids_run_each_shape_once(grid):
-    # the shapes of the whole grid with mirror images merged, in order:
-    # symmetric, then |c|/h from 1 (anchored) up, at half-length 1
-    config = grid()
-    count = 50 if grid is default_interval_config else 14
-    unsigned = {s if s == "symmetric" else s[1]
-                for s in shapes(config.centers, config.halflengths)}
-    for weight in (W2, IDENTITY):
-        rows = search_config(weight, config)
-        assert rows == replace(config, centers=rows.centers, halflengths=(1.0,),
-                               refine_rounds=0)
-        assert len(rows.centers) == len(unsigned) == count
-        assert rows.centers[:2] == (0.0, 1.0)
-        assert list(rows.centers[1:]) == sorted(rows.centers[1:])
-        assert {s[1] for s in shapes(rows.centers[1:], (1.0,))} | {"symmetric"} == unsigned
-
-
-def test_a_user_grid_runs_each_shape_once():
-    # [0, 6] is anchored, a shape the h = 1 row lacks, and [-4, -2] is the
-    # mirror image of [2, 4]: the shapes run as [-1, 1], [0, 2] and [2, 4]
-    config = SupSearchConfig(centers=(0.0, 3.0, -3.0), halflengths=(1.0, 3.0),
-                             refine_rounds=0)
-    pair = averages(W2)
-    full = run_interval_search(lambda iv: a2_functional_trace(*pair(iv)),
-                               config, "trace")
-    reduced = estimate_a2(W2, "trace", config)
-    assert full.argmax == Interval(0.0, 6.0)
-    assert reduced.argmax == Interval(0.0, 2.0)
-    assert reduced.estimate == pytest.approx(full.estimate, rel=1e-13, abs=0.0)
-    assert reduced.evaluations == 3
-    assert search_config(W2, config).centers == (0.0, 1.0, 3.0)
-    assert search_config(W2, search_config(W2, config)) == search_config(W2, config)
-
-
-@pytest.mark.parametrize("functional", ["trace", "norm"])
-def test_an_interval_scores_as_its_mirror_and_its_binary_dilates(functional):
-    # every interval is scored at its shape [t, 1], and t is the same float
-    # for [a, b], [-b, -a] and [2^k a, 2^k b]
-    evaluate, _ = _symbolic_eval_fn(W2, functional, [])
-    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
-    for iv in INTERVALS:
-        value = evaluate(iv)
-        for twin in (Interval(-iv.b, -iv.a), dilate(iv, 2.0 ** -20), dilate(iv, 2.0 ** 30)):
-            assert evaluate(twin) == value
-        assert value == pytest.approx(func(*averages(W2)(iv)), rel=1e-13, abs=0.0)
+    assert shape(full.argmax) == Interval(0.0, 1.0)
+    assert full.evaluations > 1
 
 
 @pytest.mark.parametrize("weight", [
@@ -212,12 +150,10 @@ ILL_3X3 = build_type1(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0
 @pytest.mark.parametrize("weight", [W2, SCALAR, IDENTITY, ILL_3X3],
                          ids=["w2", "scalar", "identity", "ill-3x3"])
 def test_homogeneous_search_does_not_refine_along_the_dilation(weight, functional):
-    # A power matrix's search scores its row of shapes and stops, and the
-    # estimate is the value of the argmax's shape on the equilibrated
-    # weight.
+    # A power matrix is scored once, at its anchored shape, and the
+    # estimate is the value of that shape on the equilibrated weight.
     result = estimate_a2(weight, functional)
-    assert result.argmax.contains_zero()
-    assert result.evaluations == len(interval_grid(search_config(weight)))
+    assert (result.argmax, result.evaluations) == (Interval(0.0, 2.0), 1)
     twin = as_type1(weight) if weight is IDENTITY else weight
     func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
     assert result.estimate == func(*averages(twin.equilibrated)(shape(result.argmax)))
@@ -250,30 +186,17 @@ ORIGIN_FREE = np.concatenate([np.logspace(-9.0, -0.01, 200), 1.0 - np.logspace(-
 
 
 def test_no_origin_free_shape_beats_the_anchored_and_symmetric_ones():
-    # Why a power matrix's search does not refine: on a dense grid of
+    # Why a power matrix is scored at [0, 1] alone: on a dense grid of
     # origin-free shapes, none beats the better of [-1, 1] and [0, 1] by
-    # more than the search's tie window, 1e-12 relative.
-    anchored = [Interval(-1.0, 1.0), Interval(0.0, 1.0)]
-    grid = anchored + [Interval(float(t), 1.0) for t in ORIGIN_FREE]
+    # more than the search's tie window, 1e-12 relative, and the estimate
+    # is the value of [0, 1].
+    ts = np.concatenate([[-1.0, 0.0], ORIGIN_FREE])
     for weight in a2_power_matrices(np.random.default_rng(20261020), 96):
         assert check_a2(weight).verdict == VERDICT_A2
         for functional in ("trace", "norm"):
-            evaluate, _ = _symbolic_eval_fn(weight, functional, grid)
-            values = [evaluate(iv) for iv in grid]
+            values = _shape_scores(weight, functional)(ts)
             assert max(values[2:]) <= (1.0 + 1e-12) * max(values[:2]), (weight, functional)
-
-
-@pytest.mark.parametrize("functional", ["trace", "norm"])
-def test_an_origin_free_grid_reports_its_best_shape(functional):
-    # a user grid of origin-free shapes alone: the search scores them and
-    # stops, whatever refine_rounds the grid asks for
-    config = SupSearchConfig(centers=(3.0, 5.0), halflengths=(1.0,), refine_rounds=4)
-    result = estimate_a2(W2, functional, config)
-    func = dict(zip(("trace", "norm"), FUNCTIONALS))[functional]
-    values = {iv: func(*averages(W2)(iv)) for iv in (Interval(2.0, 4.0), Interval(4.0, 6.0))}
-    assert result.evaluations == 2
-    assert result.argmax == max(values, key=values.get)
-    assert result.estimate == pytest.approx(max(values.values()), rel=1e-13, abs=0.0)
+            assert estimate_a2(weight, functional).estimate == values[1]
 
 
 def mp_averages(weight, iv):
@@ -327,10 +250,9 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
     # both sides, and cond(<W>) grew to about 5e6; at [t, 1] it stays near
     # cond(A), so the norm keeps its digits on every shape and at the
     # argmax
-    grid = interval_grid(search_config(ILL_3X3))
-    evaluate, _ = _symbolic_eval_fn(ILL_3X3, "norm", grid)
-    for iv in grid:
-        assert evaluate(iv) == pytest.approx(mp_norm(ILL_3X3, shape(iv)), rel=1e-13, abs=0.0)
+    ts = grid_shapes(default_interval_config)
+    for t, value in zip(ts, _shape_scores(ILL_3X3, "norm")(ts)):
+        assert value == pytest.approx(mp_norm(ILL_3X3, Interval(t, 1.0)), rel=1e-13, abs=0.0)
     result = estimate_a2(ILL_3X3, "norm")
     assert result.estimate == pytest.approx(mp_norm(ILL_3X3, shape(result.argmax)),
                                             rel=1e-13, abs=0.0)
@@ -342,9 +264,8 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
 def test_a_2x2_norm_matches_its_closed_form_at_every_shape(weight):
     # every one of the 50 default shapes, against the roots of a quadratic
     # in 40 digits: no code shared with the LAPACK route
-    grid = interval_grid(search_config(weight))
-    assert len(grid) == 50
-    evaluate, _ = _symbolic_eval_fn(weight, "norm", grid)
-    for iv in grid:
-        assert evaluate(iv) == pytest.approx(mp_norm_2x2(weight, shape(iv)), rel=1e-13,
-                                             abs=0.0), iv
+    ts = grid_shapes(default_interval_config)
+    assert len(ts) == 50
+    for t, value in zip(ts, _shape_scores(weight, "norm")(ts)):
+        assert value == pytest.approx(mp_norm_2x2(weight, Interval(t, 1.0)), rel=1e-13,
+                                      abs=0.0), t

@@ -9,14 +9,13 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from a2w.estimator import (a2_functional_trace, average_symbolic, estimate_a2,
-                           search_config)
+from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.scalar_power import (Interval, NotA2Error, NotIntegrableError,
                               average_abs_pow, format_rational,
                               integral_abs_pow, integral_abs_pow_stack,
                               parse_rational, power_stack,
                               scalar_closed_form_constant, scalar_is_a2)
-from a2w.search import interval_grid
+from a2w.search import coarse_interval_config, interval_grid
 from a2w.type1 import SymbolicPowerMatrix, check_a2, symbolic_inverse
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)
@@ -121,8 +120,8 @@ class TestStackedIntegrals:
     @pytest.mark.parametrize("intervals", ["grid", "far"])
     def test_agrees_with_the_scalar_form(self, intervals):
         if intervals == "grid":
-            # the row a power matrix's search scans on the default grid
-            ivs = interval_grid(search_config(scalar_weight(1, "1/2")))
+            # the grid a rotation's search scans by default
+            ivs = interval_grid(coarse_interval_config())
         else:
             ivs = [Interval(1e6 - 1e-6, 1e6 + 1e-6), Interval(1e3, 1e3 + 1e-3),
                    Interval(-1e3 - 1e-3, -1e3)]
@@ -157,13 +156,35 @@ class TestStackedIntegrals:
                 alone = integral_abs_pow_stack(gammas, lo[k:k + 1], b[k:k + 1])
                 assert np.array_equal(alone[:, 0], stack[:, k]), k
 
-    def test_power_stack_takes_sqrt_in_every_layout(self):
-        x = np.random.default_rng(1).uniform(1e-3, 1e3, 300)
-        s = np.array([[0.5], [0.25]])
-        stack = power_stack(x, s)
-        assert np.array_equal(stack[0], np.sqrt(x))
+    def test_power_stack_takes_each_exponent_the_same_way_in_every_layout(self):
+        # numpy raises by sqrt, square and reciprocal when one exponent of
+        # 1/2, 2 or -1 meets several bases, and by pow otherwise: one
+        # exponent against many bases must match one base against many
+        # exponents, bit for bit, for every rational of [-3, 3] with
+        # denominator at most 24
+        exponents = sorted({Fraction(p, q) for q in range(1, 25) for p in range(-3 * q, 3 * q + 1)})
+        assert len(exponents) == 1081
+        s = np.array([[float(e)] for e in exponents])
+        x = np.random.default_rng(1).uniform(1e-3, 1e3, 40)
+        many_bases = np.array([power_stack(x, e) for e in s])
+        for e, ufunc in ((0.5, np.sqrt), (2.0, np.square), (-1.0, np.reciprocal)):
+            assert np.array_equal(many_bases[exponents.index(e)], ufunc(x)), e
         for k in range(x.size):
-            assert np.array_equal(power_stack(x[k:k + 1], s)[:, 0], stack[:, k]), k
+            many_exponents = power_stack(x[k:k + 1], s)[:, 0]
+            assert np.array_equal(many_exponents, many_bases[:, k]), x[k]
+
+    @pytest.mark.parametrize("g", [1.0, -2.0])
+    def test_a_value_outside_the_a2_range_does_not_depend_on_its_stack(self, g):
+        # s = g + 1 is 2 or -1: g over many intervals against each interval
+        # alone with a second exponent, on origin-free intervals and on
+        # intervals that touch 0, where g = -2 is not integrable (NaN)
+        rng = np.random.default_rng(79)
+        a = np.concatenate([rng.uniform(0.1, 10.0, 500), -rng.uniform(0.0, 10.0, 500)])
+        b = np.concatenate([a[:500] + rng.uniform(1e-3, 10.0, 500), rng.uniform(1e-3, 10.0, 500)])
+        stack = integral_abs_pow_stack([[g]], a, b)[0]
+        for k in range(a.size):
+            alone = integral_abs_pow_stack([[g], [1 / 3]], a[k:k + 1], b[k:k + 1])[0]
+            assert np.array_equal(alone, stack[k:k + 1], equal_nan=True), (a[k], b[k])
 
     @pytest.mark.parametrize("g", [-1.0, -1.5])
     def test_nan_exactly_where_the_scalar_form_raises(self, g):
