@@ -14,8 +14,10 @@ Averages and functionals run on stacks shaped (k, n, n). A rotation's
 evaluate function scores its whole grid as one stack on its first call,
 its warm function each lookahead tree of its golden-refinement
 intervals, and evaluate looks those up after that; any other interval,
-and average_symbolic, run the same code as a stack of one, so a value
-never depends on its batch (_grid_scan).
+and average_symbolic, run the same code as a stack of one, so a closed-form
+value never depends on its batch. A radial cube average can, within its
+quadrature tolerance: the integrals of a cube stack share one panel tree
+(_grid_scan).
 A power matrix on the line is scored once, at the anchored shape [0, 1]
 (estimate_a2); lines and cubes average it equilibrated, with its
 symbolic inverse, after a float rule on its exponents (_closed_form_pair).
@@ -238,9 +240,12 @@ def _grid_scan(score, grid: list):
     and stores their values; if that stack fails a check, it stores
     nothing. evaluate's first call warms the whole grid; a region then
     reads its value from the table, and any other region is scored as a
-    stack of one, by the same code, so a value never depends on its
-    batch. A failure is thus raised on its own region, alone, when the
-    search reaches it.
+    stack of one, by the same code, so a closed-form value never depends
+    on its batch. A radial cube average can, within its tolerance: the
+    integrals of a stack are row groups of one panel tree, and a group
+    that needs more panels refines the others along
+    (multivar._radial_integrals). A failure is raised on its own region,
+    alone, when the search reaches it.
     """
     table = {}
     scanned = False

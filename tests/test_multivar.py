@@ -1,6 +1,7 @@
 """Tests for separable and radial power weights over cubes."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +383,84 @@ class TestRadialIntegral:
             cube_integral_radial(-1.0, (-1.0, -1.0), (1.0, 1.0), tol=1e-17)
 
 
+class TestRadialStack:
+    # (gamma, lower, upper): the exact volume, a generic exponent in d = 2
+    # and d = 3, the d = 3 branch at gamma = -2 with the origin inside,
+    # and the log form gamma = -d on origin-free boxes
+    MIXED = [
+        (0.0, (-0.3, 0.1), (0.7, 1.1)),
+        (0.5, (0.0, 0.0), (1.0, 1.0)),
+        (-1.5, (-0.5, -0.5), (0.5, 0.5)),
+        (-1.0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
+        (0.5, (-0.06, -0.1, -0.2), (0.94, 0.9, 0.8)),
+        (-2.0, (-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)),
+        (-2.0, (1.0, 1.0), (2.0, 2.0)),
+        (-3.0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
+        (-1.0, (1000.0, 1000.0), (1001.0, 1001.0)),
+    ]
+
+    def test_stacked_values_hold_the_tolerance_of_each_alone(self):
+        tol = 1e-8
+        stacked = multivar._radial_integrals(self.MIXED, tol)
+        assert stacked[0] == cube_integral_radial(*self.MIXED[0])
+        for (gamma, lo, hi), value in zip(self.MIXED, stacked):
+            alone = cube_integral_radial(gamma, lo, hi, tol)
+            assert abs(value - alone) <= tol * abs(alone)
+
+    def test_only_exact_volumes_run_no_tree(self, monkeypatch):
+        monkeypatch.setattr(multivar, "_panel_tree", None)
+        assert multivar._radial_integrals([(0.0, (0.0, 0.0), (1.0, 2.0))], 1e-8) == [2.0]
+
+    def test_budget_scales_with_the_groups(self, monkeypatch):
+        budgets = []
+        tree = multivar._panel_tree
+
+        def recording(f, cuts, tolerance, gaps, budget, where):
+            budgets.append(budget)
+            return tree(f, cuts, tolerance, gaps, budget, where)
+
+        monkeypatch.setattr(multivar, "_panel_tree", recording)
+        multivar._radial_integrals(self.MIXED, 1e-8)
+        assert budgets == [multivar._PANEL_BUDGET * (len(self.MIXED) - 1)]
+
+    def test_error_names_a_piece_of_its_own_box(self):
+        # ||x||^2000 overflows on [1, 2]^2; its pieces are numbered from 0,
+        # whatever stands before it in the stack
+        with pytest.raises(QuadratureBudgetError, match="not finite") as err:
+            multivar._radial_integrals([self.MIXED[4], (2000.0, (1.0, 1.0), (2.0, 2.0))],
+                                       1e-8)
+        piece = re.match(r"box \(1\.0, 1\.0\)\.\.\(2\.0, 2\.0\), angular piece (\d+): ",
+                         str(err.value))
+        assert piece is not None and int(piece.group(1)) < 4
+
+    def test_rounding_error_names_its_box_in_a_stack(self):
+        gamma, lower, side, _ = FAR_STEEP
+        far = (gamma, lower, tuple(v + side for v in lower))
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"^box \(1000\.0, 1000\.0, 1000\.0\)\.\..*rounding"):
+            multivar._radial_integrals([self.MIXED[1], far], 1e-8)
+
+    def test_pair_on_cubes_matches_each_average_alone(self):
+        w = build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)
+        winv = symbolic_inverse(w)
+        cubes = [Cube((0.0, 0.0), 1.0), Cube((-0.3, -0.3), 2.0), Cube((1.5, 1.5), 0.5)]
+        stacked = average_type1b((w, winv), cubes, 1e-8)
+        assert [a.shape for a in stacked] == [(3, 2, 2)] * 2
+        for weight, avg in zip((w, winv), stacked):
+            for cube, value in zip(cubes, avg):
+                alone = average_type1b(weight, cube, 1e-8)
+                assert np.allclose(value, alone, rtol=1e-8, atol=0.0)
+
+    def test_nonintegrable_entry_names_its_weight_entry(self):
+        w = build_type1b([[1.0]], (HALF,), 2)
+        bad = SymbolicPowerMatrix([[1.0, 0.0], [0.0, 1.0]],
+                                  (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(-2))),), 2)
+        with pytest.raises(NotIntegrableError) as err:
+            average_type1b((w, bad), [Cube((2.0, 2.0), 1.0), Cube((-1.0, -1.0), 2.0)])
+        assert str(err.value) == ("entry (1, 1): exponent -2.0 <= -2 is not "
+                                  "integrable at the origin")
+
+
 class TestAverageRadial:
     def test_scalar_weight_average(self):
         w = build_type1b([[3.0]], (Fraction(1),), 2)
@@ -582,16 +661,41 @@ class TestCubeSearch:
             assert got.argmax == want.argmax
 
     def test_failure_is_raised_on_its_own_cube(self, monkeypatch):
+        # the failure is planted on one cube of the stack: the stack fails,
+        # and the cube is then scored alone, where it fails again
         w = build_type1b([[1.0]], (HALF,), 2)
         failing = Cube((1.0, 1.0), 1.0)
         average = multivar.average_type1b
+        stacks = []
 
-        def planted(weight, cube):
-            if cube == failing:
+        def planted(weights, cubes):
+            stacks.append(list(cubes))
+            if failing in cubes:
                 raise NotIntegrableError("planted")
-            return average(weight, cube)
+            return average(weights, cubes)
 
         monkeypatch.setattr(multivar, "average_type1b", planted)
         with pytest.raises(NotIntegrableError, match="planted") as err:
             estimate_a2_cubes(w, "trace")
         assert err.value.region == failing
+        assert len(stacks[0]) == 4 and failing in stacks[0]
+
+    @pytest.mark.parametrize("w", [
+        build_type1b([[1.0]], (HALF,), 2),
+        build_type1b([[2.0, 1.0], [1.0, 2.0]], (Fraction(-1, 3), HALF), 2),
+        build_type1b([[1.0]], (Fraction(-3, 2),), 3),
+        build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 3),
+    ], ids=["n1-d2", "n2-d2", "n1-d3", "n2-d3"])
+    def test_radial_stack_runs_one_panel_tree(self, monkeypatch, w):
+        # every radial integral of W and W^-1 on the four cubes is a row
+        # group of one tree
+        trees = []
+        tree = multivar._panel_tree
+
+        def counting(*args):
+            trees.append(args)
+            return tree(*args)
+
+        monkeypatch.setattr(multivar, "_panel_tree", counting)
+        estimate_a2_cubes(w, "trace")
+        assert len(trees) == 1

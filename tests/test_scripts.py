@@ -150,6 +150,29 @@ def test_benchmark_tracer_counts_a_rotation_constant(tmp_path):
     assert float(refined) == 10
 
 
+def test_benchmark_tracer_times_the_radial_cube_stack(tmp_path):
+    # The tracer binds multivar.average_type1b by name, and the cube search
+    # averages W and W^-1 on its four unit cubes through it once, as one
+    # stack; a traced type1b constant run must count that call and its time.
+    spec = tmp_path / "radial.json"
+    spec.write_text(json.dumps({"kind": "type1b", "coeff": [[2, 1], [1, 2]], "d": 2,
+                                "diag_exponents": ["-1/3", "1/2"]}))
+    code = "\n".join([
+        "import sys; sys.path[:0] = ['a2wbench', 'src']",
+        "from tracing import Tracer; from a2w import cli",
+        "tracer = Tracer(); tracer.install()",
+        f"rc = tracer.run_op(0, cli.main, ['constant', {str(spec)!r}, '--json'])",
+        "m = tracer.layer_metrics(1)",
+        "print(rc, m['multivar.average_type1b.calls'][0], m['multivar.average_type1b.s'][0])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, calls, seconds = proc.stdout.split()[-3:]
+    assert (int(rc), float(calls)) == (0, 1)
+    assert float(seconds) > 0.0
+
+
 def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):
     # The tracer binds linalg.as_hermitian by name, and the weight's
     # builder, the decision and the functionals' pair check all call it:
