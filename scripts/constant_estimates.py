@@ -6,8 +6,8 @@ when one is available. Scalar weights also get the closed form
 1 / (1 - gamma^2) so the search accuracy is visible at a glance.
 
 A power matrix on the line is scored at its anchored shape, one on
-cubes at one unit cube per family; the rotation searches its default
-(coarse) interval grid.
+cubes at the unit cube cornered at the origin; the rotation searches its
+default (coarse) interval grid.
 
 Run:  python3 scripts/constant_estimates.py [--functional trace|norm]
 """

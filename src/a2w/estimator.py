@@ -14,12 +14,11 @@ Averages and functionals run on stacks shaped (k, n, n). A rotation's
 evaluate function scores its whole grid as one stack on its first call,
 its warm function each lookahead tree of its golden-refinement
 intervals, and evaluate looks those up after that; any other interval,
-and average_symbolic, run the same code as a stack of one, so a closed-form
-value never depends on its batch. A radial cube average can, within its
-quadrature tolerance: the integrals of a cube stack share one panel tree
-(_grid_scan).
+and average_symbolic, run the same code as a stack of one, so a value
+never depends on its batch.
 A power matrix on the line is scored once, at the anchored shape [0, 1]
-(estimate_a2); lines and cubes average it equilibrated, with its
+(estimate_a2), as a separable one on cubes is at [0, 1]^d
+(_shape_scores); lines and cubes average it equilibrated, with its
 symbolic inverse, after a float rule on its exponents (_closed_form_pair).
 """
 
@@ -32,7 +31,7 @@ from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
                            integral_abs_pow_stack)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
-                     _maximize, coarse_interval_config, default_interval_config,
+                     _score_once, coarse_interval_config, default_interval_config,
                      interval_grid, run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
@@ -232,20 +231,17 @@ _FUNCTIONALS = {
 }
 
 
-def _grid_scan(score, grid: list):
-    """(evaluate(region), warm(regions)) for a search from score(regions),
-    which returns one functional value per interval or cube of its list.
+def _grid_scan(score, grid: list[Interval]):
+    """(evaluate(iv), warm(ivs)) for a rotation's search from score(ivs),
+    which returns one functional value per interval of its list.
 
-    warm scores the regions it is given that its table lacks as one stack
-    and stores their values; if that stack fails a check, it stores
-    nothing. evaluate's first call warms the whole grid; a region then
-    reads its value from the table, and any other region is scored as a
-    stack of one, by the same code, so a closed-form value never depends
-    on its batch. A radial cube average can, within its tolerance: the
-    integrals of a stack are row groups of one panel tree, and a group
-    that needs more panels refines the others along
-    (multivar._radial_integrals). A failure is raised on its own region,
-    alone, when the search reaches it.
+    warm scores the intervals it is given that its table lacks as one
+    stack and stores their values; if that stack fails a check, it stores
+    nothing. evaluate's first call warms the whole grid; an interval then
+    reads its value from the table, and any other interval is scored as a
+    stack of one, by the same code, so a value never depends on its
+    batch. A failure is raised on its own interval, alone, when the
+    search reaches it.
     """
     table = {}
     scanned = False
@@ -293,18 +289,16 @@ def _closed_form_pair(w: SymbolicPowerMatrix):
 
 
 def _shape_scores(w: SymbolicPowerMatrix, functional: str):
-    """score(ts): the functional of a power matrix w on the line at each
-    shape [t, 1] of ts, t in [-1, 1), as one stack, on _closed_form_pair's
-    equilibrated pair. w is even and homogeneous, so an interval [a, b]
-    with |a| <= b takes the value of [a / b, 1]."""
-    if w.d != 1:
-        raise ValueError("interval estimates need a weight on the line; "
-                         "use multivar.estimate_a2_cubes for d >= 2")
+    """score(ts): the functional of a separable power matrix w on each box
+    [t, 1]^d of ts, t in [-1, 1), as one stack, on _closed_form_pair's
+    equilibrated pair. w is even and homogeneous, so on the line an
+    interval [a, b] with |a| <= b takes the value of [a / b, 1], and the
+    unit cube cornered at the origin that of [0, 1]^d."""
     table = _term_table(_closed_form_pair(w))
     func = _FUNCTIONALS[functional]
 
     def score(ts) -> np.ndarray:
-        t = np.array(ts, dtype=float)[None]
+        t = np.tile(np.array(ts, dtype=float), (w.d, 1))
         return func(*_averages(table, 2, w.n, t, np.ones_like(t)))
 
     return score
@@ -407,10 +401,11 @@ def estimate_a2(weight, functional: str = "trace",
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     if isinstance(weight, SymbolicPowerMatrix):
+        if weight.d != 1:
+            raise ValueError("interval estimates need a weight on the line; "
+                             "use multivar.estimate_a2_cubes for d >= 2")
         score = _shape_scores(weight, functional)
-        return _maximize([Interval(0.0, 2.0)], lambda iv: score([iv.a / iv.b])[0],
-                         lambda scored, incumbent: None, Interval.near_endpoint_distance,
-                         functional)
+        return _score_once(Interval(0.0, 2.0), lambda: score([0.0])[0], functional)
     cfg = config or coarse_interval_config()
     grid = interval_grid(cfg)
     evaluate, warm = _type2_eval_fn(weight, functional, grid)

@@ -9,28 +9,26 @@ cube's faces and each face to signed triangles about the foot point of
 the origin (Lasserre, Proc. AMS 126, 1998; Chin, Lasserre & Sukumar,
 Comput. Mech. 56, 2015), whose radial parts are closed form; the smooth
 angular integrals left over are rows of a quadrature panel tree, with
-error relative to the integral. Every integral of a stack, over all its
-exponents and cubes, is a group of rows of one tree (_radial_integrals):
-the cube search averages W and W^-1 on its four cubes with one. This
-module also builds both families from their spec data. Both are
-homogeneous, so the search evaluates each cube family once, on its unit
-cube.
+error relative to the integral. The integrals of every exponent on one
+box are groups of rows of one tree (_radial_integrals): the cube search
+averages W and W^-1 with one. This module also builds both families from
+their spec data. Both are even and homogeneous, so the search scores
+one cube, the unit cube cornered at the origin.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import search, type1
-from .estimator import (_FUNCTIONALS, _averages, _closed_form_pair, _grid_scan,
-                        _term_table, a2_functional_norm, a2_functional_trace, average_symbolic)
+from .estimator import (_FUNCTIONALS, _closed_form_pair, _shape_scores,
+                        a2_functional_norm, a2_functional_trace, average_symbolic)
 from .quadrature import QuadratureBudgetError, _panel_tree
 from .scalar_power import NotIntegrableError, power_stack
-from .search import Interval, SupSearchResult, _maximize
+from .search import Interval, SupSearchResult, _score_once
 from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
@@ -51,7 +49,7 @@ _DIMS = (2, 3)
 # split-compare noise alone can exhaust the panel budget.
 _ROUNDING = 8 * np.finfo(float).eps
 # Panels per radial integral; a tree gets this times its number of
-# integrals. On the cube search's unit cubes a tree converges in 3 panels.
+# integrals. On the cube search's unit cube a tree converges in 3 panels.
 _PANEL_BUDGET = 2000
 RADIAL_TOL = 1e-6  # relative error of each radial cube average
 
@@ -91,11 +89,6 @@ class Cube:
 
     def interval(self, c: int) -> Interval:
         return Interval(self.lower[c], self.lower[c] + self.side)
-
-    def nearest_vertex_distance(self) -> float:
-        """Distance from the origin to the nearest cube vertex."""
-        return math.sqrt(sum(min(lo * lo, hi * hi)
-                             for lo, hi in zip(self.lower, self.upper)))
 
 
 def _cube_dim(d: int, message: str) -> int:
@@ -188,68 +181,53 @@ def _box_pieces(lo, hi) -> np.ndarray:
     return np.array([phi0, span, e, c, flux, np.log(c / max(map(abs, lo + hi)))])
 
 
-def _radial_integrals(integrals, tol: float) -> list[float]:
-    """The integral of ||x||^gamma over the box [lo, hi] for each
-    (gamma, lo, hi) of integrals, corners checked by _checked_box, on one
-    panel tree over [0, 1].
+def _radial_integrals(gammas, lo, hi, tol: float) -> list[float]:
+    """The integral of ||x||^gamma over the box [lo, hi] for each gamma of
+    gammas, corners checked by _checked_box, on one panel tree over [0, 1].
 
-    Each (gamma, box) with gamma != 0 is a group of rows, its box's
-    triangles (_box_pieces, built once per box) scaled by its kappa;
-    gamma = 0 is the exact volume and has none. A group whose rows need
-    more panels refines the others along, so a value can move within its
-    tolerance with the groups beside it. Each group's error target is
-    tol times its integral, never below the rounding level of its summed
-    masses, and its rows share half of it equally (the other half covers
-    the seed panel's estimate of the integral); the budget is
-    _PANEL_BUDGET per group. After the tree, a group whose rounding
-    level alone exceeds tol times its value raises QuadratureBudgetError
-    naming its box, as does a budget error, at its worst row.
+    Each gamma != 0 is a group of rows, the box's triangles (_box_pieces)
+    scaled by its kappa; gamma = 0 is the exact volume and has none. A
+    group whose rows need more panels refines the others along, so a
+    value can move within its tolerance with the groups beside it. Each
+    group's error target is tol times its integral, never below the
+    rounding level of its summed masses, and its rows share half of it
+    equally (the other half covers the seed panel's estimate of the
+    integral); the budget is _PANEL_BUDGET per group. After the tree, a
+    group whose rounding level alone exceeds tol times its value raises
+    QuadratureBudgetError naming the box, as does a budget error, at its
+    worst row.
     """
-    out = [math.prod(b - a for a, b in zip(lo, hi)) for _, lo, hi in integrals]
-    scored = [k for k, (gamma, _, _) in enumerate(integrals) if gamma != 0.0]
+    d = len(lo)
+    out = [math.prod(b - a for a, b in zip(lo, hi))] * len(gammas)
+    scored = [k for k, gamma in enumerate(gammas) if gamma != 0.0]
     if not scored:
         return out
-    groups = [integrals[k] for k in scored]
-    boxes: dict = {}
-    blocks, scalars = [], []
-    for gamma, lo, hi in groups:
-        if (lo, hi) not in boxes:
-            boxes[lo, hi] = _box_pieces(lo, hi)
-        blocks.append(boxes[lo, hi])
-        d = len(lo)
-        log_form = gamma == -d
-        # (kappa, the power gamma + 2, beta = gamma / 2 + 1, d, log form)
-        scalars.append((1.0 if log_form else 1.0 / (d + gamma), gamma + 2.0,
-                        gamma / 2.0 + 1.0, d, log_form))
-    counts = [block.shape[1] for block in blocks]
-    starts = np.cumsum([0] + counts).tolist()
-    phi0, span, e, c, flux, ref_log = np.concatenate(blocks, axis=1)[:, :, None]
-    kappa, power, beta, dim, log_form = (np.repeat(col, counts)[:, None]
-                                         for col in zip(*scalars))
+    pieces = _box_pieces(lo, hi)
+    count = pieces.shape[1]
+    starts = range(0, count * len(scored), count)  # each group's first row
+    phi0, span, e, c, flux, ref_log = np.tile(pieces, len(scored))[:, :, None]
+    # (kappa, the power gamma + 2, beta = gamma / 2 + 1, log form) per group
+    scalars = [(1.0 if g == -d else 1.0 / (d + g), g + 2.0, g / 2.0 + 1.0, g == -d)
+               for g in (gammas[k] for k in scored)]
+    kappa, power, beta, log_form = (np.repeat(col, count)[:, None] for col in zip(*scalars))
     weight = kappa * flux
-    planar = dim == 2
-    flat = (dim == 3) & (beta == 0.0)  # gamma = -2 in d = 3
     two_beta = np.where(beta == 0.0, 1.0, 2.0 * beta)  # those rows take lg / 2 or a log
-    has_planar, has_solid = bool(planar.any()), not planar.all()
-    has_log, has_flat = bool(log_form.any()), bool(flat.any())
+    has_log, has_flat = bool(log_form.any()), d == 3 and bool((beta == 0.0).any())
 
     def radial(s):
         """F(c, s) of every row: the radial integral out to the edge per
         unit angle, without the factor kappa."""
-        if has_planar:
+        if d == 2:
             out = power_stack(c * s, power)
-            if has_log:
-                out = np.where(log_form, ref_log + np.log(s), out)
-            if not has_solid:
-                return out
+            return np.where(log_form, ref_log + np.log(s), out) if has_log else out
         lg = np.log1p(s * s)
         solid = power_stack(c, power) * np.expm1(beta * lg) / two_beta
-        if has_flat:
-            solid = np.where(flat, lg / 2.0, solid)
+        if has_flat:  # gamma = -2 in d = 3
+            solid = np.where(beta == 0.0, lg / 2.0, solid)
         if has_log:
             solid = np.where(log_form, -((ref_log + 1.0) * np.expm1(-lg / 2.0)
                                          + lg / 2.0 * np.exp(-lg / 2.0)) / c, solid)
-        return np.where(planar, out, solid) if has_planar else solid
+        return solid
 
     def values(t):
         return weight * span * radial(e / (c * np.cos(phi0 + span * t)))
@@ -257,20 +235,17 @@ def _radial_integrals(integrals, tol: float) -> list[float]:
     targets = []
 
     def tolerance(mass, total):
-        targets[:] = [max(tol * abs(np.add.reduce(total[a:b])),
-                          _ROUNDING * np.add.reduce(mass[a:b]))
-                      for a, b in zip(starts, starts[1:])]
-        return np.repeat([t / (2 * n) for t, n in zip(targets, counts)], counts)
+        targets[:] = [max(tol * abs(np.add.reduce(total[a:a + count])),
+                          _ROUNDING * np.add.reduce(mass[a:a + count])) for a in starts]
+        return np.repeat([t / (2 * count) for t in targets], count)
 
     def where(k):
-        g = bisect.bisect_right(starts, k) - 1
-        _, lo, hi = groups[g]
-        return f"box {lo}..{hi}, angular piece {k - starts[g]}: "
+        return f"box {lo}..{hi}, angular piece {k % count}: "
 
     total = _panel_tree(values, (0.0, 1.0), tolerance, None,
-                        _PANEL_BUDGET * len(groups), where)
-    for k, (_, lo, hi), target, a, b in zip(scored, groups, targets, starts, starts[1:]):
-        value = float(np.add.reduce(total[a:b]))
+                        _PANEL_BUDGET * len(scored), where)
+    for k, target, a in zip(scored, targets, starts):
+        value = float(np.add.reduce(total[a:a + count]))
         if not target <= 2 * tol * abs(value):
             raise QuadratureBudgetError(
                 f"box {lo}..{hi}: rounding in the face terms allows "
@@ -300,70 +275,62 @@ def cube_integral_radial(gamma: float, lo, hi, tol: float = 1e-6) -> float:
     tol * |value|, QuadratureBudgetError names the box rather than
     returning an unverified value.
     """
-    return _radial_integrals([(gamma, *_checked_box(gamma, lo, hi))], tol)[0]
+    return _radial_integrals([gamma], *_checked_box(gamma, lo, hi), tol)[0]
 
 
-def average_type1b(w, cube, tol: float = RADIAL_TOL):
+def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
     """Entrywise average of a radial weight over a cube, shaped (n, n),
     each entry within tol of itself relatively.
 
-    Given a tuple of weights and a list of cubes instead, one array per
-    weight, shaped (len(cube), n, n). Either way the integral of each
-    distinct exponent and cube is a group of rows of one
-    _radial_integrals tree, so the cube search averages W and W^-1 on its
-    whole stack with one tree.
+    Given a tuple of weights instead, one such array per weight. Either
+    way the integral of each distinct exponent is a group of rows of one
+    _radial_integrals tree, so the cube search averages W and W^-1 with
+    one tree.
     """
     single = isinstance(w, SymbolicPowerMatrix)
-    weights, cubes = ((w,), [cube]) if single else (w, cube)
-    if any(v.separable or c.d != v.d for v in weights for c in cubes):
+    weights = (w,) if single else w
+    if any(v.separable or cube.d != v.d for v in weights):
         raise ValueError("cube dimension does not match the radial weight")
-    at: dict[tuple[float, int], int] = {}
-    integrals, entries = [], []
+    at: dict[float, int] = {}
+    entries = []
     for v in weights:
         rows, cols, coeffs, exponents, _, (index,) = v.terms
         terms = list(zip(rows.tolist(), cols.tolist(), coeffs.tolist(),
                          exponents[index].tolist()))
         entries.append(terms)
-        for q, c in enumerate(cubes):
-            for i, j, _, e in terms:
-                if (e, q) not in at:
-                    try:
-                        _checked_box(e, c.lower, c.upper)
-                    except ValueError as exc:
-                        raise NotIntegrableError(f"entry ({i}, {j}): {exc}") from exc
-                    at[e, q] = len(integrals)
-                    integrals.append((e, c.lower, c.upper))
-    found = _radial_integrals(integrals, tol)
+        for i, j, _, e in terms:
+            if e not in at:
+                try:
+                    _checked_box(e, cube.lower, cube.upper)
+                except ValueError as exc:
+                    raise NotIntegrableError(f"entry ({i}, {j}): {exc}") from exc
+                at[e] = len(at)
+    found = _radial_integrals(list(at), cube.lower, cube.upper, tol)
     out = []
     for v, terms in zip(weights, entries):
-        avg = np.zeros((len(cubes), v.n, v.n), dtype=complex)
-        for q, c in enumerate(cubes):
-            volume = c.volume
-            for i, j, a, e in terms:
-                avg[q, i, j] = a * (found[at[e, q]] / volume)
+        avg = np.zeros((v.n, v.n), dtype=complex)
+        for i, j, a, e in terms:
+            avg[i, j] = a * (found[at[e]] / cube.volume)
         out.append(avg)
-    return out[0][0] if single else out
+    return out[0] if single else out
 
 
-CUBE_FAMILIES = ("cornered", "centered", "shifted")
+CUBE_FAMILIES = ("cornered", "centered")
 
 
 def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
-    """Maximum of the A2 functional over the cube families, a lower bound
-    of its supremum over all cubes.
+    """The A2 functional on the unit cube cornered at the origin, a lower
+    bound of its supremum over all cubes.
 
-    The weight is homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)),
-    so each family takes one value whatever the side: the unit cubes
-    cornered at and centered on the origin, and shifted one and two sides
-    out along the diagonal, run once each, as one stack
-    (estimator._grid_scan), on the equilibrated weight and its inverse
-    (estimator._closed_form_pair). A radial weight averages the pair on
-    the stack through one average_type1b call, every integral on one
-    panel tree, so a cube's value can differ from its value alone within
-    RADIAL_TOL where another integral of the stack needs more panels; on
-    the unit cubes every integral converges at the tree's first split,
-    and none does. Values within 1e-12 relative tie; ties
-    go to the cube whose nearest vertex is closest to the origin. A weight
+    The weight is even and homogeneous, W(tx) = T W(x) T with
+    T = diag(|t|^(g_i/2)), so every cube cornered at or centered on the
+    origin takes the value of the cornered unit cube (CUBE_FAMILIES): the
+    centered cube is 2^d reflected copies of a cornered one. No cube
+    shifted out along the diagonal was seen to beat it past the line's
+    tie rule, 1e-12 relative. It is scored once, on the equilibrated
+    weight and its inverse (estimator._closed_form_pair): a separable
+    weight in closed form (estimator._shape_scores), a radial one through
+    one average_type1b call, every integral on one panel tree. A weight
     that is not A2 raises NotA2Error (A2Report.require_a2), and an A2
     exponent that rounds to its factor's bound SearchError.
     """
@@ -373,19 +340,9 @@ def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
     if not isinstance(weight, SymbolicPowerMatrix):
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     type1.check_a2(weight).require_a2()
-    weight, inverse = _closed_form_pair(weight)
+    cube = Cube((0.0,) * weight.d, 1.0)
     if weight.separable:
-        table = _term_table((weight, inverse))
-
-        def averages(stack: list[Cube]):
-            lo = np.array([c.lower for c in stack]).T
-            hi = np.array([c.upper for c in stack]).T
-            return _averages(table, 2, weight.n, lo, hi)
-    else:
-        def averages(stack: list[Cube]):
-            return average_type1b((weight, inverse), stack)
-
-    cubes = [Cube((c,) * weight.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
-    evaluate, _ = _grid_scan(lambda stack: func(*averages(stack)), cubes)
-    return _maximize(cubes, evaluate, lambda scored, incumbent: None,
-                     Cube.nearest_vertex_distance, functional)
+        score = _shape_scores(weight, functional)
+        return _score_once(cube, lambda: score([0.0])[0], functional)
+    pair = _closed_form_pair(weight)
+    return _score_once(cube, lambda: func(*average_type1b(pair, cube)), functional)

@@ -4,8 +4,9 @@ Candidate intervals are parametrized by (center, half-length) on
 logarithmic grids; run_interval_search scans a rotation's whole grid,
 then refines its incumbent. A power matrix's functionals, an identity
 Type 2 weight's among them, see only an interval's shape, so it is
-scored once, at its anchored shape, through _maximize
-(estimator.estimate_a2), as cubes are (multivar.estimate_a2_cubes).
+scored once, at its anchored shape, through _score_once
+(estimator.estimate_a2), as cubes are at the cornered unit cube
+(multivar.estimate_a2_cubes).
 The family (FAMILIES) deliberately contains only three interval shapes
 relative to the origin: symmetric (center 0), anchored (one endpoint
 exactly 0), and origin-free.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,47 +203,25 @@ def golden_max(f, lo: float, hi: float, rounds: int, warm=None):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _maximize(candidates, evaluate, refine, tie_key,
-              functional: str) -> SupSearchResult:
-    """Grid scan, refinement and canonical argmax shared by every search.
+def _scored(evaluate, region) -> float:
+    """evaluate(region) as a finite float. An exception raised while
+    evaluating carries region as its ``region`` attribute; a value that
+    is not finite raises SearchError naming the region."""
+    try:
+        val = float(evaluate(region))
+    except Exception as exc:
+        exc.region = region
+        raise
+    if not math.isfinite(val):
+        raise SearchError(f"functional returned non-finite value on {region}")
+    return val
 
-    Every candidate region is evaluated in order; refine(scored, incumbent)
-    may then evaluate more regions through scored, and incumbent() returns
-    the region of the current maximum. Values within 1e-12 relative
-    of the maximum tie; ties go to the smallest tie_key, then to the
-    earliest evaluation. The incumbent and the final argmax follow this
-    one rule, so a last-ulp difference between tied values cannot steer
-    refinement. An exception raised while evaluating a region carries
-    that region as its ``region`` attribute.
-    """
-    if not candidates:
-        raise SearchError("candidate family is empty")
-    record: list[tuple[float, int, object]] = []
 
-    def scored(region) -> float:
-        try:
-            val = float(evaluate(region))
-        except Exception as exc:
-            exc.region = region
-            raise
-        if not math.isfinite(val):
-            raise SearchError(f"functional returned non-finite value on {region}")
-        record.append((val, len(record), region))
-        return val
-
-    def best():
-        top = max(v for v, _, _ in record)
-        floor = top * (1.0 - _TIE_RTOL) if top > 0 else top
-        return min((t for t in record if t[0] >= floor),
-                   key=lambda t: (tie_key(t[2]), t[1]))
-
-    for region in candidates:
-        scored(region)
-    refine(scored, lambda: best()[2])
-
-    val, _, argmax = best()
-    return SupSearchResult(estimate=val, argmax=argmax,
-                           evaluations=len(record), functional=functional)
+def _score_once(region, value, functional: str) -> SupSearchResult:
+    """The search of a homogeneous weight, which takes its supremum on one
+    region: value() scored there (_scored), in one evaluation."""
+    return SupSearchResult(estimate=_scored(lambda _: value(), region), argmax=region,
+                           evaluations=1, functional=functional)
 
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
@@ -257,44 +236,61 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
     interval whose near endpoint is closest to 0 in units of its
     half-length, then toward the earliest evaluation. The reported
     estimate is the functional value at the reported argmax, recomputable
-    exactly.
+    exactly. An evaluation that fails raises on its interval (_scored).
 
     warm(intervals), when given, receives the intervals each golden_max
     lookahead can refine to, before they are evaluated, to score them in
     one stack; it must not change what evaluate returns.
     """
+    grid = interval_grid(config) if grid is None else grid
+    if not grid:
+        raise SearchError("candidate family is empty")
+    record: list[tuple[float, int, Interval]] = []
+
+    def scored(iv: Interval) -> float:
+        val = _scored(evaluate, iv)
+        record.append((val, len(record), iv))
+        return val
+
+    def best() -> tuple[float, int, Interval]:
+        """The record of the maximum under the tie rule, which the incumbent
+        and the final argmax share: a last-ulp difference between tied
+        values cannot steer refinement."""
+        top = max(v for v, _, _ in record)
+        floor = top * (1.0 - _TIE_RTOL) if top > 0 else top
+        return min((t for t in record if t[0] >= floor),
+                   key=lambda t: (t[2].near_endpoint_distance() / t[2].halflength, t[1]))
+
     rounds = config.refine_rounds
 
-    def refine(scored, incumbent) -> None:
-        if rounds == 0:
-            return
+    def golden(region, lo: float, hi: float) -> None:
+        """golden_max of scored(region(p)) over p in [lo, hi]; the
+        lookahead warms the regions that are valid intervals."""
+        def regions(points):
+            out = []
+            for p in points:
+                try:
+                    out.append(region(p))
+                except (ArithmeticError, ValueError):
+                    pass  # raised again if the search visits it
+            return out
 
-        def golden(region, lo: float, hi: float) -> None:
-            """golden_max of scored(region(p)) over p in [lo, hi]; the
-            lookahead warms the regions that are valid intervals."""
-            def regions(points):
-                out = []
-                for p in points:
-                    try:
-                        out.append(region(p))
-                    except (ArithmeticError, ValueError):
-                        pass  # raised again if the search visits it
-                return out
+        golden_max(lambda p: scored(region(p)), lo, hi, rounds,
+                   warm=None if warm is None else lambda ps: warm(regions(ps)))
 
-            golden_max(lambda p: scored(region(p)), lo, hi, rounds,
-                       warm=None if warm is None else lambda ps: warm(regions(ps)))
+    for iv in grid:
+        scored(iv)
+    best_iv = best()[2]
+    span = math.log(4.0)
+    if rounds and 0.0 in (best_iv.a, best_iv.b):
+        t0 = best_iv.b or best_iv.a  # the far endpoint, signed
 
-        best_iv = incumbent()
-        span = math.log(4.0)
-        if best_iv.a == 0.0 or best_iv.b == 0.0:
-            t0 = best_iv.b or best_iv.a  # the far endpoint, signed
+        def along(logt: float) -> Interval:
+            t = math.copysign(math.exp(logt), t0)
+            return Interval(min(0.0, t), max(0.0, t))
 
-            def along(logt: float) -> Interval:
-                t = math.copysign(math.exp(logt), t0)
-                return Interval(min(0.0, t), max(0.0, t))
-
-            golden(along, math.log(abs(t0)) - span, math.log(abs(t0)) + span)
-            return
+        golden(along, math.log(abs(t0)) - span, math.log(abs(t0)) + span)
+    elif rounds:
         # the scale about a fixed center, clamped to keep the family; a
         # symmetric interval (center 0) has no clamp and no offset
         c0 = (best_iv.a + best_iv.b) / 2.0
@@ -306,7 +302,7 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
             return Interval(c0 - h, c0 + h)
 
         golden(along_scale, math.log(h0) - span, min(math.log(h0) + span, math.log(cap)))
-        best_iv = incumbent()
+        best_iv = best()[2]
         if not best_iv.contains_zero():
             c1 = (best_iv.a + best_iv.b) / 2.0
             h1 = best_iv.halflength
@@ -318,8 +314,6 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
             golden(along_offset, max(math.log(abs(c1)) - span, math.log(h1)),
                    math.log(abs(c1)) + span)
 
-    result = _maximize(interval_grid(config) if grid is None else grid,
-                       evaluate, refine,
-                       lambda iv: iv.near_endpoint_distance() / iv.halflength,
-                       functional)
-    return replace(result, config=config)
+    val, _, argmax = best()
+    return SupSearchResult(estimate=val, argmax=argmax, evaluations=len(record),
+                           functional=functional, config=config)

@@ -78,7 +78,9 @@ def random_interval(rng: np.random.Generator) -> Interval:
 
 
 def random_cube(rng: np.random.Generator, d: int) -> multivar.Cube:
-    """Cube from the cube-search family in dimension d."""
+    """A cube in dimension d of random side from 1e-2 to 1e2: cornered at
+    the origin, centered on it, or shifted one or two sides out along the
+    diagonal, one kind in three."""
     s = 10.0 ** rng.uniform(-2.0, 2.0)
     kind = int(rng.integers(0, 3))
     if kind == 0:

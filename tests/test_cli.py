@@ -35,8 +35,13 @@ AT_FLOAT_LIMIT = dict(HUGE, coeff=[[1.7e308, 0], [0, 1.7e308]])
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 POWER_MATRIX_CONFIG = {"families": ["symmetric", "anchored"]}
 ROOT = Path(__file__).resolve().parents[1]
-CUBE_CONFIG = {"families": ["cornered", "centered", "shifted"],
+CUBE_CONFIG = {"families": ["cornered", "centered"],
                "quadrature_tol": 1e-6}  # multivar.RADIAL_TOL
+# README's separable and radial examples
+TYPE1A = {"kind": "type1a", "coeff": [[5, 3], [3, 2]],
+          "diag_exponents_per_coordinate": [["1/2", "-2/3"], ["0", "1/3"]]}
+TYPE1B = {"kind": "type1b", "coeff": [[5, 3], [3, 2]], "d": 2,
+          "diag_exponents": ["1/2", "-2/3"]}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -339,11 +344,14 @@ class TestConstantCommand:
             assert payload["argmax"] == {"a": 0.0, "b": 2.0}
 
     @pytest.mark.parametrize("grid", ["coarse", "fine"])
-    @pytest.mark.parametrize("doc", [SCALAR_HALF, TWO_BY_TWO, IDENTITY],
-                             ids=["scalar", "type1", "identity"])
+    @pytest.mark.parametrize("doc", [SCALAR_HALF, TWO_BY_TWO, IDENTITY, TYPE1A, TYPE1B,
+                                     dict(TYPE1B, d=3)],
+                             ids=["scalar", "type1", "identity", "type1a", "type1b-d2",
+                                  "type1b-d3"])
     def test_a_grid_changes_nothing_for_a_power_matrix(self, tmp_path, capsys, doc, grid):
-        # --grid selects a rotation's grid; a power matrix ignores it, as
-        # cubes do, and prints the payload it prints without --grid
+        # --grid selects a rotation's grid; a power matrix ignores it, on
+        # the line and on cubes, and prints the payload it prints without
+        # --grid
         path = write_spec(tmp_path, doc)
         _, plain = run_json(capsys, ["constant", path, "--json"])
         code, payload = run_json(capsys, ["constant", path, "--json", "--grid", grid])
@@ -438,8 +446,8 @@ class TestConstantCommand:
         assert code == 0
         assert set(payload["argmax"]) == {"lower", "side"}
         assert payload["estimate"] == pytest.approx(4.0 / 3.0, rel=1e-9)
-        assert payload["config"]["families"] == ["cornered", "centered",
-                                                 "shifted"]
+        assert payload["config"]["families"] == ["cornered", "centered"]
+        assert payload["evaluations"] == 1
 
     def test_radial_cube_weight(self, tmp_path, capsys):
         doc = {"kind": "type1b", "coeff": [[1.0]],
@@ -459,7 +467,7 @@ class TestConstantCommand:
             capsys, ["constant", write_spec(tmp_path, doc), "--json"])
         assert code == 0
         assert payload["config"] == CUBE_CONFIG
-        assert payload["evaluations"] == 4
+        assert payload["evaluations"] == 1
         assert payload["estimate"] == pytest.approx(2.1860225424733, rel=1e-9)
 
     def test_radial_matrix_weight_in_three_dimensions(self, tmp_path, capsys):

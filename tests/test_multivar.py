@@ -77,13 +77,6 @@ class TestCube:
         iv = cube.interval(0)
         assert (iv.a, iv.b) == (-0.5, 1.5)
 
-    def test_nearest_vertex_distance(self):
-        assert Cube((0.0, 0.0), 1.0).nearest_vertex_distance() == 0.0
-        assert Cube((1.0, 1.0), 1.0).nearest_vertex_distance() == \
-            pytest.approx(math.sqrt(2.0))
-        assert Cube((-2.0, 1.0), 1.0).nearest_vertex_distance() == \
-            pytest.approx(math.sqrt(2.0))
-
     def test_validation(self):
         with pytest.raises(ValueError, match="dimensions 2 and 3"):
             Cube((0.0,), 1.0)
@@ -384,32 +377,29 @@ class TestRadialIntegral:
 
 
 class TestRadialStack:
-    # (gamma, lower, upper): the exact volume, a generic exponent in d = 2
-    # and d = 3, the d = 3 branch at gamma = -2 with the origin inside,
-    # and the log form gamma = -d on origin-free boxes
-    MIXED = [
-        (0.0, (-0.3, 0.1), (0.7, 1.1)),
-        (0.5, (0.0, 0.0), (1.0, 1.0)),
-        (-1.5, (-0.5, -0.5), (0.5, 0.5)),
-        (-1.0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
-        (0.5, (-0.06, -0.1, -0.2), (0.94, 0.9, 0.8)),
-        (-2.0, (-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)),
-        (-2.0, (1.0, 1.0), (2.0, 2.0)),
-        (-3.0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),
-        (-1.0, (1000.0, 1000.0), (1001.0, 1001.0)),
+    # (lower, upper, gammas) on one box: the exact volume, generic
+    # exponents, the d = 3 branch at gamma = -2 with the origin inside, and
+    # the log form gamma = -d on boxes that miss the origin
+    BOXES = [
+        ((-0.3, 0.1), (0.7, 1.1), [0.0, 0.5, -1.5, -2.0]),
+        ((0.0, 0.0), (1.0, 1.0), [0.5, -1.5, 1.0]),
+        ((1000.0, 1000.0), (1001.0, 1001.0), [-1.0, 0.0, 1.5]),
+        ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), [-1.0, -3.0, 0.5]),
+        ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), [-2.0, 0.5, 0.0]),
+        ((-0.06, -0.1, -0.2), (0.94, 0.9, 0.8), [0.5, -2.5]),
     ]
 
-    def test_stacked_values_hold_the_tolerance_of_each_alone(self):
+    @pytest.mark.parametrize("lo, hi, gammas", BOXES)
+    def test_stacked_values_hold_the_tolerance_of_each_alone(self, lo, hi, gammas):
         tol = 1e-8
-        stacked = multivar._radial_integrals(self.MIXED, tol)
-        assert stacked[0] == cube_integral_radial(*self.MIXED[0])
-        for (gamma, lo, hi), value in zip(self.MIXED, stacked):
+        stacked = multivar._radial_integrals(gammas, lo, hi, tol)
+        for gamma, value in zip(gammas, stacked):
             alone = cube_integral_radial(gamma, lo, hi, tol)
-            assert abs(value - alone) <= tol * abs(alone)
+            assert value == alone if gamma == 0.0 else abs(value - alone) <= tol * abs(alone)
 
     def test_only_exact_volumes_run_no_tree(self, monkeypatch):
         monkeypatch.setattr(multivar, "_panel_tree", None)
-        assert multivar._radial_integrals([(0.0, (0.0, 0.0), (1.0, 2.0))], 1e-8) == [2.0]
+        assert multivar._radial_integrals([0.0, 0.0], (0.0, 0.0), (1.0, 2.0), 1e-8) == [2.0, 2.0]
 
     def test_budget_scales_with_the_groups(self, monkeypatch):
         budgets = []
@@ -420,43 +410,42 @@ class TestRadialStack:
             return tree(f, cuts, tolerance, gaps, budget, where)
 
         monkeypatch.setattr(multivar, "_panel_tree", recording)
-        multivar._radial_integrals(self.MIXED, 1e-8)
-        assert budgets == [multivar._PANEL_BUDGET * (len(self.MIXED) - 1)]
+        multivar._radial_integrals([0.0, 0.5, -1.5, -2.0], (-0.3, 0.1), (0.7, 1.1), 1e-8)
+        assert budgets == [multivar._PANEL_BUDGET * 3]
 
-    def test_error_names_a_piece_of_its_own_box(self):
+    def test_error_numbers_the_piece_within_its_exponent(self):
         # ||x||^2000 overflows on [1, 2]^2; its pieces are numbered from 0,
-        # whatever stands before it in the stack
+        # whatever exponent stands before it
         with pytest.raises(QuadratureBudgetError, match="not finite") as err:
-            multivar._radial_integrals([self.MIXED[4], (2000.0, (1.0, 1.0), (2.0, 2.0))],
-                                       1e-8)
+            multivar._radial_integrals([0.5, 2000.0], (1.0, 1.0), (2.0, 2.0), 1e-8)
         piece = re.match(r"box \(1\.0, 1\.0\)\.\.\(2\.0, 2\.0\), angular piece (\d+): ",
                          str(err.value))
         assert piece is not None and int(piece.group(1)) < 4
 
-    def test_rounding_error_names_its_box_in_a_stack(self):
+    def test_rounding_error_names_its_box_beside_other_exponents(self):
         gamma, lower, side, _ = FAR_STEEP
-        far = (gamma, lower, tuple(v + side for v in lower))
         with pytest.raises(QuadratureBudgetError,
                            match=r"^box \(1000\.0, 1000\.0, 1000\.0\)\.\..*rounding"):
-            multivar._radial_integrals([self.MIXED[1], far], 1e-8)
+            multivar._radial_integrals([0.5, gamma], lower,
+                                       tuple(v + side for v in lower), 1e-8)
 
-    def test_pair_on_cubes_matches_each_average_alone(self):
+    @pytest.mark.parametrize("cube", [Cube((0.0, 0.0), 1.0), Cube((-0.3, -0.3), 2.0),
+                                      Cube((1.5, 1.5), 0.5)])
+    def test_pair_matches_each_average_alone(self, cube):
         w = build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)
         winv = symbolic_inverse(w)
-        cubes = [Cube((0.0, 0.0), 1.0), Cube((-0.3, -0.3), 2.0), Cube((1.5, 1.5), 0.5)]
-        stacked = average_type1b((w, winv), cubes, 1e-8)
-        assert [a.shape for a in stacked] == [(3, 2, 2)] * 2
-        for weight, avg in zip((w, winv), stacked):
-            for cube, value in zip(cubes, avg):
-                alone = average_type1b(weight, cube, 1e-8)
-                assert np.allclose(value, alone, rtol=1e-8, atol=0.0)
+        stacked = average_type1b((w, winv), cube, 1e-8)
+        assert [a.shape for a in stacked] == [(2, 2)] * 2
+        for weight, value in zip((w, winv), stacked):
+            alone = average_type1b(weight, cube, 1e-8)
+            assert np.allclose(value, alone, rtol=1e-8, atol=0.0)
 
     def test_nonintegrable_entry_names_its_weight_entry(self):
         w = build_type1b([[1.0]], (HALF,), 2)
         bad = SymbolicPowerMatrix([[1.0, 0.0], [0.0, 1.0]],
                                   (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(-2))),), 2)
         with pytest.raises(NotIntegrableError) as err:
-            average_type1b((w, bad), [Cube((2.0, 2.0), 1.0), Cube((-1.0, -1.0), 2.0)])
+            average_type1b((w, bad), Cube((-1.0, -1.0), 2.0))
         assert str(err.value) == ("entry (1, 1): exponent -2.0 <= -2 is not "
                                   "integrable at the origin")
 
@@ -562,10 +551,9 @@ class TestCubeSearch:
         w = build_type1a([[1.0]], [(HALF,), (0,)])
         result = estimate_a2_cubes(w, "trace")
         assert result.estimate == pytest.approx(4.0 / 3.0, rel=1e-9)
-        assert result.argmax.nearest_vertex_distance() == \
-            pytest.approx(0.0, abs=1e-12)
+        assert result.argmax == Cube((0.0, 0.0), 1.0)
         assert result.functional == "trace"
-        assert result.evaluations == 4  # one unit cube per family
+        assert result.evaluations == 1  # the cornered unit cube
 
     def test_matrix_estimate_exceeds_identity_floor(self):
         result = estimate_a2_cubes(separable_pair(), "trace")
@@ -625,24 +613,23 @@ class TestCubeSearch:
     @pytest.mark.parametrize("w", [separable_pair(), build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 2)],
                              ids=["type1a", "type1b"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])
-    def test_cube_stack_equals_each_cube_alone(self, monkeypatch, w, functional):
-        # the four family cubes are scored as one stack, on the equilibrated
-        # weight; each value is the value of its cube scored alone
-        stacks = []
+    def test_estimate_is_the_cornered_cube_alone(self, monkeypatch, w, functional):
+        # one functional call, on the equilibrated weight, whose value is
+        # that of the cornered unit cube's averages
+        calls = []
         func = estimator._FUNCTIONALS[functional]
 
         def recording(avg_w, avg_winv):
-            stacks.append(func(avg_w, avg_winv))
-            return stacks[-1]
+            calls.append(func(avg_w, avg_winv))
+            return calls[-1]
 
         monkeypatch.setitem(estimator._FUNCTIONALS, functional, recording)
-        estimate_a2_cubes(w, functional)
+        result = estimate_a2_cubes(w, functional)
         w = w.equilibrated
         average = average_symbolic if w.separable else average_type1b
-        cubes = [Cube((c,) * w.d, 1.0) for c in (0.0, -0.5, 1.0, 2.0)]
-        (stack,) = stacks
-        for cube, value in zip(cubes, stack):
-            assert value == func(average(w, cube), average(symbolic_inverse(w), cube))
+        cube = Cube((0.0, 0.0), 1.0)
+        assert len(calls) == 1
+        assert result.estimate == func(average(w, cube), average(symbolic_inverse(w), cube))
 
     @pytest.mark.parametrize("coeff", [[[1.7e308, 0.0], [0.0, 1.7e308]],
                                        [[5e-324, 0.0], [0.0, 1.0]]],
@@ -660,25 +647,19 @@ class TestCubeSearch:
             assert got.estimate == pytest.approx(want.estimate, rel=1e-14, abs=0.0)
             assert got.argmax == want.argmax
 
-    def test_failure_is_raised_on_its_own_cube(self, monkeypatch):
-        # the failure is planted on one cube of the stack: the stack fails,
-        # and the cube is then scored alone, where it fails again
+    def test_failure_is_raised_on_the_cornered_cube(self, monkeypatch):
+        # a failure of the one radial average carries the cube it ran on
         w = build_type1b([[1.0]], (HALF,), 2)
-        failing = Cube((1.0, 1.0), 1.0)
-        average = multivar.average_type1b
-        stacks = []
+        cubes = []
 
-        def planted(weights, cubes):
-            stacks.append(list(cubes))
-            if failing in cubes:
-                raise NotIntegrableError("planted")
-            return average(weights, cubes)
+        def planted(weights, cube):
+            cubes.append(cube)
+            raise NotIntegrableError("planted")
 
         monkeypatch.setattr(multivar, "average_type1b", planted)
         with pytest.raises(NotIntegrableError, match="planted") as err:
             estimate_a2_cubes(w, "trace")
-        assert err.value.region == failing
-        assert len(stacks[0]) == 4 and failing in stacks[0]
+        assert cubes == [err.value.region] == [Cube((0.0, 0.0), 1.0)]
 
     @pytest.mark.parametrize("w", [
         build_type1b([[1.0]], (HALF,), 2),
@@ -686,9 +667,9 @@ class TestCubeSearch:
         build_type1b([[1.0]], (Fraction(-3, 2),), 3),
         build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, -HALF), 3),
     ], ids=["n1-d2", "n2-d2", "n1-d3", "n2-d3"])
-    def test_radial_stack_runs_one_panel_tree(self, monkeypatch, w):
-        # every radial integral of W and W^-1 on the four cubes is a row
-        # group of one tree
+    def test_radial_cube_runs_one_panel_tree(self, monkeypatch, w):
+        # every radial integral of W and W^-1 on the cube is a row group
+        # of one tree
         trees = []
         tree = multivar._panel_tree
 
