@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from a2w.estimator import estimate_a2
-from a2w.multivar import build_type1b, estimate_a2_cubes
+from a2w.multivar import build_type1b
 from a2w.scalar_power import scalar_closed_form_constant
 from a2w.type1 import a2_upper_bound, build_type1, check_a2
 from a2w.type2 import Type2Weight, decide_a2
@@ -58,7 +58,7 @@ def gallery(cfg: GalleryConfig) -> None:
                  None, None))
 
     radial = build_type1b(np.array([[2.0]]), ["1/2"], d=2)
-    est = estimate_a2_cubes(radial, functional=cfg.functional)
+    est = estimate_a2(radial, functional=cfg.functional)
     rows.append(("planar radial ||x||^(1/2)", check_a2(radial).verdict,
                  est.estimate, None, None))
 

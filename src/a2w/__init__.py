@@ -31,7 +31,7 @@ from .type2 import (DivergenceRow, Type2Weight, check_necessary_a2, decide_a2,
                     decide_rotation_a2, divergence_experiment, fit_loglog_slope,
                     logspaced_ints)
 from .multivar import (Cube, average_type1b, build_type1a, build_type1b,
-                       cube_integral_radial, estimate_a2_cubes)
+                       cube_integral_radial)
 
 __all__ = [
     "__version__",
@@ -54,5 +54,5 @@ __all__ = [
     "decide_rotation_a2", "divergence_experiment", "fit_loglog_slope",
     "logspaced_ints",
     "Cube", "average_type1b", "build_type1a", "build_type1b",
-    "cube_integral_radial", "estimate_a2_cubes",
+    "cube_integral_radial",
 ]

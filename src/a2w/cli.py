@@ -294,24 +294,20 @@ _GRIDS = {"fine": default_interval_config, "coarse": coarse_interval_config}
 def cmd_constant(args) -> int:
     weight, echo = _read_spec(args.spec)
     t0 = time.perf_counter()
-    symbolic = isinstance(weight, SymbolicPowerMatrix)
-    cubes = symbolic and weight.d > 1
-    if cubes:
-        result = multivar.estimate_a2_cubes(weight, args.functional)
-        argmax = {"lower": list(result.argmax.lower),
-                  "side": result.argmax.side}
+    result = estimate_a2(weight, args.functional,
+                         _GRIDS[args.grid]() if args.grid else None)
+    elapsed = time.perf_counter() - t0
+    region, cfg = result.argmax, result.config
+    if isinstance(region, multivar.Cube):
+        argmax = {"lower": list(region.lower), "side": region.side}
         config_echo = {"families": list(multivar.CUBE_FAMILIES),
                        "quadrature_tol": multivar.RADIAL_TOL}
     else:
-        result = estimate_a2(weight, args.functional,
-                             _GRIDS[args.grid]() if args.grid else None)
-        cfg = result.config
-        argmax = {"a": result.argmax.a, "b": result.argmax.b}
+        argmax = {"a": region.a, "b": region.b}
         config_echo = {"families": list(FAMILIES[:2])} if cfg is None else {
             "families": list(FAMILIES), "centers": len(cfg.centers),
             "halflengths": len(cfg.halflengths), "grid": args.grid or "default",
             "refine_rounds": cfg.refine_rounds}
-    elapsed = time.perf_counter() - t0
 
     payload = {"seed": None, "spec": echo, "functional": result.functional,
                "config": config_echo, "estimate": result.estimate,
@@ -319,7 +315,7 @@ def cmd_constant(args) -> int:
     lines = [f"functional: {result.functional}",
              f"estimate (searched lower bound): {result.estimate!r}",
              f"argmax: {argmax}", f"evaluations: {result.evaluations}"]
-    if symbolic and not cubes:
+    if isinstance(weight, SymbolicPowerMatrix) and weight.d == 1:
         # estimate_a2 decided the weight A2, so the bound exists.
         bound = payload["upper_bound"] = float(type1.a2_upper_bound(weight))
         lines.append(f"closed-form upper bound (search families): {bound!r}")
@@ -373,6 +369,8 @@ def cmd_divergence(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SchemaError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be nonnegative, got {args.seed}")
     t0 = time.perf_counter()
     results = run_suites(args.module, trials=args.trials, seed=args.seed)
     elapsed = time.perf_counter() - t0

@@ -16,10 +16,10 @@ its warm function each lookahead tree of its golden-refinement
 intervals, and evaluate looks those up after that; any other interval,
 and average_symbolic, run the same code as a stack of one, so a value
 never depends on its batch.
-A power matrix on the line is scored once, at the anchored shape [0, 1]
-(estimate_a2), as a separable one on cubes is at [0, 1]^d
-(_shape_scores); lines and cubes average it equilibrated, with its
-symbolic inverse, after a float rule on its exponents (_closed_form_pair).
+estimate_a2 scores a power matrix once, at [0, 1] on the line and at
+[0, 1]^d on cubes (a separable one through _shape_scores, a radial one
+through multivar.average_type1b), equilibrated, with its symbolic
+inverse, after a float rule on its exponents (_closed_form_pair).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
                            integral_abs_pow_stack)
-from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult,
-                     _score_once, coarse_interval_config, default_interval_config,
-                     interval_grid, run_interval_search)
+from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult, _scored,
+                     coarse_interval_config, default_interval_config, interval_grid,
+                     run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
 
@@ -375,20 +375,23 @@ def estimate_a2(weight, functional: str = "trace",
                 config: SupSearchConfig | None = None) -> SupSearchResult:
     """Searched lower bound of the chosen A2 functional's supremum.
 
-    Accepts a symbolic power matrix on the line (a scalar weight is the
-    1x1 case) or a Type 2 weight. The weight's A2 decision (check_a2 or
-    decide_a2) is the one gate: a weight that is not A2 raises NotA2Error
-    (A2Report.require_a2) before any average. Every route averages in
-    closed form, up to rounding; a rotation's short intervals far from 0
-    take a Gauss rule.
+    Accepts a symbolic power matrix on R^d, d in {1, 2, 3} (a scalar
+    weight is the 1x1 case on the line), or a Type 2 weight. The weight's
+    A2 decision (check_a2 or decide_a2) is the one gate: a weight that is
+    not A2 raises NotA2Error (A2Report.require_a2) before any average.
+    Every route averages in closed form, up to rounding; a radial weight
+    runs one panel tree (multivar.average_type1b), and a rotation's short
+    intervals far from 0 take a Gauss rule.
 
     A power matrix, identity Type 2 weights among them (type2.as_type1),
     is even and homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)):
     every symmetric and every anchored interval takes the value of [0, 1],
-    and no origin-free shape was seen to beat it past the search's tie
-    rule. It is scored once, on [0, 2] (_shape_scores), and the result's
-    config is None. A rotation searches config, the coarse grid by
-    default (run_interval_search), and the result's config is that grid.
+    every cube cornered at or centered on the origin that of [0, 1]^d
+    (multivar.CUBE_FAMILIES), and no other shape was seen to beat them
+    past the search's tie rule. It is scored once, on the equilibrated
+    pair (_closed_form_pair), and reported on [0, 2] or [0, 1]^d with
+    config None. A rotation searches config, the coarse grid by default
+    (run_interval_search), and the result's config is that grid.
     """
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
@@ -401,11 +404,20 @@ def estimate_a2(weight, functional: str = "trace",
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     if isinstance(weight, SymbolicPowerMatrix):
-        if weight.d != 1:
-            raise ValueError("interval estimates need a weight on the line; "
-                             "use multivar.estimate_a2_cubes for d >= 2")
-        score = _shape_scores(weight, functional)
-        return _score_once(Interval(0.0, 2.0), lambda: score([0.0])[0], functional)
+        if weight.d == 1:
+            region = Interval(0.0, 2.0)
+        else:
+            from . import multivar  # not at the top: multivar imports this module
+            region = multivar.Cube((0.0,) * weight.d, 1.0)
+        if weight.separable:
+            score = _shape_scores(weight, functional)
+            value = _scored(lambda _: score([0.0])[0], region)
+        else:
+            pair = _closed_form_pair(weight)
+            value = _scored(lambda cube: _FUNCTIONALS[functional](
+                *multivar.average_type1b(pair, cube)), region)
+        return SupSearchResult(estimate=value, argmax=region, evaluations=1,
+                               functional=functional)
     cfg = config or coarse_interval_config()
     grid = interval_grid(cfg)
     evaluate, warm = _type2_eval_fn(weight, functional, grid)

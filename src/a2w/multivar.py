@@ -10,10 +10,10 @@ the origin (Lasserre, Proc. AMS 126, 1998; Chin, Lasserre & Sukumar,
 Comput. Mech. 56, 2015), whose radial parts are closed form; the smooth
 angular integrals left over are rows of a quadrature panel tree, with
 error relative to the integral. The integrals of every exponent on one
-box are groups of rows of one tree (_radial_integrals): the cube search
+box are groups of rows of one tree (_radial_integrals): the estimate
 averages W and W^-1 with one. This module also builds both families from
-their spec data. Both are even and homogeneous, so the search scores
-one cube, the unit cube cornered at the origin.
+their spec data. Both are even and homogeneous, so estimator.estimate_a2
+scores one cube, the unit cube cornered at the origin.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search, type1
-from .estimator import (_FUNCTIONALS, _closed_form_pair, _shape_scores,
-                        a2_functional_norm, a2_functional_trace, average_symbolic)
+from .estimator import (a2_functional_norm, a2_functional_trace, average_symbolic,
+                        estimate_a2)
 from .quadrature import QuadratureBudgetError, _panel_tree
 from .scalar_power import NotIntegrableError, power_stack
-from .search import Interval, SupSearchResult, _score_once
+from .search import Interval
 from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "cube_integral_radial",
     "CUBE_FAMILIES",
     "RADIAL_TOL",
-    "estimate_a2_cubes",
 ]
 
 _DIMS = (2, 3)
@@ -49,7 +48,7 @@ _DIMS = (2, 3)
 # split-compare noise alone can exhaust the panel budget.
 _ROUNDING = 8 * np.finfo(float).eps
 # Panels per radial integral; a tree gets this times its number of
-# integrals. On the cube search's unit cube a tree converges in 3 panels.
+# integrals. On the estimate's unit cube a tree converges in 3 panels.
 _PANEL_BUDGET = 2000
 RADIAL_TOL = 1e-6  # relative error of each radial cube average
 
@@ -110,14 +109,16 @@ def build_type1b(coeff, diag_exponents, d: int) -> SymbolicPowerMatrix:
         d, "radial weights are supported in dimensions 2 and 3"))
 
 
-# The benchmark's tracer (a2wbench/tracing.py) wraps these names, and the
-# cube search calls the averages through them so its counters hold.
-# golden_max and the two functionals are here for the tracer alone: the
-# cube search does not refine, and it looks its functional up in the
-# estimator's table, so their wrappers count no cube evaluation.
+# The benchmark's tracer (a2wbench/tracing.py) wraps these names, with
+# average_type1b, which estimator.estimate_a2 calls through this module so
+# its counter holds. The names here are for the tracer alone and count
+# nothing: the cube estimate decides through type1, averages a separable
+# weight through estimator._shape_scores, looks its functional up in the
+# estimator's table and does not refine, and the cli calls estimate_a2.
 check_a2_type1a = check_a2_type1b = type1.check_a2
 average_type1a = average_symbolic
 golden_max = search.golden_max
+estimate_a2_cubes = estimate_a2
 
 
 def _edge_pieces(lo, hi):
@@ -284,7 +285,7 @@ def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
 
     Given a tuple of weights instead, one such array per weight. Either
     way the integral of each distinct exponent is a group of rows of one
-    _radial_integrals tree, so the cube search averages W and W^-1 with
+    _radial_integrals tree, so the cube estimate averages W and W^-1 with
     one tree.
     """
     single = isinstance(w, SymbolicPowerMatrix)
@@ -315,34 +316,6 @@ def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
     return out[0] if single else out
 
 
+# the cubes that take the value of the unit cube cornered at the origin,
+# the one cube estimator.estimate_a2 scores
 CUBE_FAMILIES = ("cornered", "centered")
-
-
-def estimate_a2_cubes(weight, functional: str = "trace") -> SupSearchResult:
-    """The A2 functional on the unit cube cornered at the origin, a lower
-    bound of its supremum over all cubes.
-
-    The weight is even and homogeneous, W(tx) = T W(x) T with
-    T = diag(|t|^(g_i/2)), so every cube cornered at or centered on the
-    origin takes the value of the cornered unit cube (CUBE_FAMILIES): the
-    centered cube is 2^d reflected copies of a cornered one. No cube
-    shifted out along the diagonal was seen to beat it past the line's
-    tie rule, 1e-12 relative. It is scored once, on the equilibrated
-    weight and its inverse (estimator._closed_form_pair): a separable
-    weight in closed form (estimator._shape_scores), a radial one through
-    one average_type1b call, every integral on one panel tree. A weight
-    that is not A2 raises NotA2Error (A2Report.require_a2), and an A2
-    exponent that rounds to its factor's bound SearchError.
-    """
-    func = _FUNCTIONALS.get(functional)
-    if func is None:
-        raise ValueError(f"unknown functional {functional!r}")
-    if not isinstance(weight, SymbolicPowerMatrix):
-        raise TypeError(f"cannot estimate for {type(weight).__name__}")
-    type1.check_a2(weight).require_a2()
-    cube = Cube((0.0,) * weight.d, 1.0)
-    if weight.separable:
-        score = _shape_scores(weight, functional)
-        return _score_once(cube, lambda: score([0.0])[0], functional)
-    pair = _closed_form_pair(weight)
-    return _score_once(cube, lambda: func(*average_type1b(pair, cube)), functional)

@@ -3,10 +3,9 @@
 Candidate intervals are parametrized by (center, half-length) on
 logarithmic grids; run_interval_search scans a rotation's whole grid,
 then refines its incumbent. A power matrix's functionals, an identity
-Type 2 weight's among them, see only an interval's shape, so it is
-scored once, at its anchored shape, through _score_once
-(estimator.estimate_a2), as cubes are at the cornered unit cube
-(multivar.estimate_a2_cubes).
+Type 2 weight's among them, see only an interval's shape, so
+estimator.estimate_a2 scores it once, at its anchored shape, as it
+scores cubes at the cornered unit cube.
 The family (FAMILIES) deliberately contains only three interval shapes
 relative to the origin: symmetric (center 0), anchored (one endpoint
 exactly 0), and origin-free.
@@ -215,13 +214,6 @@ def _scored(evaluate, region) -> float:
     if not math.isfinite(val):
         raise SearchError(f"functional returned non-finite value on {region}")
     return val
-
-
-def _score_once(region, value, functional: str) -> SupSearchResult:
-    """The search of a homogeneous weight, which takes its supremum on one
-    region: value() scored there (_scored), in one evaluation."""
-    return SupSearchResult(estimate=_scored(lambda _: value(), region), argmax=region,
-                           evaluations=1, functional=functional)
 
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,

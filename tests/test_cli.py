@@ -857,12 +857,16 @@ class TestVerifyCommand:
         assert len(failed) == 1
         assert failed[0]["detail"] == "injected fault (self-test)"
 
-    def test_trials_below_one_rejected(self, capsys):
-        code = main(["verify", "--module", "linalg", "--trials", "0"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "0"], "--trials must be at least 1"),
+        (["--seed", "-1"], "--seed must be nonnegative"),
+    ], ids=["trials", "seed"])
+    def test_trials_below_one_rejected(self, capsys, argv, message):
+        code = main(["verify", "--module", "linalg", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "--trials must be at least 1" in captured.err
+        assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_text_output_lists_properties(self, capsys):
         code = main(["verify", "--module", "type2", "--trials", "8"])

@@ -422,11 +422,14 @@ def _grid_cells(config):
 
 
 # rotations whose incumbents refine: README's rotation2d (1, 2) and
-# rotation3d_euler (1, 3, 0.5), and ROTATION_39
+# rotation3d_euler (1, 3, 0.5), ROTATION_39, and ORIGIN_FREE, which
+# refines the scale and then the offset of an origin-free interval
+ORIGIN_FREE = Type2Weight((1.0, 10.0, 1.0), ("1/10",) * 3, "rotation3d_euler")
 REFINED_ROTATIONS = [
     ROTATION_39,
     Type2Weight((1.0, 2.0), ("1/2", "1/2"), "rotation2d"),
     Type2Weight((1.0, 3.0, 0.5), ("-1/3",) * 3, "rotation3d_euler"),
+    ORIGIN_FREE,
 ]
 
 
@@ -518,8 +521,8 @@ class TestStackedGrid:
             assert any(degree * iv.length <= 1.0
                        and iv.near_endpoint_distance() >= 2.0 * iv.length for iv in grid)
 
-    @pytest.mark.parametrize("w", REFINED_ROTATIONS, ids=["rotation2d-3-9",
-                                                          "rotation2d-1-2", "rotation3d"])
+    @pytest.mark.parametrize("w", REFINED_ROTATIONS, ids=["rotation2d-3-9", "rotation2d-1-2",
+                                                          "rotation3d", "rotation3d-offset"])
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     @pytest.mark.parametrize("grid", ["coarse", "fine"])
     def test_lookahead_stacks_change_no_visit_or_value(self, w, functional, grid):
@@ -542,6 +545,15 @@ class TestStackedGrid:
         assert warmed.stacks[0] == n_grid and 1 not in warmed.stacks
         assert warmed.phases == [(rounds, math.ceil(rounds / search._LOOKAHEAD))
                                  for rounds, _ in cold.phases]
+
+    def test_an_origin_free_incumbent_refines_its_scale_then_its_offset(self):
+        # two golden phases of the coarse grid's 8 rounds, each warmed
+        # twice: the scale about the incumbent's center, then the offset
+        log = _SearchLog(ORIGIN_FREE, "trace")
+        assert log.phases == [(8, 2), (8, 2)]
+        assert log.result.argmax == Interval(-66.696425644526, -64.77634582020916)
+        assert log.result.evaluations == 215
+        assert log.result.estimate.hex() == "0x1.be8fe3364caa0p+2"
 
     @pytest.mark.parametrize("functional", ["trace", "norm"])
     def test_a_failing_lookahead_stack_falls_back_to_stacks_of_one(self, monkeypatch,

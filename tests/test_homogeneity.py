@@ -21,8 +21,7 @@ import pytest
 
 from a2w.estimator import (_shape_scores, a2_functional_norm, a2_functional_trace,
                            average_numeric, average_symbolic, estimate_a2)
-from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
-                          estimate_a2_cubes)
+from a2w.multivar import Cube, average_type1b, build_type1a, build_type1b
 from a2w.search import (Interval, coarse_interval_config, default_interval_config,
                         interval_grid, run_interval_search)
 from a2w.report import VERDICT_A2
@@ -135,7 +134,7 @@ def test_unit_cubes_match_the_old_side_grid(weight, functional):
                for side in np.logspace(-3.0, 3.0, 13)
                for cube in (Cube((0.0,) * d, side), Cube((-0.5 * side,) * d, side),
                             Cube((side,) * d, side), Cube((2.0 * side,) * d, side)))
-    result = estimate_a2_cubes(weight, functional)
+    result = estimate_a2(weight, functional)
     assert result.estimate == pytest.approx(best, rel=1e-12, abs=0.0)
     assert (result.argmax, result.evaluations) == (Cube((0.0,) * d, 1.0), 1)
 
@@ -242,7 +241,7 @@ def test_no_shifted_cube_beats_the_cornered_one():
                 (weight, functional)
             assert max(func(*pair(cube)) for cube in shifted) <= (1.0 + 1e-12) * value, \
                 (weight, functional)
-            assert estimate_a2_cubes(weight, functional).estimate == value
+            assert estimate_a2(weight, functional).estimate == value
 
 
 def mp_averages(weight, iv):

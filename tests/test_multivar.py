@@ -12,7 +12,7 @@ from a2w import estimator, multivar
 from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.linalg import SingularMatrixError
 from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
-                          cube_integral_radial, estimate_a2_cubes)
+                          cube_integral_radial)
 from a2w.quadrature import QuadratureBudgetError
 from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
                         VERDICT_NOT_PD_AE)
@@ -534,7 +534,7 @@ class TestLineOnly:
         separable_pair(), build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, 0), 2)])
     def test_line_functions_reject_cube_weights(self, w):
         for call in (lambda: symbolic_det(w), lambda: evaluate(w, 1.0),
-                     lambda: a2_upper_bound(w), lambda: estimate_a2(w)):
+                     lambda: a2_upper_bound(w)):
             with pytest.raises(ValueError, match="line"):
                 call()
 
@@ -549,36 +549,36 @@ class TestLineOnly:
 class TestCubeSearch:
     def test_separable_scalar_attains_interval_constant(self):
         w = build_type1a([[1.0]], [(HALF,), (0,)])
-        result = estimate_a2_cubes(w, "trace")
+        result = estimate_a2(w, "trace")
         assert result.estimate == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert result.argmax == Cube((0.0, 0.0), 1.0)
         assert result.functional == "trace"
         assert result.evaluations == 1  # the cornered unit cube
 
     def test_matrix_estimate_exceeds_identity_floor(self):
-        result = estimate_a2_cubes(separable_pair(), "trace")
+        result = estimate_a2(separable_pair(), "trace")
         assert result.estimate >= 2.0
         assert math.isfinite(result.estimate)
 
     def test_radial_estimate_runs(self):
         w = build_type1b([[1.0]], (HALF,), 2)
-        result = estimate_a2_cubes(w, "trace")
+        result = estimate_a2(w, "trace")
         assert result.estimate >= 1.0
         assert result.argmax.side == 1.0
 
     def test_radial_wide_exponent_is_searchable(self):
         w = build_type1b([[1.0]], (Fraction(3, 2),), 2)
-        result = estimate_a2_cubes(w, "trace")
+        result = estimate_a2(w, "trace")
         assert result.estimate >= 1.0
 
     def test_non_a2_weight_rejected(self):
         # the verdict and the findings' details, as estimate_a2 raises them
         with pytest.raises(NotA2Error) as exc:
-            estimate_a2_cubes(build_type1a(np.eye(1), [(Fraction(3, 2),), (0,)]))
+            estimate_a2(build_type1a(np.eye(1), [(Fraction(3, 2),), (0,)]))
         assert str(exc.value) == ("not_a2 (diagonal exponent 3/2 >= 1: the inverse "
                                   "weight is not locally integrable)")
         with pytest.raises(NotA2Error) as exc:
-            estimate_a2_cubes(build_type1b([[1.0]], (Fraction(2),), 2))
+            estimate_a2(build_type1b([[1.0]], (Fraction(2),), 2))
         assert str(exc.value) == ("not_a2 (diagonal exponent 2 >= 2: the inverse "
                                   "weight is not locally integrable)")
 
@@ -592,20 +592,20 @@ class TestCubeSearch:
     def test_non_a2_weight_raises_its_decision(self, w):
         report = check_a2(w)
         with pytest.raises(NotA2Error) as exc:
-            estimate_a2_cubes(w)
+            estimate_a2(w)
         assert str(exc.value) == report.verdict + " (" + "; ".join(
             f.detail for f in report.findings) + ")"
 
     def test_unknown_functional_and_type(self):
         with pytest.raises(ValueError, match="unknown functional"):
-            estimate_a2_cubes(separable_pair(), "det")
+            estimate_a2(separable_pair(), "det")
         with pytest.raises(TypeError):
-            estimate_a2_cubes(np.eye(2))
+            estimate_a2(np.eye(2))
 
     def test_deterministic(self):
         w = build_type1a([[1.0]], [(HALF,), (-Fraction(1, 3),)])
-        r1 = estimate_a2_cubes(w, "norm")
-        r2 = estimate_a2_cubes(w, "norm")
+        r1 = estimate_a2(w, "norm")
+        r2 = estimate_a2(w, "norm")
         assert r1.estimate == r2.estimate
         assert r1.argmax == r2.argmax
         assert r1.evaluations == r2.evaluations
@@ -624,7 +624,7 @@ class TestCubeSearch:
             return calls[-1]
 
         monkeypatch.setitem(estimator._FUNCTIONALS, functional, recording)
-        result = estimate_a2_cubes(w, functional)
+        result = estimate_a2(w, functional)
         w = w.equilibrated
         average = average_symbolic if w.separable else average_type1b
         cube = Cube((0.0, 0.0), 1.0)
@@ -642,8 +642,8 @@ class TestCubeSearch:
         # the averages of the first and the inverse of the second leave
         # the float range; on S A S both run, with the identity's values
         for functional in ("trace", "norm"):
-            got = estimate_a2_cubes(build(coeff), functional)
-            want = estimate_a2_cubes(build(np.eye(2)), functional)
+            got = estimate_a2(build(coeff), functional)
+            want = estimate_a2(build(np.eye(2)), functional)
             assert got.estimate == pytest.approx(want.estimate, rel=1e-14, abs=0.0)
             assert got.argmax == want.argmax
 
@@ -658,7 +658,7 @@ class TestCubeSearch:
 
         monkeypatch.setattr(multivar, "average_type1b", planted)
         with pytest.raises(NotIntegrableError, match="planted") as err:
-            estimate_a2_cubes(w, "trace")
+            estimate_a2(w, "trace")
         assert cubes == [err.value.region] == [Cube((0.0, 0.0), 1.0)]
 
     @pytest.mark.parametrize("w", [
@@ -678,5 +678,5 @@ class TestCubeSearch:
             return tree(*args)
 
         monkeypatch.setattr(multivar, "_panel_tree", counting)
-        estimate_a2_cubes(w, "trace")
+        estimate_a2(w, "trace")
         assert len(trees) == 1

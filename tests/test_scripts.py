@@ -151,8 +151,8 @@ def test_benchmark_tracer_counts_a_rotation_constant(tmp_path):
 
 
 def test_benchmark_tracer_times_the_radial_cube_stack(tmp_path):
-    # The tracer binds multivar.average_type1b by name, and the cube search
-    # averages W and W^-1 on its four unit cubes through it once, as one
+    # The tracer binds multivar.average_type1b by name, and the cube estimate
+    # averages W and W^-1 on its one unit cube through it once, as one
     # stack; a traced type1b constant run must count that call and its time.
     spec = tmp_path / "radial.json"
     spec.write_text(json.dumps({"kind": "type1b", "coeff": [[2, 1], [1, 2]], "d": 2,
@@ -178,8 +178,8 @@ def test_benchmark_tracer_counts_the_functionals_checks(tmp_path):
     # builder, the decision and the functionals' pair check all call it:
     # 2 outside the estimate (the builder and the decision, which the
     # closed-form bound reads back from the weight), then one for the
-    # anchored shape, the one value a power matrix scores. That goes
-    # through search._maximize, not the run_interval_search the tracer
+    # anchored shape, the one value a power matrix scores. That is
+    # estimate_a2's one value, not the run_interval_search the tracer
     # wraps, so the tracer counts no search evaluations.
     spec = tmp_path / "w2.json"
     spec.write_text(json.dumps({"kind": "type1", "coeff": [[5, 3], [3, 2]],
