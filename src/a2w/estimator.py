@@ -11,15 +11,16 @@ two functionals are the trace form Tr(<W> <W^-1>) and the norm form
 proper, the trace form sandwiches it within a factor of the dimension.
 
 Averages and functionals run on stacks shaped (k, n, n). A rotation's
-evaluate function scores its whole grid as one stack on its first call,
-its warm function each lookahead tree of its golden-refinement
-intervals, and evaluate looks those up after that; any other interval,
-and average_symbolic, run the same code as a stack of one, so a value
-never depends on its batch.
+warm function scores each batch the search hands it, its whole grid
+first and then each lookahead tree of its golden-refinement intervals,
+as one stack, and its evaluate function looks those up; any other
+interval, and average_symbolic, run the same code as a stack of one, so
+a value never depends on its batch.
 estimate_a2 scores a power matrix once, at [0, 1] on the line and at
-[0, 1]^d on cubes (a separable one through _shape_scores, a radial one
-through multivar.average_type1b), equilibrated, with its symbolic
-inverse, after a float rule on its exponents (_closed_form_pair).
+[0, 1]^d on cubes, equilibrated, with its symbolic inverse, after a
+float rule on its exponents (_closed_form_pair): one average_symbolic
+call averages the pair, or one multivar.average_type1b call for a
+radial weight.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .quadrature import PointwiseMatrixFunction, matrix_quad
 from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
                            integral_abs_pow_stack)
 from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult, _scored,
-                     coarse_interval_config, default_interval_config, interval_grid,
-                     run_interval_search)
+                     coarse_interval_config, default_interval_config, run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
 
@@ -119,19 +119,28 @@ def _raise_not_integrable(table, lo: np.ndarray, hi: np.ndarray):
                         f"entry ({i}, {j}), coordinate {c}: {exc}") from exc
 
 
-def average_symbolic(w: SymbolicPowerMatrix, region) -> np.ndarray:
+def average_symbolic(w, region) -> np.ndarray:
     """<W> over an interval, or over a multivar.Cube for a separable weight,
     entrywise as products of the closed-form 1D power averages: the
-    search's stacked route on one box."""
+    search's stacked route on one box.
+
+    Given a tuple of weights of one order instead, their averages as one
+    array shaped (m, n, n), from one _term_table, so the estimate averages
+    W and W^-1 with one integral_abs_pow_stack call."""
+    single = isinstance(w, SymbolicPowerMatrix)
+    weights = (w,) if single else tuple(w)
     if isinstance(region, Interval):
         ivs = (region,)
     else:
         ivs = tuple(region.interval(c) for c in range(region.d))
-    if len(ivs) != w.d or not w.separable:
+    if any(len(ivs) != v.d or not v.separable for v in weights):
         raise ValueError("region dimension does not match the weight")
+    if len({v.n for v in weights}) != 1:
+        raise ValueError("weights must share one order")
     lo = np.array([[iv.a] for iv in ivs])
     hi = np.array([[iv.b] for iv in ivs])
-    return _averages(_term_table((w,)), 1, w.n, lo, hi)[0, 0]
+    out = _averages(_term_table(weights), len(weights), weights[0].n, lo, hi)[:, 0]
+    return out[0] if single else out
 
 
 def average_numeric(pmf: PointwiseMatrixFunction, iv: Interval,
@@ -231,20 +240,18 @@ _FUNCTIONALS = {
 }
 
 
-def _grid_scan(score, grid: list[Interval]):
+def _value_cache(score):
     """(evaluate(iv), warm(ivs)) for a rotation's search from score(ivs),
     which returns one functional value per interval of its list.
 
     warm scores the intervals it is given that its table lacks as one
     stack and stores their values; if that stack fails a check, it stores
-    nothing. evaluate's first call warms the whole grid; an interval then
-    reads its value from the table, and any other interval is scored as a
-    stack of one, by the same code, so a value never depends on its
-    batch. A failure is raised on its own interval, alone, when the
-    search reaches it.
+    nothing. evaluate reads an interval's value from the table, and scores
+    any other interval as a stack of one, by the same code, so a value
+    never depends on its batch. A failure is raised on its own interval,
+    alone, when the search reaches it.
     """
     table = {}
-    scanned = False
 
     def warm(regions) -> None:
         # the grid comes first, to an empty table, and repeats no region
@@ -257,10 +264,6 @@ def _grid_scan(score, grid: list[Interval]):
             pass
 
     def evaluate(region) -> float:
-        nonlocal scanned
-        if not scanned:
-            scanned = True
-            warm(grid)
         value = table.get(region)
         return float(score([region])[0]) if value is None else value
 
@@ -288,23 +291,7 @@ def _closed_form_pair(w: SymbolicPowerMatrix):
     return w, type1.symbolic_inverse(w)
 
 
-def _shape_scores(w: SymbolicPowerMatrix, functional: str):
-    """score(ts): the functional of a separable power matrix w on each box
-    [t, 1]^d of ts, t in [-1, 1), as one stack, on _closed_form_pair's
-    equilibrated pair. w is even and homogeneous, so on the line an
-    interval [a, b] with |a| <= b takes the value of [a / b, 1], and the
-    unit cube cornered at the origin that of [0, 1]^d."""
-    table = _term_table(_closed_form_pair(w))
-    func = _FUNCTIONALS[functional]
-
-    def score(ts) -> np.ndarray:
-        t = np.tile(np.array(ts, dtype=float), (w.d, 1))
-        return func(*_averages(table, 2, w.n, t, np.ones_like(t)))
-
-    return score
-
-
-def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
+def _type2_eval_fn(w: Type2Weight, functional: str):
     """The functional of (<W>, <W^-1>) per interval, for a rotation.
 
     decide_a2 admits a rotation only with one exponent g, so W = |x|^g U D U*
@@ -314,7 +301,7 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
     C_m (Phi_m(b) - Phi_m(a)) and its adjoint, with the Fourier-power
     moments Phi_m of type2.fourier_power_moments; W^-1 likewise with -g.
     A stack of intervals evaluates Phi_m once at each of its distinct
-    endpoints; the grid is one stack (see _grid_scan).
+    endpoints; the search warms its grid as one stack (see _value_cache).
 
     On a short interval far from 0 (K |I| <= 1 and dist(I, 0) >= 2 |I|)
     a difference of Phi_m loses the phase of e^(imx) to the rounding of
@@ -368,7 +355,7 @@ def _type2_eval_fn(w: Type2Weight, functional: str, grid: list[Interval]):
                                 "overflows the float range")
         return func(avg[:, 0], avg[:, 1])
 
-    return _grid_scan(score, grid)
+    return _value_cache(score)
 
 
 def estimate_a2(weight, functional: str = "trace",
@@ -404,21 +391,17 @@ def estimate_a2(weight, functional: str = "trace",
     else:
         raise TypeError(f"cannot estimate for {type(weight).__name__}")
     if isinstance(weight, SymbolicPowerMatrix):
-        if weight.d == 1:
-            region = Interval(0.0, 2.0)
+        pair = _closed_form_pair(weight)
+        func = _FUNCTIONALS[functional]
+        if weight.d == 1:  # reported on [0, 2], which takes the value of [0, 1]
+            region, scored_at, average = Interval(0.0, 2.0), Interval(0.0, 1.0), average_symbolic
         else:
             from . import multivar  # not at the top: multivar imports this module
-            region = multivar.Cube((0.0,) * weight.d, 1.0)
-        if weight.separable:
-            score = _shape_scores(weight, functional)
-            value = _scored(lambda _: score([0.0])[0], region)
-        else:
-            pair = _closed_form_pair(weight)
-            value = _scored(lambda cube: _FUNCTIONALS[functional](
-                *multivar.average_type1b(pair, cube)), region)
+            region = scored_at = multivar.Cube((0.0,) * weight.d, 1.0)
+            average = average_symbolic if weight.separable else multivar.average_type1b
+        value = _scored(lambda _: func(*average(pair, scored_at)), region)
         return SupSearchResult(estimate=value, argmax=region, evaluations=1,
                                functional=functional)
-    cfg = config or coarse_interval_config()
-    grid = interval_grid(cfg)
-    evaluate, warm = _type2_eval_fn(weight, functional, grid)
-    return run_interval_search(evaluate, cfg, functional=functional, grid=grid, warm=warm)
+    evaluate, warm = _type2_eval_fn(weight, functional)
+    return run_interval_search(evaluate, config or coarse_interval_config(),
+                               functional=functional, warm=warm)

@@ -113,8 +113,8 @@ def build_type1b(coeff, diag_exponents, d: int) -> SymbolicPowerMatrix:
 # average_type1b, which estimator.estimate_a2 calls through this module so
 # its counter holds. The names here are for the tracer alone and count
 # nothing: the cube estimate decides through type1, averages a separable
-# weight through estimator._shape_scores, looks its functional up in the
-# estimator's table and does not refine, and the cli calls estimate_a2.
+# weight through estimator.average_symbolic, looks its functional up in
+# the estimator's table and does not refine, and the cli calls estimate_a2.
 check_a2_type1a = check_a2_type1b = type1.check_a2
 average_type1a = average_symbolic
 golden_max = search.golden_max
@@ -286,7 +286,8 @@ def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
     Given a tuple of weights instead, one such array per weight. Either
     way the integral of each distinct exponent is a group of rows of one
     _radial_integrals tree, so the cube estimate averages W and W^-1 with
-    one tree.
+    one tree. An average past the float range raises OverflowError for
+    the first such entry, as estimator.average_symbolic does.
     """
     single = isinstance(w, SymbolicPowerMatrix)
     weights = (w,) if single else w
@@ -312,6 +313,8 @@ def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
         avg = np.zeros((v.n, v.n), dtype=complex)
         for i, j, a, e in terms:
             avg[i, j] = a * (found[at[e]] / cube.volume)
+            if not np.isfinite(avg[i, j]):
+                raise OverflowError(f"average of entry ({i}, {j}) overflows the float range")
         out.append(avg)
     return out[0] if single else out
 

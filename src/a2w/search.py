@@ -16,11 +16,11 @@ the certified upper bounds. Estimates are honest lower bounds of the true
 supremum either way, since only real intervals are evaluated.
 
 run_interval_search calls evaluate once per interval, grid first, in
-scan order. The estimator's evaluate function computes the whole grid
-as one stack on that first call (estimator._grid_scan), and its warm
-function scores each golden_max lookahead tree of the refinement
-intervals as one stack before they are visited, so the search's counts,
-order and tie rule do not see the batching.
+scan order. It hands its warm function the whole grid before the scan,
+and each golden_max lookahead tree of the refinement intervals before
+they are visited; the estimator's warm function scores each as one
+stack (estimator._value_cache), so the search's counts, order and tie
+rule do not see the batching.
 """
 
 from __future__ import annotations
@@ -217,26 +217,28 @@ def _scored(evaluate, region) -> float:
 
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
-                        grid: list[Interval] | None = None, warm=None) -> SupSearchResult:
+                        warm=None) -> SupSearchResult:
     """Maximize evaluate(Interval) over the configured family.
 
-    Grid scan (grid, when the caller already holds interval_grid(config)),
-    then config.refine_rounds rounds of golden-section refinement along
-    the one-parameter subfamily through the incumbent: the scale
-    direction, and the offset direction for origin-free intervals. Ties
-    within 1e-12 relative are resolved deterministically toward the
-    interval whose near endpoint is closest to 0 in units of its
-    half-length, then toward the earliest evaluation. The reported
+    Grid scan, then config.refine_rounds rounds of golden-section
+    refinement along the one-parameter subfamily through the incumbent:
+    the scale direction, and the offset direction for origin-free
+    intervals. Ties within 1e-12 relative are resolved deterministically
+    toward the interval whose near endpoint is closest to 0 in units of
+    its half-length, then toward the earliest evaluation. The reported
     estimate is the functional value at the reported argmax, recomputable
     exactly. An evaluation that fails raises on its interval (_scored).
 
-    warm(intervals), when given, receives the intervals each golden_max
-    lookahead can refine to, before they are evaluated, to score them in
-    one stack; it must not change what evaluate returns.
+    warm(intervals), when given, receives the grid before the scan and
+    the intervals each golden_max lookahead can refine to before they are
+    evaluated, to score each batch in one stack; it must not change what
+    evaluate returns.
     """
-    grid = interval_grid(config) if grid is None else grid
+    grid = interval_grid(config)
     if not grid:
         raise SearchError("candidate family is empty")
+    if warm is not None:
+        warm(grid)
     record: list[tuple[float, int, Interval]] = []
 
     def scored(iv: Interval) -> float:

@@ -30,7 +30,7 @@ from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        logspaced_ints, unitary_stack)
 from a2w.verify import random_interval, random_point, random_type1_weight
-from test_homogeneity import ORIGIN_FREE, grid_shapes
+from test_homogeneity import ORIGIN_FREE, grid_shapes, shape_scores
 
 HALF = Fraction(1, 2)
 
@@ -139,7 +139,7 @@ def test_criterion_05_no_interval_beats_the_certified_trace_bound(monkeypatch):
 
         monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording_trace)
         estimate_a2(w, "trace")
-        estimator._shape_scores(w, "trace")(ts)
+        shape_scores(w, "trace")(ts)
         assert len(seen) == 1 + len(ts) == 415
         assert max(seen) <= bound * (1.0 + 1e-9)
 

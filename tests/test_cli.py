@@ -610,7 +610,7 @@ class TestConstantCommand:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((search, "interval_grid"), (estimator, "interval_grid"),
+        for module, name in ((search, "interval_grid"),
                              (search, "run_interval_search"),
                              (estimator, "run_interval_search"),
                              (linalg, "is_positive_definite"),

@@ -19,12 +19,13 @@ from a2w.scalar_power import (NotA2Error, average_abs_pow,
                               scalar_closed_form_constant)
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, symbolic_inverse)
-from a2w import estimator, linalg, quadrature, search, type2
+from a2w import estimator, linalg, multivar, quadrature, search, type2
 from a2w.scalar_power import integral_abs_pow_stack
 from a2w.search import golden_max, interval_grid, run_interval_search
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
+from test_homogeneity import shape_scores
 
 TWO_BY_TWO = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
 
@@ -257,9 +258,9 @@ ROTATION_WEIGHTS = [
 
 def _recorded_averages(monkeypatch, w, intervals):
     """(<W>, <W^-1>) as the rotation search computes them on each interval,
-    with the trace functional's value. The first evaluation scores the
-    whole coarse grid as one stack; an interval off the grid is a stack of
-    one. The trace functional records every stack it is passed."""
+    with the trace functional's value. The whole coarse grid is warmed as
+    one stack, as the search warms it; an interval off the grid is a stack
+    of one. The trace functional records every stack it is passed."""
     stacks = []
     trace = estimator.a2_functional_trace
 
@@ -269,7 +270,8 @@ def _recorded_averages(monkeypatch, w, intervals):
 
     monkeypatch.setitem(estimator._FUNCTIONALS, "trace", recording)
     grid = interval_grid(coarse_interval_config())
-    evaluate, _ = estimator._type2_eval_fn(w, "trace", grid)
+    evaluate, warm = estimator._type2_eval_fn(w, "trace")
+    warm(grid)
     values = [evaluate(iv) for iv in intervals]
     scan, *alone = stacks
     assert len(scan) == len(grid) and all(len(s) == 1 for s in alone)
@@ -400,7 +402,7 @@ class TestRotationLimits:
             "rotation3d-trace", "rotation3d-norm"])
     def test_long_anchored_intervals_tend_to_the_limit(self, w, functional, cap):
         target = _rotation_limit(w, functional)
-        evaluate, _ = estimator._type2_eval_fn(w, functional, [])
+        evaluate, _ = estimator._type2_eval_fn(w, functional)
         errors = [abs(evaluate(Interval(0.0, 10.0 ** k)) - target) / target
                   for k in range(2, 9)]
         # each decade of L shrinks the error, until it reaches rounding
@@ -409,7 +411,11 @@ class TestRotationLimits:
 
 
 def _eval_fn(w, functional, config):
-    return estimator._type2_eval_fn(w, functional, interval_grid(config))[0]
+    """A rotation's evaluate function, its table warmed with config's grid
+    as the search warms it."""
+    evaluate, warm = estimator._type2_eval_fn(w, functional)
+    warm(interval_grid(config))
+    return evaluate
 
 
 def _grid_cells(config):
@@ -442,20 +448,23 @@ def _gauss(w, iv):
 class _SearchLog:
     """estimate_a2(w, functional, config), recording the (interval, value)
     of each evaluation (visits), the interval lists warm receives
-    (batches), the size of each stack the functional scores (stacks) and
-    (rounds, warm calls) per golden_max call (phases). warm=False runs the
-    search without its warm entry point."""
+    (batches) with the number of visits before each (warmed_after), the
+    size of each stack the functional scores (stacks) and (rounds, warm
+    calls) per golden_max call (phases). warm=False warms the grid as one
+    stack and runs the search without its warm entry point, so golden_max
+    scores each refinement interval as a stack of one."""
 
     def __init__(self, w, functional, config=None, warm=True):
         use_warm = warm  # searched's own warm is the estimator's
         self.visits, self.batches, self.stacks, self.phases = [], [], [], []
+        self.warmed_after = []
         func = estimator._FUNCTIONALS[functional]
 
         def scored(avg_w, avg_winv):
             self.stacks.append(len(avg_w))
             return func(avg_w, avg_winv)
 
-        def searched(evaluate, *args, warm, **kwargs):
+        def searched(evaluate, config, *, warm, **kwargs):
             def visit(iv):
                 value = evaluate(iv)
                 self.visits.append((iv, value))
@@ -463,9 +472,12 @@ class _SearchLog:
 
             def warmed(ivs):
                 self.batches.append(ivs)
+                self.warmed_after.append(len(self.visits))
                 warm(ivs)
 
-            return run_interval_search(visit, *args, warm=warmed if use_warm else None,
+            if not use_warm:
+                warm(interval_grid(config))
+            return run_interval_search(visit, config, warm=warmed if use_warm else None,
                                        **kwargs)
 
         def golden(f, lo, hi, rounds, warm=None):
@@ -488,9 +500,10 @@ class _SearchLog:
 
 
 class TestStackedGrid:
-    """A rotation's evaluate function scores its whole grid as one stack on
-    its first call, and a power matrix scores its shapes [t, 1] as one
-    stack; every value must be the value of its interval scored alone."""
+    """A rotation's search warms its whole grid as one stack before its
+    scan, and a power matrix's shapes [t, 1] score as one stack (the
+    shape scans of test_homogeneity); every value must be the value of
+    its interval scored alone."""
 
     @pytest.mark.parametrize("w", [
         TWO_BY_TWO,
@@ -506,9 +519,13 @@ class TestStackedGrid:
             # 1e-9 to 1 - 1e-9
             ts = np.concatenate([[-1.0, 0.0], np.logspace(-9.0, -0.01, 60),
                                  1.0 - np.logspace(-1.0, -9.0, 20)])
-            score = estimator._shape_scores(w, functional)
+            score = shape_scores(w, functional)
+            func = estimator._FUNCTIONALS[functional]
+            pair = estimator._closed_form_pair(w)
             for t, value in zip(ts, score(ts)):
                 assert value == score([t])[0], t
+                # and the value of the estimate's one average call
+                assert value == func(*average_symbolic(pair, Interval(t, 1.0))), t
             return
         config = coarse_interval_config()
         grid = interval_grid(config)
@@ -529,7 +546,8 @@ class TestStackedGrid:
         # The refinement's lookahead stacks only fill the table: the search
         # sees the same intervals and values, bit for bit, as one whose
         # golden_max gets no warm, which scores each refinement interval
-        # as a stack of one.
+        # as a stack of one. The search warms its whole grid first, before
+        # it evaluates anything.
         config = {"coarse": None, "fine": default_interval_config()}[grid]
         warmed = _SearchLog(w, functional, config, warm=True)
         cold = _SearchLog(w, functional, config, warm=False)
@@ -542,6 +560,8 @@ class TestStackedGrid:
         assert warmed.result.estimate.hex() == cold.result.estimate.hex()
         assert cold.stacks == [n_grid] + [1] * (cold.result.evaluations - n_grid)
         assert cold.phases == [(rounds, 0) for rounds, _ in cold.phases]
+        assert warmed.batches[0] == interval_grid(warmed.result.config)
+        assert warmed.warmed_after[0] == 0
         assert warmed.stacks[0] == n_grid and 1 not in warmed.stacks
         assert warmed.phases == [(rounds, math.ceil(rounds / search._LOOKAHEAD))
                                  for rounds, _ in cold.phases]
@@ -584,7 +604,7 @@ class TestStackedGrid:
 
         plant(refined)
         with pytest.raises(NonPositiveInputError) as alone:
-            estimator._type2_eval_fn(w, functional, [])[0](refined)
+            estimator._type2_eval_fn(w, functional)[0](refined)
         with pytest.raises(NonPositiveInputError) as search_error:
             estimate_a2(w, functional)
         assert search_error.value.region == refined
@@ -604,7 +624,7 @@ class TestStackedGrid:
 
         monkeypatch.setattr(estimator, "integral_abs_pow_stack", planted)
         with pytest.raises(NonPositiveInputError) as alone:
-            estimator._shape_scores(w, functional)([0.0])
+            shape_scores(w, functional)([0.0])
         with pytest.raises(NonPositiveInputError, match="below its floor") as scan:
             estimate_a2(w, functional)
         assert scan.value.region == Interval(0.0, 2.0)
@@ -847,7 +867,9 @@ class TestTheA2Gate:
         def fail(*args):
             raise AssertionError("averaged a weight that is not A2")
 
-        monkeypatch.setattr(estimator, "_shape_scores", fail)
+        monkeypatch.setattr(estimator, "_closed_form_pair", fail)
+        monkeypatch.setattr(estimator, "average_symbolic", fail)
+        monkeypatch.setattr(multivar, "average_type1b", fail)
         monkeypatch.setattr(estimator, "_type2_eval_fn", fail)
         for w, message in NOT_A2:
             with pytest.raises(NotA2Error, match=re.escape(message)):

@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from a2w.estimator import (_shape_scores, a2_functional_norm, a2_functional_trace,
-                           average_numeric, average_symbolic, estimate_a2)
+from a2w.estimator import (_FUNCTIONALS, _averages, _closed_form_pair, _term_table,
+                           a2_functional_norm, a2_functional_trace, average_numeric,
+                           average_symbolic, estimate_a2)
 from a2w.multivar import Cube, average_type1b, build_type1a, build_type1b
 from a2w.search import (Interval, coarse_interval_config, default_interval_config,
                         interval_grid, run_interval_search)
@@ -46,6 +47,22 @@ def averages(weight):
     average = average_symbolic if weight.separable else average_type1b
     inverse = symbolic_inverse(weight)
     return lambda region: (average(weight, region), average(inverse, region))
+
+
+def shape_scores(weight, functional):
+    """score(ts): the functional of a separable power matrix on each box
+    [t, 1]^d of ts, t in [-1, 1), as one stack of averages of the pair the
+    estimate scores (_closed_form_pair). The weight is even and
+    homogeneous, so on the line an interval [a, b] with |a| <= b takes the
+    value of [a / b, 1]."""
+    table = _term_table(_closed_form_pair(weight))
+    func = _FUNCTIONALS[functional]
+
+    def score(ts):
+        t = np.tile(np.array(ts, dtype=float), (weight.d, 1))
+        return func(*_averages(table, 2, weight.n, t, np.ones_like(t)))
+
+    return score
 
 
 def shape(iv):
@@ -193,7 +210,7 @@ def test_no_origin_free_shape_beats_the_anchored_and_symmetric_ones():
     for weight in a2_power_matrices(np.random.default_rng(20261020), 96):
         assert check_a2(weight).verdict == VERDICT_A2
         for functional in ("trace", "norm"):
-            values = _shape_scores(weight, functional)(ts)
+            values = shape_scores(weight, functional)(ts)
             assert max(values[2:]) <= (1.0 + 1e-12) * max(values[:2]), (weight, functional)
             assert estimate_a2(weight, functional).estimate == values[1]
 
@@ -296,7 +313,7 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
     # cond(A), so the norm keeps its digits on every shape and at the
     # argmax
     ts = grid_shapes(default_interval_config)
-    for t, value in zip(ts, _shape_scores(ILL_3X3, "norm")(ts)):
+    for t, value in zip(ts, shape_scores(ILL_3X3, "norm")(ts)):
         assert value == pytest.approx(mp_norm(ILL_3X3, Interval(t, 1.0)), rel=1e-13, abs=0.0)
     result = estimate_a2(ILL_3X3, "norm")
     assert result.estimate == pytest.approx(mp_norm(ILL_3X3, shape(result.argmax)),
@@ -311,6 +328,6 @@ def test_a_2x2_norm_matches_its_closed_form_at_every_shape(weight):
     # in 40 digits: no code shared with the LAPACK route
     ts = grid_shapes(default_interval_config)
     assert len(ts) == 50
-    for t, value in zip(ts, _shape_scores(weight, "norm")(ts)):
+    for t, value in zip(ts, shape_scores(weight, "norm")(ts)):
         assert value == pytest.approx(mp_norm_2x2(weight, Interval(t, 1.0)), rel=1e-13,
                                       abs=0.0), t

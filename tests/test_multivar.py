@@ -18,7 +18,7 @@ from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
                         VERDICT_NOT_PD_AE)
 from a2w.scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
 from a2w.search import Interval
-from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix,
+from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix, build_type1,
                        a2_upper_bound, check_a2, evaluate, symbolic_det,
                        symbolic_inverse)
 
@@ -288,6 +288,34 @@ class TestAverageSeparable:
         assert np.all(avg.imag == 0.0)
         assert np.array_equal(avg, avg.conj().T)
 
+    @pytest.mark.parametrize("w, region", [
+        (build_type1(np.array([[4.0, 1 + 2j], [1 - 2j, 3.0]]), ["1/2", "-1/3"]),
+         Interval(-0.25, 1.5)),
+        (separable_pair(), Cube((-0.25, 0.5), 1.5)),
+        (build_type1a([[2.0, 0.5, 0.0], [0.5, 3.0, 0.2], [0.0, 0.2, 1.0]],
+                      [(HALF, 0, -HALF), (Fraction(1, 3), HALF, 0), (0, 0, HALF)]),
+         Cube((0.0, 0.0, 0.0), 1.0)),
+    ], ids=["line", "cube-2d", "cube-3d"])
+    def test_a_pair_averages_as_two_single_calls(self, w, region):
+        # the estimate averages (W, W^-1) with one call, one term table
+        winv = symbolic_inverse(w)
+        both = average_symbolic((w, winv), region)
+        assert both.shape == (2, w.n, w.n)
+        assert both[0].tobytes() == average_symbolic(w, region).tobytes()
+        assert both[1].tobytes() == average_symbolic(winv, region).tobytes()
+
+    def test_a_tuple_of_other_orders_or_a_radial_weight_is_refused(self):
+        w = separable_pair()
+        scalar = build_type1a([[1.0]], [(HALF,), (0,)])
+        radial = build_type1b([[2.0, 1.0], [1.0, 2.0]], (HALF, 0), 2)
+        cube = Cube((0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="one order"):
+            average_symbolic((w, scalar), cube)
+        with pytest.raises(ValueError, match="does not match"):
+            average_symbolic((w, radial), cube)
+        with pytest.raises(ValueError, match="does not match"):
+            average_symbolic((w, build_type1(np.eye(2), ["1/2", "0"])), cube)
+
 
 class TestRadialIntegral:
     def test_exact_volume_at_exponent_zero(self):
@@ -483,6 +511,22 @@ class TestAverageRadial:
         w = SymbolicPowerMatrix([[1.0]], (((Fraction(-2),),),), 2)
         with pytest.raises(NotIntegrableError, match=r"entry \(0, 0\)"):
             average_type1b(w, Cube((-1.0, -1.0), 2.0))
+
+    def test_an_average_past_the_float_range_raises_as_a_separable_one(self):
+        # the integral of ||x||^1.9 over [1, 2]^2 is above 1, so the
+        # coefficient 1.7e308 takes the (0, 0) average past the float range;
+        # the separable twin raises the same text
+        radial = build_type1b(np.diag([1.7e308, 1.0]), ["19/10", "0"], 2)
+        separable = build_type1a(np.diag([1.7e308, 1.0]), [("9/10", "0"), ("9/10", "0")])
+        cube = Cube((1.0, 1.0), 1.0)
+        with pytest.raises(OverflowError) as raised:
+            average_type1b(radial, cube)
+        with pytest.raises(OverflowError) as twin:
+            average_symbolic(separable, cube)
+        assert str(raised.value) == str(twin.value) == \
+            "average of entry (0, 0) overflows the float range"
+        with pytest.raises(OverflowError, match=re.escape(str(twin.value))):
+            average_type1b((symbolic_inverse(radial), radial), cube)
 
 
 class TestInverses:

@@ -104,6 +104,30 @@ def test_every_exported_name_has_a_use_outside_the_tests():
     assert unused == []
 
 
+def test_every_private_definition_has_a_use_outside_its_body():
+    # a private module-level function or class of the package that no
+    # code outside its own body names is dead, or lives on for the tests
+    # alone. Uses are names and attributes in the syntax tree of the
+    # package, the gallery scripts and the benchmark tracer: a comment,
+    # docstring or import is not one.
+    package = sorted((ROOT / "src" / "a2w").glob("*.py"))
+    paths = package + sorted((ROOT / "scripts").glob("*.py")) + \
+        [ROOT / "a2wbench" / "tracing.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    uses = [(p, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for p, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    private = [(p, node) for p in package for node in trees[p].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert len(private) > 50
+    unused = [f"{p.stem}.{node.name}" for p, node in private
+              if not any(name == node.name
+                         and not (q == p and node.lineno <= line <= node.end_lineno)
+                         for q, line, name in uses)]
+    assert unused == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # install() rebinds a2w names for the whole process, so it runs apart.
     # A traced divergence run must still feed the quadrature counters.
