@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, fields
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -339,8 +339,9 @@ def cmd_divergence(args) -> int:
     elapsed = time.perf_counter() - t0
     slope = type2.fit_loglog_slope(rows)
     theoretical = format_rational((g2 - g1) / 2)
-    csv = [",".join(f.name for f in fields(type2.DivergenceRow))]
-    csv += [",".join(map(repr, astuple(r))) for r in rows]
+    names = [f.name for f in fields(type2.DivergenceRow)]
+    values = [[getattr(r, name) for name in names] for r in rows]
+    csv = [",".join(names)] + [",".join(map(repr, v)) for v in values]
 
     if args.out:
         try:
@@ -354,7 +355,7 @@ def cmd_divergence(args) -> int:
                           "gamma2": format_rational(g2),
                           "n_min": args.n_min, "n_max": args.n_max,
                           "points": args.points},
-               "rows": [asdict(r) for r in rows],
+               "rows": [dict(zip(names, v)) for v in values],
                "fitted_slope": slope,
                "theoretical_exponent": theoretical}
     lines = [f"gamma1 = {format_rational(g1)}, gamma2 = {format_rational(g2)}",

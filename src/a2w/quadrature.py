@@ -17,7 +17,11 @@ m rows, where each panel evaluates every row in one call and keeps one
 error, one tolerance and one power-model factor per row, and refinement
 runs until every row meets its own tolerance. The zero split and any
 endpoint grading are its seed cuts. _panel_tree runs one tree and
-evaluates the integrand itself, one round of panels at a time.
+evaluates the integrand itself, one round of panels at a time. A round's
+split-compare (child sums, finite check, split errors, keys and error
+sums) runs on Python floats when the round is small, and on the round's
+numpy block of rows x pairs from _BLOCK_ROW_PAIRS on, where numpy's cost
+per call is repaid; both give the same bits.
 adaptive_quad is the front end for an integrand of one row or of many
 (the divergence windows of a sweep and their reciprocals share one tree,
 each row under its own tolerance); matrix_quad
@@ -52,6 +56,10 @@ _NODES01 = (_NODES + 1.0) / 2.0
 _WEIGHTS01 = _WEIGHTS / 2.0
 _PANEL_CAP = 512  # panels per call of the integrand, however many a round asks
 _PANEL_BUDGET = 20000  # panels per tree of adaptive_quad and matrix_quad
+# rows x pairs from which a round's split-compare runs on a numpy block. On
+# one-round trees the block began to win at 24 row-pairs for 1 row, 64 for
+# 4 rows and 104 for 26 rows; at 64 no choice costs a round over 20 us.
+_BLOCK_ROW_PAIRS = 64
 
 
 class QuadratureBudgetError(ArithmeticError):
@@ -166,6 +174,22 @@ def _require_finite(sums, lo: float, hi: float, where) -> None:
             f"{where(k)}Gauss values on [{lo!r}, {hi!r}] are not finite")
 
 
+def _compare_block(vals, popped, where) -> np.ndarray:
+    """The split errors, shaped (m, len(popped)), of a round's popped
+    panels against their children's Gauss values vals, shaped
+    (m, 2 len(popped)), computed as the list path of _panel_tree computes
+    them and raising as it does for the first non-finite panel.
+    """
+    sums = vals[:, ::2] + vals[:, 1::2]
+    # cumsum sums each pair's rows in order, as Python's sum does
+    if not np.isfinite(np.cumsum(sums, axis=0)[-1]).all():
+        for (lo, _, hi, _), pair in zip(popped, sums.T.tolist()):
+            _require_finite(pair, lo, hi, where)
+    diff = sums - np.array([val for *_, val in popped]).T
+    # hypot, not abs: numpy's complex abs rounds differently from Python's
+    return np.hypot(diff.real, diff.imag) / 2.0 + 1e-300
+
+
 # An integrand that overflows (|x|^g at subnormal x) gives non-finite Gauss
 # values, which _require_finite turns into QuadratureBudgetError; numpy's
 # overflow warning would only add a second report on stderr.
@@ -196,6 +220,13 @@ def _panel_tree(f, cuts, tolerance, gaps, budget: int, where) -> np.ndarray:
     passes budget + 1. where(k) names row k in a budget error, and in the
     error for Gauss values that overflow, which names the first such
     panel in pop order.
+
+    A round of fewer than _BLOCK_ROW_PAIRS rows x pairs does its
+    split-compare pair by pair on Python lists; a larger one does it once
+    on the round's (rows, pairs) numpy block (_compare_block) and adds the
+    children's errors to the error sums by one cumsum. The heap, its pop
+    rule and the final summation are the same either way, and so is every
+    bit of the result.
     """
     seed_vals = _gl_panels(f, [((lo + hi) / 2.0, (hi - lo) / 2.0)
                                for lo, hi in zip(cuts, cuts[1:])])
@@ -203,30 +234,33 @@ def _panel_tree(f, cuts, tolerance, gaps, budget: int, where) -> np.ndarray:
     _require_finite(seed_sums.tolist(), cuts[0], cuts[-1], where)
     tols = tolerance(np.add.reduce(np.abs(seed_vals), axis=1), seed_sums)
     tols[tols == 0.0] = 1e-290  # zero row: converge once split-compare agrees
-    tols = tols.tolist()
+    tols_col, tols = tols[:, None], tols.tolist()
 
-    # Per-row bookkeeping runs on Python lists of floats: the same double
-    # arithmetic as numpy, and cheaper than numpy calls for the few rows
-    # of a scalar or small matrix integrand.
+    # Below _BLOCK_ROW_PAIRS, numpy's fixed cost (15 to 20 us a round)
+    # exceeds the list arithmetic; _compare_block keeps the list
+    # arithmetic's operations and order. A panel's Gauss values are a
+    # numpy row if a block round made it, else a list; its errors are a
+    # list either way, for the pop loop.
     heap = []
     order = itertools.count()
     used = len(cuts) - 1
     err_sum = [0.0] * len(tols)
     unknown = 0
 
-    def push(lo, hi, val, err, key):
-        nonlocal unknown, err_sum
+    def model(val):
+        """The power model's errors and key for a panel with an end at 0."""
+        err = [abs(v) * gap * 2.0 + 1e-300 for v, gap in zip(val, gaps)]
+        return err, max(map(truediv, err, tols))
+
+    for lo, hi, val in zip(cuts, cuts[1:], seed_vals.T.tolist()):
+        err, key = None, math.inf
         if gaps is not None and (lo == 0.0 or hi == 0.0):
-            err = [abs(v) * gap * 2.0 + 1e-300 for v, gap in zip(val, gaps)]
-            key = max(map(truediv, err, tols))
+            err, key = model(val)
         if err is None:
             unknown += 1
         else:
             err_sum = list(map(add, err_sum, err))
         heapq.heappush(heap, (-key, next(order), lo, hi, val, err))
-
-    for lo, hi, val in zip(cuts, cuts[1:], seed_vals.T.tolist()):
-        push(lo, hi, val, None, math.inf)
 
     while unknown > 0 or any(map(gt, err_sum, tols)):
         if used >= budget:
@@ -250,14 +284,42 @@ def _panel_tree(f, cuts, tolerance, gaps, budget: int, where) -> np.ndarray:
         children = [panel for lo, mid, hi, _ in popped
                     for panel in (((lo + mid) / 2.0, (mid - lo) / 2.0),
                                   ((mid + hi) / 2.0, (hi - mid) / 2.0))]
-        vals = _gl_panels(f, children).T.tolist()
-        for (lo, mid, hi, val), lv, rv in zip(popped, vals[::2], vals[1::2]):
-            sums = list(map(add, lv, rv))
-            _require_finite(sums, lo, hi, where)
-            split_err = [abs(t - v) / 2.0 + 1e-300 for t, v in zip(sums, val)]
-            key = max(map(truediv, split_err, tols))
-            push(lo, mid, lv, split_err, key)
-            push(mid, hi, rv, split_err, key)
+        vals = _gl_panels(f, children)
+        if len(popped) * len(tols) < _BLOCK_ROW_PAIRS:
+            vals = vals.T.tolist()
+            for (lo, mid, hi, val), lv, rv in zip(popped, vals[::2], vals[1::2]):
+                if not isinstance(val, list):
+                    val = val.tolist()
+                sums = list(map(add, lv, rv))
+                _require_finite(sums, lo, hi, where)
+                split_err = [abs(t - v) / 2.0 + 1e-300 for t, v in zip(sums, val)]
+                key = max(map(truediv, split_err, tols))
+                lerr = rerr = split_err
+                lkey = rkey = key
+                if gaps is not None:
+                    if lo == 0.0 or mid == 0.0:
+                        lerr, lkey = model(lv)
+                    if mid == 0.0 or hi == 0.0:
+                        rerr, rkey = model(rv)
+                err_sum = list(map(add, map(add, err_sum, lerr), rerr))
+                heapq.heappush(heap, (-lkey, next(order), lo, mid, lv, lerr))
+                heapq.heappush(heap, (-rkey, next(order), mid, hi, rv, rerr))
+            continue
+        split = _compare_block(vals, popped, where)
+        keys = np.max(split / tols_col, axis=0).tolist()
+        errs = np.repeat(split.T, 2, axis=0)  # one row per child, in push order
+        rows = list(vals.T)
+        for j, ((lo, mid, hi, _), err, key) in enumerate(zip(popped, split.T.tolist(), keys)):
+            for i, a, b in ((2 * j, lo, mid), (2 * j + 1, mid, hi)):
+                e, k = err, key
+                if gaps is not None and (a == 0.0 or b == 0.0):
+                    e, k = model(rows[i].tolist())
+                    errs[i] = e
+                heapq.heappush(heap, (-k, next(order), a, b, rows[i], e))
+        # cumsum adds the children's errors to err_sum one at a time, in
+        # push order, as the list path does; a reduce may add them pairwise
+        errs[0] += err_sum
+        err_sum = np.cumsum(errs, axis=0)[-1].tolist()
     return np.add.reduce(np.array([item[4] for item in heap]), axis=0)
 
 

@@ -143,8 +143,11 @@ def unitary_stack(family: str, n: int, xs: np.ndarray) -> np.ndarray:
 
 def _pointwise(*weights: Type2Weight) -> PointwiseMatrixFunction:
     """Weights that share a unitary family and an order as one stack of
-    matrix functions: one unitary_stack call, one power and one einsum per
-    node set. Each matrix's power model at 0 lists all its exponents."""
+    matrix functions: one unitary_stack call, one power_stack and one
+    einsum per node set; power_stack takes each |x|^g by the same routine
+    whatever the layout of the nodes, so the nodes beside it in a call do
+    not change a power. Each matrix's power model at 0 lists all its
+    exponents."""
     w0 = weights[0]
     alphas = np.array([w.alphas for w in weights])[:, :, None]
     gammas = np.array([[float(g) for g in w.gammas] for w in weights])[:, :, None]
@@ -152,7 +155,7 @@ def _pointwise(*weights: Type2Weight) -> PointwiseMatrixFunction:
     def values(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         u = unitary_stack(w0.unitary, w0.n, xs)
-        scaled = alphas * np.abs(xs) ** gammas
+        scaled = alphas * power_stack(np.abs(xs), gammas)
         out = np.einsum("ikN,mkN,jkN->mijN", u, scaled, u.conj())
         return out[0] if len(weights) == 1 else out
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from a2w import quadrature
+from a2w import multivar, quadrature
 from a2w.multivar import cube_integral_radial
 from a2w.quadrature import (_PANEL_CAP, PointwiseMatrixFunction,
                             QuadratureBudgetError, adaptive_quad, matrix_quad)
-from a2w.type2 import Type2Weight, divergence_experiment, pair_pointwise
+from a2w.type2 import (Type2Weight, divergence_experiment, logspaced_ints,
+                       pair_pointwise)
 
 
 def spied(f):
@@ -24,6 +25,23 @@ def spied(f):
         seen.append(np.size(xs))
         return f(xs)
     return g, seen
+
+
+def spied_rounds(monkeypatch):
+    """The panel count of each _gl_panels call (the seeds, then one per
+    round) and the node count of each integrand call, as two lists."""
+    rounds, calls = [], []
+    gl = quadrature._gl_panels
+
+    def spy(f, panels):
+        rounds.append(len(panels))
+
+        def g(xs):
+            calls.append(xs.size)
+            return f(xs)
+        return gl(g, panels)
+    monkeypatch.setattr(quadrature, "_gl_panels", spy)
+    return rounds, calls
 
 
 class TestPurePowers:
@@ -304,3 +322,85 @@ class TestRoundCounts:
         capped = results()
         assert np.array_equal(capped[0], default[0])
         assert capped[1:] == default[1:]
+
+    @pytest.mark.parametrize("tree,calls,panels", [
+        (lambda: divergence_experiment("0", "1/2", logspaced_ints(100, 100000, 13)), 2, 144),
+        (lambda: adaptive_quad(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-10,
+                               singular_exponent=Fraction(-9, 10)), 387, 1423),
+        (lambda: multivar._radial_integrals([0.5, -0.5], (0, 0), (1, 1), 1e-6), 2, 3),
+    ], ids=["divergence-sweep", "graded-power", "radial-unit-square"])
+    def test_benchmark_tree_shapes(self, monkeypatch, tree, calls, panels):
+        # the trees the benchmark's ops run: a sweep's one round of 48
+        # splits over 26 rows, a one-row tree graded toward 0 a split or
+        # two at a time, and a radial cube's one split
+        rounds, seen = spied_rounds(monkeypatch)
+        tree()
+        assert (len(seen), sum(rounds)) == (calls, panels)
+
+
+def complex_rows(x):
+    """Eight complex rows with a power singularity at 0."""
+    return np.abs(x) ** -0.5 * np.exp(1j * np.arange(8)[:, None] * x)
+
+
+class TestRoundArithmetic:
+    """A round's split-compare runs on Python lists below _BLOCK_ROW_PAIRS
+    rows x pairs and on the round's numpy block from there; the choice
+    changes no bit of a result or of an error."""
+
+    def test_block_split_errors_are_the_list_arithmetic(self):
+        # the list path's expression, float by float, is the reference;
+        # numpy's complex abs rounds differently from Python's in about a
+        # third of these values
+        rng = np.random.default_rng(7)
+        a, b, c, d = rng.standard_normal((4, 5, 40))
+        for vals, parents in ((a, b[:, :20]), (a + 1j * b, c[:, :20] + 1j * d[:, :20])):
+            popped = [(float(j), j + 0.5, j + 1.0, val) for j, val in enumerate(parents.T.tolist())]
+            children = vals.T.tolist()
+            want = [[abs((lv + rv) - v) / 2.0 + 1e-300
+                     for lv, rv, v in zip(children[2 * j], children[2 * j + 1], val)]
+                    for j, (*_, val) in enumerate(popped)]
+            assert quadrature._compare_block(vals, popped, lambda k: "").T.tolist() == want
+
+    def test_trees_across_the_break_even_give_the_same_bits(self, monkeypatch):
+        # Both trees have rounds on each side of the break-even, and list
+        # rounds that split a block round's panels. Both split panels at
+        # 0 under the power model; the second has complex rows. The first
+        # tree's budget error must read the same too.
+        pmf = pair_pointwise(Type2Weight((3.0, 9.0), ("1/4", "1/4"), "rotation2d"))
+        trees = [(6, lambda: matrix_quad(pmf, 0.0, 2000.0, 1e-6)),
+                 (8, lambda: adaptive_quad(complex_rows, -1.0, 20.0, 1e-10,
+                                           singular_exponent=Fraction(-1, 2),
+                                           endpoint_grading=8))]
+        for m, tree in trees:
+            with monkeypatch.context() as patch:
+                rounds, _ = spied_rounds(patch)
+                tree()
+            sizes = [m * panels // 2 for panels in rounds[1:]]  # rows x pairs
+            assert min(sizes) < quadrature._BLOCK_ROW_PAIRS <= max(sizes)
+
+        def results():
+            out = [tree().tobytes() for _, tree in trees]
+            with monkeypatch.context() as patch:
+                patch.setattr(quadrature, "_PANEL_BUDGET", 1000)
+                with pytest.raises(QuadratureBudgetError) as info:
+                    trees[0][1]()
+            return out + [str(info.value)]
+
+        default = results()
+        for threshold in (0, 10**9):  # every round on the block, every round on lists
+            monkeypatch.setattr(quadrature, "_BLOCK_ROW_PAIRS", threshold)
+            assert results() == default
+
+    def test_a_block_round_names_the_first_non_finite_panel(self, monkeypatch):
+        # TestBudgetAndValidation's mid-round example, its one round on the block
+        def bad(xs):
+            hit = ((1.25 < xs) & (xs < 1.5)) | (1.75 < xs)
+            return np.where(hit & (len(seen) > 1), np.inf, 1.0)
+
+        f, seen = spied(bad)
+        monkeypatch.setattr(quadrature, "_BLOCK_ROW_PAIRS", 0)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"^Gauss values on \[1.25, 1.5\] are not finite$"):
+            adaptive_quad(f, 1.0, 2.0, 1e-8, endpoint_grading=2)
+        assert seen == [40, 80]
