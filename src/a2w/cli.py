@@ -36,8 +36,7 @@ from .quadrature import QuadratureBudgetError
 from .report import VERDICT_A2
 from .scalar_power import (NotA2Error, NotIntegrableError, format_rational,
                            parse_rational)
-from .search import (FAMILIES, SearchError, coarse_interval_config,
-                     default_interval_config)
+from .search import SearchError, coarse_interval_config, fine_interval_config
 from .type1 import MidpointConditionError, SymbolicPowerMatrix
 from .verify import VERIFY_MODULES, run_suites
 
@@ -288,7 +287,7 @@ def cmd_check(args) -> int:
 
 # --grid value -> a rotation's interval grid, the coarse one without --grid.
 # Power matrices, on the line and on cubes, have no grid to select.
-_GRIDS = {"fine": default_interval_config, "coarse": coarse_interval_config}
+_GRIDS = {"fine": fine_interval_config, "coarse": coarse_interval_config}
 
 
 def cmd_constant(args) -> int:
@@ -297,17 +296,14 @@ def cmd_constant(args) -> int:
     result = estimate_a2(weight, args.functional,
                          _GRIDS[args.grid]() if args.grid else None)
     elapsed = time.perf_counter() - t0
-    region, cfg = result.argmax, result.config
-    if isinstance(region, multivar.Cube):
-        argmax = {"lower": list(region.lower), "side": region.side}
-        config_echo = {"families": list(multivar.CUBE_FAMILIES),
-                       "quadrature_tol": multivar.RADIAL_TOL}
-    else:
-        argmax = {"a": region.a, "b": region.b}
-        config_echo = {"families": list(FAMILIES[:2])} if cfg is None else {
-            "families": list(FAMILIES), "centers": len(cfg.centers),
-            "halflengths": len(cfg.halflengths), "grid": args.grid or "default",
-            "refine_rounds": cfg.refine_rounds}
+    argmax, cfg = result.argmax.to_payload(), result.config
+    config_echo = {"families": list(result.scope)}
+    if result.quadrature_tol is not None:
+        config_echo["quadrature_tol"] = result.quadrature_tol
+    if cfg is not None:
+        config_echo.update(grid=next(name for name, grid in _GRIDS.items() if grid() == cfg),
+                           centers=len(cfg.centers), halflengths=len(cfg.halflengths),
+                           refine_rounds=cfg.refine_rounds)
 
     payload = {"seed": None, "spec": echo, "functional": result.functional,
                "config": config_echo, "estimate": result.estimate,

@@ -20,7 +20,8 @@ estimate_a2 scores a power matrix once, at [0, 1] on the line and at
 [0, 1]^d on cubes, equilibrated, with its symbolic inverse, after a
 float rule on its exponents (_closed_form_pair): one average_symbolic
 call averages the pair, or one multivar.average_type1b call for a
-radial weight.
+radial weight. Every route returns a regions.Estimate, whose scope names
+the families of regions (Interval, Cube) its value stands for.
 """
 
 from __future__ import annotations
@@ -29,21 +30,16 @@ import numpy as np
 
 from . import linalg, type1, type2
 from .quadrature import PointwiseMatrixFunction, matrix_quad
+from .regions import CUBE_FAMILIES, FAMILIES, Cube, Estimate, Interval
 from .scalar_power import (NotIntegrableError, format_rational, integral_abs_pow,
                            integral_abs_pow_stack)
-from .search import (Interval, SearchError, SupSearchConfig, SupSearchResult, _scored,
-                     coarse_interval_config, default_interval_config, run_interval_search)
+from .search import (SearchError, SupSearchConfig, _scored, coarse_interval_config,
+                     run_interval_search)
 from .type1 import SymbolicPowerMatrix
 from .type2 import Type2Weight
 
 __all__ = [
-    "Interval",
-    "SupSearchConfig",
-    "SupSearchResult",
-    "SearchError",
     "NonPositiveInputError",
-    "default_interval_config",
-    "coarse_interval_config",
     "average_symbolic",
     "average_numeric",
     "a2_functional_trace",
@@ -120,7 +116,7 @@ def _raise_not_integrable(table, lo: np.ndarray, hi: np.ndarray):
 
 
 def average_symbolic(w, region) -> np.ndarray:
-    """<W> over an interval, or over a multivar.Cube for a separable weight,
+    """<W> over an interval, or over a cube for a separable weight,
     entrywise as products of the closed-form 1D power averages: the
     search's stacked route on one box.
 
@@ -359,8 +355,8 @@ def _type2_eval_fn(w: Type2Weight, functional: str):
 
 
 def estimate_a2(weight, functional: str = "trace",
-                config: SupSearchConfig | None = None) -> SupSearchResult:
-    """Searched lower bound of the chosen A2 functional's supremum.
+                config: SupSearchConfig | None = None) -> Estimate:
+    """Lower bound of the A2 functional's supremum over the result's scope.
 
     Accepts a symbolic power matrix on R^d, d in {1, 2, 3} (a scalar
     weight is the 1x1 case on the line), or a Type 2 weight. The weight's
@@ -373,11 +369,11 @@ def estimate_a2(weight, functional: str = "trace",
     A power matrix, identity Type 2 weights among them (type2.as_type1),
     is even and homogeneous, W(tx) = T W(x) T with T = diag(|t|^(g_i/2)):
     every symmetric and every anchored interval takes the value of [0, 1],
-    every cube cornered at or centered on the origin that of [0, 1]^d
-    (multivar.CUBE_FAMILIES), and no other shape was seen to beat them
-    past the search's tie rule. It is scored once, on the equilibrated
-    pair (_closed_form_pair), and reported on [0, 2] or [0, 1]^d with
-    config None. A rotation searches config, the coarse grid by default
+    every cube cornered at or centered on the origin that of [0, 1]^d,
+    and no other shape was seen to beat them past the search's tie rule.
+    It is scored once, on the equilibrated pair (_closed_form_pair), and
+    reported on [0, 2] or [0, 1]^d, scoped to those two families. A
+    rotation searches config, the coarse grid by default, over all three
     (run_interval_search), and the result's config is that grid.
     """
     if functional not in _FUNCTIONALS:
@@ -393,15 +389,18 @@ def estimate_a2(weight, functional: str = "trace",
     if isinstance(weight, SymbolicPowerMatrix):
         pair = _closed_form_pair(weight)
         func = _FUNCTIONALS[functional]
+        average, tol = average_symbolic, None
         if weight.d == 1:  # reported on [0, 2], which takes the value of [0, 1]
-            region, scored_at, average = Interval(0.0, 2.0), Interval(0.0, 1.0), average_symbolic
+            region, scored_at, scope = Interval(0.0, 2.0), Interval(0.0, 1.0), FAMILIES[:2]
         else:
-            from . import multivar  # not at the top: multivar imports this module
-            region = scored_at = multivar.Cube((0.0,) * weight.d, 1.0)
-            average = average_symbolic if weight.separable else multivar.average_type1b
+            region = scored_at = Cube((0.0,) * weight.d, 1.0)
+            scope = CUBE_FAMILIES
+            if not weight.separable:
+                from . import multivar  # not at the top: multivar imports this module
+                average, tol = multivar.average_type1b, multivar.RADIAL_TOL
         value = _scored(lambda _: func(*average(pair, scored_at)), region)
-        return SupSearchResult(estimate=value, argmax=region, evaluations=1,
-                               functional=functional)
+        return Estimate(estimate=value, argmax=region, evaluations=1, functional=functional,
+                        scope=scope, quadrature_tol=tol)
     evaluate, warm = _type2_eval_fn(weight, functional)
     return run_interval_search(evaluate, config or coarse_interval_config(),
                                functional=functional, warm=warm)

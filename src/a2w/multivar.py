@@ -1,4 +1,4 @@
-"""Cubes in R^d, d in {2, 3}, and the A2 search over them.
+"""Power weights on cubes in R^d, d in {2, 3}, and their cube averages.
 
 The weights are type1.SymbolicPowerMatrix objects with d = 2 or 3. Separable
 ones (one exponent matrix per coordinate) average over a cube in closed
@@ -13,13 +13,13 @@ error relative to the integral. The integrals of every exponent on one
 box are groups of rows of one tree (_radial_integrals): the estimate
 averages W and W^-1 with one. This module also builds both families from
 their spec data. Both are even and homogeneous, so estimator.estimate_a2
-scores one cube, the unit cube cornered at the origin.
+scores one cube, the unit cube cornered at the origin. Cube and the cube
+families (CUBE_FAMILIES) live in regions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +27,18 @@ from . import search, type1
 from .estimator import (a2_functional_norm, a2_functional_trace, average_symbolic,
                         estimate_a2)
 from .quadrature import QuadratureBudgetError, _panel_tree
+from .regions import _DIMS, Cube
 from .scalar_power import NotIntegrableError, power_stack
-from .search import Interval
 from .type1 import SymbolicPowerMatrix, _completed
 
 __all__ = [
-    "Cube",
     "build_type1a",
     "build_type1b",
     "average_type1b",
     "cube_integral_radial",
-    "CUBE_FAMILIES",
     "RADIAL_TOL",
 ]
 
-_DIMS = (2, 3)
 # Floor of a radial integral's error target, relative to the summed mass
 # of its rows: the rounding level of their node values and Gauss sums,
 # which is what is left where the face terms cancel. Below 8 eps the
@@ -51,43 +48,6 @@ _ROUNDING = 8 * np.finfo(float).eps
 # integrals. On the estimate's unit cube a tree converges in 3 panels.
 _PANEL_BUDGET = 2000
 RADIAL_TOL = 1e-6  # relative error of each radial cube average
-
-
-@dataclass(frozen=True)
-class Cube:
-    """Axis-aligned cube: lower corner plus a single side length.
-
-    Storing one side length makes the equal-sides requirement structural;
-    rectangles cannot be expressed.
-    """
-
-    lower: tuple[float, ...]
-    side: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", tuple(float(c) for c in self.lower))
-        object.__setattr__(self, "side", float(self.side))
-        if len(self.lower) not in _DIMS:
-            raise ValueError("cubes are supported in dimensions 2 and 3")
-        if not (math.isfinite(self.side) and self.side > 0):
-            raise ValueError("cube side must be positive and finite")
-        if any(not math.isfinite(c) for c in self.lower):
-            raise ValueError("cube corner must be finite")
-
-    @property
-    def d(self) -> int:
-        return len(self.lower)
-
-    @property
-    def upper(self) -> tuple[float, ...]:
-        return tuple(c + self.side for c in self.lower)
-
-    @property
-    def volume(self) -> float:
-        return self.side ** self.d
-
-    def interval(self, c: int) -> Interval:
-        return Interval(self.lower[c], self.lower[c] + self.side)
 
 
 def _cube_dim(d: int, message: str) -> int:
@@ -318,7 +278,3 @@ def average_type1b(w, cube: Cube, tol: float = RADIAL_TOL):
         out.append(avg)
     return out[0] if single else out
 
-
-# the cubes that take the value of the unit cube cornered at the origin,
-# the one cube estimator.estimate_a2 scores
-CUBE_FAMILIES = ("cornered", "centered")

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .search import Interval
+from .regions import Interval
 
 __all__ = [
-    "Interval",
     "NotIntegrableError",
     "NotA2Error",
     "parse_rational",

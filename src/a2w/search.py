@@ -6,14 +6,8 @@ then refines its incumbent. A power matrix's functionals, an identity
 Type 2 weight's among them, see only an interval's shape, so
 estimator.estimate_a2 scores it once, at its anchored shape, as it
 scores cubes at the cornered unit cube.
-The family (FAMILIES) deliberately contains only three interval shapes
-relative to the origin: symmetric (center 0), anchored (one endpoint
-exactly 0), and origin-free.
-Asymmetric intervals with 0 strictly inside are excluded; on those the
-scalar product <w><1/w> is not controlled by the closed-form per-exponent
-constants this package certifies against, so admitting them would break
-the certified upper bounds. Estimates are honest lower bounds of the true
-supremum either way, since only real intervals are evaluated.
+The grid holds the three families of regions.FAMILIES, the scope of the
+regions.Estimate it returns: a lower bound, as only real intervals count.
 
 run_interval_search calls evaluate once per interval, grid first, in
 scan order. It hands its warm function the whole grid before the scan,
@@ -31,20 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regions import FAMILIES, Estimate, Interval
+
 __all__ = [
-    "FAMILIES",
-    "Interval",
     "SupSearchConfig",
-    "SupSearchResult",
     "SearchError",
-    "default_interval_config",
+    "fine_interval_config",
     "coarse_interval_config",
     "interval_grid",
     "run_interval_search",
     "golden_max",
 ]
 
-FAMILIES = ("symmetric", "anchored", "origin-free")
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # rounds of golden_max whose reachable points are warmed as one batch
 _LOOKAHEAD = 4
@@ -53,35 +45,6 @@ _TIE_RTOL = 1e-12
 
 class SearchError(RuntimeError):
     """Search could not produce a finite estimate."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed bounded interval [a, b] with a < b."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"degenerate interval [{self.a}, {self.b}]")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
-    def halflength(self) -> float:
-        return (self.b - self.a) / 2.0
-
-    def contains_zero(self) -> bool:
-        return self.a <= 0.0 <= self.b
-
-    def near_endpoint_distance(self) -> float:
-        """Distance from 0 to the endpoint closer to it."""
-        return min(abs(self.a), abs(self.b))
 
 
 @dataclass(frozen=True)
@@ -108,8 +71,8 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 
 @functools.cache
-def default_interval_config() -> SupSearchConfig:
-    """Default family: centers {0} and +/- logspace(1e-6, 1e6, 49), same half-lengths."""
+def fine_interval_config() -> SupSearchConfig:
+    """Fine grid: centers {0} and +/- logspace(1e-6, 1e6, 49), same half-lengths."""
     mags = _log_grid(1e-6, 1e6, 49)
     centers = (0.0,) + mags + tuple(-m for m in mags)
     return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=20)
@@ -123,19 +86,6 @@ def coarse_interval_config() -> SupSearchConfig:
     mags = _log_grid(1e-3, 1e3, 13)
     centers = (0.0,) + mags + tuple(-m for m in mags)
     return SupSearchConfig(centers=centers, halflengths=mags, refine_rounds=8)
-
-
-@dataclass(frozen=True)
-class SupSearchResult:
-    """Searched maximum; argmax is an Interval, or a multivar.Cube for cubes.
-    config is the interval grid a rotation's search ran (None for power
-    matrices, on the line and on cubes)."""
-
-    estimate: float
-    argmax: Interval
-    evaluations: int
-    functional: str
-    config: SupSearchConfig | None = None
 
 
 def _candidate(center: float, halflength: float) -> Interval | None:
@@ -217,7 +167,7 @@ def _scored(evaluate, region) -> float:
 
 
 def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
-                        warm=None) -> SupSearchResult:
+                        warm=None) -> Estimate:
     """Maximize evaluate(Interval) over the configured family.
 
     Grid scan, then config.refine_rounds rounds of golden-section
@@ -309,5 +259,5 @@ def run_interval_search(evaluate, config: SupSearchConfig, functional: str, *,
                    math.log(abs(c1)) + span)
 
     val, _, argmax = best()
-    return SupSearchResult(estimate=val, argmax=argmax, evaluations=len(record),
-                           functional=functional, config=config)
+    return Estimate(estimate=val, argmax=argmax, evaluations=len(record),
+                    functional=functional, scope=FAMILIES, config=config)

@@ -228,12 +228,15 @@ def fourier_power_moments(gammas, degree: int, xs) -> np.ndarray:
     z = m * y
     out = np.empty((len(s), degree, xs.size), dtype=complex)
     near = z < 4.0  # the same elements for every exponent
-    n = np.arange(_SERIES_TERMS)
-    ratios = np.where(n == 0, 1.0, 1j * z[near][:, None] / np.maximum(n, 1))
-    terms = np.cumprod(ratios, axis=1)  # term n = (iz)^n / n!
-    # vecdot, like the Gauss sums of quadrature._gl_panels, sums each
-    # element's terms on their own
-    out[:, near] = power_stack(y[near], s) * np.vecdot((1.0 / (s + n))[:, None, :], terms)
+    if near.any():
+        n = np.arange(_SERIES_TERMS)
+        ratios = np.where(n == 0, 1.0, 1j * z[near][:, None] / np.maximum(n, 1))
+        terms = np.cumprod(ratios, axis=1)  # term n = (iz)^n / n!
+        # vecdot, like the Gauss sums of quadrature._gl_panels, sums each
+        # element's terms on their own
+        out[:, near] = power_stack(y[near], s) * np.vecdot((1.0 / (s + n))[:, None, :], terms)
+    if near.all():  # no continued fraction to run
+        return np.where(xs < 0.0, -out.conj(), out)
     far = ~near
     iz = 1j * z[far]
     # h = 1 / (b_0 - a_1 / (b_1 - a_2 / (b_2 - ...))) with b_k = 2k + 1 - s - iz

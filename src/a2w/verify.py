@@ -17,7 +17,7 @@ import numpy as np
 
 from . import estimator, linalg, multivar, type1, type2
 from .quadrature import adaptive_quad
-from .search import Interval
+from .regions import Cube, Interval
 
 __all__ = [
     "PropertyResult",
@@ -77,18 +77,18 @@ def random_interval(rng: np.random.Generator) -> Interval:
     return Interval(c - h, c + h)
 
 
-def random_cube(rng: np.random.Generator, d: int) -> multivar.Cube:
+def random_cube(rng: np.random.Generator, d: int) -> Cube:
     """A cube in dimension d of random side from 1e-2 to 1e2: cornered at
     the origin, centered on it, or shifted one or two sides out along the
     diagonal, one kind in three."""
     s = 10.0 ** rng.uniform(-2.0, 2.0)
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        return multivar.Cube((0.0,) * d, s)
+        return Cube((0.0,) * d, s)
     if kind == 1:
-        return multivar.Cube((-0.5 * s,) * d, s)
+        return Cube((-0.5 * s,) * d, s)
     k = int(rng.integers(1, 3))
-    return multivar.Cube((k * s,) * d, s)
+    return Cube((k * s,) * d, s)
 
 
 # ---------------------------------------------------------------- linalg
@@ -349,8 +349,8 @@ def _prop_radial_dilation(rng, trials):
     for t in range(max(3, trials // 10)):
         gamma = float(rng.uniform(0.0, 1.8))
         h = 10.0 ** rng.uniform(-2.0, 2.0)
-        unit = multivar.Cube((-1.0, -1.0), 2.0)
-        scaled = multivar.Cube((-h, -h), 2.0 * h)
+        unit = Cube((-1.0, -1.0), 2.0)
+        scaled = Cube((-h, -h), 2.0 * h)
         v1 = multivar.cube_integral_radial(gamma, unit.lower, unit.upper,
                                            1e-8) / unit.volume
         vh = multivar.cube_integral_radial(gamma, scaled.lower, scaled.upper,

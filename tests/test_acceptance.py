@@ -22,8 +22,9 @@ from a2w.cli import main
 from a2w.estimator import (a2_functional_norm, a2_functional_trace,
                            average_numeric, average_symbolic, estimate_a2)
 from a2w.linalg import elim_inverse, lu_det
-from a2w.multivar import Cube, average_type1b, build_type1a, build_type1b
-from a2w.search import Interval, coarse_interval_config
+from a2w.multivar import average_type1b, build_type1a, build_type1b
+from a2w.regions import Cube, Interval
+from a2w.search import coarse_interval_config
 from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, evaluate, symbolic_det,
                        symbolic_inverse)

@@ -14,6 +14,7 @@ import pytest
 from a2w import __version__
 from a2w import cli, verify
 from a2w.cli import SchemaError, load_weight_spec, main
+from a2w.estimator import estimate_a2
 from a2w.type1 import SymbolicPowerMatrix
 from a2w.type2 import Type2Weight
 
@@ -35,8 +36,9 @@ AT_FLOAT_LIMIT = dict(HUGE, coeff=[[1.7e308, 0], [0, 1.7e308]])
 INTERVAL_FAMILIES = ["symmetric", "anchored", "origin-free"]
 POWER_MATRIX_CONFIG = {"families": ["symmetric", "anchored"]}
 ROOT = Path(__file__).resolve().parents[1]
-CUBE_CONFIG = {"families": ["cornered", "centered"],
-               "quadrature_tol": 1e-6}  # multivar.RADIAL_TOL
+# a separable weight runs no quadrature; a radial one echoes its tolerance
+CUBE_CONFIG = {"families": ["cornered", "centered"]}
+RADIAL_CONFIG = dict(CUBE_CONFIG, quadrature_tol=1e-6)  # multivar.RADIAL_TOL
 # README's separable and radial examples
 TYPE1A = {"kind": "type1a", "coeff": [[5, 3], [3, 2]],
           "diag_exponents_per_coordinate": [["1/2", "-2/3"], ["0", "1/3"]]}
@@ -326,7 +328,7 @@ class TestConstantCommand:
         code, payload = run_json(
             capsys, ["constant", write_spec(tmp_path, ROTATION_EQUAL), "--json"])
         assert code == 0
-        assert payload["config"] == {"grid": "default", "centers": 27,
+        assert payload["config"] == {"grid": "coarse", "centers": 27,
                                      "halflengths": 13, "refine_rounds": 8,
                                      "families": INTERVAL_FAMILIES}
 
@@ -357,6 +359,19 @@ class TestConstantCommand:
         code, payload = run_json(capsys, ["constant", path, "--json", "--grid", grid])
         assert code == 0
         assert payload == plain
+
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    @pytest.mark.parametrize("doc", [SCALAR_HALF, TWO_BY_TWO, IDENTITY, TYPE1A, TYPE1B,
+                                     ROTATION_EQUAL],
+                             ids=["scalar", "type1", "identity", "type1a", "type1b",
+                                  "rotation2d"])
+    def test_the_families_echo_is_the_estimate_scope(self, tmp_path, capsys, doc, grid):
+        # the echo names the families the record says its value stands for
+        code, payload = run_json(capsys, ["constant", write_spec(tmp_path, doc), "--json",
+                                          "--grid", grid])
+        assert code == 0
+        result = estimate_a2(load_weight_spec(doc)[0], "trace", cli._GRIDS[grid]())
+        assert payload["config"]["families"] == list(result.scope)
 
     @pytest.mark.parametrize("doc", [TWO_BY_TWO, IDENTITY], ids=["type1", "identity"])
     def test_a_power_matrix_constant_leaves_numpy_ma_unimported(self, tmp_path, doc):
@@ -446,7 +461,7 @@ class TestConstantCommand:
         assert code == 0
         assert set(payload["argmax"]) == {"lower", "side"}
         assert payload["estimate"] == pytest.approx(4.0 / 3.0, rel=1e-9)
-        assert payload["config"]["families"] == ["cornered", "centered"]
+        assert payload["config"] == CUBE_CONFIG
         assert payload["evaluations"] == 1
 
     def test_radial_cube_weight(self, tmp_path, capsys):
@@ -458,7 +473,7 @@ class TestConstantCommand:
              "--grid", "coarse"])
         assert code == 0
         assert payload["estimate"] >= 1.0
-        assert payload["config"] == CUBE_CONFIG  # --grid selects nothing
+        assert payload["config"] == RADIAL_CONFIG  # --grid selects nothing
 
     def test_radial_matrix_weight_on_default_grid(self, tmp_path, capsys):
         doc = {"kind": "type1b", "coeff": [[2, 1], [1, 2]],
@@ -466,7 +481,7 @@ class TestConstantCommand:
         code, payload = run_json(
             capsys, ["constant", write_spec(tmp_path, doc), "--json"])
         assert code == 0
-        assert payload["config"] == CUBE_CONFIG
+        assert payload["config"] == RADIAL_CONFIG
         assert payload["evaluations"] == 1
         assert payload["estimate"] == pytest.approx(2.1860225424733, rel=1e-9)
 
@@ -486,7 +501,7 @@ class TestConstantCommand:
             capsys,
             ["constant", write_spec(tmp_path, doc), "--json", "--grid", "coarse"])
         assert code == 0
-        assert payload["config"] == CUBE_CONFIG
+        assert payload["config"] == RADIAL_CONFIG
 
     def test_linear_algebra_failure_exits_four(self, tmp_path, capsys,
                                                monkeypatch):

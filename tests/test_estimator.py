@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from a2w.estimator import (Interval, NonPositiveInputError, SupSearchConfig,
-                           a2_functional_norm, a2_functional_trace,
-                           average_numeric, average_symbolic,
-                           coarse_interval_config, default_interval_config,
+from a2w.estimator import (NonPositiveInputError, a2_functional_norm,
+                           a2_functional_trace, average_numeric, average_symbolic,
                            estimate_a2)
 from a2w.quadrature import PointwiseMatrixFunction, QuadratureBudgetError
 from a2w.scalar_power import (NotA2Error, average_abs_pow,
@@ -21,7 +19,9 @@ from a2w.type1 import (SymbolicPowerMatrix, a2_upper_bound, build_type1,
                        build_type1_raw, check_a2, symbolic_inverse)
 from a2w import estimator, linalg, multivar, quadrature, search, type2
 from a2w.scalar_power import integral_abs_pow_stack
-from a2w.search import golden_max, interval_grid, run_interval_search
+from a2w.regions import Interval
+from a2w.search import (SupSearchConfig, coarse_interval_config, fine_interval_config,
+                        golden_max, interval_grid, run_interval_search)
 from a2w.type2 import (Type2Weight, as_pointwise, inverse_weight,
                        pair_pointwise)
 from a2w.verify import random_interval, random_type1_weight
@@ -531,7 +531,7 @@ class TestStackedGrid:
                 # and the value of the estimate's one average call
                 assert value == func(*average_symbolic(pair, Interval(t, 1.0))), t
             return
-        config = {"coarse": coarse_interval_config(), "fine": default_interval_config()}[grid]
+        config = {"coarse": coarse_interval_config(), "fine": fine_interval_config()}[grid]
         evaluate = _eval_fn(w, functional, config)
         for one, iv in _grid_cells(config):
             assert evaluate(iv) == _eval_fn(w, functional, one)(iv), iv
@@ -548,7 +548,7 @@ class TestStackedGrid:
         # golden_max gets no warm, which scores each refinement interval
         # as a stack of one. The search warms its whole grid first, before
         # it evaluates anything.
-        config = {"coarse": None, "fine": default_interval_config()}[grid]
+        config = {"coarse": None, "fine": fine_interval_config()}[grid]
         warmed = _SearchLog(w, functional, config, warm=True)
         cold = _SearchLog(w, functional, config, warm=False)
         n_grid = len(interval_grid(cold.result.config))

@@ -22,17 +22,18 @@ import pytest
 from a2w.estimator import (_FUNCTIONALS, _averages, _closed_form_pair, _term_table,
                            a2_functional_norm, a2_functional_trace, average_numeric,
                            average_symbolic, estimate_a2)
-from a2w.multivar import Cube, average_type1b, build_type1a, build_type1b
-from a2w.search import (Interval, coarse_interval_config, default_interval_config,
-                        interval_grid, run_interval_search)
+from a2w.multivar import average_type1b, build_type1a, build_type1b
+from a2w.regions import Cube, Interval
 from a2w.report import VERDICT_A2
+from a2w.search import (coarse_interval_config, fine_interval_config, interval_grid,
+                        run_interval_search)
 from a2w.type1 import build_type1, check_a2, symbolic_inverse
 from a2w.type2 import Type2Weight, as_type1, pair_pointwise
 
 HALF = Fraction(1, 2)
 FUNCTIONALS = (a2_functional_trace, a2_functional_norm)
 SCALES = (1e-6, 1e-3, 1e3, 1e6)
-GRIDS = (default_interval_config, coarse_interval_config)
+GRIDS = (fine_interval_config, coarse_interval_config)
 
 W2 = build_type1(np.array([[5.0, 3.0], [3.0, 2.0]]), ["1/2", "-2/3"])
 SCALAR = build_type1(np.array([[1.0]]), ["1/2"])
@@ -312,7 +313,7 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
     # both sides, and cond(<W>) grew to about 5e6; at [t, 1] it stays near
     # cond(A), so the norm keeps its digits on every shape and at the
     # argmax
-    ts = grid_shapes(default_interval_config)
+    ts = grid_shapes(fine_interval_config)
     for t, value in zip(ts, shape_scores(ILL_3X3, "norm")(ts)):
         assert value == pytest.approx(mp_norm(ILL_3X3, Interval(t, 1.0)), rel=1e-13, abs=0.0)
     result = estimate_a2(ILL_3X3, "norm")
@@ -326,7 +327,7 @@ def test_an_ill_balanced_norm_matches_its_closed_form_at_every_shape():
 def test_a_2x2_norm_matches_its_closed_form_at_every_shape(weight):
     # every one of the 50 default shapes, against the roots of a quadratic
     # in 40 digits: no code shared with the LAPACK route
-    ts = grid_shapes(default_interval_config)
+    ts = grid_shapes(fine_interval_config)
     assert len(ts) == 50
     for t, value in zip(ts, shape_scores(weight, "norm")(ts)):
         assert value == pytest.approx(mp_norm_2x2(weight, Interval(t, 1.0)), rel=1e-13,

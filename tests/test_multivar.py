@@ -11,13 +11,12 @@ from scipy.integrate import dblquad, quad, tplquad
 from a2w import estimator, multivar
 from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
 from a2w.linalg import SingularMatrixError
-from a2w.multivar import (Cube, average_type1b, build_type1a, build_type1b,
-                          cube_integral_radial)
+from a2w.multivar import average_type1b, build_type1a, build_type1b, cube_integral_radial
 from a2w.quadrature import QuadratureBudgetError
+from a2w.regions import Cube, Interval
 from a2w.report import (VERDICT_A2, VERDICT_NOT_A2, VERDICT_NOT_INTEGRABLE,
                         VERDICT_NOT_PD_AE)
 from a2w.scalar_power import NotA2Error, NotIntegrableError, average_abs_pow
-from a2w.search import Interval
 from a2w.type1 import (MidpointConditionError, SymbolicPowerMatrix, build_type1,
                        a2_upper_bound, check_a2, evaluate, symbolic_det,
                        symbolic_inverse)

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a2w.estimator import a2_functional_trace, average_symbolic, estimate_a2
-from a2w.scalar_power import (Interval, NotA2Error, NotIntegrableError,
+from a2w.regions import Interval
+from a2w.scalar_power import (NotA2Error, NotIntegrableError,
                               average_abs_pow, format_rational,
                               integral_abs_pow, integral_abs_pow_stack,
                               parse_rational, power_stack,

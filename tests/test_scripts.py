@@ -52,10 +52,26 @@ def test_every_exported_name_resolves():
     # a deletion that leaves its name behind in an __all__ fails here
     modules = [a2w] + [importlib.import_module(f"a2w.{m.name}")
                        for m in pkgutil.iter_modules(a2w.__path__)]
-    assert len(modules) == 12
+    assert len(modules) == 13
     missing = [f"{mod.__name__}.{name}" for mod in modules
                for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_regions_and_scalar_power_load_no_search():
+    # the package loads a module on first use of one of its names, so a
+    # module that takes a region need not load the search
+    code = "\n".join([
+        "import sys; sys.path[:0] = ['src']",
+        "import a2w.regions",
+        "print(sorted(m for m in sys.modules if m.startswith('a2w')))",
+        "import a2w.scalar_power",
+        "print('a2w.search' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['a2w', 'a2w.regions']", "False"]
 
 
 def _code_lines(path: Path) -> list[tuple[str, set[str]]]:
@@ -109,7 +125,9 @@ def test_every_private_definition_has_a_use_outside_its_body():
     # code outside its own body names is dead, or lives on for the tests
     # alone. Uses are names and attributes in the syntax tree of the
     # package, the gallery scripts and the benchmark tracer: a comment,
-    # docstring or import is not one.
+    # docstring or import is not one. A dunder such as the package's
+    # module __getattr__ is called by Python, not by name, so it is not
+    # private.
     package = sorted((ROOT / "src" / "a2w").glob("*.py"))
     paths = package + sorted((ROOT / "scripts").glob("*.py")) + \
         [ROOT / "a2wbench" / "tracing.py"]
@@ -119,7 +137,7 @@ def test_every_private_definition_has_a_use_outside_its_body():
             if isinstance(node, (ast.Name, ast.Attribute))]
     private = [(p, node) for p in package for node in trees[p].body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")]
+               and node.name.startswith("_") and not node.name.endswith("__")]
     assert len(private) > 50
     unused = [f"{p.stem}.{node.name}" for p, node in private
               if not any(name == node.name

@@ -7,8 +7,9 @@ import pytest
 
 from a2w.estimator import a2_functional_trace, average_symbolic
 from a2w import search
-from a2w.search import (Interval, SearchError, SupSearchConfig,
-                        coarse_interval_config, default_interval_config,
+from a2w.regions import Interval
+from a2w.search import (SearchError, SupSearchConfig,
+                        coarse_interval_config, fine_interval_config,
                         golden_max, run_interval_search)
 from a2w.type1 import SymbolicPowerMatrix, symbolic_inverse
 
@@ -43,14 +44,14 @@ class TestInterval:
 
 class TestConfigs:
     def test_default_grid_shape(self):
-        cfg = default_interval_config()
+        cfg = fine_interval_config()
         assert len(cfg.centers) == 99
         assert len(cfg.halflengths) == 49
         assert 0.0 in cfg.centers
 
     def test_coarse_grid_is_smaller(self):
         assert len(coarse_interval_config().centers) < len(
-            default_interval_config().centers)
+            fine_interval_config().centers)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -131,7 +132,7 @@ class TestFamilyShapes:
 class TestRunIntervalSearch:
     def test_scalar_power_objective_reaches_sup(self):
         res = run_interval_search(scalar_objective(1.0, "1/2"),
-                                  default_interval_config(), functional="probe")
+                                  fine_interval_config(), functional="probe")
         assert res.estimate == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert res.functional == "probe"
         # grid minus excluded straddlers, plus refinement evaluations
